@@ -45,12 +45,6 @@ func run(args []string) error {
 	parityJSON := fs.String("parity-json", "", "write the parity report as JSON to this path (implies -parity)")
 	parityFloor := fs.Float64("parity-floor", 0, "with -parity, exit non-zero when the live headline-cell ratio falls below this floor")
 	parityBaseline := fs.String("parity-baseline", "", "assert the committed throughput baseline's headline cell holds sdrad >= 0.97x vanilla (deterministic; no benchmark run needed)")
-	schedBench := fs.Bool("sched", false, "measure the self-tuning scheduler cells (idle p99 and fault-storm goodput, adaptive vs fixed)")
-	schedJSON := fs.String("sched-json", "", "with -sched, merge the scheduler cells into this throughput-report JSON (read-modify-write; implies -sched)")
-	schedGate := fs.String("sched-gate", "", "assert the committed throughput baseline's scheduler cells hold idle <= 1.0x and storm >= 1.15x (deterministic; no benchmark run needed)")
-	latencyBench := fs.Bool("latency", false, "measure latency-under-load curves (uniform and hot-conn-skewed offered-rate sweeps, round-robin vs placement+stealing)")
-	latencyJSON := fs.String("latency-json", "", "with -latency, write the latency report as JSON to this path (implies -latency)")
-	latencyGate := fs.String("latency-gate", "", "assert the committed latency baseline holds the knee p99 ratio >= 1.3x and the uniform p50 tax <= 5% (deterministic; no benchmark run needed)")
 	selected := make(map[string]*bool, len(bench.Experiments))
 	for _, name := range bench.Experiments {
 		selected[name] = fs.Bool(name, false, "run the "+name+" experiment")
@@ -89,9 +83,7 @@ func run(args []string) error {
 		toRun = append(toRun, "cluster")
 	}
 	parityMode := *parityBaseline != "" || *parity || *parityJSON != ""
-	schedMode := *schedBench || *schedJSON != "" || *schedGate != ""
-	latencyMode := *latencyBench || *latencyJSON != "" || *latencyGate != ""
-	if len(toRun) == 0 && !parityMode && !schedMode && !latencyMode && *clusterGate == "" {
+	if len(toRun) == 0 && !parityMode && *clusterGate == "" {
 		toRun = bench.Experiments
 	}
 	fmt.Printf("SDRaD-Go evaluation (scale: %s)\n", scaleName)
@@ -113,30 +105,6 @@ func run(args []string) error {
 		if *parity || *parityJSON != "" {
 			if err := runParity(scale, *parityJSON, *parityFloor); err != nil {
 				return fmt.Errorf("parity: %w", err)
-			}
-		}
-	}
-	if schedMode {
-		if *schedGate != "" {
-			if err := checkSchedGate(*schedGate); err != nil {
-				return err
-			}
-		}
-		if *schedBench || *schedJSON != "" {
-			if err := runSched(scale, *schedJSON); err != nil {
-				return fmt.Errorf("sched: %w", err)
-			}
-		}
-	}
-	if latencyMode {
-		if *latencyGate != "" {
-			if err := checkLatencyGate(*latencyGate); err != nil {
-				return err
-			}
-		}
-		if *latencyBench || *latencyJSON != "" {
-			if err := runLatency(scale, *latencyJSON); err != nil {
-				return fmt.Errorf("latency: %w", err)
 			}
 		}
 	}
@@ -272,83 +240,6 @@ func runParity(scale bench.Scale, jsonPath string, liveFloor float64) error {
 	}
 	if liveFloor > 0 {
 		fmt.Printf("live parity headline ratio clears the %.2fx floor\n", liveFloor)
-	}
-	return nil
-}
-
-// checkSchedGate asserts the committed throughput baseline's scheduler
-// cells hold the idle ceiling and the fault-storm floor. Like the other
-// committed-baseline gates it runs no benchmark — runner noise cannot
-// flake it; the gate moves only when someone commits a recording that
-// fails it.
-func checkSchedGate(path string) error {
-	base, err := bench.LoadThroughputBaseline(path)
-	if err != nil {
-		return err
-	}
-	if err := base.CheckSchedGate(); err != nil {
-		return err
-	}
-	fmt.Printf("sched: committed baseline %s holds idle p99 at %.3fx fixed (ceiling %.2fx) and fault-storm goodput at %.3fx fixed (floor %.2fx)\n",
-		path, base.Sched.IdleP99Ratio, bench.SchedIdleCeiling, base.Sched.StormTputRatio, bench.SchedStormFloor)
-	return nil
-}
-
-// runSched measures the scheduler cells with paired adaptive-vs-fixed
-// rounds. With a JSON path, the cells are merged into the existing
-// throughput report (read-modify-write) so they live next to the
-// scaling cells in BENCH_throughput.json.
-func runSched(scale bench.Scale, jsonPath string) error {
-	rep, table, err := bench.RunSched(scale)
-	if err != nil {
-		return err
-	}
-	table.Fprint(os.Stdout)
-	if jsonPath != "" {
-		base, err := bench.LoadThroughputBaseline(jsonPath)
-		if err != nil {
-			return err
-		}
-		base.Sched = rep
-		if err := base.WriteJSON(jsonPath); err != nil {
-			return err
-		}
-		fmt.Printf("scheduler cells merged into %s\n", jsonPath)
-	}
-	return nil
-}
-
-// checkLatencyGate asserts the committed latency baseline's knee win and
-// uniform-tax ceiling. Like the other committed-baseline gates it runs no
-// benchmark — runner noise cannot flake it; the gate moves only when
-// someone commits a recording that fails it.
-func checkLatencyGate(path string) error {
-	base, err := bench.LoadLatencyBaseline(path)
-	if err != nil {
-		return err
-	}
-	if err := base.CheckLatencyGate(); err != nil {
-		return err
-	}
-	fmt.Printf("latency: committed baseline %s holds the knee (%.0f req/s) p99 win at %.2fx (floor %.2fx) with uniform p50 tax %.1f%% (ceiling %.1f%%)\n",
-		path, base.KneeRate, base.KneeP99Ratio, bench.LatencyKneeFloor,
-		base.UniformMaxP50DeltaPct, bench.LatencyUniformTolerancePct)
-	return nil
-}
-
-// runLatency measures the latency-under-load curves, optionally writing
-// the JSON report.
-func runLatency(scale bench.Scale, jsonPath string) error {
-	rep, table, err := bench.RunLatency(scale)
-	if err != nil {
-		return err
-	}
-	table.Fprint(os.Stdout)
-	if jsonPath != "" {
-		if err := rep.WriteJSON(jsonPath); err != nil {
-			return err
-		}
-		fmt.Printf("latency report written to %s\n", jsonPath)
 	}
 	return nil
 }

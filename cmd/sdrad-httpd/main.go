@@ -23,7 +23,6 @@ import (
 
 	"sdrad/internal/httpd"
 	"sdrad/internal/policy"
-	"sdrad/internal/sched"
 	"sdrad/internal/telemetry"
 )
 
@@ -39,11 +38,9 @@ func run(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8089", "listen address")
 	workers := fs.Int("workers", 2, "worker processes")
 	variantName := fs.String("variant", "sdrad", "build variant: vanilla, tlsf, or sdrad")
-	maxBatch := fs.Int("max-batch", 16, "max pipelined requests parsed per guard scope")
+	maxBatch := fs.Int("max-batch", 16, "ceiling of the adaptive per-worker batch bound: the most pipelined requests one guard scope ever parses")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /flightrecorder on this address (empty = telemetry off)")
 	usePolicy := fs.Bool("policy", false, "attach the resilience-policy engine: repeated parser rewinds escalate to backoff, then quarantine (503 + Retry-After), then load shedding")
-	useSched := fs.Bool("sched", false, "enable the self-tuning batch scheduler: adaptive drain-batch bound (AIMD on load and rewind rate) on the hardened workers (off = the fixed max-batch drain, bit-identical to previous builds)")
-	useRoute := fs.Bool("route", false, "with -sched, place new connections on the least-loaded worker (queue depth, EWMA parse latency, rewind-window heat) instead of round-robin")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -66,15 +63,6 @@ func run(args []string) error {
 	if *usePolicy {
 		eng = policy.New(policy.Config{})
 	}
-	var schedCfg *sched.Config
-	if *useSched {
-		if variant != httpd.VariantSDRaD {
-			return fmt.Errorf("-sched requires -variant sdrad (the scheduler tunes the guard-scope batch bound)")
-		}
-		schedCfg = &sched.Config{Route: *useRoute}
-	} else if *useRoute {
-		return fmt.Errorf("-route requires -sched (placement reads the scheduler's load signals)")
-	}
 	m, err := httpd.NewMaster(httpd.Config{
 		Variant:  variant,
 		Workers:  *workers,
@@ -85,7 +73,6 @@ func run(args []string) error {
 		},
 		Telemetry: rec,
 		Policy:    eng,
-		Sched:     schedCfg,
 	})
 	if err != nil {
 		return err
@@ -96,9 +83,6 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("sdrad-httpd (%s, %d workers) listening on %s\n", variant, *workers, ln.Addr())
-	if schedCfg != nil {
-		fmt.Printf("sched: adaptive batch bound (ceiling %d), load-aware placement %v\n", *maxBatch, *useRoute)
-	}
 	if eng != nil {
 		pc := eng.Config()
 		fmt.Printf("policy: backoff at %d, quarantine at %d, shed at %d rewinds per %s window\n",

@@ -24,7 +24,6 @@ import (
 
 	"sdrad/internal/memcache"
 	"sdrad/internal/policy"
-	"sdrad/internal/sched"
 	"sdrad/internal/telemetry"
 )
 
@@ -42,13 +41,9 @@ func run(args []string) error {
 	variantName := fs.String("variant", "sdrad", "build variant: vanilla, tlsf, or sdrad")
 	cacheMB := fs.Int("cache-mb", 64, "cache memory limit (MiB)")
 	shards := fs.Int("shards", 8, "lock-striped storage shards (power of two)")
-	maxBatch := fs.Int("max-batch", 16, "max pipelined requests handled per guard scope")
+	maxBatch := fs.Int("max-batch", 16, "ceiling of the adaptive per-worker drain bound: the most pipelined requests one guard scope ever handles")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /flightrecorder on this address (empty = telemetry off)")
 	usePolicy := fs.Bool("policy", false, "attach the resilience-policy engine: repeated rewinds of the event domain escalate to backoff, then quarantine (gets served as misses, mutations refused), then load shedding")
-	useSched := fs.Bool("sched", false, "enable the self-tuning batch/shard scheduler: adaptive drain-batch bound (AIMD on load and rewind rate), shard-affinity batch splitting, and contention-driven slot rebalancing (off = the fixed max-batch drain, bit-identical to previous builds)")
-	rebalanceEvery := fs.Duration("rebalance-interval", 0, "with -sched, run the contention-driven slot rebalancer at this interval (0 = off)")
-	useRoute := fs.Bool("route", false, "with -sched, place new connections on the least-loaded worker (queue depth, EWMA service latency, rewind-window heat) instead of round-robin")
-	useSteal := fs.Bool("steal", false, "with -sched, let idle floor-bound workers steal shard-aligned segments of backlogged siblings' pending keyed requests, each stolen segment in its own guard scope")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,15 +66,6 @@ func run(args []string) error {
 	if *usePolicy {
 		eng = policy.New(policy.Config{})
 	}
-	var schedCfg *sched.Config
-	if *useSched {
-		if variant != memcache.VariantSDRaD {
-			return fmt.Errorf("-sched requires -variant sdrad (the scheduler tunes the guard-scope batch bound)")
-		}
-		schedCfg = &sched.Config{Route: *useRoute, Steal: *useSteal}
-	} else if *useRoute || *useSteal {
-		return fmt.Errorf("-route and -steal require -sched (placement and stealing read the scheduler's load signals)")
-	}
 	s, err := memcache.NewServer(memcache.Config{
 		Variant:    variant,
 		Workers:    *workers,
@@ -88,28 +74,16 @@ func run(args []string) error {
 		MaxBatch:   *maxBatch,
 		Telemetry:  rec,
 		Policy:     eng,
-		Sched:      schedCfg,
 	})
 	if err != nil {
 		return err
 	}
 	defer s.Stop()
-	if schedCfg != nil && *rebalanceEvery > 0 {
-		stop := s.StartRebalancer(*rebalanceEvery)
-		defer stop()
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("sdrad-memcached (%s, %d workers) listening on %s\n", variant, *workers, ln.Addr())
-	if schedCfg != nil {
-		fmt.Printf("sched: adaptive batch bound (ceiling %d), shard-affinity splits, rebalance interval %s\n",
-			s.MaxBatch(), rebalanceEvery.String())
-		if *useRoute || *useSteal {
-			fmt.Printf("sched: load-aware placement %v, cross-worker stealing %v\n", *useRoute, *useSteal)
-		}
-	}
 	if eng != nil {
 		pc := eng.Config()
 		fmt.Printf("policy: backoff at %d, quarantine at %d, shed at %d rewinds per %s window\n",

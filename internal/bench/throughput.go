@@ -42,10 +42,6 @@ type ThroughputReport struct {
 	// paired estimator, not the ratio of the two medians above, is the
 	// statistic the parity gate trusts). Absent in pre-parity baselines.
 	ParityRatios map[string]float64 `json:"parity_ratios,omitempty"`
-	// Sched holds the self-tuning scheduler cells (idle p99 and
-	// fault-storm goodput, adaptive vs fixed; see sched.go). Absent in
-	// pre-scheduler baselines; gated by CheckSchedGate.
-	Sched *SchedReport `json:"sched,omitempty"`
 }
 
 // throughputSchema versions the JSON layout.

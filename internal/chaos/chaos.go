@@ -157,12 +157,11 @@ var campaigns = []Campaign{
 	{Name: "lease", Desc: "span-lease check elision: faults under leased paths keep exact si_code and byte; rewind revokes windows", run: runLease},
 	{Name: "memcache", Desc: "memcached workload: bset overflow, mutated protocol bytes, injected PKU faults and OOM", run: runMemcache},
 	{Name: "batch", Desc: "pipelined memcached batches: bset overflow mid-batch, whole-batch discard, shard invariant audits", run: runBatch},
-	{Name: "sched", Desc: "self-tuning batch scheduler: fault in a shard-split batch discards one segment with one forensics report, a burst pins the bound to the floor, a drained window lets backlog regrow it", run: runSchedCampaign},
+	{Name: "sched", Desc: "adaptive drain bound: a trap burst walks the bound to the floor, a hot rewind window pins it there against a backlog, a drained window lets backlog regrow it", run: runSchedCampaign},
 	{Name: "httpd", Desc: "httpd workload: URI traversal, malicious client certs, mutated requests, injected PKU faults", run: runHTTPD},
 	{Name: "crypto", Desc: "cryptolib wrappers: injected faults inside EncryptUpdate, malicious certificate verification", run: runCrypto},
 	{Name: "policy", Desc: "resilience-policy ladder: hammer one UDI through backoff/quarantine/shed while siblings keep serving, then the memcached degraded path", run: runPolicyCampaign},
 	{Name: "cluster", Desc: "consistent-hash router over three backends: bset attack absorbed in place, a killed backend demotes after a bounded degraded burst and spills, a quarantined backend is routed around and readmits through probation", run: runCluster},
-	{Name: "route", Desc: "load-aware placement and cross-worker stealing: calm-worker placement after a trap, boundary-aligned steals serve a parked victim's backlog, a fault in a stolen segment discards only that segment, and a floor-pinned controller escalates the event domain into policy backoff", run: runRouteCampaign},
 }
 
 // Campaigns lists the registered campaigns.

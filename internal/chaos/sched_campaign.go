@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -12,18 +11,16 @@ import (
 	"sdrad/internal/sched"
 )
 
-// runSchedCampaign drives the self-tuning batch scheduler through its
-// three contracts under a hand-advanced clock, so every controller
-// decision is a deterministic function of the seed:
+// runSchedCampaign drives the adaptive drain bound through its three
+// contracts under a hand-advanced clock, so every controller decision is
+// a deterministic function of the seed:
 //
-//  1. A fault inside a shard-split mixed batch rewinds exactly once,
-//     produces exactly one forensics report agreeing with the MMU fault
-//     log, closes only the trapped segment's connection, and leaves the
-//     other segment's writes committed (the split is a real isolation
-//     boundary, not just a throughput trick).
-//  2. A fault burst walks the bound down multiplicatively — the
-//     rewind-window ceiling must pin it to the floor while the window
-//     is hot.
+//  1. A fault burst walks the bound down multiplicatively from the
+//     MaxBatch ceiling; every trap rewinds exactly once and produces
+//     exactly one forensics report agreeing with the MMU fault log.
+//  2. While the rewind window is hot its ceiling pins the bound to the
+//     floor: a queued backlog drains one event per guard scope and
+//     cannot grow it.
 //  3. Once the window drains (manual-clock advance) a queued backlog
 //     grows the bound back up: the collapse is a response to faults,
 //     not a ratchet.
@@ -42,7 +39,7 @@ func runSchedCampaign(cfg Config, r *Report) error {
 		MaxBatch:  maxBatch,
 		Seed:      cfg.Seed,
 		Telemetry: rec,
-		Sched:     &sched.Config{Clock: clk.Now},
+		Sched:     sched.Config{Clock: clk.Now},
 	})
 	if err != nil {
 		return err
@@ -52,8 +49,6 @@ func runSchedCampaign(cfg Config, r *Report) error {
 	lib := s.Library()
 	as := s.Process().AddressSpace()
 	a := &auditor{r: r, lib: lib, rec: rec}
-	splits := rec.Registry().Counter("sdrad_sched_batch_splits_total",
-		"Mixed batches split into per-shard guard scopes.")
 	snap := func() sched.Snapshot { return s.SchedSnapshots()[0] }
 	parkC := s.NewConn()
 	auditSteady := func(label string) {
@@ -128,124 +123,12 @@ func runSchedCampaign(cfg Config, r *Report) error {
 		return nil
 	}
 
-	// Mine keys per storage shard: the split decision classifies an
-	// event by its first key's shard.
-	st := s.Storage()
-	keysFor := func(shard, n int, prefix string) []string {
-		keys := make([]string, 0, n)
-		for i := 0; len(keys) < n && i < 100000; i++ {
-			k := fmt.Sprintf("%s%04d", prefix, i)
-			if st.ShardFor([]byte(k)) == shard {
-				keys = append(keys, k)
-			}
-		}
-		return keys
-	}
-	aKeys := keysFor(0, 4, "pa")
-	bKeys := keysFor(1, 3, "pb")
-	if len(aKeys) < 4 || len(bKeys) < 3 {
-		return fmt.Errorf("chaos: sched: key mining failed (%d, %d)", len(aKeys), len(bKeys))
-	}
-
-	// ---- Phase 1: fault inside a shard-split mixed batch. Two
-	// pipelined events — four shard-0 sets, then three shard-1 sets plus
-	// the bset trap — are queued behind a parked worker so one drain
-	// round takes them both. The scheduler splits the batch at the event
-	// boundary; the trap must discard ONLY the second segment.
-	release, err := park()
-	if err != nil {
-		return err
-	}
-	connA, connB := s.NewConn(), s.NewConn()
-	var reqsA, reqsB [][]byte
-	for _, k := range aKeys {
-		reqsA = append(reqsA, memcache.FormatSet(k, []byte("seg-a-"+k), 0))
-	}
-	for _, k := range bKeys {
-		reqsB = append(reqsB, memcache.FormatSet(k, []byte("seg-b-"+k), 0))
-	}
-	reqsB = append(reqsB, memcache.FormatBSet("atk", 1<<20, nil))
-
-	var resA, resB []memcache.PipelineResult
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); resA = connA.DoPipeline(reqsA) }()
-	if err := waitDepth(s, 1); err != nil {
-		return err
-	}
-	wg.Add(1)
-	go func() { defer wg.Done(); resB = connB.DoPipeline(reqsB) }()
-	if err := waitDepth(s, 2); err != nil {
-		return err
-	}
-	preRewinds := lib.Stats().Rewinds.Load()
-	preForensics := a.forensicsPre()
-	preSplits := splits.Value()
-	if err := release(); err != nil {
-		return fmt.Errorf("chaos: sched park: %v", err)
-	}
-	wg.Wait()
-	r.Injected++
-
-	label := "phase=split"
-	if d := splits.Value() - preSplits; d != 1 {
-		r.failf("%s: %d batch splits, want exactly 1", label, d)
-	}
-	a.checkRewindDelta(label, preRewinds, 1)
-	a.checkForensicsFault(as, label, preForensics)
-	for j, pr := range resA {
-		if pr.Err != nil || pr.Closed || !bytes.HasPrefix(pr.Resp, []byte("STORED")) {
-			r.failf("%s: segment-A item %d: resp=%q closed=%v err=%v", label, j, pr.Resp, pr.Closed, pr.Err)
-		}
-	}
-	for j, pr := range resB {
-		if !pr.Closed {
-			r.failf("%s: segment-B item %d survived the segment rewind", label, j)
-		}
-	}
-	ss := snap()
-	if ss.WindowRewinds != 1 || ss.Bound != maxBatch/2 {
-		r.failf("%s: controller bound=%d windowRewinds=%d, want bound=%d windowRewinds=1",
-			label, ss.Bound, ss.WindowRewinds, maxBatch/2)
-	}
-	r.event("%s splits=1 bound=%d rewinds=%d", label, ss.Bound, ss.WindowRewinds)
-
-	// The split protected segment A's writes; segment B's died with the
-	// trap. Probe through a fresh connection. (Each probe is also an
-	// idle round: by the end the bound has collapsed to its floor,
-	// which the regrow below accounts for.)
-	probe := s.NewConn()
-	for _, k := range aKeys {
-		resp, closed, err := probe.Do(memcache.FormatGet(k))
-		if err != nil || closed {
-			r.failf("%s: probe %s: closed=%v err=%v", label, k, closed, err)
-			continue
-		}
-		if val, _, ok := memcache.ParseGetValue(resp); !ok || !bytes.Equal(val, []byte("seg-a-"+k)) {
-			r.failf("%s: segment-A key %s = %q ok=%v, want committed value", label, k, val, ok)
-		}
-	}
-	for _, k := range bKeys {
-		resp, closed, err := probe.Do(memcache.FormatGet(k))
-		if err != nil || closed {
-			r.failf("%s: probe %s: closed=%v err=%v", label, k, closed, err)
-			continue
-		}
-		if _, _, ok := memcache.ParseGetValue(resp); ok {
-			r.failf("%s: segment-B key %s visible after batch rewind", label, k)
-		}
-	}
-	auditSteady(label)
-
-	// ---- Phase 2: fault burst. First regrow the bound out of the
-	// idle-collapsed floor with a backlog (the rewind window is still
-	// hot, so the window ceiling caps the walk: 1->2->3->4). Then three
-	// traps in the same frozen window walk it down multiplicatively
-	// (4->2->1) and pin it to the floor.
-	if err := driveBacklog("phase=burst-regrow", 8, 4, 3); err != nil {
-		return err
-	}
-	for k := 0; k < 3; k++ {
+	// ---- Phase 1: fault burst. Four traps in the same frozen window
+	// walk the bound down from the ceiling and pin it to the floor. (A
+	// lone trap is also an idle round, so the walk interleaves the
+	// multiplicative decrease with the idle collapse; the frozen clock
+	// makes the interleaving exact.)
+	for k := 0; k < 4; k++ {
 		label := fmt.Sprintf("phase=burst trap=%d", k)
 		preRewinds := lib.Stats().Rewinds.Load()
 		preForensics := a.forensicsPre()
@@ -259,12 +142,20 @@ func runSchedCampaign(cfg Config, r *Report) error {
 		a.checkForensicsFault(as, label, preForensics)
 		r.event("%s bound=%d rewinds=%d", label, snap().Bound, snap().WindowRewinds)
 	}
-	ss = snap()
+	ss := snap()
 	if ss.Bound != 1 || ss.WindowRewinds != 4 {
 		r.failf("phase=burst: controller bound=%d windowRewinds=%d, want bound=1 windowRewinds=4",
 			ss.Bound, ss.WindowRewinds)
 	}
 	auditSteady("phase=burst")
+
+	// ---- Phase 2: hot window. Four rewinds in the window cap the bound
+	// at MaxBatch>>4 = 1, so an 8-event backlog drains as eight guard
+	// scopes of one and the bound does not move.
+	if err := driveBacklog("phase=pinned", 8, 1, 0); err != nil {
+		return err
+	}
+	auditSteady("phase=pinned")
 
 	// ---- Phase 3: recovery. Advance the manual clock past the rewind
 	// window, then queue another backlog: with the window cold the

@@ -181,12 +181,16 @@ func (l *Library) Enter(t *proc.Thread, udi UDI) error {
 	ts := l.state(t)
 	// Telemetry costs one atomic load when disabled; when enabled,
 	// latency is clocked only on the sampled transitions (keyed off the
-	// native transition counter, so no extra hot-path write either).
+	// native transition counter, so no extra hot-path write either). The
+	// key is the Enter/Exit pair index (count>>1), not the raw count: a
+	// single-threaded library sees even counts in Enter and odd counts in
+	// Exit, and a power-of-two mask over the raw count would never sample
+	// an Exit.
 	rec := l.tel.Load()
 	var telT0 int64
 	sampled := false
 	if rec != nil {
-		if sampled = rec.Sampled(uint64(l.stats.DomainSwitches.Load())); sampled {
+		if sampled = rec.Sampled(uint64(l.stats.DomainSwitches.Load()) >> 1); sampled {
 			telT0 = rec.Clock()
 		}
 	}
@@ -243,7 +247,8 @@ func (l *Library) Exit(t *proc.Thread) error {
 	var telT0 int64
 	sampled := false
 	if tel != nil {
-		if sampled = tel.Sampled(uint64(l.stats.DomainSwitches.Load())); sampled {
+		// Same pair index as the Enter that preceded it.
+		if sampled = tel.Sampled(uint64(l.stats.DomainSwitches.Load()) >> 1); sampled {
 			telT0 = tel.Clock()
 		}
 	}

@@ -221,3 +221,26 @@ func TestFaultSemanticsUnchangedByTelemetry(t *testing.T) {
 		}
 	}
 }
+
+func TestSingleThreadedLoopFeedsEnterAndExitLatency(t *testing.T) {
+	// Default sampling (1 transition pair in 16). One thread alternates
+	// Enter and Exit, so Enter always sees an even switch count and Exit
+	// an odd one: sampling keyed on the raw count never clocked an Exit.
+	rec := telemetry.New(telemetry.Options{})
+	p, l := newLib(t, WithTelemetry(rec))
+	const rounds = 64
+	run(t, p, func(th *proc.Thread) error {
+		for i := 0; i < rounds; i++ {
+			if err := faultGuard(t, l, th, 0, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	reg := rec.Registry()
+	enter := reg.Histogram("sdrad_enter_latency_ns", "").Count()
+	exit := reg.Histogram("sdrad_exit_latency_ns", "").Count()
+	if enter != rounds/16 || exit != rounds/16 {
+		t.Fatalf("enter/exit latency samples = %d/%d over %d rounds, want %d each", enter, exit, rounds, rounds/16)
+	}
+}

@@ -5,6 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"sdrad/internal/policy"
+	"sdrad/internal/sched"
+	"sdrad/internal/telemetry"
 )
 
 var testFiles = map[string]int{
@@ -442,4 +447,106 @@ func TestPipelineConnectionCloseMidBatch(t *testing.T) {
 			t.Errorf("res[2]: closed=%v err=%v, want closed conn", res[2].Closed, res[2].Err)
 		}
 	})
+}
+
+func TestPlaceWorkerLegacyRoundRobin(t *testing.T) {
+	// PlaceWorker is the round-robin cursor (the listener and the
+	// ledger's per-worker dialing rely on it), and the event queue is a
+	// rendezvous.
+	m := startMaster(t, VariantSDRaD, 3)
+	for i := 0; i < 7; i++ {
+		if got := m.PlaceWorker(); got != i%3 {
+			t.Fatalf("placement %d = worker %d, want %d", i, got, i%3)
+		}
+	}
+	if got := cap(m.Worker(0).ch); got != 0 {
+		t.Fatalf("event queue buffered to %d, want rendezvous", got)
+	}
+}
+
+func TestPoolContentionGauges(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{})
+	m, err := NewMaster(Config{
+		Variant:   VariantSDRaD,
+		Workers:   1,
+		Files:     testFiles,
+		Telemetry: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Stop)
+	w := m.Worker(0)
+	c := w.NewConn()
+	// Only the complex-URI normalizer allocates from the request pool.
+	if resp := mustGet(t, c, "/subdir/../index.html"); !strings.HasPrefix(resp, "HTTP/1.1 200") {
+		t.Fatalf("unexpected response %q", resp)
+	}
+	if hw := w.pool.HighWater(); hw == 0 {
+		t.Fatal("pool high-water mark stayed 0 after a parsed request")
+	}
+	reg := rec.Registry()
+	hw := reg.GaugeVec("sdrad_httpd_pool_high_water_bytes", "", "worker").With("0")
+	if got := hw.Value(); got != int64(w.pool.HighWater()) {
+		t.Errorf("high-water gauge = %d, want %d", got, w.pool.HighWater())
+	}
+	resets := reg.CounterVec("sdrad_httpd_pool_resets_total", "", "worker").With("0")
+	if got := resets.Value(); got < 1 {
+		t.Errorf("pool resets counter = %d, want >= 1", got)
+	}
+	exh := reg.CounterVec("sdrad_httpd_pool_exhaustions_total", "", "worker").With("0")
+	if got := exh.Value(); got != 0 {
+		t.Errorf("pool exhaustions = %d on a healthy request", got)
+	}
+}
+
+func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
+	// Thresholds far out of reach: the rewind ladder alone never
+	// escalates, so any Backoff state must come from the controller's
+	// floor-pin pressure signal.
+	eng := policy.New(policy.Config{
+		BackoffThreshold:    1000,
+		QuarantineThreshold: 1001,
+		ShedThreshold:       1002,
+	})
+	m, err := NewMaster(Config{
+		Variant: VariantSDRaD,
+		Files:   testFiles,
+		Sched:   sched.Config{Window: 50 * time.Millisecond},
+		Policy:  eng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Stop)
+	w := m.Worker(0)
+	// Repeated attacks halve the bound to the floor and keep the rewind
+	// window hot past the 50ms pin window.
+	deadline := time.Now().Add(10 * time.Second)
+	for w.SchedSnapshot().FloorPins == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("controller never reported a floor pin")
+		}
+		evil := w.NewConn()
+		if _, closed, err := evil.Do(FormatRequest(attackURI(), true)); err != nil || !closed {
+			t.Fatalf("attack: closed=%v err=%v", closed, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var snap *policy.DomainSnapshot
+	for _, ds := range eng.Snapshot() {
+		if ds.UDI == int(parserUDI) {
+			s := ds
+			snap = &s
+		}
+	}
+	if snap == nil {
+		t.Fatal("no policy state for the parser UDI")
+	}
+	if snap.State != policy.StateBackoff.String() {
+		t.Fatalf("parser policy state = %s, want %s (floor-pin pressure)", snap.State, policy.StateBackoff)
+	}
+	if snap.Escalations < 1 {
+		t.Fatalf("escalations = %d, want >= 1", snap.Escalations)
+	}
 }

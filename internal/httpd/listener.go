@@ -7,8 +7,7 @@ import (
 )
 
 // ServeListener bridges real TCP (or net.Pipe) connections to the
-// simulated workers. Placement is PlaceWorker's: legacy round-robin, or
-// the load-aware scorer when Config.Sched.Route is on. It returns when
+// simulated workers, placed round-robin by PlaceWorker. It returns when
 // the listener closes. Intended for the runnable examples and the cmd
 // binary; benchmarks use Conn.Do directly.
 func (m *Master) ServeListener(ln net.Listener) error {

@@ -69,16 +69,18 @@ type Config struct {
 	// MaxConns sizes the worker heap for concurrent connections
 	// (default 128).
 	MaxConns int
-	// MaxBatch caps how many pipelined requests of one connection the
-	// hardened worker handles inside a single guard scope (default 16);
-	// longer pipelines are split client-side by Conn.DoPipeline.
+	// MaxBatch is the ceiling of the worker's adaptive batch bound: the
+	// most pipelined requests of one connection the hardened worker ever
+	// handles inside a single guard scope (default 16). Longer pipelines
+	// are split client-side by Conn.DoPipeline, and the worker chunks
+	// each event to the controller's live bound (grown under load,
+	// shrunk while the rewind window is hot).
 	MaxBatch int
-	// Sched, when non-nil, enables the adaptive batch controller
-	// (internal/sched) on the hardened worker: pipelined batches are
-	// chunked to the controller's live bound (grown under load, shrunk
-	// while the rewind window is hot) instead of the fixed MaxBatch.
-	// Nil keeps the legacy fixed-MaxBatch guard scopes, bit for bit.
-	Sched *sched.Config
+	// Sched carries the batch-bound controller's wiring and test seams
+	// (clock, rewind window, guard-cost estimate, floor-pin hook). The
+	// controller itself is not optional; the zero value is the default,
+	// with floor pins fed to Policy when one is attached.
+	Sched sched.Config
 	// VerifyClientCerts enables X.509 client-certificate checking of the
 	// X-Client-Cert request header — the paper's §V-C integration, where
 	// NGINX is compiled against the isolated OpenSSL verification API.
@@ -139,32 +141,20 @@ type Master struct {
 	cfg      Config
 	workers  []*Worker
 	restarts atomic.Int64
-
-	// route enables load-aware connection placement; rr is the legacy
-	// round-robin cursor, place the scorer's tie-break cursor.
-	route bool
-	rr    atomic.Int64
-	place atomic.Int64
+	rr       atomic.Int64 // PlaceWorker's round-robin cursor
 }
 
 // NewMaster builds the master and starts its workers.
 func NewMaster(cfg Config) (*Master, error) {
 	cfg.setDefaults()
-	if cfg.Sched != nil && cfg.Variant == VariantSDRaD {
-		schedCfg := *cfg.Sched
-		if schedCfg.OnFloorPinned == nil && cfg.Policy != nil {
-			// A controller pinned at the AIMD floor by a hot rewind window
-			// is sustained pressure on the parser domain: feed it to the
-			// policy engine as a backoff signal.
-			eng := cfg.Policy
-			schedCfg.OnFloorPinned = func(int64) { eng.OnPressure(int(parserUDI)) }
-		}
-		cfg.Sched = &schedCfg
+	if cfg.Sched.OnFloorPinned == nil && cfg.Policy != nil && cfg.Variant == VariantSDRaD {
+		// A controller pinned at the AIMD floor by a hot rewind window
+		// is sustained pressure on the parser domain: feed it to the
+		// policy engine as a backoff signal.
+		eng := cfg.Policy
+		cfg.Sched.OnFloorPinned = func(int64) { eng.OnPressure(int(parserUDI)) }
 	}
 	m := &Master{cfg: cfg}
-	if cfg.Sched != nil && cfg.Variant == VariantSDRaD {
-		m.route = cfg.Sched.Route && cfg.Workers > 1
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(cfg, i)
 		if err != nil {
@@ -175,24 +165,10 @@ func NewMaster(cfg Config) (*Master, error) {
 	return m, nil
 }
 
-// PlaceWorker picks the worker index for a newly accepted connection.
-// Without Config.Sched.Route this is the legacy round-robin cursor, bit
-// for bit; with routing on, a placement scorer weighs each worker's
-// queue depth, EWMA per-request service latency, and rewind-window heat,
-// steering new connections away from backlogged or rewind-hot workers.
-// On an idle cluster the scorer's tie-break reproduces round-robin.
+// PlaceWorker picks the worker index for a newly accepted connection,
+// round-robin.
 func (m *Master) PlaceWorker() int {
-	if !m.route {
-		return int(m.rr.Add(1)-1) % len(m.workers)
-	}
-	loads := make([]sched.WorkerLoad, len(m.workers))
-	for i, w := range m.workers {
-		loads[i].Queue = len(w.ch)
-		if w.ctrl != nil {
-			loads[i].EWMAItemNs, loads[i].WindowRewinds = w.ctrl.Load()
-		}
-	}
-	return sched.PlacementPick(loads, int(m.place.Add(1)-1))
+	return int(m.rr.Add(1)-1) % len(m.workers)
 }
 
 // Worker returns worker i.
@@ -248,19 +224,35 @@ type Worker struct {
 	// with another worker.
 	reqs atomic.Int64
 
-	// ctrl is the adaptive batch controller (nil without Config.Sched).
+	// ctrl is the adaptive batch-bound controller.
 	ctrl *sched.Controller
 
 	// Parser-domain state (owned by the worker thread).
-	domainReady  bool
-	parseBuf     mem.Addr
-	pool         *Pool
-	lastParseErr error // protocol error carried out of the guarded parse
+	domainReady bool
+	parseBuf    mem.Addr
+	pool        *Pool
+
+	// Reused per-batch scratch (owned by the worker thread): one slot per
+	// request of the current guard scope, plus the one-request batch a
+	// plain Do is served as.
+	scratch []reqState
+	one     [1][]byte
+	oneRes  [1]result
+	// maxFile is the largest configured file, computed once in provision;
+	// it sizes every connection's write buffer.
+	maxFile int
 
 	// Client-certificate verification state (§V-C integration).
 	verifier  *cryptolib.Verifier // hardened build: isolated verifier
 	certStack *stack.Stack        // baselines: unprotected verifier stack
 	certBuf   mem.Addr            // baselines: certificate staging buffer
+}
+
+// reqState is runHardenedBatch's per-request scratch.
+type reqState struct {
+	done   bool // result decided before the guard ran (preflight failure)
+	perr   error
+	parsed Request
 }
 
 type fileEntry struct {
@@ -320,22 +312,12 @@ func (t tlsfShim) Free(c *mem.CPU, ptr mem.Addr) error             { return t.h.
 
 // newWorker provisions and starts one worker process.
 func newWorker(cfg Config, idx int) (*Worker, error) {
-	// With the scheduler on, the event queue is buffered to MaxBatch so
-	// queue depth is visible to the batch controller and the placement
-	// scorer; without it the channel stays unbuffered, bit-identical to
-	// the legacy rendezvous.
-	chCap := 0
-	if cfg.Sched != nil && cfg.Variant == VariantSDRaD {
-		chCap = cfg.MaxBatch
-	}
 	w := &Worker{
-		idx: idx,
-		cfg: cfg,
-		p:   proc.NewProcess(fmt.Sprintf("nginx-worker-%d-%s", idx, cfg.Variant.String()), proc.WithSeed(cfg.Seed+int64(idx))),
-		ch:  make(chan *event, chCap),
-	}
-	if cfg.Sched != nil && cfg.Variant == VariantSDRaD {
-		w.ctrl = sched.NewController(*cfg.Sched, cfg.MaxBatch)
+		idx:  idx,
+		cfg:  cfg,
+		p:    proc.NewProcess(fmt.Sprintf("nginx-worker-%d-%s", idx, cfg.Variant.String()), proc.WithSeed(cfg.Seed+int64(idx))),
+		ch:   make(chan *event),
+		ctrl: sched.NewController(cfg.Sched, cfg.MaxBatch),
 	}
 	if cfg.Variant == VariantSDRaD {
 		opts := []core.SetupOption{core.WithRootHeapSize(heapBudget(cfg))}
@@ -475,6 +457,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 		}
 		c.Write(addr, buf)
 		w.files[path] = fileEntry{addr: addr, size: size}
+		w.maxFile = max(w.maxFile, size)
 	}
 	return nil
 }
@@ -508,11 +491,16 @@ func (w *Worker) run(t *proc.Thread) error {
 		case <-w.p.Done():
 			return nil
 		case ev := <-w.ch:
-			if ev.reqs != nil {
-				ev.respN <- w.handleBatch(t, ev)
-				continue
+			switch {
+			case ev.inspect != nil:
+				ev.resp <- result{err: ev.inspect(t)}
+			case ev.reqs != nil:
+				ev.respN <- w.serve(t, ev.conn, ev.reqs, make([]result, len(ev.reqs)))
+			default:
+				// A plain Do is a batch of one on worker-owned scratch.
+				w.one[0] = ev.req
+				ev.resp <- w.serve(t, ev.conn, w.one[:1], w.oneRes[:1])[0]
 			}
-			ev.resp <- w.handleEvent(t, ev)
 		}
 	}
 }
@@ -622,14 +610,8 @@ func (w *Worker) Crashed() (bool, error) {
 // Rewinds reports recovered parser attacks.
 func (w *Worker) Rewinds() int64 { return w.rewinds.Load() }
 
-// SchedSnapshot returns the worker's adaptive-controller state (zero
-// value when the scheduler is disabled).
-func (w *Worker) SchedSnapshot() sched.Snapshot {
-	if w.ctrl == nil {
-		return sched.Snapshot{}
-	}
-	return w.ctrl.Snapshot()
-}
+// SchedSnapshot returns the worker's adaptive-controller state.
+func (w *Worker) SchedSnapshot() sched.Snapshot { return w.ctrl.Snapshot() }
 
 // Degraded reports 503 responses served while the parser domain was
 // quarantined.
@@ -649,50 +631,39 @@ func (w *Worker) Process() *proc.Process { return w.p }
 // Library exposes the SDRaD library (nil for baselines).
 func (w *Worker) Library() *core.Library { return w.lib }
 
-// handleEvent serves one HTTP request.
-func (w *Worker) handleEvent(t *proc.Thread, ev *event) result {
-	if ev.inspect != nil {
-		return result{err: ev.inspect(t)}
-	}
-	return w.handleRequest(t, ev.conn, ev.req)
-}
-
-// handleBatch serves a pipelined batch of requests from one connection.
-// The hardened build parses the whole batch inside a single guard scope
-// (one context save, one recovery point) with the per-phase Enter/Exit
-// transitions per request; a rewind anywhere in the batch discards the
-// whole batch and closes the connection. Baselines have no guard cost to
-// amortize and run the requests back to back.
-func (w *Worker) handleBatch(t *proc.Thread, ev *event) []result {
-	results := make([]result, len(ev.reqs))
+// serve handles one client event: a pipelined batch, or a plain request
+// as a batch of one. Baselines have no guard cost to amortize and run
+// the requests back to back. The hardened build cuts the event into
+// chunks of the controller's live bound, each chunk one guard scope (one
+// context save, one recovery point), so a rewind while the window is hot
+// discards less of the pipeline; the bound regrows between chunks under
+// sustained depth.
+func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []result) []result {
 	if w.cfg.Variant != VariantSDRaD {
-		for i, req := range ev.reqs {
-			results[i] = w.handleRequest(t, ev.conn, req)
+		for i, req := range reqs {
+			results[i] = w.handleRequest(t, conn, req)
 		}
 		return results
 	}
-	if w.ctrl == nil {
-		return w.runHardenedBatch(t, ev.conn, ev.reqs, results)
-	}
-	// Adaptive chunking: each chunk is one guard scope sized to the
-	// controller's live bound, so a rewind while the window is hot
-	// discards (and a fault closes) less of the pipeline; the bound
-	// regrows between chunks under sustained depth.
-	for off := 0; off < len(ev.reqs); {
-		bound := w.ctrl.Bound()
-		end := off + bound
-		if end > len(ev.reqs) {
-			end = len(ev.reqs)
+	for off := 0; off < len(reqs); {
+		end := min(off+w.ctrl.Bound(), len(reqs))
+		backlog := len(reqs) - end
+		if backlog == 0 && end-off == 1 && w.ctrl.AtFloor() {
+			// Idle floor fast path: a lone request cannot move a controller
+			// already at bound 1 with a cold rewind window, so the round
+			// skips the clock reads and the observation.
+			w.runHardenedBatch(t, conn, reqs[off:end], results[off:end])
+			break
 		}
 		t0 := w.ctrl.Now()
-		w.runHardenedBatch(t, ev.conn, ev.reqs[off:end], results[off:end])
-		w.ctrl.ObserveRound(len(w.ch)+len(ev.reqs)-end, end-off, w.ctrl.Now()-t0)
+		w.runHardenedBatch(t, conn, reqs[off:end], results[off:end])
+		w.ctrl.ObserveRound(backlog, end-off, w.ctrl.Now()-t0)
 		off = end
 	}
 	return results
 }
 
-// handleRequest is the sequential per-request flow.
+// handleRequest is the baselines' sequential per-request flow.
 func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) result {
 	if conn.closed {
 		return result{closed: true, err: ErrConnClosed}
@@ -701,14 +672,6 @@ func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) resu
 		return result{err: ErrTooLarge}
 	}
 	w.reqs.Add(1)
-	// Resilience-policy admission: a quarantined parser is not
-	// re-created; the request is answered 503 with Retry-After (or the
-	// connection shed) without touching the guard scope.
-	if w.cfg.Variant == VariantSDRaD {
-		if dec := w.lib.Policy().Admit(int(parserUDI)); !dec.Allowed() {
-			return w.respondDegraded(t, conn, dec.State, dec.RetryAfterNs)
-		}
-	}
 	c := t.CPU()
 	if !conn.ready {
 		if err := w.allocConnBuffers(t, conn); err != nil {
@@ -718,23 +681,12 @@ func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) resu
 	c.Write(conn.rbuf, reqBytes)
 
 	var req Request
-	var perr error
-	if w.cfg.Variant == VariantSDRaD {
-		res := w.parseHardened(t, conn, len(reqBytes), &req)
-		if res != nil {
-			return *res
-		}
-		perr = w.lastParseErr
-		w.lastParseErr = nil
-	} else {
-		env := &parserEnv{c: c, buf: conn.rbuf, blen: len(reqBytes), pool: w.pool}
-		hdrOff, err := parseRequestLine(env, &req)
-		if err == nil {
-			err = parseHeaders(env, &req, hdrOff)
-		}
-		w.pool.Reset(c)
-		perr = err
+	env := &parserEnv{c: c, buf: conn.rbuf, blen: len(reqBytes), pool: w.pool}
+	hdrOff, perr := parseRequestLine(env, &req)
+	if perr == nil {
+		perr = parseHeaders(env, &req, hdrOff)
 	}
+	w.pool.Reset(c)
 	status := ""
 	if perr == nil && w.cfg.VerifyClientCerts {
 		var closed bool
@@ -803,82 +755,6 @@ func DecodeCertHeader(v string) []byte {
 	return []byte(strings.ReplaceAll(v, "|", "\n"))
 }
 
-// parseHardened runs the two parser phases inside the persistent parser
-// domain on a copy of the request bytes (paper Figure: domain transitions
-// occur repeatedly in one request; one recovery point covers all phases).
-// It returns a non-nil result when the connection must be closed due to a
-// rewind.
-func (w *Worker) parseHardened(t *proc.Thread, conn *Conn, rlen int, req *Request) *result {
-	lib := w.lib
-	gerr := lib.Guard(t, parserUDI, func() error {
-		if !w.domainReady {
-			if err := lib.DProtect(t, parserUDI, poolUDI, mem.ProtRW); err != nil {
-				return err
-			}
-			buf, err := lib.Malloc(t, parserUDI, uint64(w.cfg.ConnBufSize))
-			if err != nil {
-				return err
-			}
-			w.parseBuf = buf
-			w.domainReady = true
-		}
-		// Copy the request bytes into the parser domain (the paper copies
-		// the linked header/URI data so the parser never touches root
-		// memory directly).
-		lib.Copy(t, w.parseBuf, conn.rbuf, rlen)
-		env := &parserEnv{c: t.CPU(), buf: w.parseBuf, blen: rlen, pool: w.pool}
-
-		// Phase 1: request line (with the vulnerable URI normalizer).
-		if err := lib.Enter(t, parserUDI); err != nil {
-			return err
-		}
-		hdrOff, perr := parseRequestLine(env, req)
-		if err := lib.Exit(t); err != nil {
-			return err
-		}
-		// Phase 2: headers.
-		if perr == nil {
-			if err := lib.Enter(t, parserUDI); err != nil {
-				return err
-			}
-			perr = parseHeaders(env, req, hdrOff)
-			if err := lib.Exit(t); err != nil {
-				return err
-			}
-		}
-		w.pool.Reset(t.CPU())
-		w.lastParseErr = perr
-		return nil
-	}, core.Accessible())
-	if gerr == nil {
-		return nil
-	}
-	var abn *core.AbnormalExit
-	if errors.As(gerr, &abn) {
-		// Rewind: the parser domain is gone (recreated lazily); close
-		// only this connection. The pool data domain survives; reset it.
-		w.domainReady = false
-		w.pool.Reset(t.CPU())
-		w.rewinds.Add(1)
-		if w.ctrl != nil {
-			w.ctrl.NoteRewind()
-		}
-		conn.closed = true
-		w.freeConnBuffers(t, conn)
-		return &result{closed: true}
-	}
-	var qe *core.QuarantineError
-	if errors.As(gerr, &qe) {
-		// The shared policy engine escalated between the admission
-		// pre-check and the lazy re-init inside the guard (a sibling
-		// worker's rewinds): same degraded answer, connection stays open.
-		w.domainReady = false
-		r := w.respondDegraded(t, conn, quarantineState(qe), qe.RetryAfterNs)
-		return &r
-	}
-	return &result{err: gerr}
-}
-
 // quarantineState maps a monitor-side denial back onto the policy ladder
 // state that drives the degraded response.
 func quarantineState(qe *core.QuarantineError) policy.State {
@@ -888,59 +764,50 @@ func quarantineState(qe *core.QuarantineError) policy.State {
 	return policy.StateQuarantined
 }
 
-// runHardenedBatch parses every request of a pipelined batch inside ONE
-// guard scope: the per-request phase transitions (Enter/Exit around the
-// request line and the headers) still happen, but the context save and
-// the recovery point are established once for the batch. An abnormal
-// exit anywhere rewinds once, discards the whole in-flight batch, and
-// closes the connection — the batch analog of the paper's single-event
-// rewind semantics.
+// runHardenedBatch parses every request of one chunk of a client event
+// inside ONE guard scope, in the persistent parser domain, on a copy of
+// the request bytes: the per-request phase transitions (Enter/Exit around
+// the request line and the headers) still happen, but the context save
+// and the recovery point are established once for the chunk. An abnormal
+// exit anywhere rewinds once, discards the whole in-flight chunk, and
+// closes the connection — the paper's single-event rewind semantics,
+// which the chunk of one is exactly.
 func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, results []result) []result {
 	lib := w.lib
 	c := t.CPU()
-	n := len(reqs)
-	done := make([]bool, n)
-	perrs := make([]error, n)
-	parsed := make([]Request, n)
+	if cap(w.scratch) < len(reqs) {
+		w.scratch = make([]reqState, len(reqs))
+	}
+	rs := w.scratch[:len(reqs)]
 	live := 0
 	for i, req := range reqs {
-		if conn.closed {
-			done[i] = true
+		rs[i] = reqState{}
+		switch {
+		case conn.closed:
+			rs[i].done = true
 			results[i] = result{closed: true, err: ErrConnClosed}
-			continue
-		}
-		if len(req) > w.cfg.ConnBufSize {
-			done[i] = true
+		case len(req) > w.cfg.ConnBufSize:
+			rs[i].done = true
 			results[i] = result{err: ErrTooLarge}
-			continue
+		default:
+			w.reqs.Add(1)
+			live++
 		}
-		w.reqs.Add(1)
-		if !conn.ready {
-			if err := w.allocConnBuffers(t, conn); err != nil {
-				done[i] = true
-				results[i] = result{err: err}
-				continue
-			}
-		}
-		live++
 	}
 	if live == 0 {
 		return results
 	}
-	// Resilience-policy admission for the whole batch (one guard scope,
-	// one decision): every live request gets the degraded response.
+	// Resilience-policy admission for the whole chunk (one guard scope,
+	// one decision): a quarantined parser is not re-created; every live
+	// request gets the degraded response without touching the guard scope
+	// or allocating connection buffers.
 	if dec := lib.Policy().Admit(int(parserUDI)); !dec.Allowed() {
-		for i := range reqs {
-			if done[i] {
-				continue
-			}
-			if conn.closed {
-				results[i] = result{closed: true, err: ErrConnClosed}
-				continue
-			}
-			results[i] = w.respondDegraded(t, conn, dec.State, dec.RetryAfterNs)
+		return w.degradeLive(t, conn, rs, results, dec.State, dec.RetryAfterNs)
+	}
+	if !conn.ready {
+		if err := w.allocConnBuffers(t, conn); err != nil {
+			return setLive(rs, results, result{err: err})
 		}
-		return results
 	}
 	gerr := lib.Guard(t, parserUDI, func() error {
 		if !w.domainReady {
@@ -955,7 +822,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			w.domainReady = true
 		}
 		for i, req := range reqs {
-			if done[i] {
+			if rs[i].done {
 				continue
 			}
 			// Stage through the connection read buffer (a pipelined
@@ -966,7 +833,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			if err := lib.Enter(t, parserUDI); err != nil {
 				return err
 			}
-			hdrOff, perr := parseRequestLine(env, &parsed[i])
+			hdrOff, perr := parseRequestLine(env, &rs[i].parsed)
 			if err := lib.Exit(t); err != nil {
 				return err
 			}
@@ -974,68 +841,47 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 				if err := lib.Enter(t, parserUDI); err != nil {
 					return err
 				}
-				perr = parseHeaders(env, &parsed[i], hdrOff)
+				perr = parseHeaders(env, &rs[i].parsed, hdrOff)
 				if err := lib.Exit(t); err != nil {
 					return err
 				}
 			}
 			w.pool.Reset(c)
-			perrs[i] = perr
+			rs[i].perr = perr
 		}
 		return nil
 	}, core.Accessible())
 	if gerr != nil {
 		var abn *core.AbnormalExit
 		if errors.As(gerr, &abn) {
-			// Rewind: one discard for the whole batch, the connection with
-			// a request in flight closes.
+			// Rewind: the parser domain is gone (recreated lazily), one
+			// discard for the whole chunk, and only the connection with a
+			// request in flight closes. The pool data domain survives;
+			// reset it.
 			w.domainReady = false
 			w.pool.Reset(c)
 			w.rewinds.Add(1)
-			if w.ctrl != nil {
-				w.ctrl.NoteRewind()
-			}
+			w.ctrl.NoteRewind()
 			if !conn.closed {
 				conn.closed = true
 				w.freeConnBuffers(t, conn)
 			}
-			for i := range reqs {
-				if !done[i] {
-					results[i] = result{closed: true}
-				}
-			}
-			return results
+			return setLive(rs, results, result{closed: true})
 		}
 		var qe *core.QuarantineError
 		if errors.As(gerr, &qe) {
 			// Re-init denied mid-flight by the shared engine: answer the
 			// whole batch degraded, exactly one decision, no discard.
 			w.domainReady = false
-			st := quarantineState(qe)
-			for i := range reqs {
-				if done[i] {
-					continue
-				}
-				if conn.closed {
-					results[i] = result{closed: true, err: ErrConnClosed}
-					continue
-				}
-				results[i] = w.respondDegraded(t, conn, st, qe.RetryAfterNs)
-			}
-			return results
+			return w.degradeLive(t, conn, rs, results, quarantineState(qe), qe.RetryAfterNs)
 		}
-		for i := range reqs {
-			if !done[i] {
-				results[i] = result{err: gerr}
-			}
-		}
-		return results
+		return setLive(rs, results, result{err: gerr})
 	}
 	// Respond in batch order. A response that closes the connection
 	// (Connection: close, or a certificate-verifier rewind) closes it for
 	// the requests behind it, exactly as in the sequential flow.
 	for i := range reqs {
-		if done[i] {
+		if rs[i].done {
 			continue
 		}
 		if conn.closed {
@@ -1043,15 +889,41 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			continue
 		}
 		status := ""
-		if perrs[i] == nil && w.cfg.VerifyClientCerts {
+		if rs[i].perr == nil && w.cfg.VerifyClientCerts {
 			var closed bool
-			status, closed = w.checkClientCert(t, conn, &parsed[i])
+			status, closed = w.checkClientCert(t, conn, &rs[i].parsed)
 			if closed {
 				results[i] = result{closed: true}
 				continue
 			}
 		}
-		results[i] = w.respond(t, conn, &parsed[i], perrs[i], status)
+		results[i] = w.respond(t, conn, &rs[i].parsed, rs[i].perr, status)
+	}
+	return results
+}
+
+// setLive gives every live request of a chunk the same result.
+func setLive(rs []reqState, results []result, r result) []result {
+	for i := range rs {
+		if !rs[i].done {
+			results[i] = r
+		}
+	}
+	return results
+}
+
+// degradeLive answers every live request of a chunk on the degraded
+// path (a shed closes the connection for the requests behind it).
+func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results []result, state policy.State, retryAfterNs int64) []result {
+	for i := range rs {
+		if rs[i].done {
+			continue
+		}
+		if conn.closed {
+			results[i] = result{closed: true, err: ErrConnClosed}
+			continue
+		}
+		results[i] = w.respondDegraded(t, conn, state, retryAfterNs)
 	}
 	return results
 }
@@ -1150,13 +1022,7 @@ func (w *Worker) freeConnBuffers(t *proc.Thread, conn *Conn) {
 // allocConnBuffers provisions connection buffers sized for the largest
 // configured response.
 func (w *Worker) allocConnBuffers(t *proc.Thread, conn *Conn) error {
-	maxFile := 0
-	for _, fe := range w.files {
-		if fe.size > maxFile {
-			maxFile = fe.size
-		}
-	}
-	conn.wcap = maxFile + 1024
+	conn.wcap = w.maxFile + 1024
 	rb, err := w.allocRoot(t, uint64(w.cfg.ConnBufSize))
 	if err != nil {
 		return err

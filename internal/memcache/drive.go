@@ -247,51 +247,32 @@ func (d *deferredOps) apply(c *mem.CPU) error {
 	if len(d.pending) == 0 {
 		return nil
 	}
-	// With the slot remap enabled, group by slot instead of shard: the
-	// classification here races with rebalancing, so the apply resolves
-	// each slot's current shard under its lock (ApplySlotBatch) — a
-	// shard-index grouping computed now could be stale by apply time.
-	remap := d.st.RemapEnabled()
-	ngrp := d.st.Shards()
-	if remap {
-		ngrp = d.st.Slots()
-	}
-	if len(d.groups) < ngrp {
-		d.groups = make([][]BatchOp, ngrp)
+	nsh := d.st.Shards()
+	if len(d.groups) < nsh {
+		d.groups = make([][]BatchOp, nsh)
 	}
 	flushGroups := func() error {
-		for gi := 0; gi < ngrp; gi++ {
-			g := d.groups[gi]
+		for si := 0; si < nsh; si++ {
+			g := d.groups[si]
 			if len(g) == 0 {
 				continue
 			}
-			var err error
-			if remap {
-				err = d.st.ApplySlotBatch(c, gi, g)
-			} else {
-				err = d.st.ApplyShardBatch(c, gi, g)
-			}
-			d.groups[gi] = g[:0]
+			err := d.st.ApplyShardBatch(c, si, g)
+			d.groups[si] = g[:0]
 			if err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	groupFor := func(key []byte) int {
-		if remap {
-			return d.st.SlotForKey(key)
-		}
-		return d.st.ShardFor(key)
-	}
 	for _, op := range d.pending {
 		switch op.kind {
 		case pendingSet:
-			gi := groupFor(op.key)
-			d.groups[gi] = append(d.groups[gi], BatchOp{Key: op.key, Value: op.value, Flags: op.flags})
+			si := d.st.ShardFor(op.key)
+			d.groups[si] = append(d.groups[si], BatchOp{Key: op.key, Value: op.value, Flags: op.flags})
 		case pendingDelete:
-			gi := groupFor(op.key)
-			d.groups[gi] = append(d.groups[gi], BatchOp{Delete: true, Key: op.key})
+			si := d.st.ShardFor(op.key)
+			d.groups[si] = append(d.groups[si], BatchOp{Delete: true, Key: op.key})
 		case pendingFlush:
 			if err := flushGroups(); err != nil {
 				return err

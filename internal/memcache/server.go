@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"bytes"
-
-	"time"
 
 	"sdrad/internal/core"
 	"sdrad/internal/galloc"
@@ -72,22 +69,23 @@ type Config struct {
 	// (default 16 KiB).
 	ConnBufSize int
 	// Shards is the number of lock-striped storage shards (rounded up
-	// to a power of two, default 8, max MaxShards). 1 restores the old
-	// single-mutex cache.
+	// to a power of two, default 8, max MaxShards). A key's shard is a
+	// pure function of its hash; 1 is a single-mutex cache.
 	Shards int
-	// MaxBatch is the maximum number of pipelined client events one
-	// guard scope handles — one domain switch, one scratch arena, one
-	// deferred-op apply for the whole batch (default 16; 1 disables
+	// MaxBatch is the ceiling of each worker's adaptive drain bound: the
+	// most requests one guard scope — one domain switch, one scratch
+	// arena, one deferred-op apply — is ever asked to hold, and the chunk
+	// size DoPipeline cuts long pipelines into (default 16; 1 disables
 	// batching).
 	MaxBatch int
-	// Sched, when non-nil, enables the self-tuning batch/shard scheduler
-	// (internal/sched): per-worker adaptive drain bounds, shard-affinity
-	// event routing and batch splitting, and the storage slot remap the
-	// contention-driven rebalancer moves hot buckets through. Nil keeps
-	// the legacy fixed-MaxBatch drain, bit for bit.
-	Sched *sched.Config
-	// DomainHeapSize is the hardened build's per-event-domain heap. The
-	// default follows the sizing formula at domainScratchSlack.
+	// Sched carries the drain-bound controller's wiring and test seams
+	// (clock, rewind window, guard-cost estimate, floor-pin hook). The
+	// controller itself is not optional; the zero value is the default,
+	// with the guard cost read from telemetry and floor pins fed to
+	// Policy when those are attached.
+	Sched sched.Config
+	// DomainHeapSize is the hardened build's per-event-domain heap
+	// (default MaxBatch*2*ConnBufSize + domainScratchSlack).
 	DomainHeapSize uint64
 	// Seed fixes process randomness.
 	Seed int64
@@ -132,7 +130,7 @@ func (c *Config) setDefaults() {
 		c.MaxBatch = 16
 	}
 	if c.DomainHeapSize == 0 {
-		c.DomainHeapSize = uint64(c.batchCeiling())*2*uint64(c.ConnBufSize) + domainScratchSlack
+		c.DomainHeapSize = uint64(c.MaxBatch)*2*uint64(c.ConnBufSize) + domainScratchSlack
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -141,25 +139,13 @@ func (c *Config) setDefaults() {
 
 // domainScratchSlack is the per-guard-scope scratch headroom beyond the
 // connection-buffer copies: request-scoped item staging plus reply
-// assembly for a full batch.
+// assembly for a full batch. The default DomainHeapSize is
+//
+//	MaxBatch * 2 * ConnBufSize + domainScratchSlack
+//
+// (one read + one write buffer copy per in-flight request; 192 KiB at
+// MaxBatch 1 with 16 KiB buffers, matching the pre-batching default).
 const domainScratchSlack = 160 * 1024
-
-// batchCeiling is the largest batch one guard scope can be asked to
-// hold: the fixed MaxBatch, or the adaptive controller's ceiling when
-// the scheduler is configured with a higher one. The default
-// DomainHeapSize tracks it:
-//
-//	DomainHeapSize = batchCeiling * 2 * ConnBufSize + domainScratchSlack
-//
-// (one read + one write buffer copy per in-flight event; 192 KiB at a
-// ceiling of 1 with 16 KiB buffers, matching the pre-batching default).
-func (c *Config) batchCeiling() int {
-	b := c.MaxBatch
-	if c.Sched != nil && c.Sched.MaxBatch > b {
-		b = c.Sched.MaxBatch
-	}
-	return b
-}
 
 // Server errors.
 var (
@@ -178,16 +164,7 @@ type Server struct {
 	connAllocator connAlloc // baseline variants' malloc for conn buffers
 	workers       []*worker
 	telBatch      *telemetry.Histogram // events per guard scope, nil without telemetry
-	telSplits     *telemetry.Counter   // shard-affinity batch splits, nil without telemetry
-	router        *sched.Router        // shard→worker affinity bias, nil without Sched
-	rebalancer    *sched.Rebalancer    // hot-slot move planner, nil without Sched
-	route         bool                 // load-aware connection placement (Sched.Route)
-	steal         bool                 // cross-worker stealing (Sched.Steal, Workers > 1)
-	rr            atomic.Int64
-	place         atomic.Int64 // placement tie-break cursor (route mode)
-	steals        atomic.Int64 // cross-worker steal rounds
-	stolenEvents  atomic.Int64 // events taken by stealing
-	stealSegments atomic.Int64 // guard scopes run for stolen shard segments
+	rr            atomic.Int64         // NewConn's round-robin placement cursor
 	connIDs       atomic.Int64
 	rewinds       atomic.Int64
 	closedByAtk   atomic.Int64
@@ -196,25 +173,15 @@ type Server struct {
 }
 
 type worker struct {
-	idx int
-	s   *Server
-	ch  chan *event
-	// stealch is the steal-eligible queue, created only in steal mode:
-	// single keyed requests land here (pipelined, keyless, and control
-	// events stay on ch, whose events are never stolen). Exposing the
-	// eligible backlog on its own channel is what lets an idle sibling
-	// take a segment without perturbing event kinds it cannot safely run.
-	stealch chan *event
-	handle  *proc.Handle
+	idx    int
+	s      *Server
+	ch     chan *event
+	handle *proc.Handle
 
-	// ctrl is the worker's adaptive batch-bound controller (nil without
-	// Config.Sched — the drain loop then uses the fixed MaxBatch bound).
-	// boundGauge, when set, mirrors the bound into telemetry.
+	// ctrl is the worker's adaptive batch-bound controller; boundGauge,
+	// when set, mirrors the bound into telemetry.
 	ctrl       *sched.Controller
 	boundGauge *telemetry.Gauge
-	// evShards is per-round scratch: the shard classification of each
-	// drained batch item (owned by the worker goroutine).
-	evShards []int
 
 	// reqs is the worker's native request count. Keeping it per worker
 	// (its own cache line, uncontended) and summing at exposition via a
@@ -379,21 +346,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := s.p.Attach("init", s.provision); err != nil {
 		return nil, fmt.Errorf("memcache: provisioning: %w", err)
 	}
-	var schedCfg sched.Config
-	if cfg.Sched != nil {
-		// The scheduler needs the slot indirection layer live before any
-		// worker serves (the rebalancer moves hot slots through it; the
-		// initial identity table changes nothing).
-		s.st.EnableRemap()
-		if cfg.Workers > 1 {
-			// Shard-affinity routing only means something with several
-			// workers; a single-worker server skips the per-request key
-			// parse on the client path.
-			s.router = sched.NewRouter(cfg.Workers, s.st.Shards())
-		}
-		s.rebalancer = sched.NewRebalancer(sched.RebalanceConfig{})
-		schedCfg = *cfg.Sched
-		if schedCfg.GuardCostNs == nil && cfg.Telemetry != nil {
+	if cfg.Variant == VariantSDRaD {
+		if s.cfg.Sched.GuardCostNs == nil && cfg.Telemetry != nil {
 			// Estimate the Enter+Exit domain-switch cost from the live
 			// latency histograms core already feeds — the controller grows
 			// faster while amortization dominates per-item cost.
@@ -402,33 +356,24 @@ func NewServer(cfg Config) (*Server, error) {
 				"Latency of sdrad_enter calls in nanoseconds.")
 			exit := reg.Histogram("sdrad_exit_latency_ns",
 				"Latency of sdrad_exit calls in nanoseconds.")
-			schedCfg.GuardCostNs = func() int64 {
+			s.cfg.Sched.GuardCostNs = func() int64 {
 				return enter.Quantile(0.5) + exit.Quantile(0.5)
 			}
 		}
-		if schedCfg.OnFloorPinned == nil && cfg.Policy != nil {
+		if s.cfg.Sched.OnFloorPinned == nil && cfg.Policy != nil {
 			// A controller pinned at the floor by a hot rewind window for a
 			// whole window means batching already shrank the blast radius
 			// to single requests and the event domain is STILL rewinding:
 			// surface it to the policy engine as a backoff signal.
 			eng := cfg.Policy
-			schedCfg.OnFloorPinned = func(int64) { eng.OnPressure(int(eventUDI)) }
+			s.cfg.Sched.OnFloorPinned = func(int64) { eng.OnPressure(int(eventUDI)) }
 		}
-		s.route = schedCfg.Route && cfg.Workers > 1
-		s.steal = schedCfg.Steal && cfg.Workers > 1
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		// The channel is buffered so a pipelining client can enqueue a
 		// full batch before the worker drains it.
-		w := &worker{idx: i, s: s, ch: make(chan *event, cfg.MaxBatch)}
-		if s.steal {
-			// The eligible queue is deeper than one batch so a backlogged
-			// victim shows siblings something worth taking.
-			w.stealch = make(chan *event, 4*cfg.MaxBatch)
-		}
-		if cfg.Sched != nil {
-			w.ctrl = sched.NewController(schedCfg, cfg.MaxBatch)
-		}
+		w := &worker{idx: i, s: s, ch: make(chan *event, cfg.MaxBatch),
+			ctrl: sched.NewController(s.cfg.Sched, cfg.MaxBatch)}
 		w.handle = s.p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
 		s.workers = append(s.workers, w)
 	}
@@ -451,28 +396,18 @@ func NewServer(cfg Config) (*Server, error) {
 		for i := 0; i < s.st.Shards(); i++ {
 			s.st.setOccupancyGauge(i, occ.With(strconv.Itoa(i)))
 		}
-		if cfg.Sched != nil {
-			bound := reg.GaugeVec("sdrad_sched_batch_bound",
-				"Adaptive drain-batch bound per worker.", "worker")
-			for _, w := range s.workers {
-				w.boundGauge = bound.With(strconv.Itoa(w.idx))
-				w.boundGauge.Set(int64(w.ctrl.Bound()))
-			}
-			s.telSplits = reg.Counter("sdrad_sched_batch_splits_total",
-				"Mixed batches split into per-shard guard scopes.")
-			reg.CounterFunc("sdrad_sched_steals_total",
-				"Cross-worker steal rounds executed by idle floor workers.", s.steals.Load)
-			reg.CounterFunc("sdrad_sched_stolen_events_total",
-				"Pending events taken by cross-worker stealing.", s.stolenEvents.Load)
-			reg.CounterFunc("sdrad_sched_steal_segments_total",
-				"Guard scopes run for stolen shard-affinity segments.", s.stealSegments.Load)
-			wait := reg.CounterVec("sdrad_memcache_shard_lock_wait_ns",
-				"Nanoseconds spent waiting on contended shard-lock acquisitions.", "shard")
-			ops := reg.CounterVec("sdrad_memcache_shard_batch_ops",
-				"Deferred ops applied through the batch paths per shard.", "shard")
-			for i := 0; i < s.st.Shards(); i++ {
-				s.st.setContentionCounters(i, wait.With(strconv.Itoa(i)), ops.With(strconv.Itoa(i)))
-			}
+		bound := reg.GaugeVec("sdrad_sched_batch_bound",
+			"Adaptive drain-batch bound per worker.", "worker")
+		for _, w := range s.workers {
+			w.boundGauge = bound.With(strconv.Itoa(w.idx))
+			w.boundGauge.Set(int64(w.ctrl.Bound()))
+		}
+		wait := reg.CounterVec("sdrad_memcache_shard_lock_wait_ns",
+			"Nanoseconds spent waiting on contended shard-lock acquisitions.", "shard")
+		ops := reg.CounterVec("sdrad_memcache_shard_batch_ops",
+			"Deferred ops applied through the batch paths per shard.", "shard")
+		for i := 0; i < s.st.Shards(); i++ {
+			s.st.setContentionCounters(i, wait.With(strconv.Itoa(i)), ops.With(strconv.Itoa(i)))
 		}
 	}
 	return s, nil
@@ -567,7 +502,6 @@ func (w *worker) run(t *proc.Thread) error {
 			return err
 		}
 	}
-	maxBatch := s.cfg.MaxBatch
 	// pending holds an event drained from the channel that could not
 	// join the current batch (inspect event, or the batch was full); it
 	// leads the next round so event order is preserved.
@@ -576,71 +510,28 @@ func (w *worker) run(t *proc.Thread) error {
 		var ev *event
 		if pending != nil {
 			ev, pending = pending, nil
-		} else if w.stealch == nil {
+		} else {
 			select {
 			case <-s.p.Done():
 				return nil
 			case ev = <-w.ch:
-			}
-		} else {
-			// Steal mode: prefer own work (either queue); only when both
-			// are empty does the worker consider taking a sibling's
-			// backlog, and only from the AIMD floor — a worker with any
-			// batching headroom of its own is not idle capacity.
-			select {
-			case ev = <-w.ch:
-			case ev = <-w.stealch:
-			default:
-			}
-			if ev == nil {
-				if w.ctrl.AtFloor() && s.trySteal(t, w) {
-					continue
-				}
-				timer := time.NewTimer(w.ctrl.StealInterval())
-				select {
-				case <-s.p.Done():
-					timer.Stop()
-					return nil
-				case ev = <-w.ch:
-					timer.Stop()
-				case ev = <-w.stealch:
-					timer.Stop()
-				case <-timer.C:
-					// A traffic-free interval: walk the bound toward the
-					// floor so even a never-loaded worker becomes a steal
-					// candidate, then rescan.
-					w.ctrl.ObserveIdle()
-					continue
-				}
 			}
 		}
 		if ev.inspect != nil {
 			ev.resp <- result{err: ev.inspect(t)}
 			continue
 		}
-		// Drain up to the current bound of pending requests into one
-		// batch: the fixed MaxBatch without a controller (the legacy
-		// path, unchanged), the adaptive bound with one. Inspect events
-		// and overflowing events park in pending and wait for the next
-		// round.
-		bound := maxBatch
-		if w.ctrl != nil {
-			bound = w.ctrl.Bound()
-		}
+		// Drain up to the controller's current bound of pending requests
+		// into one batch. The first event of a round is taken whole (a
+		// pipelined event is never split); inspect events and events that
+		// would overflow the bound park in pending for the next round.
+		bound := w.ctrl.Bound()
 		w.items = appendItems(w.items[:0], ev)
 	drain:
 		for len(w.items) < bound {
-			// A nil stealch case can never fire, so the legacy single-queue
-			// drain is preserved bit for bit outside steal mode.
 			select {
 			case ev2 := <-w.ch:
 				if ev2.inspect != nil || len(w.items)+ev2.nreq() > bound {
-					pending = ev2
-					break drain
-				}
-				w.items = appendItems(w.items, ev2)
-			case ev2 := <-w.stealch:
-				if len(w.items)+ev2.nreq() > bound {
 					pending = ev2
 					break drain
 				}
@@ -649,23 +540,22 @@ func (w *worker) run(t *proc.Thread) error {
 				break drain
 			}
 		}
-		if w.ctrl == nil {
-			deliver(w.items, s.dispatchBatch(t, w, w.items))
-			continue
-		}
 		drained := len(w.items)
-		if pending == nil && drained == 1 && w.queued() == 0 && w.ctrl.AtFloor() {
+		if pending == nil && drained == 1 && len(w.ch) == 0 && w.ctrl.AtFloor() {
 			// Idle floor fast path: a lone event with nothing queued behind
 			// it cannot move a controller already at bound 1 with a cold
 			// rewind window, so the round skips the clock reads and the
-			// observation — at low load the scheduler costs one atomic load
-			// per event.
-			s.dispatchSched(t, w)
+			// observation — at low load the controller costs one atomic
+			// load per event.
+			deliver(w.items, s.dispatchBatch(t, w, w.items))
 			continue
 		}
+		// The round is observed before its replies go out: a client holding
+		// its reply sees the controller settled, and its next request is
+		// never counted as this round's backlog.
 		t0 := w.ctrl.Now()
-		s.dispatchSched(t, w)
-		backlog := w.queued()
+		results := s.dispatchBatch(t, w, w.items)
+		backlog := len(w.ch)
 		if pending != nil {
 			backlog++
 		}
@@ -673,192 +563,8 @@ func (w *worker) run(t *proc.Thread) error {
 		if w.boundGauge != nil {
 			w.boundGauge.Set(int64(w.ctrl.Bound()))
 		}
+		deliver(w.items, results)
 	}
-}
-
-// dispatchSched is the scheduler's batch dispatch: the drained batch is
-// split into contiguous per-shard segments — at event boundaries only,
-// so one pipelined event's run is never separated — and each segment
-// runs in its own guard scope against a single lock stripe. Segments
-// shorter than the controller's MinSplitRun are not worth their own
-// Guard/Enter/Exit round and stay merged with their neighbor.
-func (s *Server) dispatchSched(t *proc.Thread, w *worker) {
-	items := w.items
-	minRun := w.ctrl.MinSplitRun()
-	if minRun <= 0 || len(items) < 2*minRun {
-		deliver(items, s.dispatchBatch(t, w, items))
-		return
-	}
-	// Classify each item by its key's shard (one event's items share the
-	// event's classification; keyless requests are -1 and join either
-	// neighbor).
-	if cap(w.evShards) < len(items) {
-		w.evShards = make([]int, len(items))
-	}
-	shards := w.evShards[:len(items)]
-	for i := range items {
-		if i > 0 && items[i].ev == items[i-1].ev {
-			shards[i] = shards[i-1]
-			continue
-		}
-		shards[i] = -1
-		if key := requestKeyBytes(items[i].req); key != nil {
-			shards[i] = s.st.ShardFor(key)
-		}
-	}
-	start := 0
-	for i := 1; i < len(items); i++ {
-		if shards[i] == shards[i-1] || shards[i] < 0 || shards[i-1] < 0 ||
-			items[i].ev == items[i-1].ev ||
-			i-start < minRun || len(items)-i < minRun {
-			continue
-		}
-		seg := items[start:i]
-		deliver(seg, s.dispatchBatch(t, w, seg))
-		if s.telSplits != nil {
-			s.telSplits.Inc()
-		}
-		start = i
-	}
-	seg := items[start:]
-	deliver(seg, s.dispatchBatch(t, w, seg))
-}
-
-// queued is the worker's undrained event count across both queues.
-func (w *worker) queued() int {
-	n := len(w.ch)
-	if w.stealch != nil {
-		n += len(w.stealch)
-	}
-	return n
-}
-
-// trySteal is the cross-worker stealing round: the caller is at the
-// AIMD floor with empty queues, so it takes up to half of the most
-// backlogged sibling's steal-eligible events (capped at one batch
-// ceiling) and runs them in its own guard scopes via dispatchStolen.
-// The thief's own controller observes the round, so a fault in stolen
-// work heats the thief's rewind window, drops it off the floor, and
-// stops it stealing until the window drains — the blast-radius
-// convergence the AIMD ladder gives normal traffic applies to stolen
-// traffic unchanged. Returns false when no sibling had at least two
-// pending events (one pending event is latency, not backlog).
-func (s *Server) trySteal(t *proc.Thread, w *worker) bool {
-	victim, best := -1, 1
-	for _, v := range s.workers {
-		if v == w || v.stealch == nil {
-			continue
-		}
-		if n := len(v.stealch); n > best {
-			victim, best = v.idx, n
-		}
-	}
-	if victim < 0 {
-		return false
-	}
-	take := best / 2
-	if max := w.ctrl.MaxBatch(); take > max {
-		take = max
-	}
-	if take < 1 {
-		take = 1
-	}
-	v := s.workers[victim]
-	w.items = w.items[:0]
-steal:
-	for len(w.items) < take {
-		select {
-		case ev := <-v.stealch:
-			w.items = appendItems(w.items, ev)
-		default:
-			break steal // raced with the victim's own drain
-		}
-	}
-	if len(w.items) == 0 {
-		return false
-	}
-	s.steals.Add(1)
-	s.stolenEvents.Add(int64(len(w.items)))
-	t0 := w.ctrl.Now()
-	s.dispatchStolen(t, w)
-	w.ctrl.ObserveRound(w.queued(), len(w.items), w.ctrl.Now()-t0)
-	if w.boundGauge != nil {
-		w.boundGauge.Set(int64(w.ctrl.Bound()))
-	}
-	return true
-}
-
-// dispatchStolen runs a stolen segment. Items are grouped by storage
-// shard and every group runs as its OWN guard scope: the router's
-// epoch-handoff rules promise that one scope never sees a split key
-// view, and a fault on the thief discards exactly the stolen group it
-// hit — one rewind, one forensics report, and the victim's remaining
-// backlog commits untouched. Only single-request keyed events are
-// steal-eligible (the submit path enforces it), so reordering across
-// groups cannot reorder any one connection's requests: Do is
-// synchronous, one event per connection in flight.
-func (s *Server) dispatchStolen(t *proc.Thread, w *worker) {
-	items := w.items
-	if cap(w.evShards) < len(items) {
-		w.evShards = make([]int, len(items))
-	}
-	shards := w.evShards[:len(items)]
-	for i := range items {
-		shards[i] = -1
-		if key := requestKeyBytes(items[i].req); key != nil {
-			shards[i] = s.st.ShardFor(key)
-		}
-	}
-	// Stable insertion sort by shard — stolen segments are at most one
-	// batch ceiling long, so O(n²) beats allocating a sorter.
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && shards[j-1] > shards[j]; j-- {
-			shards[j-1], shards[j] = shards[j], shards[j-1]
-			items[j-1], items[j] = items[j], items[j-1]
-		}
-	}
-	start := 0
-	for i := 1; i <= len(items); i++ {
-		if i < len(items) && shards[i] == shards[start] {
-			continue
-		}
-		seg := items[start:i]
-		deliver(seg, s.dispatchBatch(t, w, seg))
-		s.stealSegments.Add(1)
-		start = i
-	}
-}
-
-// requestKeyBytes extracts the (first) key token of a text-protocol
-// request for shard classification, allocation-free; nil for keyless
-// commands and binary frames.
-func requestKeyBytes(req []byte) []byte {
-	if len(req) == 0 || req[0] == BinMagicRequest {
-		return nil
-	}
-	eol := bytes.IndexByte(req, '\r')
-	if eol < 0 {
-		eol = len(req)
-	}
-	line := req[:eol]
-	sp := bytes.IndexByte(line, ' ')
-	if sp < 0 {
-		return nil
-	}
-	switch string(line[:sp]) {
-	case "get", "gets", "set", "add", "replace", "append", "prepend",
-		"cas", "delete", "touch", "incr", "decr", "bset":
-	default:
-		return nil
-	}
-	rest := line[sp+1:]
-	if end := bytes.IndexByte(rest, ' '); end >= 0 {
-		rest = rest[:end]
-	}
-	if len(rest) == 0 {
-		return nil
-	}
-	return rest
 }
 
 // appendItems flattens an event's requests into the batch.
@@ -1195,11 +901,9 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			w.domainReady = false
 			w.slots = w.slots[:0]
 			s.rewinds.Add(1)
-			if w.ctrl != nil {
-				// Multiplicative decrease: the next batches risk less
-				// collateral while the rewind window stays hot.
-				w.ctrl.NoteRewind()
-			}
+			// Multiplicative decrease: the next batches risk less
+			// collateral while the rewind window stays hot.
+			w.ctrl.NoteRewind()
 			for i := range items {
 				if states[i].done {
 					continue
@@ -1364,7 +1068,7 @@ type InlineDo func(conn *Conn, req []byte) (resp []byte, closed bool, err error)
 // the one the event loop uses. Connections passed to the returned InlineDo
 // must have been created by the NewConn method of this call's handle.
 func (s *Server) RunInline(name string, body func(newConn func() *Conn, do InlineDo) error) error {
-	w := &worker{idx: -1, s: s, ch: nil}
+	w := &worker{idx: -1, s: s, ctrl: sched.NewController(s.cfg.Sched, s.cfg.MaxBatch)}
 	h := s.p.Spawn(name, func(t *proc.Thread) error {
 		if s.cfg.Variant == VariantSDRaD {
 			if err := s.lib.InitDomain(t, eventUDI, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize)); err != nil {
@@ -1386,56 +1090,17 @@ func (s *Server) RunInline(name string, body func(newConn func() *Conn, do Inlin
 	return h.Join()
 }
 
-// NewConn opens a client connection pinned to a worker: round-robin by
-// default, or by the load-aware placement scorer when Sched.Route is on
-// — queue depth, EWMA service latency, and rewind-window heat steer new
-// connections onto calm workers at the one moment they can still be
-// steered.
+// NewConn opens a client connection pinned to a worker, round-robin.
 func (s *Server) NewConn() *Conn {
 	return &Conn{
 		id: int(s.connIDs.Add(1)),
-		w:  s.placeWorker(),
+		w:  s.workers[int(s.rr.Add(1)-1)%len(s.workers)],
 	}
-}
-
-// placeWorker picks the worker a new connection is pinned to. Outside
-// route mode it is the legacy round-robin cursor, bit for bit. In route
-// mode every worker has a controller (route requires Sched), and the
-// scorer's rotated tie-break reproduces the round-robin fill order
-// exactly while the cluster is idle.
-func (s *Server) placeWorker() *worker {
-	if !s.route {
-		return s.workers[int(s.rr.Add(1)-1)%len(s.workers)]
-	}
-	loads := make([]sched.WorkerLoad, len(s.workers))
-	for i, w := range s.workers {
-		ewma, wins := w.ctrl.Load()
-		loads[i] = sched.WorkerLoad{Queue: w.queued(), EWMAItemNs: ewma, WindowRewinds: wins}
-	}
-	return s.workers[sched.PlacementPick(loads, int(s.place.Add(1)-1))]
 }
 
 // WorkerIndex reports which worker the connection is pinned to (chaos
 // campaigns assert placement decisions through it).
 func (c *Conn) WorkerIndex() int { return c.w.idx }
-
-// ConnOn opens a connection pinned to worker idx, bypassing placement.
-// Chaos campaigns use it to park a chosen worker or stage a
-// deterministic backlog; real accept paths go through NewConn.
-func (s *Server) ConnOn(idx int) *Conn {
-	return &Conn{id: int(s.connIDs.Add(1)), w: s.workers[idx]}
-}
-
-// KeyWorker reports which worker a single keyed request for key routes
-// to under shard-affinity routing (the connection's pinning is
-// irrelevant for keyed traffic once the scheduler routes). Returns -1
-// without a router (scheduler off, or a single worker).
-func (s *Server) KeyWorker(key []byte) int {
-	if s.router == nil {
-		return -1
-	}
-	return s.router.Worker(s.st.ShardFor(key))
-}
 
 // EventDomainUDI is the UDI of the per-worker event-handling domain,
 // for policy-snapshot assertions outside the package.
@@ -1443,19 +1108,12 @@ func EventDomainUDI() int { return int(eventUDI) }
 
 // Do sends one request on the connection and waits for the response.
 // closed reports that the server closed the connection (quit command or
-// attack recovery).
-//
-// With the scheduler enabled the event is routed to the worker biased
-// to the request key's storage shard instead of the connection's pinned
-// worker, so concurrent workers flush disjoint lock stripes. Do is
-// synchronous, so successive requests of one connection still serialize
-// (channel send/receive orders the ownership handoff); a Conn must not
-// be shared by concurrent Do callers, as before.
+// attack recovery). A Conn must not be shared by concurrent Do callers.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
 	s := c.w.s
 	ev := &event{conn: c, req: req, resp: make(chan result, 1)}
 	select {
-	case s.submitQueue(c, req) <- ev:
+	case c.w.ch <- ev:
 	case <-s.p.Done():
 		return nil, true, ErrServerDown
 	}
@@ -1465,31 +1123,6 @@ func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
 	case <-s.p.Done():
 		return nil, true, ErrServerDown
 	}
-}
-
-// workerFor picks the worker an event should run on: the shard-affinity
-// bias when the scheduler is routing, the connection's pinned worker
-// otherwise (and for keyless requests).
-func (s *Server) workerFor(c *Conn, req []byte) *worker {
-	if s.router == nil {
-		return c.w
-	}
-	key := requestKeyBytes(req)
-	if key == nil {
-		return c.w
-	}
-	return s.workers[s.router.Worker(s.st.ShardFor(key))]
-}
-
-// submitQueue picks the channel a single Do request is submitted on:
-// the target worker's steal-eligible queue for keyed requests in steal
-// mode (a sibling at the floor may take them), its main queue otherwise.
-func (s *Server) submitQueue(c *Conn, req []byte) chan<- *event {
-	w := s.workerFor(c, req)
-	if w.stealch != nil && requestKeyBytes(req) != nil {
-		return w.stealch
-	}
-	return w.ch
 }
 
 // PipelineResult is one request's outcome from DoPipeline.
@@ -1517,13 +1150,7 @@ func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
 		return out
 	}
 	maxB := s.cfg.MaxBatch
-	// All chunks go to ONE worker: concurrent chunks of a pipeline on
-	// two workers would race on the connection's buffers. With the
-	// scheduler routing, the pipeline's first key picks the worker.
 	w := c.w
-	if s.router != nil && len(reqs) > 0 {
-		w = s.workerFor(c, reqs[0])
-	}
 	var evs []*event
 	for off := 0; off < len(reqs); off += maxB {
 		end := off + maxB
@@ -1555,19 +1182,9 @@ func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
 func (s *Server) MaxBatch() int { return s.cfg.MaxBatch }
 
 // QueueDepth reports how many events are queued (undrained) for worker
-// i, across both its queues. It is a monitoring signal: the scheduler
-// benchmark and operational dashboards use it to observe backlog; the
-// value is stale the moment it is read.
-func (s *Server) QueueDepth(i int) int { return s.workers[i].queued() }
-
-// Steals reports completed cross-worker steal rounds.
-func (s *Server) Steals() int64 { return s.steals.Load() }
-
-// StolenEvents reports how many pending events stealing moved.
-func (s *Server) StolenEvents() int64 { return s.stolenEvents.Load() }
-
-// StealSegments reports the guard scopes run for stolen shard segments.
-func (s *Server) StealSegments() int64 { return s.stealSegments.Load() }
+// i. It is a monitoring signal (the chaos campaigns stage backlogs by
+// it); the value is stale the moment it is read.
+func (s *Server) QueueDepth(i int) int { return len(s.workers[i].ch) }
 
 // Inspect runs fn on the worker thread that owns this connection, like a
 // request but with the worker's thread handed to the closure. The chaos
@@ -1631,76 +1248,11 @@ func (s *Server) Library() *core.Library { return s.lib }
 // Variant returns the build variant.
 func (s *Server) Variant() Variant { return s.cfg.Variant }
 
-// SchedSnapshots returns each worker's adaptive-controller snapshot
-// (nil when the scheduler is disabled).
+// SchedSnapshots returns each worker's adaptive-controller snapshot.
 func (s *Server) SchedSnapshots() []sched.Snapshot {
-	if s.cfg.Sched == nil {
-		return nil
-	}
 	out := make([]sched.Snapshot, len(s.workers))
 	for i, w := range s.workers {
 		out[i] = w.ctrl.Snapshot()
 	}
 	return out
-}
-
-// inspectOn runs fn on worker idx's thread (control event).
-func (s *Server) inspectOn(idx int, fn func(t *proc.Thread) error) error {
-	c := &Conn{id: int(s.connIDs.Add(1)), w: s.workers[idx]}
-	return c.Inspect(fn)
-}
-
-// RebalanceTick runs one contention-driven rebalance round: the planner
-// inspects the per-shard lock-wait/batch-op deltas and per-slot op
-// counts, and each planned hot-slot move executes on worker 0's thread
-// (root-domain rights over the storage domain) with the epoch handoff.
-// Returns the number of slot moves executed. No-op without Config.Sched.
-func (s *Server) RebalanceTick() int {
-	if s.rebalancer == nil {
-		return 0
-	}
-	loads := s.st.ContentionStats()
-	shardLoads := make([]sched.ShardLoad, len(loads))
-	for i, l := range loads {
-		shardLoads[i] = sched.ShardLoad{WaitNs: l.WaitNs, BatchOps: l.BatchOps}
-	}
-	moves := s.rebalancer.Plan(s.st.SlotShard, shardLoads, s.st.SlotLoads())
-	executed := 0
-	for _, m := range moves {
-		mv := m
-		err := s.inspectOn(0, func(t *proc.Thread) error {
-			_, err := s.st.MoveSlot(t.CPU(), mv.Slot, mv.To)
-			return err
-		})
-		if err != nil {
-			break
-		}
-		executed++
-	}
-	return executed
-}
-
-// StartRebalancer runs RebalanceTick every interval until the returned
-// stop function is called or the server shuts down.
-func (s *Server) StartRebalancer(interval time.Duration) (stop func()) {
-	if s.rebalancer == nil || interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				s.RebalanceTick()
-			case <-done:
-				return
-			case <-s.p.Done():
-				return
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sdrad/internal/mem"
 	"sdrad/internal/telemetry"
@@ -124,10 +125,10 @@ type shard struct {
 	// occupancy exposition).
 	occ *telemetry.Gauge
 
-	// Contention accounting (atomic — read lock-free by the scheduler's
-	// rebalancer): nanoseconds spent waiting on contended acquisitions
-	// of mu, and ops applied through the batch paths. waitC/opsC, when
-	// set, mirror the counters into telemetry.
+	// Contention accounting (atomic — ContentionStats reads it without
+	// the lock): nanoseconds spent waiting on contended acquisitions of
+	// mu, and ops applied through the batch path. waitC/opsC, when set,
+	// mirror the counters into telemetry.
 	waitNs   atomic.Int64
 	batchOps atomic.Int64
 	waitC    *telemetry.Counter
@@ -157,21 +158,6 @@ type Storage struct {
 	// arenaLen keeps every operation on the checked accessors.
 	arenaBase mem.Addr
 	arenaLen  int
-
-	// Slot remap state (see remap.go). remap == nil means the
-	// indirection layer is off and shard selection is the legacy mask
-	// arithmetic.
-	remap       atomic.Pointer[remapTable]
-	epoch       atomic.Uint64
-	rebalanceMu sync.Mutex
-	slotOps     []atomicInt64Pad
-}
-
-// atomicInt64Pad pads each per-slot op counter to its own cache line:
-// adjacent slots are hot on every batch apply and must not false-share.
-type atomicInt64Pad struct {
-	v atomic.Int64
-	_ [56]byte
 }
 
 // NewStorage builds the cache state: bucket arrays are allocated
@@ -221,6 +207,16 @@ func (st *Storage) SetArenaBounds(base mem.Addr, size uint64) {
 // Shards returns the shard count.
 func (st *Storage) Shards() int { return len(st.shards) }
 
+// setContentionCounters attaches telemetry counters mirroring shard
+// si's lock-wait nanoseconds and batched ops.
+func (st *Storage) setContentionCounters(si int, wait, ops *telemetry.Counter) {
+	sh := st.shards[si]
+	sh.mu.Lock()
+	sh.waitC = wait
+	sh.opsC = ops
+	sh.mu.Unlock()
+}
+
 // setOccupancyGauge attaches a telemetry gauge mirroring shard si's
 // live item count.
 func (st *Storage) setOccupancyGauge(si int, g *telemetry.Gauge) {
@@ -232,11 +228,41 @@ func (st *Storage) setOccupancyGauge(si int, g *telemetry.Gauge) {
 }
 
 // ShardFor returns the shard index key maps to: the high 32 hash bits
-// select the shard (via the remap table when enabled), the low bits
-// (used by bucketAddr) select the bucket within it — disjoint bit
-// ranges keep the two choices independent.
+// select the shard, the low bits (used by bucketAddr) select the bucket
+// within it — disjoint bit ranges keep the two choices independent.
 func (st *Storage) ShardFor(key []byte) int {
-	return st.shardIndexFor(hashKey(key))
+	return int((hashKey(key) >> 32) & st.shardMask)
+}
+
+// lockShard returns the shard hash h maps to, locked.
+func (st *Storage) lockShard(h uint64) *shard {
+	sh := st.shards[(h>>32)&st.shardMask]
+	sh.lockMeasured()
+	return sh
+}
+
+// lockMeasured acquires the shard lock, accounting contended
+// acquisitions into the shard's lock-wait counter. The uncontended
+// TryLock fast path costs the same as a plain Lock.
+func (sh *shard) lockMeasured() {
+	if sh.mu.TryLock() {
+		return
+	}
+	t0 := time.Now()
+	sh.mu.Lock()
+	w := time.Since(t0).Nanoseconds()
+	sh.waitNs.Add(w)
+	if sh.waitC != nil {
+		sh.waitC.Add(w)
+	}
+}
+
+// noteBatchOps accounts n batched ops to the shard.
+func (sh *shard) noteBatchOps(n int64) {
+	sh.batchOps.Add(n)
+	if sh.opsC != nil {
+		sh.opsC.Add(n)
+	}
 }
 
 // classFor returns the index of the smallest class fitting need bytes.
@@ -473,14 +499,6 @@ func (st *Storage) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]byte,
 // storeLocked writes a fresh item for key=value, unlinking any existing
 // item first. Caller holds the shard lock. Returns the new CAS id.
 func (sh *shard) storeLocked(v sview, key, value []byte, flags uint32) (uint64, error) {
-	return sh.storeNewLocked(v, key, value, flags, 0)
-}
-
-// storeNewLocked is storeLocked with an explicit CAS id: cas == 0 issues
-// a fresh id from the shard counter once the chunk is secured (the
-// normal store path); a nonzero cas is written verbatim (slot migration
-// re-homing an item with its identity intact).
-func (sh *shard) storeNewLocked(v sview, key, value []byte, flags uint32, cas uint64) (uint64, error) {
 	need := uint64(itemHeader + len(key) + len(value))
 	ci, err := sh.classFor(need)
 	if err != nil {
@@ -493,10 +511,7 @@ func (sh *shard) storeNewLocked(v sview, key, value []byte, flags uint32, cas ui
 	if err != nil {
 		return 0, err
 	}
-	if cas == 0 {
-		sh.casCounter++
-		cas = sh.casCounter
-	}
+	sh.casCounter++
 	v.putAddr(it+itemOffNext, 0)
 	v.putAddr(it+itemOffLRUN, 0)
 	v.putAddr(it+itemOffLRUP, 0)
@@ -504,7 +519,7 @@ func (sh *shard) storeNewLocked(v sview, key, value []byte, flags uint32, cas ui
 	v.putU64(it+itemOffValLen, uint64(len(value)))
 	v.putU64(it+itemOffFlags, uint64(flags))
 	v.putU64(it+itemOffClass, uint64(ci))
-	v.putU64(it+itemOffCAS, cas)
+	v.putU64(it+itemOffCAS, sh.casCounter)
 	v.write(it+itemHeader, key)
 	v.write(it+itemHeader+mem.Addr(len(key)), value)
 	// Link: hash chain head + LRU head.
@@ -515,7 +530,7 @@ func (sh *shard) storeNewLocked(v sview, key, value []byte, flags uint32, cas ui
 	sh.items++
 	sh.bytes += need
 	sh.noteOccupancy()
-	return cas, nil
+	return sh.casCounter, nil
 }
 
 func (sh *shard) setLocked(v sview, key, value []byte, flags uint32) error {
@@ -759,6 +774,22 @@ func (st *Storage) Stats() StorageStats {
 		out.Gets += sh.gets
 		out.Hits += sh.hits
 		sh.mu.Unlock()
+	}
+	return out
+}
+
+// ShardContention is one shard's cumulative contention counters.
+type ShardContention struct {
+	WaitNs   int64
+	BatchOps int64
+}
+
+// ContentionStats snapshots the per-shard contention counters (atomic
+// reads; no shard locks taken).
+func (st *Storage) ContentionStats() []ShardContention {
+	out := make([]ShardContention, len(st.shards))
+	for i, sh := range st.shards {
+		out[i] = ShardContention{WaitNs: sh.waitNs.Load(), BatchOps: sh.batchOps.Load()}
 	}
 	return out
 }

@@ -1,15 +1,13 @@
 package sched
 
-// Placement scores workers at connection-accept time. Round-robin
-// pinning spreads connections evenly but blindly: one hot or
-// rewind-storming worker keeps receiving fresh connections at the same
-// rate as its calm siblings, and every connection unlucky enough to
-// land there inherits its tail. The scorer makes the three live load
-// signals — queue depth, EWMA per-item service latency, rewind-window
-// heat — visible at the one moment a connection can still be steered.
+// Placement scores workers at connection-accept time from queue depth,
+// EWMA per-item service latency and rewind-window heat. No server calls
+// it — every accept path is a round-robin cursor (EXPERIMENTS.md E18) —
+// and it stays, with its tests, only because benchmark/ times
+// PlacementPick and could not be edited in the change that removed the
+// callers. Delete this file together with that probe.
 
-// WorkerLoad is one worker's placement inputs, assembled by the server
-// from its queue lengths and the controller's published Load().
+// WorkerLoad is one worker's placement inputs.
 type WorkerLoad struct {
 	// Queue is the worker's pending event count (channel depths).
 	Queue int
@@ -50,7 +48,7 @@ func PlacementScore(l WorkerLoad) int64 {
 // PlacementPick returns the index of the lowest-score worker. Ties are
 // broken by scanning from (tie mod len) so equally calm workers are
 // filled round-robin rather than always worker 0 — under no load the
-// pick sequence degenerates to exactly the legacy round-robin order.
+// pick sequence degenerates to exactly the round-robin order.
 func PlacementPick(loads []WorkerLoad, tie int) int {
 	if len(loads) == 0 {
 		return 0

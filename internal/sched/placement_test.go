@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"math/rand"
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestPlacementPickPrefersCalmWorker(t *testing.T) {
 	loads := []WorkerLoad{
@@ -76,179 +71,4 @@ func TestPlacementScoreRewindPenaltyCapped(t *testing.T) {
 	if s := PlacementScore(l); s <= 0 {
 		t.Fatalf("pathological load overflowed the score: %d", s)
 	}
-}
-
-func TestControllerLoadPublishesAcrossGoroutines(t *testing.T) {
-	c := NewController(Config{}, 16)
-	c.ObserveRound(4, 4, 8000) // EWMA = 2000
-	c.NoteRewind()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ewma, wins := c.Load()
-		if ewma != 2000 {
-			t.Errorf("published EWMA = %d, want 2000", ewma)
-		}
-		if wins != 1 {
-			t.Errorf("published window rewinds = %d, want 1", wins)
-		}
-	}()
-	<-done
-}
-
-func TestControllerObserveIdleCollapsesToFloor(t *testing.T) {
-	c := NewController(Config{IdleRounds: 1}, 16)
-	if c.AtFloor() {
-		t.Fatal("fresh controller reports AtFloor")
-	}
-	for i := 0; i < 10 && !c.AtFloor(); i++ {
-		c.ObserveIdle()
-	}
-	if !c.AtFloor() {
-		t.Fatalf("bound %d after idle-only rounds, want floor", c.Bound())
-	}
-}
-
-func TestControllerFloorPinnedFiresOncePerWindow(t *testing.T) {
-	var fired []int64
-	clk := int64(time.Hour)
-	cfg := Config{
-		Window:        time.Second,
-		Clock:         func() int64 { return clk },
-		OnFloorPinned: func(ns int64) { fired = append(fired, ns) },
-	}
-	c := NewController(cfg, 16)
-	// Rewinds every 100ms pin the bound at 1 and keep the window hot.
-	for i := 0; i < 25; i++ {
-		c.NoteRewind()
-		clk += int64(100 * time.Millisecond)
-	}
-	// 25 rewinds over 2.5s with a 1s window: the pin timer arms at the
-	// first floor-pinned observation and fires roughly once per second.
-	if len(fired) < 1 || len(fired) > 3 {
-		t.Fatalf("OnFloorPinned fired %d times over 2.5s, want 1-3", len(fired))
-	}
-	for _, ns := range fired {
-		if ns < int64(time.Second) {
-			t.Fatalf("OnFloorPinned pinned duration %dns < window", ns)
-		}
-	}
-	if got := c.Snapshot().FloorPins; got != int64(len(fired)) {
-		t.Fatalf("FloorPins counter = %d, want %d", got, len(fired))
-	}
-	// Window drains: the pin disarms and does not fire again.
-	clk += int64(3 * time.Second)
-	n := len(fired)
-	c.ObserveRound(0, 1, 1000)
-	c.ObserveIdle()
-	if len(fired) != n {
-		t.Fatalf("OnFloorPinned fired after the window drained")
-	}
-}
-
-func TestControllerIdleCollapseAloneDoesNotFloorPin(t *testing.T) {
-	var fired int
-	clk := int64(time.Hour)
-	cfg := Config{
-		Window:        time.Second,
-		IdleRounds:    1,
-		Clock:         func() int64 { return clk },
-		OnFloorPinned: func(int64) { fired++ },
-	}
-	c := NewController(cfg, 16)
-	// A healthy idle worker parks at bound 1 for many windows; that is
-	// not a backoff signal.
-	for i := 0; i < 50; i++ {
-		c.ObserveIdle()
-		clk += int64(200 * time.Millisecond)
-	}
-	if fired != 0 {
-		t.Fatalf("OnFloorPinned fired %d times on a rewind-free idle worker", fired)
-	}
-}
-
-// TestRouterRaceHammer exercises Worker/Rebias/Assignments from many
-// goroutines concurrent with a rebalancer tick loop, mirroring how the
-// memcache submit path races StartRebalancer in production. Run with
-// -race; the assertions only check range invariants.
-func TestRouterRaceHammer(t *testing.T) {
-	const (
-		workers = 4
-		shards  = 64
-		slots   = 256
-	)
-	r := NewRouter(workers, shards)
-	rb := NewRebalancer(RebalanceConfig{MinOps: 1})
-	stop := make(chan struct{})
-	var wg, tickerWg sync.WaitGroup
-
-	// Rebalancer ticker: plans over synthetic drifting counters and
-	// applies the moves via Rebias, exactly the StartRebalancer shape.
-	tickerWg.Add(1)
-	go func() {
-		defer tickerWg.Done()
-		rng := rand.New(rand.NewSource(1))
-		shardLoads := make([]ShardLoad, shards)
-		slotOps := make([]int64, slots)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for i := range shardLoads {
-				shardLoads[i].BatchOps += rng.Int63n(500)
-				shardLoads[i].WaitNs += rng.Int63n(10_000)
-			}
-			for s := range slotOps {
-				slotOps[s] += rng.Int63n(100)
-			}
-			moves := rb.Plan(func(slot int) int { return slot % shards }, shardLoads, slotOps)
-			for _, m := range moves {
-				r.Rebias(m.Slot%shards, rng.Intn(workers))
-			}
-			asn := r.Assignments()
-			if len(asn) != shards {
-				t.Errorf("Assignments len = %d, want %d", len(asn), shards)
-				return
-			}
-		}
-	}()
-
-	// Submit-path readers, including keyless traffic through the shared
-	// round-robin cursor.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 20_000; i++ {
-				shard := rng.Intn(shards + 2)
-				if rng.Intn(8) == 0 {
-					shard = -1
-				}
-				w := r.Worker(shard)
-				if w < 0 || w >= workers {
-					t.Errorf("Worker(%d) = %d out of range", shard, w)
-					return
-				}
-			}
-		}(int64(g + 2))
-	}
-
-	// Rebias writers racing the ticker.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 20_000; i++ {
-			r.Rebias(rng.Intn(shards), rng.Intn(workers))
-		}
-	}()
-
-	// Readers and writers run bounded loops; once they finish, stop the
-	// ticker.
-	wg.Wait()
-	close(stop)
-	tickerWg.Wait()
 }

@@ -1,31 +1,23 @@
-// Package sched is the self-tuning batch/shard scheduler consulted by
-// the worker drain loops of the hardened servers (internal/memcache,
-// internal/httpd). It has three cooperating parts, all stdlib-only and
-// deterministic under a hand-advanced clock (mirroring internal/policy's
-// ManualClock discipline):
+// Package sched holds the per-worker AIMD batch-bound controller the
+// hardened servers' drain loops (internal/memcache, internal/httpd)
+// consult on every round. It is stdlib-only and deterministic under a
+// hand-advanced clock (mirroring internal/policy's ManualClock
+// discipline).
 //
-//   - Controller: a per-worker AIMD batch-size controller. The guard
-//     scope amortizes one Guard/Enter/Exit domain-switch round over a
-//     batch, but a single fault discards the whole batch, so the optimal
-//     size depends on load AND on the live rewind rate. The controller
-//     grows the bound additively toward MaxBatch while the channel shows
-//     sustained backlog, collapses it toward 1 across idle rounds (a
-//     lone request should not drag a 16-slot scope around), and shrinks
-//     it multiplicatively the moment a rewind lands, holding a ceiling
-//     of MaxBatch >> windowRewinds while the sliding rewind window is
-//     hot — the "Unlimited Lives" rewind-rate signal applied to batch
-//     sizing instead of admission.
+// The guard scope amortizes one Guard/Enter/Exit domain-switch round
+// over a batch, but a single fault discards the whole batch, so the
+// right size depends on load AND on the live rewind rate. The Controller
+// grows the bound additively toward the server's MaxBatch while the
+// queue shows sustained backlog, collapses it toward 1 across idle
+// rounds (a lone request should not drag a 16-slot scope around), and
+// shrinks it multiplicatively the moment a rewind lands, holding a
+// ceiling of MaxBatch >> windowRewinds while the sliding rewind window
+// is hot — the "Unlimited Lives" rewind-rate signal applied to blast
+// radius instead of admission.
 //
-//   - Router: the worker→shard affinity bias. Keys hash-partition over
-//     the storage shards; routing an event to the worker assigned to
-//     its key's shard makes concurrent workers flush disjoint lock
-//     stripes through ApplyShardBatch.
-//
-//   - Rebalancer: pure decision logic over per-shard contention counters
-//     (lock-wait nanoseconds, batched ops) and per-slot op counts. It
-//     plans hot-slot moves in the storage key→shard remap table; the
-//     storage layer executes them with an epoch handoff so in-flight
-//     batches stay consistent.
+// placement.go keeps the connection-placement scorer only because
+// benchmark/ times it (sched.placement_pick_ns); no server calls it.
+// Both go in the next PR that is allowed to edit the benchmark.
 package sched
 
 import (
@@ -33,48 +25,23 @@ import (
 	"time"
 )
 
-// Config parameterizes a Controller (and carries the server-side split
-// tuning). The zero value is usable: defaults are applied by the server
-// when it adopts the config.
+// Config carries the controller's wiring and test seams. The zero value
+// is what every server runs with by default.
 type Config struct {
-	// MaxBatch is the controller ceiling. The server defaults it to its
-	// own MaxBatch; the adaptive bound never exceeds it, which is why
-	// domain-heap sizing may keep tracking MaxBatch.
-	MaxBatch int
 	// Window is the sliding rewind window (default 1s, matching
-	// internal/policy's default).
+	// internal/policy's default). Tests shorten it to reach a floor pin
+	// in wall-clock time.
 	Window time.Duration
-	// IdleRounds is how many consecutive backlog-free rounds trigger one
-	// halving step toward bound 1 (default 2).
-	IdleRounds int
-	// MinSplitRun is the smallest contiguous same-shard event run worth
-	// its own guard scope when a mixed batch is split by dominant shard
-	// (default 4; 0 uses the default, negative disables splitting).
-	MinSplitRun int
 	// Clock returns nanoseconds; nil uses time.Now().UnixNano(). Chaos
 	// campaigns and tests install a policy.ManualClock's Now so every
 	// window decision is deterministic.
 	Clock func() int64
 	// GuardCostNs, when non-nil, estimates the current Enter+Exit
-	// domain-switch cost (typically the telemetry enter/exit latency
-	// histograms' median). When the guard cost is a large share of the
-	// observed per-item latency the controller grows in bigger steps —
-	// amortization is paying for itself.
+	// domain-switch cost (the servers wire the telemetry enter/exit
+	// latency histograms' medians). When the guard cost is a large share
+	// of the observed per-item latency the controller grows in bigger
+	// steps — amortization is paying for itself.
 	GuardCostNs func() int64
-	// Route enables load-aware connection placement: the accept path
-	// scores workers by queue depth, EWMA service latency, and
-	// rewind-window heat instead of blind round-robin. Off keeps the
-	// legacy round-robin pinning bit-identical.
-	Route bool
-	// Steal enables cross-worker stealing: a worker at the AIMD floor
-	// with an empty queue takes a shard-affinity-aligned segment of the
-	// most-backlogged sibling's pending events and runs it as its own
-	// guard scope. Off keeps the legacy per-worker queues bit-identical.
-	Steal bool
-	// StealInterval bounds how long an idle floor worker blocks before
-	// re-checking sibling backlogs (default 200µs). Chaos campaigns set
-	// it very large so steals happen only when explicitly poked.
-	StealInterval time.Duration
 	// OnFloorPinned, when non-nil, fires when a controller has been
 	// pinned at bound 1 by a hot rewind window for a full Window — the
 	// signal that batching alone cannot absorb the fault rate and the
@@ -83,38 +50,18 @@ type Config struct {
 	OnFloorPinned func(pinnedNs int64)
 }
 
-func (c Config) withDefaults(maxBatch int) Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = maxBatch
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 1
-	}
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if c.IdleRounds <= 0 {
-		c.IdleRounds = 2
-	}
-	if c.MinSplitRun == 0 {
-		c.MinSplitRun = 4
-	}
-	if c.StealInterval <= 0 {
-		c.StealInterval = 200 * time.Microsecond
-	}
-	if c.Clock == nil {
-		c.Clock = func() int64 { return time.Now().UnixNano() }
-	}
-	return c
-}
+// idleRounds is how many consecutive backlog-free single-item rounds
+// trigger one halving step toward bound 1.
+const idleRounds = 2
 
 // Controller is one worker's adaptive batch-bound state. All mutating
 // calls (ObserveRound, NoteRewind) happen on the owning worker
 // goroutine; the current bound is published atomically so snapshots and
 // metric scrapes from other goroutines are safe.
 type Controller struct {
-	cfg   Config
-	bound atomic.Int64
+	cfg      Config
+	maxBatch int
+	bound    atomic.Int64
 
 	// Worker-goroutine-owned state.
 	idle       int
@@ -123,58 +70,38 @@ type Controller struct {
 	lastNow    int64   // monotonic clamp, mirroring policy.Engine.now
 	floorSince int64   // clock ns when the bound became rewind-pinned at 1; 0 = not pinned
 
-	// Cross-goroutine mirrors of the worker-owned load signals, published
-	// so the conn-accept placement scorer can read them without racing
-	// the drain loop.
-	ewmaPub atomic.Int64
-	winPub  atomic.Int32
-
 	grows     atomic.Int64
 	shrinks   atomic.Int64
 	collapses atomic.Int64
 	floorPins atomic.Int64
 }
 
-// NewController builds a controller. maxBatch is the server's configured
-// ceiling, used when cfg.MaxBatch is unset. The bound starts at the
-// ceiling: with no signal yet, the legacy fixed-MaxBatch behaviour is
-// the safe default, and the idle collapse walks it down within a few
-// quiet rounds.
+// NewController builds a controller whose bound never exceeds maxBatch,
+// the server's configured guard-scope ceiling (which is why domain-heap
+// sizing may keep tracking MaxBatch). The bound starts at the ceiling:
+// with no signal yet a full batch is the safe default, and the idle
+// collapse walks it down within a few quiet rounds.
 func NewController(cfg Config, maxBatch int) *Controller {
-	c := &Controller{cfg: cfg.withDefaults(maxBatch)}
-	c.bound.Store(int64(c.cfg.MaxBatch))
+	if maxBatch <= 0 {
+		maxBatch = 1
+	}
+	if cfg.Window <= 0 {
+		cfg.Window = time.Second
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = func() int64 { return time.Now().UnixNano() }
+	}
+	c := &Controller{cfg: cfg, maxBatch: maxBatch}
+	c.bound.Store(int64(maxBatch))
 	return c
 }
 
-// Bound returns the current batch bound in [1, MaxBatch].
+// Bound returns the current batch bound in [1, maxBatch].
 func (c *Controller) Bound() int { return int(c.bound.Load()) }
-
-// MaxBatch returns the controller ceiling.
-func (c *Controller) MaxBatch() int { return c.cfg.MaxBatch }
-
-// MinSplitRun returns the configured shard-split run floor (<=0 means
-// splitting is disabled).
-func (c *Controller) MinSplitRun() int { return c.cfg.MinSplitRun }
 
 // Now reads the controller clock (the worker uses it to time rounds so
 // manual-clock runs stay deterministic).
 func (c *Controller) Now() int64 { return c.cfg.Clock() }
-
-// Route reports whether load-aware connection placement is enabled.
-func (c *Controller) Route() bool { return c.cfg.Route }
-
-// Steal reports whether cross-worker stealing is enabled.
-func (c *Controller) Steal() bool { return c.cfg.Steal }
-
-// StealInterval is the idle floor worker's backlog re-check period.
-func (c *Controller) StealInterval() time.Duration { return c.cfg.StealInterval }
-
-// Load returns the published load signals — EWMA per-item latency and
-// the live rewind-window count — safe to read from any goroutine. The
-// placement scorer combines them with queue depth to pick calm workers.
-func (c *Controller) Load() (ewmaItemNs int64, windowRewinds int) {
-	return c.ewmaPub.Load(), int(c.winPub.Load())
-}
 
 // AtFloor reports that the controller sits at bound 1 with an empty
 // rewind window — the state a lone idle request cannot move, which lets
@@ -204,7 +131,6 @@ func (c *Controller) pruneWindow(now int64) {
 	if i > 0 {
 		c.rewinds = append(c.rewinds[:0], c.rewinds[i:]...)
 	}
-	c.winPub.Store(int32(len(c.rewinds)))
 }
 
 // checkFloorPin tracks how long the bound has been rewind-pinned at the
@@ -239,7 +165,7 @@ func (c *Controller) rewindCap() int {
 	if n >= 63 {
 		return 1
 	}
-	cap := c.cfg.MaxBatch >> uint(n)
+	cap := c.maxBatch >> uint(n)
 	if cap < 1 {
 		cap = 1
 	}
@@ -253,7 +179,6 @@ func (c *Controller) NoteRewind() {
 	now := c.now()
 	c.pruneWindow(now)
 	c.rewinds = append(c.rewinds, now)
-	c.winPub.Store(int32(len(c.rewinds)))
 	b := int(c.bound.Load()) / 2
 	if b < 1 {
 		b = 1
@@ -290,7 +215,6 @@ func (c *Controller) ObserveRound(backlog, drained int, elapsedNs int64) {
 	}
 	ewma := (3*prev + itemNs) / 4
 	c.ewmaItemNs = ewma
-	c.ewmaPub.Store(ewma)
 
 	if cap := c.rewindCap(); b > cap {
 		b = cap
@@ -315,11 +239,8 @@ func (c *Controller) ObserveRound(backlog, drained int, elapsedNs int64) {
 			}
 		}
 		nb := b + step
-		if cap := c.rewindCap(); nb > cap {
+		if cap := c.rewindCap(); nb > cap { // cap <= maxBatch
 			nb = cap
-		}
-		if nb > c.cfg.MaxBatch {
-			nb = c.cfg.MaxBatch
 		}
 		if nb > b {
 			b = nb
@@ -329,7 +250,7 @@ func (c *Controller) ObserveRound(backlog, drained int, elapsedNs int64) {
 	}
 	if backlog == 0 && drained <= 1 {
 		c.idle++
-		if c.idle >= c.cfg.IdleRounds && b > 1 {
+		if c.idle >= idleRounds && b > 1 {
 			b /= 2
 			c.idle = 0
 			c.collapses.Add(1)
@@ -341,25 +262,6 @@ func (c *Controller) ObserveRound(backlog, drained int, elapsedNs int64) {
 		b = 1
 	}
 	c.bound.Store(int64(b))
-	c.checkFloorPin(now)
-}
-
-// ObserveIdle feeds one traffic-free round (a steal-interval timeout
-// with nothing drained). ObserveRound ignores drained==0, so a worker
-// that never sees traffic would otherwise be stuck at the MaxBatch
-// starting bound forever and never reach the floor that makes it a
-// steal candidate. Call it from the owning worker goroutine.
-func (c *Controller) ObserveIdle() {
-	now := c.now()
-	c.pruneWindow(now)
-	c.idle++
-	if c.idle >= c.cfg.IdleRounds {
-		c.idle = 0
-		if b := int(c.bound.Load()); b > 1 {
-			c.bound.Store(int64(b / 2))
-			c.collapses.Add(1)
-		}
-	}
 	c.checkFloorPin(now)
 }
 
@@ -383,7 +285,7 @@ type Snapshot struct {
 func (c *Controller) Snapshot() Snapshot {
 	return Snapshot{
 		Bound:         int(c.bound.Load()),
-		MaxBatch:      c.cfg.MaxBatch,
+		MaxBatch:      c.maxBatch,
 		WindowRewinds: len(c.rewinds),
 		EWMAItemNs:    c.ewmaItemNs,
 		Grows:         c.grows.Load(),

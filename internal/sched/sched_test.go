@@ -20,7 +20,7 @@ func TestControllerStartsAtCeiling(t *testing.T) {
 	if got := c.Bound(); got != 16 {
 		t.Fatalf("initial bound = %d, want 16", got)
 	}
-	if got := c.MaxBatch(); got != 16 {
+	if got := c.Snapshot().MaxBatch; got != 16 {
 		t.Fatalf("MaxBatch = %d, want 16", got)
 	}
 }
@@ -153,121 +153,6 @@ func TestControllerClockGoingBackwardsIsClamped(t *testing.T) {
 	}
 }
 
-func TestRouterUniformInitialAssignment(t *testing.T) {
-	r := NewRouter(4, 16)
-	for s := 0; s < 16; s++ {
-		if got := r.Worker(s); got != s%4 {
-			t.Fatalf("shard %d → worker %d, want %d", s, got, s%4)
-		}
-	}
-	r.Rebias(5, 3)
-	if got := r.Worker(5); got != 3 {
-		t.Fatalf("after rebias shard 5 → worker %d, want 3", got)
-	}
-}
-
-func TestRouterKeylessSpreadsRoundRobin(t *testing.T) {
-	// Keyless (-1) and out-of-range shards have no affinity to honour;
-	// they must spread round-robin across all workers instead of piling
-	// onto worker 0.
-	r := NewRouter(4, 16)
-	counts := make([]int, 4)
-	for i := 0; i < 40; i++ {
-		shard := -1
-		if i%2 == 1 {
-			shard = 16 + i // out-of-range behaves like keyless
-		}
-		w := r.Worker(shard)
-		if w < 0 || w >= 4 {
-			t.Fatalf("keyless pick %d out of range", w)
-		}
-		counts[w]++
-	}
-	for w, n := range counts {
-		if n != 10 {
-			t.Fatalf("worker %d got %d keyless events, want 10 (counts %v)", w, n, counts)
-		}
-	}
-	// Keyed routing is unaffected by the keyless cursor.
-	if got := r.Worker(7); got != 7%4 {
-		t.Fatalf("keyed shard 7 → worker %d, want %d", got, 7%4)
-	}
-}
-
-func TestRebalancerMovesHotSlot(t *testing.T) {
-	// 4 shards, 16 slots, identity mapping slot→slot%4. Shard 1 is hot:
-	// all its traffic on slots 1 and 5.
-	shardOf := func(slot int) int { return slot % 4 }
-	rb := NewRebalancer(RebalanceConfig{MinOps: 100})
-	shards := make([]ShardLoad, 4)
-	slots := make([]int64, 16)
-	shards[1] = ShardLoad{WaitNs: 4_000_000, BatchOps: 4000}
-	shards[0] = ShardLoad{BatchOps: 100}
-	shards[2] = ShardLoad{BatchOps: 100}
-	shards[3] = ShardLoad{BatchOps: 100}
-	slots[1] = 2600
-	slots[5] = 1400
-	moves := rb.Plan(shardOf, shards, slots)
-	if len(moves) != 1 {
-		t.Fatalf("planned %d moves, want 1: %+v", len(moves), moves)
-	}
-	m := moves[0]
-	if m.From != 1 {
-		t.Fatalf("move from shard %d, want 1", m.From)
-	}
-	if m.Slot != 1 && m.Slot != 5 {
-		t.Fatalf("moved slot %d, want one of shard 1's slots", m.Slot)
-	}
-	if m.To == 1 {
-		t.Fatalf("move targets the hot shard itself")
-	}
-	// The non-dominant slot is preferred: slot 1 carries 65% of the
-	// traffic, so slot 5 should move.
-	if m.Slot != 5 {
-		t.Fatalf("moved slot %d, want the non-dominant slot 5", m.Slot)
-	}
-}
-
-func TestRebalancerBalancedLoadPlansNothing(t *testing.T) {
-	shardOf := func(slot int) int { return slot % 4 }
-	rb := NewRebalancer(RebalanceConfig{MinOps: 100})
-	shards := make([]ShardLoad, 4)
-	slots := make([]int64, 16)
-	for i := range shards {
-		shards[i] = ShardLoad{BatchOps: 1000}
-	}
-	for s := range slots {
-		slots[s] = 250
-	}
-	if moves := rb.Plan(shardOf, shards, slots); len(moves) != 0 {
-		t.Fatalf("balanced load planned moves: %+v", moves)
-	}
-}
-
-func TestRebalancerWorksOnDeltas(t *testing.T) {
-	shardOf := func(slot int) int { return slot % 2 }
-	rb := NewRebalancer(RebalanceConfig{MinOps: 100})
-	shards := []ShardLoad{{BatchOps: 10_000}, {BatchOps: 100}}
-	slots := []int64{6000, 50, 4000, 50}
-	if moves := rb.Plan(shardOf, shards, slots); len(moves) != 1 {
-		t.Fatalf("first plan: want 1 move, got %+v", moves)
-	}
-	// Same cumulative counters again: zero delta, nothing to do.
-	if moves := rb.Plan(shardOf, shards, slots); len(moves) != 0 {
-		t.Fatalf("zero-delta plan proposed moves: %+v", moves)
-	}
-}
-
-func TestRebalancerBelowMinOpsPlansNothing(t *testing.T) {
-	shardOf := func(slot int) int { return slot % 2 }
-	rb := NewRebalancer(RebalanceConfig{MinOps: 1000})
-	shards := []ShardLoad{{BatchOps: 400}, {BatchOps: 10}}
-	slots := []int64{300, 5, 100, 5}
-	if moves := rb.Plan(shardOf, shards, slots); len(moves) != 0 {
-		t.Fatalf("below-MinOps plan proposed moves: %+v", moves)
-	}
-}
-
 func TestControllerAtFloor(t *testing.T) {
 	c, mc := manualController(t, 16)
 	if c.AtFloor() {
@@ -290,5 +175,61 @@ func TestControllerAtFloor(t *testing.T) {
 	c.ObserveRound(0, 1, 1000)
 	if !c.AtFloor() {
 		t.Fatal("AtFloor = false after the rewind window drained")
+	}
+}
+
+func TestControllerFloorPinnedFiresOncePerWindow(t *testing.T) {
+	var fired []int64
+	clk := int64(time.Hour)
+	cfg := Config{
+		Window:        time.Second,
+		Clock:         func() int64 { return clk },
+		OnFloorPinned: func(ns int64) { fired = append(fired, ns) },
+	}
+	c := NewController(cfg, 16)
+	// Rewinds every 100ms pin the bound at 1 and keep the window hot.
+	for i := 0; i < 25; i++ {
+		c.NoteRewind()
+		clk += int64(100 * time.Millisecond)
+	}
+	// 25 rewinds over 2.5s with a 1s window: the pin timer arms at the
+	// first floor-pinned observation and fires roughly once per second.
+	if len(fired) < 1 || len(fired) > 3 {
+		t.Fatalf("OnFloorPinned fired %d times over 2.5s, want 1-3", len(fired))
+	}
+	for _, ns := range fired {
+		if ns < int64(time.Second) {
+			t.Fatalf("OnFloorPinned pinned duration %dns < window", ns)
+		}
+	}
+	if got := c.Snapshot().FloorPins; got != int64(len(fired)) {
+		t.Fatalf("FloorPins counter = %d, want %d", got, len(fired))
+	}
+	// Window drains: the pin disarms and does not fire again.
+	clk += int64(3 * time.Second)
+	n := len(fired)
+	c.ObserveRound(0, 1, 1000)
+	if len(fired) != n {
+		t.Fatalf("OnFloorPinned fired after the window drained")
+	}
+}
+
+func TestControllerIdleCollapseAloneDoesNotFloorPin(t *testing.T) {
+	var fired int
+	clk := int64(time.Hour)
+	cfg := Config{
+		Window:        time.Second,
+		Clock:         func() int64 { return clk },
+		OnFloorPinned: func(int64) { fired++ },
+	}
+	c := NewController(cfg, 16)
+	// A healthy idle worker parks at bound 1 for many windows; that is
+	// not a backoff signal.
+	for i := 0; i < 50; i++ {
+		c.ObserveRound(0, 1, 1000)
+		clk += int64(200 * time.Millisecond)
+	}
+	if fired != 0 {
+		t.Fatalf("OnFloorPinned fired %d times on a rewind-free idle worker", fired)
 	}
 }
