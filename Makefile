@@ -11,8 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line holds the monitor's multithreaded tests (shared data
+# domain heaps, per-thread counter cells, ledger slots) to twenty clean
+# rounds: a race there shows about once in twenty.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=20 ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -32,9 +36,13 @@ chaos-smoke:
 chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
 
-# The evaluation at reduced scale.
+# The evaluation at reduced scale, then one iteration of each mechanism
+# benchmark (the guard scope, the deferred store and its apply) so they
+# keep compiling and running; time them with -benchtime=2s -count=5.
 bench-smoke:
 	$(GO) run ./cmd/sdrad-bench -quick
+	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope$$' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkDeferredSetApply$$' -benchtime=1x ./internal/memcache
 
 # The cost-of-hardening ledger BENCHMARK.json names: five paired
 # vanilla/sdrad workloads, ~2 minutes (see benchmark/README.md).

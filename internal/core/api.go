@@ -35,6 +35,12 @@ func (l *Library) Malloc(t *proc.Thread, udi UDI, size uint64) (mem.Addr, error)
 	// The monitor raises the target key for the duration of the
 	// allocator operation.
 	l.wrpkru(t, mem.PKRUAllow(c.PKRU(), d.key, true))
+	// The heap lock also covers the lazy TLSF build: a shared data domain's
+	// first allocations can arrive from two threads at once. Unlock via
+	// defer: an allocator walking corrupted metadata can trap mid-operation,
+	// and the heap lock must not survive the panic unwind.
+	d.lockHeap()
+	defer d.unlockHeap()
 	if d.isRoot() {
 		if err := l.ensureRootHeap(c); err != nil {
 			return 0, err
@@ -42,10 +48,6 @@ func (l *Library) Malloc(t *proc.Thread, udi UDI, size uint64) (mem.Addr, error)
 	} else if err := d.ensureHeap(c); err != nil {
 		return 0, err
 	}
-	// Unlock via defer: an allocator walking corrupted metadata can trap
-	// mid-operation, and the heap lock must not survive the panic unwind.
-	d.lockHeap()
-	defer d.unlockHeap()
 	p, err := d.heap.Alloc(c, size)
 	if err != nil {
 		if errors.Is(err, tlsf.ErrOOM) {
@@ -73,13 +75,13 @@ func (l *Library) Free(t *proc.Thread, udi UDI, addr mem.Addr) error {
 	if err != nil {
 		return err
 	}
+	c := t.CPU()
+	d.lockHeap()
+	defer d.unlockHeap()
 	if d.heap == nil {
 		return fmt.Errorf("sdrad: free in domain %d with uninitialized heap", udi)
 	}
-	c := t.CPU()
 	l.wrpkru(t, mem.PKRUAllow(c.PKRU(), d.key, true))
-	d.lockHeap()
-	defer d.unlockHeap()
 	return d.heap.Free(c, addr)
 }
 
@@ -91,7 +93,7 @@ func (l *Library) resolveAllocTarget(ts *threadState, udi UDI) (*Domain, error) 
 		return cur, nil
 	}
 	// Accessible execution child of the current domain.
-	if d, ok := ts.domains[udi]; ok {
+	if d, ok := ts.lookup(udi); ok {
 		if d.parent == cur && d.accessible {
 			return d, nil
 		}
@@ -181,23 +183,23 @@ func (l *Library) Enter(t *proc.Thread, udi UDI) error {
 	ts := l.state(t)
 	// Telemetry costs one atomic load when disabled; when enabled,
 	// latency is clocked only on the sampled transitions (keyed off the
-	// native transition counter, so no extra hot-path write either). The
-	// key is the Enter/Exit pair index (count>>1), not the raw count: a
-	// single-threaded library sees even counts in Enter and odd counts in
-	// Exit, and a power-of-two mask over the raw count would never sample
-	// an Exit.
+	// thread's own transition counter, so no extra hot-path write either).
+	// The key is the Enter/Exit pair index (count>>1), not the raw count:
+	// a thread sees even counts in Enter and odd counts in Exit, and a
+	// power-of-two mask over the raw count would never sample an Exit.
+	switches := &ts.hot.n[hotSwitches]
 	rec := l.tel.Load()
 	var telT0 int64
 	sampled := false
 	if rec != nil {
-		if sampled = rec.Sampled(uint64(l.stats.DomainSwitches.Load()) >> 1); sampled {
+		if sampled = rec.Sampled(uint64(switches.Load()) >> 1); sampled {
 			telT0 = rec.Clock()
 		}
 	}
 	l.monitorEnter(t)
 	defer l.monitorExit(t)
 
-	d, ok := ts.domains[udi]
+	d, ok := ts.lookup(udi)
 	if !ok {
 		return ErrUnknownDomain
 	}
@@ -220,17 +222,17 @@ func (l *Library) Enter(t *proc.Thread, udi UDI) error {
 	// Push the return record on the nested domain's stack; requires its
 	// key raised.
 	l.wrpkru(t, mem.PKRUAllow(c.PKRU(), d.key, true))
-	frame, err := d.stk.PushFrame(c, 0)
-	if err != nil {
+	er := enterRecord{prev: ts.current, entered: d}
+	if err := d.stk.PushFrameInto(c, &er.frame, 0); err != nil {
 		return fmt.Errorf("sdrad: entering domain %d: %w", udi, err)
 	}
-	ts.enterStack = append(ts.enterStack, enterRecord{prev: ts.current, entered: d, frame: frame})
+	ts.enterStack = append(ts.enterStack, er)
 	d.entered = true
 	ts.current = d
 	// No lease invalidation: the switch only rewrote PKRU, and lease
 	// validity re-derives rights from the live PKRU on every access, so
 	// windows the new domain lacks rights for go invalid by themselves.
-	l.stats.DomainSwitches.Add(1)
+	switches.Add(1)
 	if sampled {
 		rec.RecordEnter(t.ID(), int(udi), rec.Clock()-telT0)
 	}
@@ -243,12 +245,13 @@ func (l *Library) Enter(t *proc.Thread, udi UDI) error {
 // detected here, mirroring __stack_chk_fail firing on return.
 func (l *Library) Exit(t *proc.Thread) error {
 	ts := l.state(t)
+	switches := &ts.hot.n[hotSwitches]
 	tel := l.tel.Load()
 	var telT0 int64
 	sampled := false
 	if tel != nil {
 		// Same pair index as the Enter that preceded it.
-		if sampled = tel.Sampled(uint64(l.stats.DomainSwitches.Load()) >> 1); sampled {
+		if sampled = tel.Sampled(uint64(switches.Load()) >> 1); sampled {
 			telT0 = tel.Clock()
 		}
 	}
@@ -258,7 +261,7 @@ func (l *Library) Exit(t *proc.Thread) error {
 	if len(ts.enterStack) == 0 || ts.current.isRoot() {
 		return ErrNotEntered
 	}
-	rec := ts.enterStack[len(ts.enterStack)-1]
+	rec := &ts.enterStack[len(ts.enterStack)-1]
 	if rec.entered != ts.current {
 		return ErrNotEntered
 	}
@@ -272,10 +275,10 @@ func (l *Library) Exit(t *proc.Thread) error {
 	// Discard the domain stack contents (the isolated call has returned;
 	// any leaked frames go with it).
 	d.stk.Reset()
+	ts.current = rec.prev
 	ts.enterStack = ts.enterStack[:len(ts.enterStack)-1]
 	d.entered = false
-	ts.current = rec.prev
-	l.stats.DomainSwitches.Add(1)
+	switches.Add(1)
 	if sampled {
 		tel.RecordExit(t.ID(), int(d.udi), tel.Clock()-telT0)
 	}
@@ -288,20 +291,20 @@ func (l *Library) Exit(t *proc.Thread) error {
 // cost.
 func (l *Library) Copy(t *proc.Thread, dst, src mem.Addr, n int) {
 	t.CPU().Copy(dst, src, n)
-	l.stats.BytesCopied.Add(int64(n))
+	l.state(t).hot.n[hotCopied].Add(int64(n))
 }
 
 // WriteBytes copies p into domain memory at addr under current rights.
 func (l *Library) WriteBytes(t *proc.Thread, addr mem.Addr, p []byte) {
 	t.CPU().Write(addr, p)
-	l.stats.BytesCopied.Add(int64(len(p)))
+	l.state(t).hot.n[hotCopied].Add(int64(len(p)))
 }
 
 // ReadBytes copies n bytes at addr out of domain memory under current
 // rights.
 func (l *Library) ReadBytes(t *proc.Thread, addr mem.Addr, n int) []byte {
 	b := t.CPU().ReadBytes(addr, n)
-	l.stats.BytesCopied.Add(int64(n))
+	l.state(t).hot.n[hotCopied].Add(int64(n))
 	return b
 }
 
@@ -312,7 +315,7 @@ func (l *Library) ReadBytes(t *proc.Thread, addr mem.Addr, n int) []byte {
 // has no simulated stack.
 func (l *Library) Stack(t *proc.Thread, udi UDI) (*stack.Stack, error) {
 	ts := l.state(t)
-	d, ok := ts.domains[udi]
+	d, ok := ts.lookup(udi)
 	if !ok {
 		return nil, ErrUnknownDomain
 	}

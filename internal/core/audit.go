@@ -181,8 +181,9 @@ func (l *Library) auditEnterStack(r *AuditReport, ts *threadState) {
 		return
 	}
 	c := ts.t.CPU()
-	for i, rec := range ts.enterStack {
-		if rec.entered == nil || rec.prev == nil || rec.frame == nil {
+	for i := range ts.enterStack {
+		rec := &ts.enterStack[i]
+		if rec.entered == nil || rec.prev == nil {
 			r.findingf("enter record %d incomplete", i)
 			continue
 		}

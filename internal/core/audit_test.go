@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"sdrad/internal/mem"
 	"sdrad/internal/proc"
+	"sdrad/internal/sig"
 )
 
 // The PKRU integrity condition is one-sided: a quiescent thread's
@@ -73,6 +76,46 @@ func TestAuditFlagsStalePermissivePKRU(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("no pkru finding in %v", rep.Findings)
+		}
+		return nil
+	})
+}
+
+func TestSmashedReturnRecordCaughtWithByValueFrame(t *testing.T) {
+	// The return record lives in the enter stack by value; its canary is
+	// still on the domain's stack. A domain that clobbers it is reported
+	// by a mid-scope audit and caught by Exit, and the record's storage
+	// serves the next scope.
+	p, l := newLib(t)
+	run(t, p, func(th *proc.Thread) error {
+		err := l.Guard(th, 1, func() error {
+			if err := l.Enter(th, 1); err != nil {
+				return err
+			}
+			stk, err := l.Stack(th, 1)
+			if err != nil {
+				return err
+			}
+			if rep := l.Audit(th); !rep.Ok() {
+				t.Errorf("audit of an intact return record: %v", rep.Findings)
+			}
+			// The record is the first frame: its canary is the top word.
+			th.CPU().WriteU64(stk.Base()+mem.Addr(stk.Size())-8, 0x4141414141414141)
+			rep := l.Audit(th)
+			if len(rep.Findings) != 1 || !strings.Contains(rep.Findings[0], "return-record canary smashed") {
+				t.Errorf("audit of a smashed return record: %v", rep.Findings)
+			}
+			return l.Exit(th)
+		})
+		var abn *AbnormalExit
+		if !errors.As(err, &abn) || abn.Signal != sig.SIGABRT {
+			t.Fatalf("err = %v, want a SIGABRT abnormal exit from the canary check", err)
+		}
+		if err := guardScope(l, th); err != nil {
+			t.Fatalf("scope after the smash: %v", err)
+		}
+		if rep := l.Audit(th); !rep.Ok() {
+			t.Errorf("audit after recovery: %v", rep.Findings)
 		}
 		return nil
 	})

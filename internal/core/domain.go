@@ -459,7 +459,7 @@ func (l *Library) releaseDomain(t *proc.Thread, d *Domain) {
 	if d.kind == DataDomain {
 		_ = as.PkeyFree(d.key)
 	} else {
-		delete(ts.domains, d.udi)
+		ts.forget(d)
 		if l.scrubOnDiscard && d.stk != nil {
 			zero := make([]byte, mem.PageSize)
 			for off := uint64(0); off < d.stackSize; off += mem.PageSize {

@@ -40,7 +40,7 @@ type rewindPanic struct {
 // udi for the persistent pattern.
 func (l *Library) Guard(t *proc.Thread, udi UDI, body func() error, opts ...InitOption) error {
 	ts := l.state(t)
-	d, ok := ts.domains[udi]
+	d, ok := ts.lookup(udi)
 	switch {
 	case ok && d.contextValid:
 		return ErrAlreadyInit
@@ -52,9 +52,9 @@ func (l *Library) Guard(t *proc.Thread, udi UDI, body func() error, opts ...Init
 		if err := l.InitDomain(t, udi, opts...); err != nil {
 			return err
 		}
-		d = ts.domains[udi]
+		d, _ = ts.lookup(udi)
 	}
-	scope := l.newScope()
+	scope := ts.newScope()
 	l.monitorEnter(t)
 	d.scopeID = scope
 	d.contextValid = true
@@ -68,12 +68,10 @@ func (l *Library) runGuarded(t *proc.Thread, ts *threadState, d *Domain, scope u
 	// The scope ends with this frame: whatever happens, the domain's
 	// recovery context is no longer valid afterwards (auto-Deinit). This
 	// must run after the recovery handling below, which still needs the
-	// context to attribute traps.
-	defer func() {
-		if dd, live := ts.domains[d.udi]; live && dd == d {
-			d.contextValid = false
-		}
-	}()
+	// context to attribute traps. A domain destroyed or discarded inside
+	// the scope is already invalid (releaseDomain), and Domain objects are
+	// never reused, so the store needs no liveness check.
+	defer func() { d.contextValid = false }()
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -78,8 +79,7 @@ type Library struct {
 	// generation is always derived from current state.
 	policyGen atomic.Uint64
 
-	scopeCtr atomic.Uint64
-	stats    Stats
+	stats Stats
 
 	// tel is the optional telemetry recorder (nil = disabled). Hot paths
 	// pay exactly one atomic pointer load to find out it is off.
@@ -120,34 +120,114 @@ type threadState struct {
 	// enterStack records Enter nesting so Exit can restore the previous
 	// domain ("switch back to the parent domain's stack").
 	enterStack []enterRecord
+	// last is the domain the thread's most recent lookup resolved: a
+	// worker guards and enters the same udi scope after scope, so the
+	// repeat costs a compare instead of a map probe.
+	last *Domain
+	// scopeSeq numbers this thread's recovery scopes (see newScope).
+	scopeSeq uint64
 	// ledgerSlot is this thread's transition-ledger slot in the monitor
 	// data domain; ledgerShared marks the mutex-guarded fallback slot.
+	// ledger is the thread's span lease over the slot: it is valid only
+	// while the monitor key is raised, so the per-call read-modify-write
+	// lands through its native window instead of three checked accesses.
 	ledgerSlot   mem.Addr
 	ledgerShared bool
+	ledger       mem.Lease
+	// hot is this thread's share of the sharded Stats counters.
+	hot hotCounters
+}
+
+// lookup resolves one of the thread's execution domains.
+func (ts *threadState) lookup(udi UDI) (*Domain, bool) {
+	if d := ts.last; d != nil && d.udi == udi {
+		return d, true
+	}
+	d, ok := ts.domains[udi]
+	if ok {
+		ts.last = d
+	}
+	return d, ok
+}
+
+// forget removes an execution domain from the thread's table.
+func (ts *threadState) forget(d *Domain) {
+	delete(ts.domains, d.udi)
+	if ts.last == d {
+		ts.last = nil
+	}
 }
 
 type enterRecord struct {
 	prev    *Domain
 	entered *Domain
 	// frame is the canary-protected return record pushed on the entered
-	// domain's stack; verified on Exit.
-	frame *stack.Frame
+	// domain's stack, held by value (Enter allocates nothing); verified
+	// on Exit.
+	frame stack.Frame
+}
+
+// The hot monitor counters, indexing hotCounters.n.
+const (
+	hotSwitches = iota
+	hotCalls
+	hotCopied
+	numHot
+)
+
+// hotCounters is one thread's cells of the counters every monitor call
+// moves. Only the owning thread adds to them — padded onto a cache line no
+// other thread writes, so a guard scope costs no shared-line ping-pong —
+// and they are atomic only so exposition can read them while it runs.
+type hotCounters struct {
+	_ [64]byte
+	n [numHot]atomic.Int64
+	_ [64]byte
+}
+
+// ThreadCounter is a monitor counter sharded per thread: Load sums the
+// live threads' cells onto the total exited threads left behind.
+type ThreadCounter struct {
+	l       *Library
+	cell    int
+	retired int64 // guarded by l.mu
+}
+
+// Load returns the counter's process-wide total.
+func (c *ThreadCounter) Load() int64 {
+	l := c.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := c.retired
+	for _, ts := range l.threads {
+		n += ts.hot.n[c.cell].Load()
+	}
+	return n
 }
 
 // Stats counts monitor activity.
 type Stats struct {
 	// DomainSwitches counts Enter+Exit transitions.
-	DomainSwitches atomic.Int64
+	DomainSwitches ThreadCounter
 	// Rewinds counts abnormal domain exits recovered by Guards.
 	Rewinds atomic.Int64
 	// MonitorCalls counts reference-monitor invocations (API calls).
-	MonitorCalls atomic.Int64
+	MonitorCalls ThreadCounter
 	// Inits and Destroys count domain life-cycle events.
 	Inits    atomic.Int64
 	Destroys atomic.Int64
 	// BytesCopied counts explicit argument/result copies through
 	// lib.Copy (the paper's memcpy overhead source).
-	BytesCopied atomic.Int64
+	BytesCopied ThreadCounter
+}
+
+// hot returns the sharded counters in hotCounters.n order.
+func (s *Stats) hot() [numHot]*ThreadCounter {
+	return [numHot]*ThreadCounter{
+		hotSwitches: &s.DomainSwitches,
+		hotCalls:    &s.MonitorCalls,
+		hotCopied:   &s.BytesCopied,
+	}
 }
 
 // SetupOption configures Setup.
@@ -255,6 +335,9 @@ func Setup(p *proc.Process, opts ...SetupOption) (*Library, error) {
 	for _, o := range opts {
 		o(l)
 	}
+	for cell, c := range l.stats.hot() {
+		c.l, c.cell = l, cell
+	}
 	l.pkruToken = p.Rand64()
 	as := p.AddressSpace()
 	var err error
@@ -329,6 +412,12 @@ func (l *Library) destroyThread(t *proc.Thread) {
 	}
 	l.mu.Lock()
 	delete(l.threads, t.ID())
+	// Fold the thread's counter cells into the retired base in the same
+	// critical section that drops it from the table, so a concurrent Load
+	// sees its counts exactly once.
+	for cell, c := range l.stats.hot() {
+		c.retired += ts.hot.n[cell].Load()
+	}
 	if !ts.ledgerShared && ts.ledgerSlot != 0 {
 		// Recycle the ledger slot without zeroing it: the accumulated
 		// count stays in the monitor domain, so the audit's sum over all
@@ -367,9 +456,14 @@ func (l *Library) initThread(t *proc.Thread) {
 	}
 	l.mu.Unlock()
 	// From here on, only the reference monitor may touch PKRU (R4).
-	t.CPU().LockWRPKRU(l.pkruToken)
-	// The thread starts executing in the root domain.
-	l.wrpkru(t, l.computePKRU(ts, l.root))
+	c := t.CPU()
+	c.LockWRPKRU(l.pkruToken)
+	// Mint the ledger-slot lease under monitor rights, then start the
+	// thread executing in the root domain.
+	root := l.computePKRU(ts, l.root)
+	l.wrpkru(t, mem.PKRUAllow(root, l.monitorKey, true))
+	ts.ledger = c.NewLease(ts.ledgerSlot, ledgerSlotSize, mem.AccessWrite)
+	l.wrpkru(t, root)
 	if rec := l.tel.Load(); rec != nil {
 		rec.RecordThreadStart(t.ID())
 	}
@@ -419,12 +513,12 @@ func (l *Library) Current(t *proc.Thread) UDI {
 // in the monitor data domain, so the per-call read-modify-write is
 // thread-private and needs no lock (a real monitor keeps per-thread
 // transition logs for the same reason). The audit sums the slots against
-// the global call counter.
+// the summed call counter.
 func (l *Library) monitorEnter(t *proc.Thread) {
 	c := t.CPU()
 	l.wrpkru(t, mem.PKRUAllow(c.PKRU(), l.monitorKey, true))
-	l.stats.MonitorCalls.Add(1)
 	ts := l.state(t)
+	ts.hot.n[hotCalls].Add(1)
 	if ts.ledgerShared {
 		// Fallback slot shared by overflow threads: serialize the RMW.
 		// Unlock via defer: the ledger writes go through the CPU and can
@@ -432,6 +526,15 @@ func (l *Library) monitorEnter(t *proc.Thread) {
 		// survive the panic unwind.
 		l.mu.Lock()
 		defer l.mu.Unlock()
+	}
+	// The monitor key was just raised, so the slot's lease is valid (or
+	// renews) and the record lands through its native window. A refusal —
+	// an armed fault injector, above all — takes the checked accessors,
+	// which trap exactly where they always did.
+	if b, ok := ts.ledger.Window(); ok {
+		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
+		binary.LittleEndian.PutUint64(b[8:], uint64(t.ID()))
+		return
 	}
 	slot := ts.ledgerSlot
 	c.WriteU64(slot, c.ReadU64(slot)+1)
@@ -531,8 +634,12 @@ func (l *Library) lookupDataDomain(udi UDI) *Domain {
 	return l.dataDomains[udi]
 }
 
-// newScope issues a unique recovery-scope identifier.
-func (l *Library) newScope() uint64 { return l.scopeCtr.Add(1) }
+// newScope issues a recovery-scope identifier, unique in the process
+// without a shared counter: the thread's id above its own sequence.
+func (ts *threadState) newScope() uint64 {
+	ts.scopeSeq++
+	return uint64(ts.t.ID())<<40 | ts.scopeSeq
+}
 
 // takePooledStack returns a reusable stack of at least size bytes, or
 // nil. Entries whose pooled heap also fits heapSize are preferred — the

@@ -244,3 +244,128 @@ func TestSingleThreadedLoopFeedsEnterAndExitLatency(t *testing.T) {
 		t.Fatalf("enter/exit latency samples = %d/%d over %d rounds, want %d each", enter, exit, rounds, rounds/16)
 	}
 }
+
+func TestGuardScopeAllocatesNothingAndLeasesItsLedgerSlot(t *testing.T) {
+	// One guard scope — Guard{Enter; Exit} — makes three monitor calls.
+	// None allocates (the return record is held by value), and their
+	// ledger records land through the thread's slot lease: the only
+	// checked accesses left in a scope are the return record's canary
+	// write and its verification.
+	p, l := newLib(t)
+	run(t, p, func(th *proc.Thread) error {
+		if err := guardScope(l, th); err != nil { // creates the domain
+			return err
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = guardScope(l, th) }); n != 0 {
+			t.Errorf("guard scope allocates %.0f times, want 0", n)
+		}
+		const scopes = 50
+		stats := p.AddressSpace().Stats()
+		mem0, calls0 := stats.Snapshot(), l.Stats().MonitorCalls.Load()
+		for i := 0; i < scopes; i++ {
+			if err := guardScope(l, th); err != nil {
+				return err
+			}
+		}
+		d := stats.Snapshot().Sub(mem0)
+		if d.Reads != scopes || d.Writes != scopes {
+			t.Errorf("checked accesses over %d scopes: %d reads, %d writes; want one of each per scope",
+				scopes, d.Reads, d.Writes)
+		}
+		if got := l.Stats().MonitorCalls.Load() - calls0; got != 3*scopes {
+			t.Errorf("monitor calls = %d over %d scopes, want %d", got, scopes, 3*scopes)
+		}
+		if rep := l.Audit(th); !rep.Ok() || rep.LedgerCalls != uint64(rep.MonitorCalls) {
+			t.Errorf("audit after leased ledger writes: ledger=%d stats=%d findings=%v",
+				rep.LedgerCalls, rep.MonitorCalls, rep.Findings)
+		}
+		return nil
+	})
+}
+
+func TestLedgerWriteStillTrapsUnderArmedInjector(t *testing.T) {
+	// An armed injector refuses the ledger lease, so the record goes
+	// through the checked accessors and an injected fault lands in the
+	// ledger write exactly as it did before the lease existed. The thread
+	// is in the root domain, so the trap is fatal to the process.
+	p, l := newLib(t)
+	monitorPage := l.MonitorBase() &^ (mem.PageSize - 1)
+	err := p.Attach("main", func(th *proc.Thread) error {
+		if err := guardScope(l, th); err != nil {
+			return err
+		}
+		th.CPU().SetFaultInjector(func(addr mem.Addr, kind mem.AccessKind) *mem.Fault {
+			if addr&^(mem.PageSize-1) != monitorPage || kind != mem.AccessWrite {
+				return nil
+			}
+			return &mem.Fault{Kind: kind, Code: mem.CodePkuErr}
+		})
+		return guardScope(l, th)
+	})
+	var crash *proc.CrashError
+	if !errors.As(err, &crash) {
+		t.Fatalf("err = %v, want the injected ledger fault", err)
+	}
+	if info := crash.Info; info.Code != int(mem.CodePkuErr) || mem.Addr(info.Addr)&^(mem.PageSize-1) != monitorPage {
+		t.Errorf("fault = %v, want a PKU fault on the ledger page", info)
+	}
+}
+
+func TestShardedCountersSumAcrossThreadsAndSurviveExit(t *testing.T) {
+	// Two threads run N scopes each, every increment on the thread's own
+	// cells (run under -race: the cells are the only shared state the
+	// scopes touch). The process totals are exact, agree with the ledger
+	// page the audit sums, and keep a thread's share after it exits.
+	p, l := newLib(t)
+	const scopes = 200
+	hold := make(chan struct{})
+	worker := func(stay bool) func(th *proc.Thread) error {
+		return func(th *proc.Thread) error {
+			for i := 0; i < scopes; i++ {
+				if err := guardScope(l, th); err != nil {
+					return err
+				}
+			}
+			if stay {
+				<-hold
+			}
+			return nil
+		}
+	}
+	h1 := p.Spawn("leaves", worker(false))
+	h2 := p.Spawn("stays", worker(true))
+	if err := h1.Join(); err != nil {
+		t.Fatal(err)
+	}
+	// Thread 2 may still be running scopes: only thread 1's share is
+	// settled here, and it must already sit in the retired base.
+	if got := l.Stats().DomainSwitches.Load(); got < 2*scopes {
+		t.Errorf("domain switches = %d after one thread finished and exited, want >= %d", got, 2*scopes)
+	}
+	close(hold)
+	if err := h2.Join(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := l.Stats().DomainSwitches.Load(); got != 4*scopes {
+			t.Errorf("%s: domain switches = %d, want %d", when, got, 4*scopes)
+		}
+	}
+	check("both threads exited")
+	run(t, p, func(th *proc.Thread) error {
+		check("auditing thread attached")
+		rep := l.Audit(th)
+		if !rep.Ok() {
+			t.Errorf("audit: %v", rep.Findings)
+		}
+		if calls := l.Stats().MonitorCalls.Load(); calls != rep.MonitorCalls || uint64(calls) != rep.LedgerCalls {
+			t.Errorf("monitor calls = %d, audit saw %d, ledger page sums to %d", calls, rep.MonitorCalls, rep.LedgerCalls)
+		}
+		// Two init calls and 3 per scope per thread.
+		if want := int64(2 * (1 + 3*scopes)); rep.MonitorCalls != want {
+			t.Errorf("monitor calls = %d, want %d", rep.MonitorCalls, want)
+		}
+		return nil
+	})
+}

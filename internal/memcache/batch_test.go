@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
+	"sdrad/internal/core"
+	"sdrad/internal/mem"
 	"sdrad/internal/proc"
 	"sdrad/internal/telemetry"
 )
@@ -290,5 +293,321 @@ func TestPipelineFaultSparesOtherBatchlessConns(t *testing.T) {
 	}
 	if got := s.Rewinds(); got != 1 {
 		t.Errorf("rewinds = %d", got)
+	}
+}
+
+// borrowOps is the borrow-lifetime sequence: every store and delete of k
+// is followed by a read that must see it, through the deferred overlay
+// while the batch is open and from the database afterwards.
+func borrowOps() (v1, v2 []byte, reqs [][]byte) {
+	v1 = bytes.Repeat([]byte("one-"), 256)
+	v2 = bytes.Repeat([]byte("2"), 700)
+	return v1, v2, [][]byte{
+		FormatSet("k", v1, 5),
+		FormatGet("k"),
+		FormatSet("k", v2, 6),
+		FormatGet("k"),
+		FormatDelete("k"),
+		FormatGet("k"),
+	}
+}
+
+// storedValue reads key straight from the database on the worker thread.
+func storedValue(t *testing.T, s *Server, c *Conn, key string) (val []byte, flags uint32, ok bool) {
+	t.Helper()
+	if err := c.Inspect(func(th *proc.Thread) error {
+		v, f, found := s.Storage().Get(th.CPU(), []byte(key))
+		val, flags, ok = append([]byte(nil), v...), f, found
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return val, flags, ok
+}
+
+func TestBorrowedStoresOnePipelinedEventMatchesVanilla(t *testing.T) {
+	// The hardened arm queues every store and delete by reference into the
+	// slot read buffers; replies and final database contents must be
+	// byte-identical to the vanilla arm, which stores directly.
+	_, v2, reqs := borrowOps()
+	// A surviving store behind the sequence, so "final contents" compares
+	// a value that travelled the borrowed path end to end.
+	reqs = append(reqs, FormatSet("k", v2, 7), FormatSet("j", []byte("kept"), 1))
+	run := func(v Variant) (resps [][]byte, s *Server, c *Conn) {
+		s = startServer(t, v, 1)
+		c = s.NewConn()
+		for i, r := range c.DoPipeline(reqs) {
+			if r.Err != nil || r.Closed {
+				t.Fatalf("%v res[%d]: closed=%v err=%v", v, i, r.Closed, r.Err)
+			}
+			resps = append(resps, r.Resp)
+		}
+		return resps, s, c
+	}
+	want, vs, vc := run(VariantVanilla)
+	got, hs, hc := run(VariantSDRaD)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("reply %d: hardened %q, vanilla %q", i, got[i], want[i])
+		}
+	}
+	for _, key := range []string{"k", "j", "absent"} {
+		wv, wf, wok := storedValue(t, vs, vc, key)
+		gv, gf, gok := storedValue(t, hs, hc, key)
+		if wok != gok || wf != gf || !bytes.Equal(wv, gv) {
+			t.Errorf("stored %q: hardened (%d bytes, flags %d, %v), vanilla (%d bytes, flags %d, %v)",
+				key, len(gv), gf, gok, len(wv), wf, wok)
+		}
+	}
+	if ws, gs := vs.StorageStats(), hs.StorageStats(); ws.Items != gs.Items || ws.Bytes != gs.Bytes {
+		t.Errorf("database size: hardened %d items/%d bytes, vanilla %d/%d", gs.Items, gs.Bytes, ws.Items, ws.Bytes)
+	}
+}
+
+func TestBorrowedStoresAcrossTwoConnsInOneRoundMatchVanilla(t *testing.T) {
+	// The same ops split over two connections' events, staged behind a
+	// parked worker so one drain round — one guard scope, one slot per
+	// request, one apply — takes both: the second connection's reads and
+	// delete see the first's stores only through the deferred overlay.
+	_, _, reqs := borrowOps()
+	run := func(v Variant) (resps [][]byte) {
+		s := startServer(t, v, 1)
+		a, b := s.NewConn(), s.NewConn()
+		var resA, resB []PipelineResult
+		release := parkWorker(t, s)
+		var wg sync.WaitGroup
+		stage := func(depth int, fn func()) {
+			wg.Add(1)
+			go func() { defer wg.Done(); fn() }()
+			waitQueued(t, s, depth)
+		}
+		stage(1, func() { resA = a.DoPipeline(reqs[:3]) })
+		stage(2, func() { resB = b.DoPipeline(reqs[3:]) })
+		release()
+		wg.Wait()
+		for i, r := range append(resA, resB...) {
+			if r.Err != nil || r.Closed {
+				t.Fatalf("%v res[%d]: closed=%v err=%v", v, i, r.Closed, r.Err)
+			}
+			resps = append(resps, r.Resp)
+		}
+		if v == VariantSDRaD {
+			if got := s.Library().Stats().DomainSwitches.Load(); got != 2 {
+				t.Errorf("domain switches = %d, want 2: the two events did not share one guard scope", got)
+			}
+		}
+		if _, _, ok := storedValue(t, s, a, "k"); ok {
+			t.Errorf("%v: k still stored after the delete", v)
+		}
+		return resps
+	}
+	want, got := run(VariantVanilla), run(VariantSDRaD)
+	if len(got) != len(reqs) {
+		t.Fatalf("replies = %d, want %d", len(got), len(reqs))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("reply %d: hardened %q, vanilla %q", i, got[i], want[i])
+		}
+	}
+}
+
+func TestTrappedBatchDropsBorrowedStoresNextBatchApplies(t *testing.T) {
+	// A set sharing a batch with a bset trap is not applied — its borrowed
+	// windows die with the discarded domain and the pending list is zeroed,
+	// not merely truncated — and the next batch's stores land.
+	s := startServer(t, VariantSDRaD, 1)
+	evil := s.NewConn()
+	res := evil.DoPipeline([][]byte{
+		FormatSet("doomed", bytes.Repeat([]byte("d"), 512), 0),
+		FormatBSet("atk", 16<<20, []byte("payload")),
+	})
+	if !res[0].Closed || !res[1].Closed {
+		t.Fatalf("attack batch results: %+v", res)
+	}
+	c := s.NewConn()
+	if err := c.Inspect(func(*proc.Thread) error {
+		p := s.workers[0].dops.pending
+		if len(p) != 0 {
+			return fmt.Errorf("%d deferred ops survived the rewind", len(p))
+		}
+		for i, op := range p[:cap(p)] {
+			if op.key != nil || op.value != nil {
+				return fmt.Errorf("dropped op %d still references its borrowed window", i)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Error(err)
+	}
+	next := c.DoPipeline([][]byte{
+		FormatSet("landed-1", []byte("one"), 0),
+		FormatSet("landed-2", []byte("two"), 0),
+	})
+	for i, r := range next {
+		if r.Err != nil || r.Closed || string(r.Resp) != "STORED\r\n" {
+			t.Fatalf("next batch item %d: %q closed=%v err=%v", i, r.Resp, r.Closed, r.Err)
+		}
+	}
+	if _, _, ok := storedValue(t, s, c, "doomed"); ok {
+		t.Error("set sharing a batch with the trap was applied")
+	}
+	for key, want := range map[string]string{"landed-1": "one", "landed-2": "two"} {
+		if val, _, ok := storedValue(t, s, c, key); !ok || string(val) != want {
+			t.Errorf("next batch's %q = %q %v, want %q", key, val, ok, want)
+		}
+	}
+}
+
+// armInDomain installs a one-shot injector on th that turns the
+// countdown-th access made inside the event domain into a PKU fault (the
+// monitor's ledger page excepted), or never fires with countdown 0.
+func armInDomain(s *Server, th *proc.Thread, countdown int) {
+	lib := s.Library()
+	monitorPage := lib.MonitorBase() &^ (mem.PageSize - 1)
+	n := 0
+	th.CPU().SetFaultInjector(func(addr mem.Addr, kind mem.AccessKind) *mem.Fault {
+		if lib.Current(th) == core.RootUDI || addr&^(mem.PageSize-1) == monitorPage {
+			return nil
+		}
+		if n++; n != countdown {
+			return nil
+		}
+		return &mem.Fault{Kind: kind, Code: mem.CodePkuErr, PKey: lib.RootKey()}
+	})
+}
+
+func TestStoreParsedUnderArmedInjectorFaultsWhereItAlwaysDid(t *testing.T) {
+	// An armed injector refuses every lease, so the parser takes the
+	// checked accessors and the value is a checked copy, not a borrow. A
+	// hardened set makes exactly five checked accesses inside the domain;
+	// each must trap with the same si_code at the same address as before
+	// stores were borrowed: the magic-byte peek and the line scan at the
+	// slot read buffer, the body read at the body offset, the reply write
+	// and the reply capture at the slot write buffer.
+	req := FormatSet("victim", bytes.Repeat([]byte("x"), 300), 0)
+	bodyOff := bytes.Index(req, crlfBytes) + 2
+	for countdown := 1; countdown <= 5; countdown++ {
+		s, rec := startTelServer(t, VariantSDRaD, 1)
+		c := s.NewConn()
+		mustDo(t, c, FormatSet("warm", []byte("up"), 0))
+		var want mem.Addr
+		if err := c.Inspect(func(th *proc.Thread) error {
+			slot := s.workers[0].slots[0]
+			want = [...]mem.Addr{slot.rbuf, slot.rbuf, slot.rbuf + mem.Addr(bodyOff), slot.wbuf, slot.wbuf}[countdown-1]
+			armInDomain(s, th, countdown)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, closed, err := c.Do(req)
+		if err != nil || !closed {
+			t.Fatalf("countdown %d: closed=%v err=%v, want closed by the rewind", countdown, closed, err)
+		}
+		reports := rec.Forensics().Reports()
+		if len(reports) != 1 {
+			t.Fatalf("countdown %d: forensics reports = %d, want 1", countdown, len(reports))
+		}
+		if rep := reports[0]; rep.SiCode != int(mem.CodePkuErr) || rep.Addr != uint64(want) || !rep.Injected {
+			t.Errorf("countdown %d: fault si_code=%d addr=0x%x injected=%v, want si_code=%d addr=0x%x",
+				countdown, rep.SiCode, rep.Addr, rep.Injected, int(mem.CodePkuErr), uint64(want))
+		}
+		if _, _, ok := storedValue(t, s, s.NewConn(), "victim"); ok {
+			t.Errorf("countdown %d: the faulted set was applied", countdown)
+		}
+	}
+}
+
+func TestRefusedLeaseAtApplyFailsBatchClosed(t *testing.T) {
+	// An injector that stays armed through Exit refuses the slot's read
+	// lease when the apply re-validates it: the batch fails closed —
+	// nothing applied, every live item reports the error — and the server
+	// serves the next batch once the injector is gone.
+	s := startServer(t, VariantSDRaD, 1)
+	c := s.NewConn()
+	mustDo(t, c, FormatSet("warm", []byte("up"), 0))
+	if err := c.Inspect(func(th *proc.Thread) error {
+		armInDomain(s, th, 0)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res := c.DoPipeline([][]byte{
+		FormatSet("refused", []byte("never-lands"), 0),
+		FormatGet("warm"),
+	})
+	for i, r := range res {
+		if !errors.Is(r.Err, errBorrowRevoked) {
+			t.Errorf("item %d: err = %v, want errBorrowRevoked", i, r.Err)
+		}
+	}
+	if err := c.Inspect(func(th *proc.Thread) error {
+		th.CPU().SetFaultInjector(nil)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := storedValue(t, s, c, "refused"); ok {
+		t.Error("store applied although its slot lease was refused")
+	}
+	mustDo(t, c, FormatSet("after", []byte("ok"), 0))
+	if val, _, ok := storedValue(t, s, c, "after"); !ok || string(val) != "ok" {
+		t.Errorf("store after the refusal = %q %v", val, ok)
+	}
+	if got := s.Rewinds(); got != 0 {
+		t.Errorf("rewinds = %d, want 0: a refusal is an error, not a trap", got)
+	}
+}
+
+func TestIncrReadsValueBorrowedEarlierInBatch(t *testing.T) {
+	// incr parses the value a set earlier in the same batch queued by
+	// reference, and queues its own result as a private slice.
+	allVariants(t, func(t *testing.T, v Variant) {
+		s := startServer(t, v, 1)
+		c := s.NewConn()
+		res := c.DoPipeline([][]byte{
+			FormatSet("n", []byte("41"), 9),
+			[]byte("incr n 1\r\n"),
+			FormatGet("n"),
+			[]byte("decr n 40\r\n"),
+		})
+		for i, r := range res {
+			if r.Err != nil || r.Closed {
+				t.Fatalf("res[%d]: closed=%v err=%v", i, r.Closed, r.Err)
+			}
+		}
+		if string(res[1].Resp) != "42\r\n" || string(res[3].Resp) != "2\r\n" {
+			t.Errorf("incr/decr replies = %q %q, want 42 and 2", res[1].Resp, res[3].Resp)
+		}
+		if val, flags, ok := ParseGetValue(res[2].Resp); !ok || string(val) != "42" || flags != 9 {
+			t.Errorf("get after incr = %q flags=%d %v", val, flags, ok)
+		}
+		if val, flags, ok := storedValue(t, s, c, "n"); !ok || string(val) != "2" || flags != 9 {
+			t.Errorf("stored n = %q flags=%d %v, want 2 with the set's flags", val, flags, ok)
+		}
+	})
+}
+
+func TestHardenedInlineSetAllocatesNoMoreThanVanilla(t *testing.T) {
+	// Deferred stores borrow and the guard scope allocates nothing, so
+	// hardening adds no Go-heap allocation to a set: what remains
+	// (tokenize, reply delivery) is shared by both arms.
+	req := FormatSet("key", bytes.Repeat([]byte("v"), 1024), 0)
+	allocs := func(v Variant) (n float64) {
+		s := startServer(t, v, 1)
+		if err := s.RunInline("allocs", func(newConn func() *Conn, do InlineDo) error {
+			conn := newConn()
+			if _, _, err := do(conn, req); err != nil { // creates domain and slots
+				return err
+			}
+			n = testing.AllocsPerRun(100, func() { _, _, _ = do(conn, req) })
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if vanilla, hardened := allocs(VariantVanilla), allocs(VariantSDRaD); hardened > vanilla {
+		t.Errorf("hardened set allocates %.0f times, vanilla %.0f", hardened, vanilla)
 	}
 }

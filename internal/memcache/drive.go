@@ -70,12 +70,24 @@ const (
 	pendingFlush
 )
 
-// pendingOp is one deferred mutation. Key and value reference copies made
-// while executing inside the nested domain; the op list itself is part of
-// the event handler's state and is dropped wholesale when the domain is
-// discarded, which is exactly the paper's atomic deferred-update
-// behaviour ("on abnormal domain exit the corrupt key-value pair is
-// discarded along with all other domain memory").
+// pendingOp is one deferred mutation. The op list is part of the event
+// handler's state and is dropped wholesale when the domain is discarded,
+// which is exactly the paper's atomic deferred-update behaviour ("on
+// abnormal domain exit the corrupt key-value pair is discarded along with
+// all other domain memory").
+//
+// Key and value are borrowed, not copied: they reference the request bytes
+// where the parser found them — windows into the batch slot's read buffer
+// inside the event domain — or a private slice the handler computed
+// (incr/decr, append/prepend, the staged bset and binary-set values, any
+// checked copy readBody fell back to). The one copy a store pays is
+// ApplyShardBatch's, into the arena. Lifetime rule: a slot's read buffer
+// is written only by the deep copy at step ④ of the NEXT batch, and the
+// pending list is emptied at batch start (and zeroed wherever it is
+// dropped), so a borrowed window lives exactly as long as the list that
+// holds it. The lengths live in the Go slice headers, outside simulated
+// memory: a compromised domain can author the bytes — it authors the
+// value either way — but cannot stretch a window.
 type pendingOp struct {
 	kind  pendingKind
 	key   []byte
@@ -212,30 +224,36 @@ func (d *deferredOps) FlushAll(c *mem.CPU) {
 	d.pending = append(d.pending, pendingOp{kind: pendingFlush})
 }
 
+// Set queues key=value by reference (see pendingOp for the borrow rule).
 func (d *deferredOps) Set(c *mem.CPU, key, value []byte, flags uint32) error {
 	if len(key) > MaxKeyLen {
 		return ErrKeyTooLong
 	}
-	k := make([]byte, len(key))
-	copy(k, key)
-	v := make([]byte, len(value))
-	copy(v, value)
-	d.pending = append(d.pending, pendingOp{kind: pendingSet, key: k, value: v, flags: flags})
+	d.pending = append(d.pending, pendingOp{kind: pendingSet, key: key, value: value, flags: flags})
 	return nil
 }
 
 func (d *deferredOps) Delete(c *mem.CPU, key []byte) bool {
 	_, _, existed := d.Get(c, key)
-	k := make([]byte, len(key))
-	copy(k, key)
-	d.pending = append(d.pending, pendingOp{kind: pendingDelete, key: k})
+	d.pending = append(d.pending, pendingOp{kind: pendingDelete, key: key})
 	return existed
+}
+
+// truncate drops every op queued after the first n. The dropped entries
+// are zeroed, not just cut off, so the windows they borrowed are released
+// with them — a discarded batch must not keep pinning the discarded
+// domain's backing span.
+func (d *deferredOps) truncate(n int) {
+	clear(d.pending[n:])
+	d.pending = d.pending[:n]
 }
 
 func (d *deferredOps) Stats() StorageStats { return d.st.Stats() }
 
 // apply flushes the deferred mutations to the shared database. Called
-// after a normal domain exit, with root-domain rights.
+// after a normal domain exit, with root-domain rights, and only once the
+// caller has re-validated the read lease of every slot the ops borrow
+// from: the copies into the arena read event-domain memory.
 //
 // Ops are grouped per storage shard so one batch takes each shard lock
 // at most once; per-key order is preserved (a key always maps to one
@@ -258,6 +276,7 @@ func (d *deferredOps) apply(c *mem.CPU) error {
 				continue
 			}
 			err := d.st.ApplyShardBatch(c, si, g)
+			clear(g)
 			d.groups[si] = g[:0]
 			if err != nil {
 				return err
@@ -281,7 +300,7 @@ func (d *deferredOps) apply(c *mem.CPU) error {
 		}
 	}
 	err := flushGroups()
-	d.pending = d.pending[:0]
+	d.truncate(0)
 	return err
 }
 
@@ -510,10 +529,12 @@ func readLine(env *dmEnv) (line []byte, bodyOff int) {
 }
 
 // readBody returns the store-command body. With a valid read lease the
-// slice aliases the leased request window — safe because every store op
-// consumes (direct) or copies (deferred) the value before drive_machine
-// returns; otherwise it is a checked copy. The bounds were validated by
-// the caller against rlen; out-of-buffer body lengths never reach here.
+// slice aliases the leased request window: a direct store consumes it
+// before drive_machine returns, a deferred store keeps the window until
+// the batch's apply (pendingOp states the lifetime rule). Without the
+// lease — armed injector, revoked epoch — it is a checked copy, faulting
+// exactly where the unleased code would. The bounds were validated by the
+// caller against rlen; out-of-buffer body lengths never reach here.
 func readBody(env *dmEnv, bodyOff, nbytes int) []byte {
 	if env.rl != nil {
 		if b, ok := env.rl.Bytes(env.rbuf+mem.Addr(bodyOff), nbytes); ok {

@@ -152,6 +152,10 @@ var (
 	ErrServerDown      = errors.New("memcache: server terminated")
 	ErrConnClosed      = errors.New("memcache: connection closed")
 	ErrRequestTooLarge = errors.New("memcache: request exceeds connection buffer")
+	// errBorrowRevoked fails a batch closed: a slot's read lease would not
+	// re-validate after Exit, so the deferred stores borrowing from it were
+	// not applied.
+	errBorrowRevoked = errors.New("memcache: request window revoked before deferred apply")
 )
 
 // Server is one simulated Memcached process.
@@ -266,6 +270,7 @@ type batchItem struct {
 // through the guard scope.
 type evState struct {
 	done    bool // result decided before the guard ran (preflight failure)
+	borrows bool // queued deferred ops that reference the slot's read buffer
 	slot    int
 	wlen    int
 	closeit bool
@@ -737,12 +742,13 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 	w.initAllocators(s)
 	w.curT = t
 	bufSize := uint64(s.cfg.ConnBufSize)
-	// Worker-owned scratch: a rewound batch may leave stale pending ops
-	// behind, so the reset here is also what keeps a discarded batch's
-	// mutations from leaking into the next one.
+	// Worker-owned scratch: a failed batch may leave stale pending ops
+	// behind, so the reset here is also what keeps its mutations from
+	// leaking into the next one — and it ends the previous batch's borrows
+	// before step ④ overwrites the slot buffers they point into.
 	dops := &w.dops
 	dops.st = s.st
-	dops.pending = dops.pending[:0]
+	dops.truncate(0)
 	if cap(w.states) < len(items) {
 		w.states = make([]evState, len(items))
 	}
@@ -871,10 +877,11 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 				// are rolled back, the rest of the batch proceeds — the
 				// same isolation the unbatched flow gives (the erroring
 				// event applied nothing).
-				dops.pending = dops.pending[:mark]
+				dops.truncate(mark)
 				states[i].derr = derr
 				continue
 			}
+			states[i].borrows = len(dops.pending) > mark
 			// ⑧ capture the response straight from the slot write buffer
 			// while it is cache-hot — through the slot's write lease, one
 			// copy into the Go-side delivery slice, replacing the old
@@ -888,7 +895,18 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			return err
 		}
 		// ⑨ apply the deferred database updates for the whole batch,
-		// grouped per storage shard.
+		// grouped per storage shard. The ops borrow their keys and values
+		// from the slot read buffers, so the apply reads event-domain memory
+		// with root rights: each slot it will read from has its lease
+		// re-validated first, and a refusal fails the batch closed — nothing
+		// is applied, every live item reports the error.
+		for i := range states {
+			if states[i].borrows {
+				if _, ok := w.slots[states[i].slot].rl.Window(); !ok {
+					return errBorrowRevoked
+				}
+			}
+		}
 		return dops.apply(c)
 	}, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize))
 	if gerr != nil {
@@ -900,6 +918,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			// batch and keep serving.
 			w.domainReady = false
 			w.slots = w.slots[:0]
+			dops.truncate(0)
 			s.rewinds.Add(1)
 			// Multiplicative decrease: the next batches risk less
 			// collateral while the rewind window stays hot.
@@ -928,6 +947,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			// quarantine already produced exactly one.
 			w.domainReady = false
 			w.slots = w.slots[:0]
+			dops.truncate(0)
 			for i := range items {
 				if states[i].done {
 					continue

@@ -109,15 +109,27 @@ type Frame struct {
 // PushFrame allocates a frame with localsSize bytes of locals (rounded up
 // to 8) protected by a canary, writing the canary and zeroing the locals.
 func (s *Stack) PushFrame(c *mem.CPU, localsSize int) (*Frame, error) {
+	f := new(Frame)
+	if err := s.PushFrameInto(c, f, localsSize); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// PushFrameInto is PushFrame into caller-provided storage: the frame
+// record is written to *f instead of the Go heap, so a caller that keeps
+// the record inline (the monitor's return record) pushes without
+// allocating.
+func (s *Stack) PushFrameInto(c *mem.CPU, f *Frame, localsSize int) error {
 	if localsSize < 0 {
 		localsSize = 0
 	}
 	sz := (uint64(localsSize) + 7) &^ 7
 	need := sz + 8
 	if uint64(s.sp-s.base) < need {
-		return nil, ErrStackOverflow
+		return ErrStackOverflow
 	}
-	f := &Frame{s: s, localsSize: int(sz), savedSP: s.sp}
+	*f = Frame{s: s, localsSize: int(sz), savedSP: s.sp}
 	s.sp -= 8
 	f.canaryAddr = s.sp
 	c.WriteU64(f.canaryAddr, s.canary)
@@ -127,7 +139,7 @@ func (s *Stack) PushFrame(c *mem.CPU, localsSize int) (*Frame, error) {
 		c.Memset(f.locals, 0, int(sz))
 	}
 	s.depth++
-	return f, nil
+	return nil
 }
 
 // Locals returns the lowest address of the frame's local storage.
