@@ -10,14 +10,16 @@ var Experiments = []string{
 	"fig4", "rewind-memcached", "mem-memcached",
 	"fig5", "scaling-nginx", "rewind-nginx", "mem-nginx",
 	"openssl", "rewind-openssl",
-	"switchcost", "ablations", "substrate", "throughput", "recovery",
-	"cluster",
+	"switchcost", "ablations", "recovery", "cluster", "telemetry",
 }
 
 // Run executes one named experiment at the given scale and prints its
-// table(s) to w.
+// table(s) to w. An experiment that states a claim (recovery, cluster,
+// telemetry) prints its table first and then returns an error when its
+// own run is on the wrong side of the line.
 func Run(w io.Writer, name string, sc Scale) error {
 	var tables []*Table
+	var claim func() error
 	var err error
 	switch name {
 	case "fig4":
@@ -68,22 +70,15 @@ func Run(w io.Writer, name string, sc Scale) error {
 			}
 			tables = append(tables, t)
 		}
-	case "substrate":
-		var t *Table
-		_, t, err = RunSubstrate(sc, nil)
-		tables = append(tables, t)
-	case "throughput":
-		var t *Table
-		_, t, err = RunThroughput(sc, nil, nil)
-		tables = append(tables, t)
 	case "recovery":
-		var t *Table
-		_, t, err = RunRecovery(sc)
-		tables = append(tables, t)
+		rep, t, rerr := RunRecovery(sc)
+		tables, claim, err = append(tables, t), rep.Check, rerr
 	case "cluster":
-		var t *Table
-		_, t, err = RunCluster(sc)
-		tables = append(tables, t)
+		rep, t, rerr := RunCluster(sc)
+		tables, claim, err = append(tables, t), rep.Check, rerr
+	case "telemetry":
+		rep, t, rerr := RunTelemetry(sc)
+		tables, claim, err = append(tables, t), rep.Check, rerr
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (known: %v)", name, Experiments)
 	}
@@ -92,6 +87,9 @@ func Run(w io.Writer, name string, sc Scale) error {
 	}
 	for _, t := range tables {
 		t.Fprint(w)
+	}
+	if claim != nil {
+		return claim()
 	}
 	return nil
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -144,16 +146,59 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestRunDispatcher runs every listed name, so a name without a case
+// cannot ship.
 func TestRunDispatcher(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Run(&buf, "rewind-openssl", tiny); err != nil {
-		t.Fatal(err)
+	for _, name := range Experiments {
+		sc := tiny
+		if name == "telemetry" {
+			// The recorder on/off estimator replays its run phase 26 times
+			// per worker count at 64x the ops; here it only has to dispatch.
+			sc.MemcachedOps = 10
+		}
+		var buf bytes.Buffer
+		err := Run(&buf, name, sc)
+		// The cluster and telemetry claims are stated for Quick scale and
+		// up: with 600 ops the kill burst alone is over 5% of the run, and
+		// 640 ops cannot resolve 2%.
+		if errors.Is(err, errClaim) && name != "recovery" {
+			t.Logf("%s at tiny scale: %v", name, err)
+			err = nil
+		}
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if buf.Len() == 0 {
+			t.Errorf("%s: no output", name)
+		}
 	}
-	if buf.Len() == 0 {
-		t.Error("no output")
-	}
-	if err := Run(&buf, "nope", tiny); err == nil {
+	if err := Run(io.Discard, "nope", tiny); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestLiveClaims holds each claim an experiment states to its line: a
+// report just past the threshold fails, one at the threshold passes.
+func TestLiveClaims(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		check func() error
+		ok    bool
+	}{
+		{"recovery 2.9x", (&RecoveryReport{WallRatio: 2.9}).Check, false},
+		{"recovery 3.0x", (&RecoveryReport{WallRatio: 3.0}).Check, true},
+		{"availability 0.949", (&ClusterReport{AvailabilityKill: 0.949}).Check, false},
+		{"availability 0.95", (&ClusterReport{AvailabilityKill: 0.95}).Check, true},
+		{"telemetry 2.1%", (&TelemetryReport{OverheadPct: map[string]float64{"w1": 0.4, "w4": 2.1}}).Check, false},
+		{"telemetry 2.0%", (&TelemetryReport{OverheadPct: map[string]float64{"w1": 0.4, "w4": 2.0}}).Check, true},
+	} {
+		err := tc.check()
+		if tc.ok && err != nil {
+			t.Errorf("%s: at the threshold, got %v", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, errClaim) {
+			t.Errorf("%s: past the threshold, got %v, want a claim violation", tc.name, err)
+		}
 	}
 }
 

@@ -15,50 +15,15 @@ import (
 	"sdrad/internal/ycsb"
 )
 
-// memcacheDB adapts one memcache connection to the YCSB DB interface.
-type memcacheDB struct {
-	conn *memcache.Conn
-}
-
 var errUnexpected = errors.New("bench: unexpected memcached response")
 
-func (d *memcacheDB) Insert(key string, value []byte) error {
-	resp, _, err := d.conn.Do(memcache.FormatSet(key, value, 0))
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(resp, []byte("STORED\r\n")) {
-		return fmt.Errorf("%w: %q", errUnexpected, resp)
-	}
-	return nil
-}
-
-func (d *memcacheDB) Read(key string) error {
-	resp, _, err := d.conn.Do(memcache.FormatGet(key))
-	if err != nil {
-		return err
-	}
-	if _, _, ok := memcache.ParseGetValue(resp); !ok {
-		return fmt.Errorf("%w: miss", errUnexpected)
-	}
-	return nil
-}
-
-func (d *memcacheDB) Update(key string, value []byte) error { return d.Insert(key, value) }
-
-// memcachedServer builds a server sized for the YCSB scale. The Figure-4
+// memcachedServer builds a server sized for the YCSB scale, with an
+// optional telemetry recorder attached to its library. The Figure-4
 // harness drives the engine through inline worker threads, so the server
 // itself needs only one event-loop worker regardless of the measured
 // parallelism (each live worker thread pins a protection key; 8 inline
 // plus 8 idle event loops would exhaust the 15 keys).
-func memcachedServer(variant memcache.Variant, _ int, sc Scale) (*memcache.Server, error) {
-	return memcachedServerTel(variant, sc, nil)
-}
-
-// memcachedServerTel is memcachedServer with an optional telemetry
-// recorder attached to the server's library, for the telemetry-overhead
-// cells.
-func memcachedServerTel(variant memcache.Variant, sc Scale, rec *telemetry.Recorder) (*memcache.Server, error) {
+func memcachedServer(variant memcache.Variant, sc Scale, rec *telemetry.Recorder) (*memcache.Server, error) {
 	return memcache.NewServer(memcache.Config{
 		Variant:    variant,
 		Workers:    1,
@@ -100,17 +65,11 @@ func inlineGet(do memcache.InlineDo, conn *memcache.Conn, key string) error {
 // being measured). Contention on the shared cache lock across workers is
 // preserved — that is the real serialization point, as in Memcached.
 func runMemcachedYCSB(variant memcache.Variant, workers int, sc Scale) (load, run ycsb.Stats, err error) {
-	return runMemcachedYCSBTel(variant, workers, sc, nil)
-}
-
-// runMemcachedYCSBTel is runMemcachedYCSB with an optional telemetry
-// recorder attached, for measuring the enabled-recorder overhead.
-func runMemcachedYCSBTel(variant memcache.Variant, workers int, sc Scale, rec *telemetry.Recorder) (load, run ycsb.Stats, err error) {
 	// Level the Go-runtime playing field between cells: each cell
 	// allocates tens of MiB of simulated pages, and carried-over GC debt
 	// otherwise taxes whichever cell runs next.
 	runtime.GC()
-	s, err := memcachedServerTel(variant, sc, rec)
+	s, err := memcachedServer(variant, sc, nil)
 	if err != nil {
 		return load, run, err
 	}
@@ -256,9 +215,9 @@ func Fig4MemcachedThroughput(sc Scale, workerCounts []int) (*Table, error) {
 	if sc.MemcachedOps <= Quick.MemcachedOps {
 		repeats = 1
 	} else {
-		// Stretch the run phase like measureMemcachedOverhead does: at the
-		// stock full scale it lasts well under a second, so one GC pause
-		// moves a cell by ~10%. 4x the ops averages those events out.
+		// Stretch the run phase: at the stock full scale it lasts well
+		// under a second, so one GC pause moves a cell by ~10%. 4x the
+		// ops averages those events out.
 		sc.MemcachedOps *= 4
 	}
 	t.Notes[0] = fmt.Sprintf("workload: %d records x 1KiB, %d ops, 95/5 read/update, Zipfian (paper: 1e7/1e8)", sc.MemcachedRecords, sc.MemcachedOps)
@@ -301,7 +260,7 @@ func MemcachedRewindLatency(sc Scale) (*Table, error) {
 	}
 
 	// Rewind latency on the hardened build (CVE-2011-4971 analog).
-	s, err := memcachedServer(memcache.VariantSDRaD, 1, sc)
+	s, err := memcachedServer(memcache.VariantSDRaD, sc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +303,7 @@ func MemcachedRewindLatency(sc Scale) (*Table, error) {
 	restartSamples := make([]time.Duration, 0, 3)
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		fresh, err := memcachedServer(memcache.VariantSDRaD, 1, sc)
+		fresh, err := memcachedServer(memcache.VariantSDRaD, sc, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +345,7 @@ func MemcachedMemoryOverhead(sc Scale) (*Table, error) {
 	}
 	var base float64
 	for _, v := range []memcache.Variant{memcache.VariantVanilla, memcache.VariantTLSF, memcache.VariantSDRaD} {
-		s, err := memcachedServer(v, 1, sc)
+		s, err := memcachedServer(v, sc, nil)
 		if err != nil {
 			return nil, err
 		}

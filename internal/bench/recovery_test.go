@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -12,17 +11,14 @@ func TestRunRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != recoverySchema || rep.CalibrationNs <= 0 {
-		t.Errorf("schema %q calibration %v", rep.Schema, rep.CalibrationNs)
-	}
 	if rep.RewindWallNs <= 0 || rep.RestartWallNs <= 0 {
 		t.Errorf("wall costs = %v/%v, want > 0", rep.RewindWallNs, rep.RestartWallNs)
 	}
 	// The resilience claim itself: rewinding a domain must be much
 	// cheaper than restarting the process and reloading the dataset —
-	// even at tiny scale the gap is well past the CI floor.
-	if rep.WallRatio < recoveryRatioFloor {
-		t.Errorf("wall ratio = %.2fx, want >= %.0fx", rep.WallRatio, recoveryRatioFloor)
+	// even at tiny scale the gap is well past the floor.
+	if err := rep.Check(); err != nil {
+		t.Error(err)
 	}
 	var buf bytes.Buffer
 	tbl.Fprint(&buf)
@@ -30,57 +26,5 @@ func TestRunRecovery(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q", want)
 		}
-	}
-}
-
-func TestRecoveryBaselineRoundTrip(t *testing.T) {
-	rep := &RecoveryReport{
-		Schema:        recoverySchema,
-		CalibrationNs: 2.0,
-		Records:       100,
-		Cycles:        8,
-		RewindWallNs:  50_000,
-		RestartWallNs: 5_000_000,
-		RewindCPUSec:  0.0001,
-		RestartCPUSec: 0.01,
-		WallRatio:     100,
-		CPURatio:      100,
-	}
-	path := filepath.Join(t.TempDir(), "recovery.json")
-	if err := rep.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadRecoveryBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.RewindWallNs != 50_000 || base.CalibrationNs != 2.0 || base.WallRatio != 100 {
-		t.Errorf("round trip lost data: %+v", base)
-	}
-
-	// Identical report passes the gate.
-	if err := rep.CheckAgainst(base); err != nil {
-		t.Errorf("identical report failed gate: %v", err)
-	}
-
-	// Ratio collapse fails regardless of baseline.
-	bad := *rep
-	bad.WallRatio = recoveryRatioFloor - 0.5
-	if err := bad.CheckAgainst(base); err == nil {
-		t.Error("ratio below floor passed the gate")
-	}
-
-	// Rewind-cost blowup beyond tolerance fails.
-	slow := *rep
-	slow.RewindWallNs = rep.RewindWallNs * (1 + (recoveryTolerancePct+50)/100)
-	if err := slow.CheckAgainst(base); err == nil {
-		t.Error("rewind cost regression passed the gate")
-	}
-
-	// The same blowup on a proportionally slower machine passes: the
-	// baseline is rescaled by the calibration ratio.
-	slow.CalibrationNs = base.CalibrationNs * (1 + (recoveryTolerancePct+50)/100)
-	if err := slow.CheckAgainst(base); err != nil {
-		t.Errorf("speed-adjusted cost failed the gate: %v", err)
 	}
 }

@@ -352,19 +352,6 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("memcache: provisioning: %w", err)
 	}
 	if cfg.Variant == VariantSDRaD {
-		if s.cfg.Sched.GuardCostNs == nil && cfg.Telemetry != nil {
-			// Estimate the Enter+Exit domain-switch cost from the live
-			// latency histograms core already feeds — the controller grows
-			// faster while amortization dominates per-item cost.
-			reg := cfg.Telemetry.Registry()
-			enter := reg.Histogram("sdrad_enter_latency_ns",
-				"Latency of sdrad_enter calls in nanoseconds.")
-			exit := reg.Histogram("sdrad_exit_latency_ns",
-				"Latency of sdrad_exit calls in nanoseconds.")
-			s.cfg.Sched.GuardCostNs = func() int64 {
-				return enter.Quantile(0.5) + exit.Quantile(0.5)
-			}
-		}
 		if s.cfg.Sched.OnFloorPinned == nil && cfg.Policy != nil {
 			// A controller pinned at the floor by a hot rewind window for a
 			// whole window means batching already shrank the blast radius

@@ -36,12 +36,6 @@ type Config struct {
 	// campaigns and tests install a policy.ManualClock's Now so every
 	// window decision is deterministic.
 	Clock func() int64
-	// GuardCostNs, when non-nil, estimates the current Enter+Exit
-	// domain-switch cost (the servers wire the telemetry enter/exit
-	// latency histograms' medians). When the guard cost is a large share
-	// of the observed per-item latency the controller grows in bigger
-	// steps — amortization is paying for itself.
-	GuardCostNs func() int64
 	// OnFloorPinned, when non-nil, fires when a controller has been
 	// pinned at bound 1 by a hot rewind window for a full Window — the
 	// signal that batching alone cannot absorb the fault rate and the
@@ -213,8 +207,7 @@ func (c *Controller) ObserveRound(backlog, drained int, elapsedNs int64) {
 	if prev == 0 {
 		prev = itemNs
 	}
-	ewma := (3*prev + itemNs) / 4
-	c.ewmaItemNs = ewma
+	c.ewmaItemNs = (3*prev + itemNs) / 4
 
 	if cap := c.rewindCap(); b > cap {
 		b = cap
@@ -229,16 +222,8 @@ func (c *Controller) ObserveRound(backlog, drained int, elapsedNs int64) {
 			c.shrinks.Add(1)
 		}
 	} else if backlog > 0 && drained >= b {
-		// Additive increase under sustained depth. When the guard cost
-		// dominates the per-item latency, amortization is the whole game:
-		// grow twice as fast.
-		step := 1
-		if c.cfg.GuardCostNs != nil && b > 0 {
-			if g := c.cfg.GuardCostNs(); g > 0 && ewma > 0 && g/int64(b) > ewma/10 {
-				step = 2
-			}
-		}
-		nb := b + step
+		// Additive increase under sustained depth.
+		nb := b + 1
 		if cap := c.rewindCap(); nb > cap { // cap <= maxBatch
 			nb = cap
 		}

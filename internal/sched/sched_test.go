@@ -59,27 +59,6 @@ func TestControllerGrowsUnderSustainedBacklog(t *testing.T) {
 	}
 }
 
-func TestControllerGuardCostAcceleratesGrowth(t *testing.T) {
-	mc := &policy.ManualClock{}
-	mc.Set(int64(time.Hour))
-	slow := NewController(Config{Clock: mc.Now}, 16)
-	fast := NewController(Config{Clock: mc.Now, GuardCostNs: func() int64 { return 100_000 }}, 16)
-	for _, c := range []*Controller{slow, fast} {
-		for i := 0; i < 20; i++ {
-			c.ObserveRound(0, 1, 1000)
-		}
-	}
-	// Three backlogged rounds: the guard-cost-aware controller grows in
-	// steps of 2, the plain one in steps of 1.
-	for i := 0; i < 3; i++ {
-		slow.ObserveRound(4, slow.Bound(), int64(1000*slow.Bound()))
-		fast.ObserveRound(4, fast.Bound(), int64(1000*fast.Bound()))
-	}
-	if slow.Bound() >= fast.Bound() {
-		t.Fatalf("guard-cost growth: slow=%d fast=%d, want fast > slow", slow.Bound(), fast.Bound())
-	}
-}
-
 func TestControllerRewindMultiplicativeDecrease(t *testing.T) {
 	c, mc := manualController(t, 16)
 	c.NoteRewind()
