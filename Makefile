@@ -16,10 +16,13 @@ test:
 
 # The second line holds the monitor's multithreaded tests (shared data
 # domain heaps, per-thread counter cells, ledger slots) to twenty clean
-# rounds: a race there shows about once in twenty.
+# rounds: a race there shows about once in twenty. The third does the
+# same for the storage shard lock's spin-then-park acquisition (hammer,
+# park fallback, short holds, one P).
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 ./internal/core
+	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 
 vet:
 	$(GO) vet ./...
@@ -40,12 +43,13 @@ chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
 
 # The evaluation at reduced scale (all 14 experiments, the three live
-# claims included), then one iteration of each mechanism benchmark (the guard scope, the deferred store and its apply) so they
-# keep compiling and running; time them with -benchtime=2s -count=5.
+# claims included), then one iteration of each mechanism benchmark (the guard scope, the deferred store and its apply, the
+# contended shard lock) so they keep compiling and running; time them
+# with -benchtime=2s -count=5.
 bench-smoke:
 	$(GO) run ./cmd/sdrad-bench -quick
 	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope$$' -benchtime=1x ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkDeferredSetApply$$' -benchtime=1x ./internal/memcache
+	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|ShardLockContended)$$' -benchtime=1x ./internal/memcache
 
 # The cost-of-hardening ledger BENCHMARK.json names: five paired
 # vanilla/sdrad workloads, ~2 minutes (see benchmark/README.md).

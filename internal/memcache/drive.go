@@ -286,12 +286,14 @@ func (d *deferredOps) apply(c *mem.CPU) error {
 	}
 	for _, op := range d.pending {
 		switch op.kind {
-		case pendingSet:
-			si := d.st.ShardFor(op.key)
-			d.groups[si] = append(d.groups[si], BatchOp{Key: op.key, Value: op.value, Flags: op.flags})
-		case pendingDelete:
-			si := d.st.ShardFor(op.key)
-			d.groups[si] = append(d.groups[si], BatchOp{Delete: true, Key: op.key})
+		case pendingSet, pendingDelete:
+			h := hashKey(op.key)
+			si := d.st.shardOf(h)
+			d.groups[si] = append(d.groups[si], BatchOp{
+				Delete: op.kind == pendingDelete,
+				Key:    op.key, Value: op.value, Flags: op.flags,
+				hash: h, hashed: true,
+			})
 		case pendingFlush:
 			if err := flushGroups(); err != nil {
 				return err

@@ -395,11 +395,21 @@ func NewServer(cfg Config) (*Server, error) {
 			w.boundGauge.Set(int64(w.ctrl.Bound()))
 		}
 		wait := reg.CounterVec("sdrad_memcache_shard_lock_wait_ns",
-			"Nanoseconds spent waiting on contended shard-lock acquisitions.", "shard")
+			"Nanoseconds contended shard-lock acquisitions waited, spinning or parked.", "shard")
+		contended := reg.CounterVec("sdrad_memcache_shard_lock_contended_total",
+			"Shard-lock acquisitions that found the lock held.", "shard")
+		parked := reg.CounterVec("sdrad_memcache_shard_lock_parked_total",
+			"Contended shard-lock acquisitions that outlasted the spin budget and parked.", "shard")
 		ops := reg.CounterVec("sdrad_memcache_shard_batch_ops",
 			"Deferred ops applied through the batch paths per shard.", "shard")
 		for i := 0; i < s.st.Shards(); i++ {
-			s.st.setContentionCounters(i, wait.With(strconv.Itoa(i)), ops.With(strconv.Itoa(i)))
+			si := strconv.Itoa(i)
+			s.st.setContentionCounters(i, shardCounters{
+				contended: contended.With(si),
+				parked:    parked.With(si),
+				waitNs:    wait.With(si),
+				batchOps:  ops.With(si),
+			})
 		}
 	}
 	return s, nil

@@ -46,7 +46,7 @@ func (sh *shard) audit(c *mem.CPU, si int) error {
 				return fmt.Errorf("memcache audit: shard %d bucket %d: item %#x linked twice", si, b, it)
 			}
 			onChain[it] = true
-			key := itemKey(sview{c: c}, it)
+			key := c.ReadBytes(it+itemHeader, int(c.ReadU64(it+itemOffKeyLen)))
 			h := hashKey(key)
 			if h%sh.nbuckets != b {
 				return fmt.Errorf("memcache audit: shard %d: key %q in bucket %d, hashes to %d",

@@ -14,8 +14,22 @@ func newStorage(t testing.TB, hashPower int, arenaBytes uint64) (*Storage, *mem.
 	return newShardedStorage(t, hashPower, 1, arenaBytes)
 }
 
-// newShardedStorage builds a Storage with an explicit shard count.
+// newShardedStorage builds a Storage with an explicit shard count. Its
+// arena bounds are not registered, so every access is a checked one.
 func newShardedStorage(t testing.TB, hashPower, shards int, arenaBytes uint64) (*Storage, *mem.CPU) {
+	t.Helper()
+	return buildStorage(t, hashPower, shards, arenaBytes, false)
+}
+
+// newLeasedStorage builds a Storage the way the servers do: the arena's
+// bounds registered, so every operation runs on the span-lease window and
+// the critical sections are as short as they are in service.
+func newLeasedStorage(t testing.TB, hashPower, shards int, arenaBytes uint64) (*Storage, *mem.CPU) {
+	t.Helper()
+	return buildStorage(t, hashPower, shards, arenaBytes, true)
+}
+
+func buildStorage(t testing.TB, hashPower, shards int, arenaBytes uint64, leased bool) (*Storage, *mem.CPU) {
 	t.Helper()
 	as := mem.NewAddressSpace()
 	cpu := as.NewCPU()
@@ -23,10 +37,12 @@ func newShardedStorage(t testing.TB, hashPower, shards int, arenaBytes uint64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := newBumpArena(base, arenaBytes)
-	st, err := NewStorage(cpu, hashPower, shards, arena.alloc)
+	st, err := NewStorage(cpu, hashPower, shards, newBumpArena(base, arenaBytes).alloc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if leased {
+		st.SetArenaBounds(base, arenaBytes)
 	}
 	return st, cpu
 }
@@ -419,5 +435,48 @@ func TestAuditShardsAfterChurn(t *testing.T) {
 	}
 	if err := st.AuditShards(cpu); err != nil {
 		t.Fatalf("shard audit after churn: %v", err)
+	}
+}
+
+// TestStoreUnlinksWithoutAllocating: replacing or evicting an item finds
+// its hash bucket from the hash the operation already computed, or by
+// hashing the stored key where it lies; neither copies the key out under
+// the shard lock.
+func TestStoreUnlinksWithoutAllocating(t *testing.T) {
+	for name, build := range map[string]func(testing.TB, int, int, uint64) (*Storage, *mem.CPU){
+		"window": newLeasedStorage, "checked": newShardedStorage,
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, cpu := build(t, 8, 1, 1<<20)
+			value := make([]byte, 1024)
+			keys := make([][]byte, 2000) // twice what the arena holds
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("evict-%05d", i))
+			}
+			i := 0
+			set := func() {
+				if err := st.Set(cpu, keys[i%len(keys)], value, 0); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			for st.Stats().Evictions == 0 {
+				set()
+			}
+			before := st.Stats().Evictions
+			if allocs := testing.AllocsPerRun(len(keys), set); allocs != 0 {
+				t.Errorf("a store that evicts allocates %v times", allocs)
+			}
+			if st.Stats().Evictions-before < len(keys)/2 {
+				t.Fatalf("only %d evictions in %d stores", st.Stats().Evictions-before, len(keys))
+			}
+			i = 0
+			if allocs := testing.AllocsPerRun(100, func() { i = 7; set() }); allocs != 0 {
+				t.Errorf("a store that overwrites allocates %v times", allocs)
+			}
+			if err := st.AuditShards(cpu); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
