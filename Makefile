@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-smoke chaos-race bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
+.PHONY: build test race vet fmt-check chaos-clockless chaos-smoke chaos-race bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
 
 build:
 	$(GO) build ./...
@@ -18,11 +18,16 @@ test:
 # domain heaps, per-thread counter cells, ledger slots) to twenty clean
 # rounds: a race there shows about once in twenty. The third does the
 # same for the storage shard lock's spin-then-park acquisition (hammer,
-# park fallback, short holds, one P).
+# park fallback, short holds, one P). The fourth holds the shared
+# client-to-worker hand-off (internal/proc: start, wait, chunking, a
+# process dying under either) and the fifth the memcache tests that stage
+# a backlog through it behind a parked worker.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
+	$(GO) test -race -count=20 ./internal/proc
+	$(GO) test -race -count=20 -run 'BlastRadius|TwoConnsInOneRound|ChunkedPipeline' ./internal/memcache
 
 vet:
 	$(GO) vet ./...
@@ -31,14 +36,21 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# A campaign's schedule must be a function of its seed: backlogs are
+# staged with Conn.Start behind a parked worker and time passes on a
+# manual clock, so nothing under internal/chaos may wait on the wall clock.
+chaos-clockless:
+	@if grep -rn 'time\.Sleep' internal/chaos; then \
+		echo "internal/chaos must not sleep: stage with Conn.Start, advance a ManualClock"; exit 1; fi
+
 # A single fixed-seed round of every chaos campaign, as the smoke test runs.
 chaos-smoke:
 	$(GO) test -run TestChaosSmoke -v ./internal/chaos
 	$(GO) run ./cmd/sdrad-chaos -seed 12648430 -ops 16
 
-# The campaigns stage backlogs behind a parked worker; fifty rounds under
-# the race detector hold that staging to "never flakes", as the CI build
-# job does.
+# The campaigns stage backlogs behind a parked worker (sequential
+# Conn.Start calls, no clock); fifty rounds under the race detector hold
+# that staging to "never flakes", as the CI build job does.
 chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
 
@@ -108,4 +120,4 @@ cluster-gate:
 	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
-ci: build vet fmt-check test race chaos-smoke chaos-race bench-smoke policy-gate cluster-gate
+ci: build vet fmt-check chaos-clockless test race chaos-smoke chaos-race bench-smoke policy-gate cluster-gate

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -32,7 +33,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sdrad-router:", err)
 		os.Exit(1)
 	}
@@ -54,7 +55,9 @@ func (b *backendFlags) Set(v string) error {
 	return nil
 }
 
-func run(args []string) error {
+// run serves until the listener fails; what it reports (first of all the
+// address it bound, so -addr may name port 0) goes to out.
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sdrad-router", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:11300", "listen address")
 	var backends backendFlags
@@ -62,8 +65,6 @@ func run(args []string) error {
 	vnodes := fs.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
 	poolSize := fs.Int("pool", 2, "pooled connections per backend")
 	pollInterval := fs.Duration("poll-interval", 2*time.Second, "backend telemetry poll period (0 = no polling)")
-	hotK := fs.Int("hot-k", 0, "replicate the top-K hottest keys (0 = off)")
-	hotReplicas := fs.Int("hot-replicas", 2, "replicas per hot key, primary included")
 	failThreshold := fs.Int("fail-threshold", 3, "consecutive exchange failures that demote a backend")
 	holdOff := fs.Duration("hold-off", time.Second, "initial demotion hold-off (doubles per probation strike)")
 	holdOffMax := fs.Duration("hold-off-max", 30*time.Second, "hold-off ceiling")
@@ -85,8 +86,6 @@ func run(args []string) error {
 		VirtualNodes: *vnodes,
 		PoolSize:     *poolSize,
 		PollInterval: *pollInterval,
-		HotK:         *hotK,
-		HotReplicas:  *hotReplicas,
 		Health: cluster.HealthConfig{
 			FailThreshold: *failThreshold,
 			HoldOff:       *holdOff,
@@ -96,7 +95,7 @@ func run(args []string) error {
 		},
 		Telemetry: rec,
 		Logf: func(format string, a ...any) {
-			fmt.Printf("router: "+format+"\n", a...)
+			fmt.Fprintf(out, "router: "+format+"\n", a...)
 		},
 	})
 	if err != nil {
@@ -107,21 +106,21 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sdrad-router listening on %s (%d backends, %d vnodes each)\n",
+	fmt.Fprintf(out, "sdrad-router listening on %s (%d backends, %d vnodes each)\n",
 		ln.Addr(), len(backends), *vnodes)
 	for _, b := range backends {
 		probe := "no telemetry"
 		if b.MetricsURL != "" {
 			probe = b.MetricsURL
 		}
-		fmt.Printf("  backend %s at %s (%s)\n", b.Name, b.Addr, probe)
+		fmt.Fprintf(out, "  backend %s at %s (%s)\n", b.Name, b.Addr, probe)
 	}
 	if rec != nil {
 		bound, err := rec.Serve(*telAddr)
 		if err != nil {
 			return fmt.Errorf("telemetry: %w", err)
 		}
-		fmt.Printf("telemetry on http://%s/metrics\n", bound)
+		fmt.Fprintf(out, "telemetry on http://%s/metrics\n", bound)
 	}
 	return rt.Serve(ln)
 }

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"sdrad/internal/memcache"
@@ -65,7 +64,7 @@ func runSchedCampaign(cfg Config, r *Report) error {
 	// park blocks the worker inside an inspect event and returns the
 	// release function; everything queued before release is drained in
 	// deterministic rounds afterwards.
-	park := func() (release func() error, err error) {
+	park := func() (release func() error) {
 		rel := make(chan struct{})
 		started := make(chan struct{})
 		parkErr := make(chan error, 1)
@@ -77,39 +76,26 @@ func runSchedCampaign(cfg Config, r *Report) error {
 			})
 		}()
 		<-started
-		return func() error { close(rel); return <-parkErr }, nil
+		return func() error { close(rel); return <-parkErr }
 	}
-	// driveBacklog pre-queues n single-get events behind a parked
-	// worker and releases them as one backlog. With every event queued
-	// before the drain starts, the controller's growth walk is exact:
-	// each round drains min(bound, remaining) events.
+	// driveBacklog starts n single-get events behind a parked worker —
+	// Start returns once its event is queued, so n sequential calls are
+	// the whole staging — and releases them as one backlog. With every
+	// event queued before the drain starts, the controller's growth walk
+	// is exact: each round drains min(bound, remaining) events.
 	driveBacklog := func(label string, n, wantBound, wantGrows int) error {
-		release, err := park()
-		if err != nil {
-			return err
-		}
-		resC := make([]bool, n)
-		errC := make([]error, n)
-		var cg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			cg.Add(1)
-			go func(i int) {
-				defer cg.Done()
-				c := s.NewConn()
-				_, resC[i], errC[i] = c.Do(memcache.FormatGet(fmt.Sprintf("rc-%02d", i)))
-			}(i)
-		}
-		if err := waitDepth(s, n); err != nil {
-			return err
+		release := park()
+		pending := make([]*proc.Pending[*memcache.Conn], n)
+		for i := range pending {
+			pending[i] = s.NewConn().Start(memcache.FormatGet(fmt.Sprintf("rc-%02d", i)))
 		}
 		preGrows := snap().Grows
 		if err := release(); err != nil {
 			return fmt.Errorf("chaos: sched park: %v", err)
 		}
-		cg.Wait()
-		for i := 0; i < n; i++ {
-			if errC[i] != nil || resC[i] {
-				r.failf("%s: get %d: closed=%v err=%v", label, i, resC[i], errC[i])
+		for i, h := range pending {
+			if res := h.Wait()[0]; res.Err != nil || res.Closed {
+				r.failf("%s: get %d: closed=%v err=%v", label, i, res.Closed, res.Err)
 			}
 		}
 		ss := snap()
@@ -175,17 +161,5 @@ func runSchedCampaign(cfg Config, r *Report) error {
 		return fmt.Errorf("chaos: server process died: %v", cause)
 	}
 	r.event("final rewinds=%d bound=%d", lib.Stats().Rewinds.Load(), snap().Bound)
-	return nil
-}
-
-// waitDepth polls worker 0's queue until it holds want events.
-func waitDepth(s *memcache.Server, want int) error {
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth(0) < want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("chaos: sched: queue depth %d never reached %d", s.QueueDepth(0), want)
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
 	return nil
 }

@@ -109,8 +109,9 @@ type backendHealth struct {
 }
 
 // Health tracks every backend's ladder state. It is consulted on the
-// hot path (Admitted) under a read lock and mutated by I/O outcome
-// reports and telemetry polls.
+// hot path (Admitted) and mutated by I/O outcome reports and telemetry
+// polls, all under one mutex: Admitted itself readmits a backend whose
+// hold-off has expired, so it is a writer too.
 type Health struct {
 	cfg   HealthConfig
 	names []string

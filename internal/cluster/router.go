@@ -51,21 +51,6 @@ type Config struct {
 	// stub it).
 	Fetch func(url string) ([]byte, error)
 
-	// HotK enables hot-key replication: the top-K keys of the read
-	// stream (by space-saving sketch) are served from any of
-	// HotReplicas ring successors and written through to all of them.
-	// 0 disables replication.
-	HotK int
-	// HotReplicas is the replica count per hot key, primary included
-	// (default 2, clamped to the backend count).
-	HotReplicas int
-	// HotPromote is the sketch's promotion floor: observations a key
-	// needs before it counts as hot (default 64).
-	HotPromote uint64
-	// HotRefresh is the request interval between hot-set recomputations
-	// (default 1024).
-	HotRefresh uint64
-
 	// MaxInboundBatch caps how many pipelined inbound requests join one
 	// fan-out round (default 64).
 	MaxInboundBatch int
@@ -84,15 +69,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.IOTimeout <= 0 {
 		c.IOTimeout = 10 * time.Second
-	}
-	if c.HotReplicas <= 0 {
-		c.HotReplicas = 2
-	}
-	if c.HotReplicas > len(c.Backends) {
-		c.HotReplicas = len(c.Backends)
-	}
-	if c.HotRefresh == 0 {
-		c.HotRefresh = 1024
 	}
 	if c.MaxInboundBatch <= 0 {
 		c.MaxInboundBatch = 64
@@ -141,21 +117,13 @@ func (p *pool) drain() {
 // Router is the cluster front-end: it accepts memcached text-protocol
 // clients, consistent-hashes keys onto backends, fans pipelined batches
 // out per backend concurrently, and reassembles replies in inbound
-// order. Routing is failure-aware — demoted backends are skipped and
-// their keys spill to ring successors — and hot keys are replicated.
+// order. Routing is failure-aware: demoted backends are skipped and
+// their keys spill to ring successors.
 type Router struct {
 	cfg    Config
 	ring   *Ring
 	health *Health
 	pools  []*pool
-	sketch *Sketch
-
-	// hot is the current hot set: map[string][]int (key -> replica
-	// backends in ring order). Replaced wholesale by refreshHotSet.
-	hot     atomic.Pointer[map[string][]int]
-	hotRR   atomic.Uint64
-	reads   atomic.Uint64
-	refresh sync.Mutex
 
 	done    chan struct{}
 	closing atomic.Bool
@@ -172,9 +140,6 @@ type Router struct {
 	mDemotions *telemetry.Counter
 	mReadmits  *telemetry.Counter
 	mFanoutLat *telemetry.Histogram
-	mHotKeys   *telemetry.Gauge
-	mHotReads  *telemetry.Counter
-	mHotWrites *telemetry.Counter
 	mClients   *telemetry.Gauge
 	mPollErrs  *telemetry.Counter
 }
@@ -209,11 +174,6 @@ func NewRouter(cfg Config) (*Router, error) {
 			ioTimeout:   cfg.IOTimeout,
 		}
 	}
-	if cfg.HotK > 0 {
-		rt.sketch = NewSketch(cfg.HotK, 0, cfg.HotPromote, 0)
-	}
-	empty := map[string][]int{}
-	rt.hot.Store(&empty)
 	if cfg.Telemetry != nil {
 		reg := cfg.Telemetry.Registry()
 		rt.mReqs = reg.CounterVec("sdrad_router_requests_total",
@@ -230,12 +190,6 @@ func NewRouter(cfg Config) (*Router, error) {
 			"Backends readmitted on probation after a hold-off expired.")
 		rt.mFanoutLat = reg.Histogram("sdrad_router_fanout_latency_ns",
 			"Per-backend pipelined exchange latency, nanoseconds.")
-		rt.mHotKeys = reg.Gauge("sdrad_router_hot_keys",
-			"Keys currently replicated by the hot-key sketch.")
-		rt.mHotReads = reg.Counter("sdrad_router_hot_reads_total",
-			"Reads served from a hot-key replica.")
-		rt.mHotWrites = reg.Counter("sdrad_router_hot_fanout_writes_total",
-			"Extra replica writes fanned out for hot keys.")
 		rt.mClients = reg.Gauge("sdrad_router_client_connections",
 			"Live client connections.")
 		rt.mPollErrs = reg.Counter("sdrad_router_poll_errors_total",
@@ -411,10 +365,9 @@ func classify(req []byte) (reqKind, string) {
 
 // fanReq is one request's routing plan inside a batch.
 type fanReq struct {
-	idx     int  // inbound position (reply slot)
-	shadow  bool // replica write: reply discarded
-	primary bool
-	req     []byte
+	idx    int  // inbound position (reply slot)
+	shadow bool // flush_all fan-out: the router already answered, reply discarded
+	req    []byte
 }
 
 // serveConn bridges one client connection: frame a pipelined inbound
@@ -476,7 +429,6 @@ func (rt *Router) serveConn(nc net.Conn) {
 func (rt *Router) routeBatch(reqs [][]byte, succ []int) (replies [][]byte, quit bool) {
 	replies = make([][]byte, len(reqs))
 	groups := make(map[int][]fanReq)
-	hot := *rt.hot.Load()
 scan:
 	for i, req := range reqs {
 		kind, key := classify(req)
@@ -505,53 +457,8 @@ scan:
 			replies[i] = []byte("ERROR\r\n")
 			continue
 		}
+		// The first admitted backend in ring order serves the key.
 		succ = rt.ring.Successors(key, 0, succ)
-		if kind == kindRead {
-			// Hot keys keep feeding the sketch too — otherwise decay would
-			// silently evict a key that is still hot.
-			rt.observeRead(key)
-		}
-		if replicas, ok := hot[key]; ok && kind == kindWrite {
-			// Hot write: fan to every admitted replica; the first admitted
-			// one answers the client.
-			first := true
-			for _, b := range replicas {
-				if !rt.health.Admitted(b) {
-					continue
-				}
-				groups[b] = append(groups[b], fanReq{idx: i, shadow: !first, primary: b == succ[0], req: req})
-				if !first && rt.mHotWrites != nil {
-					rt.mHotWrites.Add(1)
-				}
-				first = false
-			}
-			if first { // no admitted replica
-				replies[i] = unavailableReply()
-			}
-			continue
-		}
-		if replicas, ok := hot[key]; ok && kind == kindRead {
-			// Hot read: rotate over admitted replicas.
-			rr := int(rt.hotRR.Add(1))
-			picked := -1
-			for off := 0; off < len(replicas); off++ {
-				b := replicas[(rr+off)%len(replicas)]
-				if rt.health.Admitted(b) {
-					picked = b
-					break
-				}
-			}
-			if picked < 0 {
-				replies[i] = unavailableReply()
-				continue
-			}
-			if rt.mHotReads != nil && picked != succ[0] {
-				rt.mHotReads.Add(1)
-			}
-			groups[picked] = append(groups[picked], fanReq{idx: i, primary: picked == succ[0], req: req})
-			continue
-		}
-		// Normal path: first admitted backend in ring order.
 		target := -1
 		for _, b := range succ {
 			if rt.health.Admitted(b) {
@@ -566,7 +473,7 @@ scan:
 		if target != succ[0] && rt.mSpills != nil {
 			rt.mSpills.Add(1)
 		}
-		groups[target] = append(groups[target], fanReq{idx: i, primary: target == succ[0], req: req})
+		groups[target] = append(groups[target], fanReq{idx: i, req: req})
 	}
 
 	// Flush each backend's group concurrently, reassembling by inbound
@@ -581,29 +488,6 @@ scan:
 		}(b, group)
 	}
 	wg.Wait()
-
-	// Hot-read miss fallback: a replica that has not seen the key yet
-	// answers END; retry at the primary so replication warm-up cannot
-	// turn a hit into a miss.
-	for i, req := range reqs {
-		if replies[i] == nil || !bytes.Equal(replies[i], []byte("END\r\n")) {
-			continue
-		}
-		kind, key := classify(req)
-		if kind != kindRead {
-			continue
-		}
-		if _, ok := hot[key]; !ok {
-			continue
-		}
-		succ = rt.ring.Successors(key, 1, succ)
-		primary := succ[0]
-		if !rt.health.Admitted(primary) {
-			continue
-		}
-		one := []fanReq{{idx: i, primary: true, req: req}}
-		rt.exchange(primary, one, replies)
-	}
 	return replies, quit
 }
 
@@ -618,8 +502,8 @@ func unavailableReply() []byte {
 // exchange sends one backend's group as a single pipelined batch and
 // scatters the replies into the reply slots. Transport failures fill
 // the group's slots with a degraded reply and strike the backend's
-// ladder; a replica (shadow) write failure strikes but keeps the
-// client-visible reply from the answering backend.
+// ladder; a failed shadow request (flush_all's fan-out) strikes but keeps
+// the reply the router already gave the client.
 func (rt *Router) exchange(b int, group []fanReq, replies [][]byte) {
 	p := rt.pools[b]
 	var t0 time.Time
@@ -661,106 +545,6 @@ func (rt *Router) exchange(b int, group []fanReq, replies [][]byte) {
 	for i, fr := range group {
 		if !fr.shadow {
 			replies[fr.idx] = out[i]
-		}
-	}
-}
-
-// observeRead feeds the hot-key sketch and periodically refreshes the
-// hot set.
-func (rt *Router) observeRead(key string) {
-	if rt.sketch == nil {
-		return
-	}
-	rt.sketch.Observe(key)
-	if rt.reads.Add(1)%rt.cfg.HotRefresh == 0 {
-		rt.refreshHotSet()
-	}
-}
-
-// refreshHotSet recomputes the replicated key set from the sketch and
-// warms new hot keys: the primary's current value is copied to the
-// replicas so reads can fan out immediately without a miss storm.
-func (rt *Router) refreshHotSet() {
-	rt.refresh.Lock()
-	defer rt.refresh.Unlock()
-	old := *rt.hot.Load()
-	top := rt.sketch.TopK()
-	next := make(map[string][]int, len(top))
-	succ := make([]int, 0, rt.ring.Backends())
-	for _, key := range top {
-		succ = rt.ring.Successors(key, rt.cfg.HotReplicas, succ)
-		next[key] = append([]int(nil), succ...)
-		if _, was := old[key]; !was {
-			rt.warmHotKey(key, next[key])
-		}
-	}
-	rt.hot.Store(&next)
-	if rt.mHotKeys != nil {
-		rt.mHotKeys.Set(int64(len(next)))
-	}
-}
-
-// RefreshHotSet forces a hot-set recomputation (tests and benches; the
-// serving path refreshes every HotRefresh reads).
-func (rt *Router) RefreshHotSet() { rt.refreshHotSet() }
-
-// HotKeys returns the currently replicated keys.
-func (rt *Router) HotKeys() []string {
-	hot := *rt.hot.Load()
-	out := make([]string, 0, len(hot))
-	for k := range hot {
-		out = append(out, k)
-	}
-	return out
-}
-
-// warmHotKey copies key's value from its primary to the other replicas.
-// Best effort: a failed warm-up costs a fallback-to-primary on the
-// first replica read, not correctness.
-func (rt *Router) warmHotKey(key string, replicas []int) {
-	if len(replicas) < 2 {
-		return
-	}
-	primary := replicas[0]
-	if !rt.health.Admitted(primary) {
-		return
-	}
-	p := rt.pools[primary]
-	c, err := p.get()
-	if err != nil {
-		rt.health.ReportFailure(primary, "warm dial: "+err.Error())
-		return
-	}
-	rep, err := c.Do(memcache.FormatGet(key))
-	if err != nil {
-		_ = c.Close()
-		rt.health.ReportFailure(primary, "warm get: "+err.Error())
-		return
-	}
-	p.put(c)
-	val, flags, ok := memcache.ParseGetValue(rep)
-	if !ok {
-		return // nothing to replicate yet
-	}
-	set := memcache.FormatSet(key, val, flags)
-	for _, b := range replicas[1:] {
-		if !rt.health.Admitted(b) {
-			continue
-		}
-		rp := rt.pools[b]
-		rc, err := rp.get()
-		if err != nil {
-			rt.health.ReportFailure(b, "warm dial: "+err.Error())
-			continue
-		}
-		if _, err := rc.Do(set); err != nil {
-			_ = rc.Close()
-			rt.health.ReportFailure(b, "warm set: "+err.Error())
-			continue
-		}
-		rp.put(rc)
-		if rt.mHotWrites != nil {
-			rt.mHotWrites.Add(1)
 		}
 	}
 }

@@ -333,66 +333,3 @@ func TestRouterQuarantineReadmit(t *testing.T) {
 		t.Fatalf("primary did not receive post-readmit writes: %q err=%v", rep, err)
 	}
 }
-
-func TestRouterHotKeyReplication(t *testing.T) {
-	var cfgBackends []Backend
-	var backends []*testBackend
-	for i := 0; i < 3; i++ {
-		b := startBackend(t, fmt.Sprintf("b%d", i))
-		defer b.stop()
-		backends = append(backends, b)
-		cfgBackends = append(cfgBackends, Backend{Name: b.name, Addr: b.ln.Addr().String()})
-	}
-	rt, addr := startRouter(t, Config{
-		Backends:    cfgBackends,
-		HotK:        2,
-		HotReplicas: 3,
-		HotPromote:  32,
-		HotRefresh:  64,
-	})
-	c := mustDial(t, addr)
-
-	if rep, err := c.Do(memcache.FormatSet("hotkey", []byte("original"), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
-		t.Fatalf("seed set: %q err=%v", rep, err)
-	}
-	// Hammer the key hot; the refresh promotes and warms it.
-	for i := 0; i < 200; i++ {
-		rep, err := c.Do(memcache.FormatGet("hotkey"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if val, _, ok := memcache.ParseGetValue(rep); !ok || string(val) != "original" {
-			t.Fatalf("read %d: %q — replica fallback lost the value", i, rep)
-		}
-	}
-	rt.RefreshHotSet()
-	hotNow := rt.HotKeys()
-	if len(hotNow) != 1 || hotNow[0] != "hotkey" {
-		t.Fatalf("hot set %v, want [hotkey]", hotNow)
-	}
-	// A write to the hot key fans out to every replica: each backend
-	// must hold the new value directly.
-	if rep, err := c.Do(memcache.FormatSet("hotkey", []byte("fanned"), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
-		t.Fatalf("hot write: %q err=%v", rep, err)
-	}
-	for i, b := range backends {
-		cb := mustDial(t, b.ln.Addr().String())
-		rep, err := cb.Do(memcache.FormatGet("hotkey"))
-		if err != nil {
-			t.Fatalf("backend %d: %v", i, err)
-		}
-		if val, _, ok := memcache.ParseGetValue(rep); !ok || string(val) != "fanned" {
-			t.Fatalf("backend %d missing fanned hot write: %q", i, rep)
-		}
-	}
-	// Reads of the hot key still see the fanned value from any replica.
-	for i := 0; i < 30; i++ {
-		rep, err := c.Do(memcache.FormatGet("hotkey"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if val, _, ok := memcache.ParseGetValue(rep); !ok || string(val) != "fanned" {
-			t.Fatalf("hot read %d: %q", i, rep)
-		}
-	}
-}

@@ -459,7 +459,7 @@ func TestPlaceWorkerLegacyRoundRobin(t *testing.T) {
 			t.Fatalf("placement %d = worker %d, want %d", i, got, i%3)
 		}
 	}
-	if got := cap(m.Worker(0).ch); got != 0 {
+	if got := cap(m.Worker(0).mb.Events()); got != 0 {
 		t.Fatalf("event queue buffered to %d, want rendezvous", got)
 	}
 }
@@ -501,6 +501,9 @@ func TestPoolContentionGauges(t *testing.T) {
 }
 
 func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
+	// One manual clock for the controller and the engine: the pin is a
+	// function of the attacks and the advance, not of how fast they ran.
+	clk := &policy.ManualClock{}
 	// Thresholds far out of reach: the rewind ladder alone never
 	// escalates, so any Backoff state must come from the controller's
 	// floor-pin pressure signal.
@@ -508,11 +511,12 @@ func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
 		BackoffThreshold:    1000,
 		QuarantineThreshold: 1001,
 		ShedThreshold:       1002,
+		Clock:               clk.Now,
 	})
 	m, err := NewMaster(Config{
 		Variant: VariantSDRaD,
 		Files:   testFiles,
-		Sched:   sched.Config{Window: 50 * time.Millisecond},
+		Sched:   sched.Config{Clock: clk.Now},
 		Policy:  eng,
 	})
 	if err != nil {
@@ -520,33 +524,48 @@ func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
 	}
 	t.Cleanup(m.Stop)
 	w := m.Worker(0)
-	// Repeated attacks halve the bound to the floor and keep the rewind
-	// window hot past the 50ms pin window.
-	deadline := time.Now().Add(10 * time.Second)
-	for w.SchedSnapshot().FloorPins == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("controller never reported a floor pin")
-		}
-		evil := w.NewConn()
-		if _, closed, err := evil.Do(FormatRequest(attackURI(), true)); err != nil || !closed {
+	attack := func() {
+		t.Helper()
+		if _, closed, err := w.NewConn().Do(FormatRequest(attackURI(), true)); err != nil || !closed {
 			t.Fatalf("attack: closed=%v err=%v", closed, err)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	var snap *policy.DomainSnapshot
+	// Attacks inside one frozen window halve the bound to the floor and
+	// arm the pin timer there.
+	for n := 0; n < w.cfg.MaxBatch && w.SchedSnapshot().Bound > 1; n++ {
+		attack()
+	}
+	if snap := w.SchedSnapshot(); snap.Bound != 1 || snap.FloorPins != 0 {
+		t.Fatalf("bound=%d floor pins=%d after the burst, want the floor and no pin yet", snap.Bound, snap.FloorPins)
+	}
+	// A full window later the parser is still rewinding at bound 1.
+	clk.Advance(time.Second)
+	attack()
+	if got := w.SchedSnapshot().FloorPins; got != 1 {
+		t.Fatalf("floor pins = %d after a window pinned at the floor, want exactly 1", got)
+	}
 	for _, ds := range eng.Snapshot() {
-		if ds.UDI == int(parserUDI) {
-			s := ds
-			snap = &s
+		if ds.UDI != int(parserUDI) {
+			continue
 		}
+		if ds.State != policy.StateBackoff.String() || ds.Escalations < 1 {
+			t.Fatalf("parser policy state = %s after %d escalations, want %s (floor-pin pressure)",
+				ds.State, ds.Escalations, policy.StateBackoff)
+		}
+		return
 	}
-	if snap == nil {
-		t.Fatal("no policy state for the parser UDI")
-	}
-	if snap.State != policy.StateBackoff.String() {
-		t.Fatalf("parser policy state = %s, want %s (floor-pin pressure)", snap.State, policy.StateBackoff)
-	}
-	if snap.Escalations < 1 {
-		t.Fatalf("escalations = %d, want >= 1", snap.Escalations)
+	t.Fatal("no policy state for the parser UDI")
+}
+
+func TestHandOffAllocationBudget(t *testing.T) {
+	// The shared hand-off may not cost a warm keep-alive GET more Go-heap
+	// allocations than the per-server copy it replaced did.
+	req := FormatRequest("/index.html", true)
+	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
+		c := startMaster(t, v, 1).Worker(0).NewConn()
+		mustGet(t, c, "/index.html") // creates the parser domain and buffers
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(req) }); n > 15 {
+			t.Errorf("%v: warm Do allocates %.0f times, budget 15", v, n)
+		}
 	}
 }

@@ -76,10 +76,10 @@ type Config struct {
 	// each event to the controller's live bound (grown under load,
 	// shrunk while the rewind window is hot).
 	MaxBatch int
-	// Sched carries the batch-bound controller's wiring and test seams
-	// (clock, rewind window, guard-cost estimate, floor-pin hook). The
-	// controller itself is not optional; the zero value is the default,
-	// with floor pins fed to Policy when one is attached.
+	// Sched carries the batch-bound controller's wiring: a clock (test
+	// seam) and the floor-pin hook. The controller itself is not optional;
+	// the zero value is the default, with floor pins fed to Policy when
+	// one is attached.
 	Sched sched.Config
 	// VerifyClientCerts enables X.509 client-certificate checking of the
 	// X-Client-Cert request header — the paper's §V-C integration, where
@@ -211,7 +211,7 @@ type Worker struct {
 	p   *proc.Process
 	lib *core.Library // hardened build only
 
-	ch       chan *event
+	mb       *proc.Mailbox[*Conn]
 	alloc    connAllocator
 	files    map[string]fileEntry
 	rewinds  atomic.Int64
@@ -233,11 +233,8 @@ type Worker struct {
 	pool        *Pool
 
 	// Reused per-batch scratch (owned by the worker thread): one slot per
-	// request of the current guard scope, plus the one-request batch a
-	// plain Do is served as.
+	// request of the current guard scope.
 	scratch []reqState
-	one     [1][]byte
-	oneRes  [1]result
 	// maxFile is the largest configured file, computed once in provision;
 	// it sizes every connection's write buffer.
 	maxFile int
@@ -258,27 +255,6 @@ type reqState struct {
 type fileEntry struct {
 	addr mem.Addr
 	size int
-}
-
-type event struct {
-	conn *Conn
-	req  []byte
-	resp chan result
-	// reqs/respN carry a pipelined batch: all requests are handled in one
-	// guard scope on the hardened build, and respN receives one result per
-	// request, in order.
-	reqs  [][]byte
-	respN chan []result
-	// inspect, when non-nil, makes the event a control event: the worker
-	// runs the closure on its own thread between requests (chaos-audit
-	// hook); conn and req are ignored.
-	inspect func(t *proc.Thread) error
-}
-
-type result struct {
-	data   []byte
-	closed bool
-	err    error
 }
 
 // Conn is a keep-alive client connection pinned to a worker.
@@ -316,9 +292,11 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 		idx:  idx,
 		cfg:  cfg,
 		p:    proc.NewProcess(fmt.Sprintf("nginx-worker-%d-%s", idx, cfg.Variant.String()), proc.WithSeed(cfg.Seed+int64(idx))),
-		ch:   make(chan *event),
 		ctrl: sched.NewController(cfg.Sched, cfg.MaxBatch),
 	}
+	// No queue: a single-threaded event loop takes one client event at a
+	// time, so a start is a rendezvous with it.
+	w.mb = proc.NewMailbox[*Conn](w.p, 0, cfg.MaxBatch, ErrWorkerDown)
 	if cfg.Variant == VariantSDRaD {
 		opts := []core.SetupOption{core.WithRootHeapSize(heapBudget(cfg))}
 		if cfg.Telemetry != nil {
@@ -490,17 +468,13 @@ func (w *Worker) run(t *proc.Thread) error {
 		select {
 		case <-w.p.Done():
 			return nil
-		case ev := <-w.ch:
-			switch {
-			case ev.inspect != nil:
-				ev.resp <- result{err: ev.inspect(t)}
-			case ev.reqs != nil:
-				ev.respN <- w.serve(t, ev.conn, ev.reqs, make([]result, len(ev.reqs)))
-			default:
-				// A plain Do is a batch of one on worker-owned scratch.
-				w.one[0] = ev.req
-				ev.resp <- w.serve(t, ev.conn, w.one[:1], w.oneRes[:1])[0]
+		case ev := <-w.mb.Events():
+			if ev.Inspect != nil {
+				ev.RunInspect(t)
+				continue
 			}
+			w.serve(t, ev.Conn, ev.Reqs, ev.Res)
+			ev.Finish()
 		}
 	}
 }
@@ -512,26 +486,11 @@ func (w *Worker) NewConn() *Conn {
 
 // Do sends one HTTP request and returns the raw response.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
-	ev := &event{conn: c, req: req, resp: make(chan result, 1)}
-	select {
-	case c.w.ch <- ev:
-	case <-c.w.p.Done():
-		return nil, true, ErrWorkerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.data, r.closed, r.err
-	case <-c.w.p.Done():
-		return nil, true, ErrWorkerDown
-	}
+	return c.w.mb.Do(c, req)
 }
 
 // PipelineResult is one request's outcome from DoPipeline.
-type PipelineResult struct {
-	Resp   []byte
-	Closed bool
-	Err    error
-}
+type PipelineResult = proc.Result
 
 // DoPipeline sends reqs back-to-back on the connection and returns one
 // result per request, in order. The hardened worker parses up to
@@ -539,58 +498,14 @@ type PipelineResult struct {
 // pipelines are split into MaxBatch-sized chunks client-side. Requests
 // behind a server-side close report Closed, as if issued after it.
 func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
-	w := c.w
-	out := make([]PipelineResult, 0, len(reqs))
-	down := func() []PipelineResult {
-		for len(out) < len(reqs) {
-			out = append(out, PipelineResult{Closed: true, Err: ErrWorkerDown})
-		}
-		return out
-	}
-	maxB := w.cfg.MaxBatch
-	var evs []*event
-	for off := 0; off < len(reqs); off += maxB {
-		end := off + maxB
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		ev := &event{conn: c, reqs: reqs[off:end], respN: make(chan []result, 1)}
-		select {
-		case w.ch <- ev:
-			evs = append(evs, ev)
-		case <-w.p.Done():
-			return down()
-		}
-	}
-	for _, ev := range evs {
-		select {
-		case rs := <-ev.respN:
-			for _, r := range rs {
-				out = append(out, PipelineResult{Resp: r.data, Closed: r.closed, Err: r.err})
-			}
-		case <-w.p.Done():
-			return down()
-		}
-	}
-	return out
+	return c.w.mb.DoPipeline(c, reqs)
 }
 
 // Inspect runs fn on the worker's event-loop thread between requests. The
 // chaos engine uses it to run invariant audits and arm fault injectors on
 // the serving thread; fn must leave the thread in the root domain.
 func (w *Worker) Inspect(fn func(t *proc.Thread) error) error {
-	ev := &event{inspect: fn, resp: make(chan result, 1)}
-	select {
-	case w.ch <- ev:
-	case <-w.p.Done():
-		return ErrWorkerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.err
-	case <-w.p.Done():
-		return ErrWorkerDown
-	}
+	return w.mb.Inspect(fn)
 }
 
 // Stop terminates the worker process.
@@ -638,12 +553,12 @@ func (w *Worker) Library() *core.Library { return w.lib }
 // context save, one recovery point), so a rewind while the window is hot
 // discards less of the pipeline; the bound regrows between chunks under
 // sustained depth.
-func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []result) []result {
+func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) {
 	if w.cfg.Variant != VariantSDRaD {
 		for i, req := range reqs {
 			results[i] = w.handleRequest(t, conn, req)
 		}
-		return results
+		return
 	}
 	for off := 0; off < len(reqs); {
 		end := min(off+w.ctrl.Bound(), len(reqs))
@@ -660,22 +575,21 @@ func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []resu
 		w.ctrl.ObserveRound(backlog, end-off, w.ctrl.Now()-t0)
 		off = end
 	}
-	return results
 }
 
 // handleRequest is the baselines' sequential per-request flow.
-func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) result {
+func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) proc.Result {
 	if conn.closed {
-		return result{closed: true, err: ErrConnClosed}
+		return proc.Result{Closed: true, Err: ErrConnClosed}
 	}
 	if len(reqBytes) > w.cfg.ConnBufSize {
-		return result{err: ErrTooLarge}
+		return proc.Result{Err: ErrTooLarge}
 	}
 	w.reqs.Add(1)
 	c := t.CPU()
 	if !conn.ready {
 		if err := w.allocConnBuffers(t, conn); err != nil {
-			return result{err: err}
+			return proc.Result{Err: err}
 		}
 	}
 	c.Write(conn.rbuf, reqBytes)
@@ -692,7 +606,7 @@ func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) resu
 		var closed bool
 		status, closed = w.checkClientCert(t, conn, &req)
 		if closed {
-			return result{closed: true}
+			return proc.Result{Closed: true}
 		}
 	}
 	return w.respond(t, conn, &req, perr, status)
@@ -772,7 +686,7 @@ func quarantineState(qe *core.QuarantineError) policy.State {
 // exit anywhere rewinds once, discards the whole in-flight chunk, and
 // closes the connection — the paper's single-event rewind semantics,
 // which the chunk of one is exactly.
-func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, results []result) []result {
+func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) []proc.Result {
 	lib := w.lib
 	c := t.CPU()
 	if cap(w.scratch) < len(reqs) {
@@ -785,10 +699,10 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 		switch {
 		case conn.closed:
 			rs[i].done = true
-			results[i] = result{closed: true, err: ErrConnClosed}
+			results[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 		case len(req) > w.cfg.ConnBufSize:
 			rs[i].done = true
-			results[i] = result{err: ErrTooLarge}
+			results[i] = proc.Result{Err: ErrTooLarge}
 		default:
 			w.reqs.Add(1)
 			live++
@@ -806,7 +720,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 	}
 	if !conn.ready {
 		if err := w.allocConnBuffers(t, conn); err != nil {
-			return setLive(rs, results, result{err: err})
+			return setLive(rs, results, proc.Result{Err: err})
 		}
 	}
 	gerr := lib.Guard(t, parserUDI, func() error {
@@ -866,7 +780,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 				conn.closed = true
 				w.freeConnBuffers(t, conn)
 			}
-			return setLive(rs, results, result{closed: true})
+			return setLive(rs, results, proc.Result{Closed: true})
 		}
 		var qe *core.QuarantineError
 		if errors.As(gerr, &qe) {
@@ -875,7 +789,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			w.domainReady = false
 			return w.degradeLive(t, conn, rs, results, quarantineState(qe), qe.RetryAfterNs)
 		}
-		return setLive(rs, results, result{err: gerr})
+		return setLive(rs, results, proc.Result{Err: gerr})
 	}
 	// Respond in batch order. A response that closes the connection
 	// (Connection: close, or a certificate-verifier rewind) closes it for
@@ -885,7 +799,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			continue
 		}
 		if conn.closed {
-			results[i] = result{closed: true, err: ErrConnClosed}
+			results[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
 		status := ""
@@ -893,7 +807,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			var closed bool
 			status, closed = w.checkClientCert(t, conn, &rs[i].parsed)
 			if closed {
-				results[i] = result{closed: true}
+				results[i] = proc.Result{Closed: true}
 				continue
 			}
 		}
@@ -903,7 +817,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 }
 
 // setLive gives every live request of a chunk the same result.
-func setLive(rs []reqState, results []result, r result) []result {
+func setLive(rs []reqState, results []proc.Result, r proc.Result) []proc.Result {
 	for i := range rs {
 		if !rs[i].done {
 			results[i] = r
@@ -914,13 +828,13 @@ func setLive(rs []reqState, results []result, r result) []result {
 
 // degradeLive answers every live request of a chunk on the degraded
 // path (a shed closes the connection for the requests behind it).
-func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results []result, state policy.State, retryAfterNs int64) []result {
+func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results []proc.Result, state policy.State, retryAfterNs int64) []proc.Result {
 	for i := range rs {
 		if rs[i].done {
 			continue
 		}
 		if conn.closed {
-			results[i] = result{closed: true, err: ErrConnClosed}
+			results[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
 		results[i] = w.respondDegraded(t, conn, state, retryAfterNs)
@@ -935,14 +849,14 @@ func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results 
 // open; once the policy escalates to shedding the connection is closed
 // outright. The response is synthesized host-side — the degraded path
 // deliberately touches no simulated domain memory.
-func (w *Worker) respondDegraded(t *proc.Thread, conn *Conn, state policy.State, retryAfterNs int64) result {
+func (w *Worker) respondDegraded(t *proc.Thread, conn *Conn, state policy.State, retryAfterNs int64) proc.Result {
 	if state == policy.StateShedding {
 		if !conn.closed {
 			conn.closed = true
 			w.freeConnBuffers(t, conn)
 			w.shed.Add(1)
 		}
-		return result{closed: true}
+		return proc.Result{Closed: true}
 	}
 	w.degraded.Add(1)
 	secs := (retryAfterNs + int64(time.Second) - 1) / int64(time.Second)
@@ -952,13 +866,13 @@ func (w *Worker) respondDegraded(t *proc.Thread, conn *Conn, state policy.State,
 	resp := fmt.Sprintf("HTTP/1.1 503 Service Unavailable\r\n"+
 		"Server: sdrad-httpd/1.23\r\nRetry-After: %d\r\nContent-Length: 0\r\n"+
 		"Connection: keep-alive\r\n\r\n", secs)
-	return result{data: []byte(resp)}
+	return proc.Result{Resp: []byte(resp)}
 }
 
 // respond builds the HTTP response in the connection write buffer.
 // statusOverride, when non-empty, replaces the normal status line (403
 // from certificate checking).
-func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, statusOverride string) result {
+func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, statusOverride string) proc.Result {
 	c := t.CPU()
 	var status string
 	var body fileEntry
@@ -985,7 +899,7 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 	header := fmt.Sprintf("%sServer: sdrad-httpd/1.23\r\nContent-Length: %d\r\n%s\r\n",
 		status, body.size, conLine)
 	if len(header)+body.size > conn.wcap {
-		return result{err: ErrTooLarge}
+		return proc.Result{Err: ErrTooLarge}
 	}
 	c.Write(conn.wbuf, []byte(header))
 	wlen := len(header)
@@ -1000,7 +914,7 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 		conn.closed = true
 		w.freeConnBuffers(t, conn)
 	}
-	return result{data: resp, closed: !req.KeepAlive}
+	return proc.Result{Resp: resp, Closed: !req.KeepAlive}
 }
 
 // freeConnBuffers releases a closed connection's buffers back to the

@@ -472,60 +472,6 @@ func (c *CPU) Copy(dst, src Addr, n int) {
 	}
 }
 
-// ReadU16 loads a little-endian uint16 from addr.
-func (c *CPU) ReadU16(addr Addr) uint16 {
-	if off := addr.PageOff(); off <= PageSize-2 {
-		pg := c.translate(addr, AccessRead)
-		c.counts.reads++
-		c.counts.bytesRead += 2
-		return binary.LittleEndian.Uint16(pg.data[off:])
-	}
-	var b [2]byte
-	c.Read(addr, b[:])
-	return binary.LittleEndian.Uint16(b[:])
-}
-
-// WriteU16 stores a little-endian uint16 at addr.
-func (c *CPU) WriteU16(addr Addr, v uint16) {
-	if off := addr.PageOff(); off <= PageSize-2 {
-		pg := c.translate(addr, AccessWrite)
-		c.counts.writes++
-		c.counts.bytesWritten += 2
-		binary.LittleEndian.PutUint16(pg.data[off:], v)
-		return
-	}
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	c.Write(addr, b[:])
-}
-
-// ReadU32 loads a little-endian uint32 from addr.
-func (c *CPU) ReadU32(addr Addr) uint32 {
-	if off := addr.PageOff(); off <= PageSize-4 {
-		pg := c.translate(addr, AccessRead)
-		c.counts.reads++
-		c.counts.bytesRead += 4
-		return binary.LittleEndian.Uint32(pg.data[off:])
-	}
-	var b [4]byte
-	c.Read(addr, b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// WriteU32 stores a little-endian uint32 at addr.
-func (c *CPU) WriteU32(addr Addr, v uint32) {
-	if off := addr.PageOff(); off <= PageSize-4 {
-		pg := c.translate(addr, AccessWrite)
-		c.counts.writes++
-		c.counts.bytesWritten += 4
-		binary.LittleEndian.PutUint32(pg.data[off:], v)
-		return
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	c.Write(addr, b[:])
-}
-
 // ReadU64 loads a little-endian uint64 from addr.
 func (c *CPU) ReadU64(addr Addr) uint64 {
 	if off := addr.PageOff(); off <= PageSize-8 {

@@ -237,6 +237,3 @@ func (c *CPU) InvalidateLeases() { c.leaseGen++ }
 // discard, DProtect), since those change PKRU derivation without
 // necessarily touching the page table.
 func (as *AddressSpace) BumpLeaseEpoch() { as.leaseEpoch.Add(1) }
-
-// LeaseEpoch returns the current lease epoch (diagnostics and tests).
-func (as *AddressSpace) LeaseEpoch() uint64 { return as.leaseEpoch.Load() }

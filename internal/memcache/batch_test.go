@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"sdrad/internal/core"
@@ -373,19 +372,10 @@ func TestBorrowedStoresAcrossTwoConnsInOneRoundMatchVanilla(t *testing.T) {
 	run := func(v Variant) (resps [][]byte) {
 		s := startServer(t, v, 1)
 		a, b := s.NewConn(), s.NewConn()
-		var resA, resB []PipelineResult
 		release := parkWorker(t, s)
-		var wg sync.WaitGroup
-		stage := func(depth int, fn func()) {
-			wg.Add(1)
-			go func() { defer wg.Done(); fn() }()
-			waitQueued(t, s, depth)
-		}
-		stage(1, func() { resA = a.DoPipeline(reqs[:3]) })
-		stage(2, func() { resB = b.DoPipeline(reqs[3:]) })
+		startA, startB := a.Start(reqs[:3]...), b.Start(reqs[3:]...)
 		release()
-		wg.Wait()
-		for i, r := range append(resA, resB...) {
+		for i, r := range append(startA.Wait(), startB.Wait()...) {
 			if r.Err != nil || r.Closed {
 				t.Fatalf("%v res[%d]: closed=%v err=%v", v, i, r.Closed, r.Err)
 			}
@@ -609,5 +599,24 @@ func TestHardenedInlineSetAllocatesNoMoreThanVanilla(t *testing.T) {
 	}
 	if vanilla, hardened := allocs(VariantVanilla), allocs(VariantSDRaD); hardened > vanilla {
 		t.Errorf("hardened set allocates %.0f times, vanilla %.0f", hardened, vanilla)
+	}
+}
+
+func TestHandOffAllocationBudget(t *testing.T) {
+	// The shared hand-off may not cost a warm request more Go-heap
+	// allocations than the per-server copy it replaced did: 6 for a Do, 18
+	// for a DoPipeline of four gets (event, completion signal and results
+	// on the client side; tokenize and reply delivery on the worker's).
+	get := FormatGet("k")
+	burst := [][]byte{get, get, get, get}
+	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
+		c := startServer(t, v, 1).NewConn()
+		mustDo(t, c, FormatSet("k", []byte("value"), 0))
+		c.DoPipeline(burst) // creates the domain slots a burst of four uses
+		do := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(get) })
+		pipe := testing.AllocsPerRun(100, func() { c.DoPipeline(burst) })
+		if do > 6 || pipe > 18 {
+			t.Errorf("%v: warm Do allocates %.0f times (budget 6), DoPipeline of 4 gets %.0f (budget 18)", v, do, pipe)
+		}
 	}
 }

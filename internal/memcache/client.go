@@ -173,30 +173,6 @@ func ReadRequest(r *bufio.Reader) ([]byte, error) {
 	return append(req, body...), nil
 }
 
-// RequestKey extracts the routing key of a framed text request: the
-// second token of the command line for every keyed command, "" for
-// keyless commands (stats, flush_all, version, quit) and binary frames.
-// Multi-key gets route by their first key.
-func RequestKey(req []byte) string {
-	if len(req) == 0 || req[0] == BinMagicRequest {
-		return ""
-	}
-	nl := bytes.IndexByte(req, '\n')
-	if nl < 0 {
-		nl = len(req)
-	}
-	fields := bytes.Fields(bytes.TrimRight(req[:nl], "\r\n"))
-	if len(fields) < 2 {
-		return ""
-	}
-	switch string(fields[0]) {
-	case "get", "gets", "set", "add", "replace", "append", "prepend",
-		"cas", "delete", "touch", "incr", "decr", "bset":
-		return string(fields[1])
-	}
-	return ""
-}
-
 // ReadReply frames one text-protocol reply off a server byte stream: a
 // single terminal line for most commands, or — when the first line opens
 // a multi-line reply (VALUE or STAT) — everything through the END line.

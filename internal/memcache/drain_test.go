@@ -2,9 +2,7 @@ package memcache
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"sdrad/internal/proc"
 )
@@ -46,18 +44,6 @@ func parkWorker(t *testing.T, s *Server) (release func()) {
 	return func() { close(releaseCh) }
 }
 
-// waitQueued polls until worker 0's channel holds n queued events.
-func waitQueued(t *testing.T, s *Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth(0) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker queue stuck at %d events, want %d", s.QueueDepth(0), n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 func TestDefaultServerBoundsBlastRadiusUnderTrapBurst(t *testing.T) {
 	// No scheduler configuration: the adaptive bound is the server's one
 	// drain path. A trap burst walks it to 1, and while the rewind window
@@ -75,42 +61,31 @@ func TestDefaultServerBoundsBlastRadiusUnderTrapBurst(t *testing.T) {
 	trapToFloor(t, s)
 	rewinds0 := s.Rewinds()
 
+	// Three sequential Starts behind the parked worker: the backlog is in
+	// the queue, in this order, before the worker drains any of it.
 	release := parkWorker(t, s)
-	before, evil, after := s.NewConn(), s.NewConn(), s.NewConn()
-	var resBefore []PipelineResult
-	var respAfter []byte
-	var closedEvil, closedAfter bool
-	var errEvil, errAfter error
-	var wg sync.WaitGroup
-	stage := func(depth int, fn func()) {
-		wg.Add(1)
-		go func() { defer wg.Done(); fn() }()
-		waitQueued(t, s, depth)
-	}
-	stage(1, func() {
-		// Larger than the bound: the first event of a round is still
-		// taken whole.
-		resBefore = before.DoPipeline([][]byte{
-			FormatSet("b0", []byte("landed"), 0),
-			FormatSet("b1", []byte("landed"), 0),
-			FormatSet("b2", []byte("landed"), 0),
-		})
-	})
-	stage(2, func() { _, closedEvil, errEvil = evil.Do(FormatBSet("atk", 16<<20, []byte("payload"))) })
-	stage(3, func() { respAfter, closedAfter, errAfter = after.Do(FormatSet("a0", []byte("landed"), 0)) })
+	// Larger than the bound: the first event of a round is still taken
+	// whole.
+	before := s.NewConn().Start(
+		FormatSet("b0", []byte("landed"), 0),
+		FormatSet("b1", []byte("landed"), 0),
+		FormatSet("b2", []byte("landed"), 0),
+	)
+	evil := s.NewConn().Start(FormatBSet("atk", 16<<20, []byte("payload")))
+	after := s.NewConn().Start(FormatSet("a0", []byte("landed"), 0))
 	release()
-	wg.Wait()
+	resBefore, resEvil, resAfter := before.Wait(), evil.Wait()[0], after.Wait()[0]
 
 	for i, r := range resBefore {
 		if r.Err != nil || r.Closed || string(r.Resp) != "STORED\r\n" {
 			t.Errorf("event ahead of the trap, item %d: %q closed=%v err=%v", i, r.Resp, r.Closed, r.Err)
 		}
 	}
-	if errEvil != nil || !closedEvil {
-		t.Errorf("trap: closed=%v err=%v, want closed by the rewind", closedEvil, errEvil)
+	if resEvil.Err != nil || !resEvil.Closed {
+		t.Errorf("trap: closed=%v err=%v, want closed by the rewind", resEvil.Closed, resEvil.Err)
 	}
-	if errAfter != nil || closedAfter || string(respAfter) != "STORED\r\n" {
-		t.Errorf("event behind the trap: %q closed=%v err=%v, want untouched", respAfter, closedAfter, errAfter)
+	if resAfter.Err != nil || resAfter.Closed || string(resAfter.Resp) != "STORED\r\n" {
+		t.Errorf("event behind the trap: %q closed=%v err=%v, want untouched", resAfter.Resp, resAfter.Closed, resAfter.Err)
 	}
 	if got := s.Rewinds() - rewinds0; got != 1 {
 		t.Errorf("rewinds = %d for the staged trap, want 1", got)
@@ -157,7 +132,7 @@ func TestSchedChunkedPipelineInOrder(t *testing.T) {
 	}
 }
 
-func TestSchedFaultSemanticsMatchLegacy(t *testing.T) {
+func TestSchedMidBatchFaultRewindsOnceAndHalvesBound(t *testing.T) {
 	// A mid-batch attack keeps the paper's fault semantics — one rewind,
 	// exactly one forensics report, the whole batch discarded — and feeds
 	// the controller: the rewind enters the window and the bound halves.
@@ -231,7 +206,7 @@ func TestSchedSplitNeverSeparatesOneEventRun(t *testing.T) {
 	}
 }
 
-func TestRouteOffKeepsLegacyRoundRobinPlacement(t *testing.T) {
+func TestNewConnPlacesRoundRobin(t *testing.T) {
 	// NewConn is the round-robin cursor: the ledger's per-worker dialing
 	// and the chaos audits redial until they land on a chosen worker.
 	s := startServer(t, VariantSDRaD, 3)

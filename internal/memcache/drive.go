@@ -12,6 +12,8 @@ import (
 // the SDRaD build can defer mutations to normal domain exit (paper §V-A:
 // wrapped slabs_alloc/store_item perform each operation on a copy and the
 // database is updated only after the event handler leaves the domain).
+// Baselines pass the *Storage itself, which applies every operation
+// immediately; the hardened build passes its deferredOps.
 type storeOps interface {
 	Get(c *mem.CPU, key []byte) (value []byte, flags uint32, ok bool)
 	GetWithCAS(c *mem.CPU, key []byte) (value []byte, flags uint32, casid uint64, ok bool)
@@ -29,37 +31,6 @@ type storeOps interface {
 	FlushAll(c *mem.CPU)
 	Stats() StorageStats
 }
-
-// directOps applies operations immediately (baseline builds, and the
-// post-exit application step of the hardened build).
-type directOps struct{ st *Storage }
-
-func (d directOps) Get(c *mem.CPU, key []byte) ([]byte, uint32, bool) { return d.st.Get(c, key) }
-func (d directOps) GetWithCAS(c *mem.CPU, key []byte) ([]byte, uint32, uint64, bool) {
-	return d.st.GetWithCAS(c, key)
-}
-func (d directOps) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]byte, uint32, uint64, bool) {
-	return d.st.AppendGet(c, key, dst, withCAS)
-}
-func (d directOps) Set(c *mem.CPU, key, value []byte, flags uint32) error {
-	return d.st.Set(c, key, value, flags)
-}
-func (d directOps) Add(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error) {
-	return d.st.Add(c, key, value, flags)
-}
-func (d directOps) Replace(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error) {
-	return d.st.Replace(c, key, value, flags)
-}
-func (d directOps) Concat(c *mem.CPU, key, data []byte, prepend bool) (StoreOutcome, error) {
-	return d.st.Concat(c, key, data, prepend)
-}
-func (d directOps) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uint64) (StoreOutcome, error) {
-	return d.st.CAS(c, key, value, flags, casid)
-}
-func (d directOps) Delete(c *mem.CPU, key []byte) bool { return d.st.Delete(c, key) }
-func (d directOps) Touch(c *mem.CPU, key []byte) bool  { return d.st.Touch(c, key) }
-func (d directOps) FlushAll(c *mem.CPU)                { d.st.FlushAll(c) }
-func (d directOps) Stats() StorageStats                { return d.st.Stats() }
 
 // pendingKind tags a deferred mutation.
 type pendingKind int

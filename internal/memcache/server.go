@@ -78,11 +78,10 @@ type Config struct {
 	// size DoPipeline cuts long pipelines into (default 16; 1 disables
 	// batching).
 	MaxBatch int
-	// Sched carries the drain-bound controller's wiring and test seams
-	// (clock, rewind window, guard-cost estimate, floor-pin hook). The
-	// controller itself is not optional; the zero value is the default,
-	// with the guard cost read from telemetry and floor pins fed to
-	// Policy when those are attached.
+	// Sched carries the drain-bound controller's wiring: a clock (test
+	// seam) and the floor-pin hook. The controller itself is not optional;
+	// the zero value is the default, with floor pins fed to Policy when
+	// one is attached.
 	Sched sched.Config
 	// DomainHeapSize is the hardened build's per-event-domain heap
 	// (default MaxBatch*2*ConnBufSize + domainScratchSlack).
@@ -179,7 +178,7 @@ type Server struct {
 type worker struct {
 	idx    int
 	s      *Server
-	ch     chan *event
+	mb     *proc.Mailbox[*Conn]
 	handle *proc.Handle
 
 	// ctrl is the worker's adaptive batch-bound controller; boundGauge,
@@ -200,13 +199,13 @@ type worker struct {
 	domainReady bool
 	slots       []connSlot
 
-	// Reused per-batch scratch (owned by the worker goroutine).
-	items   []batchItem
-	states  []evState
-	results []result
-	one     [1]batchItem
-	oneRes  [1]result
-	dops    deferredOps
+	// Reused per-batch scratch (owned by the worker goroutine): the events
+	// of the current drain round, their requests flattened, and the
+	// per-request guard-scope state.
+	round  []*proc.Event[*Conn]
+	items  []batchItem
+	states []evState
+	dops   deferredOps
 	// rw is the worker's reusable reply assembler; drive_machine builds
 	// every response of a batch through it, so the steady state allocates
 	// nothing per request.
@@ -260,10 +259,13 @@ type connSlot struct {
 }
 
 // batchItem is one request of one event, flattened into the worker's
-// current batch (a pipelined event contributes one item per request).
+// current batch (a pipelined event contributes one item per request). res
+// points into the issuing event's result slice, which the worker fills in
+// place (the hand-off's ownership rule is in proc/handoff.go).
 type batchItem struct {
-	ev  *event
-	req []byte
+	conn *Conn
+	req  []byte
+	res  *proc.Result
 }
 
 // evState is the per-item outcome scratch runHardenedBatch threads
@@ -276,34 +278,6 @@ type evState struct {
 	closeit bool
 	derr    error
 	data    []byte
-}
-
-type event struct {
-	conn *Conn
-	req  []byte
-	resp chan result
-	// reqs/respN replace req/resp for pipelined events (DoPipeline):
-	// every request of one event is handled in the same guard scope.
-	reqs  [][]byte
-	respN chan []result
-	// inspect, when non-nil, makes the event a control event: the worker
-	// runs the closure on its own thread between requests (chaos-audit
-	// hook); conn and req are ignored.
-	inspect func(t *proc.Thread) error
-}
-
-// nreq is the number of requests the event contributes to a batch.
-func (ev *event) nreq() int {
-	if ev.reqs != nil {
-		return len(ev.reqs)
-	}
-	return 1
-}
-
-type result struct {
-	data   []byte
-	closed bool
-	err    error
 }
 
 // Conn is a client connection. All its simulated-memory state is owned by
@@ -362,9 +336,9 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		// The channel is buffered so a pipelining client can enqueue a
-		// full batch before the worker drains it.
-		w := &worker{idx: i, s: s, ch: make(chan *event, cfg.MaxBatch),
+		// The mailbox queues MaxBatch events so pipelining clients can
+		// enqueue a full batch before the worker drains it.
+		w := &worker{idx: i, s: s, mb: proc.NewMailbox[*Conn](s.p, cfg.MaxBatch, cfg.MaxBatch, ErrServerDown),
 			ctrl: sched.NewController(s.cfg.Sched, cfg.MaxBatch)}
 		w.handle = s.p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
 		s.workers = append(s.workers, w)
@@ -507,20 +481,20 @@ func (w *worker) run(t *proc.Thread) error {
 	// pending holds an event drained from the channel that could not
 	// join the current batch (inspect event, or the batch was full); it
 	// leads the next round so event order is preserved.
-	var pending *event
+	var pending *proc.Event[*Conn]
 	for {
-		var ev *event
+		var ev *proc.Event[*Conn]
 		if pending != nil {
 			ev, pending = pending, nil
 		} else {
 			select {
 			case <-s.p.Done():
 				return nil
-			case ev = <-w.ch:
+			case ev = <-w.mb.Events():
 			}
 		}
-		if ev.inspect != nil {
-			ev.resp <- result{err: ev.inspect(t)}
+		if ev.Inspect != nil {
+			ev.RunInspect(t)
 			continue
 		}
 		// Drain up to the controller's current bound of pending requests
@@ -528,36 +502,38 @@ func (w *worker) run(t *proc.Thread) error {
 		// pipelined event is never split); inspect events and events that
 		// would overflow the bound park in pending for the next round.
 		bound := w.ctrl.Bound()
-		w.items = appendItems(w.items[:0], ev)
+		w.round, w.items = w.round[:0], w.items[:0]
+		w.take(ev)
 	drain:
 		for len(w.items) < bound {
 			select {
-			case ev2 := <-w.ch:
-				if ev2.inspect != nil || len(w.items)+ev2.nreq() > bound {
+			case ev2 := <-w.mb.Events():
+				if ev2.Inspect != nil || len(w.items)+len(ev2.Reqs) > bound {
 					pending = ev2
 					break drain
 				}
-				w.items = appendItems(w.items, ev2)
+				w.take(ev2)
 			default:
 				break drain
 			}
 		}
 		drained := len(w.items)
-		if pending == nil && drained == 1 && len(w.ch) == 0 && w.ctrl.AtFloor() {
+		if pending == nil && drained == 1 && len(w.mb.Events()) == 0 && w.ctrl.AtFloor() {
 			// Idle floor fast path: a lone event with nothing queued behind
 			// it cannot move a controller already at bound 1 with a cold
 			// rewind window, so the round skips the clock reads and the
 			// observation — at low load the controller costs one atomic
 			// load per event.
-			deliver(w.items, s.dispatchBatch(t, w, w.items))
+			s.dispatchBatch(t, w, w.items)
+			w.finishRound()
 			continue
 		}
 		// The round is observed before its replies go out: a client holding
 		// its reply sees the controller settled, and its next request is
 		// never counted as this round's backlog.
 		t0 := w.ctrl.Now()
-		results := s.dispatchBatch(t, w, w.items)
-		backlog := len(w.ch)
+		s.dispatchBatch(t, w, w.items)
+		backlog := len(w.mb.Events())
 		if pending != nil {
 			backlog++
 		}
@@ -565,88 +541,55 @@ func (w *worker) run(t *proc.Thread) error {
 		if w.boundGauge != nil {
 			w.boundGauge.Set(int64(w.ctrl.Bound()))
 		}
-		deliver(w.items, results)
+		w.finishRound()
 	}
 }
 
-// appendItems flattens an event's requests into the batch.
-func appendItems(items []batchItem, ev *event) []batchItem {
-	if ev.reqs != nil {
-		for _, r := range ev.reqs {
-			items = append(items, batchItem{ev: ev, req: r})
-		}
-		return items
-	}
-	return append(items, batchItem{ev: ev, req: ev.req})
-}
-
-// deliver routes per-item results back to the issuing clients. One
-// event's items are contiguous in the batch (appendItems never splits
-// an event), so a pipelined event's results are a contiguous run.
-func deliver(items []batchItem, results []result) {
-	i := 0
-	for i < len(items) {
-		ev := items[i].ev
-		if ev.respN != nil {
-			n := len(ev.reqs)
-			out := make([]result, n)
-			copy(out, results[i:i+n])
-			ev.respN <- out
-			i += n
-			continue
-		}
-		ev.resp <- results[i]
-		i++
+// take adds an event to the current round, flattening its requests into
+// the batch.
+func (w *worker) take(ev *proc.Event[*Conn]) {
+	w.round = append(w.round, ev)
+	for i, r := range ev.Reqs {
+		w.items = append(w.items, batchItem{conn: ev.Conn, req: r, res: &ev.Res[i]})
 	}
 }
 
-// handleEvent processes one client event on the worker thread (the
-// unbatched path: inline harness, and control events).
-func (s *Server) handleEvent(t *proc.Thread, w *worker, ev *event) result {
-	if ev.inspect != nil {
-		return result{err: ev.inspect(t)}
+// finishRound hands every event of the round, its results filled in, back
+// to the client waiting on it.
+func (w *worker) finishRound() {
+	for _, ev := range w.round {
+		ev.Finish()
 	}
-	if s.cfg.Variant != VariantSDRaD {
-		return s.handleOne(t, w, ev.conn, ev.req)
-	}
-	w.one[0] = batchItem{ev: ev, req: ev.req}
-	return s.runHardenedBatch(t, w, w.one[:1], w.oneRes[:1])[0]
 }
 
-// dispatchBatch handles a drained batch of client events, returning one
-// result per item. The hardened build handles the whole batch inside a
-// single guard scope; baselines handle items one by one (they have no
+// dispatchBatch handles a drained batch of client events, filling in
+// every item's result. The hardened build handles the whole batch inside
+// a single guard scope; baselines handle items one by one (they have no
 // per-event domain cost to amortize).
-func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) []result {
-	// Safe to reuse across batches: deliver either sends a result by
-	// value or copies a pipelined run out before returning.
-	if cap(w.results) < len(items) {
-		w.results = make([]result, len(items))
-	}
-	results := w.results[:len(items)]
+func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 	if s.cfg.Variant != VariantSDRaD {
 		for i := range items {
-			results[i] = s.handleOne(t, w, items[i].ev.conn, items[i].req)
+			*items[i].res = s.handleOne(t, w, items[i].conn, items[i].req)
 		}
-		return results
+		return
 	}
-	return s.runHardenedBatch(t, w, items, results)
+	s.runHardenedBatch(t, w, items)
 }
 
 // handleOne is the per-request baseline flow: preflight checks, stage
 // the request in the connection read buffer, run drive_machine.
-func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) result {
+func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) proc.Result {
 	if conn.closed {
-		return result{closed: true, err: ErrConnClosed}
+		return proc.Result{Closed: true, Err: ErrConnClosed}
 	}
 	if len(req) > s.cfg.ConnBufSize {
-		return result{err: ErrRequestTooLarge}
+		return proc.Result{Err: ErrRequestTooLarge}
 	}
 	w.reqs.Add(1)
 	c := t.CPU()
 	if !conn.ready {
 		if err := s.allocConnBuffers(t, conn); err != nil {
-			return result{err: err}
+			return proc.Result{Err: err}
 		}
 	}
 	// Network bytes land in the connection's read buffer (root memory).
@@ -658,7 +601,7 @@ func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) re
 // memory-safety violation faults with no recovery point: the process
 // supervisor terminates the whole server, which is exactly the behaviour
 // the paper's baseline exhibits under CVE-2011-4971.
-func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int) result {
+func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int) proc.Result {
 	c := t.CPU()
 	w.initAllocators(s)
 	w.curT = t
@@ -671,7 +614,7 @@ func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int)
 		wbuf:         conn.wbuf,
 		wcap:         s.cfg.ConnBufSize,
 		allocScratch: w.allocBase,
-		ops:          directOps{st: s.st},
+		ops:          s.st,
 		rl:           c.SpanLease(conn.rbuf, s.cfg.ConnBufSize, mem.AccessRead),
 		wl:           c.SpanLease(conn.wbuf, s.cfg.ConnBufSize, mem.AccessWrite),
 		reply:        &w.rw,
@@ -681,14 +624,14 @@ func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int)
 		_ = s.connAllocator.Free(c, p)
 	}
 	if err != nil {
-		return result{err: err}
+		return proc.Result{Err: err}
 	}
 	resp := materializeResp(c, env.wl, conn.wbuf, wlen)
 	conn.closed = closeit
 	if closeit {
 		s.freeConnBuffers(t, conn)
 	}
-	return result{data: resp, closed: closeit}
+	return proc.Result{Resp: resp, Closed: closeit}
 }
 
 // materializeResp copies a drive_machine response out of simulated
@@ -734,7 +677,7 @@ func (s *Server) freeConnBuffers(t *proc.Thread, conn *Conn) {
 // deferred overlay, preserving sequential semantics); an abnormal exit
 // anywhere in the batch rewinds once, discards the whole in-flight
 // batch, and closes exactly the connections that had a request in it.
-func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, results []result) []result {
+func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) {
 	c := t.CPU()
 	w.initAllocators(s)
 	w.curT = t
@@ -753,36 +696,37 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 	live := 0
 	for i := range items {
 		states[i] = evState{}
-		conn := items[i].ev.conn
+		conn := items[i].conn
 		if conn.closed {
 			states[i].done = true
-			results[i] = result{closed: true, err: ErrConnClosed}
+			*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
 		if len(items[i].req) > s.cfg.ConnBufSize {
 			states[i].done = true
-			results[i] = result{err: ErrRequestTooLarge}
+			*items[i].res = proc.Result{Err: ErrRequestTooLarge}
 			continue
 		}
 		w.reqs.Add(1)
 		if !conn.ready {
 			if err := s.allocConnBuffers(t, conn); err != nil {
 				states[i].done = true
-				results[i] = result{err: err}
+				*items[i].res = proc.Result{Err: err}
 				continue
 			}
 		}
 		live++
 	}
 	if live == 0 {
-		return results
+		return
 	}
 	// Resilience-policy admission: while the event domain is quarantined
 	// (or held off in backoff) the batch is served on the degraded path
 	// — no domain re-creation, no guard scope. The Admit call is also
 	// what readmits the domain once its cool-down expires.
 	if dec := s.lib.Policy().Admit(int(eventUDI)); !dec.Allowed() {
-		return s.serveDegraded(t, items, states, results, dec)
+		s.serveDegraded(t, items, states, dec)
+		return
 	}
 	if s.telBatch != nil {
 		s.telBatch.Observe(int64(live))
@@ -825,7 +769,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			if states[i].done {
 				continue
 			}
-			conn := items[i].ev.conn
+			conn := items[i].conn
 			c.Write(conn.rbuf, items[i].req)
 			s.lib.Copy(t, w.slots[slot].rbuf, conn.rbuf, len(items[i].req))
 			states[i].slot = slot
@@ -854,7 +798,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 			// close in the unbatched flow.
 			if closedEarlierInBatch(items, states, i) {
 				states[i].done = true
-				results[i] = result{closed: true, err: ErrConnClosed}
+				*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
 				continue
 			}
 			slot := &w.slots[states[i].slot]
@@ -924,15 +868,15 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 				if states[i].done {
 					continue
 				}
-				conn := items[i].ev.conn
+				conn := items[i].conn
 				if !conn.closed {
 					conn.closed = true
 					s.freeConnBuffers(t, conn)
 					s.closedByAtk.Add(1)
 				}
-				results[i] = result{closed: true}
+				*items[i].res = proc.Result{Closed: true}
 			}
-			return results
+			return
 		}
 		if errors.Is(gerr, core.ErrDomainQuarantined) {
 			// The policy refused to re-create the event domain between
@@ -949,39 +893,38 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 				if states[i].done {
 					continue
 				}
-				conn := items[i].ev.conn
+				conn := items[i].conn
 				if !conn.closed {
 					conn.closed = true
 					s.freeConnBuffers(t, conn)
 					s.closedByAtk.Add(1)
 				}
-				results[i] = result{closed: true, err: gerr}
+				*items[i].res = proc.Result{Closed: true, Err: gerr}
 			}
-			return results
+			return
 		}
 		for i := range items {
 			if !states[i].done {
-				results[i] = result{err: gerr}
+				*items[i].res = proc.Result{Err: gerr}
 			}
 		}
-		return results
+		return
 	}
 	for i := range items {
 		if states[i].done {
 			continue
 		}
 		if states[i].derr != nil {
-			results[i] = result{err: states[i].derr}
+			*items[i].res = proc.Result{Err: states[i].derr}
 			continue
 		}
-		conn := items[i].ev.conn
+		conn := items[i].conn
 		if states[i].closeit && !conn.closed {
 			conn.closed = true
 			s.freeConnBuffers(t, conn)
 		}
-		results[i] = result{data: states[i].data, closed: states[i].closeit}
+		*items[i].res = proc.Result{Resp: states[i].data, Closed: states[i].closeit}
 	}
-	return results
 }
 
 // serveDegraded answers a batch while the event domain is quarantined:
@@ -992,38 +935,37 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem, 
 // connections outright. Nothing here touches the guard scope or the
 // shared database, which is the point: the degraded path costs no
 // domain re-creation.
-func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evState, results []result, dec policy.Decision) []result {
+func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evState, dec policy.Decision) {
 	shedding := dec.State == policy.StateShedding
 	for i := range items {
 		if states[i].done {
 			continue
 		}
-		conn := items[i].ev.conn
+		conn := items[i].conn
 		if shedding {
 			if !conn.closed {
 				conn.closed = true
 				s.freeConnBuffers(t, conn)
 				s.shed.Add(1)
 			}
-			results[i] = result{closed: true, err: ErrConnClosed}
+			*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
 		s.degraded.Add(1)
 		req := items[i].req
 		switch {
 		case bytes.HasPrefix(req, []byte("get ")), bytes.HasPrefix(req, []byte("gets ")):
-			results[i] = result{data: []byte("END\r\n")}
+			*items[i].res = proc.Result{Resp: []byte("END\r\n")}
 		case bytes.HasPrefix(req, []byte("quit")):
 			if !conn.closed {
 				conn.closed = true
 				s.freeConnBuffers(t, conn)
 			}
-			results[i] = result{closed: true}
+			*items[i].res = proc.Result{Closed: true}
 		default:
-			results[i] = result{data: []byte("SERVER_ERROR event domain quarantined\r\n")}
+			*items[i].res = proc.Result{Resp: []byte("SERVER_ERROR event domain quarantined\r\n")}
 		}
 	}
-	return results
 }
 
 // Degraded reports how many requests were answered on the quarantine
@@ -1038,7 +980,7 @@ func (s *Server) Shed() int64 { return s.shed.Load() }
 func closedEarlierInBatch(items []batchItem, states []evState, i int) bool {
 	for j := 0; j < i; j++ {
 		if !states[j].done && states[j].derr == nil && states[j].closeit &&
-			items[j].ev.conn == items[i].ev.conn {
+			items[j].conn == items[i].conn {
 			return true
 		}
 	}
@@ -1098,9 +1040,13 @@ func (s *Server) RunInline(name string, body func(newConn func() *Conn, do Inlin
 		newConn := func() *Conn {
 			return &Conn{id: int(s.connIDs.Add(1)), w: w}
 		}
+		// A batch of one on the worker's own scratch: every path of
+		// dispatchBatch overwrites the whole result.
+		var res proc.Result
 		do := func(conn *Conn, req []byte) ([]byte, bool, error) {
-			res := s.handleEvent(t, w, &event{conn: conn, req: req})
-			return res.data, res.closed, res.err
+			w.items = append(w.items[:0], batchItem{conn: conn, req: req, res: &res})
+			s.dispatchBatch(t, w, w.items)
+			return res.Resp, res.Closed, res.Err
 		}
 		return body(newConn, do)
 	})
@@ -1119,35 +1065,15 @@ func (s *Server) NewConn() *Conn {
 // campaigns assert placement decisions through it).
 func (c *Conn) WorkerIndex() int { return c.w.idx }
 
-// EventDomainUDI is the UDI of the per-worker event-handling domain,
-// for policy-snapshot assertions outside the package.
-func EventDomainUDI() int { return int(eventUDI) }
-
 // Do sends one request on the connection and waits for the response.
 // closed reports that the server closed the connection (quit command or
 // attack recovery). A Conn must not be shared by concurrent Do callers.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
-	s := c.w.s
-	ev := &event{conn: c, req: req, resp: make(chan result, 1)}
-	select {
-	case c.w.ch <- ev:
-	case <-s.p.Done():
-		return nil, true, ErrServerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.data, r.closed, r.err
-	case <-s.p.Done():
-		return nil, true, ErrServerDown
-	}
+	return c.w.mb.Do(c, req)
 }
 
-// PipelineResult is one request's outcome from DoPipeline.
-type PipelineResult struct {
-	Resp   []byte
-	Closed bool
-	Err    error
-}
+// PipelineResult is one request's outcome from DoPipeline or Start.
+type PipelineResult = proc.Result
 
 // DoPipeline sends reqs back-to-back on the connection and returns one
 // result per request, in order. The server handles up to MaxBatch
@@ -1158,50 +1084,20 @@ type PipelineResult struct {
 // Requests behind a server-side close (quit, or attack recovery) report
 // Closed with ErrConnClosed, exactly as if they were issued after it.
 func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
-	s := c.w.s
-	out := make([]PipelineResult, 0, len(reqs))
-	down := func() []PipelineResult {
-		for len(out) < len(reqs) {
-			out = append(out, PipelineResult{Closed: true, Err: ErrServerDown})
-		}
-		return out
-	}
-	maxB := s.cfg.MaxBatch
-	w := c.w
-	var evs []*event
-	for off := 0; off < len(reqs); off += maxB {
-		end := off + maxB
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		ev := &event{conn: c, reqs: reqs[off:end], respN: make(chan []result, 1)}
-		select {
-		case w.ch <- ev:
-			evs = append(evs, ev)
-		case <-s.p.Done():
-			return down()
-		}
-	}
-	for _, ev := range evs {
-		select {
-		case rs := <-ev.respN:
-			for _, r := range rs {
-				out = append(out, PipelineResult{Resp: r.data, Closed: r.closed, Err: r.err})
-			}
-		case <-s.p.Done():
-			return down()
-		}
-	}
-	return out
+	return c.w.mb.DoPipeline(c, reqs)
+}
+
+// Start is the enqueue half of DoPipeline: it returns once the requests
+// are in the worker's queue, and the handle's Wait returns their results.
+// Sequential Starts against a worker parked in an Inspect stage an exact
+// backlog (up to MaxBatch events) with no goroutine per client and no
+// clock.
+func (c *Conn) Start(reqs ...[]byte) *proc.Pending[*Conn] {
+	return c.w.mb.Start(c, reqs)
 }
 
 // MaxBatch returns the server's configured guard-scope batch limit.
 func (s *Server) MaxBatch() int { return s.cfg.MaxBatch }
-
-// QueueDepth reports how many events are queued (undrained) for worker
-// i. It is a monitoring signal (the chaos campaigns stage backlogs by
-// it); the value is stale the moment it is read.
-func (s *Server) QueueDepth(i int) int { return len(s.workers[i].ch) }
 
 // Inspect runs fn on the worker thread that owns this connection, like a
 // request but with the worker's thread handed to the closure. The chaos
@@ -1209,19 +1105,7 @@ func (s *Server) QueueDepth(i int) int { return len(s.workers[i].ch) }
 // serving thread between events; fn must leave the thread in the root
 // domain.
 func (c *Conn) Inspect(fn func(t *proc.Thread) error) error {
-	s := c.w.s
-	ev := &event{inspect: fn, resp: make(chan result, 1)}
-	select {
-	case c.w.ch <- ev:
-	case <-s.p.Done():
-		return ErrServerDown
-	}
-	select {
-	case r := <-ev.resp:
-		return r.err
-	case <-s.p.Done():
-		return ErrServerDown
-	}
+	return c.w.mb.Inspect(fn)
 }
 
 // Stop shuts the server down and waits for the workers.

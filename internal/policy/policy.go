@@ -208,24 +208,14 @@ type domainState struct {
 	escalations  int64
 }
 
-// Policy is the pluggable decision surface the reference monitor
+// Engine is the resilience-policy engine the reference monitor
 // consults: OnRewind after every absorbed rewind, Admit before every
 // domain (re-)initialization, Snapshot for dumps and campaign
-// assertions. *Engine is the stock sliding-window/escalation-ladder
-// implementation; alternative policies satisfy the same interface.
-type Policy interface {
-	OnRewind(udi int) Decision
-	Admit(udi int) Decision
-	Snapshot() []DomainSnapshot
-}
-
-var _ Policy = (*Engine)(nil)
-
-// Engine is the resilience-policy engine. One engine typically serves
-// one library (process); keying by UDI quarantines the vulnerable
-// component — every thread's instance of it — which matches the paper's
-// framing of a UDI as one isolated software component. A nil *Engine is
-// a valid no-op: every consultation allows and reports Healthy.
+// assertions. One engine typically serves one library (process); keying
+// by UDI quarantines the vulnerable component — every thread's instance
+// of it — which matches the paper's framing of a UDI as one isolated
+// software component. A nil *Engine is a valid no-op: every consultation
+// allows and reports Healthy.
 type Engine struct {
 	cfg Config
 
@@ -365,23 +355,15 @@ func (e *Engine) OnRewind(udi int) Decision {
 	return dec
 }
 
-// PressureReporter is the optional load-pressure side channel: the
-// scheduler calls OnPressure when a worker's batch controller has been
-// pinned at the AIMD floor by a hot rewind window for a full window —
-// batching has already shrunk the blast radius to single requests and
-// the domain is STILL rewinding, so admission should start backing off
-// before the raw rewind count crosses BackoffThreshold on its own.
-// *Engine implements it; alternative policies may.
-type PressureReporter interface {
-	OnPressure(udi int) Decision
-}
-
-var _ PressureReporter = (*Engine)(nil)
-
-// OnPressure records a sustained-pressure signal against udi: a Healthy
-// or Backoff domain (re-)enters Backoff with the next exponential
-// hold-off; Quarantined and Shedding domains already dominate the
-// signal and are left untouched. Nil-engine safe.
+// OnPressure is the load-pressure side channel: the scheduler calls it
+// when a worker's batch controller has been pinned at the AIMD floor by
+// a hot rewind window for a full window — batching has already shrunk
+// the blast radius to single requests and the domain is STILL rewinding,
+// so admission should start backing off before the raw rewind count
+// crosses BackoffThreshold on its own. A Healthy or Backoff domain
+// (re-)enters Backoff with the next exponential hold-off; Quarantined
+// and Shedding domains already dominate the signal and are left
+// untouched. Nil-engine safe.
 func (e *Engine) OnPressure(udi int) Decision {
 	if e == nil {
 		return Decision{UDI: udi, Action: ActionNone}

@@ -28,21 +28,21 @@ import (
 // Config carries the controller's wiring and test seams. The zero value
 // is what every server runs with by default.
 type Config struct {
-	// Window is the sliding rewind window (default 1s, matching
-	// internal/policy's default). Tests shorten it to reach a floor pin
-	// in wall-clock time.
-	Window time.Duration
 	// Clock returns nanoseconds; nil uses time.Now().UnixNano(). Chaos
 	// campaigns and tests install a policy.ManualClock's Now so every
 	// window decision is deterministic.
 	Clock func() int64
 	// OnFloorPinned, when non-nil, fires when a controller has been
-	// pinned at bound 1 by a hot rewind window for a full Window — the
+	// pinned at bound 1 by a hot rewind window for a full window — the
 	// signal that batching alone cannot absorb the fault rate and the
 	// policy engine should start backing the domain off. Called from the
 	// owning worker goroutine with the pinned duration in nanoseconds.
 	OnFloorPinned func(pinnedNs int64)
 }
+
+// window is the sliding rewind window, matching internal/policy's
+// default. Tests that need it to pass advance a manual Clock.
+const window = time.Second
 
 // idleRounds is how many consecutive backlog-free single-item rounds
 // trigger one halving step toward bound 1.
@@ -79,9 +79,6 @@ func NewController(cfg Config, maxBatch int) *Controller {
 	if maxBatch <= 0 {
 		maxBatch = 1
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() int64 { return time.Now().UnixNano() }
 	}
@@ -117,7 +114,7 @@ func (c *Controller) now() int64 {
 
 // pruneWindow drops rewind timestamps older than the window.
 func (c *Controller) pruneWindow(now int64) {
-	cut := now - int64(c.cfg.Window)
+	cut := now - int64(window)
 	i := 0
 	for i < len(c.rewinds) && c.rewinds[i] <= cut {
 		i++
@@ -130,7 +127,7 @@ func (c *Controller) pruneWindow(now int64) {
 // checkFloorPin tracks how long the bound has been rewind-pinned at the
 // floor. Idle collapse also parks the bound at 1, but that is healthy;
 // only "1 because the rewind window keeps it there" counts. Once the
-// pin has lasted a full Window the OnFloorPinned hook fires and the
+// pin has lasted a full window the OnFloorPinned hook fires and the
 // timer re-arms, so a persistently faulting domain escalates once per
 // window rather than once per round.
 func (c *Controller) checkFloorPin(now int64) {
@@ -142,7 +139,7 @@ func (c *Controller) checkFloorPin(now int64) {
 		c.floorSince = now
 		return
 	}
-	if pinned := now - c.floorSince; pinned >= int64(c.cfg.Window) {
+	if pinned := now - c.floorSince; pinned >= int64(window) {
 		c.floorPins.Add(1)
 		c.floorSince = now
 		if c.cfg.OnFloorPinned != nil {

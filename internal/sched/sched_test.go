@@ -161,7 +161,6 @@ func TestControllerFloorPinnedFiresOncePerWindow(t *testing.T) {
 	var fired []int64
 	clk := int64(time.Hour)
 	cfg := Config{
-		Window:        time.Second,
 		Clock:         func() int64 { return clk },
 		OnFloorPinned: func(ns int64) { fired = append(fired, ns) },
 	}
@@ -197,7 +196,6 @@ func TestControllerIdleCollapseAloneDoesNotFloorPin(t *testing.T) {
 	var fired int
 	clk := int64(time.Hour)
 	cfg := Config{
-		Window:        time.Second,
 		Clock:         func() int64 { return clk },
 		OnFloorPinned: func(int64) { fired++ },
 	}
