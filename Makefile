@@ -19,9 +19,10 @@ test:
 # rounds: a race there shows about once in twenty. The third does the
 # same for the storage shard lock's spin-then-park acquisition (hammer,
 # park fallback, short holds, one P). The fourth holds the shared
-# client-to-worker hand-off (internal/proc: start, wait, chunking, a
-# process dying under either) and the fifth the memcache tests that stage
-# a backlog through it behind a parked worker.
+# client-to-worker hand-off (internal/proc: start, wait, chunking, and
+# its down paths — a worker dying with events in hand, a call after
+# Terminate, a start racing it) and the fifth the memcache tests that
+# stage a backlog through it behind a parked worker.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 ./internal/core
@@ -55,13 +56,16 @@ chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
 
 # The evaluation at reduced scale (all 14 experiments, the three live
-# claims included), then one iteration of each mechanism benchmark (the guard scope, the deferred store and its apply, the
-# contended shard lock) so they keep compiling and running; time them
-# with -benchtime=2s -count=5.
+# claims included), then one iteration of each mechanism benchmark (the
+# guard scope, the deferred store and its apply, the contended shard lock,
+# the client-to-worker hand-off, a keep-alive GET on both httpd arms) so
+# they keep compiling and running; time them with -benchtime=2s -count=5.
 bench-smoke:
 	$(GO) run ./cmd/sdrad-bench -quick
 	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope$$' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|ShardLockContended)$$' -benchtime=1x ./internal/memcache
+	$(GO) test -run '^$$' -bench 'BenchmarkHandoffDo$$' -benchtime=1x ./internal/proc
+	$(GO) test -run '^$$' -bench 'BenchmarkKeepAliveGET$$' -benchtime=1x ./internal/httpd
 
 # The cost-of-hardening ledger BENCHMARK.json names: five paired
 # vanilla/sdrad workloads, ~2 minutes (see benchmark/README.md).

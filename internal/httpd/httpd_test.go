@@ -3,7 +3,9 @@ package httpd
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -451,16 +453,12 @@ func TestPipelineConnectionCloseMidBatch(t *testing.T) {
 
 func TestPlaceWorkerLegacyRoundRobin(t *testing.T) {
 	// PlaceWorker is the round-robin cursor (the listener and the
-	// ledger's per-worker dialing rely on it), and the event queue is a
-	// rendezvous.
+	// ledger's per-worker dialing rely on it).
 	m := startMaster(t, VariantSDRaD, 3)
 	for i := 0; i < 7; i++ {
 		if got := m.PlaceWorker(); got != i%3 {
 			t.Fatalf("placement %d = worker %d, want %d", i, got, i%3)
 		}
-	}
-	if got := cap(m.Worker(0).mb.Events()); got != 0 {
-		t.Fatalf("event queue buffered to %d, want rendezvous", got)
 	}
 }
 
@@ -558,14 +556,94 @@ func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
 }
 
 func TestHandOffAllocationBudget(t *testing.T) {
-	// The shared hand-off may not cost a warm keep-alive GET more Go-heap
-	// allocations than the per-server copy it replaced did.
+	// A warm keep-alive GET allocates what it returns and the event that
+	// carries it — the event (completion signal embedded), Request.Path and
+	// the reply, 3 — on both variants: hardening adds none.
 	req := FormatRequest("/index.html", true)
 	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
 		c := startMaster(t, v, 1).Worker(0).NewConn()
 		mustGet(t, c, "/index.html") // creates the parser domain and buffers
-		if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(req) }); n > 15 {
-			t.Errorf("%v: warm Do allocates %.0f times, budget 15", v, n)
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(req) }); n > 4 {
+			t.Errorf("%v: warm Do allocates %.0f times, budget 4", v, n)
 		}
 	}
+}
+
+// BenchmarkKeepAliveGET times a warm keep-alive GET of a 1 KiB file
+// through Conn.Do, both arms; allocs/op is the number the budget test pins.
+func BenchmarkKeepAliveGET(b *testing.B) {
+	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
+		b.Run(v.String(), func(b *testing.B) {
+			m, err := NewMaster(Config{Variant: v, Workers: 1, Files: map[string]int{"/1k": 1024}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Stop()
+			c := m.Worker(0).NewConn()
+			req := FormatRequest("/1k", true)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, closed, err := c.Do(req); err != nil || closed {
+					b.Fatalf("closed=%v err=%v", closed, err)
+				}
+			}
+		})
+	}
+}
+
+// heapInuse is the Go heap in use, read after a collection when collect is
+// set.
+func heapInuse(collect bool) uint64 {
+	if collect {
+		runtime.GC()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+func TestStoppedMasterIsCollectable(t *testing.T) {
+	// As memcache's TestStoppedServerIsCollectable: after Stop and ONE
+	// collection nothing keeps the worker processes (two heaps of ~21 MiB,
+	// sized by the 128 KiB file) reachable.
+	allVariants(t, func(t *testing.T, v Variant) {
+		before := heapInuse(true)
+		func() {
+			m, err := NewMaster(Config{Variant: v, Workers: 2, Files: map[string]int{"/1k": 1024, "/big": 128 << 10}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c := m.Worker(i).NewConn()
+					req := FormatRequest("/1k", true)
+					for n := 0; n < 5000; n++ {
+						if _, closed, err := c.Do(req); err != nil || closed {
+							t.Errorf("Do: closed=%v err=%v", closed, err)
+							return
+						}
+					}
+					for n := 0; n < 4; n++ {
+						for _, r := range c.DoPipeline([][]byte{req, req, req, req, req, req}) {
+							if r.Err != nil || r.Closed {
+								t.Errorf("DoPipeline: %+v", r)
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if held := heapInuse(false) - before; held < 24<<20 {
+				t.Fatalf("a live master holds %d MiB of Go heap; the test no longer measures its memory", held>>20)
+			}
+			m.Stop()
+		}()
+		if after := heapInuse(true); after > before+8<<20 {
+			t.Errorf("HeapInuse %d MiB before the master, %d MiB after Stop and one GC: a stopped worker is still reachable",
+				before>>20, after>>20)
+		}
+	})
 }

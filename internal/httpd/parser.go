@@ -105,7 +105,8 @@ func parseRequestLine(env *parserEnv, req *Request) (headerOff int, err error) {
 	if line == nil {
 		return 0, &parseError{"missing request line"}
 	}
-	parts := splitSpaces(line)
+	var fields [4][]byte
+	parts := splitSpaces(fields[:0], line)
 	if len(parts) != 3 {
 		return 0, &parseError{"malformed request line"}
 	}
@@ -119,12 +120,14 @@ func parseRequestLine(env *parserEnv, req *Request) (headerOff int, err error) {
 	default:
 		return 0, &parseError{"unsupported method"}
 	}
-	version := string(parts[2])
-	if version != "HTTP/1.0" && version != "HTTP/1.1" {
+	switch string(parts[2]) {
+	case "HTTP/1.0":
+		req.Version, req.KeepAlive = "HTTP/1.0", false
+	case "HTTP/1.1":
+		req.Version, req.KeepAlive = "HTTP/1.1", true
+	default:
 		return 0, &parseError{"unsupported version"}
 	}
-	req.Version = version
-	req.KeepAlive = version == "HTTP/1.1"
 
 	uri := parts[1]
 	if len(uri) == 0 || uri[0] != '/' {
@@ -157,8 +160,8 @@ func parseHeaders(env *parserEnv, req *Request, off int) error {
 		if colon <= 0 {
 			return &parseError{"malformed header"}
 		}
-		name := string(trimSpaces(line[:colon]))
-		value := string(trimSpaces(line[colon+1:]))
+		name := trimSpaces(line[:colon])
+		value := trimSpaces(line[colon+1:])
 		req.Headers++
 		if asciiEqualFold(name, "Connection") {
 			switch {
@@ -169,7 +172,7 @@ func parseHeaders(env *parserEnv, req *Request, off int) error {
 			}
 		}
 		if asciiEqualFold(name, "X-Client-Cert") {
-			req.ClientCert = value
+			req.ClientCert = string(value)
 		}
 		if req.Headers > 100 {
 			return &parseError{"too many headers"}
@@ -348,8 +351,8 @@ func lastIndexByte(b []byte, c byte) int {
 	return -1
 }
 
-func splitSpaces(b []byte) [][]byte {
-	var out [][]byte
+// splitSpaces appends the space-separated fields of b to out.
+func splitSpaces(out [][]byte, b []byte) [][]byte {
 	start := 0
 	for i := 0; i <= len(b); i++ {
 		if i == len(b) || b[i] == ' ' {
@@ -381,8 +384,9 @@ func indexByte(b []byte, c byte) int {
 	return -1
 }
 
-// asciiEqualFold is a case-insensitive ASCII comparison.
-func asciiEqualFold(a, b string) bool {
+// asciiEqualFold is a case-insensitive ASCII comparison of parsed bytes
+// with a name the parser knows.
+func asciiEqualFold(a []byte, b string) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -46,6 +46,9 @@ func TestParseRequestLineBasics(t *testing.T) {
 		{"GET /x HTTP/2.0\r\n\r\n", 0, "", false, true},
 		{"GET noslash HTTP/1.1\r\n\r\n", 0, "", false, true},
 		{"GET /x\r\n\r\n", 0, "", false, true},
+		// More fields than the fixed split array holds: malformed, not a
+		// valid line with the tail dropped.
+		{"GET / HTTP/1.1 extra junk\r\n\r\n", 0, "", false, true},
 		{"no-crlf-anywhere", 0, "", false, true},
 	}
 	for _, tc := range cases {
@@ -229,9 +232,30 @@ func TestPoolResetZeroes(t *testing.T) {
 	}
 }
 
+func TestKeepAliveGETParseAllocatesOnlyThePath(t *testing.T) {
+	env, _ := parserFixture(t, string(FormatRequest("/index.html", true)))
+	var req Request
+	n := testing.AllocsPerRun(100, func() {
+		req = Request{}
+		off, err := parseRequestLine(env, &req)
+		if err == nil {
+			err = parseHeaders(env, &req, off)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Errorf("request line + headers allocate %.0f times, want 1 (Request.Path)", n)
+	}
+	if req.Path != "/index.html" || req.Version != "HTTP/1.1" || !req.KeepAlive || req.Headers != 2 {
+		t.Errorf("parsed %+v", req)
+	}
+}
+
 func TestHelperFunctions(t *testing.T) {
-	if !asciiEqualFold("Connection", "cOnNeCtIoN") || asciiEqualFold("a", "ab") ||
-		asciiEqualFold("x", "y") {
+	if !asciiEqualFold([]byte("cOnNeCtIoN"), "Connection") || asciiEqualFold([]byte("a"), "ab") ||
+		asciiEqualFold([]byte("x"), "y") {
 		t.Error("asciiEqualFold broken")
 	}
 	if string(trimSpaces([]byte("  x \t"))) != "x" || len(trimSpaces([]byte("   "))) != 0 {
@@ -240,8 +264,14 @@ func TestHelperFunctions(t *testing.T) {
 	if indexByte([]byte("abc"), 'b') != 1 || indexByte([]byte("abc"), 'z') != -1 {
 		t.Error("indexByte broken")
 	}
-	parts := splitSpaces([]byte("a  b c "))
+	var fields [4][]byte
+	parts := splitSpaces(fields[:0], []byte("a  b c "))
 	if len(parts) != 3 || string(parts[2]) != "c" {
 		t.Errorf("splitSpaces = %q", parts)
+	}
+	// More fields than the caller's array holds spill, they are not dropped.
+	parts = splitSpaces(fields[:0], []byte("GET / HTTP/1.1 extra junk and more"))
+	if len(parts) != 7 || string(parts[3]) != "extra" || string(parts[6]) != "more" {
+		t.Errorf("splitSpaces past the fixed array = %q", parts)
 	}
 }

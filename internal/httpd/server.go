@@ -233,8 +233,10 @@ type Worker struct {
 	pool        *Pool
 
 	// Reused per-batch scratch (owned by the worker thread): one slot per
-	// request of the current guard scope.
+	// request of the current guard scope, and the response header respond
+	// assembles before writing it to the connection buffer.
 	scratch []reqState
+	hdr     []byte
 	// maxFile is the largest configured file, computed once in provision;
 	// it sizes every connection's write buffer.
 	maxFile int
@@ -330,7 +332,7 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 			reg.GaugeVec("sdrad_httpd_pool_high_water_bytes",
 				"Deepest request-pool fill seen by each worker, in bytes.", "worker").With(label),
 			reg.CounterVec("sdrad_httpd_pool_resets_total",
-				"Request-pool resets per worker (one per parsed request).", "worker").With(label),
+				"Request-pool resets per worker (one per request that allocated from the pool).", "worker").With(label),
 			reg.CounterVec("sdrad_httpd_pool_exhaustions_total",
 				"Request-pool allocation failures per worker.", "worker").With(label),
 		)
@@ -464,18 +466,18 @@ func (w *Worker) run(t *proc.Thread) error {
 			w.verifier = cryptolib.NewVerifier(w.lib, maxCertSize)
 		}
 	}
+	defer w.mb.Leave()
 	for {
-		select {
-		case <-w.p.Done():
+		ev := w.mb.Next()
+		if ev == nil {
 			return nil
-		case ev := <-w.mb.Events():
-			if ev.Inspect != nil {
-				ev.RunInspect(t)
-				continue
-			}
-			w.serve(t, ev.Conn, ev.Reqs, ev.Res)
-			ev.Finish()
 		}
+		if ev.Inspect != nil {
+			ev.RunInspect(t)
+			continue
+		}
+		w.serve(t, ev.Conn, ev.Reqs, ev.Res)
+		ev.Finish()
 	}
 }
 
@@ -680,9 +682,9 @@ func quarantineState(qe *core.QuarantineError) policy.State {
 
 // runHardenedBatch parses every request of one chunk of a client event
 // inside ONE guard scope, in the persistent parser domain, on a copy of
-// the request bytes: the per-request phase transitions (Enter/Exit around
-// the request line and the headers) still happen, but the context save
-// and the recovery point are established once for the chunk. An abnormal
+// the request bytes: each request enters the domain once (request line
+// and headers under one Enter/Exit), and the context save and the
+// recovery point are established once for the chunk. An abnormal
 // exit anywhere rewinds once, discards the whole in-flight chunk, and
 // closes the connection — the paper's single-event rewind semantics,
 // which the chunk of one is exactly.
@@ -748,17 +750,11 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 				return err
 			}
 			hdrOff, perr := parseRequestLine(env, &rs[i].parsed)
+			if perr == nil {
+				perr = parseHeaders(env, &rs[i].parsed, hdrOff)
+			}
 			if err := lib.Exit(t); err != nil {
 				return err
-			}
-			if perr == nil {
-				if err := lib.Enter(t, parserUDI); err != nil {
-					return err
-				}
-				perr = parseHeaders(env, &rs[i].parsed, hdrOff)
-				if err := lib.Exit(t); err != nil {
-					return err
-				}
 			}
 			w.pool.Reset(c)
 			rs[i].perr = perr
@@ -892,22 +888,27 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 			status = "HTTP/1.1 404 Not Found\r\n"
 		}
 	}
-	conLine := "Connection: keep-alive\r\n"
+	tail := "\r\nConnection: keep-alive\r\n\r\n"
 	if !req.KeepAlive {
-		conLine = "Connection: close\r\n"
+		tail = "\r\nConnection: close\r\n\r\n"
 	}
-	header := fmt.Sprintf("%sServer: sdrad-httpd/1.23\r\nContent-Length: %d\r\n%s\r\n",
-		status, body.size, conLine)
-	if len(header)+body.size > conn.wcap {
+	h := append(w.hdr[:0], status...)
+	h = append(h, "Server: sdrad-httpd/1.23\r\nContent-Length: "...)
+	h = strconv.AppendInt(h, int64(body.size), 10)
+	h = append(h, tail...)
+	w.hdr = h
+	wlen := len(h)
+	if haveBody {
+		wlen += body.size
+	}
+	if wlen > conn.wcap {
 		return proc.Result{Err: ErrTooLarge}
 	}
-	c.Write(conn.wbuf, []byte(header))
-	wlen := len(header)
+	c.Write(conn.wbuf, h)
 	if haveBody && body.size > 0 {
 		// The file content is copied from the content store to the
 		// connection buffer — the per-size cost that shapes Figure 5.
-		c.Copy(conn.wbuf+mem.Addr(wlen), body.addr, body.size)
-		wlen += body.size
+		c.Copy(conn.wbuf+mem.Addr(len(h)), body.addr, body.size)
 	}
 	resp := c.ReadBytes(conn.wbuf, wlen)
 	if !req.KeepAlive {

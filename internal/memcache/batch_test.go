@@ -580,8 +580,8 @@ func TestIncrReadsValueBorrowedEarlierInBatch(t *testing.T) {
 
 func TestHardenedInlineSetAllocatesNoMoreThanVanilla(t *testing.T) {
 	// Deferred stores borrow and the guard scope allocates nothing, so
-	// hardening adds no Go-heap allocation to a set: what remains
-	// (tokenize, reply delivery) is shared by both arms.
+	// hardening adds no Go-heap allocation to a set: what remains (reply
+	// delivery) is shared by both arms.
 	req := FormatSet("key", bytes.Repeat([]byte("v"), 1024), 0)
 	allocs := func(v Variant) (n float64) {
 		s := startServer(t, v, 1)
@@ -603,10 +603,10 @@ func TestHardenedInlineSetAllocatesNoMoreThanVanilla(t *testing.T) {
 }
 
 func TestHandOffAllocationBudget(t *testing.T) {
-	// The shared hand-off may not cost a warm request more Go-heap
-	// allocations than the per-server copy it replaced did: 6 for a Do, 18
-	// for a DoPipeline of four gets (event, completion signal and results
-	// on the client side; tokenize and reply delivery on the worker's).
+	// A warm request allocates what it returns and the event that carries
+	// it: Do is the event (completion signal embedded) and the reply, 2;
+	// DoPipeline of four gets is the handle, its events, its results and
+	// four replies, 7.
 	get := FormatGet("k")
 	burst := [][]byte{get, get, get, get}
 	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
@@ -615,8 +615,8 @@ func TestHandOffAllocationBudget(t *testing.T) {
 		c.DoPipeline(burst) // creates the domain slots a burst of four uses
 		do := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(get) })
 		pipe := testing.AllocsPerRun(100, func() { c.DoPipeline(burst) })
-		if do > 6 || pipe > 18 {
-			t.Errorf("%v: warm Do allocates %.0f times (budget 6), DoPipeline of 4 gets %.0f (budget 18)", v, do, pipe)
+		if do > 3 || pipe > 10 {
+			t.Errorf("%v: warm Do allocates %.0f times (budget 3), DoPipeline of 4 gets %.0f (budget 10)", v, do, pipe)
 		}
 	}
 }

@@ -303,6 +303,9 @@ type dmEnv struct {
 	// reply is the reusable gather-list reply assembler (lazily created
 	// for environments that never wire one up).
 	reply *replyState
+	// tokens is the command-line tokenizer's scratch; the worker carries it
+	// from one environment to the next so a command allocates none.
+	tokens [][]byte
 }
 
 // replyState assembles a response as a gather list over a reusable
@@ -417,7 +420,8 @@ func driveMachine(env *dmEnv) (wlen int, closeConn bool, err error) {
 	if line == nil {
 		return writeString(env, "ERROR\r\n"), false, nil
 	}
-	tokens := tokenize(line)
+	tokens := tokenize(env.tokens[:0], line)
+	env.tokens = tokens
 	if len(tokens) == 0 {
 		return writeString(env, "ERROR\r\n"), false, nil
 	}
@@ -517,9 +521,9 @@ func readBody(env *dmEnv, bodyOff, nbytes int) []byte {
 	return env.c.ReadBytes(env.rbuf+mem.Addr(bodyOff), nbytes)
 }
 
-// tokenize splits a command line on single spaces.
-func tokenize(line []byte) [][]byte {
-	var out [][]byte
+// tokenize splits a command line on single spaces, appending the tokens
+// to out.
+func tokenize(out [][]byte, line []byte) [][]byte {
 	start := 0
 	for i := 0; i <= len(line); i++ {
 		if i == len(line) || line[i] == ' ' {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -415,4 +417,68 @@ func TestVariantString(t *testing.T) {
 		VariantSDRaD.String() != "sdrad" || Variant(9).String() != "unknown" {
 		t.Error("Variant.String broken")
 	}
+}
+
+// heapInuse is the Go heap in use, read after a collection when collect is
+// set.
+func heapInuse(collect bool) uint64 {
+	if collect {
+		runtime.GC()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+func TestStoppedServerIsCollectable(t *testing.T) {
+	// A stopped server and its simulated memory must be garbage after ONE
+	// collection: nothing the request path leaves behind (the hand-off's
+	// events, its sweepers) may keep the process reachable — a sync.Pool of
+	// events does, for two. Held memory shows as set-up time of the next
+	// server built in the process.
+	allVariants(t, func(t *testing.T, v Variant) {
+		before := heapInuse(true)
+		func() {
+			s, err := NewServer(Config{Variant: v, Workers: 2, CacheBytes: 32 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c := s.NewConn()
+					key := fmt.Sprintf("key-%d", i)
+					set, get := FormatSet(key, bytes.Repeat([]byte("v"), 512), 0), FormatGet(key)
+					for n := 0; n < 5000; n++ {
+						req := get
+						if n%10 == 0 {
+							req = set
+						}
+						if _, closed, err := c.Do(req); err != nil || closed {
+							t.Errorf("Do: closed=%v err=%v", closed, err)
+							return
+						}
+					}
+					for n := 0; n < 4; n++ {
+						for _, r := range c.DoPipeline([][]byte{get, set, get, get, get, get}) {
+							if r.Err != nil || r.Closed {
+								t.Errorf("DoPipeline: %+v", r)
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if held := heapInuse(false) - before; held < 24<<20 {
+				t.Fatalf("a live server holds %d MiB of Go heap; the test no longer measures its memory", held>>20)
+			}
+			s.Stop()
+		}()
+		if after := heapInuse(true); after > before+8<<20 {
+			t.Errorf("HeapInuse %d MiB before the server, %d MiB after Stop and one GC: the stopped server is still reachable",
+				before>>20, after>>20)
+		}
+	})
 }

@@ -478,20 +478,11 @@ func (w *worker) run(t *proc.Thread) error {
 			return err
 		}
 	}
-	// pending holds an event drained from the channel that could not
-	// join the current batch (inspect event, or the batch was full); it
-	// leads the next round so event order is preserved.
-	var pending *proc.Event[*Conn]
+	defer w.mb.Leave()
 	for {
-		var ev *proc.Event[*Conn]
-		if pending != nil {
-			ev, pending = pending, nil
-		} else {
-			select {
-			case <-s.p.Done():
-				return nil
-			case ev = <-w.mb.Events():
-			}
+		ev := w.mb.Next()
+		if ev == nil {
+			return nil
 		}
 		if ev.Inspect != nil {
 			ev.RunInspect(t)
@@ -499,26 +490,25 @@ func (w *worker) run(t *proc.Thread) error {
 		}
 		// Drain up to the controller's current bound of pending requests
 		// into one batch. The first event of a round is taken whole (a
-		// pipelined event is never split); inspect events and events that
-		// would overflow the bound park in pending for the next round.
+		// pipelined event is never split); an inspect event or one that
+		// would overflow the bound is put back and leads the next round, so
+		// event order is preserved.
 		bound := w.ctrl.Bound()
 		w.round, w.items = w.round[:0], w.items[:0]
 		w.take(ev)
-	drain:
 		for len(w.items) < bound {
-			select {
-			case ev2 := <-w.mb.Events():
-				if ev2.Inspect != nil || len(w.items)+len(ev2.Reqs) > bound {
-					pending = ev2
-					break drain
-				}
-				w.take(ev2)
-			default:
-				break drain
+			ev2 := w.mb.TryNext()
+			if ev2 == nil {
+				break
 			}
+			if ev2.Inspect != nil || len(w.items)+len(ev2.Reqs) > bound {
+				w.mb.PutBack(ev2)
+				break
+			}
+			w.take(ev2)
 		}
 		drained := len(w.items)
-		if pending == nil && drained == 1 && len(w.mb.Events()) == 0 && w.ctrl.AtFloor() {
+		if drained == 1 && w.mb.Len() == 0 && w.ctrl.AtFloor() {
 			// Idle floor fast path: a lone event with nothing queued behind
 			// it cannot move a controller already at bound 1 with a cold
 			// rewind window, so the round skips the clock reads and the
@@ -533,11 +523,7 @@ func (w *worker) run(t *proc.Thread) error {
 		// never counted as this round's backlog.
 		t0 := w.ctrl.Now()
 		s.dispatchBatch(t, w, w.items)
-		backlog := len(w.mb.Events())
-		if pending != nil {
-			backlog++
-		}
-		w.ctrl.ObserveRound(backlog, drained, w.ctrl.Now()-t0)
+		w.ctrl.ObserveRound(w.mb.Len(), drained, w.ctrl.Now()-t0)
 		if w.boundGauge != nil {
 			w.boundGauge.Set(int64(w.ctrl.Bound()))
 		}
@@ -618,6 +604,7 @@ func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int)
 		rl:           c.SpanLease(conn.rbuf, s.cfg.ConnBufSize, mem.AccessRead),
 		wl:           c.SpanLease(conn.wbuf, s.cfg.ConnBufSize, mem.AccessWrite),
 		reply:        &w.rw,
+		tokens:       env.tokens,
 	}
 	wlen, closeit, err := driveMachine(env)
 	for _, p := range w.scratchAddrs {
@@ -788,6 +775,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			allocScratch: w.allocDomain,
 			ops:          dops,
 			reply:        &w.rw,
+			tokens:       env.tokens,
 		}
 		for i := range items {
 			if states[i].done {

@@ -3,6 +3,9 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -10,34 +13,79 @@ var errToyDown = errors.New("toy: worker down")
 
 // toyWorker serves a mailbox the way both servers' loops do: it answers
 // each request with "<conn>:<request>" and records the size of every
-// event it took.
+// event it took. A round is up to roundMax events (default one), served
+// together and then finished together, as memcache does; an inspect
+// event met while filling a round is put back. The request "trap" is a
+// memory-safety violation with no recovery point: it kills the process
+// with every event of the round still in the worker's hands.
 type toyWorker struct {
-	mb     *Mailbox[int]
-	chunks []int // owned by the worker thread; read through Inspect
+	mb       *Mailbox[int]
+	roundMax int
+	echo     bool  // answer with the request itself (benchmark: no allocation)
+	chunks   []int // owned by the worker thread; read through Inspect
 }
 
 func newToy(queue, maxBatch int) (*Process, *toyWorker) {
 	p := NewProcess("toy")
-	return p, &toyWorker{mb: NewMailbox[int](p, queue, maxBatch, errToyDown)}
+	return p, addToy(p, queue, maxBatch)
+}
+
+// addToy gives p one more worker with its own mailbox.
+func addToy(p *Process, queue, maxBatch int) *toyWorker {
+	return &toyWorker{mb: NewMailbox[int](p, queue, maxBatch, errToyDown)}
 }
 
 func (w *toyWorker) run(t *Thread) error {
+	defer w.mb.Leave()
+	var round []*Event[int]
 	for {
-		select {
-		case <-t.Process().Done():
+		ev := w.mb.Next()
+		if ev == nil {
 			return nil
-		case ev := <-w.mb.Events():
-			if ev.Inspect != nil {
-				ev.RunInspect(t)
-				continue
+		}
+		if ev.Inspect != nil {
+			ev.RunInspect(t)
+			continue
+		}
+		round = append(round[:0], ev)
+		for len(round) < w.roundMax {
+			ev2 := w.mb.TryNext()
+			if ev2 == nil {
+				break
 			}
+			if ev2.Inspect != nil {
+				w.mb.PutBack(ev2)
+				break
+			}
+			round = append(round, ev2)
+		}
+		for _, ev := range round {
 			w.chunks = append(w.chunks, len(ev.Reqs))
 			for i, req := range ev.Reqs {
-				ev.Res[i].Resp = []byte(fmt.Sprintf("%d:%s", ev.Conn, req))
+				switch {
+				case string(req) == "trap":
+					t.CPU().WriteU8(0xBAD0000, 1) // unmapped
+				case w.echo:
+					ev.Res[i].Resp = req
+				default:
+					ev.Res[i].Resp = []byte(fmt.Sprintf("%d:%s", ev.Conn, req))
+				}
 			}
+		}
+		for _, ev := range round {
 			ev.Finish()
 		}
 	}
+}
+
+// parked parks the worker inside an Inspect and returns once it is there,
+// so that sequential Starts stage an exact backlog behind it; release lets
+// the worker go on.
+func (w *toyWorker) parked() (release func()) {
+	in, out := make(chan struct{}), make(chan struct{})
+	go func() { _ = w.mb.Inspect(func(*Thread) error { close(in); <-out; return nil }) }()
+	<-in
+	return func() { close(out) }
 }
 
 func numbered(n int) [][]byte {
@@ -69,14 +117,14 @@ func check(t *testing.T, res []Result, conn int, reqs [][]byte, down bool) {
 
 func TestStartReturnsOnceQueued(t *testing.T) {
 	// No worker is draining: after N sequential starts exactly N events sit
-	// in the channel, and a worker spawned afterwards serves them all.
+	// in the inbox, and a worker spawned afterwards serves them all.
 	p, w := newToy(8, 4)
 	defer p.Shutdown()
 	var pending []*Pending[int]
 	for i := 0; i < 5; i++ {
 		pending = append(pending, w.mb.Start(i, numbered(1)))
-		if got := len(w.mb.Events()); got != i+1 {
-			t.Fatalf("after %d starts the channel holds %d events", i+1, got)
+		if got := w.mb.Len(); got != i+1 {
+			t.Fatalf("after %d starts the inbox holds %d events", i+1, got)
 		}
 	}
 	p.Spawn("worker", w.run)
@@ -125,4 +173,150 @@ func TestDownProcessFailsEveryRequestWithoutHanging(t *testing.T) {
 		p.Shutdown()
 		check(t, h.Wait(), 1, numbered(10), true)
 	})
+}
+
+func TestWorkerDyingWithEventsInHandFailsThemAfterTermination(t *testing.T) {
+	// The worker traps holding one, two or three events, the rest queued
+	// behind. Every client gets the down error (a second end of one event
+	// would panic in its completion signal, a missing one would hang its
+	// client here), and none of them is woken before the process reports
+	// itself dead.
+	for _, tc := range []struct{ roundMax, trapAt int }{
+		{1, 0}, // one event in hand, two queued
+		{2, 1}, // two in hand — the first already served, not finished —, one queued
+		{3, 0}, // all three in hand
+	} {
+		p, w := newToy(4, 4)
+		w.roundMax = tc.roundMax
+		p.Spawn("worker", w.run)
+		release := w.parked()
+		var pending []*Pending[int]
+		for i := 0; i < 3; i++ {
+			req := []byte("ok")
+			if i == tc.trapAt {
+				req = []byte("trap")
+			}
+			pending = append(pending, w.mb.Start(i, [][]byte{req}))
+		}
+		var wg sync.WaitGroup
+		var aliveAtReturn atomic.Int32
+		for i, h := range pending {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res := h.Wait()
+				if !p.Killed() {
+					aliveAtReturn.Add(1)
+				}
+				if len(res) != 1 || !res[0].Closed || !errors.Is(res[0].Err, errToyDown) {
+					t.Errorf("round of %d, client %d: %+v, want the down error", tc.roundMax, i, res)
+				}
+			}()
+		}
+		release()
+		wg.Wait()
+		if n := aliveAtReturn.Load(); n != 0 {
+			t.Errorf("round of %d: %d clients saw the down error before the process was marked terminated", tc.roundMax, n)
+		}
+		p.Wait()
+		var crash *CrashError
+		if !errors.As(p.ExitError(), &crash) {
+			t.Errorf("round of %d: exit error %v, want the crash", tc.roundMax, p.ExitError())
+		}
+	}
+}
+
+func TestDoAfterTerminateReportsDownWithLiveSibling(t *testing.T) {
+	// Terminate has returned; the sibling worker is alive, idle, and may
+	// not have noticed yet. It must not serve the call.
+	for i := 0; i < 1000; i++ {
+		p, a := newToy(4, 4)
+		b := addToy(p, 4, 4)
+		p.Spawn("a", a.run)
+		p.Spawn("b", b.run)
+		for _, w := range []*toyWorker{a, b} {
+			if _, _, err := w.mb.Do(1, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Terminate(errors.New("sibling crashed"))
+		if resp, closed, err := b.mb.Do(1, []byte("late")); !errors.Is(err, errToyDown) || !closed {
+			t.Fatalf("iteration %d: Do after Terminate = %q closed=%v err=%v, want the down error", i, resp, closed, err)
+		}
+		p.Wait()
+	}
+}
+
+func TestStartRacingTerminateEndsEveryEventOnce(t *testing.T) {
+	// Clients keep starting pipelines while another goroutine terminates
+	// the process. Every Wait returns (no event is left unended), a served
+	// prefix is intact and everything behind the first failure reports
+	// down, and the worker and the sweeper exit: a second end of one event
+	// would panic, or with a one-slot channel as the signal block its
+	// sender for good.
+	for _, queue := range []int{0, 4} {
+		for i := 0; i < 200; i++ {
+			p, w := newToy(queue, 2)
+			w.roundMax = 2
+			p.Spawn("worker", w.run)
+			var wg sync.WaitGroup
+			for c := 0; c < 2; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					reqs := numbered(6)
+					for n := 0; n < 4; n++ {
+						res := w.mb.Start(c, reqs).Wait()
+						served := 0
+						for served < len(res) && res[served].Err == nil {
+							served++
+						}
+						check(t, res[:served], c, reqs[:served], false)
+						check(t, res[served:], c, reqs[served:], true)
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i%2 == 0 {
+					runtime.Gosched()
+				}
+				p.Shutdown()
+			}()
+			wg.Wait()
+			p.Wait()
+		}
+	}
+}
+
+// BenchmarkHandoffDo times the hand-off alone: two workers that answer
+// with the request itself, one client goroutine and one mailbox each.
+func BenchmarkHandoffDo(b *testing.B) {
+	p, w0 := newToy(4, 4)
+	workers := []*toyWorker{w0, addToy(p, 4, 4)}
+	for _, w := range workers {
+		w.echo = true
+		p.Spawn("worker", w.run)
+	}
+	req := []byte("x")
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := b.N / len(workers); n > 0; n-- {
+				if _, _, err := w.mb.Do(c, req); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	p.Shutdown()
+	p.Wait()
 }

@@ -170,7 +170,9 @@ func (p *Process) Terminate(cause error) {
 // Shutdown terminates the process without an error cause (clean exit).
 func (p *Process) Shutdown() { p.Terminate(nil) }
 
-// Wait blocks until all spawned threads have finished.
+// Wait blocks until all spawned threads have finished, and with them the
+// sweeper of every Mailbox of p: after Shutdown and Wait no goroutine
+// refers to the process any more.
 func (p *Process) Wait() { p.wg.Wait() }
 
 // Thread is a simulated thread: a goroutine with a CPU context, a signal
