@@ -453,12 +453,16 @@ func TestPipelineConnectionCloseMidBatch(t *testing.T) {
 
 func TestPlaceWorkerLegacyRoundRobin(t *testing.T) {
 	// PlaceWorker is the round-robin cursor (the listener and the
-	// ledger's per-worker dialing rely on it).
+	// ledger's per-worker dialing rely on it), and the event queue is a
+	// rendezvous.
 	m := startMaster(t, VariantSDRaD, 3)
 	for i := 0; i < 7; i++ {
 		if got := m.PlaceWorker(); got != i%3 {
 			t.Fatalf("placement %d = worker %d, want %d", i, got, i%3)
 		}
+	}
+	if got := m.Worker(0).mb.Cap(); got != 0 {
+		t.Fatalf("event queue buffered to %d, want rendezvous", got)
 	}
 }
 

@@ -296,9 +296,6 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 		p:    proc.NewProcess(fmt.Sprintf("nginx-worker-%d-%s", idx, cfg.Variant.String()), proc.WithSeed(cfg.Seed+int64(idx))),
 		ctrl: sched.NewController(cfg.Sched, cfg.MaxBatch),
 	}
-	// No queue: a single-threaded event loop takes one client event at a
-	// time, so a start is a rendezvous with it.
-	w.mb = proc.NewMailbox[*Conn](w.p, 0, cfg.MaxBatch, ErrWorkerDown)
 	if cfg.Variant == VariantSDRaD {
 		opts := []core.SetupOption{core.WithRootHeapSize(heapBudget(cfg))}
 		if cfg.Telemetry != nil {
@@ -337,6 +334,11 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 				"Request-pool allocation failures per worker.", "worker").With(label),
 		)
 	}
+	// No queue: a single-threaded event loop takes one client event at a
+	// time, so a start is a rendezvous with it. The mailbox comes last: its
+	// sweeper lives until the process goes down, and a worker that failed
+	// to provision above is never shut down.
+	w.mb = proc.NewMailbox[*Conn](w.p, 0, cfg.MaxBatch, ErrWorkerDown)
 	w.handle = w.p.Spawn("event-loop", w.run)
 	return w, nil
 }
@@ -474,10 +476,10 @@ func (w *Worker) run(t *proc.Thread) error {
 		}
 		if ev.Inspect != nil {
 			ev.RunInspect(t)
-			continue
+		} else {
+			w.serve(t, ev.Conn, ev.Reqs, ev.Res)
 		}
-		w.serve(t, ev.Conn, ev.Reqs, ev.Res)
-		ev.Finish()
+		w.mb.FinishRound()
 	}
 }
 

@@ -199,10 +199,9 @@ type worker struct {
 	domainReady bool
 	slots       []connSlot
 
-	// Reused per-batch scratch (owned by the worker goroutine): the events
-	// of the current drain round, their requests flattened, and the
+	// Reused per-batch scratch (owned by the worker goroutine): the
+	// requests of the current drain round's events, flattened, and the
 	// per-request guard-scope state.
-	round  []*proc.Event[*Conn]
 	items  []batchItem
 	states []evState
 	dops   deferredOps
@@ -486,6 +485,7 @@ func (w *worker) run(t *proc.Thread) error {
 		}
 		if ev.Inspect != nil {
 			ev.RunInspect(t)
+			w.mb.FinishRound()
 			continue
 		}
 		// Drain up to the controller's current bound of pending requests
@@ -494,7 +494,7 @@ func (w *worker) run(t *proc.Thread) error {
 		// would overflow the bound is put back and leads the next round, so
 		// event order is preserved.
 		bound := w.ctrl.Bound()
-		w.round, w.items = w.round[:0], w.items[:0]
+		w.items = w.items[:0]
 		w.take(ev)
 		for len(w.items) < bound {
 			ev2 := w.mb.TryNext()
@@ -515,7 +515,7 @@ func (w *worker) run(t *proc.Thread) error {
 			// observation — at low load the controller costs one atomic
 			// load per event.
 			s.dispatchBatch(t, w, w.items)
-			w.finishRound()
+			w.mb.FinishRound()
 			continue
 		}
 		// The round is observed before its replies go out: a client holding
@@ -527,24 +527,15 @@ func (w *worker) run(t *proc.Thread) error {
 		if w.boundGauge != nil {
 			w.boundGauge.Set(int64(w.ctrl.Bound()))
 		}
-		w.finishRound()
+		w.mb.FinishRound()
 	}
 }
 
 // take adds an event to the current round, flattening its requests into
 // the batch.
 func (w *worker) take(ev *proc.Event[*Conn]) {
-	w.round = append(w.round, ev)
 	for i, r := range ev.Reqs {
 		w.items = append(w.items, batchItem{conn: ev.Conn, req: r, res: &ev.Res[i]})
-	}
-}
-
-// finishRound hands every event of the round, its results filled in, back
-// to the client waiting on it.
-func (w *worker) finishRound() {
-	for _, ev := range w.round {
-		ev.Finish()
 	}
 }
 

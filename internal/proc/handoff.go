@@ -24,9 +24,9 @@ import "sync"
 //
 // Who may touch Res when: the client provides the slice when it starts
 // the event and reads it only after wait reports the event finished. The
-// worker writes it between taking the event and Finish. Nobody writes the
-// results of a failed event: its owner gave up serving it before failing
-// it.
+// worker writes it between taking the event and FinishRound. Nobody
+// writes the results of a failed event: its owner gave up serving it
+// before failing it.
 
 // Result is one request's outcome. Closed reports that the server closed
 // the connection (the request itself asked, or it was in flight in a
@@ -39,9 +39,9 @@ type Result struct {
 }
 
 // Event is one client event in a worker's Mailbox. The worker reads Conn
-// and Reqs, writes Res[i] for every Reqs[i], and calls Finish once. A
-// control event has a non-nil Inspect and no requests: the worker calls
-// RunInspect on its own thread instead.
+// and Reqs and writes Res[i] for every Reqs[i]; the mailbox's FinishRound
+// hands it back. A control event has a non-nil Inspect and no requests:
+// the worker calls RunInspect on its own thread instead.
 type Event[C any] struct {
 	Conn    C
 	Reqs    [][]byte
@@ -49,45 +49,32 @@ type Event[C any] struct {
 	Inspect func(t *Thread) error
 
 	// done is the completion signal, armed by start and released by the one
-	// Finish or fail; it is part of the event so that starting one
-	// allocates nothing. outcome is written before the release and read by
-	// the client after it.
-	done    sync.WaitGroup
-	outcome outcome
+	// end; it is part of the event so that starting one allocates nothing.
+	// served is written before the release and read by the client after it.
+	done   sync.WaitGroup
+	served bool
 	// Storage for a batch of one, so Do allocates the event and nothing
 	// else for its request and result.
 	req1 [1][]byte
 	res1 [1]Result
 }
 
-type outcome uint8
-
-const (
-	inFlight outcome = iota
-	finished
-	failed
-)
-
-// Finish hands the filled-in results back to the waiting client.
-func (ev *Event[C]) Finish() { ev.end(finished) }
-
-// end releases the completion signal. A second end of one event is a bug
-// in the completion rule and panics in the WaitGroup.
-func (ev *Event[C]) end(o outcome) {
-	ev.outcome = o
+// end releases the completion signal: served when the results are filled
+// in, not when the event is failed. A second end of one event is a bug in
+// the completion rule and panics in the WaitGroup.
+func (ev *Event[C]) end(served bool) {
+	ev.served = served
 	ev.done.Done()
 }
 
 // RunInspect serves a control event: it runs the closure on t, the
-// worker's thread, and finishes the event with the closure's error.
-func (ev *Event[C]) RunInspect(t *Thread) {
-	ev.Res[0].Err = ev.Inspect(t)
-	ev.Finish()
-}
+// worker's thread, and records the closure's error as the event's result.
+func (ev *Event[C]) RunInspect(t *Thread) { ev.Res[0].Err = ev.Inspect(t) }
 
 // Mailbox is one worker's inbox: clients start events into it and wait on
-// them; the worker's loop defers Leave, takes events with Next and
-// TryNext, and finishes every event it took before it calls Next again.
+// them. The worker's loop defers Leave, takes a round of events with Next
+// and TryNext, and calls FinishRound before the next Next; the mailbox
+// keeps the round, so the loop keeps no list of what it owes an answer.
 type Mailbox[C any] struct {
 	p        *Process
 	ch       chan *Event[C]
@@ -99,7 +86,7 @@ type Mailbox[C any] struct {
 	down chan struct{}
 
 	// Owned by the worker: the event it put back, which leads the next
-	// round, and the events taken since the last Next.
+	// round, and the round — the events taken and not yet ended.
 	head *Event[C]
 	held []*Event[C]
 
@@ -134,7 +121,7 @@ func (m *Mailbox[C]) sweep() {
 	m.orphans, m.swept = nil, true
 	m.mu.Unlock()
 	for _, ev := range orphans {
-		ev.end(failed)
+		ev.end(false)
 	}
 	m.drain()
 }
@@ -145,12 +132,16 @@ func (m *Mailbox[C]) drain() {
 	for {
 		select {
 		case ev := <-m.ch:
-			ev.end(failed)
+			ev.end(false)
 		default:
 			return
 		}
 	}
 }
+
+// Cap is how many started events the inbox holds before a start blocks;
+// 0 means every start is a rendezvous with the worker.
+func (m *Mailbox[C]) Cap() int { return cap(m.ch) }
 
 // Len is the number of started events the worker has not taken yet.
 func (m *Mailbox[C]) Len() int {
@@ -163,7 +154,6 @@ func (m *Mailbox[C]) Len() int {
 // Next starts a round: it returns the next event to serve, parking while
 // the inbox is empty, or nil when the process is down.
 func (m *Mailbox[C]) Next() *Event[C] {
-	m.held = m.held[:0]
 	ev := m.head
 	m.head = nil
 	if ev == nil {
@@ -196,11 +186,20 @@ func (m *Mailbox[C]) TryNext() *Event[C] {
 // Terminate returned must not be served by a sibling that has not noticed.
 func (m *Mailbox[C]) hold(ev *Event[C]) *Event[C] {
 	if m.p.Killed() {
-		ev.end(failed)
+		ev.end(false)
 		return nil
 	}
 	m.held = append(m.held, ev)
 	return ev
+}
+
+// FinishRound hands every event of the round, its results filled in, back
+// to the client waiting on it.
+func (m *Mailbox[C]) FinishRound() {
+	for _, ev := range m.held {
+		ev.end(true)
+	}
+	m.held = m.held[:0]
 }
 
 // PutBack returns the event TryNext just handed out; the next Next
@@ -210,23 +209,18 @@ func (m *Mailbox[C]) PutBack(ev *Event[C]) {
 	m.head = ev
 }
 
-// Leave is deferred by the worker's loop. The events the worker still
-// holds unended — it panicked while serving them — are failed, but only
-// once the process is marked terminated: a client woken earlier would see
-// the down error from a process that does not yet report it crashed. So
-// before termination they go to the sweeper.
+// Leave is deferred by the worker's loop. The round the worker still
+// holds — it panicked while serving it — is failed, but only once the
+// process is marked terminated: a client woken earlier would see the down
+// error from a process that does not yet report it crashed. So before
+// termination it goes to the sweeper.
 func (m *Mailbox[C]) Leave() {
-	var left []*Event[C]
-	for _, ev := range m.held {
-		if ev.outcome == inFlight {
-			left = append(left, ev)
-		}
-	}
+	left := m.held
 	if m.head != nil {
 		left = append(left, m.head)
 	}
 	m.held, m.head = nil, nil
-	if left == nil {
+	if len(left) == 0 {
 		return
 	}
 	m.mu.Lock()
@@ -235,7 +229,7 @@ func (m *Mailbox[C]) Leave() {
 	}
 	m.mu.Unlock()
 	for _, ev := range left {
-		ev.end(failed)
+		ev.end(false)
 	}
 }
 
@@ -266,7 +260,7 @@ func (m *Mailbox[C]) start(ev *Event[C]) bool {
 // wait returns once ev is ended: true when the worker finished it.
 func (m *Mailbox[C]) wait(ev *Event[C]) bool {
 	ev.done.Wait()
-	return ev.outcome == finished
+	return ev.served
 }
 
 // Do sends one request on conn and waits for its result.

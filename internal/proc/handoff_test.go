@@ -13,9 +13,10 @@ var errToyDown = errors.New("toy: worker down")
 
 // toyWorker serves a mailbox the way both servers' loops do: it answers
 // each request with "<conn>:<request>" and records the size of every
-// event it took. A round is up to roundMax events (default one), served
-// together and then finished together, as memcache does; an inspect
-// event met while filling a round is put back. The request "trap" is a
+// event it took. A round is up to roundMax events (default one), their
+// requests flattened, served together and then finished together by the
+// mailbox, as memcache does; an inspect event met while filling a round
+// is put back. The request "trap" is a
 // memory-safety violation with no recovery point: it kills the process
 // with every event of the round still in the worker's hands.
 type toyWorker struct {
@@ -37,7 +38,20 @@ func addToy(p *Process, queue, maxBatch int) *toyWorker {
 
 func (w *toyWorker) run(t *Thread) error {
 	defer w.mb.Leave()
-	var round []*Event[int]
+	type item struct {
+		conn int
+		req  []byte
+		res  *Result
+	}
+	var items []item
+	events := 0
+	take := func(ev *Event[int]) {
+		events++
+		w.chunks = append(w.chunks, len(ev.Reqs))
+		for i, req := range ev.Reqs {
+			items = append(items, item{ev.Conn, req, &ev.Res[i]})
+		}
+	}
 	for {
 		ev := w.mb.Next()
 		if ev == nil {
@@ -45,10 +59,12 @@ func (w *toyWorker) run(t *Thread) error {
 		}
 		if ev.Inspect != nil {
 			ev.RunInspect(t)
+			w.mb.FinishRound()
 			continue
 		}
-		round = append(round[:0], ev)
-		for len(round) < w.roundMax {
+		items, events = items[:0], 0
+		take(ev)
+		for events < w.roundMax {
 			ev2 := w.mb.TryNext()
 			if ev2 == nil {
 				break
@@ -57,24 +73,19 @@ func (w *toyWorker) run(t *Thread) error {
 				w.mb.PutBack(ev2)
 				break
 			}
-			round = append(round, ev2)
+			take(ev2)
 		}
-		for _, ev := range round {
-			w.chunks = append(w.chunks, len(ev.Reqs))
-			for i, req := range ev.Reqs {
-				switch {
-				case string(req) == "trap":
-					t.CPU().WriteU8(0xBAD0000, 1) // unmapped
-				case w.echo:
-					ev.Res[i].Resp = req
-				default:
-					ev.Res[i].Resp = []byte(fmt.Sprintf("%d:%s", ev.Conn, req))
-				}
+		for _, it := range items {
+			switch {
+			case string(it.req) == "trap":
+				t.CPU().WriteU8(0xBAD0000, 1) // unmapped
+			case w.echo:
+				it.res.Resp = it.req
+			default:
+				it.res.Resp = []byte(fmt.Sprintf("%d:%s", it.conn, it.req))
 			}
 		}
-		for _, ev := range round {
-			ev.Finish()
-		}
+		w.mb.FinishRound()
 	}
 }
 
@@ -291,7 +302,9 @@ func TestStartRacingTerminateEndsEveryEventOnce(t *testing.T) {
 }
 
 // BenchmarkHandoffDo times the hand-off alone: two workers that answer
-// with the request itself, one client goroutine and one mailbox each.
+// with the request itself, one client goroutine and one mailbox each. The
+// iterations are split rounding up, so one iteration (-benchtime=1x, the
+// smoke step) still hands an event to each worker.
 func BenchmarkHandoffDo(b *testing.B) {
 	p, w0 := newToy(4, 4)
 	workers := []*toyWorker{w0, addToy(p, 4, 4)}
@@ -307,7 +320,7 @@ func BenchmarkHandoffDo(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for n := b.N / len(workers); n > 0; n-- {
+			for n := (b.N + len(workers) - 1) / len(workers); n > 0; n-- {
 				if _, _, err := w.mb.Do(c, req); err != nil {
 					b.Error(err)
 					return
