@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-clockless chaos-smoke chaos-race bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
+.PHONY: build test race vet fmt-check chaos-clockless chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
 
 build:
 	$(GO) build ./...
@@ -22,13 +22,17 @@ test:
 # client-to-worker hand-off (internal/proc: start, wait, chunking, and
 # its down paths — a worker dying with events in hand, a call after
 # Terminate, a start racing it) and the fifth the memcache tests that
-# stage a backlog through it behind a parked worker.
+# stage a backlog through it behind a parked worker. The last holds the
+# router's dead-backend spill to exactly FailThreshold degraded replies
+# two hundred times: a stopped backend must answer nothing, or a reply
+# resets its failure streak and the count drifts.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 	$(GO) test -race -count=20 ./internal/proc
 	$(GO) test -race -count=20 -run 'BlastRadius|TwoConnsInOneRound|ChunkedPipeline' ./internal/memcache
+	$(GO) test -race -count=200 -run SpillsAroundDeadBackend ./internal/cluster
 
 vet:
 	$(GO) vet ./...
@@ -54,6 +58,13 @@ chaos-smoke:
 # that staging to "never flakes", as the CI build job does.
 chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
+
+# Ten seconds of native fuzzing on the memcached request framer the
+# router and the backend share (seeded with text, pipelined, binary and
+# CVE-2011-4971 frames): frames must be non-empty and concatenate to a
+# prefix of the input. A guard, not a hunt.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 10s ./internal/memcache
 
 # The evaluation at reduced scale (all 14 experiments, the three live
 # claims included), then one iteration of each mechanism benchmark (the
@@ -124,4 +135,4 @@ cluster-gate:
 	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
-ci: build vet fmt-check chaos-clockless test race chaos-smoke chaos-race bench-smoke policy-gate cluster-gate
+ci: build vet fmt-check chaos-clockless test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate

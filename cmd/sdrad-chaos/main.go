@@ -15,13 +15,13 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
-
-	"encoding/json"
 
 	"sdrad/internal/chaos"
 	"sdrad/internal/policy"
@@ -29,13 +29,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sdrad-chaos:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sdrad-chaos", flag.ContinueOnError)
 	seed := fs.Int64("seed", 0, "campaign seed (0 picks one from the clock)")
 	ops := fs.Int("ops", 0, "operations per campaign (0 = default)")
@@ -51,7 +51,7 @@ func run(args []string) error {
 	}
 	if *list {
 		for _, c := range chaos.Campaigns() {
-			fmt.Printf("%-10s %s\n", c.Name, c.Desc)
+			fmt.Fprintf(out, "%-10s %s\n", c.Name, c.Desc)
 		}
 		return nil
 	}
@@ -75,7 +75,7 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("telemetry: %w", err)
 			}
-			fmt.Printf("telemetry on http://%s/ (/metrics, /flightrecorder, /forensics)\n", bound)
+			fmt.Fprintf(out, "telemetry on http://%s/ (/metrics, /flightrecorder, /forensics)\n", bound)
 		}
 	}
 
@@ -97,20 +97,20 @@ func run(args []string) error {
 			}
 		}
 		if *verbose {
-			cfg.Logf = func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
+			cfg.Logf = func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) }
 		}
 		reports, err := chaos.RunSelected(selected, cfg)
 		if err != nil {
 			return err
 		}
 		for _, r := range reports {
-			fmt.Println(r.Summary())
+			fmt.Fprintln(out, r.Summary())
 			if !r.Ok() {
 				failed++
 				for _, f := range r.Failures {
-					fmt.Printf("  FAIL: %s\n", f)
+					fmt.Fprintf(out, "  FAIL: %s\n", f)
 				}
-				fmt.Printf("  reproduce with: sdrad-chaos -seed %d -campaigns %s\n", roundSeed, r.Campaign)
+				fmt.Fprintf(out, "  reproduce with: sdrad-chaos -seed %d -campaigns %s\n", roundSeed, r.Campaign)
 			}
 		}
 		if *budget <= 0 || !time.Now().Before(deadline) {
@@ -125,7 +125,7 @@ func run(args []string) error {
 		if err := os.WriteFile(*flightDump, data, 0o644); err != nil {
 			return fmt.Errorf("flight dump: %w", err)
 		}
-		fmt.Printf("telemetry dump written to %s (%d flight events, %d forensics reports)\n",
+		fmt.Fprintf(out, "telemetry dump written to %s (%d flight events, %d forensics reports)\n",
 			*flightDump, rec.Flight().Written(), rec.Forensics().Added())
 	}
 	if *policyDump != "" {
@@ -136,7 +136,7 @@ func run(args []string) error {
 		if err := os.WriteFile(*policyDump, append(data, '\n'), 0o644); err != nil {
 			return fmt.Errorf("policy dump: %w", err)
 		}
-		fmt.Printf("policy state written to %s (%d phases)\n", *policyDump, len(policyState))
+		fmt.Fprintf(out, "policy state written to %s (%d phases)\n", *policyDump, len(policyState))
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d campaign(s) failed", failed)

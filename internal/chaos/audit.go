@@ -1,23 +1,40 @@
 package chaos
 
 import (
+	"errors"
+
 	"sdrad/internal/core"
 	"sdrad/internal/mem"
 	"sdrad/internal/proc"
+	"sdrad/internal/sig"
 	"sdrad/internal/telemetry"
 )
 
-// auditor runs the post-rewind invariant audit: the monitor's own
-// bookkeeping checks (core.Library.Audit) plus the engine-side checks
-// that need before/after context — residual mappings of discarded
-// domains, mapped-bytes stability across rewind cycles, and fault-log
-// correlation. One auditor serves one campaign.
+// auditor states the post-rewind contract once. It owns one audited
+// library, its address space and the telemetry recorder attached to it,
+// and judges every campaign operation with one of five outcome checks
+// against a before snapshot taken just ahead of the operation:
+//
+//   - calm: nothing faulted, nothing rewound, nothing reported;
+//   - trapped: a trap the server absorbed internally — exactly one fault
+//     logged, one rewind, one forensics report agreeing with the
+//     fault-log tail;
+//   - aborted: the same for a stack-protector abort — no fault logged,
+//     one rewind, one SIGABRT/STACK_CHK report;
+//   - exited: a guard scope the campaign ran itself returned the
+//     *core.AbnormalExit, which must agree with trapped or aborted above
+//     and with its forensics report;
+//   - mutated: a mutated request rewinds any number of times, each one
+//     counted as injected and leaving one report.
+//
+// Beyond those it runs the invariant audits that need campaign context:
+// the library audit, residual mappings of discarded domains, and
+// mapped-bytes stability across rewind cycles. One auditor serves one
+// library.
 type auditor struct {
 	r   *Report
 	lib *core.Library
-	// rec is the telemetry recorder attached to the audited library; every
-	// absorbed rewind must leave exactly one forensics report whose
-	// identity (si_code, fault address, failed domain) matches the oracle.
+	as  *mem.AddressSpace
 	rec *telemetry.Recorder
 
 	// baselineMapped holds, per steady-state class, the address-space
@@ -29,10 +46,125 @@ type auditor struct {
 	baselineMapped map[string]int64
 }
 
-// audit runs the library audit on the calling thread and records every
-// finding as a campaign failure. It must run on the audited thread, with
-// the process quiescent (between requests).
-func (a *auditor) audit(t *proc.Thread, label string) *core.AuditReport {
+func newAuditor(r *Report, lib *core.Library, rec *telemetry.Recorder) *auditor {
+	return &auditor{r: r, lib: lib, as: lib.Process().AddressSpace(), rec: rec, baselineMapped: map[string]int64{}}
+}
+
+// before is one operation's snapshot of the three counters every outcome
+// check diffs. The forensics counter is cumulative (the retain ring
+// evicts), so the diff counts reports exactly.
+type before struct {
+	seq, rewinds, forensics int64
+}
+
+func (a *auditor) before() before {
+	return before{a.as.FaultSeq(), a.lib.Stats().Rewinds.Load(), a.rec.Forensics().Added()}
+}
+
+// calm checks an operation that must not trap.
+func (a *auditor) calm(label string, b before) {
+	a.count(label, b, 0)
+	if seq := a.as.FaultSeq(); seq != b.seq {
+		a.r.failf("%s: %d faults logged by a calm operation", label, seq-b.seq)
+	}
+}
+
+// mutated checks a mutated request, which may or may not trap: every
+// rewind it caused counts as injected and must leave one report. It
+// returns the number of rewinds.
+func (a *auditor) mutated(label string, b before) int {
+	n := int(a.lib.Stats().Rewinds.Load() - b.rewinds)
+	a.r.Injected += n
+	a.count(label, b, n)
+	return n
+}
+
+// trapped checks one absorbed memory trap; injected is the provenance the
+// fault log must record. It returns the forensics report.
+func (a *auditor) trapped(label string, b before, injected bool) telemetry.RewindReport {
+	rep := a.absorbed(label, b)
+	recs := a.as.RecentFaults()
+	if len(recs) == 0 || recs[len(recs)-1].Seq != b.seq+1 {
+		a.r.failf("%s: fault log advanced by %d entries, want 1", label, a.as.FaultSeq()-b.seq)
+		return rep
+	}
+	f := recs[len(recs)-1]
+	if f.Injected != injected {
+		a.r.failf("%s: logged fault injected=%v, want %v", label, f.Injected, injected)
+	}
+	if rep.SiCode != int(f.Code) || rep.Addr != uint64(f.Addr) || rep.Injected != f.Injected {
+		a.r.failf("%s: forensics %s at 0x%x injected=%v, fault log %v at 0x%x injected=%v",
+			label, rep.SiCodeName, rep.Addr, rep.Injected, f.Code, uint64(f.Addr), f.Injected)
+	}
+	return rep
+}
+
+// aborted checks one absorbed stack-protector abort. It returns the
+// forensics report.
+func (a *auditor) aborted(label string, b before) telemetry.RewindReport {
+	rep := a.absorbed(label, b)
+	if seq := a.as.FaultSeq(); seq != b.seq {
+		a.r.failf("%s: abort raised %d memory faults", label, seq-b.seq)
+	}
+	if rep.SignalName != "SIGABRT" || rep.SiCodeName != "STACK_CHK" {
+		a.r.failf("%s: forensics oracle %s/%s, want SIGABRT/STACK_CHK", label, rep.SignalName, rep.SiCodeName)
+	}
+	return rep
+}
+
+// exited checks a guard scope that must have ended in an abnormal exit of
+// udi with signal (a SIGSEGV's fault injected or not), and returns it.
+func (a *auditor) exited(label string, b before, gerr error, udi core.UDI, signal sig.Signal, injected bool) *core.AbnormalExit {
+	var rep telemetry.RewindReport
+	if signal == sig.SIGABRT {
+		rep = a.aborted(label, b)
+	} else {
+		rep = a.trapped(label, b, injected)
+	}
+	var abn *core.AbnormalExit
+	if !errors.As(gerr, &abn) {
+		a.r.failf("%s: guard returned %v, want abnormal exit", label, gerr)
+		return nil
+	}
+	if abn.FailedUDI != udi || abn.Signal != signal {
+		a.r.failf("%s: abnormal exit of domain %d by %v, want %d by %v", label, abn.FailedUDI, abn.Signal, udi, signal)
+	}
+	if rep.SiCode != abn.Code || rep.Addr != abn.Addr || rep.FailedUDI != int(abn.FailedUDI) || rep.SignalName != abn.Signal.String() {
+		a.r.failf("%s: forensics %s/%d at 0x%x in domain %d, oracle %v/%d at 0x%x in domain %d", label,
+			rep.SignalName, rep.SiCode, rep.Addr, rep.FailedUDI, abn.Signal, abn.Code, abn.Addr, abn.FailedUDI)
+	}
+	return abn
+}
+
+// absorbed counts one injected fault, checks it cost exactly one rewind
+// and one report, and returns the report.
+func (a *auditor) absorbed(label string, b before) telemetry.RewindReport {
+	a.r.Injected++
+	a.count(label, b, 1)
+	rep, ok := a.rec.Forensics().Last()
+	if !ok {
+		a.r.failf("%s: forensics store empty after rewind", label)
+	}
+	return rep
+}
+
+// count checks the rewind and forensics counters each moved by exactly
+// want, and accounts the rewinds in the report.
+func (a *auditor) count(label string, b before, want int) {
+	n := int(a.lib.Stats().Rewinds.Load() - b.rewinds)
+	a.r.Absorbed += n
+	if n != want {
+		a.r.failf("%s: %d rewinds absorbed, want %d", label, n, want)
+	}
+	if got := int(a.rec.Forensics().Added() - b.forensics); got != want {
+		a.r.failf("%s: %d forensics reports captured, want %d", label, got, want)
+	}
+}
+
+// auditOn runs the library audit on t and records every finding as a
+// campaign failure. It must run on the audited thread, with the process
+// quiescent (between requests).
+func (a *auditor) auditOn(t *proc.Thread, label string) *core.AuditReport {
 	rep := a.lib.Audit(t)
 	a.r.Audits++
 	for _, f := range rep.Findings {
@@ -46,10 +178,8 @@ func (a *auditor) audit(t *proc.Thread, label string) *core.AuditReport {
 // Campaigns call it at equivalent steady states (right after an absorbed
 // rewind, before the workload rebuilds its domain), where any drift means
 // a rewind cycle leaked or lost a mapping.
-func (a *auditor) checkMappedStable(class, label string, mapped int64) {
-	if a.baselineMapped == nil {
-		a.baselineMapped = map[string]int64{}
-	}
+func (a *auditor) checkMappedStable(class, label string) {
+	mapped := a.as.Stats().MappedBytes.Load()
 	base, ok := a.baselineMapped[class]
 	if !ok {
 		a.baselineMapped[class] = mapped
@@ -67,170 +197,13 @@ func (a *auditor) checkMappedStable(class, label string, mapped int64) {
 // resident outside the pool is a residual mapping an attacker could
 // revisit. (The library audit separately proves pooled regions were
 // scrubbed when scrub-on-discard is on.)
-func (a *auditor) checkDiscarded(as *mem.AddressSpace, label string, base mem.Addr, size uint64) {
-	if base == 0 || size == 0 {
-		return
-	}
-	for off := uint64(0); off < size; off += mem.PageSize {
-		addr := base + mem.Addr(off)
-		if _, _, ok := as.PageInfo(addr); !ok {
+func (a *auditor) checkDiscarded(label string, heap region) {
+	for off := uint64(0); off < heap.size; off += mem.PageSize {
+		addr := heap.base + mem.Addr(off)
+		if _, _, ok := a.as.PageInfo(addr); !ok || a.lib.HeapPooled(addr) {
 			continue
 		}
-		if a.lib.HeapPooled(addr) {
-			continue
-		}
-		a.r.failf("%s: residual mapping: discarded heap page 0x%x still mapped",
-			label, uint64(base)+off)
+		a.r.failf("%s: residual mapping: discarded heap page 0x%x still mapped", label, uint64(addr))
 		return
-	}
-}
-
-// checkFaultLogged verifies the fault log recorded exactly the injected
-// fault since the preSeq snapshot: one new entry, with the expected cause
-// and provenance. SIGABRT rewinds (canary smashes) raise no memory fault
-// and are checked with wantFaults=0.
-func (a *auditor) checkFaultLogged(as *mem.AddressSpace, label string, preSeq int64, wantCode mem.FaultCode, wantInjected bool) {
-	seq := as.FaultSeq()
-	if seq != preSeq+1 {
-		a.r.failf("%s: fault log advanced by %d entries, want 1", label, seq-preSeq)
-		return
-	}
-	recs := as.RecentFaults()
-	if len(recs) == 0 {
-		a.r.failf("%s: fault log empty after fault", label)
-		return
-	}
-	last := recs[len(recs)-1]
-	if last.Seq != seq {
-		a.r.failf("%s: fault log tail seq %d, want %d", label, last.Seq, seq)
-	}
-	if last.Code != wantCode {
-		a.r.failf("%s: logged fault code %v, want %v", label, last.Code, wantCode)
-	}
-	if last.Injected != wantInjected {
-		a.r.failf("%s: logged fault injected=%v, want %v", label, last.Injected, wantInjected)
-	}
-}
-
-// checkRewindDelta verifies the monitor's rewind counter moved by exactly
-// want since the before snapshot, and accounts the delta in the report.
-func (a *auditor) checkRewindDelta(label string, before int64, want int) int64 {
-	now := a.lib.Stats().Rewinds.Load()
-	delta := int(now - before)
-	a.r.Absorbed += delta
-	if delta != want {
-		a.r.failf("%s: %d rewinds absorbed, want %d", label, delta, want)
-	}
-	return now
-}
-
-// forensicsPre snapshots the cumulative forensics-report counter before an
-// operation. The counter never rewinds (unlike the retain ring, which
-// evicts), so diffing it counts reports exactly even when older reports
-// have been pushed out.
-func (a *auditor) forensicsPre() int64 {
-	if a.rec == nil {
-		return 0
-	}
-	return a.rec.Forensics().Added()
-}
-
-// checkForensics verifies the recorder captured exactly want forensics
-// reports since the pre snapshot. Benign operations pass want=0: a report
-// with no rewind means the recorder is inventing incidents.
-func (a *auditor) checkForensics(label string, pre int64, want int) {
-	if a.rec == nil {
-		return
-	}
-	if got := int(a.rec.Forensics().Added() - pre); got != want {
-		a.r.failf("%s: %d forensics reports captured, want %d", label, got, want)
-	}
-}
-
-// lastForensics fetches the newest forensics report, failing the campaign
-// if the store is empty.
-func (a *auditor) lastForensics(label string) (telemetry.RewindReport, bool) {
-	rep, ok := a.rec.Forensics().Last()
-	if !ok {
-		a.r.failf("%s: forensics store empty after rewind", label)
-	}
-	return rep, ok
-}
-
-// checkForensicsExit verifies an absorbed rewind produced exactly one
-// forensics report and that the report's identity matches the abnormal
-// exit the caller observed: same si_code, fault address, and failing
-// domain. Used by the campaigns that see the *core.AbnormalExit directly.
-func (a *auditor) checkForensicsExit(label string, pre int64, abn *core.AbnormalExit) {
-	if a.rec == nil {
-		return
-	}
-	a.checkForensics(label, pre, 1)
-	if abn == nil {
-		return
-	}
-	rep, ok := a.lastForensics(label)
-	if !ok {
-		return
-	}
-	if rep.SiCode != abn.Code {
-		a.r.failf("%s: forensics si_code %d (%s), oracle %d", label, rep.SiCode, rep.SiCodeName, abn.Code)
-	}
-	if rep.Addr != abn.Addr {
-		a.r.failf("%s: forensics fault address 0x%x, oracle 0x%x", label, rep.Addr, abn.Addr)
-	}
-	if rep.FailedUDI != int(abn.FailedUDI) {
-		a.r.failf("%s: forensics failed domain %d, oracle %d", label, rep.FailedUDI, abn.FailedUDI)
-	}
-	if rep.SignalName != abn.Signal.String() {
-		a.r.failf("%s: forensics signal %s, oracle %v", label, rep.SignalName, abn.Signal)
-	}
-}
-
-// checkForensicsFault verifies a workload rewind — where the server
-// absorbs the abnormal exit internally and no *core.AbnormalExit reaches
-// the campaign — produced exactly one forensics report agreeing with the
-// MMU fault-log tail: same si_code, fault address, and injection
-// provenance.
-func (a *auditor) checkForensicsFault(as *mem.AddressSpace, label string, pre int64) {
-	if a.rec == nil {
-		return
-	}
-	a.checkForensics(label, pre, 1)
-	rep, ok := a.lastForensics(label)
-	if !ok {
-		return
-	}
-	recs := as.RecentFaults()
-	if len(recs) == 0 {
-		a.r.failf("%s: fault log empty, cannot correlate forensics report", label)
-		return
-	}
-	f := recs[len(recs)-1]
-	if rep.SiCode != int(f.Code) {
-		a.r.failf("%s: forensics si_code %d (%s), fault log %v", label, rep.SiCode, rep.SiCodeName, f.Code)
-	}
-	if rep.Addr != uint64(f.Addr) {
-		a.r.failf("%s: forensics fault address 0x%x, fault log 0x%x", label, rep.Addr, uint64(f.Addr))
-	}
-	if rep.Injected != f.Injected {
-		a.r.failf("%s: forensics injected=%v, fault log %v", label, rep.Injected, f.Injected)
-	}
-}
-
-// checkForensicsAbort verifies a canary-detected workload rewind produced
-// one report whose oracle is the stack protector, not the MMU.
-func (a *auditor) checkForensicsAbort(label string, pre int64) {
-	if a.rec == nil {
-		return
-	}
-	a.checkForensics(label, pre, 1)
-	rep, ok := a.lastForensics(label)
-	if !ok {
-		return
-	}
-	if rep.SignalName != "SIGABRT" || rep.SiCodeName != "STACK_CHK" {
-		a.r.failf("%s: forensics oracle %s/%s, want SIGABRT/STACK_CHK",
-			label, rep.SignalName, rep.SiCodeName)
 	}
 }

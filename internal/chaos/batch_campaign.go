@@ -3,10 +3,8 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 
 	"sdrad/internal/memcache"
-	"sdrad/internal/proc"
 )
 
 // runBatch drives the hardened memcached build through pipelined request
@@ -20,54 +18,25 @@ import (
 // replaying every pipeline against a shadow store.
 func runBatch(cfg Config, r *Report) error {
 	const maxBatch = 8
-	rec := cfg.recorder()
-	s, err := memcache.NewServer(memcache.Config{
-		Variant:   memcache.VariantSDRaD,
-		Workers:   1,
-		HashPower: 10,
-		MaxBatch:  maxBatch,
-		Seed:      cfg.Seed,
-		Telemetry: rec,
-	})
+	w, s, err := newMemcache(cfg, r, memcache.Config{MaxBatch: maxBatch})
 	if err != nil {
 		return err
 	}
 	defer s.Stop()
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	lib := s.Library()
-	as := s.Process().AddressSpace()
-	a := &auditor{r: r, lib: lib, rec: rec}
-	conn := s.NewConn()
-
-	onWorker := func(fn func(t *proc.Thread) error) {
-		if err := conn.Inspect(fn); err != nil {
-			r.failf("inspect failed: %v", err)
-		}
-	}
-	auditSteady := func(label string) {
-		onWorker(func(t *proc.Thread) error {
-			a.audit(t, label)
-			if err := s.Storage().AuditShards(t.CPU()); err != nil {
-				r.failf("%s: shard audit: %v", label, err)
-			}
-			return nil
-		})
-		a.checkMappedStable("event-rewind", label, s.MappedBytes())
-	}
+	rng := w.rng
 
 	persistVal := []byte("survives-every-batch-rewind")
-	if resp, closed, err := conn.Do(memcache.FormatSet("persist", persistVal, 7)); err != nil || closed || !bytes.HasPrefix(resp, []byte("STORED")) {
-		return fmt.Errorf("chaos: persist set failed: %q closed=%v err=%v", resp, closed, err)
+	if err := w.persist(persistVal); err != nil {
+		return err
 	}
 
 	// shadow mirrors the store exactly: batches either apply in full
 	// (clean) or not at all (trapped), so there is never taint.
 	shadow := map[string][]byte{"persist": persistVal}
 	checkKey := func(label, key string) {
-		resp, closed, err := conn.Do(memcache.FormatGet(key))
-		if err != nil || closed {
-			r.failf("%s: probe get %s: closed=%v err=%v", label, key, closed, err)
+		resp, closed := w.do(memcache.FormatGet(key))
+		if closed {
+			r.failf("%s: probe get %s closed the connection", label, key)
 			return
 		}
 		val, _, ok := memcache.ParseGetValue(resp)
@@ -116,9 +85,8 @@ func runBatch(cfg Config, r *Report) error {
 			}
 		}
 
-		preRewinds := lib.Stats().Rewinds.Load()
-		preForensics := a.forensicsPre()
-		res := conn.DoPipeline(reqs)
+		b := w.before()
+		res := w.conn.DoPipeline(reqs)
 		if len(res) != n {
 			r.failf("%s: %d results for %d requests", label, len(res), n)
 			continue
@@ -127,27 +95,25 @@ func runBatch(cfg Config, r *Report) error {
 		if atkPos >= 0 {
 			// Trapped batch: one rewind, one forensics report, every item
 			// reported closed, and NONE of the batch's writes visible.
-			r.Injected++
 			for j, pr := range res {
 				if !pr.Closed {
 					r.failf("%s: item %d not closed after batch rewind", label, j)
 				}
 			}
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensicsFault(as, label, preForensics)
-			conn = s.NewConn()
-			auditSteady(label)
+			w.trapped(label, b, false)
+			w.conn = w.newConn()
+			w.audit(label)
+			w.checkMappedStable("event-rewind", label)
 			for _, p := range plan {
 				if p.verb == "set" {
 					checkKey(label+" discarded-write", p.key)
 				}
 			}
-			checkKey(label, "persist")
+			w.probe(label)
 			r.event("%s rewind", label)
 		} else {
 			// Clean batch: sequential semantics, then the shadow advances.
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
+			w.calm(label, b)
 			classes := make([]string, 0, n)
 			for j, p := range plan {
 				pr := res[j]
@@ -177,13 +143,12 @@ func runBatch(cfg Config, r *Report) error {
 			r.event("%s %v", label, classes)
 		}
 
-		if crashed, cause := s.Crashed(); crashed {
+		if crashed, cause := w.crashed(); crashed {
 			return fmt.Errorf("chaos: server process died at op %d: %v", i, cause)
 		}
 	}
 
-	auditSteady("final")
-	checkKey("final", "persist")
-	r.event("final rewinds=%d", lib.Stats().Rewinds.Load())
+	w.checkMappedStable("event-rewind", "final")
+	w.final()
 	return nil
 }

@@ -22,7 +22,7 @@ package chaos
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdrad/internal/policy"
 	"sdrad/internal/telemetry"
@@ -161,7 +161,7 @@ var campaigns = []Campaign{
 	{Name: "httpd", Desc: "httpd workload: URI traversal, malicious client certs, mutated requests, injected PKU faults", run: runHTTPD},
 	{Name: "crypto", Desc: "cryptolib wrappers: injected faults inside EncryptUpdate, malicious certificate verification", run: runCrypto},
 	{Name: "policy", Desc: "resilience-policy ladder: hammer one UDI through backoff/quarantine/shed while siblings keep serving, then the memcached degraded path", run: runPolicyCampaign},
-	{Name: "cluster", Desc: "consistent-hash router over three backends: bset attack absorbed in place, a killed backend demotes after a bounded degraded burst and spills, a quarantined backend is routed around and readmits through probation", run: runCluster},
+	{Name: "cluster", Desc: "consistent-hash router over three backends: bset attack absorbed in place, a killed backend demotes after exactly its failure threshold of degraded replies and spills, a quarantined backend is routed around and readmits through probation", run: runCluster},
 }
 
 // Campaigns lists the registered campaigns.
@@ -173,42 +173,26 @@ func Campaigns() []Campaign {
 
 // Run executes one campaign by name.
 func Run(name string, cfg Config) (*Report, error) {
-	for _, c := range campaigns {
-		if c.Name == name {
-			return runOne(c, cfg), nil
-		}
+	reports, err := RunSelected([]string{name}, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("chaos: unknown campaign %q", name)
+	return reports[0], nil
 }
 
 // RunSelected executes the named campaigns (all when names is empty) in
-// registry order and returns their reports.
+// registry order, each once, and returns their reports.
 func RunSelected(names []string, cfg Config) ([]*Report, error) {
-	selected := campaigns
-	if len(names) > 0 {
-		byName := map[string]Campaign{}
-		for _, c := range campaigns {
-			byName[c.Name] = c
+	for _, n := range names {
+		if !slices.ContainsFunc(campaigns, func(c Campaign) bool { return c.Name == n }) {
+			return nil, fmt.Errorf("chaos: unknown campaign %q", n)
 		}
-		order := map[string]int{}
-		for i, c := range campaigns {
-			order[c.Name] = i
-		}
-		selected = nil
-		for _, n := range names {
-			c, ok := byName[n]
-			if !ok {
-				return nil, fmt.Errorf("chaos: unknown campaign %q", n)
-			}
-			selected = append(selected, c)
-		}
-		sort.SliceStable(selected, func(i, j int) bool {
-			return order[selected[i].Name] < order[selected[j].Name]
-		})
 	}
 	var reports []*Report
-	for _, c := range selected {
-		reports = append(reports, runOne(c, cfg))
+	for _, c := range campaigns {
+		if len(names) == 0 || slices.Contains(names, c.Name) {
+			reports = append(reports, runOne(c, cfg))
+		}
 	}
 	return reports, nil
 }

@@ -73,6 +73,42 @@ func TestChaosSmoke(t *testing.T) {
 	}
 }
 
+// TestScheduleHashesPinned holds every campaign's schedule at seed
+// 12648430, 16 ops, to a pinned hash: a change that moves a random draw
+// or a schedule line fails here. Move a pin only with a change that means
+// to move that schedule, and say why in its description.
+func TestScheduleHashesPinned(t *testing.T) {
+	pinned := map[string]uint64{
+		"pku":      0x35111539f283366a,
+		"canary":   0xee0eea4055ce27ff,
+		"oob":      0xace2c5c4658e8277,
+		"alloc":    0x3c488d51b5853347,
+		"lease":    0xddf0fa35a18d2d66,
+		"memcache": 0xaccf8ee7d9db7f4f,
+		"batch":    0x08f1dcb41044443b,
+		"sched":    0xfbecc741a0298bdb,
+		"httpd":    0x76fe886a7dd9a073,
+		"crypto":   0xecb1dd3824562c25,
+		"policy":   0x101c33b9bb11c359,
+		"cluster":  0x1c2a7815d5f4f134,
+	}
+	reports, err := RunSelected(nil, Config{Seed: 12648430, Ops: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != len(pinned) {
+		t.Errorf("%d campaigns ran, %d pinned", len(reports), len(pinned))
+	}
+	for _, r := range reports {
+		if !r.Ok() {
+			t.Errorf("campaign %s failed:\n  %s", r.Campaign, strings.Join(r.Failures, "\n  "))
+		}
+		if got, want := r.ScheduleHash(), pinned[r.Campaign]; got != want {
+			t.Errorf("campaign %s: schedule %016x, pinned %016x", r.Campaign, got, want)
+		}
+	}
+}
+
 // TestRunSingleCampaign runs one campaign by name.
 func TestRunSingleCampaign(t *testing.T) {
 	r, err := Run("pku", Config{Seed: 7, Ops: 8})

@@ -10,15 +10,15 @@ import (
 
 	"sdrad/internal/cluster"
 	"sdrad/internal/memcache"
-	"sdrad/internal/proc"
 )
 
 // clusterBackend is one in-process hardened memcached behind a loopback
-// listener, as the router sees a fleet member.
+// listener, as the router sees a fleet member, with the workload harness
+// auditing it directly.
 type clusterBackend struct {
-	name string
-	srv  *memcache.Server
-	ln   net.Listener
+	*server
+	srv *memcache.Server
+	ln  net.Listener
 }
 
 func (b *clusterBackend) stop() {
@@ -29,7 +29,7 @@ func (b *clusterBackend) stop() {
 // runCluster drives the consistent-hash router over three hardened
 // backends through the fleet-level rewind-and-discard ladder: a bset
 // attack through the router is absorbed by the backend it routes to; a
-// backend killed mid-run is demoted after a bounded burst of degraded
+// backend killed mid-run is demoted after exactly failThreshold degraded
 // replies and its keys spill to ring successors; a backend whose
 // telemetry reports a quarantined policy ladder is routed around without
 // a single failed exchange; and both recoveries go through probation —
@@ -48,12 +48,7 @@ func runCluster(cfg Config, r *Report) error {
 	var cfgBackends []cluster.Backend
 	for i := 0; i < nBackends; i++ {
 		name := fmt.Sprintf("b%d", i)
-		srv, err := memcache.NewServer(memcache.Config{
-			Variant:   memcache.VariantSDRaD,
-			Workers:   1,
-			HashPower: 10,
-			Seed:      cfg.Seed + int64(i),
-		})
+		w, srv, err := newMemcache(cfg, r, memcache.Config{Seed: cfg.Seed + int64(i)})
 		if err != nil {
 			return err
 		}
@@ -63,7 +58,7 @@ func runCluster(cfg Config, r *Report) error {
 			return err
 		}
 		go func() { _ = srv.ServeListener(ln) }()
-		b := &clusterBackend{name: name, srv: srv, ln: ln}
+		b := &clusterBackend{server: w, srv: srv, ln: ln}
 		defer b.stop()
 		backends = append(backends, b)
 		cfgBackends = append(cfgBackends, cluster.Backend{
@@ -144,24 +139,6 @@ func runCluster(cfg Config, r *Report) error {
 		}
 	}
 	state := func(b int) cluster.HealthState { return rt.Health().State(b) }
-	// auditBackend runs the library + shard invariant audit on one live
-	// backend via a direct engine connection, between routed requests.
-	auditors := make([]*auditor, nBackends)
-	for i, b := range backends {
-		auditors[i] = &auditor{r: r, lib: b.srv.Library()}
-	}
-	auditBackend := func(b int, label string) {
-		conn := backends[b].srv.NewConn()
-		if err := conn.Inspect(func(t *proc.Thread) error {
-			auditors[b].audit(t, label)
-			if err := backends[b].srv.Storage().AuditShards(t.CPU()); err != nil {
-				r.failf("%s: b%d shard audit: %v", label, b, err)
-			}
-			return nil
-		}); err != nil {
-			r.failf("%s: b%d inspect: %v", label, b, err)
-		}
-	}
 
 	// --- Phase 1: steady traffic spanning every backend. ---
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -209,18 +186,13 @@ func runCluster(cfg Config, r *Report) error {
 	// so one attack never demotes a healthy backend. ---
 	for b := 0; b < nBackends; b++ {
 		label := fmt.Sprintf("attack b%d", b)
-		atkKey := keyOwned(b, 0)
-		pre := backends[b].srv.Rewinds()
-		r.Injected++
+		atkKey, be := keyOwned(b, 0), backends[b]
+		pre := be.before()
 		rep := do(label, memcache.FormatBSet(atkKey, 1<<20, nil))
 		if !bytes.HasPrefix(rep, []byte("SERVER_ERROR")) {
 			r.failf("%s: attack reply %q, want a degraded SERVER_ERROR", label, rep)
 		}
-		delta := int(backends[b].srv.Rewinds() - pre)
-		r.Absorbed += delta
-		if delta != 1 {
-			r.failf("%s: backend absorbed %d rewinds, want exactly 1", label, delta)
-		}
+		be.trapped(label, pre, false)
 		// Recovery probe: the backend serves again immediately, and the
 		// success resets its failure streak.
 		probe := do(label, memcache.FormatSet(atkKey, []byte("post-attack"), 0))
@@ -230,8 +202,9 @@ func runCluster(cfg Config, r *Report) error {
 		if state(b) != cluster.HealthUp {
 			r.failf("%s: one absorbed attack demoted the backend (state %v)", label, state(b))
 		}
-		auditBackend(b, label)
-		r.event("%s key=%s rewinds=%d probe=%s state=%v", label, atkKey, delta, respClass(probe, false), state(b))
+		be.audit(label)
+		r.event("%s key=%s rewinds=%d probe=%s state=%v", label, atkKey,
+			be.lib.Stats().Rewinds.Load()-pre.rewinds, respClass(probe, false), state(b))
 	}
 
 	// --- Phase 3: kill backend b1 mid-run. Exactly failThreshold
@@ -244,11 +217,9 @@ func runCluster(cfg Config, r *Report) error {
 	}
 	backends[victim].stop()
 	r.event("kill b%d", victim)
-	// The degraded burst is bounded, not exact: the dying backend may or
-	// may not win the race to write one last SERVER_ERROR before its
-	// connection drops, so the streak reaches the threshold in
-	// failThreshold or failThreshold+1 client-visible errors. The
-	// schedule records the bound, never the racy count.
+	// A stopped backend answers nothing — its pooled connection reads EOF
+	// and a re-dial is refused — so every degraded reply is one strike and
+	// exactly failThreshold of them demote it.
 	degraded := 0
 	for i := 0; i < failThreshold+4; i++ {
 		rep := do("post-kill", memcache.FormatSet(victimKey, []byte("spilled"), 0))
@@ -260,8 +231,8 @@ func runCluster(cfg Config, r *Report) error {
 			r.failf("post-kill op %d: %q", i, rep)
 		}
 	}
-	if degraded < 1 || degraded > failThreshold+1 {
-		r.failf("post-kill: %d degraded replies, want 1..%d (bounded by the failure threshold)", degraded, failThreshold+1)
+	if degraded != failThreshold {
+		r.failf("post-kill: %d degraded replies, want exactly the failure threshold %d", degraded, failThreshold)
 	}
 	if state(victim) != cluster.HealthDemoted {
 		r.failf("post-kill: dead backend state %v, want demoted", state(victim))
@@ -274,7 +245,7 @@ func runCluster(cfg Config, r *Report) error {
 	if val, _, ok := memcache.ParseGetValue(rep); !ok || !bytes.Equal(val, []byte("steadfast")) {
 		r.failf("post-kill: survivor key damaged: %q", rep)
 	}
-	r.event("post-kill degraded<=%d state=%v spill=ok", failThreshold+1, state(victim))
+	r.event("post-kill degraded=%d state=%v spill=ok", degraded, state(victim))
 
 	// --- Phase 4: quarantine backend b2 via its telemetry. The poll
 	// demotes it before a single exchange fails: keys spill with zero
@@ -357,7 +328,7 @@ func runCluster(cfg Config, r *Report) error {
 		if crashed, cause := b.srv.Crashed(); crashed {
 			r.failf("backend b%d crashed during the campaign: %v", i, cause)
 		}
-		auditBackend(i, "final")
+		b.audit(fmt.Sprintf("final b%d", i))
 	}
 	return nil
 }

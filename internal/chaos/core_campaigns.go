@@ -21,71 +21,92 @@ var errNoFault = errors.New("chaos: scheduled fault did not fire")
 // library directly: one process, one attached thread, scrub-on-discard
 // enabled so the audit can prove discarded state was really scrubbed.
 type coreEnv struct {
-	r   *Report
+	*auditor
 	rng *rand.Rand
-	p   *proc.Process
-	lib *core.Library
 	t   *proc.Thread
-	as  *mem.AddressSpace
-	a   *auditor
 }
 
-func runCoreCampaign(cfg Config, r *Report, body func(env *coreEnv) error) error {
+func runCoreCampaign(cfg Config, r *Report, body func(env *coreEnv) error, opts ...core.SetupOption) error {
 	p := proc.NewProcess("chaos-"+r.Campaign, proc.WithSeed(cfg.Seed))
 	rec := cfg.recorder()
-	lib, err := core.Setup(p, core.WithScrubOnDiscard(true), core.WithTelemetry(rec))
+	lib, err := core.Setup(p, append([]core.SetupOption{core.WithScrubOnDiscard(true), core.WithTelemetry(rec)}, opts...)...)
 	if err != nil {
 		return err
 	}
 	defer p.Shutdown()
 	return p.Attach("chaos", func(t *proc.Thread) error {
-		return body(&coreEnv{
-			r:   r,
-			rng: rand.New(rand.NewSource(cfg.Seed)),
-			p:   p,
-			lib: lib,
-			t:   t,
-			as:  p.AddressSpace(),
-			a:   &auditor{r: r, lib: lib, rec: rec},
-		})
+		return body(&coreEnv{auditor: newAuditor(r, lib, rec), rng: rand.New(rand.NewSource(cfg.Seed)), t: t})
 	})
 }
 
-// victimRegion reads the victim domain's provisioned heap region out of an
-// audit snapshot, for the post-rewind residual-mapping check.
-func victimRegion(rep *core.AuditReport, udi core.UDI) (mem.Addr, uint64) {
-	for _, d := range rep.Domains {
-		if d.UDI == udi {
-			return d.HeapBase, d.HeapSize
-		}
-	}
-	return 0, 0
+// region is a domain's provisioned heap, read out of an audit snapshot
+// for the post-rewind residual-mapping check.
+type region struct {
+	base mem.Addr
+	size uint64
 }
 
-// expectAbnormal checks that a provoked fault produced an abnormal exit of
-// the victim domain with the expected oracle, and returns it.
-func expectAbnormal(r *Report, label string, gerr error, udi core.UDI, signal sig.Signal) *core.AbnormalExit {
-	var abn *core.AbnormalExit
-	if !errors.As(gerr, &abn) {
-		r.failf("%s: guard returned %v, want abnormal exit", label, gerr)
-		return nil
+func heapOf(rep *core.AuditReport, udi core.UDI) region {
+	for _, d := range rep.Domains {
+		if d.UDI == udi {
+			return region{d.HeapBase, d.HeapSize}
+		}
 	}
-	if abn.FailedUDI != udi {
-		r.failf("%s: abnormal exit of domain %d, want %d", label, abn.FailedUDI, udi)
+	return region{}
+}
+
+// scope runs one guarded operation in udi through the prologue every
+// attack shares: allocate alloc bytes in the domain (none when 0), audit
+// the library before the attack and read the domain's heap region from
+// that audit, Enter, then body. It returns the region and the guard's
+// error.
+func (env *coreEnv) scope(label string, udi core.UDI, alloc uint64, body func(buf mem.Addr, heap region) error) (region, error) {
+	var heap region
+	gerr := env.lib.Guard(env.t, udi, func() error {
+		var buf mem.Addr
+		if alloc > 0 {
+			var err error
+			if buf, err = env.lib.Malloc(env.t, udi, alloc); err != nil {
+				return err
+			}
+		}
+		heap = heapOf(env.auditOn(env.t, label+" pre-attack"), udi)
+		if err := env.lib.Enter(env.t, udi); err != nil {
+			return err
+		}
+		return body(buf, heap)
+	}, core.Accessible())
+	return heap, gerr
+}
+
+// benign checks an operation that must not trap: it succeeded, was calm,
+// and left the library auditing clean.
+func (env *coreEnv) benign(label string, b before, gerr error) {
+	if gerr != nil {
+		env.r.failf("%s: benign op failed: %v", label, gerr)
 	}
-	if abn.Signal != signal {
-		r.failf("%s: signal %v, want %v", label, abn.Signal, signal)
-	}
+	env.calm(label, b)
+	env.auditOn(env.t, label)
+	env.r.event("%s ok", label)
+}
+
+// rewound checks an operation that must have exited udi abnormally, then
+// runs the post-rewind audit: the library audit, residual mappings of the
+// discarded heap, and mapped-bytes stability at the discarded steady
+// state.
+func (env *coreEnv) rewound(label string, b before, gerr error, udi core.UDI, signal sig.Signal, injected bool, heap region) *core.AbnormalExit {
+	abn := env.exited(label, b, gerr, udi, signal, injected)
+	env.auditOn(env.t, label)
+	env.checkDiscarded(label, heap)
+	env.checkMappedStable("post-rewind", label)
 	return abn
 }
 
-// postRewind runs the full post-rewind invariant audit for a core
-// campaign: library audit, discarded-heap residual mappings, mapped-bytes
-// stability at the discarded steady state.
-func (env *coreEnv) postRewind(label string, heapBase mem.Addr, heapSize uint64) {
-	env.a.audit(env.t, label)
-	env.a.checkDiscarded(env.as, label, heapBase, heapSize)
-	env.a.checkMappedStable("post-rewind", label, env.as.Stats().MappedBytes.Load())
+// wildCode reports whether a fault code is one an out-of-bounds access
+// may raise: unmapped, protected, or another domain's key.
+func wildCode(code int) bool {
+	c := mem.FaultCode(code)
+	return c == mem.CodeMapErr || c == mem.CodeAccErr || c == mem.CodePkuErr
 }
 
 // runPKU provokes protection-key violations from inside a nested domain:
@@ -109,9 +130,8 @@ func runPKU(cfg Config, r *Report) error {
 		if err := lib.InitDomain(t, dataUDI, core.AsData()); err != nil {
 			return err
 		}
-		dataBase, _ := victimRegion(lib.Audit(t), dataUDI)
-		env.r.Audits++ // the snapshot above is a full audit too
-		if dataBase == 0 {
+		data := heapOf(env.auditOn(t, "setup"), dataUDI)
+		if data.base == 0 {
 			return fmt.Errorf("chaos: data domain %d has no heap region", dataUDI)
 		}
 
@@ -119,26 +139,9 @@ func runPKU(cfg Config, r *Report) error {
 		for i := 0; i < cfg.Ops; i++ {
 			vector := vectors[env.rng.Intn(len(vectors))]
 			countdown := 1 + env.rng.Intn(4)
-			preSeq := env.as.FaultSeq()
-			preRewinds := lib.Stats().Rewinds.Load()
-			preForensics := env.a.forensicsPre()
-
-			var heapBase mem.Addr
-			var heapSize uint64
-			gerr := lib.Guard(t, victimUDI, func() error {
-				buf, err := lib.Malloc(t, victimUDI, 128)
-				if err != nil {
-					return err
-				}
-				rep := lib.Audit(t)
-				env.r.Audits++
-				for _, f := range rep.Findings {
-					env.r.failf("op=%02d %s: pre-attack audit: %s", i, vector, f)
-				}
-				heapBase, heapSize = victimRegion(rep, victimUDI)
-				if err := lib.Enter(t, victimUDI); err != nil {
-					return err
-				}
+			label := fmt.Sprintf("op=%02d %s", i, vector)
+			b := env.before()
+			heap, gerr := env.scope(label, victimUDI, 128, func(buf mem.Addr, _ region) error {
 				if vector == "inject" {
 					armCountdown(c, countdown, mem.CodePkuErr, lib.RootKey())
 				}
@@ -153,37 +156,25 @@ func runPKU(cfg Config, r *Report) error {
 				case "root-write":
 					c.WriteU64(rootBuf, 0xdead)
 				case "data-write":
-					c.WriteU64(dataBase, 0xdead)
+					c.WriteU64(data.base, 0xdead)
 				case "benign":
 					return lib.Exit(t)
 				}
 				return errNoFault
-			}, core.Accessible())
+			})
 
-			label := fmt.Sprintf("op=%02d %s", i, vector)
 			if vector == "benign" {
-				if gerr != nil {
-					r.failf("%s: benign op failed: %v", label, gerr)
-				}
-				env.a.checkRewindDelta(label, preRewinds, 0)
-				env.a.checkForensics(label, preForensics, 0)
-				env.a.audit(t, label)
-				r.event("%s ok", label)
+				env.benign(label, b, gerr)
 				continue
 			}
-			r.Injected++
-			abn := expectAbnormal(r, label, gerr, victimUDI, sig.SIGSEGV)
-			if abn != nil && abn.Code != int(mem.CodePkuErr) {
-				r.failf("%s: fault code %d, want SEGV_PKUERR", label, abn.Code)
-			}
+			abn := env.rewound(label, b, gerr, victimUDI, sig.SIGSEGV, vector == "inject", heap)
 			if vector == "inject" && c.FaultInjectorArmed() {
 				r.failf("%s: injector still armed after firing", label)
 			}
-			env.a.checkFaultLogged(env.as, label, preSeq, mem.CodePkuErr, vector == "inject")
-			env.a.checkRewindDelta(label, preRewinds, 1)
-			env.a.checkForensicsExit(label, preForensics, abn)
-			env.postRewind(label, heapBase, heapSize)
 			if abn != nil {
+				if abn.Code != int(mem.CodePkuErr) {
+					r.failf("%s: fault code %d, want SEGV_PKUERR", label, abn.Code)
+				}
 				r.event("%s code=SEGV_PKUERR addr=0x%x rewind", label, abn.Addr)
 			}
 		}
@@ -210,22 +201,9 @@ func runCanary(cfg Config, r *Report) error {
 			// return record above it. 24 would run past the stack top into
 			// unmapped memory, turning the canary oracle into a SIGSEGV.
 			overrun := 8 * (1 + env.rng.Intn(2))
-			preSeq := env.as.FaultSeq()
-			preRewinds := lib.Stats().Rewinds.Load()
-			preForensics := env.a.forensicsPre()
-
-			var heapBase mem.Addr
-			var heapSize uint64
-			gerr := lib.Guard(t, victimUDI, func() error {
-				rep := lib.Audit(t)
-				env.r.Audits++
-				for _, f := range rep.Findings {
-					env.r.failf("op=%02d %s: pre-attack audit: %s", i, vector, f)
-				}
-				heapBase, heapSize = victimRegion(rep, victimUDI)
-				if err := lib.Enter(t, victimUDI); err != nil {
-					return err
-				}
+			label := fmt.Sprintf("op=%02d %s", i, vector)
+			b := env.before()
+			heap, gerr := env.scope(label, victimUDI, 0, func(mem.Addr, region) error {
 				stk, err := lib.Stack(t, victimUDI)
 				if err != nil {
 					return err
@@ -275,30 +253,15 @@ func runCanary(cfg Config, r *Report) error {
 					}
 					return lib.Exit(t)
 				}
-			}, core.Accessible())
+			})
 
-			label := fmt.Sprintf("op=%02d %s", i, vector)
 			if vector == "benign" {
-				if gerr != nil {
-					r.failf("%s: benign op failed: %v", label, gerr)
-				}
-				env.a.checkRewindDelta(label, preRewinds, 0)
-				env.a.checkForensics(label, preForensics, 0)
-				env.a.audit(t, label)
-				r.event("%s ok", label)
+				env.benign(label, b, gerr)
 				continue
 			}
-			r.Injected++
-			abn := expectAbnormal(r, label, gerr, victimUDI, sig.SIGABRT)
 			// Canary smashes are detected by the stack protector, not the
 			// MMU: the fault log must not have moved.
-			if seq := env.as.FaultSeq(); seq != preSeq {
-				r.failf("%s: canary smash raised %d memory faults", label, seq-preSeq)
-			}
-			env.a.checkRewindDelta(label, preRewinds, 1)
-			env.a.checkForensicsExit(label, preForensics, abn)
-			env.postRewind(label, heapBase, heapSize)
-			if abn != nil {
+			if abn := env.rewound(label, b, gerr, victimUDI, sig.SIGABRT, false, heap); abn != nil {
 				r.event("%s SIGABRT addr=0x%x rewind", label, abn.Addr)
 			}
 		}
@@ -317,32 +280,15 @@ func runOOB(cfg Config, r *Report) error {
 		for i := 0; i < cfg.Ops; i++ {
 			vector := vectors[env.rng.Intn(len(vectors))]
 			offset := mem.Addr(8 * env.rng.Intn(64))
-			preSeq := env.as.FaultSeq()
-			preRewinds := lib.Stats().Rewinds.Load()
-			preForensics := env.a.forensicsPre()
-
-			var heapBase mem.Addr
-			var heapSize uint64
-			gerr := lib.Guard(t, victimUDI, func() error {
-				buf, err := lib.Malloc(t, victimUDI, 64)
-				if err != nil {
-					return err
-				}
-				rep := lib.Audit(t)
-				env.r.Audits++
-				for _, f := range rep.Findings {
-					env.r.failf("op=%02d %s: pre-attack audit: %s", i, vector, f)
-				}
-				heapBase, heapSize = victimRegion(rep, victimUDI)
-				if err := lib.Enter(t, victimUDI); err != nil {
-					return err
-				}
+			label := fmt.Sprintf("op=%02d %s", i, vector)
+			b := env.before()
+			heap, gerr := env.scope(label, victimUDI, 64, func(buf mem.Addr, heap region) error {
 				c.WriteU64(buf, uint64(i))
 				switch vector {
 				case "heap-overrun":
 					// First address past the provisioned heap region: either
 					// unmapped or another domain's pages — a trap either way.
-					c.WriteU64(heapBase+mem.Addr(heapSize)+offset, 0xdead)
+					c.WriteU64(heap.base+mem.Addr(heap.size)+offset, 0xdead)
 				case "wild-low":
 					_ = c.ReadU8(0x10 + offset)
 				case "wild-high":
@@ -351,32 +297,16 @@ func runOOB(cfg Config, r *Report) error {
 					return lib.Exit(t)
 				}
 				return errNoFault
-			}, core.Accessible())
+			})
 
-			label := fmt.Sprintf("op=%02d %s", i, vector)
 			if vector == "benign" {
-				if gerr != nil {
-					r.failf("%s: benign op failed: %v", label, gerr)
-				}
-				env.a.checkRewindDelta(label, preRewinds, 0)
-				env.a.checkForensics(label, preForensics, 0)
-				env.a.audit(t, label)
-				r.event("%s ok", label)
+				env.benign(label, b, gerr)
 				continue
 			}
-			r.Injected++
-			abn := expectAbnormal(r, label, gerr, victimUDI, sig.SIGSEGV)
-			if abn != nil {
-				code := mem.FaultCode(abn.Code)
-				if code != mem.CodeMapErr && code != mem.CodeAccErr && code != mem.CodePkuErr {
+			if abn := env.rewound(label, b, gerr, victimUDI, sig.SIGSEGV, false, heap); abn != nil {
+				if !wildCode(abn.Code) {
 					r.failf("%s: unexpected fault code %d", label, abn.Code)
 				}
-				env.a.checkFaultLogged(env.as, label, preSeq, code, false)
-			}
-			env.a.checkRewindDelta(label, preRewinds, 1)
-			env.a.checkForensicsExit(label, preForensics, abn)
-			env.postRewind(label, heapBase, heapSize)
-			if abn != nil {
 				r.event("%s code=%v addr=0x%x rewind", label, mem.FaultCode(abn.Code), abn.Addr)
 			}
 		}

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 
 	"sdrad/internal/core"
@@ -38,19 +37,17 @@ func runCrypto(cfg Config, r *Report) error {
 			return err
 		}
 
-		encrypt := func(label string, n int, wantOK bool) {
+		encrypt := func(label string, n int) {
 			payload := make([]byte, n)
 			for j := range payload {
 				payload[j] = byte(env.rng.Intn(256))
 			}
 			c.Write(in, payload)
 			outl, err := cr.EncryptUpdate(t, out, in, n)
-			if wantOK {
-				if err != nil {
-					r.failf("%s: encrypt failed: %v", label, err)
-				} else if outl != n+cryptolib.GCMTagSize {
-					r.failf("%s: ciphertext length %d, want %d", label, outl, n+cryptolib.GCMTagSize)
-				}
+			if err != nil {
+				r.failf("%s: encrypt failed: %v", label, err)
+			} else if outl != n+cryptolib.GCMTagSize {
+				r.failf("%s: ciphertext length %d, want %d", label, outl, n+cryptolib.GCMTagSize)
 			}
 		}
 
@@ -59,15 +56,12 @@ func runCrypto(cfg Config, r *Report) error {
 			vector := vectors[env.rng.Intn(len(vectors))]
 			label := fmt.Sprintf("op=%02d %s", i, vector)
 			n := 16 + env.rng.Intn(240)
-			preRewinds := lib.Stats().Rewinds.Load()
-			preSeq := env.as.FaultSeq()
-			preForensics := env.a.forensicsPre()
+			b := env.before()
 
 			switch vector {
 			case "encrypt":
-				encrypt(label, n, true)
-				env.a.checkRewindDelta(label, preRewinds, 0)
-				env.a.checkForensics(label, preForensics, 0)
+				encrypt(label, n)
+				env.calm(label, b)
 				r.event("%s len=%d ok", label, n)
 			case "inject-crypto":
 				// The injector fires inside the crypto domain mid-update;
@@ -75,45 +69,29 @@ func runCrypto(cfg Config, r *Report) error {
 				// discarded, so the wrapper must be re-initialized.
 				// EncryptUpdate makes seven gated in-domain accesses; the
 				// countdown must stay within that budget to guarantee firing.
-				r.Injected++
 				countdown := 1 + env.rng.Intn(4)
 				armGated(lib, t, countdown, mem.CodePkuErr)
-				payload := make([]byte, n)
-				c.Write(in, payload)
+				c.Write(in, make([]byte, n))
 				_, err := cr.EncryptUpdate(t, out, in, n)
 				if c.FaultInjectorArmed() {
 					c.SetFaultInjector(nil)
 					r.failf("%s: injector did not fire within EncryptUpdate", label)
 				}
-				var abn *core.AbnormalExit
-				if !errors.As(err, &abn) {
-					r.failf("%s: EncryptUpdate returned %v, want abnormal exit", label, err)
-				} else if abn.Signal != sig.SIGSEGV || abn.Code != int(mem.CodePkuErr) {
-					r.failf("%s: oracle %v code=%d, want SIGSEGV/SEGV_PKUERR", label, abn.Signal, abn.Code)
+				if abn := env.exited(label, b, err, cryptolib.OpenSSLUDI, sig.SIGSEGV, true); abn != nil && abn.Code != int(mem.CodePkuErr) {
+					r.failf("%s: fault code %d, want SEGV_PKUERR", label, abn.Code)
 				}
-				env.a.checkFaultLogged(env.as, label, preSeq, mem.CodePkuErr, true)
-				env.a.checkRewindDelta(label, preRewinds, 1)
-				env.a.checkForensicsExit(label, preForensics, abn)
-				env.a.audit(t, label)
+				env.auditOn(t, label)
 				if err := cr.Reinit(t, key); err != nil {
 					r.failf("%s: reinit failed: %v", label, err)
 				}
-				encrypt(label+" post-reinit", 64, true)
-				env.a.audit(t, label+" post-reinit")
+				encrypt(label+" post-reinit", 64)
+				env.auditOn(t, label+" post-reinit")
 				r.event("%s countdown=%d rewind reinit", label, countdown)
 			case "bad-cert":
 				// CVE-2022-3786 analog absorbed by the verifier domain.
-				r.Injected++
 				_, err := v.Verify(t, cryptolib.MaliciousCertificate())
-				var abn *core.AbnormalExit
-				if !errors.As(err, &abn) {
-					r.failf("%s: verify returned %v, want abnormal exit", label, err)
-				} else if abn.Signal != sig.SIGABRT {
-					r.failf("%s: oracle %v, want SIGABRT", label, abn.Signal)
-				}
-				env.a.checkRewindDelta(label, preRewinds, 1)
-				env.a.checkForensicsExit(label, preForensics, abn)
-				env.a.audit(t, label)
+				env.exited(label, b, err, cryptolib.X509UDI, sig.SIGABRT, false)
+				env.auditOn(t, label)
 				r.event("%s SIGABRT rewind", label)
 			case "good-cert":
 				res, err := v.Verify(t, cryptolib.FormatCertificate("alice", "alice@example.com"))
@@ -122,8 +100,7 @@ func runCrypto(cfg Config, r *Report) error {
 				} else if !res.Valid {
 					r.failf("%s: valid certificate rejected", label)
 				}
-				env.a.checkRewindDelta(label, preRewinds, 0)
-				env.a.checkForensics(label, preForensics, 0)
+				env.calm(label, b)
 				r.event("%s valid", label)
 			}
 		}

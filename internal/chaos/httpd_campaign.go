@@ -1,33 +1,12 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"sdrad/internal/cryptolib"
 	"sdrad/internal/httpd"
-	"sdrad/internal/mem"
-	"sdrad/internal/proc"
 )
-
-// httpStatus extracts the status code token from a response for the
-// schedule ("200", "400", "closed", ...).
-func httpStatus(resp []byte, closed bool) string {
-	if closed {
-		return "closed"
-	}
-	line := resp
-	if i := bytes.IndexByte(line, '\r'); i >= 0 {
-		line = line[:i]
-	}
-	fields := bytes.Fields(line)
-	if len(fields) >= 2 {
-		return string(fields[1])
-	}
-	return "malformed"
-}
 
 // certRequest builds a keep-alive GET carrying a client certificate in the
 // X-Client-Cert header, the §V-C NGINX+OpenSSL integration under attack.
@@ -42,77 +21,34 @@ func certRequest(path string, cert []byte) []byte {
 // CVE-2009-2629-style "/../" URI underflow, malicious client
 // certificates (CVE-2022-3786 analog, verified in a nested domain),
 // fuzz-mutated requests, and injector-raised PKU faults inside the parser
-// domain.
+// domain. The mapped-bytes class separates rewind types: a parser-domain
+// rewind leaves the parser heap unmapped while the verifier stays
+// resident, and a verifier-domain rewind the reverse — the two states
+// legitimately differ in mapped bytes.
 func runHTTPD(cfg Config, r *Report) error {
-	rec := cfg.recorder()
-	m, err := httpd.NewMaster(httpd.Config{
-		Variant:           httpd.VariantSDRaD,
-		Workers:           1,
+	w, m, err := newHTTPD(cfg, r, httpd.Config{
 		VerifyClientCerts: true,
 		Files:             map[string]int{"/index.html": 512, "/about.html": 256},
-		Seed:              cfg.Seed,
-		Telemetry:         rec,
 	})
 	if err != nil {
 		return err
 	}
 	defer m.Stop()
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	w := m.Worker(0)
-	lib := w.Library()
-	as := w.Process().AddressSpace()
-	a := &auditor{r: r, lib: lib, rec: rec}
-	conn := w.NewConn()
-
-	do := func(req []byte) ([]byte, bool) {
-		resp, closed, err := conn.Do(req)
-		if err != nil {
-			r.failf("request failed: %v", err)
-			return nil, true
-		}
-		if closed {
-			conn = w.NewConn()
-		}
-		return resp, closed
-	}
-	onWorker := func(fn func(t *proc.Thread) error) {
-		if err := w.Inspect(fn); err != nil {
-			r.failf("inspect failed: %v", err)
-		}
-	}
-	// postRewind audits the worker at the steady state right after an
-	// absorbed rewind. The mapped-bytes class separates rewind types: a
-	// parser-domain rewind leaves the parser heap unmapped while the
-	// verifier stays resident, and a verifier-domain rewind the reverse —
-	// the two states legitimately differ in mapped bytes.
-	postRewind := func(label, class string) {
-		onWorker(func(t *proc.Thread) error {
-			a.audit(t, label)
-			return nil
-		})
-		a.checkMappedStable(class, label, w.MappedBytes())
-		// The worker must keep serving after the rewind.
-		resp, closed := do(httpd.FormatRequest("/index.html", true))
-		if status := httpStatus(resp, closed); status != "200" {
-			r.failf("%s: worker unhealthy after rewind: %s", label, status)
-		}
-	}
+	rng := w.rng
 
 	// Warm up every lazily created domain before taking any mapped-bytes
 	// baseline: the first cert-bearing request creates the verifier
 	// domain, and the first plain request the parser domain.
 	goodCert := cryptolib.FormatCertificate("alice", "alice@example.com")
-	if resp, closed := do(certRequest("/index.html", goodCert)); httpStatus(resp, closed) != "200" {
-		return fmt.Errorf("chaos: cert warm-up request failed: %s", httpStatus(resp, closed))
+	if status := httpStatus(w.do(certRequest("/index.html", goodCert))); status != "200" {
+		return fmt.Errorf("chaos: cert warm-up request failed: %s", status)
 	}
 
 	vectors := []string{"get", "miss", "dotdot-attack", "bad-cert", "good-cert", "mutate", "inject-pku"}
 	for i := 0; i < cfg.Ops; i++ {
 		vector := vectors[rng.Intn(len(vectors))]
 		label := fmt.Sprintf("op=%02d %s", i, vector)
-		preRewinds := lib.Stats().Rewinds.Load()
-		preForensics := a.forensicsPre()
+		b := w.before()
 
 		switch vector {
 		case "get":
@@ -120,112 +56,57 @@ func runHTTPD(cfg Config, r *Report) error {
 			if rng.Intn(2) == 0 {
 				path = "/about.html"
 			}
-			resp, closed := do(httpd.FormatRequest(path, true))
-			if status := httpStatus(resp, closed); status != "200" {
+			if status := httpStatus(w.do(httpd.FormatRequest(path, true))); status != "200" {
 				r.failf("%s: %s returned %s", label, path, status)
 			}
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
+			w.calm(label, b)
 			r.event("%s %s 200", label, path)
 		case "miss":
-			resp, closed := do(httpd.FormatRequest(fmt.Sprintf("/nope-%d.html", rng.Intn(16)), true))
-			status := httpStatus(resp, closed)
+			status := httpStatus(w.do(httpd.FormatRequest(fmt.Sprintf("/nope-%d.html", rng.Intn(16)), true)))
 			if status != "404" {
 				r.failf("%s: want 404, got %s", label, status)
 			}
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
+			w.calm(label, b)
 			r.event("%s %s", label, status)
 		case "dotdot-attack":
 			// CVE-2009-2629 analog: complex-URI normalization walks the
 			// write pointer below the pool buffer. Must rewind.
-			r.Injected++
 			depth := 128 + rng.Intn(128)
-			uri := "/" + strings.Repeat("../", depth) + "x"
-			_, closed := do(httpd.FormatRequest(uri, true))
-			if !closed {
-				r.failf("%s: traversal attack left connection open", label)
-			}
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensicsFault(as, label, preForensics)
-			postRewind(label, "parser-rewind")
+			w.attack(label, "parser-rewind", httpd.FormatRequest("/"+strings.Repeat("../", depth)+"x", true))
 			r.event("%s depth=%d rewind", label, depth)
 		case "bad-cert":
 			// CVE-2022-3786 analog: punycode decode overflow inside the
 			// X.509 verifier domain. Must rewind; the paper's NGINX
 			// integration answers 400 over a then-closed connection.
-			r.Injected++
-			resp, closed := do(certRequest("/index.html", cryptolib.MaliciousCertificate()))
-			status := httpStatus(resp, closed)
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensicsAbort(label, preForensics)
-			postRewind(label, "verifier-rewind")
+			status := httpStatus(w.do(certRequest("/index.html", cryptolib.MaliciousCertificate())))
+			w.aborted(label, b)
+			w.settle(label, "verifier-rewind")
 			// Re-establish the verifier domain so later steady states see
 			// it resident again, keeping the other classes comparable.
-			if resp, closed := do(certRequest("/index.html", goodCert)); httpStatus(resp, closed) != "200" {
-				r.failf("%s: verifier did not recover: %s", label, httpStatus(resp, closed))
+			if again := httpStatus(w.do(certRequest("/index.html", goodCert))); again != "200" {
+				r.failf("%s: verifier did not recover: %s", label, again)
 			}
 			r.event("%s %s rewind", label, status)
 		case "good-cert":
-			resp, closed := do(certRequest("/index.html", goodCert))
-			if status := httpStatus(resp, closed); status != "200" {
+			if status := httpStatus(w.do(certRequest("/index.html", goodCert))); status != "200" {
 				r.failf("%s: valid certificate rejected: %s", label, status)
 			}
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
+			w.calm(label, b)
 			r.event("%s 200", label)
 		case "mutate":
-			req := mutate(rng, httpd.FormatRequest("/index.html", true))
-			resp, closed := do(req)
-			delta := int(lib.Stats().Rewinds.Load() - preRewinds)
-			r.Absorbed += delta
-			r.Injected += delta // mutation-induced faults count as injected
-			a.checkForensics(label, preForensics, delta)
-			if delta > 0 {
-				postRewind(label, "parser-rewind")
-			}
-			r.event("%s len=%d %s rewinds=%d", label, len(req), httpStatus(resp, closed), delta)
+			w.mutate(label, "parser-rewind", httpd.FormatRequest("/index.html", true))
 		case "inject-pku":
 			// A hardened GET makes six gated in-domain accesses, so the
 			// countdown must stay within that budget to guarantee firing.
-			r.Injected++
 			countdown := 1 + rng.Intn(4)
-			onWorker(func(t *proc.Thread) error {
-				armGated(lib, t, countdown, mem.CodePkuErr)
-				return nil
-			})
-			preSeq := as.FaultSeq()
-			_, closed := do(httpd.FormatRequest("/index.html", true))
-			onWorker(func(t *proc.Thread) error {
-				if t.CPU().FaultInjectorArmed() {
-					t.CPU().SetFaultInjector(nil)
-					r.failf("%s: injector did not fire within the request", label)
-				}
-				return nil
-			})
-			if !closed {
-				r.failf("%s: injected fault left connection open", label)
-			}
-			a.checkFaultLogged(as, label, preSeq, mem.CodePkuErr, true)
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensicsFault(as, label, preForensics)
-			postRewind(label, "parser-rewind")
+			w.injectPKU(label, "parser-rewind", countdown, httpd.FormatRequest("/index.html", true))
 			r.event("%s countdown=%d rewind", label, countdown)
 		}
 
-		if crashed, cause := w.Crashed(); crashed {
+		if crashed, cause := w.crashed(); crashed {
 			return fmt.Errorf("chaos: worker process died at op %d: %v", i, cause)
 		}
 	}
-
-	onWorker(func(t *proc.Thread) error {
-		a.audit(t, "final")
-		return nil
-	})
-	resp, closed := do(httpd.FormatRequest("/index.html", true))
-	if status := httpStatus(resp, closed); status != "200" {
-		r.failf("final: worker unhealthy: %s", status)
-	}
-	r.event("final rewinds=%d", lib.Stats().Rewinds.Load())
+	w.final()
 	return nil
 }

@@ -47,10 +47,10 @@ func armGated(lib *core.Library, t *proc.Thread, countdown int, code mem.FaultCo
 	})
 }
 
-// mutate flips 1-3 bytes of a protocol request at seeded positions,
+// mangle flips 1-3 bytes of a protocol request at seeded positions,
 // optionally truncating it — the fuzz-shaped malformed-input class. The
 // input is copied, never modified in place.
-func mutate(rng interface{ Intn(int) int }, req []byte) []byte {
+func mangle(rng interface{ Intn(int) int }, req []byte) []byte {
 	out := make([]byte, len(req))
 	copy(out, req)
 	if len(out) == 0 {

@@ -32,28 +32,12 @@ func runLease(cfg Config, r *Report) error {
 			vector := vectors[env.rng.Intn(len(vectors))]
 			countdown := 1 + env.rng.Intn(3)
 			offset := mem.Addr(8 * env.rng.Intn(64))
-			preSeq := env.as.FaultSeq()
-			preRewinds := lib.Stats().Rewinds.Load()
-			preForensics := env.a.forensicsPre()
+			label := fmt.Sprintf("op=%02d %s", i, vector)
+			b := env.before()
 
-			var heapBase mem.Addr
-			var heapSize uint64
 			var lease *mem.Lease
 			var wantAddr mem.Addr
-			gerr := lib.Guard(t, victimUDI, func() error {
-				buf, err := lib.Malloc(t, victimUDI, 64)
-				if err != nil {
-					return err
-				}
-				rep := lib.Audit(t)
-				env.r.Audits++
-				for _, f := range rep.Findings {
-					env.r.failf("op=%02d %s: pre-attack audit: %s", i, vector, f)
-				}
-				heapBase, heapSize = victimRegion(rep, victimUDI)
-				if err := lib.Enter(t, victimUDI); err != nil {
-					return err
-				}
+			heap, gerr := env.scope(label, victimUDI, 64, func(buf mem.Addr, heap region) error {
 				// The leased fast path: a verified write window over the
 				// domain buffer, used the way the hardened servers use their
 				// slot leases.
@@ -68,7 +52,7 @@ func runLease(cfg Config, r *Report) error {
 				// The window is the real backing: the checked accessor must
 				// agree with what went through the lease.
 				if got := c.ReadU8(buf + 7); got != byte(i) {
-					env.r.failf("op=%02d %s: leased write invisible to checked read: %#x", i, vector, got)
+					r.failf("%s: leased write invisible to checked read: %#x", label, got)
 				}
 				switch vector {
 				case "inject-under-lease":
@@ -76,10 +60,10 @@ func runLease(cfg Config, r *Report) error {
 					// Arming must revoke the window immediately — one elided
 					// access here would dodge the injected fault.
 					if lease.Valid() {
-						env.r.failf("op=%02d %s: lease valid with injector armed", i, vector)
+						r.failf("%s: lease valid with injector armed", label)
 					}
 					if _, ok := lease.Bytes(buf, 8); ok {
-						env.r.failf("op=%02d %s: leased access elided the armed injector", i, vector)
+						r.failf("%s: leased access elided the armed injector", label)
 					}
 					// The fallback path: checked writes, on which the
 					// countdown fires at an exact, predictable byte.
@@ -92,9 +76,9 @@ func runLease(cfg Config, r *Report) error {
 					// Past the end of the window: the lease must refuse, and
 					// the checked fallback raises the genuine fault at the
 					// exact first faulting byte.
-					wantAddr = heapBase + mem.Addr(heapSize) + offset
+					wantAddr = heap.base + mem.Addr(heap.size) + offset
 					if _, ok := lease.Bytes(wantAddr, 8); ok {
-						env.r.failf("op=%02d %s: lease served bytes outside its span", i, vector)
+						r.failf("%s: lease served bytes outside its span", label)
 					}
 					c.WriteU64(wantAddr, 0xdead)
 					return errNoFault
@@ -103,11 +87,11 @@ func runLease(cfg Config, r *Report) error {
 					// walk brings the window back, nothing rewinds.
 					env.as.BumpLeaseEpoch()
 					if lease.Valid() {
-						env.r.failf("op=%02d %s: lease valid across epoch bump", i, vector)
+						r.failf("%s: lease valid across epoch bump", label)
 					}
 					w, ok := lease.Bytes(buf, 16)
 					if !ok {
-						env.r.failf("op=%02d %s: lease did not renew after epoch bump", i, vector)
+						r.failf("%s: lease did not renew after epoch bump", label)
 					} else {
 						w[0] = byte(i) + 1
 					}
@@ -115,49 +99,23 @@ func runLease(cfg Config, r *Report) error {
 				default: // benign
 					return lib.Exit(t)
 				}
-			}, core.Accessible())
+			})
 
-			label := fmt.Sprintf("op=%02d %s", i, vector)
-			switch vector {
-			case "benign", "epoch-renew":
-				if gerr != nil {
-					r.failf("%s: benign op failed: %v", label, gerr)
-				}
-				env.a.checkRewindDelta(label, preRewinds, 0)
-				env.a.checkForensics(label, preForensics, 0)
-				env.a.audit(t, label)
-				r.event("%s ok", label)
+			if vector == "benign" || vector == "epoch-renew" {
+				env.benign(label, b, gerr)
 				continue
-			case "inject-under-lease":
-				r.Injected++
-				abn := expectAbnormal(r, label, gerr, victimUDI, sig.SIGSEGV)
-				if abn != nil {
-					if abn.Code != int(mem.CodePkuErr) {
-						r.failf("%s: fault code %d, want SEGV_PKUERR", label, abn.Code)
-					}
-					if abn.Addr != uint64(wantAddr) {
-						r.failf("%s: fault at 0x%x, want exact byte 0x%x", label, abn.Addr, uint64(wantAddr))
-					}
+			}
+			injected := vector == "inject-under-lease"
+			if abn := env.rewound(label, b, gerr, victimUDI, sig.SIGSEGV, injected, heap); abn != nil {
+				if (injected && abn.Code != int(mem.CodePkuErr)) || !wildCode(abn.Code) {
+					r.failf("%s: unexpected fault code %d", label, abn.Code)
 				}
-				if c.FaultInjectorArmed() {
-					r.failf("%s: injector still armed after firing", label)
+				if abn.Addr != uint64(wantAddr) {
+					r.failf("%s: fault at 0x%x, want exact byte 0x%x", label, abn.Addr, uint64(wantAddr))
 				}
-				env.a.checkFaultLogged(env.as, label, preSeq, mem.CodePkuErr, true)
-				env.a.checkForensicsExit(label, preForensics, abn)
-			case "oob-past-lease":
-				r.Injected++
-				abn := expectAbnormal(r, label, gerr, victimUDI, sig.SIGSEGV)
-				if abn != nil {
-					code := mem.FaultCode(abn.Code)
-					if code != mem.CodeMapErr && code != mem.CodeAccErr && code != mem.CodePkuErr {
-						r.failf("%s: unexpected fault code %d", label, abn.Code)
-					}
-					if abn.Addr != uint64(wantAddr) {
-						r.failf("%s: fault at 0x%x, want exact byte 0x%x", label, abn.Addr, uint64(wantAddr))
-					}
-					env.a.checkFaultLogged(env.as, label, preSeq, code, false)
-				}
-				env.a.checkForensicsExit(label, preForensics, abn)
+			}
+			if injected && c.FaultInjectorArmed() {
+				r.failf("%s: injector still armed after firing", label)
 			}
 			// The rewind must have revoked the victim's window: using it
 			// after the domain was discarded would read scrubbed or
@@ -165,10 +123,8 @@ func runLease(cfg Config, r *Report) error {
 			if lease != nil && lease.Valid() {
 				r.failf("%s: lease still valid after rewind revoked the domain", label)
 			}
-			env.a.checkRewindDelta(label, preRewinds, 1)
-			env.postRewind(label, heapBase, heapSize)
-			if abnAddr := wantAddr; abnAddr != 0 {
-				r.event("%s countdown=%d addr=0x%x rewind", label, countdown, uint64(abnAddr))
+			if wantAddr != 0 {
+				r.event("%s countdown=%d addr=0x%x rewind", label, countdown, uint64(wantAddr))
 			}
 		}
 		return nil

@@ -4,95 +4,29 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"sdrad/internal/core"
-	"sdrad/internal/mem"
 	"sdrad/internal/memcache"
-	"sdrad/internal/proc"
 )
-
-// respClass compresses a workload response into a deterministic schedule
-// token: the first protocol token for open connections, "closed" for
-// dropped ones.
-func respClass(resp []byte, closed bool) string {
-	if closed {
-		return "closed"
-	}
-	if i := bytes.IndexAny(resp, " \r\n"); i > 0 {
-		return string(resp[:i])
-	}
-	if len(resp) == 0 {
-		return "empty"
-	}
-	return string(resp)
-}
 
 // runMemcache drives the hardened memcached build with a seeded mix of
 // valid traffic, the CVE-2011-4971 binary-set overflow, fuzz-mutated
 // protocol bytes, injector-raised PKU faults mid-request, and injected
 // allocation failures. After every absorbed rewind it audits the monitor
-// on the serving thread and proves the cache survived.
+// on the serving thread and proves the cache survived. Every memcache
+// rewind discards the same event domain, so all post-rewind steady
+// states share one mapped-bytes class.
 func runMemcache(cfg Config, r *Report) error {
-	rec := cfg.recorder()
-	s, err := memcache.NewServer(memcache.Config{
-		Variant:   memcache.VariantSDRaD,
-		Workers:   1,
-		HashPower: 10,
-		Seed:      cfg.Seed,
-		Telemetry: rec,
-	})
+	w, s, err := newMemcache(cfg, r, memcache.Config{})
 	if err != nil {
 		return err
 	}
 	defer s.Stop()
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	lib := s.Library()
-	as := s.Process().AddressSpace()
-	a := &auditor{r: r, lib: lib, rec: rec}
-	conn := s.NewConn()
-
-	do := func(req []byte) ([]byte, bool) {
-		resp, closed, err := conn.Do(req)
-		if err != nil {
-			r.failf("request failed: %v", err)
-			return nil, true
-		}
-		if closed {
-			conn = s.NewConn()
-		}
-		return resp, closed
-	}
+	rng, lib := w.rng, w.lib
 
 	// A key stored before the chaos starts; it must survive every rewind.
-	persistVal := []byte("survives-every-rewind")
-	if resp, _ := do(memcache.FormatSet("persist", persistVal, 7)); !bytes.HasPrefix(resp, []byte("STORED")) {
-		return fmt.Errorf("chaos: persist set failed: %q", resp)
-	}
-
-	// onWorker runs fn on the serving thread, between requests.
-	onWorker := func(fn func(t *proc.Thread) error) {
-		if err := conn.Inspect(fn); err != nil {
-			r.failf("inspect failed: %v", err)
-		}
-	}
-	postRewind := func(label string) {
-		onWorker(func(t *proc.Thread) error {
-			a.audit(t, label)
-			if err := s.Storage().AuditShards(t.CPU()); err != nil {
-				r.failf("%s: shard audit: %v", label, err)
-			}
-			return nil
-		})
-		// Every memcache rewind discards the same event domain, so all
-		// post-rewind steady states share one mapped-bytes class.
-		a.checkMappedStable("event-rewind", label, s.MappedBytes())
-		resp, closed := do(memcache.FormatGet("persist"))
-		val, _, ok := memcache.ParseGetValue(resp)
-		if closed || !ok || !bytes.Equal(val, persistVal) {
-			r.failf("%s: persisted key damaged after rewind: closed=%v resp=%q", label, closed, resp)
-		}
+	if err := w.persist([]byte("survives-every-rewind")); err != nil {
+		return err
 	}
 
 	vectors := []string{"set", "get", "delete", "mutate", "bset", "inject-pku", "inject-oom"}
@@ -106,8 +40,7 @@ func runMemcache(cfg Config, r *Report) error {
 		vector := vectors[rng.Intn(len(vectors))]
 		key := fmt.Sprintf("k%d", rng.Intn(8))
 		label := fmt.Sprintf("op=%02d %s", i, vector)
-		preRewinds := lib.Stats().Rewinds.Load()
-		preForensics := a.forensicsPre()
+		b := w.before()
 
 		switch vector {
 		case "set":
@@ -115,16 +48,15 @@ func runMemcache(cfg Config, r *Report) error {
 			for j := range val {
 				val[j] = byte('a' + rng.Intn(26))
 			}
-			resp, closed := do(memcache.FormatSet(key, val, uint32(i)))
+			resp, closed := w.do(memcache.FormatSet(key, val, uint32(i)))
 			if !closed && bytes.HasPrefix(resp, []byte("STORED")) {
 				shadow[key] = val
 				delete(tainted, key)
 			}
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
+			w.calm(label, b)
 			r.event("%s %s len=%d %s", label, key, len(val), respClass(resp, closed))
 		case "get":
-			resp, closed := do(memcache.FormatGet(key))
+			resp, closed := w.do(memcache.FormatGet(key))
 			val, _, ok := memcache.ParseGetValue(resp)
 			if tainted[key] {
 				// Unknown state: resynchronize the shadow from what the
@@ -146,18 +78,16 @@ func runMemcache(cfg Config, r *Report) error {
 					r.failf("%s: %s value %q, shadow %q", label, key, val, want)
 				}
 			}
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
+			w.calm(label, b)
 			r.event("%s %s hit=%v", label, key, ok)
 		case "delete":
-			resp, closed := do(memcache.FormatDelete(key))
+			resp, closed := w.do(memcache.FormatDelete(key))
 			if !closed {
 				// DELETED and NOT_FOUND both leave the key absent.
 				delete(shadow, key)
 				delete(tainted, key)
 			}
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
+			w.calm(label, b)
 			r.event("%s %s %s", label, key, respClass(resp, closed))
 		case "mutate":
 			base := memcache.FormatSet(key, []byte("mutation-fodder"), 1)
@@ -168,56 +98,18 @@ func runMemcache(cfg Config, r *Report) error {
 			// fail outright, store garbage, or morph into another
 			// command); taint the key rather than guess.
 			tainted[key] = true
-			req := mutate(rng, base)
-			resp, closed := do(req)
-			delta := int(lib.Stats().Rewinds.Load() - preRewinds)
-			r.Absorbed += delta
-			r.Injected += delta // mutation-induced faults count as injected
-			a.checkForensics(label, preForensics, delta)
-			if delta > 0 {
-				postRewind(label)
-			}
-			r.event("%s len=%d %s rewinds=%d", label, len(req), respClass(resp, closed), delta)
+			w.mutate(label, "event-rewind", base)
 		case "bset":
 			// CVE-2011-4971 analog: a binary set whose claimed body length
 			// overflows the staging buffer. Must always rewind.
-			r.Injected++
-			resp, closed := do(memcache.FormatBSet("atk", 1<<20, nil))
-			if !closed {
-				r.failf("%s: overflow attack left connection open: %q", label, resp)
-			}
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensicsFault(as, label, preForensics)
-			postRewind(label)
+			w.attack(label, "event-rewind", memcache.FormatBSet("atk", 1<<20, nil))
 			r.event("%s rewind", label)
 		case "inject-pku":
-			// Arm a gated one-shot injector on the serving thread; the next
-			// request trips it inside the event domain.
 			// A hardened set makes five gated in-domain accesses, so the
 			// countdown must stay within that budget to guarantee firing.
-			r.Injected++
 			countdown := 1 + rng.Intn(4)
-			onWorker(func(t *proc.Thread) error {
-				armGated(lib, t, countdown, mem.CodePkuErr)
-				return nil
-			})
-			preSeq := as.FaultSeq()
-			resp, closed := do(memcache.FormatSet(key, []byte("doomed-request"), 2))
+			w.injectPKU(label, "event-rewind", countdown, memcache.FormatSet(key, []byte("doomed-request"), 2))
 			tainted[key] = true // outcome of the faulted set is undefined
-			onWorker(func(t *proc.Thread) error {
-				if t.CPU().FaultInjectorArmed() {
-					t.CPU().SetFaultInjector(nil)
-					r.failf("%s: injector did not fire within the request", label)
-				}
-				return nil
-			})
-			if !closed {
-				r.failf("%s: injected fault left connection open: %q", label, resp)
-			}
-			a.checkFaultLogged(as, label, preSeq, mem.CodePkuErr, true)
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensicsFault(as, label, preForensics)
-			postRewind(label)
 			r.event("%s countdown=%d rewind", label, countdown)
 		case "inject-oom":
 			// Allocation failure under live load. A forced rewind first
@@ -225,20 +117,12 @@ func runMemcache(cfg Config, r *Report) error {
 			// hook deterministically fails that Malloc: the server must
 			// degrade to a clean error — no rewind, no crash — and recover
 			// once the hook is gone.
-			r.Injected++
-			if _, closed := do(memcache.FormatBSet("atk", 1<<20, nil)); !closed {
-				r.failf("%s: overflow attack left connection open", label)
-			}
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensicsFault(as, label, preForensics)
+			w.trap(label, memcache.FormatBSet("atk", 1<<20, nil), false)
 			// Audit the rewind without issuing a request: a health probe
 			// here would rebuild the event domain and defuse the hook
 			// before the starved request arrives.
-			onWorker(func(t *proc.Thread) error {
-				a.audit(t, label)
-				return nil
-			})
-			a.checkMappedStable("event-rewind", label, s.MappedBytes())
+			w.audit(label)
+			w.checkMappedStable("event-rewind", label)
 			fired := false
 			lib.SetAllocFault(func(udi core.UDI, size uint64) error {
 				if udi == core.RootUDI {
@@ -247,9 +131,8 @@ func runMemcache(cfg Config, r *Report) error {
 				fired = true
 				return errInjectedOOM
 			})
-			oomRewinds := lib.Stats().Rewinds.Load()
-			oomForensics := a.forensicsPre()
-			_, _, oomErr := conn.Do(memcache.FormatSet(key, []byte("starved-request"), 3))
+			starved := w.before()
+			_, _, oomErr := w.conn.Do(memcache.FormatSet(key, []byte("starved-request"), 3))
 			tainted[key] = true
 			lib.SetAllocFault(nil)
 			if !fired {
@@ -258,10 +141,9 @@ func runMemcache(cfg Config, r *Report) error {
 			if !errors.Is(oomErr, core.ErrHeapExhausted) {
 				r.failf("%s: starved request returned %v, want heap exhaustion", label, oomErr)
 			}
-			a.checkRewindDelta(label, oomRewinds, 0)
-			a.checkForensics(label, oomForensics, 0)
+			w.calm(label, starved)
 			r.event("%s fired=%v heap-exhausted=%v", label, fired, oomErr != nil)
-			resp, closed := do(memcache.FormatSet(key, []byte("recovered"), 4))
+			resp, closed := w.do(memcache.FormatSet(key, []byte("recovered"), 4))
 			if closed || !bytes.HasPrefix(resp, []byte("STORED")) {
 				r.failf("%s: server did not recover from OOM: closed=%v resp=%q", label, closed, resp)
 			} else {
@@ -270,24 +152,10 @@ func runMemcache(cfg Config, r *Report) error {
 			}
 		}
 
-		if crashed, cause := s.Crashed(); crashed {
+		if crashed, cause := w.crashed(); crashed {
 			return fmt.Errorf("chaos: server process died at op %d: %v", i, cause)
 		}
 	}
-
-	// Final steady-state audit and cache-survival proof.
-	onWorker(func(t *proc.Thread) error {
-		a.audit(t, "final")
-		if err := s.Storage().AuditShards(t.CPU()); err != nil {
-			r.failf("final: shard audit: %v", err)
-		}
-		return nil
-	})
-	resp, closed := do(memcache.FormatGet("persist"))
-	val, _, ok := memcache.ParseGetValue(resp)
-	if closed || !ok || !bytes.Equal(val, persistVal) {
-		r.failf("final: persisted key damaged: closed=%v resp=%q", closed, resp)
-	}
-	r.event("final rewinds=%d", lib.Stats().Rewinds.Load())
+	w.final()
 	return nil
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"sdrad/internal/core"
 	"sdrad/internal/memcache"
 	"sdrad/internal/policy"
-	"sdrad/internal/proc"
 	"sdrad/internal/sig"
 )
 
@@ -61,23 +59,14 @@ func runPolicyCore(cfg Config, r *Report) error {
 	)
 	clk := &policy.ManualClock{}
 	eng := policy.New(policyCampaignConfig(clk, 6))
-	p := proc.NewProcess("chaos-policy", proc.WithSeed(cfg.Seed))
-	rec := cfg.recorder()
-	lib, err := core.Setup(p, core.WithScrubOnDiscard(true), core.WithTelemetry(rec), core.WithPolicy(eng))
-	if err != nil {
-		return err
-	}
-	defer p.Shutdown()
-	return p.Attach("chaos", func(t *proc.Thread) error {
-		c := t.CPU()
-		a := &auditor{r: r, lib: lib, rec: rec}
+	return runCoreCampaign(cfg, r, func(env *coreEnv) error {
+		t, lib, c := env.t, env.lib, env.t.CPU()
 
 		// fault provokes one absorbed rewind of the victim and asserts
 		// the policy decision stamped into its forensics report.
 		fault := func(step int, wantState, wantAction string, wantWin int) {
 			label := fmt.Sprintf("step=%02d fault", step)
-			preRewinds := lib.Stats().Rewinds.Load()
-			preForensics := a.forensicsPre()
+			b := env.before()
 			gerr := lib.Guard(t, victimUDI, func() error {
 				if _, err := lib.Malloc(t, victimUDI, 64); err != nil {
 					return err
@@ -88,20 +77,14 @@ func runPolicyCore(cfg Config, r *Report) error {
 				c.WriteU8(0xDEAD0000, 1)
 				return errNoFault
 			}, core.Accessible())
-			r.Injected++
-			expectAbnormal(r, label, gerr, victimUDI, sig.SIGSEGV)
-			a.checkRewindDelta(label, preRewinds, 1)
-			a.checkForensics(label, preForensics, 1)
-			rep, ok := a.lastForensics(label)
-			if !ok {
-				return
-			}
+			env.exited(label, b, gerr, victimUDI, sig.SIGSEGV, false)
+			rep, _ := env.rec.Forensics().Last()
 			if rep.PolicyState != wantState || rep.PolicyAction != wantAction || rep.PolicyWindowCount != wantWin {
 				r.failf("%s: policy decision %s/%s/%d, want %s/%s/%d", label,
 					rep.PolicyState, rep.PolicyAction, rep.PolicyWindowCount,
 					wantState, wantAction, wantWin)
 			}
-			a.audit(t, label)
+			env.auditOn(t, label)
 			r.event("%s state=%s action=%s window=%d", label, rep.PolicyState, rep.PolicyAction, rep.PolicyWindowCount)
 		}
 
@@ -110,8 +93,7 @@ func runPolicyCore(cfg Config, r *Report) error {
 		// forensics report, no leftover domain state.
 		denied := func(step int, wantState string, wantRetryNs int64) {
 			label := fmt.Sprintf("step=%02d denied", step)
-			preRewinds := lib.Stats().Rewinds.Load()
-			preForensics := a.forensicsPre()
+			b := env.before()
 			gerr := lib.Guard(t, victimUDI, func() error { return lib.Exit(t) }, core.Accessible())
 			var qe *core.QuarantineError
 			if !errors.Is(gerr, core.ErrDomainQuarantined) || !errors.As(gerr, &qe) {
@@ -124,9 +106,8 @@ func runPolicyCore(cfg Config, r *Report) error {
 			if qe.RetryAfterNs != wantRetryNs {
 				r.failf("%s: retry-after %dns, want %dns", label, qe.RetryAfterNs, wantRetryNs)
 			}
-			a.checkRewindDelta(label, preRewinds, 0)
-			a.checkForensics(label, preForensics, 0)
-			a.audit(t, label)
+			env.calm(label, b)
+			env.auditOn(t, label)
 			r.event("%s state=%s retry=%dns", label, qe.State, qe.RetryAfterNs)
 		}
 
@@ -191,51 +172,26 @@ func runPolicyCore(cfg Config, r *Report) error {
 			cfg.PolicySink("core", snaps)
 		}
 		return nil
-	})
+	}, core.WithPolicy(eng))
 }
 
 func runPolicyMemcache(cfg Config, r *Report) error {
 	clk := &policy.ManualClock{}
 	// Shedding disabled: this phase ends with the service recovered.
 	eng := policy.New(policyCampaignConfig(clk, -1))
-	rec := cfg.recorder()
-	s, err := memcache.NewServer(memcache.Config{
-		Variant:   memcache.VariantSDRaD,
-		Workers:   1,
-		HashPower: 10,
-		Seed:      cfg.Seed,
-		Telemetry: rec,
-		Policy:    eng,
-	})
+	w, s, err := newMemcache(cfg, r, memcache.Config{Policy: eng})
 	if err != nil {
 		return err
 	}
 	defer s.Stop()
-
-	lib := s.Library()
-	a := &auditor{r: r, lib: lib, rec: rec}
-	conn := s.NewConn()
-	do := func(req []byte) ([]byte, bool) {
-		resp, closed, err := conn.Do(req)
-		if err != nil {
-			r.failf("mc request failed: %v", err)
-			return nil, true
-		}
-		if closed {
-			conn = s.NewConn()
-		}
-		return resp, closed
-	}
-
-	persistVal := []byte("survives-quarantine")
-	if resp, _ := do(memcache.FormatSet("persist", persistVal, 7)); !bytes.HasPrefix(resp, []byte("STORED")) {
-		return fmt.Errorf("chaos: persist set failed: %q", resp)
+	if err := w.persist([]byte("survives-quarantine")); err != nil {
+		return err
 	}
 
 	// expect sends a request and asserts the deterministic response class.
 	expect := func(step int, what string, req []byte, wantClass string) {
 		label := fmt.Sprintf("mc=%02d %s", step, what)
-		resp, closed := do(req)
+		resp, closed := w.do(req)
 		class := respClass(resp, closed)
 		if class != wantClass {
 			r.failf("%s: response %q (closed=%v), want %s", label, resp, closed, wantClass)
@@ -247,25 +203,9 @@ func runPolicyMemcache(cfg Config, r *Report) error {
 	// binary-set overflow; the rewind closes the connection.
 	attack := func(step int) {
 		label := fmt.Sprintf("mc=%02d attack", step)
-		preRewinds := lib.Stats().Rewinds.Load()
-		preForensics := a.forensicsPre()
-		_, closed := do(memcache.FormatBSet("atk", 1<<20, nil))
-		if !closed {
-			r.failf("%s: attack did not close the connection", label)
-		}
-		r.Injected++
-		a.checkRewindDelta(label, preRewinds, 1)
-		a.checkForensics(label, preForensics, 1)
-		if err := conn.Inspect(func(t *proc.Thread) error {
-			a.audit(t, label)
-			return nil
-		}); err != nil {
-			r.failf("%s: inspect failed: %v", label, err)
-		}
-		rep, ok := a.lastForensics(label)
-		if ok {
-			r.event("%s state=%s action=%s window=%d", label, rep.PolicyState, rep.PolicyAction, rep.PolicyWindowCount)
-		}
+		rep := w.trap(label, memcache.FormatBSet("atk", 1<<20, nil), false)
+		w.audit(label)
+		r.event("%s state=%s action=%s window=%d", label, rep.PolicyState, rep.PolicyAction, rep.PolicyWindowCount)
 	}
 
 	preDegraded := s.Degraded()
@@ -289,8 +229,8 @@ func runPolicyMemcache(cfg Config, r *Report) error {
 	}
 
 	// The degraded path must not have touched the store: the persisted
-	// value survived quarantine bit-for-bit (checked via the VALUE
-	// responses above), and the engine agrees on the final state.
+	// value survived quarantine (checked via the VALUE responses above),
+	// and the engine agrees on the final state.
 	snaps := eng.Snapshot()
 	if len(snaps) != 1 || snaps[0].State != "backoff" || snaps[0].TotalRewinds != 4 {
 		r.failf("mc engine snapshot: %+v, want event domain on probation after 4 rewinds", snaps)

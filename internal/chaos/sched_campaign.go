@@ -29,38 +29,14 @@ import (
 // — and with the frozen clock, each controller decision — is exact.
 func runSchedCampaign(cfg Config, r *Report) error {
 	const maxBatch = 16
-	rec := cfg.recorder()
 	clk := &policy.ManualClock{}
-	s, err := memcache.NewServer(memcache.Config{
-		Variant:   memcache.VariantSDRaD,
-		Workers:   1,
-		HashPower: 10,
-		MaxBatch:  maxBatch,
-		Seed:      cfg.Seed,
-		Telemetry: rec,
-		Sched:     sched.Config{Clock: clk.Now},
-	})
+	w, s, err := newMemcache(cfg, r, memcache.Config{MaxBatch: maxBatch, Sched: sched.Config{Clock: clk.Now}})
 	if err != nil {
 		return err
 	}
 	defer s.Stop()
 
-	lib := s.Library()
-	as := s.Process().AddressSpace()
-	a := &auditor{r: r, lib: lib, rec: rec}
 	snap := func() sched.Snapshot { return s.SchedSnapshots()[0] }
-	parkC := s.NewConn()
-	auditSteady := func(label string) {
-		if err := parkC.Inspect(func(t *proc.Thread) error {
-			a.audit(t, label)
-			if err := s.Storage().AuditShards(t.CPU()); err != nil {
-				r.failf("%s: shard audit: %v", label, err)
-			}
-			return nil
-		}); err != nil {
-			r.failf("%s: inspect failed: %v", label, err)
-		}
-	}
 	// park blocks the worker inside an inspect event and returns the
 	// release function; everything queued before release is drained in
 	// deterministic rounds afterwards.
@@ -69,7 +45,7 @@ func runSchedCampaign(cfg Config, r *Report) error {
 		started := make(chan struct{})
 		parkErr := make(chan error, 1)
 		go func() {
-			parkErr <- parkC.Inspect(func(*proc.Thread) error {
+			parkErr <- w.inspect(func(*proc.Thread) error {
 				close(started)
 				<-rel
 				return nil
@@ -116,16 +92,7 @@ func runSchedCampaign(cfg Config, r *Report) error {
 	// makes the interleaving exact.)
 	for k := 0; k < 4; k++ {
 		label := fmt.Sprintf("phase=burst trap=%d", k)
-		preRewinds := lib.Stats().Rewinds.Load()
-		preForensics := a.forensicsPre()
-		evil := s.NewConn()
-		_, closed, err := evil.Do(memcache.FormatBSet("atk", 1<<20, nil))
-		if err != nil || !closed {
-			r.failf("%s: trap closed=%v err=%v", label, closed, err)
-		}
-		r.Injected++
-		a.checkRewindDelta(label, preRewinds, 1)
-		a.checkForensicsFault(as, label, preForensics)
+		w.trap(label, memcache.FormatBSet("atk", 1<<20, nil), false)
 		r.event("%s bound=%d rewinds=%d", label, snap().Bound, snap().WindowRewinds)
 	}
 	ss := snap()
@@ -133,7 +100,7 @@ func runSchedCampaign(cfg Config, r *Report) error {
 		r.failf("phase=burst: controller bound=%d windowRewinds=%d, want bound=1 windowRewinds=4",
 			ss.Bound, ss.WindowRewinds)
 	}
-	auditSteady("phase=burst")
+	w.audit("phase=burst")
 
 	// ---- Phase 2: hot window. Four rewinds in the window cap the bound
 	// at MaxBatch>>4 = 1, so an 8-event backlog drains as eight guard
@@ -141,7 +108,7 @@ func runSchedCampaign(cfg Config, r *Report) error {
 	if err := driveBacklog("phase=pinned", 8, 1, 0); err != nil {
 		return err
 	}
-	auditSteady("phase=pinned")
+	w.audit("phase=pinned")
 
 	// ---- Phase 3: recovery. Advance the manual clock past the rewind
 	// window, then queue another backlog: with the window cold the
@@ -155,11 +122,11 @@ func runSchedCampaign(cfg Config, r *Report) error {
 	if ss.WindowRewinds != 0 {
 		r.failf("phase=recover: rewind window still holds %d entries after 2s advance", ss.WindowRewinds)
 	}
-	auditSteady("phase=recover")
+	w.audit("phase=recover")
 
-	if crashed, cause := s.Crashed(); crashed {
+	if crashed, cause := w.crashed(); crashed {
 		return fmt.Errorf("chaos: server process died: %v", cause)
 	}
-	r.event("final rewinds=%d bound=%d", lib.Stats().Rewinds.Load(), snap().Bound)
+	r.event("final rewinds=%d bound=%d", w.lib.Stats().Rewinds.Load(), snap().Bound)
 	return nil
 }

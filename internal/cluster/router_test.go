@@ -220,8 +220,9 @@ func TestRouterSpillsAroundDeadBackend(t *testing.T) {
 	backends[1].stop()
 
 	// Until the failure streak demotes b1, its keys answer degraded; the
-	// survivor's keys never miss a beat. FailThreshold 2 means at most a
-	// few degraded replies.
+	// survivor's keys never miss a beat. A stopped backend writes nothing
+	// (its pooled connection reads EOF, a re-dial is refused), so every
+	// degraded reply is one strike: exactly FailThreshold of them.
 	degraded := 0
 	for i := 0; i < 10; i++ {
 		rep, err := c.Do(memcache.FormatSet(victimKey, []byte("after"), 0))
@@ -236,8 +237,8 @@ func TestRouterSpillsAroundDeadBackend(t *testing.T) {
 			t.Fatalf("op %d: %q", i, rep)
 		}
 	}
-	if degraded == 0 || degraded > 4 {
-		t.Fatalf("degraded replies %d, want 1..4 (threshold 2 plus in-flight slack)", degraded)
+	if degraded != 2 {
+		t.Fatalf("degraded replies %d, want exactly FailThreshold (2)", degraded)
 	}
 	if rt.Health().State(1) != HealthDemoted {
 		t.Fatal("dead backend not demoted")

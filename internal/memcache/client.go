@@ -3,6 +3,7 @@ package memcache
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -84,7 +85,9 @@ func (s *Server) ServeListener(ln net.Listener) error {
 }
 
 // serveNetConn reads framed requests off one network connection and
-// round-trips them through the engine.
+// round-trips them through the engine. A stopped server closes the
+// connection without a reply: a SERVER_ERROR line would read as a served
+// exchange to a router, which counts any reply as the backend answering.
 func (s *Server) serveNetConn(nc net.Conn) {
 	defer func() { _ = nc.Close() }()
 	conn := s.NewConn()
@@ -95,6 +98,9 @@ func (s *Server) serveNetConn(nc net.Conn) {
 			return
 		}
 		resp, closed, err := conn.Do(req)
+		if errors.Is(err, ErrServerDown) {
+			return
+		}
 		if err != nil {
 			fmt.Fprintf(nc, "SERVER_ERROR %v\r\n", err)
 			return

@@ -143,6 +143,35 @@ func TestTCPCloseMidPipeline(t *testing.T) {
 	}
 }
 
+// TestTCPAfterStopWritesNothing sends a request on a connection accepted
+// before Stop: a stopped server closes it without a reply. A SERVER_ERROR
+// line here would read as an answered exchange to the cluster router and
+// reset the dead backend's failure streak.
+func TestTCPAfterStopWritesNothing(t *testing.T) {
+	s, addr := newTCPServer(t)
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(nc)
+	// One served exchange proves the bridge accepted the connection.
+	if _, err := nc.Write(FormatSet("k", []byte("v"), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := ReadReply(r); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
+		t.Fatalf("set before Stop: %q err=%v", rep, err)
+	}
+	s.Stop()
+	if _, err := nc.Write(FormatGet("k")); err != nil {
+		t.Fatal(err)
+	}
+	if rest, err := io.ReadAll(r); err != nil || len(rest) != 0 {
+		t.Fatalf("request after Stop read %q (err=%v), want EOF with zero bytes", rest, err)
+	}
+}
+
 // TestReadReplyPartial feeds ReadReply torn streams: every mid-reply EOF
 // must surface as io.ErrUnexpectedEOF so callers (the router's exchange
 // path) can tell a torn reply from a clean close.
