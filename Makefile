@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-clockless chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
+.PHONY: build test race vet fmt-check chaos-clockless monitor-admits chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,14 @@ chaos-clockless:
 	@if grep -rn 'time\.Sleep' internal/chaos; then \
 		echo "internal/chaos must not sleep: stage with Conn.Start, advance a ManualClock"; exit 1; fi
 
+# Whether a guard scope may run is the monitor's decision, made once per
+# scope inside core.Library.Guard: no server asks the policy engine
+# itself. (benchmark/ is not scanned: it times Engine.Admit on its own.)
+monitor-admits:
+	@if grep -rn --include='*.go' --exclude='*_test.go' '\.Admit(' internal cmd examples *.go \
+		| grep -v -e '^internal/core/' -e '^internal/policy/'; then \
+		echo "only internal/core admits a guard scope: call Guard and handle *core.QuarantineError"; exit 1; fi
+
 # A single fixed-seed round of every chaos campaign, as the smoke test runs.
 chaos-smoke:
 	$(GO) test -run TestChaosSmoke -v ./internal/chaos
@@ -59,12 +67,16 @@ chaos-smoke:
 chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
 
-# Ten seconds of native fuzzing on the memcached request framer the
-# router and the backend share (seeded with text, pipelined, binary and
-# CVE-2011-4971 frames): frames must be non-empty and concatenate to a
-# prefix of the input. A guard, not a hunt.
+# Ten seconds of native fuzzing on each of two targets. The memcached
+# request framer the router and the backend share (seeded with text,
+# pipelined, binary and CVE-2011-4971 frames): frames must be non-empty
+# and concatenate to a prefix of the input. The hardened httpd request
+# path (seeded with a GET, a pipelined pair, CVE-2009-2629 and
+# CVE-2022-3786): the worker absorbs every input with at most one rewind
+# and a clean audit. A guard, not a hunt.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 10s ./internal/memcache
+	$(GO) test -run '^$$' -fuzz '^FuzzHardenedRequest$$' -fuzztime 10s ./internal/httpd
 
 # The evaluation at reduced scale (all 14 experiments, the three live
 # claims included), then one iteration of each mechanism benchmark (the
@@ -135,4 +147,4 @@ cluster-gate:
 	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
-ci: build vet fmt-check chaos-clockless test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate
+ci: build vet fmt-check chaos-clockless monitor-admits test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate

@@ -100,7 +100,7 @@ func runPolicyCore(cfg Config, r *Report) error {
 				r.failf("%s: guard returned %v, want ErrDomainQuarantined", label, gerr)
 				return
 			}
-			if qe.State != wantState {
+			if qe.State.String() != wantState {
 				r.failf("%s: denial state %s, want %s", label, qe.State, wantState)
 			}
 			if qe.RetryAfterNs != wantRetryNs {

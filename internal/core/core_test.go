@@ -613,6 +613,75 @@ func TestDataDomainGrants(t *testing.T) {
 	})
 }
 
+// TestGrantTravelsWithInitOptions: a grant given at init survives a
+// rewind because the Guard that re-creates the domain re-applies it from
+// the same options — no DProtect call anywhere — and a grant naming a
+// missing data domain fails before anything is provisioned.
+func TestGrantTravelsWithInitOptions(t *testing.T) {
+	p, l := newLib(t)
+	const (
+		shared = UDI(10)
+		worker = UDI(11)
+	)
+	run(t, p, func(th *proc.Thread) error {
+		if err := l.InitDomain(th, shared, AsData(), Accessible()); err != nil {
+			return err
+		}
+		buf, err := l.Malloc(th, shared, 64)
+		if err != nil {
+			return err
+		}
+		opts := []InitOption{Accessible(), Grant(shared, mem.ProtRW)}
+		write := func(v uint64, fault bool) error {
+			return l.Guard(th, worker, func() error {
+				if err := l.Enter(th, worker); err != nil {
+					return err
+				}
+				th.CPU().WriteU64(buf, v)
+				if fault {
+					th.CPU().WriteU8(0xDEAD0000, 1)
+				}
+				return l.Exit(th)
+			}, opts...)
+		}
+		var abn *AbnormalExit
+		if err := write(1, true); !errors.As(err, &abn) || abn.Addr != 0xDEAD0000 {
+			t.Fatalf("first scope err = %v, want a rewind at the unmapped store", err)
+		}
+		if got := th.CPU().ReadU64(buf); got != 1 {
+			t.Fatalf("granted write before the fault = %d, want 1", got)
+		}
+		inits := l.Stats().Inits.Load()
+		if err := write(2, false); err != nil {
+			t.Fatalf("re-created scope err = %v", err)
+		}
+		if n := l.Stats().Inits.Load(); n != inits+1 {
+			t.Errorf("inits %d -> %d, want the domain re-created once", inits, n)
+		}
+		if got := th.CPU().ReadU64(buf); got != 2 {
+			t.Errorf("granted write after the rewind = %d, want 2", got)
+		}
+
+		as := p.AddressSpace()
+		keys := func() (n int) {
+			for k := 0; k < 16; k++ {
+				if as.KeyAllocated(k) {
+					n++
+				}
+			}
+			return n
+		}
+		keys0, mapped0 := keys(), as.Stats().MappedBytes.Load()
+		if err := l.InitDomain(th, 12, Grant(42, mem.ProtRW)); !errors.Is(err, ErrUnknownDomain) {
+			t.Fatalf("grant on a missing data domain: err = %v, want ErrUnknownDomain", err)
+		}
+		if k, m := keys(), as.Stats().MappedBytes.Load(); k != keys0 || m != mapped0 {
+			t.Errorf("failed init left keys %d -> %d, mapped %d -> %d", keys0, k, mapped0, m)
+		}
+		return nil
+	})
+}
+
 func TestGuardOnExistingDomainNeedsValidParent(t *testing.T) {
 	p, l := newLib(t)
 	run(t, p, func(th *proc.Thread) error {

@@ -78,7 +78,8 @@ type Domain struct {
 	// domain, packed as generation<<32|policy (see Library.computePKRU).
 	pkruCache atomic.Uint64
 
-	// grants are the data-domain access rights configured via DProtect.
+	// grants are the data-domain access rights set at init (Grant) or
+	// later via DProtect.
 	grants map[UDI]mem.Prot
 
 	// heapMu serializes heap operations for shared domains (the root
@@ -114,6 +115,7 @@ type initCfg struct {
 	handlerAtGrandparent bool
 	stackSize            uint64
 	heapSize             uint64
+	grants               map[UDI]mem.Prot
 }
 
 // AsData creates a data domain: shareable pages that hold data only.
@@ -137,6 +139,19 @@ func StackSize(n uint64) InitOption { return func(c *initCfg) { c.stackSize = n 
 // HeapSize overrides the default heap size for this domain.
 func HeapSize(n uint64) InitOption { return func(c *initCfg) { c.heapSize = n } }
 
+// Grant gives the new domain rights prot on the existing data domain
+// tddi — the value DProtect sets, set where the domain is made. A Guard
+// that re-creates the domain after a rewind with the same options
+// re-applies it.
+func Grant(tddi UDI, prot mem.Prot) InitOption {
+	return func(c *initCfg) {
+		if c.grants == nil {
+			c.grants = make(map[UDI]mem.Prot)
+		}
+		c.grants[tddi] = prot
+	}
+}
+
 // DestroyOption selects what happens to the domain heap on Destroy.
 type DestroyOption int
 
@@ -159,7 +174,8 @@ const (
 //     (re-initialization requires Deinit or Destroy first);
 //   - data domains are process-global and shareable across threads;
 //   - the new domain's parent is the domain current at creation time;
-//   - handler-at-grandparent requires a non-root parent.
+//   - handler-at-grandparent requires a non-root parent;
+//   - every data domain named by Grant must exist.
 func (l *Library) InitDomain(t *proc.Thread, udi UDI, opts ...InitOption) error {
 	cfg := initCfg{
 		stackSize: l.defaultStackSize,
@@ -176,13 +192,9 @@ func (l *Library) InitDomain(t *proc.Thread, udi UDI, opts ...InitOption) error 
 	// may not be re-created until the policy readmits it. Data domains
 	// are exempt — they never fault on their own and hold shared state
 	// the degraded paths still need.
-	if l.policy != nil && !cfg.data {
-		if dec := l.policy.Admit(int(udi)); !dec.Allowed() {
-			return &QuarantineError{
-				UDI:          udi,
-				State:        dec.State.String(),
-				RetryAfterNs: dec.RetryAfterNs,
-			}
+	if !cfg.data {
+		if err := l.admit(udi); err != nil {
+			return err
 		}
 	}
 	ts := l.state(t)
@@ -197,6 +209,11 @@ func (l *Library) InitDomain(t *proc.Thread, udi UDI, opts ...InitOption) error 
 	}
 	if cfg.handlerAtGrandparent && ts.current.isRoot() {
 		return ErrNoGrandparent
+	}
+	for tddi := range cfg.grants {
+		if l.lookupDataDomain(tddi) == nil {
+			return fmt.Errorf("%w: data domain %d", ErrUnknownDomain, tddi)
+		}
 	}
 
 	d := &Domain{
@@ -223,6 +240,7 @@ func (l *Library) InitDomain(t *proc.Thread, udi UDI, opts ...InitOption) error 
 	// deriving their policies.
 	l.mu.Lock()
 	d.initialized = true
+	d.grants = cfg.grants
 	ts.current.children = append(ts.current.children, d)
 	if d.kind == DataDomain {
 		l.dataDomains[udi] = d

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdrad/internal/policy"
 	"sdrad/internal/sig"
 )
 
@@ -67,21 +68,21 @@ var (
 	ErrHeapExhausted = errors.New("sdrad: domain heap exhausted")
 	// ErrTooManyDomains: no protection keys left for a new domain.
 	ErrTooManyDomains = errors.New("sdrad: protection keys exhausted")
-	// ErrDomainQuarantined: the resilience-policy engine refused to
-	// re-initialize the domain (backoff hold-off, quarantine cool-down,
-	// or load shedding). Match with errors.Is; retrieve the hold-off
-	// with errors.As on *QuarantineError.
+	// ErrDomainQuarantined: the resilience-policy engine refused a guard
+	// scope or a (re-)initialization of the domain (backoff hold-off,
+	// quarantine cool-down, or load shedding). Match with errors.Is;
+	// retrieve the hold-off with errors.As on *QuarantineError.
 	ErrDomainQuarantined = errors.New("sdrad: domain re-initialization denied by resilience policy")
 )
 
-// QuarantineError carries the policy decision behind a denied domain
-// re-initialization. It unwraps to ErrDomainQuarantined.
+// QuarantineError carries the policy decision behind a denied guard scope
+// or domain (re-)initialization. It unwraps to ErrDomainQuarantined.
 type QuarantineError struct {
 	// UDI is the denied domain.
 	UDI UDI
-	// State names the ladder state ("backoff", "quarantined",
-	// "shedding").
-	State string
+	// State is the ladder state that denied it (backoff, quarantined or
+	// shedding).
+	State policy.State
 	// RetryAfterNs is how long admission stays denied; 0 means the
 	// denial is permanent (shedding).
 	RetryAfterNs int64

@@ -20,10 +20,12 @@ type rewindPanic struct {
 // Guard establishes a recovery point for domain udi and runs body.
 //
 // It is the Go realization of the sdrad_init() double-return semantics
-// (see the package comment): the domain is created (or re-validated, for
-// the persistent pattern where a previous Guard deinitialized its
-// context), body runs — typically allocating arguments in the domain,
-// entering it, invoking the isolated function, and exiting — and then:
+// (see the package comment): the scope is admitted by the resilience
+// policy, if one is attached (a denial returns a *QuarantineError and runs
+// nothing); the domain is created with opts (or re-validated, for the
+// persistent pattern where a previous Guard deinitialized its context);
+// body runs — typically allocating arguments in the domain, entering it,
+// invoking the isolated function, and exiting — and then:
 //
 //   - on normal completion, Guard returns body's error and invalidates the
 //     domain's recovery context (the automatic analog of the paper's rule
@@ -47,6 +49,9 @@ func (l *Library) Guard(t *proc.Thread, udi UDI, body func() error, opts ...Init
 	case ok:
 		if d.parent != ts.current {
 			return ErrNotChild
+		}
+		if err := l.admit(udi); err != nil {
+			return err
 		}
 	default:
 		if err := l.InitDomain(t, udi, opts...); err != nil {

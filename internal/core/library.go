@@ -55,8 +55,8 @@ type Library struct {
 	onRewind         func(RewindEvent)
 	allocFault       func(udi UDI, size uint64) error
 	// policy is the optional resilience-policy engine ("Unlimited
-	// Lives"): consulted after every rewind and before every nested
-	// exec-domain (re-)initialization. Nil disables all policy checks.
+	// Lives"): consulted after every rewind and once per guard scope
+	// (see admit). Nil disables all policy checks.
 	policy *policy.Engine
 
 	// pkruToken authorizes the monitor's PKRU writes on locked CPUs.
@@ -308,11 +308,12 @@ func WithRewindLimit(limit int) SetupOption {
 
 // WithPolicy attaches a resilience-policy engine: the monitor consults
 // it after every absorbed rewind (the decision lands in the rewind's
-// forensics report) and before re-initializing a nested execution
-// domain — a quarantined or shedding domain's re-init fails with
-// ErrDomainQuarantined, and the application routes to its degraded
-// path. When a telemetry recorder is also attached, Setup wires the
-// engine's gauges and escalation counters into its registry.
+// forensics report) and once per guard scope, before the scope runs or
+// re-creates its nested execution domain — a held-off, quarantined or
+// shedding domain's Guard fails with ErrDomainQuarantined, and the
+// application routes to its degraded path. When a telemetry recorder is
+// also attached, Setup wires the engine's gauges and escalation counters
+// into its registry.
 func WithPolicy(e *policy.Engine) SetupOption {
 	return func(l *Library) { l.policy = e }
 }
@@ -373,7 +374,9 @@ func Setup(p *proc.Process, opts ...SetupOption) (*Library, error) {
 
 	if rec := l.tel.Load(); rec != nil {
 		l.attachTelemetry(rec)
-		l.policy.AttachTelemetry(rec) // nil-engine safe
+		if l.policy != nil {
+			l.policy.AttachTelemetry(rec)
+		}
 	}
 
 	p.RegisterThreadConstructor(func(t *proc.Thread) error {
@@ -493,10 +496,19 @@ func (l *Library) MonitorBase() mem.Addr { return l.monitorBase }
 // Stats returns the live monitor counters.
 func (l *Library) Stats() *Stats { return &l.stats }
 
-// Policy returns the attached resilience-policy engine, or nil. The
-// result is safe to use either way: a nil *policy.Engine allows
-// everything.
-func (l *Library) Policy() *policy.Engine { return l.policy }
+// admit is the resilience-policy admission of one guard scope: Guard asks
+// it for a live execution domain and InitDomain for one it is about to
+// create, so every scope is admitted exactly once. Without an engine it
+// is one nil check.
+func (l *Library) admit(udi UDI) error {
+	if l.policy == nil {
+		return nil
+	}
+	if dec := l.policy.Admit(int(udi)); !dec.Allowed() {
+		return &QuarantineError{UDI: udi, State: dec.State, RetryAfterNs: dec.RetryAfterNs}
+	}
+	return nil
+}
 
 // Current returns the UDI of the domain the thread is executing in.
 func (l *Library) Current(t *proc.Thread) UDI {

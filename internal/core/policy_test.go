@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
 	"sdrad/internal/telemetry"
@@ -104,7 +105,7 @@ func TestPolicyDeniesReInit(t *testing.T) {
 		if !errors.As(err, &qe) {
 			t.Fatalf("err %v does not unwrap to *QuarantineError", err)
 		}
-		if qe.UDI != 1 || qe.State != "backoff" {
+		if qe.UDI != 1 || qe.State != policy.StateBackoff {
 			t.Errorf("quarantine error = %+v, want UDI 1 backoff", qe)
 		}
 		if qe.RetryAfterNs <= 0 || qe.RetryAfterNs > int64(10*time.Millisecond) {
@@ -115,6 +116,58 @@ func TestPolicyDeniesReInit(t *testing.T) {
 		clk.Advance(20 * time.Millisecond)
 		if err := faultGuard(t, l, th, 0xDEAD0000, false); err != nil {
 			t.Fatalf("readmitted guard err = %v, want nil", err)
+		}
+		return nil
+	})
+}
+
+// TestGuardAdmitsLiveDomain: a live domain whose UDI is held off is
+// refused at Guard — no body, no rewind, no forensics report — and once
+// the hold-off expires the next Guard runs on the same domain, its heap
+// intact.
+func TestGuardAdmitsLiveDomain(t *testing.T) {
+	p, l, eng, clk, rec := policyLib(t)
+	run(t, p, func(th *proc.Thread) error {
+		var buf mem.Addr
+		if err := l.Guard(th, 1, func() error {
+			var err error
+			if buf, err = l.Malloc(th, 1, 64); err != nil {
+				return err
+			}
+			th.CPU().WriteU64(buf, 0x5EED)
+			return nil
+		}, Accessible()); err != nil {
+			return err
+		}
+		inits := l.Stats().Inits.Load()
+		hold := eng.OnPressure(1)
+		err := l.Guard(th, 1, func() error {
+			t.Error("a held-off scope ran its body")
+			return nil
+		})
+		var qe *QuarantineError
+		if !errors.As(err, &qe) || qe.UDI != 1 || qe.State != policy.StateBackoff || qe.RetryAfterNs != hold.RetryAfterNs {
+			t.Fatalf("held-off guard err = %v, want a backoff QuarantineError for UDI 1", err)
+		}
+		if n := l.Stats().Rewinds.Load(); n != 0 {
+			t.Errorf("refusal counted %d rewinds", n)
+		}
+		if n := rec.Forensics().Added(); n != 0 {
+			t.Errorf("refusal wrote %d forensics reports", n)
+		}
+		clk.Advance(time.Duration(hold.RetryAfterNs))
+		var got uint64
+		if err := l.Guard(th, 1, func() error {
+			got = th.CPU().ReadU64(buf)
+			return nil
+		}); err != nil {
+			t.Fatalf("readmitted guard err = %v", err)
+		}
+		if got != 0x5EED {
+			t.Errorf("heap word after readmission = %#x, want 0x5eed", got)
+		}
+		if n := l.Stats().Inits.Load(); n != inits {
+			t.Errorf("readmission re-created the domain (%d inits, want %d)", n, inits)
 		}
 		return nil
 	})

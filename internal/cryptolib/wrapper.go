@@ -130,10 +130,8 @@ func NewCrypto(t *proc.Thread, lib *core.Library, eng *Engine, mode Mode, key []
 
 	// The crypto domain itself: NOT accessible to the parent — the whole
 	// point is that callers can never read the context or key.
-	if err := lib.InitDomain(t, OpenSSLUDI, core.HeapSize(256*1024)); err != nil {
-		return nil, err
-	}
-	if err := lib.DProtect(t, OpenSSLUDI, OpenSSLDataUDI, mem.ProtRW); err != nil {
+	if err := lib.InitDomain(t, OpenSSLUDI, core.HeapSize(256*1024),
+		core.Grant(OpenSSLDataUDI, mem.ProtRW)); err != nil {
 		return nil, err
 	}
 
@@ -242,11 +240,8 @@ func (cr *Crypto) Reinit(t *proc.Thread, key []byte) error {
 	}
 	lib := cr.lib
 	c := t.CPU()
-	if err := lib.InitDomain(t, OpenSSLUDI, core.HeapSize(256*1024)); err != nil &&
-		!errors.Is(err, core.ErrAlreadyInit) {
-		return err
-	}
-	if err := lib.DProtect(t, OpenSSLUDI, OpenSSLDataUDI, mem.ProtRW); err != nil {
+	if err := lib.InitDomain(t, OpenSSLUDI, core.HeapSize(256*1024),
+		core.Grant(OpenSSLDataUDI, mem.ProtRW)); err != nil && !errors.Is(err, core.ErrAlreadyInit) {
 		return err
 	}
 	c.Write(cr.dataBuf, key)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -557,6 +558,71 @@ func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
 		return
 	}
 	t.Fatal("no policy state for the parser UDI")
+}
+
+// TestParserHeldOffAnswers503: the policy decides per guard scope, so a
+// worker whose parser domain is live answers 503 while a sibling worker's
+// attacks hold the shared parser UDI off, keeps the connection open,
+// serves it again once the hold-off expires, and closes it once the UDI
+// sheds.
+func TestParserHeldOffAnswers503(t *testing.T) {
+	clk := &policy.ManualClock{}
+	eng := policy.New(policy.Config{
+		BackoffThreshold:    2,
+		QuarantineThreshold: 3,
+		ShedThreshold:       4,
+		BackoffBase:         10 * time.Millisecond,
+		Cooldown:            100 * time.Millisecond,
+		Clock:               clk.Now,
+	})
+	m, err := NewMaster(Config{
+		Variant: VariantSDRaD,
+		Workers: 2,
+		Files:   testFiles,
+		Sched:   sched.Config{Clock: clk.Now},
+		Policy:  eng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Stop)
+	attack := func() {
+		t.Helper()
+		if _, closed, err := m.Worker(0).NewConn().Do(FormatRequest(attackURI(), true)); err != nil || !closed {
+			t.Fatalf("attack: closed=%v err=%v", closed, err)
+		}
+	}
+	live := m.Worker(1).NewConn()
+	if resp := mustGet(t, live, "/index.html"); !strings.HasPrefix(resp, "HTTP/1.1 200") {
+		t.Fatalf("first GET = %q", resp[:min(len(resp), 40)])
+	}
+	attack()
+	attack() // two rewinds in the window: backoff, 10ms hold-off
+
+	resp := mustGet(t, live, "/index.html")
+	if !strings.HasPrefix(resp, "HTTP/1.1 503") {
+		t.Fatalf("held-off GET = %q, want 503", resp[:min(len(resp), 40)])
+	}
+	_, after, _ := strings.Cut(resp, "Retry-After: ")
+	secs, _, _ := strings.Cut(after, "\r\n")
+	if n, err := strconv.Atoi(secs); err != nil || n < 1 {
+		t.Errorf("Retry-After %q, want at least 1", secs)
+	}
+
+	clk.Advance(10 * time.Millisecond)
+	if resp := mustGet(t, live, "/index.html"); !strings.HasPrefix(resp, "HTTP/1.1 200") {
+		t.Fatalf("GET after the hold-off = %q, want 200", resp[:min(len(resp), 40)])
+	}
+
+	attack() // third rewind: quarantined
+	clk.Advance(100 * time.Millisecond)
+	attack() // readmitted on probation, fourth rewind: shedding
+	if _, closed, err := live.Do(FormatRequest("/index.html", true)); err != nil || !closed {
+		t.Fatalf("GET while shedding: closed=%v err=%v, want the connection closed", closed, err)
+	}
+	if w := m.Worker(1); w.Degraded() != 1 || w.Shed() != 1 || w.Rewinds() != 0 {
+		t.Errorf("worker 1 degraded=%d shed=%d rewinds=%d, want 1/1/0", w.Degraded(), w.Shed(), w.Rewinds())
+	}
 }
 
 func TestHandOffAllocationBudget(t *testing.T) {

@@ -66,9 +66,6 @@ type Config struct {
 	ConnBufSize int
 	// PoolSize is the per-request pool size (default 16 KiB).
 	PoolSize uint64
-	// MaxConns sizes the worker heap for concurrent connections
-	// (default 128).
-	MaxConns int
 	// MaxBatch is the ceiling of the worker's adaptive batch bound: the
 	// most pipelined requests of one connection the hardened worker ever
 	// handles inside a single guard scope (default 16). Longer pipelines
@@ -116,9 +113,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.PoolSize == 0 {
 		c.PoolSize = 16 * 1024
-	}
-	if c.MaxConns == 0 {
-		c.MaxConns = 128
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
@@ -214,7 +208,6 @@ type Worker struct {
 	mb       *proc.Mailbox[*Conn]
 	alloc    connAllocator
 	files    map[string]fileEntry
-	rewinds  atomic.Int64
 	degraded atomic.Int64 // 503s served while the parser was quarantined
 	shed     atomic.Int64 // connections closed by load shedding
 	handle   *proc.Handle
@@ -227,10 +220,12 @@ type Worker struct {
 	// ctrl is the adaptive batch-bound controller.
 	ctrl *sched.Controller
 
-	// Parser-domain state (owned by the worker thread).
-	domainReady bool
-	parseBuf    mem.Addr
-	pool        *Pool
+	// Parser-domain state (owned by the worker thread): parserOpts
+	// (re-)creates the domain; parseBuf is its request copy, 0 until a
+	// scope of the current domain allocates it.
+	parserOpts []core.InitOption
+	parseBuf   mem.Addr
+	pool       *Pool
 
 	// Reused per-batch scratch (owned by the worker thread): one slot per
 	// request of the current guard scope, and the response header respond
@@ -309,6 +304,7 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 			return nil, err
 		}
 		w.lib = lib
+		w.parserOpts = []core.InitOption{core.Accessible(), core.Grant(poolUDI, mem.ProtRW)}
 	} else if cfg.Telemetry != nil {
 		w.p.AddressSpace().SetTelemetry(cfg.Telemetry)
 	}
@@ -344,8 +340,10 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 }
 
 // heapBudget sizes the worker heap: content plus per-connection buffers
-// (a read buffer and a write buffer sized for the largest response).
+// (a read buffer and a write buffer sized for the largest response) for
+// maxConns concurrent connections.
 func heapBudget(cfg Config) uint64 {
+	const maxConns = 128
 	var total uint64 = 4 << 20
 	maxFile := 0
 	for _, sz := range cfg.Files {
@@ -354,7 +352,7 @@ func heapBudget(cfg Config) uint64 {
 			maxFile = sz
 		}
 	}
-	total += uint64(cfg.MaxConns) * (uint64(cfg.ConnBufSize) + uint64(maxFile) + 2048)
+	total += maxConns * (uint64(cfg.ConnBufSize) + uint64(maxFile) + 2048)
 	return total
 }
 
@@ -454,19 +452,8 @@ func (w *Worker) allocRoot(t *proc.Thread, size uint64) (mem.Addr, error) {
 
 // run is the worker's event loop.
 func (w *Worker) run(t *proc.Thread) error {
-	if w.cfg.Variant == VariantSDRaD {
-		// The persistent parser domain, created once; its recovery point
-		// is re-established per request by the Guard (the paper saves the
-		// first parser entry point as the rewind context).
-		if err := w.lib.InitDomain(t, parserUDI, core.Accessible()); err != nil {
-			return err
-		}
-		if err := w.lib.DProtect(t, parserUDI, poolUDI, mem.ProtRW); err != nil {
-			return err
-		}
-		if w.cfg.VerifyClientCerts {
-			w.verifier = cryptolib.NewVerifier(w.lib, maxCertSize)
-		}
+	if w.cfg.Variant == VariantSDRaD && w.cfg.VerifyClientCerts {
+		w.verifier = cryptolib.NewVerifier(w.lib, maxCertSize)
 	}
 	defer w.mb.Leave()
 	for {
@@ -526,8 +513,14 @@ func (w *Worker) Crashed() (bool, error) {
 	return w.p.ExitError() != nil, w.p.ExitError()
 }
 
-// Rewinds reports recovered parser attacks.
-func (w *Worker) Rewinds() int64 { return w.rewinds.Load() }
+// Rewinds reports recovered parser and certificate-verifier attacks (0
+// for the baselines).
+func (w *Worker) Rewinds() int64 {
+	if w.lib == nil {
+		return 0
+	}
+	return w.lib.Stats().Rewinds.Load()
+}
 
 // SchedSnapshot returns the worker's adaptive-controller state.
 func (w *Worker) SchedSnapshot() sched.Snapshot { return w.ctrl.Snapshot() }
@@ -639,7 +632,6 @@ func (w *Worker) checkClientCert(t *proc.Thread, conn *Conn, req *Request) (stat
 			if errors.As(err, &abn) {
 				// The certificate attacked the verifier; the domain is
 				// discarded and re-created on the next verification.
-				w.rewinds.Add(1)
 				conn.closed = true
 				w.freeConnBuffers(t, conn)
 				return "", true
@@ -671,15 +663,6 @@ func EncodeCertHeader(cert []byte) string {
 // DecodeCertHeader reverses EncodeCertHeader.
 func DecodeCertHeader(v string) []byte {
 	return []byte(strings.ReplaceAll(v, "|", "\n"))
-}
-
-// quarantineState maps a monitor-side denial back onto the policy ladder
-// state that drives the degraded response.
-func quarantineState(qe *core.QuarantineError) policy.State {
-	if qe.State == policy.StateShedding.String() {
-		return policy.StateShedding
-	}
-	return policy.StateQuarantined
 }
 
 // runHardenedBatch parses every request of one chunk of a client event
@@ -715,29 +698,24 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 	if live == 0 {
 		return results
 	}
-	// Resilience-policy admission for the whole chunk (one guard scope,
-	// one decision): a quarantined parser is not re-created; every live
-	// request gets the degraded response without touching the guard scope
-	// or allocating connection buffers.
-	if dec := lib.Policy().Admit(int(parserUDI)); !dec.Allowed() {
-		return w.degradeLive(t, conn, rs, results, dec.State, dec.RetryAfterNs)
-	}
-	if !conn.ready {
-		if err := w.allocConnBuffers(t, conn); err != nil {
-			return setLive(rs, results, proc.Result{Err: err})
-		}
-	}
+	// The persistent parser domain: the first scope creates it and a scope
+	// after a rewind re-creates it, both from parserOpts; its recovery
+	// point is re-established per chunk (the paper saves the first parser
+	// entry point as the rewind context).
 	gerr := lib.Guard(t, parserUDI, func() error {
-		if !w.domainReady {
-			if err := lib.DProtect(t, parserUDI, poolUDI, mem.ProtRW); err != nil {
+		// Connection buffers are allocated only once the scope is
+		// admitted: the degraded path allocates nothing.
+		if !conn.ready {
+			if err := w.allocConnBuffers(t, conn); err != nil {
 				return err
 			}
+		}
+		if w.parseBuf == 0 {
 			buf, err := lib.Malloc(t, parserUDI, uint64(w.cfg.ConnBufSize))
 			if err != nil {
 				return err
 			}
 			w.parseBuf = buf
-			w.domainReady = true
 		}
 		for i, req := range reqs {
 			if rs[i].done {
@@ -762,7 +740,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			rs[i].perr = perr
 		}
 		return nil
-	}, core.Accessible())
+	}, w.parserOpts...)
 	if gerr != nil {
 		var abn *core.AbnormalExit
 		if errors.As(gerr, &abn) {
@@ -770,9 +748,8 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			// discard for the whole chunk, and only the connection with a
 			// request in flight closes. The pool data domain survives;
 			// reset it.
-			w.domainReady = false
+			w.parseBuf = 0
 			w.pool.Reset(c)
-			w.rewinds.Add(1)
 			w.ctrl.NoteRewind()
 			if !conn.closed {
 				conn.closed = true
@@ -782,10 +759,10 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 		}
 		var qe *core.QuarantineError
 		if errors.As(gerr, &qe) {
-			// Re-init denied mid-flight by the shared engine: answer the
-			// whole batch degraded, exactly one decision, no discard.
-			w.domainReady = false
-			return w.degradeLive(t, conn, rs, results, quarantineState(qe), qe.RetryAfterNs)
+			// Resilience-policy admission, one decision for the whole
+			// chunk: a held-off or quarantined parser runs nothing, and
+			// every live request gets the degraded response.
+			return w.degradeLive(t, conn, rs, results, qe.State, qe.RetryAfterNs)
 		}
 		return setLive(rs, results, proc.Result{Err: gerr})
 	}

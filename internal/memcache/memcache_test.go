@@ -9,6 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"sdrad/internal/policy"
+	"sdrad/internal/sched"
 )
 
 // startServer builds a server with small test-sized defaults.
@@ -284,6 +288,51 @@ func TestRepeatedAttacksKeepRecovering(t *testing.T) {
 	}
 	if crashed, _ := s.Crashed(); crashed {
 		t.Error("server crashed")
+	}
+}
+
+// TestEventDomainHeldOffServesMisses: the policy decides per guard scope,
+// so a worker whose event domain is live serves misses while a sibling
+// worker's attacks hold the shared event UDI off, and hits again once the
+// hold-off expires.
+func TestEventDomainHeldOffServesMisses(t *testing.T) {
+	clk := &policy.ManualClock{}
+	eng := policy.New(policy.Config{BackoffThreshold: 2, BackoffBase: 10 * time.Millisecond, Clock: clk.Now})
+	s, err := NewServer(Config{
+		Variant:    VariantSDRaD,
+		Workers:    2,
+		HashPower:  10,
+		CacheBytes: 4 << 20,
+		Sched:      sched.Config{Clock: clk.Now},
+		Policy:     eng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	on := func(worker int) *Conn {
+		for {
+			if c := s.NewConn(); c.WorkerIndex() == worker {
+				return c
+			}
+		}
+	}
+	live := on(1)
+	mustDo(t, live, FormatSet("k", []byte("v"), 0))
+	for i := 0; i < 2; i++ { // two rewinds in the window: backoff, 10ms hold-off
+		if _, closed, err := on(0).Do(FormatBSet("atk", 16<<20, nil)); err != nil || !closed {
+			t.Fatalf("attack %d: closed=%v err=%v", i, closed, err)
+		}
+	}
+	if got := mustDo(t, live, FormatGet("k")); string(got) != "END\r\n" {
+		t.Fatalf("held-off get = %q, want a miss", got)
+	}
+	clk.Advance(10 * time.Millisecond)
+	if val, _, ok := ParseGetValue(mustDo(t, live, FormatGet("k"))); !ok || string(val) != "v" {
+		t.Fatalf("get after the hold-off = %q, want VALUE v", val)
+	}
+	if s.Degraded() != 1 || s.Rewinds() != 2 {
+		t.Errorf("degraded=%d rewinds=%d, want 1/2", s.Degraded(), s.Rewinds())
 	}
 }
 

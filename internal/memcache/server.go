@@ -83,9 +83,6 @@ type Config struct {
 	// the zero value is the default, with floor pins fed to Policy when
 	// one is attached.
 	Sched sched.Config
-	// DomainHeapSize is the hardened build's per-event-domain heap
-	// (default MaxBatch*2*ConnBufSize + domainScratchSlack).
-	DomainHeapSize uint64
 	// Seed fixes process randomness.
 	Seed int64
 	// Telemetry optionally attaches a recorder: the hardened build wires
@@ -128,9 +125,6 @@ func (c *Config) setDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
-	if c.DomainHeapSize == 0 {
-		c.DomainHeapSize = uint64(c.MaxBatch)*2*uint64(c.ConnBufSize) + domainScratchSlack
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -138,13 +132,15 @@ func (c *Config) setDefaults() {
 
 // domainScratchSlack is the per-guard-scope scratch headroom beyond the
 // connection-buffer copies: request-scoped item staging plus reply
-// assembly for a full batch. The default DomainHeapSize is
-//
-//	MaxBatch * 2 * ConnBufSize + domainScratchSlack
-//
-// (one read + one write buffer copy per in-flight request; 192 KiB at
-// MaxBatch 1 with 16 KiB buffers, matching the pre-batching default).
+// assembly for a full batch.
 const domainScratchSlack = 160 * 1024
+
+// domainHeapSize is the hardened build's per-event-domain heap: one read
+// and one write buffer copy per in-flight request plus the scratch slack
+// (192 KiB at MaxBatch 1 with 16 KiB buffers).
+func domainHeapSize(cfg Config) uint64 {
+	return uint64(cfg.MaxBatch)*2*uint64(cfg.ConnBufSize) + domainScratchSlack
+}
 
 // Server errors.
 var (
@@ -169,10 +165,11 @@ type Server struct {
 	telBatch      *telemetry.Histogram // events per guard scope, nil without telemetry
 	rr            atomic.Int64         // NewConn's round-robin placement cursor
 	connIDs       atomic.Int64
-	rewinds       atomic.Int64
-	closedByAtk   atomic.Int64
 	degraded      atomic.Int64 // requests answered on the quarantine path
 	shed          atomic.Int64 // connections closed by load shedding
+	// domainOpts creates (and, after a rewind, re-creates) a worker's event
+	// domain: accessible, sized for a full batch, granted the database.
+	domainOpts []core.InitOption
 }
 
 type worker struct {
@@ -196,8 +193,7 @@ type worker struct {
 	// goroutine). slots are per-batch-position connection-buffer copies
 	// inside the event domain; a rewind invalidates them along with the
 	// domain.
-	domainReady bool
-	slots       []connSlot
+	slots []connSlot
 
 	// Reused per-batch scratch (owned by the worker goroutine): the
 	// requests of the current drain round's events, flattened, and the
@@ -305,7 +301,7 @@ func NewServer(cfg Config) (*Server, error) {
 		rootHeap := uint64(cfg.ConnBufSize)*2*256 + 2<<20 // 256 live conns + slack
 		opts := []core.SetupOption{
 			core.WithRootHeapSize(rootHeap),
-			core.WithDefaultHeapSize(cfg.DomainHeapSize),
+			core.WithDefaultHeapSize(domainHeapSize(cfg)),
 		}
 		if cfg.Telemetry != nil {
 			opts = append(opts, core.WithTelemetry(cfg.Telemetry))
@@ -318,6 +314,8 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.lib = lib
+		s.domainOpts = []core.InitOption{core.Accessible(), core.HeapSize(domainHeapSize(cfg)),
+			core.Grant(storageUDI, mem.ProtRW)}
 	} else if cfg.Telemetry != nil {
 		s.p.AddressSpace().SetTelemetry(cfg.Telemetry)
 	}
@@ -466,17 +464,6 @@ func (s *Server) provisionBaselineStorage(c *mem.CPU) error {
 // run is a worker thread's body: the event loop.
 func (w *worker) run(t *proc.Thread) error {
 	s := w.s
-	if s.cfg.Variant == VariantSDRaD {
-		// Create the per-thread event domain and grant it access to the
-		// shared database (deep copies of the connection buffer are made
-		// per event; the database itself is shared, as in the paper).
-		if err := s.lib.InitDomain(t, eventUDI, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize)); err != nil {
-			return err
-		}
-		if err := s.lib.DProtect(t, eventUDI, storageUDI, mem.ProtRW); err != nil {
-			return err
-		}
-	}
 	defer w.mb.Leave()
 	for {
 		ev := w.mb.Next()
@@ -698,27 +685,13 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 	if live == 0 {
 		return
 	}
-	// Resilience-policy admission: while the event domain is quarantined
-	// (or held off in backoff) the batch is served on the degraded path
-	// — no domain re-creation, no guard scope. The Admit call is also
-	// what readmits the domain once its cool-down expires.
-	if dec := s.lib.Policy().Admit(int(eventUDI)); !dec.Allowed() {
-		s.serveDegraded(t, items, states, dec)
-		return
-	}
-	if s.telBatch != nil {
-		s.telBatch.Observe(int64(live))
-	}
+	// The first scope creates the event domain and a scope after a rewind
+	// re-creates it, both from domainOpts (deep copies of the connection
+	// buffer are made per event; the database itself is shared, as in the
+	// paper).
 	gerr := s.lib.Guard(t, eventUDI, func() error {
-		if !w.domainReady {
-			// The domain may have just been re-created (a rewind discards
-			// it); re-establish its grant on the shared database. The
-			// buffer-copy slots were discarded with the old heap.
-			if err := s.lib.DProtect(t, eventUDI, storageUDI, mem.ProtRW); err != nil {
-				return err
-			}
-			w.slots = w.slots[:0]
-			w.domainReady = true
+		if s.telBatch != nil {
+			s.telBatch.Observe(int64(live))
 		}
 		for len(w.slots) < live {
 			rb, err := s.lib.Malloc(t, eventUDI, bufSize)
@@ -828,7 +801,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			}
 		}
 		return dops.apply(c)
-	}, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize))
+	}, s.domainOpts...)
 	if gerr != nil {
 		var abn *core.AbnormalExit
 		if errors.As(gerr, &abn) {
@@ -836,10 +809,8 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			// whole in-flight batch (including its un-applied deferred
 			// ops) are gone; close every connection with a request in the
 			// batch and keep serving.
-			w.domainReady = false
 			w.slots = w.slots[:0]
 			dops.truncate(0)
-			s.rewinds.Add(1)
 			// Multiplicative decrease: the next batches risk less
 			// collateral while the rewind window stays hot.
 			w.ctrl.NoteRewind()
@@ -851,35 +822,17 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 				if !conn.closed {
 					conn.closed = true
 					s.freeConnBuffers(t, conn)
-					s.closedByAtk.Add(1)
 				}
 				*items[i].res = proc.Result{Closed: true}
 			}
 			return
 		}
-		if errors.Is(gerr, core.ErrDomainQuarantined) {
-			// The policy refused to re-create the event domain between
-			// the Admit above and the Guard (quarantine raced in, e.g. a
-			// concurrent rewind crossed the threshold). Close only this
-			// batch's connections; the domain, its slots, and the
-			// deferred ops never existed, and NO forensics report is
-			// synthesized here — the rewind that triggered the
-			// quarantine already produced exactly one.
-			w.domainReady = false
-			w.slots = w.slots[:0]
-			dops.truncate(0)
-			for i := range items {
-				if states[i].done {
-					continue
-				}
-				conn := items[i].conn
-				if !conn.closed {
-					conn.closed = true
-					s.freeConnBuffers(t, conn)
-					s.closedByAtk.Add(1)
-				}
-				*items[i].res = proc.Result{Closed: true, Err: gerr}
-			}
+		// Resilience-policy admission: while the event domain is held off
+		// or quarantined, Guard runs nothing and the batch is served on the
+		// degraded path — no domain re-creation, no guard scope.
+		var qe *core.QuarantineError
+		if errors.As(gerr, &qe) {
+			s.serveDegraded(t, items, states, qe.State == policy.StateShedding)
 			return
 		}
 		for i := range items {
@@ -914,8 +867,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 // connections outright. Nothing here touches the guard scope or the
 // shared database, which is the point: the degraded path costs no
 // domain re-creation.
-func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evState, dec policy.Decision) {
-	shedding := dec.State == policy.StateShedding
+func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evState, shedding bool) {
 	for i := range items {
 		if states[i].done {
 			continue
@@ -1008,14 +960,6 @@ type InlineDo func(conn *Conn, req []byte) (resp []byte, closed bool, err error)
 func (s *Server) RunInline(name string, body func(newConn func() *Conn, do InlineDo) error) error {
 	w := &worker{idx: -1, s: s, ctrl: sched.NewController(s.cfg.Sched, s.cfg.MaxBatch)}
 	h := s.p.Spawn(name, func(t *proc.Thread) error {
-		if s.cfg.Variant == VariantSDRaD {
-			if err := s.lib.InitDomain(t, eventUDI, core.Accessible(), core.HeapSize(s.cfg.DomainHeapSize)); err != nil {
-				return err
-			}
-			if err := s.lib.DProtect(t, eventUDI, storageUDI, mem.ProtRW); err != nil {
-				return err
-			}
-		}
 		newConn := func() *Conn {
 			return &Conn{id: int(s.connIDs.Add(1)), w: w}
 		}
@@ -1102,8 +1046,14 @@ func (s *Server) Crashed() (bool, error) {
 	return s.p.ExitError() != nil, s.p.ExitError()
 }
 
-// Rewinds reports how many abnormal domain exits the server recovered.
-func (s *Server) Rewinds() int64 { return s.rewinds.Load() }
+// Rewinds reports how many abnormal domain exits the server recovered (0
+// for the baselines).
+func (s *Server) Rewinds() int64 {
+	if s.lib == nil {
+		return 0
+	}
+	return s.lib.Stats().Rewinds.Load()
+}
 
 // MappedBytes is the resident-set-size analog: bytes of simulated memory
 // currently mapped by the server process.

@@ -19,9 +19,9 @@
 //	                                       Shedding (re-init refused for good)
 //
 // The monitor consults OnRewind after every absorbed rewind (the
-// decision is recorded in the rewind's forensics report) and Admit
-// before re-initializing a domain; a denied Admit surfaces to the
-// application as core.ErrDomainQuarantined, and each server chooses its
+// decision is recorded in the rewind's forensics report) and Admit once
+// per guard scope; a denied Admit surfaces to the application as
+// core.ErrDomainQuarantined, and each server chooses its
 // degraded response — memcached serves misses, httpd answers 503 with
 // Retry-After, the crypto wrapper fails closed.
 //
@@ -202,20 +202,20 @@ type domainState struct {
 	// BackoffMax.
 	backoffStep int
 	// deniedUntil is the engine-clock time admission reopens (Backoff
-	// and Quarantined states).
+	// and Quarantined states). Every hold sets a positive time; the
+	// admission that reopens it reports the readmission and sets 0.
 	deniedUntil  int64
 	totalRewinds int64
 	escalations  int64
 }
 
 // Engine is the resilience-policy engine the reference monitor
-// consults: OnRewind after every absorbed rewind, Admit before every
-// domain (re-)initialization, Snapshot for dumps and campaign
-// assertions. One engine typically serves one library (process); keying
-// by UDI quarantines the vulnerable component — every thread's instance
-// of it — which matches the paper's framing of a UDI as one isolated
-// software component. A nil *Engine is a valid no-op: every consultation
-// allows and reports Healthy.
+// consults: OnRewind after every absorbed rewind, Admit once per guard
+// scope, Snapshot for dumps and campaign assertions. One engine
+// typically serves one library (process); keying by UDI quarantines the
+// vulnerable component — every thread's instance of it — which matches
+// the paper's framing of a UDI as one isolated software component. "No
+// policy" is no engine: the monitor checks for nil before it consults.
 type Engine struct {
 	cfg Config
 
@@ -246,7 +246,7 @@ func (e *Engine) Config() Config { return e.cfg }
 // flight-recorder event per escalation. Safe to share one recorder
 // across engines: families dedup by name in the registry.
 func (e *Engine) AttachTelemetry(rec *telemetry.Recorder) {
-	if e == nil || rec == nil {
+	if rec == nil {
 		return
 	}
 	reg := rec.Registry()
@@ -302,11 +302,8 @@ func (e *Engine) state(udi int) *domainState {
 
 // OnRewind is the monitor's post-rewind consultation: it records the
 // rewind in udi's sliding window and escalates the ladder when a
-// threshold is crossed. Nil-engine safe (no policy configured).
+// threshold is crossed.
 func (e *Engine) OnRewind(udi int) Decision {
-	if e == nil {
-		return Decision{UDI: udi, Action: ActionRewind}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()
@@ -363,11 +360,8 @@ func (e *Engine) OnRewind(udi int) Decision {
 // crosses BackoffThreshold on its own. A Healthy or Backoff domain
 // (re-)enters Backoff with the next exponential hold-off; Quarantined
 // and Shedding domains already dominate the signal and are left
-// untouched. Nil-engine safe.
+// untouched.
 func (e *Engine) OnPressure(udi int) Decision {
-	if e == nil {
-		return Decision{UDI: udi, Action: ActionNone}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()
@@ -409,16 +403,14 @@ func (e *Engine) backoffHold(step int) int64 {
 	return hold
 }
 
-// Admit is the pre-(re)initialization consultation: the monitor calls it
-// before re-creating a domain, and degraded paths call it to learn the
-// current verdict. Expired hold-offs are ticked here — a quarantined
-// domain whose cool-down has run out is readmitted on probation (it
-// re-enters Backoff, keeping its window, rather than jumping straight to
-// Healthy). Nil-engine safe.
+// Admit is the per-scope consultation: the monitor calls it once before
+// every guard scope of udi, whether the scope runs a live domain or
+// re-creates a discarded one. Expired hold-offs are ticked here — a
+// quarantined domain whose cool-down has run out is readmitted on
+// probation (it re-enters Backoff, keeping its window, rather than
+// jumping straight to Healthy). Only the admission that reopens a hold
+// reports ActionReadmit; the ones after it report ActionNone.
 func (e *Engine) Admit(udi int) Decision {
-	if e == nil {
-		return Decision{UDI: udi, Action: ActionNone}
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()
@@ -437,7 +429,7 @@ func (e *Engine) Admit(udi int) Decision {
 			// Probation: back to Backoff with the hold-off already
 			// served; the next rewind escalates from there.
 			ds.state = StateBackoff
-			ds.deniedUntil = now
+			ds.deniedUntil = 0
 			dec.Action = ActionReadmit
 		} else {
 			dec.Action = ActionDeny
@@ -450,7 +442,10 @@ func (e *Engine) Admit(udi int) Decision {
 				ds.state = StateHealthy
 				ds.backoffStep = 0
 			}
-			dec.Action = ActionReadmit
+			if ds.deniedUntil != 0 {
+				ds.deniedUntil = 0
+				dec.Action = ActionReadmit
+			}
 		} else {
 			dec.Action = ActionDeny
 			dec.RetryAfterNs = ds.deniedUntil - now
@@ -498,12 +493,8 @@ type DomainSnapshot struct {
 	Escalations  int64  `json:"escalations"`
 }
 
-// Snapshot returns the per-UDI policy state, sorted by UDI. Nil-engine
-// safe (returns nil).
+// Snapshot returns the per-UDI policy state, sorted by UDI.
 func (e *Engine) Snapshot() []DomainSnapshot {
-	if e == nil {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.now()

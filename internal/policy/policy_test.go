@@ -270,19 +270,48 @@ func TestPerUDIIsolation(t *testing.T) {
 	}
 }
 
-// TestNilEngine: the nil *Engine is a full no-op policy.
-func TestNilEngine(t *testing.T) {
-	var e *Engine
-	if dec := e.OnRewind(5); dec.Action != ActionRewind || !dec.Allowed() {
-		t.Fatalf("nil OnRewind = %+v", dec)
+// TestReadmitCountedOnce: once a hold-off has expired, only the admission
+// that reopens it is a readmission. The monitor admits every guard scope,
+// so the ones after it must not add to the counter or write a flight
+// event each — that would flood the ring forensics read.
+func TestReadmitCountedOnce(t *testing.T) {
+	clk := &ManualClock{}
+	cfg := testConfig(clk)
+	cfg.BackoffThreshold = 2
+	e := New(cfg)
+	rec := telemetry.New(telemetry.Options{})
+	e.AttachTelemetry(rec)
+	e.OnRewind(1)
+	e.OnRewind(1)
+	clk.Advance(cfg.BackoffBase)
+	for i := 0; i < 5; i++ {
+		want := ActionNone
+		if i == 0 {
+			want = ActionReadmit
+		}
+		if dec := e.Admit(1); dec.Action != want || dec.State != StateBackoff {
+			t.Fatalf("admit %d = %v/%v, want %v/backoff", i, dec.Action, dec.State, want)
+		}
 	}
-	if dec := e.Admit(5); dec.Action != ActionNone || !dec.Allowed() {
-		t.Fatalf("nil Admit = %+v", dec)
+	snap := rec.Registry().SnapshotJSON()
+	if v, _ := snap["sdrad_policy_readmissions_total"].(int64); v != 1 {
+		t.Errorf("sdrad_policy_readmissions_total = %v, want 1", snap["sdrad_policy_readmissions_total"])
 	}
-	if s := e.Snapshot(); s != nil {
-		t.Fatalf("nil Snapshot = %v, want nil", s)
+	var events int
+	for _, ev := range rec.Flight().Snapshot() {
+		if ev.Kind == "policy" {
+			events++
+		}
 	}
-	e.AttachTelemetry(nil) // must not panic
+	if events != 1 {
+		t.Errorf("policy flight events = %d, want 1", events)
+	}
+	// A new hold re-arms the readmission.
+	e.OnRewind(1)
+	clk.Advance(time.Duration(cfg.BackoffMax))
+	if dec := e.Admit(1); dec.Action != ActionReadmit {
+		t.Fatalf("admit after a new hold = %v, want readmit", dec.Action)
+	}
 }
 
 // TestTelemetryMirroring checks the metric families an attached recorder
@@ -424,12 +453,5 @@ func TestOnPressureDoesNotDemoteQuarantine(t *testing.T) {
 	dec := e.OnPressure(3)
 	if dec.Action != ActionNone || dec.State != StateQuarantined {
 		t.Fatalf("pressure on quarantined: action=%v state=%v, want none/quarantined", dec.Action, dec.State)
-	}
-}
-
-func TestOnPressureNilEngine(t *testing.T) {
-	var e *Engine
-	if dec := e.OnPressure(1); dec.Action != ActionNone {
-		t.Fatalf("nil engine pressure: %v, want none", dec.Action)
 	}
 }
