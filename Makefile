@@ -67,26 +67,31 @@ chaos-smoke:
 chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
 
-# Ten seconds of native fuzzing on each of two targets. The memcached
+# Ten seconds of native fuzzing on each of three targets. The memcached
 # request framer the router and the backend share (seeded with text,
 # pipelined, binary and CVE-2011-4971 frames): frames must be non-empty
-# and concatenate to a prefix of the input. The hardened httpd request
-# path (seeded with a GET, a pipelined pair, CVE-2009-2629 and
-# CVE-2022-3786): the worker absorbs every input with at most one rewind
-# and a clean audit. A guard, not a hunt.
+# and concatenate to a prefix of the input. The reply framer the router
+# reassembles backend replies with (seeded with a hit, stats, an error
+# and a VALUE claiming a CVE-2011-4971-sized body): the same, and a
+# stream torn inside a reply must read as io.ErrUnexpectedEOF. The
+# hardened httpd request path (seeded with a GET, a pipelined pair,
+# CVE-2009-2629 and CVE-2022-3786): the worker absorbs every input with
+# at most one rewind and a clean audit. A guard, not a hunt.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 10s ./internal/memcache
+	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/memcache
 	$(GO) test -run '^$$' -fuzz '^FuzzHardenedRequest$$' -fuzztime 10s ./internal/httpd
 
 # The evaluation at reduced scale (all 14 experiments, the three live
 # claims included), then one iteration of each mechanism benchmark (the
-# guard scope, the deferred store and its apply, the contended shard lock,
-# the client-to-worker hand-off, a keep-alive GET on both httpd arms) so
-# they keep compiling and running; time them with -benchtime=2s -count=5.
+# guard scope, the deferred store and its apply, a storage hit, the
+# contended shard lock, the client-to-worker hand-off, a keep-alive GET
+# on both httpd arms) so they keep compiling and running; time them with
+# -benchtime=2s -count=5.
 bench-smoke:
 	$(GO) run ./cmd/sdrad-bench -quick
 	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope$$' -benchtime=1x ./internal/core
-	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|ShardLockContended)$$' -benchtime=1x ./internal/memcache
+	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|StorageHit|ShardLockContended)$$' -benchtime=1x ./internal/memcache
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffDo$$' -benchtime=1x ./internal/proc
 	$(GO) test -run '^$$' -bench 'BenchmarkKeepAliveGET$$' -benchtime=1x ./internal/httpd
 

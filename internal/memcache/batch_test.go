@@ -508,6 +508,99 @@ func TestStoreParsedUnderArmedInjectorFaultsWhereItAlwaysDid(t *testing.T) {
 	}
 }
 
+func TestFaultAnywhereInAHitLeavesShardsIntact(t *testing.T) {
+	// A hit runs inside the event domain but writes the shared storage
+	// domain, which a rewind does not roll back. A trap at every one of
+	// its in-domain accesses must leave the shards consistent: the item is
+	// marked active or it is not, and nothing else has moved.
+	s := startServer(t, VariantSDRaD, 1)
+	c := s.NewConn()
+	for _, key := range []string{"a", "b", "c", "d"} {
+		mustDo(t, c, FormatSet(key, []byte("value-"+key), 0))
+	}
+	swept := 0
+	for k := 1; ; k++ {
+		conn := s.NewConn()
+		if err := conn.Inspect(func(th *proc.Thread) error {
+			armInDomain(s, th, k)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		resp, closed, err := conn.Do(FormatGet("b"))
+		if err != nil {
+			t.Fatalf("access %d: %v", k, err)
+		}
+		if err := s.NewConn().Inspect(func(th *proc.Thread) error {
+			th.CPU().SetFaultInjector(nil)
+			return s.Storage().AuditShards(th.CPU())
+		}); err != nil {
+			t.Errorf("trap at in-domain access %d: %v", k, err)
+		}
+		if !closed {
+			if val, _, ok := ParseGetValue(resp); !ok || string(val) != "value-b" {
+				t.Errorf("get b past the last access = %q", resp)
+			}
+			break
+		}
+		swept++
+	}
+	if swept == 0 {
+		t.Fatal("no in-domain access trapped")
+	}
+	t.Logf("%d fault points swept", swept)
+}
+
+func TestHitWritesOnlyItsOwnHeader(t *testing.T) {
+	// On the hardened arm a never-firing injector puts every access on the
+	// checked path, where it can be counted: the first hit on an item
+	// writes one word of the storage arena, its active bit, and a repeat
+	// hit writes nothing.
+	s := startServer(t, VariantSDRaD, 1)
+	c := s.NewConn()
+	for _, key := range []string{"a", "b"} {
+		mustDo(t, c, FormatSet(key, []byte("value-"+key), 0))
+	}
+	st := s.Storage()
+	lo, hi := st.arenaBase, st.arenaBase+mem.Addr(st.arenaLen)
+	writes := 0 // touched on the worker thread only
+	if err := c.Inspect(func(th *proc.Thread) error {
+		th.CPU().SetFaultInjector(func(addr mem.Addr, kind mem.AccessKind) *mem.Fault {
+			if kind == mem.AccessWrite && addr >= lo && addr < hi {
+				writes++
+			}
+			return nil
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []struct {
+		key    string
+		writes int
+	}{{"a", 1}, {"b", 1}, {"a", 0}, {"b", 0}} {
+		if val, _, ok := ParseGetValue(mustDo(t, c, FormatGet(step.key))); !ok || string(val) != "value-"+step.key {
+			t.Fatalf("get %d: %q %v", i, val, ok)
+		}
+		var got int
+		if err := c.Inspect(func(*proc.Thread) error {
+			got, writes = writes, 0
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got != step.writes {
+			t.Errorf("get %d (%s): %d arena writes, want %d", i, step.key, got, step.writes)
+		}
+	}
+	if err := c.Inspect(func(th *proc.Thread) error {
+		th.CPU().SetFaultInjector(nil)
+		return st.AuditShards(th.CPU())
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRefusedLeaseAtApplyFailsBatchClosed(t *testing.T) {
 	// An injector that stays armed through Exit refuses the slot's read
 	// lease when the apply re-validates it: the batch fails closed —

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"sdrad/internal/ycsb"
 )
 
 // BenchmarkDeferredSetApply times the hardened store path on its own,
@@ -36,6 +38,40 @@ func BenchmarkDeferredSetApply(b *testing.B) {
 		return nil
 	}); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkStorageHit times a cache hit on its own, without the ledger:
+// AppendGet of a 1 KiB value on a leased 8-shard Storage holding 20,000
+// items, one goroutine, keys drawn beforehand from YCSB's scrambled
+// Zipfian so the draw is not timed. It is the path both arms share.
+func BenchmarkStorageHit(b *testing.B) {
+	const items = 20000
+	st, cpu := newLeasedStorage(b, 16, 8, 40<<20)
+	value := bytes.Repeat([]byte("v"), 1024)
+	keys := make([][]byte, items)
+	for i := range keys {
+		keys[i] = []byte(ycsb.Key(i))
+		if err := st.Set(cpu, keys[i], value, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if ev := st.Stats().Evictions; ev != 0 {
+		b.Fatalf("%d evictions while loading: the arena is too small", ev)
+	}
+	next := ycsb.ZipfianChooser(items, 0, 1)
+	seq := make([]int, 1<<16)
+	for i := range seq {
+		seq[i] = next()
+	}
+	dst := make([]byte, 0, len(value))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ok bool
+		if dst, _, _, ok = st.AppendGet(cpu, keys[seq[i%len(seq)]], dst[:0], false); !ok {
+			b.Fatalf("miss on %s", keys[seq[i%len(seq)]])
+		}
 	}
 }
 

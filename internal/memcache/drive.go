@@ -16,7 +16,6 @@ import (
 // immediately; the hardened build passes its deferredOps.
 type storeOps interface {
 	Get(c *mem.CPU, key []byte) (value []byte, flags uint32, ok bool)
-	GetWithCAS(c *mem.CPU, key []byte) (value []byte, flags uint32, casid uint64, ok bool)
 	// AppendGet appends key's value to dst (the reply scratch) instead of
 	// allocating a fresh slice per hit — the copy-once read behind the
 	// zero-copy reply assembly.
@@ -77,62 +76,59 @@ type deferredOps struct {
 	groups [][]BatchOp
 }
 
-func (d *deferredOps) Get(c *mem.CPU, key []byte) ([]byte, uint32, bool) {
-	// Read-your-writes within one event, for the atomic-request property.
+// pendingRead is the read-your-writes overlay, for the atomic-request
+// property: it scans the queued ops newest first, and decided reports
+// whether one of them settles key's presence (ok) and value.
+func (d *deferredOps) pendingRead(key []byte) (value []byte, flags uint32, ok, decided bool) {
 	for i := len(d.pending) - 1; i >= 0; i-- {
-		op := d.pending[i]
+		op := &d.pending[i]
 		if op.kind == pendingFlush {
-			return nil, 0, false
+			return nil, 0, false, true
 		}
 		if string(op.key) == string(key) {
-			if op.kind == pendingDelete {
-				return nil, 0, false
-			}
-			return op.value, op.flags, true
+			return op.value, op.flags, op.kind == pendingSet, true
 		}
+	}
+	return nil, 0, false, false
+}
+
+// probe is the read behind a check the client does not see (add,
+// replace, append/prepend, delete): the overlay, then Storage.peek, so
+// the hardened arm counts and marks what the direct arm does — nothing.
+func (d *deferredOps) probe(c *mem.CPU, key []byte, withValue bool) ([]byte, uint32, bool) {
+	if v, f, ok, decided := d.pendingRead(key); decided {
+		return v, f, ok
+	}
+	v, f, _, ok := d.st.peek(c, key, withValue)
+	return v, f, ok
+}
+
+func (d *deferredOps) Get(c *mem.CPU, key []byte) ([]byte, uint32, bool) {
+	if v, f, ok, decided := d.pendingRead(key); decided {
+		return v, f, ok
 	}
 	return d.st.Get(c, key)
 }
 
 func (d *deferredOps) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]byte, uint32, uint64, bool) {
-	// Read-your-writes overlay first, mirroring Get; only the CAS id (not
-	// assigned until apply time) is taken from the shared DB view.
-	for i := len(d.pending) - 1; i >= 0; i-- {
-		op := d.pending[i]
-		if op.kind == pendingFlush {
-			return dst, 0, 0, false
-		}
-		if string(op.key) == string(key) {
-			if op.kind == pendingDelete {
-				return dst, 0, 0, false
-			}
-			var casid uint64
-			if withCAS {
-				if _, _, id, inDB := d.st.GetWithCAS(c, key); inDB {
-					casid = id
-				}
-			}
-			return append(dst, op.value...), op.flags, casid, true
-		}
+	v, f, ok, decided := d.pendingRead(key)
+	if !decided {
+		return d.st.AppendGet(c, key, dst, withCAS)
 	}
-	return d.st.AppendGet(c, key, dst, withCAS)
-}
-
-func (d *deferredOps) GetWithCAS(c *mem.CPU, key []byte) ([]byte, uint32, uint64, bool) {
-	// Pending writes have no CAS id yet; fall back to the shared DB view
-	// for the id and overlay value reads.
-	if v, f, ok := d.Get(c, key); ok {
-		_, _, casid, inDB := d.st.GetWithCAS(c, key)
-		if !inDB {
-			casid = 0
-		}
-		return v, f, casid, true
+	if !ok {
+		return dst, 0, 0, false
 	}
-	return nil, 0, 0, false
+	// A pending store has no CAS id until apply time: report the stored
+	// item's, or 0.
+	var casid uint64
+	if withCAS {
+		_, _, casid, _ = d.st.peek(c, key, false)
+	}
+	return append(dst, v...), f, casid, true
 }
 
 func (d *deferredOps) Add(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error) {
-	if _, _, exists := d.Get(c, key); exists {
+	if _, _, exists := d.probe(c, key, false); exists {
 		return NotStored, nil
 	}
 	if err := d.Set(c, key, value, flags); err != nil {
@@ -142,7 +138,7 @@ func (d *deferredOps) Add(c *mem.CPU, key, value []byte, flags uint32) (StoreOut
 }
 
 func (d *deferredOps) Replace(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error) {
-	if _, _, exists := d.Get(c, key); !exists {
+	if _, _, exists := d.probe(c, key, false); !exists {
 		return NotStored, nil
 	}
 	if err := d.Set(c, key, value, flags); err != nil {
@@ -152,7 +148,7 @@ func (d *deferredOps) Replace(c *mem.CPU, key, value []byte, flags uint32) (Stor
 }
 
 func (d *deferredOps) Concat(c *mem.CPU, key, data []byte, prepend bool) (StoreOutcome, error) {
-	old, flags, exists := d.Get(c, key)
+	old, flags, exists := d.probe(c, key, true)
 	if !exists {
 		return NotStored, nil
 	}
@@ -172,7 +168,7 @@ func (d *deferredOps) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uin
 	// The compare happens against the shared DB now, the swap at normal
 	// domain exit — the same at-most-once atomic-update discipline the
 	// paper's deferred stores follow.
-	_, _, cur, ok := d.st.GetWithCAS(c, key)
+	_, _, cur, ok := d.st.peek(c, key, false)
 	if !ok {
 		return NotFoundOutcome, nil
 	}
@@ -186,8 +182,8 @@ func (d *deferredOps) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uin
 }
 
 func (d *deferredOps) Touch(c *mem.CPU, key []byte) bool {
-	// LRU metadata only: safe to apply immediately (the nested domain
-	// holds an RW grant on the storage domain).
+	// One bit in the item's own header: safe to apply immediately (the
+	// nested domain holds an RW grant on the storage domain).
 	return d.st.Touch(c, key)
 }
 
@@ -205,7 +201,7 @@ func (d *deferredOps) Set(c *mem.CPU, key, value []byte, flags uint32) error {
 }
 
 func (d *deferredOps) Delete(c *mem.CPU, key []byte) bool {
-	_, _, existed := d.Get(c, key)
+	_, _, existed := d.probe(c, key, false)
 	d.pending = append(d.pending, pendingOp{kind: pendingDelete, key: key})
 	return existed
 }

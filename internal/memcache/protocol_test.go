@@ -82,6 +82,41 @@ func TestAppendPrepend(t *testing.T) {
 	})
 }
 
+func TestConditionalStoresCountNoReads(t *testing.T) {
+	// add, replace, append, cas and delete each look the key up to
+	// decide, but the client reads nothing: the direct arm counts no get
+	// or hit for them, and the deferred arm's probes must not either.
+	// (cmd_set still differs: the deferred arm does not count a refused
+	// conditional store.)
+	reads := func(v Variant) (gets, hits int) {
+		s := startServer(t, v, 1)
+		c := s.NewConn()
+		mustDo(t, c, FormatSet("k", []byte("v"), 0))
+		for _, step := range []struct{ line, body, want string }{
+			{storeLine("add", "k", 0, []byte("a"), ""), "a", "NOT_STORED\r\n"},
+			{storeLine("replace", "k", 0, []byte("r"), ""), "r", "STORED\r\n"},
+			{storeLine("append", "k", 0, []byte("+"), ""), "+", "STORED\r\n"},
+			{storeLine("cas", "k", 0, []byte("c"), "999999"), "c", "EXISTS\r\n"},
+			{"delete k", "", "DELETED\r\n"},
+		} {
+			var body []byte
+			if step.body != "" {
+				body = []byte(step.body)
+			}
+			if got := doText(t, c, step.line, body); got != step.want {
+				t.Fatalf("%v: %q = %q, want %q", v, step.line, got, step.want)
+			}
+		}
+		st := s.StorageStats()
+		return st.Gets, st.Hits
+	}
+	vg, vh := reads(VariantVanilla)
+	hg, hh := reads(VariantSDRaD)
+	if vg != hg || vh != hh {
+		t.Errorf("gets/hits: vanilla %d/%d, hardened %d/%d", vg, vh, hg, hh)
+	}
+}
+
 // parseGetsCAS extracts the cas id from a gets response.
 func parseGetsCAS(t *testing.T, resp string) uint64 {
 	t.Helper()

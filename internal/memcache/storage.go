@@ -42,7 +42,7 @@ import (
 //	+16: LRU prev (Addr)
 //	+24: key length
 //	+32: value length
-//	+40: user flags
+//	+40: user flags (low 32 bits) and itemActive (memcached's it_flags)
 //	+48: slab class index
 //	+56: CAS unique id
 //	+64: key bytes ... value bytes
@@ -57,6 +57,13 @@ const (
 	itemOffCAS    = 56
 	itemHeader    = 64
 )
+
+// itemActive is the second-chance bit above the 32 user-flag bits of the
+// +40 word (memcached's ITEM_ACTIVE): a hit sets it, and eviction, finding
+// it set on the LRU tail, clears it and relinks the item at the head
+// instead of evicting it. Readers of the user flags truncate to uint32;
+// a store writes the whole word, so a new item starts inactive.
+const itemActive = uint64(1) << 32
 
 // Slab geometry: chunk classes grow by factor 1.25 from 96 bytes, pages
 // are 64 KiB, mirroring Memcached's defaults.
@@ -384,12 +391,21 @@ func (sh *shard) grabChunk(v sview, ci int) (mem.Addr, error) {
 			}
 			cl.chunks += int(n)
 		} else {
-			// No memory: evict the least recently used item of this
-			// class (Memcached's eviction policy).
+			// No memory: evict the least recently used inactive item
+			// of this class (Memcached's second chance). An active tail
+			// spends its bit on one move to the head; every bit spent
+			// is one an earlier hit set, and a lap of the LRU ends at
+			// an item relinked with its bit clear.
 			if cl.lruTail == 0 {
 				return 0, ErrStoreFull
 			}
 			victim := cl.lruTail
+			for f := v.u64(victim + itemOffFlags); f&itemActive != 0; f = v.u64(victim + itemOffFlags) {
+				v.putU64(victim+itemOffFlags, f&^itemActive)
+				sh.lruUnlink(v, victim)
+				sh.lruPush(v, victim)
+				victim = cl.lruTail
+			}
 			sh.unlinkItem(v, victim, itemHash(v, victim))
 			sh.evictions++
 		}
@@ -455,15 +471,14 @@ func itemValueAddr(v sview, it mem.Addr) (mem.Addr, int) {
 	return it + itemHeader + mem.Addr(klen), int(vlen)
 }
 
-// lruBump moves an item to the head of its class LRU.
+// lruBump records a hit the way memcached's do_item_bump does: it marks
+// the item active and leaves the LRU alone, so a hit writes at most one
+// word, in its own header, and a repeat hit writes nothing. The move to
+// the head waits until the item reaches the tail (grabChunk).
 func (sh *shard) lruBump(v sview, it mem.Addr) {
-	ci := int(v.u64(it + itemOffClass))
-	cl := &sh.classes[ci]
-	if cl.lruHead == it {
-		return
+	if f := v.u64(it + itemOffFlags); f&itemActive == 0 {
+		v.putU64(it+itemOffFlags, f|itemActive)
 	}
-	sh.lruUnlink(v, it)
-	sh.lruPush(v, it)
 }
 
 func (sh *shard) lruPush(v sview, it mem.Addr) {
@@ -749,7 +764,27 @@ func (st *Storage) GetWithCAS(c *mem.CPU, key []byte) (value []byte, flags uint3
 	return v.readBytes(va, vlen), uint32(v.u64(it + itemOffFlags)), v.u64(it + itemOffCAS), true
 }
 
-// Touch bumps an item's LRU position (expiry is not simulated).
+// peek looks key up for a check the client does not see: the hardened
+// arm's existence, CAS and append/prepend probes. It returns the flags and
+// CAS id, copies the value only when withValue, counts no get or hit and
+// marks nothing, as the direct arm's conditional stores and Delete do.
+func (st *Storage) peek(c *mem.CPU, key []byte, withValue bool) (value []byte, flags uint32, casid uint64, ok bool) {
+	v := st.view(c)
+	h := hashKey(key)
+	sh := st.lockShard(h)
+	defer sh.mu.Unlock()
+	it := sh.lookupLocked(v, key, h)
+	if it == 0 {
+		return nil, 0, 0, false
+	}
+	if withValue {
+		va, vlen := itemValueAddr(v, it)
+		value = v.readBytes(va, vlen)
+	}
+	return value, uint32(v.u64(it + itemOffFlags)), v.u64(it + itemOffCAS), true
+}
+
+// Touch marks an item active, as a hit does (expiry is not simulated).
 func (st *Storage) Touch(c *mem.CPU, key []byte) bool {
 	v := st.view(c)
 	h := hashKey(key)

@@ -170,6 +170,96 @@ func TestStorageLRUBumpOnGet(t *testing.T) {
 	}
 }
 
+// fillToEviction stores 900-byte values (one slab class) into a
+// one-shard Storage until the first eviction, returning the keys still
+// live, least recently stored first.
+func fillToEviction(t *testing.T) (*Storage, *mem.CPU, []string) {
+	t.Helper()
+	st, cpu := newStorage(t, 8, 300*1024)
+	val := make([]byte, 900)
+	var keys []string
+	for i := 0; st.Stats().Evictions == 0; i++ {
+		if i > 1000 {
+			t.Fatal("no eviction under memory pressure")
+		}
+		key := fmt.Sprintf("k-%04d", i)
+		if err := st.Set(cpu, []byte(key), val, 0); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	return st, cpu, keys[1:]
+}
+
+// itemState reports whether key is stored and whether its item's active
+// bit is set, without counting a get or marking the item.
+func itemState(st *Storage, cpu *mem.CPU, key string) (present, active bool) {
+	v := st.view(cpu)
+	h := hashKey([]byte(key))
+	sh := st.lockShard(h)
+	defer sh.mu.Unlock()
+	it := sh.lookupLocked(v, []byte(key), h)
+	return it != 0, it != 0 && v.u64(it+itemOffFlags)&itemActive != 0
+}
+
+func TestStorageSecondChance(t *testing.T) {
+	val := make([]byte, 900)
+	t.Run("active tail survives", func(t *testing.T) {
+		// The LRU tail was hit: eviction spends its active bit on a move
+		// to the head and evicts the next item, which was not.
+		st, cpu, live := fillToEviction(t)
+		if _, _, ok := st.Get(cpu, []byte(live[0])); !ok {
+			t.Fatalf("%s missing", live[0])
+		}
+		if _, active := itemState(st, cpu, live[0]); !active {
+			t.Fatal("a hit did not mark its item active")
+		}
+		if err := st.Set(cpu, []byte("next"), val, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().Evictions; got != 2 {
+			t.Fatalf("evictions = %d, want 2", got)
+		}
+		if present, active := itemState(st, cpu, live[0]); !present || active {
+			t.Errorf("hit tail: present=%v active=%v, want kept with its bit spent", present, active)
+		}
+		if present, _ := itemState(st, cpu, live[1]); present {
+			t.Error("the first inactive item survived")
+		}
+		if err := st.AuditShards(cpu); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("every item active", func(t *testing.T) {
+		// One lap: every item moves to the head once, in LRU order, so the
+		// least recently stored one is the tail again, now inactive, and
+		// is the one evicted. No bit survives the lap.
+		st, cpu, live := fillToEviction(t)
+		for _, key := range live {
+			if _, _, ok := st.Get(cpu, []byte(key)); !ok {
+				t.Fatalf("%s missing", key)
+			}
+		}
+		if err := st.Set(cpu, []byte("next"), val, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().Evictions; got != 2 {
+			t.Fatalf("evictions = %d, want 2: one store evicts one item", got)
+		}
+		if present, _ := itemState(st, cpu, live[0]); present {
+			t.Error("the least recently stored item survived the lap")
+		}
+		for _, key := range append(live[1:], "next") {
+			if present, active := itemState(st, cpu, key); !present || active {
+				t.Errorf("%s: present=%v active=%v, want kept and inactive", key, present, active)
+			}
+		}
+		if err := st.AuditShards(cpu); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestStorageKeyLimits(t *testing.T) {
 	st, cpu := newStorage(t, 8, 1<<20)
 	long := make([]byte, MaxKeyLen+1)
