@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-clockless monitor-admits chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
+.PHONY: build test race vet fmt-check chaos-clockless monitor-admits one-host chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,15 @@ monitor-admits:
 	@if grep -rn --include='*.go' --exclude='*_test.go' '\.Admit(' internal cmd examples *.go \
 		| grep -v -e '^internal/core/' -e '^internal/policy/'; then \
 		echo "only internal/core admits a guard scope: call Guard and handle *core.QuarantineError"; exit 1; fi
+
+# What a build variant decides about memory is decided in internal/host:
+# the servers get root memory, connection buffers and the SDRaD library
+# from it and never pick an allocator or set the library up themselves.
+one-host:
+	@if grep -rn --include='*.go' --exclude='*_test.go' \
+		-e '"sdrad/internal/galloc"' -e '"sdrad/internal/tlsf"' -e 'core\.Setup(' \
+		internal/memcache internal/httpd; then \
+		echo "memcache and httpd get their memory from internal/host: use Host.Alloc/OpenConn, not an allocator or core.Setup"; exit 1; fi
 
 # A single fixed-seed round of every chaos campaign, as the smoke test runs.
 chaos-smoke:
@@ -152,4 +161,4 @@ cluster-gate:
 	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
-ci: build vet fmt-check chaos-clockless monitor-admits test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate
+ci: build vet fmt-check chaos-clockless monitor-admits one-host test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate

@@ -21,6 +21,7 @@ import (
 	"net"
 	"os"
 
+	"sdrad/internal/host"
 	"sdrad/internal/httpd"
 	"sdrad/internal/policy"
 	"sdrad/internal/telemetry"
@@ -44,16 +45,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var variant httpd.Variant
-	switch *variantName {
-	case "vanilla":
-		variant = httpd.VariantVanilla
-	case "tlsf":
-		variant = httpd.VariantTLSF
-	case "sdrad":
-		variant = httpd.VariantSDRaD
-	default:
-		return fmt.Errorf("unknown variant %q", *variantName)
+	variant, err := host.ParseVariant(*variantName)
+	if err != nil {
+		return err
 	}
 	var rec *telemetry.Recorder
 	if *telAddr != "" {

@@ -22,6 +22,7 @@ import (
 	"net"
 	"os"
 
+	"sdrad/internal/host"
 	"sdrad/internal/memcache"
 	"sdrad/internal/policy"
 	"sdrad/internal/telemetry"
@@ -47,16 +48,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var variant memcache.Variant
-	switch *variantName {
-	case "vanilla":
-		variant = memcache.VariantVanilla
-	case "tlsf":
-		variant = memcache.VariantTLSF
-	case "sdrad":
-		variant = memcache.VariantSDRaD
-	default:
-		return fmt.Errorf("unknown variant %q", *variantName)
+	variant, err := host.ParseVariant(*variantName)
+	if err != nil {
+		return err
 	}
 	var rec *telemetry.Recorder
 	if *telAddr != "" {

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"sdrad/internal/policy"
 )
 
 // HealthState is a backend's position on the router's fleet-level
@@ -177,18 +179,7 @@ func (h *Health) transition(b int, to HealthState, reason string) {
 func (h *Health) demote(b int, now int64, reason string) {
 	bh := &h.backends[b]
 	bh.holdOffStep++
-	hold := int64(h.cfg.HoldOff)
-	for i := 1; i < bh.holdOffStep; i++ {
-		hold <<= 1
-		if hold >= int64(h.cfg.HoldOffMax) || hold <= 0 {
-			hold = int64(h.cfg.HoldOffMax)
-			break
-		}
-	}
-	if hold > int64(h.cfg.HoldOffMax) {
-		hold = int64(h.cfg.HoldOffMax)
-	}
-	bh.demotedUntil = now + hold
+	bh.demotedUntil = now + policy.HoldOff(h.cfg.HoldOff, h.cfg.HoldOffMax, bh.holdOffStep)
 	bh.consecFails = 0
 	bh.consecOKs = 0
 	h.transition(b, HealthDemoted, reason)

@@ -11,42 +11,26 @@ import (
 
 	"sdrad/internal/core"
 	"sdrad/internal/cryptolib"
-	"sdrad/internal/galloc"
+	"sdrad/internal/host"
 	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
 	"sdrad/internal/sched"
 	"sdrad/internal/stack"
 	"sdrad/internal/telemetry"
-	"sdrad/internal/tlsf"
 )
 
 // Variant selects the build under test (Figure 5 of the paper).
-type Variant int
+type Variant = host.Variant
 
-// Build variants.
+// Build variants. The hardened build runs the HTTP parser in an
+// accessible persistent nested domain with per-request pools in a data
+// domain.
 const (
-	// VariantVanilla is the unmodified baseline.
-	VariantVanilla Variant = iota + 1
-	// VariantTLSF swaps the allocator only.
-	VariantTLSF
-	// VariantSDRaD runs the HTTP parser in an accessible persistent
-	// nested domain with per-request pools in a data domain.
-	VariantSDRaD
+	VariantVanilla = host.Vanilla
+	VariantTLSF    = host.TLSF
+	VariantSDRaD   = host.SDRaD
 )
-
-func (v Variant) String() string {
-	switch v {
-	case VariantVanilla:
-		return "vanilla"
-	case VariantTLSF:
-		return "tlsf"
-	case VariantSDRaD:
-		return "sdrad"
-	default:
-		return "unknown"
-	}
-}
 
 // Domain indices used by the hardened worker.
 const (
@@ -141,13 +125,6 @@ type Master struct {
 // NewMaster builds the master and starts its workers.
 func NewMaster(cfg Config) (*Master, error) {
 	cfg.setDefaults()
-	if cfg.Sched.OnFloorPinned == nil && cfg.Policy != nil && cfg.Variant == VariantSDRaD {
-		// A controller pinned at the AIMD floor by a hot rewind window
-		// is sustained pressure on the parser domain: feed it to the
-		// policy engine as a backoff signal.
-		eng := cfg.Policy
-		cfg.Sched.OnFloorPinned = func(int64) { eng.OnPressure(int(parserUDI)) }
-	}
 	m := &Master{cfg: cfg}
 	for i := 0; i < cfg.Workers; i++ {
 		w, err := newWorker(cfg, i)
@@ -200,17 +177,13 @@ func (m *Master) Stop() {
 // Worker is one single-threaded worker process (NGINX workers are
 // event-loop processes; the simulated thread is its event loop).
 type Worker struct {
+	*host.Host
 	idx int
 	cfg Config
-	p   *proc.Process
-	lib *core.Library // hardened build only
 
-	mb       *proc.Mailbox[*Conn]
-	alloc    connAllocator
-	files    map[string]fileEntry
-	degraded atomic.Int64 // 503s served while the parser was quarantined
-	shed     atomic.Int64 // connections closed by load shedding
-	handle   *proc.Handle
+	mb     *proc.Mailbox[*Conn]
+	files  map[string]fileEntry
+	handle *proc.Handle
 	// reqs is this worker's native request count; each worker mirrors
 	// its own counter into the registry via CounterFunc (callbacks on
 	// one name sum), so the request path never touches a counter shared
@@ -232,9 +205,9 @@ type Worker struct {
 	// assembles before writing it to the connection buffer.
 	scratch []reqState
 	hdr     []byte
-	// maxFile is the largest configured file, computed once in provision;
-	// it sizes every connection's write buffer.
-	maxFile int
+	// wcap sizes every connection's write buffer for the largest
+	// configured response, computed once in provision.
+	wcap int
 
 	// Client-certificate verification state (§V-C integration).
 	verifier  *cryptolib.Verifier // hardened build: isolated verifier
@@ -256,64 +229,41 @@ type fileEntry struct {
 
 // Conn is a keep-alive client connection pinned to a worker.
 type Conn struct {
-	id     int
-	w      *Worker
-	rbuf   mem.Addr
-	wbuf   mem.Addr
-	wcap   int
-	ready  bool
-	closed bool
+	id int
+	w  *Worker
+	host.ConnBufs
 }
 
 var connIDs atomic.Int64
 
-// connAllocator abstracts the per-variant malloc for worker state.
-type connAllocator interface {
-	Alloc(c *mem.CPU, size uint64) (mem.Addr, error)
-	Free(c *mem.CPU, ptr mem.Addr) error
-}
-
-type gallocShim struct{ h *galloc.Heap }
-
-func (g gallocShim) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) { return g.h.Alloc(c, size) }
-func (g gallocShim) Free(c *mem.CPU, ptr mem.Addr) error             { return g.h.Free(c, ptr) }
-
-type tlsfShim struct{ h *tlsf.Heap }
-
-func (t tlsfShim) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) { return t.h.Alloc(c, size) }
-func (t tlsfShim) Free(c *mem.CPU, ptr mem.Addr) error             { return t.h.Free(c, ptr) }
-
 // newWorker provisions and starts one worker process.
 func newWorker(cfg Config, idx int) (*Worker, error) {
-	w := &Worker{
-		idx:  idx,
-		cfg:  cfg,
-		p:    proc.NewProcess(fmt.Sprintf("nginx-worker-%d-%s", idx, cfg.Variant.String()), proc.WithSeed(cfg.Seed+int64(idx))),
-		ctrl: sched.NewController(cfg.Sched, cfg.MaxBatch),
+	h, err := host.New(host.Config{
+		Name:         fmt.Sprintf("nginx-worker-%d-%s", idx, cfg.Variant.String()),
+		Seed:         cfg.Seed + int64(idx),
+		Variant:      cfg.Variant,
+		RootHeap:     heapBudget(cfg),
+		BaselineHeap: heapBudget(cfg),
+		Telemetry:    cfg.Telemetry,
+		Policy:       cfg.Policy,
+		PressureUDI:  parserUDI,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Variant == VariantSDRaD {
-		opts := []core.SetupOption{core.WithRootHeapSize(heapBudget(cfg))}
-		if cfg.Telemetry != nil {
-			opts = append(opts, core.WithTelemetry(cfg.Telemetry))
-		}
-		if cfg.Policy != nil {
-			opts = append(opts, core.WithPolicy(cfg.Policy))
-		}
-		lib, err := core.Setup(w.p, opts...)
-		if err != nil {
-			return nil, err
-		}
-		w.lib = lib
-		w.parserOpts = []core.InitOption{core.Accessible(), core.Grant(poolUDI, mem.ProtRW)}
-	} else if cfg.Telemetry != nil {
-		w.p.AddressSpace().SetTelemetry(cfg.Telemetry)
+	w := &Worker{
+		Host:       h,
+		idx:        idx,
+		cfg:        cfg,
+		ctrl:       h.NewController(cfg.Sched, cfg.MaxBatch),
+		parserOpts: []core.InitOption{core.Accessible(), core.Grant(poolUDI, mem.ProtRW)},
 	}
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.Registry().CounterFunc("sdrad_http_requests_total",
 			"HTTP requests processed across all workers.",
 			func() int64 { return w.reqs.Load() })
 	}
-	if err := w.p.Attach("init", w.provision); err != nil {
+	if err := w.Provision(w.provision); err != nil {
 		return nil, fmt.Errorf("httpd: provisioning worker %d: %w", idx, err)
 	}
 	if cfg.Telemetry != nil && w.pool != nil {
@@ -334,8 +284,8 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 	// time, so a start is a rendezvous with it. The mailbox comes last: its
 	// sweeper lives until the process goes down, and a worker that failed
 	// to provision above is never shut down.
-	w.mb = proc.NewMailbox[*Conn](w.p, 0, cfg.MaxBatch, ErrWorkerDown)
-	w.handle = w.p.Spawn("event-loop", w.run)
+	w.mb = proc.NewMailbox[*Conn](h.Process(), 0, cfg.MaxBatch, ErrWorkerDown)
+	w.handle = h.Process().Spawn("event-loop", w.run)
 	return w, nil
 }
 
@@ -356,62 +306,36 @@ func heapBudget(cfg Config) uint64 {
 	return total
 }
 
-// provision maps the worker heap and synthesizes the static content.
+// provision carves the request pool and synthesizes the static content.
 func (w *Worker) provision(t *proc.Thread) error {
 	c := t.CPU()
-	switch w.cfg.Variant {
-	case VariantSDRaD:
-		// Request pools live in a dedicated data domain (paper §V-B);
-		// allocate it before anything else so the memory below a pool is
-		// domain metadata, not application data.
-		if err := w.lib.InitDomain(t, poolUDI, core.AsData(), core.Accessible(),
+	// The request pool is the first allocation, so the memory below it is
+	// domain or allocator metadata, not application data. The hardened
+	// build keeps pools in a dedicated data domain (paper §V-B); a
+	// baseline carves it from the worker heap.
+	alloc := w.Alloc
+	if lib := w.Library(); lib != nil {
+		if err := lib.InitDomain(t, poolUDI, core.AsData(), core.Accessible(),
 			core.HeapSize(w.cfg.PoolSize+64*1024)); err != nil {
 			return err
 		}
-		poolBlock, err := w.lib.Malloc(t, poolUDI, w.cfg.PoolSize)
-		if err != nil {
-			return err
-		}
-		w.pool = NewPool(poolBlock, w.cfg.PoolSize)
-	case VariantTLSF:
-		base, err := w.p.AddressSpace().MapAnon(int(heapBudget(w.cfg)), mem.ProtRW, 0)
-		if err != nil {
-			return err
-		}
-		h, err := tlsf.Init(c, base, heapBudget(w.cfg))
-		if err != nil {
-			return err
-		}
-		w.alloc = tlsfShim{h: h}
-	case VariantVanilla:
-		base, err := w.p.AddressSpace().MapAnon(int(heapBudget(w.cfg)), mem.ProtRW, 0)
-		if err != nil {
-			return err
-		}
-		h, err := galloc.Init(c, base, heapBudget(w.cfg))
-		if err != nil {
-			return err
-		}
-		w.alloc = gallocShim{h: h}
+		alloc = func(t *proc.Thread, size uint64) (mem.Addr, error) { return lib.Malloc(t, poolUDI, size) }
 	}
-	if w.cfg.Variant != VariantSDRaD {
-		// The baseline request pool comes from the worker heap, allocated
-		// first so the memory below it is allocator metadata.
-		poolBlock, err := w.alloc.Alloc(c, w.cfg.PoolSize)
-		if err != nil {
-			return err
-		}
-		w.pool = NewPool(poolBlock, w.cfg.PoolSize)
+	poolBlock, err := alloc(t, w.cfg.PoolSize)
+	if err != nil {
+		return err
 	}
-	if w.cfg.VerifyClientCerts && w.cfg.Variant != VariantSDRaD {
+	w.pool = NewPool(poolBlock, w.cfg.PoolSize)
+	if w.cfg.VerifyClientCerts && w.Library() == nil {
 		// The baseline verifier runs on an ordinary stack with its
 		// staging buffer in the worker heap — no isolation.
-		base, err := w.p.AddressSpace().MapAnon(64*1024, mem.ProtRW, 0)
+		p := w.Process()
+		base, err := p.AddressSpace().MapAnon(64*1024, mem.ProtRW, 0)
 		if err != nil {
 			return err
 		}
-		w.certStack = stack.New(base, 64*1024, w.p.Rand64())
-		buf, err := w.alloc.Alloc(c, maxCertSize)
+		w.certStack = stack.New(base, 64*1024, p.Rand64())
+		buf, err := w.Alloc(t, maxCertSize)
 		if err != nil {
 			return err
 		}
@@ -419,6 +343,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 	}
 	// Static content, deterministic bytes, in root/key0 memory.
 	w.files = make(map[string]fileEntry, len(w.cfg.Files))
+	w.wcap = 1024
 	paths := make([]string, 0, len(w.cfg.Files))
 	for p := range w.cfg.Files {
 		paths = append(paths, p)
@@ -426,7 +351,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 	sort.Strings(paths)
 	for _, path := range paths {
 		size := w.cfg.Files[path]
-		addr, err := w.allocRoot(t, uint64(size)+1)
+		addr, err := w.Alloc(t, uint64(size)+1)
 		if err != nil {
 			return err
 		}
@@ -437,23 +362,15 @@ func (w *Worker) provision(t *proc.Thread) error {
 		}
 		c.Write(addr, buf)
 		w.files[path] = fileEntry{addr: addr, size: size}
-		w.maxFile = max(w.maxFile, size)
+		w.wcap = max(w.wcap, size+1024)
 	}
 	return nil
 }
 
-// allocRoot allocates from root memory in the way the variant provides.
-func (w *Worker) allocRoot(t *proc.Thread, size uint64) (mem.Addr, error) {
-	if w.cfg.Variant == VariantSDRaD {
-		return w.lib.Malloc(t, core.RootUDI, size)
-	}
-	return w.alloc.Alloc(t.CPU(), size)
-}
-
 // run is the worker's event loop.
 func (w *Worker) run(t *proc.Thread) error {
-	if w.cfg.Variant == VariantSDRaD && w.cfg.VerifyClientCerts {
-		w.verifier = cryptolib.NewVerifier(w.lib, maxCertSize)
+	if lib := w.Library(); lib != nil && w.cfg.VerifyClientCerts {
+		w.verifier = cryptolib.NewVerifier(lib, maxCertSize)
 	}
 	defer w.mb.Leave()
 	for {
@@ -499,49 +416,8 @@ func (w *Worker) Inspect(fn func(t *proc.Thread) error) error {
 	return w.mb.Inspect(fn)
 }
 
-// Stop terminates the worker process.
-func (w *Worker) Stop() {
-	w.p.Shutdown()
-	w.p.Wait()
-}
-
-// Crashed reports whether the worker process died with a cause.
-func (w *Worker) Crashed() (bool, error) {
-	if !w.p.Killed() {
-		return false, nil
-	}
-	return w.p.ExitError() != nil, w.p.ExitError()
-}
-
-// Rewinds reports recovered parser and certificate-verifier attacks (0
-// for the baselines).
-func (w *Worker) Rewinds() int64 {
-	if w.lib == nil {
-		return 0
-	}
-	return w.lib.Stats().Rewinds.Load()
-}
-
 // SchedSnapshot returns the worker's adaptive-controller state.
 func (w *Worker) SchedSnapshot() sched.Snapshot { return w.ctrl.Snapshot() }
-
-// Degraded reports 503 responses served while the parser domain was
-// quarantined.
-func (w *Worker) Degraded() int64 { return w.degraded.Load() }
-
-// Shed reports connections closed by load shedding.
-func (w *Worker) Shed() int64 { return w.shed.Load() }
-
-// MappedBytes is the worker's resident-set-size analog.
-func (w *Worker) MappedBytes() int64 {
-	return w.p.AddressSpace().Stats().MappedBytes.Load()
-}
-
-// Process exposes the worker's simulated process.
-func (w *Worker) Process() *proc.Process { return w.p }
-
-// Library exposes the SDRaD library (nil for baselines).
-func (w *Worker) Library() *core.Library { return w.lib }
 
 // serve handles one client event: a pipelined batch, or a plain request
 // as a batch of one. Baselines have no guard cost to amortize and run
@@ -559,24 +435,17 @@ func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc
 	}
 	for off := 0; off < len(reqs); {
 		end := min(off+w.ctrl.Bound(), len(reqs))
-		backlog := len(reqs) - end
-		if backlog == 0 && end-off == 1 && w.ctrl.AtFloor() {
-			// Idle floor fast path: a lone request cannot move a controller
-			// already at bound 1 with a cold rewind window, so the round
-			// skips the clock reads and the observation.
-			w.runHardenedBatch(t, conn, reqs[off:end], results[off:end])
-			break
-		}
-		t0 := w.ctrl.Now()
+		backlog := func() int { return len(reqs) - end }
+		r := w.ctrl.BeginRound(end-off, backlog)
 		w.runHardenedBatch(t, conn, reqs[off:end], results[off:end])
-		w.ctrl.ObserveRound(backlog, end-off, w.ctrl.Now()-t0)
+		w.ctrl.EndRound(r, backlog)
 		off = end
 	}
 }
 
 // handleRequest is the baselines' sequential per-request flow.
 func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) proc.Result {
-	if conn.closed {
+	if conn.Closed {
 		return proc.Result{Closed: true, Err: ErrConnClosed}
 	}
 	if len(reqBytes) > w.cfg.ConnBufSize {
@@ -584,15 +453,13 @@ func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) proc
 	}
 	w.reqs.Add(1)
 	c := t.CPU()
-	if !conn.ready {
-		if err := w.allocConnBuffers(t, conn); err != nil {
-			return proc.Result{Err: err}
-		}
+	if err := w.open(t, conn); err != nil {
+		return proc.Result{Err: err}
 	}
-	c.Write(conn.rbuf, reqBytes)
+	c.Write(conn.RBuf, reqBytes)
 
 	var req Request
-	env := &parserEnv{c: c, buf: conn.rbuf, blen: len(reqBytes), pool: w.pool}
+	env := &parserEnv{c: c, buf: conn.RBuf, blen: len(reqBytes), pool: w.pool}
 	hdrOff, perr := parseRequestLine(env, &req)
 	if perr == nil {
 		perr = parseHeaders(env, &req, hdrOff)
@@ -625,15 +492,14 @@ func (w *Worker) checkClientCert(t *proc.Thread, conn *Conn, req *Request) (stat
 	if len(cert) > maxCertSize {
 		return "HTTP/1.1 403 Forbidden\r\n", false
 	}
-	if w.cfg.Variant == VariantSDRaD {
+	if w.verifier != nil {
 		res, err := w.verifier.Verify(t, cert)
 		if err != nil {
 			var abn *core.AbnormalExit
 			if errors.As(err, &abn) {
 				// The certificate attacked the verifier; the domain is
 				// discarded and re-created on the next verification.
-				conn.closed = true
-				w.freeConnBuffers(t, conn)
+				w.CloseConn(t, &conn.ConnBufs)
 				return "", true
 			}
 			return "HTTP/1.1 403 Forbidden\r\n", false
@@ -674,7 +540,7 @@ func DecodeCertHeader(v string) []byte {
 // closes the connection — the paper's single-event rewind semantics,
 // which the chunk of one is exactly.
 func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) []proc.Result {
-	lib := w.lib
+	lib := w.Library()
 	c := t.CPU()
 	if cap(w.scratch) < len(reqs) {
 		w.scratch = make([]reqState, len(reqs))
@@ -684,7 +550,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 	for i, req := range reqs {
 		rs[i] = reqState{}
 		switch {
-		case conn.closed:
+		case conn.Closed:
 			rs[i].done = true
 			results[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 		case len(req) > w.cfg.ConnBufSize:
@@ -705,10 +571,8 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 	gerr := lib.Guard(t, parserUDI, func() error {
 		// Connection buffers are allocated only once the scope is
 		// admitted: the degraded path allocates nothing.
-		if !conn.ready {
-			if err := w.allocConnBuffers(t, conn); err != nil {
-				return err
-			}
+		if err := w.open(t, conn); err != nil {
+			return err
 		}
 		if w.parseBuf == 0 {
 			buf, err := lib.Malloc(t, parserUDI, uint64(w.cfg.ConnBufSize))
@@ -723,8 +587,8 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			}
 			// Stage through the connection read buffer (a pipelined
 			// connection reuses it per request) and copy into the domain.
-			c.Write(conn.rbuf, req)
-			lib.Copy(t, w.parseBuf, conn.rbuf, len(req))
+			c.Write(conn.RBuf, req)
+			lib.Copy(t, w.parseBuf, conn.RBuf, len(req))
 			env := &parserEnv{c: c, buf: w.parseBuf, blen: len(req), pool: w.pool}
 			if err := lib.Enter(t, parserUDI); err != nil {
 				return err
@@ -751,10 +615,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			w.parseBuf = 0
 			w.pool.Reset(c)
 			w.ctrl.NoteRewind()
-			if !conn.closed {
-				conn.closed = true
-				w.freeConnBuffers(t, conn)
-			}
+			w.CloseConn(t, &conn.ConnBufs)
 			return setLive(rs, results, proc.Result{Closed: true})
 		}
 		var qe *core.QuarantineError
@@ -773,7 +634,7 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 		if rs[i].done {
 			continue
 		}
-		if conn.closed {
+		if conn.Closed {
 			results[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
@@ -808,7 +669,7 @@ func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results 
 		if rs[i].done {
 			continue
 		}
-		if conn.closed {
+		if conn.Closed {
 			results[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
@@ -826,14 +687,10 @@ func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results 
 // deliberately touches no simulated domain memory.
 func (w *Worker) respondDegraded(t *proc.Thread, conn *Conn, state policy.State, retryAfterNs int64) proc.Result {
 	if state == policy.StateShedding {
-		if !conn.closed {
-			conn.closed = true
-			w.freeConnBuffers(t, conn)
-			w.shed.Add(1)
-		}
+		w.ShedConn(t, &conn.ConnBufs)
 		return proc.Result{Closed: true}
 	}
-	w.degraded.Add(1)
+	w.NoteDegraded()
 	secs := (retryAfterNs + int64(time.Second) - 1) / int64(time.Second)
 	if secs < 1 {
 		secs = 1
@@ -880,54 +737,27 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 	if haveBody {
 		wlen += body.size
 	}
-	if wlen > conn.wcap {
+	if wlen > w.wcap {
 		return proc.Result{Err: ErrTooLarge}
 	}
-	c.Write(conn.wbuf, h)
+	c.Write(conn.WBuf, h)
 	if haveBody && body.size > 0 {
 		// The file content is copied from the content store to the
 		// connection buffer — the per-size cost that shapes Figure 5.
-		c.Copy(conn.wbuf+mem.Addr(len(h)), body.addr, body.size)
+		c.Copy(conn.WBuf+mem.Addr(len(h)), body.addr, body.size)
 	}
-	resp := c.ReadBytes(conn.wbuf, wlen)
+	resp := c.ReadBytes(conn.WBuf, wlen)
 	if !req.KeepAlive {
-		conn.closed = true
-		w.freeConnBuffers(t, conn)
+		w.CloseConn(t, &conn.ConnBufs)
 	}
 	return proc.Result{Resp: resp, Closed: !req.KeepAlive}
 }
 
-// freeConnBuffers releases a closed connection's buffers back to the
-// worker heap.
-func (w *Worker) freeConnBuffers(t *proc.Thread, conn *Conn) {
-	if !conn.ready {
-		return
-	}
-	if w.cfg.Variant == VariantSDRaD {
-		_ = w.lib.Free(t, core.RootUDI, conn.rbuf)
-		_ = w.lib.Free(t, core.RootUDI, conn.wbuf)
-	} else {
-		_ = w.alloc.Free(t.CPU(), conn.rbuf)
-		_ = w.alloc.Free(t.CPU(), conn.wbuf)
-	}
-	conn.ready = false
-}
-
-// allocConnBuffers provisions connection buffers sized for the largest
+// open gives a connection its buffers in root memory on its first
+// request: a read buffer and a write buffer sized for the largest
 // configured response.
-func (w *Worker) allocConnBuffers(t *proc.Thread, conn *Conn) error {
-	conn.wcap = w.maxFile + 1024
-	rb, err := w.allocRoot(t, uint64(w.cfg.ConnBufSize))
-	if err != nil {
-		return err
-	}
-	wb, err := w.allocRoot(t, uint64(conn.wcap))
-	if err != nil {
-		return err
-	}
-	conn.rbuf, conn.wbuf = rb, wb
-	conn.ready = true
-	return nil
+func (w *Worker) open(t *proc.Thread, conn *Conn) error {
+	return w.OpenConn(t, &conn.ConnBufs, uint64(w.cfg.ConnBufSize), uint64(w.wcap))
 }
 
 // FormatRequest builds a simple HTTP/1.1 GET request.

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"sync"
 
-	"sdrad/internal/galloc"
 	"sdrad/internal/mem"
-	"sdrad/internal/tlsf"
 )
 
 // ErrArenaFull is returned when the cache memory limit is reached; the
@@ -38,48 +36,4 @@ func (a *bumpArena) alloc(size uint64) (mem.Addr, error) {
 	p := a.base + mem.Addr(a.off)
 	a.off += size
 	return p, nil
-}
-
-// connAlloc is the allocator used for connection buffers and other
-// per-connection state; it is where the vanilla/TLSF variants differ.
-type connAlloc interface {
-	Alloc(c *mem.CPU, size uint64) (mem.Addr, error)
-	Free(c *mem.CPU, ptr mem.Addr) error
-}
-
-// gallocAlloc adapts the first-fit baseline allocator with a lock
-// (glibc's malloc is thread-safe; ours needs the same property).
-type gallocAlloc struct {
-	mu sync.Mutex
-	h  *galloc.Heap
-}
-
-func (g *gallocAlloc) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.h.Alloc(c, size)
-}
-
-func (g *gallocAlloc) Free(c *mem.CPU, ptr mem.Addr) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.h.Free(c, ptr)
-}
-
-// tlsfAlloc adapts a TLSF heap the same way.
-type tlsfAlloc struct {
-	mu sync.Mutex
-	h  *tlsf.Heap
-}
-
-func (t *tlsfAlloc) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.h.Alloc(c, size)
-}
-
-func (t *tlsfAlloc) Free(c *mem.CPU, ptr mem.Addr) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.h.Free(c, ptr)
 }

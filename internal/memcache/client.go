@@ -69,13 +69,13 @@ func ParseGetValue(resp []byte) (value []byte, flags uint32, ok bool) {
 // drive the engine through Conn.Do directly.
 func (s *Server) ServeListener(ln net.Listener) error {
 	go func() {
-		<-s.p.Done()
+		<-s.Process().Done()
 		_ = ln.Close()
 	}()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			if s.p.Killed() {
+			if s.Process().Killed() {
 				return ErrServerDown
 			}
 			return err

@@ -127,9 +127,18 @@ func (d *deferredOps) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]by
 	return append(dst, v...), f, casid, true
 }
 
+// refuse answers a conditional store its precondition turned down. The
+// direct arm counts every Add, Replace, Concat and CAS in cmd_set; a
+// store that goes through is counted when it is applied, so a refused
+// one is counted here.
+func (d *deferredOps) refuse(key []byte, out StoreOutcome) (StoreOutcome, error) {
+	d.st.countSet(key)
+	return out, nil
+}
+
 func (d *deferredOps) Add(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error) {
 	if _, _, exists := d.probe(c, key, false); exists {
-		return NotStored, nil
+		return d.refuse(key, NotStored)
 	}
 	if err := d.Set(c, key, value, flags); err != nil {
 		return NotStored, err
@@ -139,7 +148,7 @@ func (d *deferredOps) Add(c *mem.CPU, key, value []byte, flags uint32) (StoreOut
 
 func (d *deferredOps) Replace(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error) {
 	if _, _, exists := d.probe(c, key, false); !exists {
-		return NotStored, nil
+		return d.refuse(key, NotStored)
 	}
 	if err := d.Set(c, key, value, flags); err != nil {
 		return NotStored, err
@@ -150,7 +159,7 @@ func (d *deferredOps) Replace(c *mem.CPU, key, value []byte, flags uint32) (Stor
 func (d *deferredOps) Concat(c *mem.CPU, key, data []byte, prepend bool) (StoreOutcome, error) {
 	old, flags, exists := d.probe(c, key, true)
 	if !exists {
-		return NotStored, nil
+		return d.refuse(key, NotStored)
 	}
 	var merged []byte
 	if prepend {
@@ -170,10 +179,10 @@ func (d *deferredOps) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uin
 	// paper's deferred stores follow.
 	_, _, cur, ok := d.st.peek(c, key, false)
 	if !ok {
-		return NotFoundOutcome, nil
+		return d.refuse(key, NotFoundOutcome)
 	}
 	if cur != casid {
-		return CASMismatch, nil
+		return d.refuse(key, CASMismatch)
 	}
 	if err := d.Set(c, key, value, flags); err != nil {
 		return NotStored, err

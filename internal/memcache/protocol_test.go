@@ -86,9 +86,9 @@ func TestConditionalStoresCountNoReads(t *testing.T) {
 	// add, replace, append, cas and delete each look the key up to
 	// decide, but the client reads nothing: the direct arm counts no get
 	// or hit for them, and the deferred arm's probes must not either.
-	// (cmd_set still differs: the deferred arm does not count a refused
-	// conditional store.)
-	reads := func(v Variant) (gets, hits int) {
+	// cmd_set counts every store attempt on both arms, refused ones (the
+	// add and the cas here) included.
+	counts := func(v Variant) (gets, hits, sets int) {
 		s := startServer(t, v, 1)
 		c := s.NewConn()
 		mustDo(t, c, FormatSet("k", []byte("v"), 0))
@@ -108,12 +108,15 @@ func TestConditionalStoresCountNoReads(t *testing.T) {
 			}
 		}
 		st := s.StorageStats()
-		return st.Gets, st.Hits
+		return st.Gets, st.Hits, st.Sets
 	}
-	vg, vh := reads(VariantVanilla)
-	hg, hh := reads(VariantSDRaD)
-	if vg != hg || vh != hh {
-		t.Errorf("gets/hits: vanilla %d/%d, hardened %d/%d", vg, vh, hg, hh)
+	vg, vh, vs := counts(VariantVanilla)
+	hg, hh, hs := counts(VariantSDRaD)
+	if vg != hg || vh != hh || vs != hs {
+		t.Errorf("gets/hits/sets: vanilla %d/%d/%d, hardened %d/%d/%d", vg, vh, vs, hg, hh, hs)
+	}
+	if vs != 5 {
+		t.Errorf("cmd_set = %d after set, add, replace, append and cas; want 5", vs)
 	}
 }
 

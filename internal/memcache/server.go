@@ -9,41 +9,24 @@ import (
 	"bytes"
 
 	"sdrad/internal/core"
-	"sdrad/internal/galloc"
+	"sdrad/internal/host"
 	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
 	"sdrad/internal/sched"
 	"sdrad/internal/telemetry"
-	"sdrad/internal/tlsf"
 )
 
 // Variant selects the build under test (Figure 4 of the paper).
-type Variant int
+type Variant = host.Variant
 
-// Build variants.
+// Build variants. The hardened build runs every event in an isolated
+// domain on deep-copied connection buffers and defers store updates.
 const (
-	// VariantVanilla is the unmodified baseline (glibc-like allocator).
-	VariantVanilla Variant = iota + 1
-	// VariantTLSF swaps the allocator for TLSF but adds no isolation.
-	VariantTLSF
-	// VariantSDRaD is the hardened build: per-event isolated domains,
-	// deep-copied connection buffers, deferred store updates.
-	VariantSDRaD
+	VariantVanilla = host.Vanilla
+	VariantTLSF    = host.TLSF
+	VariantSDRaD   = host.SDRaD
 )
-
-func (v Variant) String() string {
-	switch v {
-	case VariantVanilla:
-		return "vanilla"
-	case VariantTLSF:
-		return "tlsf"
-	case VariantSDRaD:
-		return "sdrad"
-	default:
-		return "unknown"
-	}
-}
 
 // Domain indices used by the hardened build.
 const (
@@ -155,18 +138,14 @@ var (
 
 // Server is one simulated Memcached process.
 type Server struct {
+	*host.Host
 	cfg Config
-	p   *proc.Process
-	lib *core.Library // nil for baseline variants
 	st  *Storage
 
-	connAllocator connAlloc // baseline variants' malloc for conn buffers
-	workers       []*worker
-	telBatch      *telemetry.Histogram // events per guard scope, nil without telemetry
-	rr            atomic.Int64         // NewConn's round-robin placement cursor
-	connIDs       atomic.Int64
-	degraded      atomic.Int64 // requests answered on the quarantine path
-	shed          atomic.Int64 // connections closed by load shedding
+	workers  []*worker
+	telBatch *telemetry.Histogram // events per guard scope, nil without telemetry
+	rr       atomic.Int64         // NewConn's round-robin placement cursor
+	connIDs  atomic.Int64
 	// domainOpts creates (and, after a rewind, re-creates) a worker's event
 	// domain: accessible, sized for a full batch, granted the database.
 	domainOpts []core.InitOption
@@ -178,10 +157,8 @@ type worker struct {
 	mb     *proc.Mailbox[*Conn]
 	handle *proc.Handle
 
-	// ctrl is the worker's adaptive batch-bound controller; boundGauge,
-	// when set, mirrors the bound into telemetry.
-	ctrl       *sched.Controller
-	boundGauge *telemetry.Gauge
+	// ctrl is the worker's adaptive batch-bound controller.
+	ctrl *sched.Controller
 
 	// reqs is the worker's native request count. Keeping it per worker
 	// (its own cache line, uncontended) and summing at exposition via a
@@ -226,14 +203,14 @@ func (w *worker) initAllocators(s *Server) {
 		return
 	}
 	w.allocBase = func(size uint64) (mem.Addr, error) {
-		p, err := s.connAllocator.Alloc(w.env.c, size)
+		p, err := s.Alloc(w.curT, size)
 		if err == nil {
 			w.scratchAddrs = append(w.scratchAddrs, p)
 		}
 		return p, err
 	}
 	w.allocDomain = func(size uint64) (mem.Addr, error) {
-		p, err := s.lib.Malloc(w.curT, eventUDI, size)
+		p, err := s.Library().Malloc(w.curT, eventUDI, size)
 		if err == nil {
 			w.scratchAddrs = append(w.scratchAddrs, p)
 		}
@@ -278,12 +255,9 @@ type evState struct {
 // Conn is a client connection. All its simulated-memory state is owned by
 // the worker it is pinned to.
 type Conn struct {
-	id     int
-	w      *worker
-	rbuf   mem.Addr
-	wbuf   mem.Addr
-	ready  bool
-	closed bool
+	id int
+	w  *worker
+	host.ConnBufs
 }
 
 // ID returns the connection id.
@@ -293,51 +267,36 @@ func (c *Conn) ID() int { return c.id }
 // are spawned, and the server is ready for NewConn/Do.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.setDefaults()
-	s := &Server{
-		cfg: cfg,
-		p:   proc.NewProcess("memcached-"+cfg.Variant.String(), proc.WithSeed(cfg.Seed)),
+	// Root memory holds 256 live connections' buffers plus slack; a
+	// baseline's one heap holds the cache as well.
+	rootHeap := uint64(cfg.ConnBufSize)*2*256 + 2<<20
+	h, err := host.New(host.Config{
+		Name:         "memcached-" + cfg.Variant.String(),
+		Seed:         cfg.Seed,
+		Variant:      cfg.Variant,
+		RootHeap:     rootHeap,
+		DomainHeap:   domainHeapSize(cfg),
+		BaselineHeap: cfg.CacheBytes + rootHeap,
+		Telemetry:    cfg.Telemetry,
+		Policy:       cfg.Policy,
+		PressureUDI:  eventUDI,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Variant == VariantSDRaD {
-		rootHeap := uint64(cfg.ConnBufSize)*2*256 + 2<<20 // 256 live conns + slack
-		opts := []core.SetupOption{
-			core.WithRootHeapSize(rootHeap),
-			core.WithDefaultHeapSize(domainHeapSize(cfg)),
-		}
-		if cfg.Telemetry != nil {
-			opts = append(opts, core.WithTelemetry(cfg.Telemetry))
-		}
-		if cfg.Policy != nil {
-			opts = append(opts, core.WithPolicy(cfg.Policy))
-		}
-		lib, err := core.Setup(s.p, opts...)
-		if err != nil {
-			return nil, err
-		}
-		s.lib = lib
-		s.domainOpts = []core.InitOption{core.Accessible(), core.HeapSize(domainHeapSize(cfg)),
-			core.Grant(storageUDI, mem.ProtRW)}
-	} else if cfg.Telemetry != nil {
-		s.p.AddressSpace().SetTelemetry(cfg.Telemetry)
-	}
-	if err := s.p.Attach("init", s.provision); err != nil {
+	s := &Server{Host: h, cfg: cfg,
+		domainOpts: []core.InitOption{core.Accessible(), core.HeapSize(domainHeapSize(cfg)),
+			core.Grant(storageUDI, mem.ProtRW)}}
+	if err := s.Provision(s.provision); err != nil {
 		return nil, fmt.Errorf("memcache: provisioning: %w", err)
 	}
-	if cfg.Variant == VariantSDRaD {
-		if s.cfg.Sched.OnFloorPinned == nil && cfg.Policy != nil {
-			// A controller pinned at the floor by a hot rewind window for a
-			// whole window means batching already shrank the blast radius
-			// to single requests and the event domain is STILL rewinding:
-			// surface it to the policy engine as a backoff signal.
-			eng := cfg.Policy
-			s.cfg.Sched.OnFloorPinned = func(int64) { eng.OnPressure(int(eventUDI)) }
-		}
-	}
+	p := s.Process()
 	for i := 0; i < cfg.Workers; i++ {
 		// The mailbox queues MaxBatch events so pipelining clients can
 		// enqueue a full batch before the worker drains it.
-		w := &worker{idx: i, s: s, mb: proc.NewMailbox[*Conn](s.p, cfg.MaxBatch, cfg.MaxBatch, ErrServerDown),
-			ctrl: sched.NewController(s.cfg.Sched, cfg.MaxBatch)}
-		w.handle = s.p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
+		w := &worker{idx: i, s: s, mb: proc.NewMailbox[*Conn](p, cfg.MaxBatch, cfg.MaxBatch, ErrServerDown),
+			ctrl: s.NewController(cfg.Sched, cfg.MaxBatch)}
+		w.handle = p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
 		s.workers = append(s.workers, w)
 	}
 	if cfg.Telemetry != nil {
@@ -362,8 +321,7 @@ func NewServer(cfg Config) (*Server, error) {
 		bound := reg.GaugeVec("sdrad_sched_batch_bound",
 			"Adaptive drain-batch bound per worker.", "worker")
 		for _, w := range s.workers {
-			w.boundGauge = bound.With(strconv.Itoa(w.idx))
-			w.boundGauge.Set(int64(w.ctrl.Bound()))
+			w.ctrl.SetBoundGauge(bound.With(strconv.Itoa(w.idx)))
 		}
 		wait := reg.CounterVec("sdrad_memcache_shard_lock_wait_ns",
 			"Nanoseconds contended shard-lock acquisitions waited, spinning or parked.", "shard")
@@ -386,73 +344,26 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// provision sets up storage (and, for the hardened build, the shared
-// storage data domain) on the init thread.
+// provision carves the storage arena (Memcached's slab pages) on the
+// init thread: out of a shared storage data domain on the hardened build,
+// out of root memory otherwise.
 func (s *Server) provision(t *proc.Thread) error {
-	as := s.p.AddressSpace()
-	c := t.CPU()
-	switch s.cfg.Variant {
-	case VariantSDRaD:
+	alloc := s.Alloc
+	if lib := s.Library(); lib != nil {
 		// The hash table and database live in a dedicated data domain,
 		// accessible by the nested event domain of each thread (§V-A).
 		heapSz := s.cfg.CacheBytes + 1<<20 // TLSF control + slack
-		if err := s.lib.InitDomain(t, storageUDI, core.AsData(), core.Accessible(), core.HeapSize(heapSz)); err != nil {
+		if err := lib.InitDomain(t, storageUDI, core.AsData(), core.Accessible(), core.HeapSize(heapSz)); err != nil {
 			return err
 		}
-		block, err := s.lib.Malloc(t, storageUDI, s.cfg.CacheBytes)
-		if err != nil {
-			return err
-		}
-		arena := newBumpArena(block, s.cfg.CacheBytes)
-		st, err := NewStorage(c, s.cfg.HashPower, s.cfg.Shards, arena.alloc)
-		if err != nil {
-			return err
-		}
-		st.SetArenaBounds(block, s.cfg.CacheBytes)
-		s.st = st
-	case VariantTLSF:
-		base, err := as.MapAnon(int(s.cfg.CacheBytes+baselineSlack(s.cfg)), mem.ProtRW, 0)
-		if err != nil {
-			return err
-		}
-		h, err := tlsf.Init(c, base, s.cfg.CacheBytes+baselineSlack(s.cfg))
-		if err != nil {
-			return err
-		}
-		s.connAllocator = &tlsfAlloc{h: h}
-		return s.provisionBaselineStorage(c)
-	case VariantVanilla:
-		base, err := as.MapAnon(int(s.cfg.CacheBytes+baselineSlack(s.cfg)), mem.ProtRW, 0)
-		if err != nil {
-			return err
-		}
-		h, err := galloc.Init(c, base, s.cfg.CacheBytes+baselineSlack(s.cfg))
-		if err != nil {
-			return err
-		}
-		s.connAllocator = &gallocAlloc{h: h}
-		return s.provisionBaselineStorage(c)
-	default:
-		return fmt.Errorf("memcache: unknown variant %d", s.cfg.Variant)
+		alloc = func(t *proc.Thread, size uint64) (mem.Addr, error) { return lib.Malloc(t, storageUDI, size) }
 	}
-	return nil
-}
-
-// baselineSlack is the baseline heap headroom beyond the cache limit:
-// connection buffers plus allocator slack.
-func baselineSlack(cfg Config) uint64 {
-	return uint64(cfg.ConnBufSize)*2*256 + 2<<20
-}
-
-// provisionBaselineStorage carves the storage arena out of the variant's
-// allocator (Memcached's slab pages come from malloc).
-func (s *Server) provisionBaselineStorage(c *mem.CPU) error {
-	block, err := s.connAllocator.Alloc(c, s.cfg.CacheBytes)
+	block, err := alloc(t, s.cfg.CacheBytes)
 	if err != nil {
 		return err
 	}
 	arena := newBumpArena(block, s.cfg.CacheBytes)
-	st, err := NewStorage(c, s.cfg.HashPower, s.cfg.Shards, arena.alloc)
+	st, err := NewStorage(t.CPU(), s.cfg.HashPower, s.cfg.Shards, arena.alloc)
 	if err != nil {
 		return err
 	}
@@ -494,26 +405,9 @@ func (w *worker) run(t *proc.Thread) error {
 			}
 			w.take(ev2)
 		}
-		drained := len(w.items)
-		if drained == 1 && w.mb.Len() == 0 && w.ctrl.AtFloor() {
-			// Idle floor fast path: a lone event with nothing queued behind
-			// it cannot move a controller already at bound 1 with a cold
-			// rewind window, so the round skips the clock reads and the
-			// observation — at low load the controller costs one atomic
-			// load per event.
-			s.dispatchBatch(t, w, w.items)
-			w.mb.FinishRound()
-			continue
-		}
-		// The round is observed before its replies go out: a client holding
-		// its reply sees the controller settled, and its next request is
-		// never counted as this round's backlog.
-		t0 := w.ctrl.Now()
+		r := w.ctrl.BeginRound(len(w.items), w.mb.Len)
 		s.dispatchBatch(t, w, w.items)
-		w.ctrl.ObserveRound(w.mb.Len(), drained, w.ctrl.Now()-t0)
-		if w.boundGauge != nil {
-			w.boundGauge.Set(int64(w.ctrl.Bound()))
-		}
+		w.ctrl.EndRound(r, w.mb.Len)
 		w.mb.FinishRound()
 	}
 }
@@ -543,21 +437,18 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 // handleOne is the per-request baseline flow: preflight checks, stage
 // the request in the connection read buffer, run drive_machine.
 func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) proc.Result {
-	if conn.closed {
+	if conn.Closed {
 		return proc.Result{Closed: true, Err: ErrConnClosed}
 	}
 	if len(req) > s.cfg.ConnBufSize {
 		return proc.Result{Err: ErrRequestTooLarge}
 	}
 	w.reqs.Add(1)
-	c := t.CPU()
-	if !conn.ready {
-		if err := s.allocConnBuffers(t, conn); err != nil {
-			return proc.Result{Err: err}
-		}
+	if err := s.open(t, conn); err != nil {
+		return proc.Result{Err: err}
 	}
 	// Network bytes land in the connection's read buffer (root memory).
-	c.Write(conn.rbuf, req)
+	t.CPU().Write(conn.RBuf, req)
 	return s.handleBaseline(t, w, conn, len(req))
 }
 
@@ -573,28 +464,27 @@ func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int)
 	env := &w.env
 	*env = dmEnv{
 		c:            c,
-		rbuf:         conn.rbuf,
+		rbuf:         conn.RBuf,
 		rlen:         rlen,
-		wbuf:         conn.wbuf,
+		wbuf:         conn.WBuf,
 		wcap:         s.cfg.ConnBufSize,
 		allocScratch: w.allocBase,
 		ops:          s.st,
-		rl:           c.SpanLease(conn.rbuf, s.cfg.ConnBufSize, mem.AccessRead),
-		wl:           c.SpanLease(conn.wbuf, s.cfg.ConnBufSize, mem.AccessWrite),
+		rl:           c.SpanLease(conn.RBuf, s.cfg.ConnBufSize, mem.AccessRead),
+		wl:           c.SpanLease(conn.WBuf, s.cfg.ConnBufSize, mem.AccessWrite),
 		reply:        &w.rw,
 		tokens:       env.tokens,
 	}
 	wlen, closeit, err := driveMachine(env)
 	for _, p := range w.scratchAddrs {
-		_ = s.connAllocator.Free(c, p)
+		_ = s.Free(t, p)
 	}
 	if err != nil {
 		return proc.Result{Err: err}
 	}
-	resp := materializeResp(c, env.wl, conn.wbuf, wlen)
-	conn.closed = closeit
+	resp := materializeResp(c, env.wl, conn.WBuf, wlen)
 	if closeit {
-		s.freeConnBuffers(t, conn)
+		s.CloseConn(t, &conn.ConnBufs)
 	}
 	return proc.Result{Resp: resp, Closed: closeit}
 }
@@ -617,20 +507,11 @@ func materializeResp(c *mem.CPU, wl *mem.Lease, wbuf mem.Addr, wlen int) []byte 
 	return c.ReadBytes(wbuf, wlen)
 }
 
-// freeConnBuffers releases a closed connection's buffers.
-func (s *Server) freeConnBuffers(t *proc.Thread, conn *Conn) {
-	if !conn.ready {
-		return
-	}
-	if s.cfg.Variant == VariantSDRaD {
-		_ = s.lib.Free(t, core.RootUDI, conn.rbuf)
-		_ = s.lib.Free(t, core.RootUDI, conn.wbuf)
-	} else {
-		c := t.CPU()
-		_ = s.connAllocator.Free(c, conn.rbuf)
-		_ = s.connAllocator.Free(c, conn.wbuf)
-	}
-	conn.ready = false
+// open gives a connection its buffers in root memory on its first
+// request.
+func (s *Server) open(t *proc.Thread, conn *Conn) error {
+	sz := uint64(s.cfg.ConnBufSize)
+	return s.OpenConn(t, &conn.ConnBufs, sz, sz)
 }
 
 // runHardenedBatch is the paper's Figure 3 flow, amortized over a batch:
@@ -644,6 +525,7 @@ func (s *Server) freeConnBuffers(t *proc.Thread, conn *Conn) {
 // batch, and closes exactly the connections that had a request in it.
 func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) {
 	c := t.CPU()
+	lib := s.Library()
 	w.initAllocators(s)
 	w.curT = t
 	bufSize := uint64(s.cfg.ConnBufSize)
@@ -662,7 +544,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 	for i := range items {
 		states[i] = evState{}
 		conn := items[i].conn
-		if conn.closed {
+		if conn.Closed {
 			states[i].done = true
 			*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
@@ -673,12 +555,10 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			continue
 		}
 		w.reqs.Add(1)
-		if !conn.ready {
-			if err := s.allocConnBuffers(t, conn); err != nil {
-				states[i].done = true
-				*items[i].res = proc.Result{Err: err}
-				continue
-			}
+		if err := s.open(t, conn); err != nil {
+			states[i].done = true
+			*items[i].res = proc.Result{Err: err}
+			continue
 		}
 		live++
 	}
@@ -689,16 +569,16 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 	// re-creates it, both from domainOpts (deep copies of the connection
 	// buffer are made per event; the database itself is shared, as in the
 	// paper).
-	gerr := s.lib.Guard(t, eventUDI, func() error {
+	gerr := lib.Guard(t, eventUDI, func() error {
 		if s.telBatch != nil {
 			s.telBatch.Observe(int64(live))
 		}
 		for len(w.slots) < live {
-			rb, err := s.lib.Malloc(t, eventUDI, bufSize)
+			rb, err := lib.Malloc(t, eventUDI, bufSize)
 			if err != nil {
 				return err
 			}
-			wb, err := s.lib.Malloc(t, eventUDI, bufSize)
+			wb, err := lib.Malloc(t, eventUDI, bufSize)
 			if err != nil {
 				return err
 			}
@@ -721,13 +601,13 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 				continue
 			}
 			conn := items[i].conn
-			c.Write(conn.rbuf, items[i].req)
-			s.lib.Copy(t, w.slots[slot].rbuf, conn.rbuf, len(items[i].req))
+			c.Write(conn.RBuf, items[i].req)
+			lib.Copy(t, w.slots[slot].rbuf, conn.RBuf, len(items[i].req))
 			states[i].slot = slot
 			slot++
 		}
 		// ⑤ enter the domain once, ⑥ drive_machine per item on its copy.
-		if err := s.lib.Enter(t, eventUDI); err != nil {
+		if err := lib.Enter(t, eventUDI); err != nil {
 			return err
 		}
 		// Batch-stable environment fields; the item loop only repoints the
@@ -763,7 +643,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			var derr error
 			states[i].wlen, states[i].closeit, derr = driveMachine(env)
 			for _, p := range w.scratchAddrs {
-				_ = s.lib.Free(t, eventUDI, p)
+				_ = lib.Free(t, eventUDI, p)
 			}
 			if derr != nil {
 				// Internal failure for this item only: its deferred ops
@@ -784,7 +664,7 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			states[i].data = materializeResp(c, &slot.wl, slot.wbuf, states[i].wlen)
 		}
 		// ⑦ exit back to the root domain once.
-		if err := s.lib.Exit(t); err != nil {
+		if err := lib.Exit(t); err != nil {
 			return err
 		}
 		// ⑨ apply the deferred database updates for the whole batch,
@@ -815,15 +695,10 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			// collateral while the rewind window stays hot.
 			w.ctrl.NoteRewind()
 			for i := range items {
-				if states[i].done {
-					continue
+				if !states[i].done {
+					s.CloseConn(t, &items[i].conn.ConnBufs)
+					*items[i].res = proc.Result{Closed: true}
 				}
-				conn := items[i].conn
-				if !conn.closed {
-					conn.closed = true
-					s.freeConnBuffers(t, conn)
-				}
-				*items[i].res = proc.Result{Closed: true}
 			}
 			return
 		}
@@ -850,10 +725,8 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			*items[i].res = proc.Result{Err: states[i].derr}
 			continue
 		}
-		conn := items[i].conn
-		if states[i].closeit && !conn.closed {
-			conn.closed = true
-			s.freeConnBuffers(t, conn)
+		if states[i].closeit {
+			s.CloseConn(t, &items[i].conn.ConnBufs)
 		}
 		*items[i].res = proc.Result{Resp: states[i].data, Closed: states[i].closeit}
 	}
@@ -872,39 +745,25 @@ func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evSta
 		if states[i].done {
 			continue
 		}
-		conn := items[i].conn
+		conn := &items[i].conn.ConnBufs
 		if shedding {
-			if !conn.closed {
-				conn.closed = true
-				s.freeConnBuffers(t, conn)
-				s.shed.Add(1)
-			}
+			s.ShedConn(t, conn)
 			*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
-		s.degraded.Add(1)
+		s.NoteDegraded()
 		req := items[i].req
 		switch {
 		case bytes.HasPrefix(req, []byte("get ")), bytes.HasPrefix(req, []byte("gets ")):
 			*items[i].res = proc.Result{Resp: []byte("END\r\n")}
 		case bytes.HasPrefix(req, []byte("quit")):
-			if !conn.closed {
-				conn.closed = true
-				s.freeConnBuffers(t, conn)
-			}
+			s.CloseConn(t, conn)
 			*items[i].res = proc.Result{Closed: true}
 		default:
 			*items[i].res = proc.Result{Resp: []byte("SERVER_ERROR event domain quarantined\r\n")}
 		}
 	}
 }
-
-// Degraded reports how many requests were answered on the quarantine
-// degraded path.
-func (s *Server) Degraded() int64 { return s.degraded.Load() }
-
-// Shed reports how many connections were closed by load shedding.
-func (s *Server) Shed() int64 { return s.shed.Load() }
 
 // closedEarlierInBatch reports whether an earlier live item of the
 // current batch closed item i's connection (quit command).
@@ -918,35 +777,6 @@ func closedEarlierInBatch(items []batchItem, states []evState, i int) bool {
 	return false
 }
 
-// allocConnBuffers provisions a connection's buffers in root memory.
-func (s *Server) allocConnBuffers(t *proc.Thread, conn *Conn) error {
-	sz := uint64(s.cfg.ConnBufSize)
-	if s.cfg.Variant == VariantSDRaD {
-		rb, err := s.lib.Malloc(t, core.RootUDI, sz)
-		if err != nil {
-			return err
-		}
-		wb, err := s.lib.Malloc(t, core.RootUDI, sz)
-		if err != nil {
-			return err
-		}
-		conn.rbuf, conn.wbuf = rb, wb
-	} else {
-		c := t.CPU()
-		rb, err := s.connAllocator.Alloc(c, sz)
-		if err != nil {
-			return err
-		}
-		wb, err := s.connAllocator.Alloc(c, sz)
-		if err != nil {
-			return err
-		}
-		conn.rbuf, conn.wbuf = rb, wb
-	}
-	conn.ready = true
-	return nil
-}
-
 // InlineDo serves one request synchronously on an inline worker thread
 // created by RunInline.
 type InlineDo func(conn *Conn, req []byte) (resp []byte, closed bool, err error)
@@ -958,8 +788,8 @@ type InlineDo func(conn *Conn, req []byte) (resp []byte, closed bool, err error)
 // the one the event loop uses. Connections passed to the returned InlineDo
 // must have been created by the NewConn method of this call's handle.
 func (s *Server) RunInline(name string, body func(newConn func() *Conn, do InlineDo) error) error {
-	w := &worker{idx: -1, s: s, ctrl: sched.NewController(s.cfg.Sched, s.cfg.MaxBatch)}
-	h := s.p.Spawn(name, func(t *proc.Thread) error {
+	w := &worker{idx: -1, s: s, ctrl: s.NewController(s.cfg.Sched, s.cfg.MaxBatch)}
+	h := s.Process().Spawn(name, func(t *proc.Thread) error {
 		newConn := func() *Conn {
 			return &Conn{id: int(s.connIDs.Add(1)), w: w}
 		}
@@ -1031,52 +861,12 @@ func (c *Conn) Inspect(fn func(t *proc.Thread) error) error {
 	return c.w.mb.Inspect(fn)
 }
 
-// Stop shuts the server down and waits for the workers.
-func (s *Server) Stop() {
-	s.p.Shutdown()
-	s.p.Wait()
-}
-
-// Crashed reports whether the server process died (baseline under
-// attack) and the recorded cause.
-func (s *Server) Crashed() (bool, error) {
-	if !s.p.Killed() {
-		return false, nil
-	}
-	return s.p.ExitError() != nil, s.p.ExitError()
-}
-
-// Rewinds reports how many abnormal domain exits the server recovered (0
-// for the baselines).
-func (s *Server) Rewinds() int64 {
-	if s.lib == nil {
-		return 0
-	}
-	return s.lib.Stats().Rewinds.Load()
-}
-
-// MappedBytes is the resident-set-size analog: bytes of simulated memory
-// currently mapped by the server process.
-func (s *Server) MappedBytes() int64 {
-	return s.p.AddressSpace().Stats().MappedBytes.Load()
-}
-
 // StorageStats returns cache statistics.
 func (s *Server) StorageStats() StorageStats { return s.st.Stats() }
 
 // Storage exposes the shared database, for invariant audits (run it on
 // the owning worker thread via Conn.Inspect).
 func (s *Server) Storage() *Storage { return s.st }
-
-// Process exposes the simulated process (tests, benchmarks).
-func (s *Server) Process() *proc.Process { return s.p }
-
-// Library exposes the SDRaD library of the hardened build (nil
-// otherwise).
-func (s *Server) Library() *core.Library { return s.lib }
-
-// Variant returns the build variant.
-func (s *Server) Variant() Variant { return s.cfg.Variant }
 
 // SchedSnapshots returns each worker's adaptive-controller snapshot.
 func (s *Server) SchedSnapshots() []sched.Snapshot {

@@ -784,6 +784,13 @@ func (st *Storage) peek(c *mem.CPU, key []byte, withValue bool) (value []byte, f
 	return value, uint32(v.u64(it + itemOffFlags)), v.u64(it + itemOffCAS), true
 }
 
+// countSet counts, in key's shard, a store attempt that stored nothing.
+func (st *Storage) countSet(key []byte) {
+	sh := st.lockShard(hashKey(key))
+	sh.sets++
+	sh.mu.Unlock()
+}
+
 // Touch marks an item active, as a hit does (expiry is not simulated).
 func (st *Storage) Touch(c *mem.CPU, key []byte) bool {
 	v := st.view(c)

@@ -389,18 +389,21 @@ func (e *Engine) OnPressure(udi int) Decision {
 
 // backoffHold computes the exponential hold-off for escalation step.
 func (e *Engine) backoffHold(step int) int64 {
-	hold := int64(e.cfg.BackoffBase)
-	max := int64(e.cfg.BackoffMax)
+	return HoldOff(e.cfg.BackoffBase, e.cfg.BackoffMax, step)
+}
+
+// HoldOff is the exponential hold-off for escalation step (1-based):
+// base doubled step-1 times, capped at max. The engine's backoff and the
+// router's backend demotion both use it.
+func HoldOff(base, max time.Duration, step int) int64 {
+	hold, ceil := int64(base), int64(max)
 	for i := 1; i < step; i++ {
 		hold <<= 1
-		if hold >= max || hold <= 0 {
-			return max
+		if hold >= ceil || hold <= 0 {
+			return ceil
 		}
 	}
-	if hold > max {
-		return max
-	}
-	return hold
+	return min(hold, ceil)
 }
 
 // Admit is the per-scope consultation: the monitor calls it once before

@@ -15,6 +15,10 @@
 // is hot — the "Unlimited Lives" rewind-rate signal applied to blast
 // radius instead of admission.
 //
+// A worker brackets each drain round with BeginRound and EndRound; the
+// pair holds the idle-floor fast path, the round's clock reads and the
+// bound-gauge mirror, so no server loop repeats them.
+//
 // placement.go keeps the connection-placement scorer only because
 // benchmark/ times it (sched.placement_pick_ns); no server calls it.
 // Both go in the next PR that is allowed to edit the benchmark.
@@ -23,6 +27,8 @@ package sched
 import (
 	"sync/atomic"
 	"time"
+
+	"sdrad/internal/telemetry"
 )
 
 // Config carries the controller's wiring and test seams. The zero value
@@ -56,6 +62,7 @@ type Controller struct {
 	cfg      Config
 	maxBatch int
 	bound    atomic.Int64
+	gauge    *telemetry.Gauge // mirrors the bound after each observed round; nil = none
 
 	// Worker-goroutine-owned state.
 	idle       int
@@ -90,16 +97,52 @@ func NewController(cfg Config, maxBatch int) *Controller {
 // Bound returns the current batch bound in [1, maxBatch].
 func (c *Controller) Bound() int { return int(c.bound.Load()) }
 
-// Now reads the controller clock (the worker uses it to time rounds so
-// manual-clock runs stay deterministic).
-func (c *Controller) Now() int64 { return c.cfg.Clock() }
-
 // AtFloor reports that the controller sits at bound 1 with an empty
-// rewind window — the state a lone idle request cannot move, which lets
-// the worker skip the round observation entirely. Call it from the
-// owning worker goroutine (it reads the window).
+// rewind window — the state a lone idle request cannot move. Call it from
+// the owning worker goroutine (it reads the window).
 func (c *Controller) AtFloor() bool {
 	return c.bound.Load() == 1 && len(c.rewinds) == 0
+}
+
+// SetBoundGauge mirrors the bound into g, now and after every observed
+// round.
+func (c *Controller) SetBoundGauge(g *telemetry.Gauge) {
+	c.gauge = g
+	g.Set(c.bound.Load())
+}
+
+// Round is one drain round between BeginRound and EndRound.
+type Round struct {
+	start   int64 // controller clock at BeginRound; -1 = not observed
+	drained int
+}
+
+// BeginRound opens a round of drained requests; backlog reports how many
+// more are queued behind them. A lone request with nothing behind it
+// cannot move a controller at bound 1 with a cold rewind window, so that
+// round skips the clock reads and the observation: at low load the
+// controller costs an atomic load per event. backlog is read only when
+// the answer matters — for a mailbox it is a load of a line the clients
+// write. Call it from the owning worker goroutine (it reads the window).
+func (c *Controller) BeginRound(drained int, backlog func() int) Round {
+	if drained == 1 && c.AtFloor() && backlog() == 0 {
+		return Round{start: -1}
+	}
+	return Round{start: c.cfg.Clock(), drained: drained}
+}
+
+// EndRound observes r with backlog() requests queued after it. A worker
+// ends the round before it delivers the replies: a client holding its
+// reply sees the controller settled, and its next request is never
+// counted as this round's backlog.
+func (c *Controller) EndRound(r Round, backlog func() int) {
+	if r.start < 0 {
+		return
+	}
+	c.ObserveRound(backlog(), r.drained, c.cfg.Clock()-r.start)
+	if c.gauge != nil {
+		c.gauge.Set(c.bound.Load())
+	}
 }
 
 // now reads the clock with a monotonic clamp, as policy.Engine does.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sdrad/internal/policy"
+	"sdrad/internal/telemetry"
 )
 
 func manualController(t *testing.T, maxBatch int) (*Controller, *policy.ManualClock) {
@@ -208,5 +209,49 @@ func TestControllerIdleCollapseAloneDoesNotFloorPin(t *testing.T) {
 	}
 	if fired != 0 {
 		t.Fatalf("OnFloorPinned fired %d times on a rewind-free idle worker", fired)
+	}
+}
+
+func TestRoundPair(t *testing.T) {
+	clk, reads, polls := int64(time.Hour), 0, 0
+	none := func() int { polls++; return 0 }
+	c := NewController(Config{Clock: func() int64 { reads++; return clk }}, 16)
+	g := telemetry.NewRegistry().Gauge("bound", "")
+	c.SetBoundGauge(g)
+	if g.Value() != 16 {
+		t.Fatalf("gauge = %d after SetBoundGauge, want the bound 16", g.Value())
+	}
+	// Lone idle rounds walk the bound to the floor, and the gauge follows
+	// every observed round.
+	for c.Bound() > 1 {
+		r := c.BeginRound(1, none)
+		clk += int64(time.Millisecond)
+		c.EndRound(r, none)
+		if g.Value() != int64(c.Bound()) {
+			t.Fatalf("gauge = %d, bound %d", g.Value(), c.Bound())
+		}
+	}
+	// At the floor a lone request with nothing behind it reads no clock.
+	// It polls the backlog once, to learn that nothing is behind it.
+	reads, polls = 0, 0
+	c.EndRound(c.BeginRound(1, none), none)
+	if reads != 0 || polls != 1 {
+		t.Fatalf("idle floor round read the clock %d times and the backlog %d times, want 0 and 1", reads, polls)
+	}
+	// Anything behind it, or a second request, is observed: two reads
+	// time the round and ObserveRound takes one for the window.
+	for _, r := range [][2]int{{1, 1}, {2, 0}} {
+		reads = 0
+		backlog := func() int { return r[1] }
+		c.EndRound(c.BeginRound(r[0], backlog), backlog)
+		if reads != 3 {
+			t.Fatalf("round of %d with backlog %d read the clock %d times, want 3", r[0], r[1], reads)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		backlog := func() int { return 1 }
+		c.EndRound(c.BeginRound(2, backlog), backlog)
+	}); n != 0 {
+		t.Fatalf("an observed round allocates %v times", n)
 	}
 }
