@@ -56,14 +56,19 @@ monitor-admits:
 		| grep -v -e '^internal/core/' -e '^internal/policy/'; then \
 		echo "only internal/core admits a guard scope: call Guard and handle *core.QuarantineError"; exit 1; fi
 
-# What a build variant decides about memory is decided in internal/host:
-# the servers get root memory, connection buffers and the SDRaD library
-# from it and never pick an allocator or set the library up themselves.
+# What a build variant decides is decided in internal/host: the servers
+# get root memory, connection buffers, data domains, guard scopes and the
+# SDRaD library from it, never pick an allocator or set the library up
+# themselves, and never compare against a variant — each runs one request
+# flow, in which the library (nil on a baseline) gates the hardened steps.
 one-host:
-	@if grep -rn --include='*.go' --exclude='*_test.go' \
-		-e '"sdrad/internal/galloc"' -e '"sdrad/internal/tlsf"' -e 'core\.Setup(' \
+	@if grep -rnE --include='*.go' --exclude='*_test.go' \
+		-e '"sdrad/internal/(galloc|tlsf)"' -e 'core\.Setup\(' -e 'InitDomain\(' \
+		-e '[!=]=[[:space:]]*(Variant|host\.)(Vanilla|TLSF|SDRaD)\b' \
+		-e '\b(Variant|host\.)(Vanilla|TLSF|SDRaD)[[:space:]]*[!=]=' \
+		-e 'case[[:space:]]+(Variant|host\.)(Vanilla|TLSF|SDRaD)\b' \
 		internal/memcache internal/httpd; then \
-		echo "memcache and httpd get their memory from internal/host: use Host.Alloc/OpenConn, not an allocator or core.Setup"; exit 1; fi
+		echo "memcache and httpd get their memory and scopes from internal/host (Alloc, OpenConn, DataDomain, Scope) and run one request flow: no allocator, core.Setup, InitDomain or variant comparison"; exit 1; fi
 
 # A single fixed-seed round of every chaos campaign, as the smoke test runs.
 chaos-smoke:

@@ -30,7 +30,7 @@ import (
 func runSchedCampaign(cfg Config, r *Report) error {
 	const maxBatch = 16
 	clk := &policy.ManualClock{}
-	w, s, err := newMemcache(cfg, r, memcache.Config{MaxBatch: maxBatch, Sched: sched.Config{Clock: clk.Now}})
+	w, s, err := newMemcache(cfg, r, memcache.Config{MaxBatch: maxBatch, Clock: clk.Now})
 	if err != nil {
 		return err
 	}

@@ -3,11 +3,12 @@
 // same three builds (Figures 4 and 5): a glibc-like vanilla allocator,
 // TLSF, and SDRaD. A Host owns everything that differs between those
 // builds and nothing else: the process, the SDRaD library on the
-// hardened build, the baseline heap otherwise, root-memory allocation,
-// the connection-buffer lifecycle, and the degraded and shed counters.
-// internal/memcache and internal/httpd embed it and keep only their
-// protocol code, so this package is the one place that switches on the
-// variant for memory.
+// hardened build, the baseline heap otherwise, allocation on a domain's
+// heap, data domains, guard scopes, the connection-buffer lifecycle, and
+// the degraded and shed counters. internal/memcache and internal/httpd
+// embed it and keep only their protocol code and one request flow each,
+// so this package is the one place that switches on the variant for
+// memory.
 package host
 
 import (
@@ -162,25 +163,47 @@ func (h *Host) mapHeap(c *mem.CPU) error {
 	return err
 }
 
-// Alloc allocates size bytes of root memory: from the root domain on the
-// hardened build, from the baseline heap otherwise.
-func (h *Host) Alloc(t *proc.Thread, size uint64) (mem.Addr, error) {
+// Alloc allocates size bytes from domain udi's heap on the hardened build
+// (core.RootUDI is root memory), and from the baseline heap otherwise: a
+// baseline has no domains, so every udi names its one heap.
+func (h *Host) Alloc(t *proc.Thread, udi core.UDI, size uint64) (mem.Addr, error) {
 	if h.lib != nil {
-		return h.lib.Malloc(t, core.RootUDI, size)
+		return h.lib.Malloc(t, udi, size)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.heap.Alloc(t.CPU(), size)
 }
 
-// Free releases root memory Alloc returned.
-func (h *Host) Free(t *proc.Thread, addr mem.Addr) error {
+// Free releases memory Alloc returned for the same udi.
+func (h *Host) Free(t *proc.Thread, udi core.UDI, addr mem.Addr) error {
 	if h.lib != nil {
-		return h.lib.Free(t, core.RootUDI, addr)
+		return h.lib.Free(t, udi, addr)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.heap.Free(t.CPU(), addr)
+}
+
+// DataDomain creates data domain udi with a heap of heap bytes, accessible
+// from every execution domain, on the hardened build. A baseline has no
+// domains: it does nothing, and Alloc on udi carves the baseline heap.
+func (h *Host) DataDomain(t *proc.Thread, udi core.UDI, heap uint64) error {
+	if h.lib == nil {
+		return nil
+	}
+	return h.lib.InitDomain(t, udi, core.AsData(), core.Accessible(), core.HeapSize(heap))
+}
+
+// Scope runs body in a guard scope over domain udi on the hardened build
+// (the first scope, and the first after a rewind, creates the domain from
+// opts). On a baseline it is a plain call: there is no recovery point, and
+// a trap in body kills the process.
+func (h *Host) Scope(t *proc.Thread, udi core.UDI, body func() error, opts ...core.InitOption) error {
+	if h.lib == nil {
+		return body()
+	}
+	return h.lib.Guard(t, udi, body, opts...)
 }
 
 // ConnBufs is one client connection's read and write buffers in root
@@ -202,11 +225,11 @@ func (h *Host) OpenConn(t *proc.Thread, b *ConnBufs, rsize, wsize uint64) error 
 }
 
 func (h *Host) openConn(t *proc.Thread, b *ConnBufs, rsize, wsize uint64) error {
-	rb, err := h.Alloc(t, rsize)
+	rb, err := h.Alloc(t, core.RootUDI, rsize)
 	if err != nil {
 		return err
 	}
-	wb, err := h.Alloc(t, wsize)
+	wb, err := h.Alloc(t, core.RootUDI, wsize)
 	if err != nil {
 		return err
 	}
@@ -222,8 +245,8 @@ func (h *Host) CloseConn(t *proc.Thread, b *ConnBufs) bool {
 	}
 	b.Closed = true
 	if b.ready {
-		_ = h.Free(t, b.RBuf)
-		_ = h.Free(t, b.WBuf)
+		_ = h.Free(t, core.RootUDI, b.RBuf)
+		_ = h.Free(t, core.RootUDI, b.WBuf)
 		b.ready = false
 	}
 	return true
@@ -247,14 +270,15 @@ func (h *Host) Degraded() int64 { return h.degraded.Load() }
 // Shed reports how many connections load shedding closed.
 func (h *Host) Shed() int64 { return h.shed.Load() }
 
-// NewController builds a worker's drain-bound controller. On the hardened
-// build with a policy engine attached, a controller pinned at the floor
-// by a hot rewind window for a whole window means batching already shrank
-// the blast radius to single requests and the domain is STILL rewinding:
-// unless cfg has its own hook, that reaches the engine as pressure on
-// PressureUDI.
-func (h *Host) NewController(cfg sched.Config, maxBatch int) *sched.Controller {
-	if cfg.OnFloorPinned == nil && h.lib != nil && h.cfg.Policy != nil {
+// NewController builds a worker's drain-bound controller on clock (nil
+// reads the wall clock). On the hardened build with a policy engine
+// attached, a controller pinned at the floor by a hot rewind window for a
+// whole window means batching already shrank the blast radius to single
+// requests and the domain is STILL rewinding: that reaches the engine as
+// pressure on PressureUDI.
+func (h *Host) NewController(clock func() int64, maxBatch int) *sched.Controller {
+	cfg := sched.Config{Clock: clock}
+	if h.lib != nil && h.cfg.Policy != nil {
 		eng, udi := h.cfg.Policy, int(h.cfg.PressureUDI)
 		cfg.OnFloorPinned = func(int64) { eng.OnPressure(udi) }
 	}

@@ -1,13 +1,13 @@
 package host
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"sdrad/internal/core"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
-	"sdrad/internal/sched"
 )
 
 var variants = []Variant{Vanilla, TLSF, SDRaD}
@@ -111,7 +111,7 @@ func TestFloorPinReachesPolicyOnHardenedBuildOnly(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			clk := int64(time.Hour)
 			eng := policy.New(policy.Config{Clock: func() int64 { return clk }})
-			c := newHost(t, v, eng).NewController(sched.Config{Clock: func() int64 { return clk }}, 16)
+			c := newHost(t, v, eng).NewController(func() int64 { return clk }, 16)
 			// Rewinds every 100 ms pin the bound at 1 for over a window.
 			for i := 0; i < 25; i++ {
 				c.NoteRewind()
@@ -124,6 +124,50 @@ func TestFloorPinReachesPolicyOnHardenedBuildOnly(t *testing.T) {
 			pressured := len(snap) == 1 && snap[0].UDI == 1 && snap[0].State == policy.StateBackoff.String()
 			if pressured != (v == SDRaD) {
 				t.Errorf("policy state after floor pins: %+v", snap)
+			}
+		})
+	}
+}
+
+// TestDomainsOnlyOnTheHardenedBuild holds the host's domain calls to one
+// meaning per build: DataDomain, a udi's heap and a Scope are the SDRaD
+// library's on the hardened build, and on a baseline a no-op, the one
+// heap and a plain call.
+func TestDomainsOnlyOnTheHardenedBuild(t *testing.T) {
+	for _, v := range variants {
+		t.Run(v.String(), func(t *testing.T) {
+			h := newHost(t, v, nil)
+			err := h.Provision(func(th *proc.Thread) error {
+				if err := h.DataDomain(th, 9, 64<<10); err != nil {
+					return err
+				}
+				p, err := h.Alloc(th, 9, 128)
+				if err != nil {
+					return err
+				}
+				if err := h.Free(th, 9, p); err != nil {
+					return err
+				}
+				ran := 0
+				want := errors.New("body error")
+				err = h.Scope(th, 1, func() error {
+					ran++
+					q, err := h.Alloc(th, 1, 64)
+					if err != nil {
+						return err
+					}
+					if err := h.Free(th, 1, q); err != nil {
+						return err
+					}
+					return want
+				}, core.Accessible())
+				if ran != 1 || err != want {
+					t.Errorf("Scope ran body %d times, returned %v", ran, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sdrad/internal/policy"
-	"sdrad/internal/sched"
 	"sdrad/internal/telemetry"
 )
 
@@ -519,7 +518,7 @@ func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
 	m, err := NewMaster(Config{
 		Variant: VariantSDRaD,
 		Files:   testFiles,
-		Sched:   sched.Config{Clock: clk.Now},
+		Clock:   clk.Now,
 		Policy:  eng,
 	})
 	if err != nil {
@@ -579,7 +578,7 @@ func TestParserHeldOffAnswers503(t *testing.T) {
 		Variant: VariantSDRaD,
 		Workers: 2,
 		Files:   testFiles,
-		Sched:   sched.Config{Clock: clk.Now},
+		Clock:   clk.Now,
 		Policy:  eng,
 	})
 	if err != nil {
@@ -714,6 +713,28 @@ func TestStoppedMasterIsCollectable(t *testing.T) {
 		if after := heapInuse(true); after > before+8<<20 {
 			t.Errorf("HeapInuse %d MiB before the master, %d MiB after Stop and one GC: a stopped worker is still reachable",
 				before>>20, after>>20)
+		}
+	})
+}
+
+// TestRequestCountAgreesAcrossBuilds pins where a request is counted: a
+// pipeline whose second request asks to close counts the two requests
+// answered before the close on every build, not the ones behind it.
+func TestRequestCountAgreesAcrossBuilds(t *testing.T) {
+	allVariants(t, func(t *testing.T, v Variant) {
+		rec := telemetry.New(telemetry.Options{})
+		m, err := NewMaster(Config{Variant: v, Files: testFiles, Telemetry: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Stop)
+		get := FormatRequest("/index.html", true)
+		res := m.Worker(0).NewConn().DoPipeline([][]byte{get, FormatRequest("/index.html", false), get, get})
+		if !res[1].Closed || res[2].Err != ErrConnClosed || res[3].Err != ErrConnClosed {
+			t.Fatalf("pipeline results: %+v", res)
+		}
+		if got := rec.Registry().SnapshotJSON()["sdrad_http_requests_total"]; got != int64(2) {
+			t.Errorf("sdrad_http_requests_total = %v, want 2", got)
 		}
 	})
 }

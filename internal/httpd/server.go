@@ -57,11 +57,10 @@ type Config struct {
 	// each event to the controller's live bound (grown under load,
 	// shrunk while the rewind window is hot).
 	MaxBatch int
-	// Sched carries the batch-bound controller's wiring: a clock (test
-	// seam) and the floor-pin hook. The controller itself is not optional;
-	// the zero value is the default, with floor pins fed to Policy when
-	// one is attached.
-	Sched sched.Config
+	// Clock is the batch-bound controller's clock in nanoseconds (nil
+	// reads the wall clock); tests install a manual one so every
+	// rewind-window decision is deterministic.
+	Clock func() int64
 	// VerifyClientCerts enables X.509 client-certificate checking of the
 	// X-Client-Cert request header — the paper's §V-C integration, where
 	// NGINX is compiled against the isolated OpenSSL verification API.
@@ -215,7 +214,7 @@ type Worker struct {
 	certBuf   mem.Addr            // baselines: certificate staging buffer
 }
 
-// reqState is runHardenedBatch's per-request scratch.
+// reqState is serveChunk's per-request scratch.
 type reqState struct {
 	done   bool // result decided before the guard ran (preflight failure)
 	perr   error
@@ -255,7 +254,7 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 		Host:       h,
 		idx:        idx,
 		cfg:        cfg,
-		ctrl:       h.NewController(cfg.Sched, cfg.MaxBatch),
+		ctrl:       h.NewController(cfg.Clock, cfg.MaxBatch),
 		parserOpts: []core.InitOption{core.Accessible(), core.Grant(poolUDI, mem.ProtRW)},
 	}
 	if cfg.Telemetry != nil {
@@ -313,15 +312,10 @@ func (w *Worker) provision(t *proc.Thread) error {
 	// domain or allocator metadata, not application data. The hardened
 	// build keeps pools in a dedicated data domain (paper §V-B); a
 	// baseline carves it from the worker heap.
-	alloc := w.Alloc
-	if lib := w.Library(); lib != nil {
-		if err := lib.InitDomain(t, poolUDI, core.AsData(), core.Accessible(),
-			core.HeapSize(w.cfg.PoolSize+64*1024)); err != nil {
-			return err
-		}
-		alloc = func(t *proc.Thread, size uint64) (mem.Addr, error) { return lib.Malloc(t, poolUDI, size) }
+	if err := w.DataDomain(t, poolUDI, w.cfg.PoolSize+64*1024); err != nil {
+		return err
 	}
-	poolBlock, err := alloc(t, w.cfg.PoolSize)
+	poolBlock, err := w.Alloc(t, poolUDI, w.cfg.PoolSize)
 	if err != nil {
 		return err
 	}
@@ -335,7 +329,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 			return err
 		}
 		w.certStack = stack.New(base, 64*1024, p.Rand64())
-		buf, err := w.Alloc(t, maxCertSize)
+		buf, err := w.Alloc(t, core.RootUDI, maxCertSize)
 		if err != nil {
 			return err
 		}
@@ -351,7 +345,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 	sort.Strings(paths)
 	for _, path := range paths {
 		size := w.cfg.Files[path]
-		addr, err := w.Alloc(t, uint64(size)+1)
+		addr, err := w.Alloc(t, core.RootUDI, uint64(size)+1)
 		if err != nil {
 			return err
 		}
@@ -420,60 +414,19 @@ func (w *Worker) Inspect(fn func(t *proc.Thread) error) error {
 func (w *Worker) SchedSnapshot() sched.Snapshot { return w.ctrl.Snapshot() }
 
 // serve handles one client event: a pipelined batch, or a plain request
-// as a batch of one. Baselines have no guard cost to amortize and run
-// the requests back to back. The hardened build cuts the event into
-// chunks of the controller's live bound, each chunk one guard scope (one
-// context save, one recovery point), so a rewind while the window is hot
-// discards less of the pipeline; the bound regrows between chunks under
-// sustained depth.
+// as a batch of one, cut into chunks of the controller's live bound. On
+// the hardened build each chunk is one guard scope (one context save, one
+// recovery point), so a rewind while the window is hot discards less of
+// the pipeline; the bound regrows between chunks under sustained depth.
 func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) {
-	if w.cfg.Variant != VariantSDRaD {
-		for i, req := range reqs {
-			results[i] = w.handleRequest(t, conn, req)
-		}
-		return
-	}
 	for off := 0; off < len(reqs); {
 		end := min(off+w.ctrl.Bound(), len(reqs))
 		backlog := func() int { return len(reqs) - end }
 		r := w.ctrl.BeginRound(end-off, backlog)
-		w.runHardenedBatch(t, conn, reqs[off:end], results[off:end])
+		w.serveChunk(t, conn, reqs[off:end], results[off:end])
 		w.ctrl.EndRound(r, backlog)
 		off = end
 	}
-}
-
-// handleRequest is the baselines' sequential per-request flow.
-func (w *Worker) handleRequest(t *proc.Thread, conn *Conn, reqBytes []byte) proc.Result {
-	if conn.Closed {
-		return proc.Result{Closed: true, Err: ErrConnClosed}
-	}
-	if len(reqBytes) > w.cfg.ConnBufSize {
-		return proc.Result{Err: ErrTooLarge}
-	}
-	w.reqs.Add(1)
-	c := t.CPU()
-	if err := w.open(t, conn); err != nil {
-		return proc.Result{Err: err}
-	}
-	c.Write(conn.RBuf, reqBytes)
-
-	var req Request
-	env := &parserEnv{c: c, buf: conn.RBuf, blen: len(reqBytes), pool: w.pool}
-	hdrOff, perr := parseRequestLine(env, &req)
-	if perr == nil {
-		perr = parseHeaders(env, &req, hdrOff)
-	}
-	w.pool.Reset(c)
-	status := ""
-	if perr == nil && w.cfg.VerifyClientCerts {
-		var closed bool
-		status, closed = w.checkClientCert(t, conn, &req)
-		if closed {
-			return proc.Result{Closed: true}
-		}
-	}
-	return w.respond(t, conn, &req, perr, status)
 }
 
 // maxCertSize bounds the client certificates the server accepts.
@@ -531,16 +484,19 @@ func DecodeCertHeader(v string) []byte {
 	return []byte(strings.ReplaceAll(v, "|", "\n"))
 }
 
-// runHardenedBatch parses every request of one chunk of a client event
-// inside ONE guard scope, in the persistent parser domain, on a copy of
-// the request bytes: each request enters the domain once (request line
-// and headers under one Enter/Exit), and the context save and the
-// recovery point are established once for the chunk. An abnormal
-// exit anywhere rewinds once, discards the whole in-flight chunk, and
-// closes the connection — the paper's single-event rewind semantics,
-// which the chunk of one is exactly.
-func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) []proc.Result {
-	lib := w.Library()
+// serveChunk is the one request flow every build runs: it parses every
+// request of one chunk of a client event, then answers them in order. The
+// build decides only which steps run. The hardened build parses inside ONE
+// guard scope, in the persistent parser domain, on a copy of the request
+// bytes: each request enters the domain once (request line and headers
+// under one Enter/Exit), and the context save and the recovery point are
+// established once for the chunk. An abnormal exit anywhere rewinds once,
+// discards the whole in-flight chunk, and closes the connection — the
+// paper's single-event rewind semantics, which the chunk of one is
+// exactly. A baseline skips steps ④, ⑤ and ⑦ and parses in place on the
+// connection buffer, where a trap kills the worker process.
+func (w *Worker) serveChunk(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) {
+	lib := w.Library() // nil on a baseline
 	c := t.CPU()
 	if cap(w.scratch) < len(reqs) {
 		w.scratch = make([]reqState, len(reqs))
@@ -557,25 +513,25 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			rs[i].done = true
 			results[i] = proc.Result{Err: ErrTooLarge}
 		default:
-			w.reqs.Add(1)
 			live++
 		}
 	}
 	if live == 0 {
-		return results
+		return
 	}
 	// The persistent parser domain: the first scope creates it and a scope
 	// after a rewind re-creates it, both from parserOpts; its recovery
 	// point is re-established per chunk (the paper saves the first parser
 	// entry point as the rewind context).
-	gerr := lib.Guard(t, parserUDI, func() error {
+	gerr := w.Scope(t, parserUDI, func() error {
 		// Connection buffers are allocated only once the scope is
 		// admitted: the degraded path allocates nothing.
 		if err := w.open(t, conn); err != nil {
 			return err
 		}
-		if w.parseBuf == 0 {
-			buf, err := lib.Malloc(t, parserUDI, uint64(w.cfg.ConnBufSize))
+		if lib != nil && w.parseBuf == 0 {
+			// ④ the parser domain's request copy, once per domain.
+			buf, err := w.Alloc(t, parserUDI, uint64(w.cfg.ConnBufSize))
 			if err != nil {
 				return err
 			}
@@ -585,20 +541,27 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			if rs[i].done {
 				continue
 			}
-			// Stage through the connection read buffer (a pipelined
-			// connection reuses it per request) and copy into the domain.
+			// Stage through the connection read buffer: a pipelined
+			// connection reuses it per request.
 			c.Write(conn.RBuf, req)
-			lib.Copy(t, w.parseBuf, conn.RBuf, len(req))
-			env := &parserEnv{c: c, buf: w.parseBuf, blen: len(req), pool: w.pool}
-			if err := lib.Enter(t, parserUDI); err != nil {
-				return err
+			env := &parserEnv{c: c, buf: conn.RBuf, blen: len(req), pool: w.pool}
+			if lib != nil {
+				// ④ copy into the parser domain, ⑤ enter it.
+				lib.Copy(t, w.parseBuf, conn.RBuf, len(req))
+				env.buf = w.parseBuf
+				if err := lib.Enter(t, parserUDI); err != nil {
+					return err
+				}
 			}
 			hdrOff, perr := parseRequestLine(env, &rs[i].parsed)
 			if perr == nil {
 				perr = parseHeaders(env, &rs[i].parsed, hdrOff)
 			}
-			if err := lib.Exit(t); err != nil {
-				return err
+			if lib != nil {
+				// ⑦ exit back to the root domain.
+				if err := lib.Exit(t); err != nil {
+					return err
+				}
 			}
 			w.pool.Reset(c)
 			rs[i].perr = perr
@@ -616,20 +579,23 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			w.pool.Reset(c)
 			w.ctrl.NoteRewind()
 			w.CloseConn(t, &conn.ConnBufs)
-			return setLive(rs, results, proc.Result{Closed: true})
+			setLive(rs, results, proc.Result{Closed: true})
+			return
 		}
 		var qe *core.QuarantineError
 		if errors.As(gerr, &qe) {
 			// Resilience-policy admission, one decision for the whole
 			// chunk: a held-off or quarantined parser runs nothing, and
 			// every live request gets the degraded response.
-			return w.degradeLive(t, conn, rs, results, qe.State, qe.RetryAfterNs)
+			w.degradeLive(t, conn, rs, results, qe.State, qe.RetryAfterNs)
+			return
 		}
-		return setLive(rs, results, proc.Result{Err: gerr})
+		setLive(rs, results, proc.Result{Err: gerr})
+		return
 	}
-	// Respond in batch order. A response that closes the connection
+	// Respond in chunk order. A response that closes the connection
 	// (Connection: close, or a certificate-verifier rewind) closes it for
-	// the requests behind it, exactly as in the sequential flow.
+	// the requests behind it, exactly as if they were issued after it.
 	for i := range reqs {
 		if rs[i].done {
 			continue
@@ -638,6 +604,11 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 			results[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
+		// The one point a request is counted: it is answered on an open
+		// connection from a completed scope. A request behind a close,
+		// one answered on the degraded path and one discarded by a rewind
+		// are not counted.
+		w.reqs.Add(1)
 		status := ""
 		if rs[i].perr == nil && w.cfg.VerifyClientCerts {
 			var closed bool
@@ -649,22 +620,20 @@ func (w *Worker) runHardenedBatch(t *proc.Thread, conn *Conn, reqs [][]byte, res
 		}
 		results[i] = w.respond(t, conn, &rs[i].parsed, rs[i].perr, status)
 	}
-	return results
 }
 
 // setLive gives every live request of a chunk the same result.
-func setLive(rs []reqState, results []proc.Result, r proc.Result) []proc.Result {
+func setLive(rs []reqState, results []proc.Result, r proc.Result) {
 	for i := range rs {
 		if !rs[i].done {
 			results[i] = r
 		}
 	}
-	return results
 }
 
 // degradeLive answers every live request of a chunk on the degraded
 // path (a shed closes the connection for the requests behind it).
-func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results []proc.Result, state policy.State, retryAfterNs int64) []proc.Result {
+func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results []proc.Result, state policy.State, retryAfterNs int64) {
 	for i := range rs {
 		if rs[i].done {
 			continue
@@ -675,7 +644,6 @@ func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results 
 		}
 		results[i] = w.respondDegraded(t, conn, state, retryAfterNs)
 	}
-	return results
 }
 
 // respondDegraded is the worker's resilience-policy response: while the

@@ -120,11 +120,12 @@ func (s *Server) serveNetConn(nc net.Conn) {
 // (magic 0x80) carry a 24-byte header; the transport reads
 // min(total-body, sane-cap) further bytes — the parser, not the
 // transport, trusts the header's length field. Text requests are a
-// command line plus, for set/bset, the declared body; the bset frame
-// carries the actual byte count in its fourth token so a malicious
-// client can claim an arbitrary body length in the third. The cluster
-// router shares this framing so a front-end and a backend agree on
-// request boundaries byte for byte.
+// command line plus, for the commands in blockCommands (set, add,
+// replace, append, prepend, cas, bset), the data block its length token
+// declares; the bset frame carries the actual byte count in its fourth
+// token so a malicious client can claim an arbitrary body length in the
+// third. The cluster router shares this framing so a front-end and a
+// backend agree on request boundaries byte for byte.
 func ReadRequest(r *bufio.Reader) ([]byte, error) {
 	magic, err := r.Peek(1)
 	if err != nil {
@@ -156,20 +157,12 @@ func ReadRequest(r *bufio.Reader) ([]byte, error) {
 	if len(fields) == 0 {
 		return req, nil
 	}
-	var bodyLen int
-	switch string(fields[0]) {
-	case "set", "add", "replace":
-		if len(fields) >= 5 {
-			bodyLen, _ = strconv.Atoi(string(fields[4]))
-		}
-	case "bset":
-		if len(fields) >= 4 {
-			bodyLen, _ = strconv.Atoi(string(fields[3]))
-		}
-	default:
+	i := blockCommand(fields[0])
+	if i < 0 || len(fields) <= blockCommands[i].lenTok {
 		return req, nil
 	}
-	if bodyLen < 0 || bodyLen > 1<<20 {
+	bodyLen, err := strconv.Atoi(string(fields[blockCommands[i].lenTok]))
+	if err != nil || bodyLen < 0 || bodyLen > 1<<20 {
 		return req, nil
 	}
 	body := make([]byte, bodyLen+2) // data + trailing \r\n

@@ -441,10 +441,6 @@ func driveMachine(env *dmEnv) (wlen int, closeConn bool, err error) {
 		return cmdGet(env, tokens, false)
 	case "gets":
 		return cmdGet(env, tokens, true)
-	case "set", "add", "replace", "append", "prepend", "cas":
-		return cmdStore(env, tokens, bodyOff)
-	case "bset":
-		return cmdBinarySet(env, tokens, bodyOff)
 	case "delete":
 		return cmdDelete(env, tokens)
 	case "incr", "decr":
@@ -461,8 +457,42 @@ func driveMachine(env *dmEnv) (wlen int, closeConn bool, err error) {
 	case "quit":
 		return 0, true, nil
 	default:
+		if i := blockCommand(tokens[0]); i >= 0 {
+			return blockCommands[i].run(env, tokens, bodyOff)
+		}
 		return writeString(env, "ERROR\r\n"), false, nil
 	}
+}
+
+// blockCommands are the text commands that carry a data block after their
+// command line: the token giving the block's length on the wire, and the
+// handler. ReadRequest frames by this list and driveMachine dispatches by
+// it, so no command that stores data reaches the server with its block
+// cut off into a second request. bset's wire length is its fourth token;
+// its third is the length the header claims, which the handler trusts
+// (the planted CVE-2011-4971 analog).
+var blockCommands = [...]struct {
+	name   string
+	lenTok int
+	run    func(env *dmEnv, tokens [][]byte, bodyOff int) (int, bool, error)
+}{
+	{"set", 4, cmdStore},
+	{"add", 4, cmdStore},
+	{"replace", 4, cmdStore},
+	{"append", 4, cmdStore},
+	{"prepend", 4, cmdStore},
+	{"cas", 4, cmdStore},
+	{"bset", 3, cmdBinarySet},
+}
+
+// blockCommand returns cmd's index in blockCommands, or -1.
+func blockCommand(cmd []byte) int {
+	for i := range blockCommands {
+		if blockCommands[i].name == string(cmd) {
+			return i
+		}
+	}
+	return -1
 }
 
 // readLine extracts the command line (up to \r\n) from the request

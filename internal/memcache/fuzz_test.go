@@ -19,6 +19,9 @@ func FuzzReadRequest(f *testing.F) {
 	f.Add(append(FormatSet("a", []byte("1"), 0), FormatGet("a")...))
 	f.Add(FormatBinarySet("k", []byte("v"), 0, HonestBinaryBodyLen("k", []byte("v"))))
 	f.Add(FormatBSet("atk", 1<<20, nil)) // CVE-2011-4971 analog
+	f.Add([]byte("append k 0 0 5\r\nhello\r\n"))
+	f.Add([]byte("prepend k 0 0 5\r\nhello\r\n"))
+	f.Add([]byte("cas k 0 0 5 42\r\nhello\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		var framed []byte

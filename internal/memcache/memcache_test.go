@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sdrad/internal/policy"
-	"sdrad/internal/sched"
 )
 
 // startServer builds a server with small test-sized defaults.
@@ -303,7 +302,7 @@ func TestEventDomainHeldOffServesMisses(t *testing.T) {
 		Workers:    2,
 		HashPower:  10,
 		CacheBytes: 4 << 20,
-		Sched:      sched.Config{Clock: clk.Now},
+		Clock:      clk.Now,
 		Policy:     eng,
 	})
 	if err != nil {

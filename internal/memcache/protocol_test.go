@@ -1,10 +1,13 @@
 package memcache
 
 import (
+	"bufio"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"sdrad/internal/telemetry"
 )
 
 // doText sends a raw text command with an optional body.
@@ -304,6 +307,55 @@ func TestNoreplySuppressesResponse(t *testing.T) {
 		}
 		if got := mustDo(t, c, FormatGet("k")); string(got) != "END\r\n" {
 			t.Fatalf("key survived noreply delete: %q", got)
+		}
+	})
+}
+
+// TestReadRequestFramesEveryDataBlock frames each command that carries a
+// data block, followed by a get on the same stream: the block belongs to
+// its command, and the get arrives as the second request, not the block.
+func TestReadRequestFramesEveryDataBlock(t *testing.T) {
+	get := "get k\r\n"
+	for _, tc := range []struct{ name, frame string }{
+		{"set", "set k 0 0 5\r\nhello\r\n"},
+		{"add", "add k 0 0 5\r\nhello\r\n"},
+		{"replace", "replace k 0 0 5\r\nhello\r\n"},
+		{"append", "append k 0 0 5\r\nhello\r\n"},
+		{"prepend", "prepend k 0 0 5\r\nhello\r\n"},
+		{"cas", "cas k 0 0 5 42\r\nhello\r\n"},
+		{"noreply", "append k 0 0 5 noreply\r\nhello\r\n"},
+		{"bset", "bset k 4096 5\r\nhello\r\n"},
+		{"no block", "delete k\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bufio.NewReader(strings.NewReader(tc.frame + get))
+			for _, want := range []string{tc.frame, get} {
+				got, err := ReadRequest(r)
+				if err != nil || string(got) != want {
+					t.Fatalf("frame = %q, %v; want %q", got, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRequestCountAgreesAcrossBuilds pins where a request is counted: a
+// pipeline whose second request is quit counts the two requests served
+// before the close on every build, not the ones behind it.
+func TestRequestCountAgreesAcrossBuilds(t *testing.T) {
+	allVariants(t, func(t *testing.T, v Variant) {
+		rec := telemetry.New(telemetry.Options{})
+		s, err := NewServer(Config{Variant: v, HashPower: 10, CacheBytes: 4 << 20, Telemetry: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Stop)
+		res := s.NewConn().DoPipeline([][]byte{FormatGet("k"), []byte("quit\r\n"), FormatGet("k"), FormatGet("k")})
+		if !res[1].Closed || res[2].Err != ErrConnClosed || res[3].Err != ErrConnClosed {
+			t.Fatalf("pipeline results: %+v", res)
+		}
+		if got := rec.Registry().SnapshotJSON()["sdrad_memcache_requests_total"]; got != int64(2) {
+			t.Errorf("sdrad_memcache_requests_total = %v, want 2", got)
 		}
 	})
 }

@@ -61,11 +61,10 @@ type Config struct {
 	// size DoPipeline cuts long pipelines into (default 16; 1 disables
 	// batching).
 	MaxBatch int
-	// Sched carries the drain-bound controller's wiring: a clock (test
-	// seam) and the floor-pin hook. The controller itself is not optional;
-	// the zero value is the default, with floor pins fed to Policy when
-	// one is attached.
-	Sched sched.Config
+	// Clock is the drain-bound controller's clock in nanoseconds (nil
+	// reads the wall clock); tests and chaos campaigns install a manual
+	// one so every rewind-window decision is deterministic.
+	Clock func() int64
 	// Seed fixes process randomness.
 	Seed int64
 	// Telemetry optionally attaches a recorder: the hardened build wires
@@ -185,37 +184,14 @@ type worker struct {
 
 	// env is the worker's reusable drive_machine environment and
 	// scratchAddrs its request-scoped scratch allocation list; curT pins
-	// the thread the worker is currently serving on. allocBase and
-	// allocDomain are the two scratch allocators, created once per worker
-	// so the per-request path allocates neither environment nor closure.
+	// the thread the worker is currently serving on. allocScratch is the
+	// scratch allocator on the event domain's heap (the baseline heap on
+	// a baseline), created once per worker so the per-request path
+	// allocates neither environment nor closure.
 	env          dmEnv
 	scratchAddrs []mem.Addr
 	curT         *proc.Thread
-	allocBase    func(size uint64) (mem.Addr, error)
-	allocDomain  func(size uint64) (mem.Addr, error)
-}
-
-// initAllocators lazily creates the worker's persistent scratch-allocator
-// closures (they capture only the worker, reading the current thread and
-// CPU from its per-call fields).
-func (w *worker) initAllocators(s *Server) {
-	if w.allocBase != nil {
-		return
-	}
-	w.allocBase = func(size uint64) (mem.Addr, error) {
-		p, err := s.Alloc(w.curT, size)
-		if err == nil {
-			w.scratchAddrs = append(w.scratchAddrs, p)
-		}
-		return p, err
-	}
-	w.allocDomain = func(size uint64) (mem.Addr, error) {
-		p, err := s.Library().Malloc(w.curT, eventUDI, size)
-		if err == nil {
-			w.scratchAddrs = append(w.scratchAddrs, p)
-		}
-		return p, err
-	}
+	allocScratch func(size uint64) (mem.Addr, error)
 }
 
 // connSlot is one pair of connection-buffer deep copies in the event
@@ -240,8 +216,8 @@ type batchItem struct {
 	res  *proc.Result
 }
 
-// evState is the per-item outcome scratch runHardenedBatch threads
-// through the guard scope.
+// evState is the per-item outcome scratch dispatchBatch threads through
+// the guard scope.
 type evState struct {
 	done    bool // result decided before the guard ran (preflight failure)
 	borrows bool // queued deferred ops that reference the slot's read buffer
@@ -295,7 +271,7 @@ func NewServer(cfg Config) (*Server, error) {
 		// The mailbox queues MaxBatch events so pipelining clients can
 		// enqueue a full batch before the worker drains it.
 		w := &worker{idx: i, s: s, mb: proc.NewMailbox[*Conn](p, cfg.MaxBatch, cfg.MaxBatch, ErrServerDown),
-			ctrl: s.NewController(cfg.Sched, cfg.MaxBatch)}
+			ctrl: s.NewController(cfg.Clock, cfg.MaxBatch)}
 		w.handle = p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
 		s.workers = append(s.workers, w)
 	}
@@ -312,7 +288,7 @@ func NewServer(cfg Config) (*Server, error) {
 				return n
 			})
 		s.telBatch = reg.Histogram("sdrad_memcache_batch_size",
-			"Client events handled per guard scope by the batched event loop.")
+			"Requests handled per drained batch (one guard scope on the hardened build).")
 		occ := reg.GaugeVec("sdrad_memcache_shard_items",
 			"Live items per storage shard.", "shard")
 		for i := 0; i < s.st.Shards(); i++ {
@@ -345,20 +321,14 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // provision carves the storage arena (Memcached's slab pages) on the
-// init thread: out of a shared storage data domain on the hardened build,
-// out of root memory otherwise.
+// init thread. On the hardened build the hash table and database live in
+// a dedicated data domain, accessible by the nested event domain of each
+// thread (§V-A); a baseline carves them from its one heap.
 func (s *Server) provision(t *proc.Thread) error {
-	alloc := s.Alloc
-	if lib := s.Library(); lib != nil {
-		// The hash table and database live in a dedicated data domain,
-		// accessible by the nested event domain of each thread (§V-A).
-		heapSz := s.cfg.CacheBytes + 1<<20 // TLSF control + slack
-		if err := lib.InitDomain(t, storageUDI, core.AsData(), core.Accessible(), core.HeapSize(heapSz)); err != nil {
-			return err
-		}
-		alloc = func(t *proc.Thread, size uint64) (mem.Addr, error) { return lib.Malloc(t, storageUDI, size) }
+	if err := s.DataDomain(t, storageUDI, s.cfg.CacheBytes+1<<20); err != nil { // TLSF control + slack
+		return err
 	}
-	block, err := alloc(t, s.cfg.CacheBytes)
+	block, err := s.Alloc(t, storageUDI, s.cfg.CacheBytes)
 	if err != nil {
 		return err
 	}
@@ -420,75 +390,6 @@ func (w *worker) take(ev *proc.Event[*Conn]) {
 	}
 }
 
-// dispatchBatch handles a drained batch of client events, filling in
-// every item's result. The hardened build handles the whole batch inside
-// a single guard scope; baselines handle items one by one (they have no
-// per-event domain cost to amortize).
-func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
-	if s.cfg.Variant != VariantSDRaD {
-		for i := range items {
-			*items[i].res = s.handleOne(t, w, items[i].conn, items[i].req)
-		}
-		return
-	}
-	s.runHardenedBatch(t, w, items)
-}
-
-// handleOne is the per-request baseline flow: preflight checks, stage
-// the request in the connection read buffer, run drive_machine.
-func (s *Server) handleOne(t *proc.Thread, w *worker, conn *Conn, req []byte) proc.Result {
-	if conn.Closed {
-		return proc.Result{Closed: true, Err: ErrConnClosed}
-	}
-	if len(req) > s.cfg.ConnBufSize {
-		return proc.Result{Err: ErrRequestTooLarge}
-	}
-	w.reqs.Add(1)
-	if err := s.open(t, conn); err != nil {
-		return proc.Result{Err: err}
-	}
-	// Network bytes land in the connection's read buffer (root memory).
-	t.CPU().Write(conn.RBuf, req)
-	return s.handleBaseline(t, w, conn, len(req))
-}
-
-// handleBaseline runs drive_machine directly on the connection buffer. A
-// memory-safety violation faults with no recovery point: the process
-// supervisor terminates the whole server, which is exactly the behaviour
-// the paper's baseline exhibits under CVE-2011-4971.
-func (s *Server) handleBaseline(t *proc.Thread, w *worker, conn *Conn, rlen int) proc.Result {
-	c := t.CPU()
-	w.initAllocators(s)
-	w.curT = t
-	w.scratchAddrs = w.scratchAddrs[:0]
-	env := &w.env
-	*env = dmEnv{
-		c:            c,
-		rbuf:         conn.RBuf,
-		rlen:         rlen,
-		wbuf:         conn.WBuf,
-		wcap:         s.cfg.ConnBufSize,
-		allocScratch: w.allocBase,
-		ops:          s.st,
-		rl:           c.SpanLease(conn.RBuf, s.cfg.ConnBufSize, mem.AccessRead),
-		wl:           c.SpanLease(conn.WBuf, s.cfg.ConnBufSize, mem.AccessWrite),
-		reply:        &w.rw,
-		tokens:       env.tokens,
-	}
-	wlen, closeit, err := driveMachine(env)
-	for _, p := range w.scratchAddrs {
-		_ = s.Free(t, p)
-	}
-	if err != nil {
-		return proc.Result{Err: err}
-	}
-	resp := materializeResp(c, env.wl, conn.WBuf, wlen)
-	if closeit {
-		s.CloseConn(t, &conn.ConnBufs)
-	}
-	return proc.Result{Resp: resp, Closed: closeit}
-}
-
 // materializeResp copies a drive_machine response out of simulated
 // memory into a fresh Go slice for delivery to the client — through the
 // write lease's native window when it is valid, through the checked
@@ -507,26 +408,32 @@ func materializeResp(c *mem.CPU, wl *mem.Lease, wbuf mem.Addr, wlen int) []byte 
 	return c.ReadBytes(wbuf, wlen)
 }
 
-// open gives a connection its buffers in root memory on its first
-// request.
-func (s *Server) open(t *proc.Thread, conn *Conn) error {
-	sz := uint64(s.cfg.ConnBufSize)
-	return s.OpenConn(t, &conn.ConnBufs, sz, sz)
-}
-
-// runHardenedBatch is the paper's Figure 3 flow, amortized over a batch:
-// every live item of the batch is handled in the worker's nested domain
-// on a deep copy of its connection buffer, inside ONE guard scope — one
-// context save, one Enter/Exit domain-switch round, one deferred-op
-// apply. Database mutations stay deferred to normal domain exit (later
-// items of the batch read their predecessors' writes through the
-// deferred overlay, preserving sequential semantics); an abnormal exit
-// anywhere in the batch rewinds once, discards the whole in-flight
-// batch, and closes exactly the connections that had a request in it.
-func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) {
+// dispatchBatch is the one request flow every build runs: the paper's
+// Figure 3, amortized over a drained batch, filling in every item's
+// result. The build decides only which steps run. On the hardened build
+// every live item is handled in the worker's nested domain on a deep copy
+// of its connection buffer, inside ONE guard scope — one context save, one
+// Enter/Exit domain-switch round, one deferred-op apply. Database
+// mutations stay deferred to normal domain exit (later items of the batch
+// read their predecessors' writes through the deferred overlay, preserving
+// sequential semantics); an abnormal exit anywhere in the batch rewinds
+// once, discards the whole in-flight batch, and closes exactly the
+// connections that had a request in it. A baseline skips steps ④, ⑤, ⑦
+// and ⑨: it drives each request in place on its connection buffer with
+// direct storage ops and no recovery point, so a memory-safety violation
+// terminates the whole server — the paper's baseline under CVE-2011-4971.
+func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 	c := t.CPU()
-	lib := s.Library()
-	w.initAllocators(s)
+	lib := s.Library() // nil on a baseline
+	if w.allocScratch == nil {
+		w.allocScratch = func(size uint64) (mem.Addr, error) {
+			p, err := s.Alloc(w.curT, eventUDI, size)
+			if err == nil {
+				w.scratchAddrs = append(w.scratchAddrs, p)
+			}
+			return p, err
+		}
+	}
 	w.curT = t
 	bufSize := uint64(s.cfg.ConnBufSize)
 	// Worker-owned scratch: a failed batch may leave stale pending ops
@@ -554,8 +461,8 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			*items[i].res = proc.Result{Err: ErrRequestTooLarge}
 			continue
 		}
-		w.reqs.Add(1)
-		if err := s.open(t, conn); err != nil {
+		// A connection gets its buffers in root memory on its first request.
+		if err := s.OpenConn(t, &conn.ConnBufs, bufSize, bufSize); err != nil {
 			states[i].done = true
 			*items[i].res = proc.Result{Err: err}
 			continue
@@ -569,57 +476,37 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 	// re-creates it, both from domainOpts (deep copies of the connection
 	// buffer are made per event; the database itself is shared, as in the
 	// paper).
-	gerr := lib.Guard(t, eventUDI, func() error {
+	gerr := s.Scope(t, eventUDI, func() error {
 		if s.telBatch != nil {
 			s.telBatch.Observe(int64(live))
 		}
-		for len(w.slots) < live {
-			rb, err := lib.Malloc(t, eventUDI, bufSize)
-			if err != nil {
+		if lib != nil {
+			// ④ deep copies: each request is staged through its
+			// connection's read buffer (network bytes land in root memory)
+			// and copied into the domain slot for its batch position — per
+			// item, so a pipelined connection can reuse its read buffer.
+			if err := s.copyIn(t, w, items, states, live); err != nil {
 				return err
 			}
-			wb, err := lib.Malloc(t, eventUDI, bufSize)
-			if err != nil {
+			// ⑤ enter the domain once for the batch.
+			if err := lib.Enter(t, eventUDI); err != nil {
 				return err
 			}
-			// Mint the slot's span leases once; Enter/Exit transitions
-			// only cost the O(1) renewal recheck from here on.
-			w.slots = append(w.slots, connSlot{
-				rbuf: rb,
-				wbuf: wb,
-				rl:   c.NewLease(rb, s.cfg.ConnBufSize, mem.AccessRead),
-				wl:   c.NewLease(wb, s.cfg.ConnBufSize, mem.AccessWrite),
-			})
 		}
-		// ④ deep copies: each request is staged through its connection's
-		// read buffer (network bytes land in root memory) and copied into
-		// the domain slot for its batch position — per item, so a
-		// pipelined connection can reuse its read buffer.
-		slot := 0
-		for i := range items {
-			if states[i].done {
-				continue
-			}
-			conn := items[i].conn
-			c.Write(conn.RBuf, items[i].req)
-			lib.Copy(t, w.slots[slot].rbuf, conn.RBuf, len(items[i].req))
-			states[i].slot = slot
-			slot++
-		}
-		// ⑤ enter the domain once, ⑥ drive_machine per item on its copy.
-		if err := lib.Enter(t, eventUDI); err != nil {
-			return err
-		}
-		// Batch-stable environment fields; the item loop only repoints the
-		// buffers and leases at each item's slot.
+		// ⑥ drive_machine per item. Batch-stable environment fields; the
+		// item loop only repoints the buffers and leases. The hardened
+		// build's storage ops are deferred to ⑨.
 		env := &w.env
 		*env = dmEnv{
 			c:            c,
 			wcap:         s.cfg.ConnBufSize,
-			allocScratch: w.allocDomain,
-			ops:          dops,
+			allocScratch: w.allocScratch,
+			ops:          s.st,
 			reply:        &w.rw,
 			tokens:       env.tokens,
+		}
+		if lib != nil {
+			env.ops = dops
 		}
 		for i := range items {
 			if states[i].done {
@@ -627,41 +514,52 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 			}
 			// A quit earlier in the batch closes the connection for the
 			// items behind it, exactly as if they had arrived after the
-			// close in the unbatched flow.
+			// close.
 			if closedEarlierInBatch(items, states, i) {
 				states[i].done = true
 				*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
 				continue
 			}
-			slot := &w.slots[states[i].slot]
-			w.scratchAddrs = w.scratchAddrs[:0]
-			env.rbuf, env.rlen = slot.rbuf, len(items[i].req)
-			env.wbuf = slot.wbuf
-			env.rl, env.wl = &slot.rl, &slot.wl
+			if lib != nil {
+				slot := &w.slots[states[i].slot]
+				env.rbuf, env.wbuf = slot.rbuf, slot.wbuf
+				env.rl, env.wl = &slot.rl, &slot.wl
+			} else {
+				// No copy: network bytes land in the connection's read
+				// buffer and are driven in place.
+				conn := items[i].conn
+				c.Write(conn.RBuf, items[i].req)
+				env.rbuf, env.wbuf = conn.RBuf, conn.WBuf
+				env.rl = c.SpanLease(conn.RBuf, s.cfg.ConnBufSize, mem.AccessRead)
+				env.wl = c.SpanLease(conn.WBuf, s.cfg.ConnBufSize, mem.AccessWrite)
+			}
+			env.rlen = len(items[i].req)
 			env.noreply = false
+			w.scratchAddrs = w.scratchAddrs[:0]
 			mark := len(dops.pending)
 			var derr error
 			states[i].wlen, states[i].closeit, derr = driveMachine(env)
 			for _, p := range w.scratchAddrs {
-				_ = lib.Free(t, eventUDI, p)
+				_ = s.Free(t, eventUDI, p)
 			}
 			if derr != nil {
 				// Internal failure for this item only: its deferred ops
-				// are rolled back, the rest of the batch proceeds — the
-				// same isolation the unbatched flow gives (the erroring
-				// event applied nothing).
+				// are rolled back, the rest of the batch proceeds (the
+				// erroring event applies nothing).
 				dops.truncate(mark)
 				states[i].derr = derr
 				continue
 			}
 			states[i].borrows = len(dops.pending) > mark
-			// ⑧ capture the response straight from the slot write buffer
-			// while it is cache-hot — through the slot's write lease, one
-			// copy into the Go-side delivery slice, replacing the old
-			// slot→conn-buffer staging copy plus read-back. The domain is
-			// reading its own buffer; an abnormal exit later in the batch
+			// ⑧ capture the response straight from the write buffer while
+			// it is cache-hot — through its write lease, one copy into the
+			// Go-side delivery slice. On the hardened build the domain is
+			// reading its own slot; an abnormal exit later in the batch
 			// discards every captured response with the batch.
-			states[i].data = materializeResp(c, &slot.wl, slot.wbuf, states[i].wlen)
+			states[i].data = materializeResp(c, env.wl, env.wbuf, states[i].wlen)
+		}
+		if lib == nil {
+			return nil
 		}
 		// ⑦ exit back to the root domain once.
 		if err := lib.Exit(t); err != nil {
@@ -717,10 +615,14 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 		}
 		return
 	}
+	// The one point a request is counted: drive_machine answered it and
+	// the scope completed. A request behind a close, one answered on the
+	// degraded path and one discarded by a rewind are not counted.
 	for i := range items {
 		if states[i].done {
 			continue
 		}
+		w.reqs.Add(1)
 		if states[i].derr != nil {
 			*items[i].res = proc.Result{Err: states[i].derr}
 			continue
@@ -730,6 +632,45 @@ func (s *Server) runHardenedBatch(t *proc.Thread, w *worker, items []batchItem) 
 		}
 		*items[i].res = proc.Result{Resp: states[i].data, Closed: states[i].closeit}
 	}
+}
+
+// copyIn is step ④ of the hardened flow: it gives the batch's live items
+// a domain slot each (allocating slots the domain does not hold yet) and
+// copies every request, staged through its connection's read buffer, into
+// its slot.
+func (s *Server) copyIn(t *proc.Thread, w *worker, items []batchItem, states []evState, live int) error {
+	c := t.CPU()
+	bufSize := uint64(s.cfg.ConnBufSize)
+	for len(w.slots) < live {
+		rb, err := s.Alloc(t, eventUDI, bufSize)
+		if err != nil {
+			return err
+		}
+		wb, err := s.Alloc(t, eventUDI, bufSize)
+		if err != nil {
+			return err
+		}
+		// Mint the slot's span leases once; Enter/Exit transitions only
+		// cost the O(1) renewal recheck from here on.
+		w.slots = append(w.slots, connSlot{
+			rbuf: rb,
+			wbuf: wb,
+			rl:   c.NewLease(rb, s.cfg.ConnBufSize, mem.AccessRead),
+			wl:   c.NewLease(wb, s.cfg.ConnBufSize, mem.AccessWrite),
+		})
+	}
+	slot := 0
+	for i := range items {
+		if states[i].done {
+			continue
+		}
+		conn := items[i].conn
+		c.Write(conn.RBuf, items[i].req)
+		s.Library().Copy(t, w.slots[slot].rbuf, conn.RBuf, len(items[i].req))
+		states[i].slot = slot
+		slot++
+	}
+	return nil
 }
 
 // serveDegraded answers a batch while the event domain is quarantined:
@@ -788,7 +729,7 @@ type InlineDo func(conn *Conn, req []byte) (resp []byte, closed bool, err error)
 // the one the event loop uses. Connections passed to the returned InlineDo
 // must have been created by the NewConn method of this call's handle.
 func (s *Server) RunInline(name string, body func(newConn func() *Conn, do InlineDo) error) error {
-	w := &worker{idx: -1, s: s, ctrl: s.NewController(s.cfg.Sched, s.cfg.MaxBatch)}
+	w := &worker{idx: -1, s: s, ctrl: s.NewController(s.cfg.Clock, s.cfg.MaxBatch)}
 	h := s.Process().Spawn(name, func(t *proc.Thread) error {
 		newConn := func() *Conn {
 			return &Conn{id: int(s.connIDs.Add(1)), w: w}

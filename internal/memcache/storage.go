@@ -560,7 +560,7 @@ func (sh *shard) lookupLocked(v sview, key []byte, h uint64) mem.Addr {
 
 // Get copies out the value and flags for key, or ok=false.
 func (st *Storage) Get(c *mem.CPU, key []byte) (value []byte, flags uint32, ok bool) {
-	value, flags, _, ok = st.GetWithCAS(c, key)
+	value, flags, _, ok = st.AppendGet(c, key, nil, false)
 	return value, flags, ok
 }
 
@@ -745,23 +745,6 @@ func (st *Storage) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uint64
 		return NotStored, err
 	}
 	return Stored, nil
-}
-
-// GetWithCAS is Get plus the item's CAS id (memcached gets).
-func (st *Storage) GetWithCAS(c *mem.CPU, key []byte) (value []byte, flags uint32, casid uint64, ok bool) {
-	v := st.view(c)
-	h := hashKey(key)
-	sh := st.lockShard(h)
-	defer sh.mu.Unlock()
-	sh.gets++
-	it := sh.lookupLocked(v, key, h)
-	if it == 0 {
-		return nil, 0, 0, false
-	}
-	sh.hits++
-	sh.lruBump(v, it)
-	va, vlen := itemValueAddr(v, it)
-	return v.readBytes(va, vlen), uint32(v.u64(it + itemOffFlags)), v.u64(it + itemOffCAS), true
 }
 
 // peek looks key up for a check the client does not see: the hardened

@@ -315,7 +315,7 @@ func TestStorageConditionalOps(t *testing.T) {
 	if string(v) != "1+" {
 		t.Fatalf("after append = %q", v)
 	}
-	_, _, casid, ok := st.GetWithCAS(cpu, []byte("a"))
+	_, _, casid, ok := st.AppendGet(cpu, []byte("a"), nil, true)
 	if !ok {
 		t.Fatal("gets miss")
 	}
@@ -421,7 +421,7 @@ func TestShardedCASIndependence(t *testing.T) {
 	if err := st.Set(cpu, key, []byte("v0"), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, casid, ok := st.GetWithCAS(cpu, key)
+	_, _, casid, ok := st.AppendGet(cpu, key, nil, true)
 	if !ok {
 		t.Fatal("gets miss")
 	}
