@@ -105,7 +105,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) run ./cmd/sdrad-bench -quick
 	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope$$' -benchtime=1x ./internal/core
-	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|StorageHit|ShardLockContended)$$' -benchtime=1x ./internal/memcache
+	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|StorageHit|StorageReplace|ShardLockContended)$$' -benchtime=1x ./internal/memcache
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffDo$$' -benchtime=1x ./internal/proc
 	$(GO) test -run '^$$' -bench 'BenchmarkKeepAliveGET$$' -benchtime=1x ./internal/httpd
 

@@ -601,6 +601,131 @@ func TestHitWritesOnlyItsOwnHeader(t *testing.T) {
 	}
 }
 
+func TestFaultAnywhereInASetLeavesShardsIntact(t *testing.T) {
+	// A hardened set of a resident key parses inside the event domain and
+	// stores at ⑨, after Exit. A trap at any of its in-domain accesses
+	// rewinds the batch: the shards stay consistent and b keeps its old
+	// value. Past the last access the injector never fires, stays armed
+	// through Exit and fails the batch closed, applying nothing; once it is
+	// removed, the same set lands.
+	s := startServer(t, VariantSDRaD, 1)
+	c := s.NewConn()
+	for _, key := range []string{"a", "b", "c", "d"} {
+		mustDo(t, c, FormatSet(key, []byte("value-"+key), 0))
+	}
+	check := func(k int, want string) {
+		t.Helper()
+		if err := c.Inspect(func(th *proc.Thread) error {
+			th.CPU().SetFaultInjector(nil)
+			return s.Storage().AuditShards(th.CPU())
+		}); err != nil {
+			t.Errorf("trap at in-domain access %d: %v", k, err)
+		}
+		if val, _, ok := storedValue(t, s, c, "b"); !ok || string(val) != want {
+			t.Errorf("after access %d: b = %q %v, want %q", k, val, ok, want)
+		}
+	}
+	req := FormatSet("b", []byte("fresh-b"), 0)
+	swept := 0
+	for k := 1; ; k++ {
+		conn := s.NewConn()
+		if err := conn.Inspect(func(th *proc.Thread) error {
+			armInDomain(s, th, k)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, closed, err := conn.Do(req)
+		if closed {
+			check(k, "value-b")
+			swept++
+			continue
+		}
+		if !errors.Is(err, errBorrowRevoked) {
+			t.Fatalf("access %d: closed=%v err=%v, want a rewind or a batch failed closed", k, closed, err)
+		}
+		check(k, "value-b")
+		if resp := mustDo(t, conn, req); string(resp) != "STORED\r\n" {
+			t.Fatalf("set b past the last access = %q", resp)
+		}
+		check(k, "fresh-b")
+		break
+	}
+	if swept == 0 {
+		t.Fatal("no in-domain access trapped")
+	}
+	t.Logf("%d fault points swept", swept)
+}
+
+func TestStoreOfResidentKeyWritesOnlyItsOwnChunk(t *testing.T) {
+	// With a never-firing injector every arena access takes the checked
+	// path and is counted: a store of a resident key whose value keeps its
+	// size writes inside that item's chunk and nowhere else — not the
+	// bucket, the LRU neighbours or the free list. An injector that stays
+	// armed through Exit fails a hardened batch closed at ⑨
+	// (TestRefusedLeaseAtApplyFailsBatchClosed), so the hardened store is
+	// driven as ⑨ drives it: queued on a deferredOps and applied on the
+	// worker thread.
+	for _, variant := range []Variant{VariantVanilla, VariantSDRaD} {
+		t.Run(variant.String(), func(t *testing.T) {
+			s := startServer(t, variant, 1)
+			c := s.NewConn()
+			for _, key := range []string{"a", "b", "c"} {
+				mustDo(t, c, FormatSet(key, []byte("value-"+key), 0))
+			}
+			st := s.Storage()
+			lo, hi := st.arenaBase, st.arenaBase+mem.Addr(st.arenaLen)
+			var chunk, end mem.Addr
+			var writes, outside int // touched on the worker thread only
+			if err := c.Inspect(func(th *proc.Thread) error {
+				chunk = itemAt(st, th.CPU(), "a")
+				sh := st.shards[st.ShardFor([]byte("a"))]
+				end = chunk + mem.Addr(sh.classes[th.CPU().ReadU64(chunk+itemOffClass)].chunkSize)
+				th.CPU().SetFaultInjector(func(addr mem.Addr, kind mem.AccessKind) *mem.Fault {
+					if kind == mem.AccessWrite && addr >= lo && addr < hi {
+						writes++
+						if addr < chunk || addr >= end {
+							outside++
+						}
+					}
+					return nil
+				})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if s.Library() == nil {
+				if resp := mustDo(t, c, FormatSet("a", []byte("fresh-a"), 0)); string(resp) != "STORED\r\n" {
+					t.Fatalf("set a = %q", resp)
+				}
+			} else if err := c.Inspect(func(th *proc.Thread) error {
+				d := &deferredOps{st: st}
+				if err := d.Set(th.CPU(), []byte("a"), []byte("fresh-a"), 0); err != nil {
+					return err
+				}
+				return d.apply(th.CPU())
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Inspect(func(th *proc.Thread) error {
+				th.CPU().SetFaultInjector(nil)
+				return st.AuditShards(th.CPU())
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if writes == 0 {
+				t.Fatal("the store wrote nothing the injector saw")
+			}
+			if outside != 0 {
+				t.Errorf("%d of %d arena writes landed outside a's chunk [%#x, %#x)", outside, writes, chunk, end)
+			}
+			if val, _, ok := storedValue(t, s, c, "a"); !ok || string(val) != "fresh-a" {
+				t.Errorf("a = %q %v, want fresh-a", val, ok)
+			}
+		})
+	}
+}
+
 func TestRefusedLeaseAtApplyFailsBatchClosed(t *testing.T) {
 	// An injector that stays armed through Exit refuses the slot's read
 	// lease when the apply re-validates it: the batch fails closed —

@@ -16,6 +16,10 @@ import (
 // immediately; the hardened build passes its deferredOps.
 type storeOps interface {
 	Get(c *mem.CPU, key []byte) (value []byte, flags uint32, ok bool)
+	// probe reads key for a check or a read-modify-write the client does
+	// not see as a get (incr/decr): it counts no get or hit and marks
+	// nothing.
+	probe(c *mem.CPU, key []byte, withValue bool) (value []byte, flags uint32, ok bool)
 	// AppendGet appends key's value to dst (the reply scratch) instead of
 	// allocating a fresh slice per hit — the copy-once read behind the
 	// zero-copy reply assembly.
@@ -93,8 +97,9 @@ func (d *deferredOps) pendingRead(key []byte) (value []byte, flags uint32, ok, d
 }
 
 // probe is the read behind a check the client does not see (add,
-// replace, append/prepend, delete): the overlay, then Storage.peek, so
-// the hardened arm counts and marks what the direct arm does — nothing.
+// replace, append/prepend, delete, incr/decr): the overlay, then
+// Storage.peek, so the hardened arm counts and marks what the direct arm
+// does — nothing.
 func (d *deferredOps) probe(c *mem.CPU, key []byte, withValue bool) ([]byte, uint32, bool) {
 	if v, f, ok, decided := d.pendingRead(key); decided {
 		return v, f, ok
@@ -775,7 +780,9 @@ func cmdIncrDecr(env *dmEnv, tokens [][]byte) (int, bool, error) {
 	if err != nil {
 		return writeString(env, "CLIENT_ERROR invalid numeric delta argument\r\n"), false, nil
 	}
-	value, flags, ok := env.ops.Get(env.c, key)
+	// memcached counts incr/decr under incr_hits, not as a get, and the
+	// store below marks the item active: read without counting.
+	value, flags, ok := env.ops.probe(env.c, key, true)
 	if !ok {
 		return writeString(env, "NOT_FOUND\r\n"), false, nil
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdrad/internal/proc"
 	"sdrad/internal/telemetry"
 )
 
@@ -120,6 +121,49 @@ func TestConditionalStoresCountNoReads(t *testing.T) {
 	}
 	if vs != 5 {
 		t.Errorf("cmd_set = %d after set, add, replace, append and cas; want 5", vs)
+	}
+}
+
+func TestIncrDecrCountNoReads(t *testing.T) {
+	// incr and decr read the counter to rewrite it, but the client reads
+	// nothing: memcached counts them under incr_hits, not cmd_get or
+	// get_hits, on both arms. Each applied rewrite counts in cmd_set and
+	// marks its item active, as a hit would.
+	counts := func(v Variant) (gets, hits, sets int) {
+		s := startServer(t, v, 1)
+		c := s.NewConn()
+		mustDo(t, c, FormatSet("n", []byte("10"), 0))
+		for _, step := range []struct{ line, want string }{
+			{"incr n 5", "15\r\n"},
+			{"decr n 3", "12\r\n"},
+			{"decr n 100", "0\r\n"},
+			{"incr missing 1", "NOT_FOUND\r\n"},
+		} {
+			if got := doText(t, c, step.line, nil); got != step.want {
+				t.Fatalf("%v: %q = %q, want %q", v, step.line, got, step.want)
+			}
+		}
+		if err := c.Inspect(func(th *proc.Thread) error {
+			if present, active := itemState(s.Storage(), th.CPU(), "n"); !present || !active {
+				t.Errorf("%v: counter present=%v active=%v after incr/decr, want active", v, present, active)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		st := s.StorageStats()
+		return st.Gets, st.Hits, st.Sets
+	}
+	vg, vh, vs := counts(VariantVanilla)
+	hg, hh, hs := counts(VariantSDRaD)
+	if vg != hg || vh != hh || vs != hs {
+		t.Errorf("gets/hits/sets: vanilla %d/%d/%d, hardened %d/%d/%d", vg, vh, vs, hg, hh, hs)
+	}
+	if vg != 0 || vh != 0 {
+		t.Errorf("cmd_get/get_hits = %d/%d after three incr/decr hits and one miss; want 0/0", vg, vh)
+	}
+	if vs != 4 {
+		t.Errorf("cmd_set = %d after set and three applied incr/decr; want 4", vs)
 	}
 }
 

@@ -46,6 +46,11 @@ import (
 //	+48: slab class index
 //	+56: CAS unique id
 //	+64: key bytes ... value bytes
+//
+// An item fits its class's chunk (itemHeader+klen+vlen <= chunkSize), so
+// a store of a resident key whose new item needs the same class rewrites
+// +32, +40, +56 and the value bytes in place; the links, the key, the
+// class and every other chunk stay as they were (storeLocked).
 const (
 	itemOffNext   = 0
 	itemOffLRUN   = 8
@@ -62,7 +67,8 @@ const (
 // +40 word (memcached's ITEM_ACTIVE): a hit sets it, and eviction, finding
 // it set on the LRU tail, clears it and relinks the item at the head
 // instead of evicting it. Readers of the user flags truncate to uint32;
-// a store writes the whole word, so a new item starts inactive.
+// a store writes the whole word, so a new item starts inactive and an
+// item rewritten in place starts active, a use like a hit.
 const itemActive = uint64(1) << 32
 
 // Slab geometry: chunk classes grow by factor 1.25 from 96 bytes, pages
@@ -591,9 +597,10 @@ func (st *Storage) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]byte,
 	return dst, flags, casid, true
 }
 
-// storeLocked writes a fresh item for key=value (h is key's hash),
-// unlinking any existing item first. Caller holds the shard lock. Returns
-// the new CAS id.
+// storeLocked stores key=value (h is key's hash) and returns the new CAS
+// id. Caller holds the shard lock. A resident item whose new size needs
+// the same slab class is rewritten in place (rewriteLocked); any other
+// resident item is unlinked and the store writes a fresh item.
 func (sh *shard) storeLocked(v sview, key, value []byte, flags uint32, h uint64) (uint64, error) {
 	need := uint64(itemHeader + len(key) + len(value))
 	ci, err := sh.classFor(need)
@@ -601,6 +608,9 @@ func (sh *shard) storeLocked(v sview, key, value []byte, flags uint32, h uint64)
 		return 0, err
 	}
 	if old := sh.lookupLocked(v, key, h); old != 0 {
+		if v.u64(old+itemOffClass) == uint64(ci) {
+			return sh.rewriteLocked(v, old, len(key), value, flags), nil
+		}
 		sh.unlinkItem(v, old, h)
 	}
 	it, err := sh.grabChunk(v, ci)
@@ -627,6 +637,23 @@ func (sh *shard) storeLocked(v sview, key, value []byte, flags uint32, h uint64)
 	sh.bytes += need
 	sh.noteOccupancy()
 	return sh.casCounter, nil
+}
+
+// rewriteLocked overwrites resident item it (key length klen) with value
+// and flags in its own chunk, the way memcached's do_add_delta rewrites a
+// counter that still fits: the value length, the flags word with
+// itemActive set (a store is a use and gets CLOCK's second chance, as a
+// hit does), a fresh CAS id and the value bytes. The hash chain, the LRU
+// links, the key and the free list are not written. Returns the CAS id.
+func (sh *shard) rewriteLocked(v sview, it mem.Addr, klen int, value []byte, flags uint32) uint64 {
+	oldLen := v.u64(it + itemOffValLen)
+	sh.casCounter++
+	v.putU64(it+itemOffValLen, uint64(len(value)))
+	v.putU64(it+itemOffFlags, uint64(flags)|itemActive)
+	v.putU64(it+itemOffCAS, sh.casCounter)
+	v.write(it+itemHeader+mem.Addr(klen), value)
+	sh.bytes = sh.bytes - oldLen + uint64(len(value))
+	return sh.casCounter
 }
 
 func (sh *shard) setLocked(v sview, key, value []byte, flags uint32, h uint64) error {
@@ -748,9 +775,10 @@ func (st *Storage) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uint64
 }
 
 // peek looks key up for a check the client does not see: the hardened
-// arm's existence, CAS and append/prepend probes. It returns the flags and
-// CAS id, copies the value only when withValue, counts no get or hit and
-// marks nothing, as the direct arm's conditional stores and Delete do.
+// arm's existence, CAS and append/prepend probes, and incr/decr's read on
+// both arms. It returns the flags and CAS id, copies the value only when
+// withValue, counts no get or hit and marks nothing, as the direct arm's
+// conditional stores and Delete do.
 func (st *Storage) peek(c *mem.CPU, key []byte, withValue bool) (value []byte, flags uint32, casid uint64, ok bool) {
 	v := st.view(c)
 	h := hashKey(key)
@@ -765,6 +793,12 @@ func (st *Storage) peek(c *mem.CPU, key []byte, withValue bool) (value []byte, f
 		value = v.readBytes(va, vlen)
 	}
 	return value, uint32(v.u64(it + itemOffFlags)), v.u64(it + itemOffCAS), true
+}
+
+// probe is peek without the CAS id: the direct arm's uncounted read.
+func (st *Storage) probe(c *mem.CPU, key []byte, withValue bool) ([]byte, uint32, bool) {
+	value, flags, _, ok := st.peek(c, key, withValue)
+	return value, flags, ok
 }
 
 // countSet counts, in key's shard, a store attempt that stored nothing.

@@ -15,7 +15,8 @@ import (
 //
 // Checked per shard:
 //   - every hash-chain item lives in the shard and bucket its key
-//     hashes to;
+//     hashes to, and fits its class's chunk (the in-place rewrite of a
+//     resident key relies on it);
 //   - every hash-chain item appears exactly once on its class LRU, and
 //     the LRU is a consistent doubly-linked list (forward walk matches
 //     backward walk);
@@ -56,9 +57,14 @@ func (sh *shard) audit(c *mem.CPU, si int) error {
 			if ci < 0 || ci >= len(sh.classes) {
 				return fmt.Errorf("memcache audit: shard %d: item %#x has class %d out of range", si, it, ci)
 			}
+			size := itemHeader + c.ReadU64(it+itemOffKeyLen) + c.ReadU64(it+itemOffValLen)
+			if size > sh.classes[ci].chunkSize {
+				return fmt.Errorf("memcache audit: shard %d: item %#x of %d bytes overruns its class %d chunk of %d",
+					si, it, size, ci, sh.classes[ci].chunkSize)
+			}
 			perClass[ci]++
 			items++
-			bytes += itemHeader + c.ReadU64(it+itemOffKeyLen) + c.ReadU64(it+itemOffValLen)
+			bytes += size
 		}
 	}
 	if items != sh.items {

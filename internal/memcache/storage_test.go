@@ -3,6 +3,7 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"sdrad/internal/mem"
@@ -170,6 +171,47 @@ func TestStorageLRUBumpOnGet(t *testing.T) {
 	}
 }
 
+func TestStorageRewriteGetsSecondChance(t *testing.T) {
+	st, cpu := newStorage(t, 8, 300*1024)
+	val := make([]byte, 900)
+	var keys []string
+	for i := 0; st.Stats().Bytes <= 180*1024; i++ {
+		key := fmt.Sprintf("k-%04d", i)
+		if err := st.Set(cpu, []byte(key), val, 0); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+		if st.Stats().Evictions > 0 {
+			t.Fatal("evicted during fill phase")
+		}
+	}
+	// Rewrite the oldest key in place, then insert until eviction: the
+	// rewrite marked it active, so it survives and the second-oldest goes.
+	if err := st.Set(cpu, []byte(keys[0]), val, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, active := itemState(st, cpu, keys[0]); !active {
+		t.Fatal("an in-place rewrite did not mark its item active")
+	}
+	for i := 0; st.Stats().Evictions == 0; i++ {
+		if err := st.Set(cpu, []byte(fmt.Sprintf("new-%04d", i)), val, 0); err != nil {
+			t.Fatal(err)
+		}
+		if i > 1000 {
+			t.Fatal("no eviction")
+		}
+	}
+	if present, _ := itemState(st, cpu, keys[0]); !present {
+		t.Error("rewritten key was evicted")
+	}
+	if present, _ := itemState(st, cpu, keys[1]); present {
+		t.Error("true LRU victim survived")
+	}
+	if err := st.AuditShards(cpu); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fillToEviction stores 900-byte values (one slab class) into a
 // one-shard Storage until the first eviction, returning the keys still
 // live, least recently stored first.
@@ -282,7 +324,7 @@ func TestStorageKeyLimits(t *testing.T) {
 func TestStorageOverwriteReleasesOldChunk(t *testing.T) {
 	st, cpu := newStorage(t, 8, 1<<20)
 	// Overwrite the same key many times with same-class values: chunk
-	// count must not grow (old chunks recycled via the free list).
+	// count must not grow (each store rewrites the item in its chunk).
 	for i := 0; i < 500; i++ {
 		if err := st.Set(cpu, []byte("k"), []byte(fmt.Sprintf("value-%d", i)), 0); err != nil {
 			t.Fatal(err)
@@ -294,6 +336,77 @@ func TestStorageOverwriteReleasesOldChunk(t *testing.T) {
 	}
 	if stats.Evictions != 0 {
 		t.Errorf("evictions = %d during overwrite churn", stats.Evictions)
+	}
+}
+
+// itemAt returns the chunk key's item occupies, or 0.
+func itemAt(st *Storage, cpu *mem.CPU, key string) mem.Addr {
+	h := hashKey([]byte(key))
+	sh := st.lockShard(h)
+	defer sh.mu.Unlock()
+	return sh.lookupLocked(st.view(cpu), []byte(key), h)
+}
+
+func TestStorageStoreKeepsOrChangesChunk(t *testing.T) {
+	// A store of a resident key stays in its chunk while the new item
+	// needs the same class; a value that grows (or shrinks) into another
+	// class is relinked into a chunk of that class and the old chunk goes
+	// back to its free list. Byte accounting follows the value either way.
+	st, cpu := newStorage(t, 8, 1<<20)
+	set := func(key string, n int) {
+		t.Helper()
+		if err := st.Set(cpu, []byte(key), make([]byte, n), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantBytes := func(vlens ...int) {
+		t.Helper()
+		want := uint64(0)
+		for _, n := range vlens {
+			want += itemHeader + 1 + uint64(n)
+		}
+		if got := st.Stats().Bytes; got != want {
+			t.Errorf("bytes = %d, want %d", got, want)
+		}
+		if err := st.AuditShards(cpu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set("a", 10)
+	set("b", 10)
+	small := itemAt(st, cpu, "a")
+	set("a", 20)
+	if got := itemAt(st, cpu, "a"); got != small {
+		t.Fatalf("same-class store moved a from %#x to %#x", small, got)
+	}
+	wantBytes(20, 10)
+
+	sh := st.shards[0]
+	ci, _ := sh.classFor(itemHeader + 1 + 20)
+	set("a", 500)
+	big := itemAt(st, cpu, "a")
+	if big == small {
+		t.Fatal("a store into a larger class stayed in its old chunk")
+	}
+	if cl := &sh.classes[ci]; cl.freeHead != small || cl.used != 1 {
+		t.Errorf("old class: free head %#x used %d, want %#x and 1 (b alone)", cl.freeHead, cl.used, small)
+	}
+	wantBytes(500, 10)
+	if v, _, ok := st.Get(cpu, []byte("a")); !ok || len(v) != 500 {
+		t.Fatalf("get a = %d bytes %v", len(v), ok)
+	}
+
+	set("a", 5)
+	if got := itemAt(st, cpu, "a"); got == big {
+		t.Fatal("a store into a smaller class stayed in its old chunk")
+	}
+	wantBytes(5, 10)
+
+	// The audit refuses an item that overruns its chunk.
+	it := itemAt(st, cpu, "a")
+	cpu.WriteU64(it+itemOffValLen, sh.classes[ci].chunkSize)
+	if err := st.AuditShards(cpu); err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Errorf("audit of an item larger than its chunk: %v", err)
 	}
 }
 
