@@ -22,7 +22,9 @@ test:
 # client-to-worker hand-off (internal/proc: start, wait, chunking, and
 # its down paths — a worker dying with events in hand, a call after
 # Terminate, a start racing it) and the fifth the memcache tests that
-# stage a backlog through it behind a parked worker. The last holds the
+# stage a backlog through it behind a parked worker, plus the idle
+# worker's audit after a sibling's rewind (two workers deriving their
+# PKRU policies side by side). The last holds the
 # router's dead-backend spill to exactly FailThreshold degraded replies
 # two hundred times: a stopped backend must answer nothing, or a reply
 # resets its failure streak and the count drifts.
@@ -31,7 +33,7 @@ race:
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 	$(GO) test -race -count=20 ./internal/proc
-	$(GO) test -race -count=20 -run 'BlastRadius|TwoConnsInOneRound|ChunkedPipeline' ./internal/memcache
+	$(GO) test -race -count=20 -run 'BlastRadius|TwoConnsInOneRound|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind' ./internal/memcache
 	$(GO) test -race -count=200 -run SpillsAroundDeadBackend ./internal/cluster
 
 vet:

@@ -83,7 +83,7 @@ func runLease(cfg Config, r *Report) error {
 					c.WriteU64(wantAddr, 0xdead)
 					return errNoFault
 				case "epoch-renew":
-					// A policy-change revocation mid-workload: one renewal
+					// An epoch revocation mid-workload: one renewal
 					// walk brings the window back, nothing rewinds.
 					env.as.BumpLeaseEpoch()
 					if lease.Valid() {

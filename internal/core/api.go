@@ -169,7 +169,7 @@ func (l *Library) DProtect(t *proc.Thread, udi, tddi UDI, prot mem.Prot) error {
 	} else {
 		d.grants[tddi] = prot
 	}
-	l.bumpPolicyGen()
+	l.policyGen.Add(1)
 	l.mu.Unlock()
 	return nil
 }

@@ -48,12 +48,12 @@ type AuditReport struct {
 	ExpectedPKRU uint32
 	// PKRUStaleDenies holds the deny bits set in the live register but
 	// clear in the policy. Non-zero is legal on a quiescent thread:
-	// PKRU is per-thread hardware state, so a sibling thread growing the
-	// shared domain topology (initializing a domain under root) widens
-	// the derived policy without touching this thread's register — the
-	// new rights are picked up at its next monitor transition. Only the
-	// opposite direction (stale rights the policy revoked) is an
-	// integrity violation.
+	// PKRU is per-thread hardware state, so a sibling thread creating
+	// an accessible data domain under root widens the derived policy
+	// without touching this thread's register — the new rights are
+	// picked up at its next monitor transition. Only the opposite
+	// direction (stale rights the policy revoked) is an integrity
+	// violation.
 	PKRUStaleDenies uint32
 	// LedgerCalls is the monitor-call counter read from the transition
 	// ledger in the monitor data domain; MonitorCalls is the Go-side
@@ -118,7 +118,7 @@ func (l *Library) Audit(t *proc.Thread) *AuditReport {
 	// the register must not hold rights the policy denies — clear deny
 	// bits where the policy sets them mean a rewind (or a monitor bug)
 	// left stale rights installed. The other direction is legal: a
-	// sibling thread initializing a domain under the shared root widens
+	// sibling thread creating a data domain under the shared root widens
 	// the policy, and this thread's register only catches up at its next
 	// monitor transition (PKRU is per-thread hardware state).
 	r.ExpectedPKRU = l.computePKRU(ts, ts.current)

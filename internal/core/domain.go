@@ -41,8 +41,7 @@ type Domain struct {
 	key  int
 	lib  *Library
 
-	parent   *Domain
-	children []*Domain
+	parent *Domain
 
 	// Init-time configuration.
 	accessible           bool
@@ -76,6 +75,7 @@ type Domain struct {
 
 	// pkruCache holds the last derived PKRU policy for executing this
 	// domain, packed as generation<<32|policy (see Library.computePKRU).
+	// Root's policy differs per thread and is cached in threadState.
 	pkruCache atomic.Uint64
 
 	// grants are the data-domain access rights set at init (Grant) or
@@ -235,21 +235,18 @@ func (l *Library) InitDomain(t *proc.Thread, udi UDI, opts ...InitOption) error 
 	if err := l.provisionDomain(t, d); err != nil {
 		return err
 	}
-	// Publication of the new child is synchronized: the parent may be the
-	// shared root domain, whose child list other threads read while
-	// deriving their policies.
+	// Publication is synchronized: a data domain is global, and other
+	// threads read its table entry while deriving their policies.
 	l.mu.Lock()
 	d.initialized = true
 	d.grants = cfg.grants
-	ts.current.children = append(ts.current.children, d)
 	if d.kind == DataDomain {
 		l.dataDomains[udi] = d
-	}
-	l.bumpPolicyGen()
-	l.mu.Unlock()
-	if d.kind != DataDomain {
+	} else {
 		ts.domains[udi] = d
 	}
+	l.policyGen.Add(1)
+	l.mu.Unlock()
 	l.stats.Inits.Add(1)
 	if rec := l.tel.Load(); rec != nil {
 		rec.RecordDomainInit(t.ID(), int(udi), int(d.kind), d.heapSize)
@@ -460,24 +457,16 @@ func (l *Library) releaseDomain(t *proc.Thread, d *Domain) {
 	l.mu.Lock()
 	d.initialized = false
 	d.contextValid = false
-	if d.parent != nil {
-		kids := d.parent.children
-		for i, c := range kids {
-			if c == d {
-				d.parent.children = append(kids[:i], kids[i+1:]...)
-				break
-			}
-		}
-	}
 	if d.kind == DataDomain {
 		delete(l.dataDomains, d.udi)
+	} else {
+		ts.forget(d)
 	}
-	l.bumpPolicyGen()
+	l.policyGen.Add(1)
 	l.mu.Unlock()
 	if d.kind == DataDomain {
 		_ = as.PkeyFree(d.key)
 	} else {
-		ts.forget(d)
 		if l.scrubOnDiscard && d.stk != nil {
 			zero := make([]byte, mem.PageSize)
 			for off := uint64(0); off < d.stackSize; off += mem.PageSize {

@@ -72,11 +72,10 @@ type Library struct {
 	ledgerFree []mem.Addr
 	ledgerNext int
 
-	// policyGen versions every input of computePKRU (domain topology,
+	// policyGen versions every input of computePKRU (domain tables,
 	// init states, keys, DProtect grants). Bumped under mu at the end of
-	// each mutating critical section (via bumpPolicyGen, which also
-	// revokes span leases), so a policy cached against the current
-	// generation is always derived from current state.
+	// each mutating critical section, so a policy cached against the
+	// current generation is always derived from current state.
 	policyGen atomic.Uint64
 
 	stats Stats
@@ -134,6 +133,10 @@ type threadState struct {
 	ledgerSlot   mem.Addr
 	ledgerShared bool
 	ledger       mem.Lease
+	// rootPKRU is this thread's cached root policy, packed like
+	// Domain.pkruCache: root is shared, but the children it grants are
+	// the thread's own.
+	rootPKRU atomic.Uint64
 	// hot is this thread's share of the sharded Stats counters.
 	hot hotCounters
 }
@@ -403,7 +406,7 @@ func (l *Library) destroyThread(t *proc.Thread) {
 	// The thread is gone: no domain can be "current" anymore.
 	ts.current = l.root
 	ts.enterStack = nil
-	for udi, d := range ts.domains {
+	for _, d := range ts.domains {
 		if d.isRoot() {
 			continue
 		}
@@ -411,7 +414,6 @@ func (l *Library) destroyThread(t *proc.Thread) {
 		d.entered = false
 		l.discardHeap(t, d)
 		l.releaseDomain(t, d)
-		delete(ts.domains, udi)
 	}
 	l.mu.Lock()
 	delete(l.threads, t.ID())
@@ -572,42 +574,36 @@ func (l *Library) wrpkru(t *proc.Thread, v uint32) {
 // read-only from nested domains (globals readable, not writable); keys of
 // accessible initialized children are granted; data-domain grants
 // configured via DProtect apply; everything else — including the monitor
-// key — is denied.
+// key — is denied. A child is an execution domain of this thread or a
+// data domain: no thread's policy names a sibling's execution domain, so
+// a sibling's rewind cannot leave a grant in this thread's register.
 //
-// It locks the library mutex because the root domain is shared by all
-// threads: its child list and grants can be mutated concurrently by other
-// threads initializing domains.
-//
-// The derived value is cached on the domain, tagged with the policy
-// generation it was derived from; monitorExit — two per API call — then
-// costs an atomic load instead of a locked walk. Every policy input
-// mutates under the library mutex with a generation bump at the end of
-// the critical section, so a cache entry tagged with the current
-// generation is always current (a walk that raced a mutation reads the
-// pre-bump generation and caches a value that can never be served).
-// bumpPolicyGen advances the policy generation and, with it, the
-// address-space lease epoch: a policy change can alter PKRU derivation
-// without touching the page table, and outstanding span leases must not
-// survive it. Called at the end of each mutating critical section.
-func (l *Library) bumpPolicyGen() {
-	l.policyGen.Add(1)
-	l.p.AddressSpace().BumpLeaseEpoch()
-}
-
+// The derived value is cached, tagged with the policy generation it was
+// derived from; monitorExit — two per API call — then costs an atomic
+// load instead of a locked walk. Every policy input mutates under the
+// library mutex with a generation bump at the end of the critical
+// section, so a cache entry tagged with the current generation is always
+// current (a walk that raced a mutation reads the pre-bump generation and
+// caches a value that can never be served).
 func (l *Library) computePKRU(ts *threadState, d *Domain) uint32 {
+	cache := &d.pkruCache
+	if d.isRoot() {
+		cache = &ts.rootPKRU
+	}
 	gen := l.policyGen.Load()
 	// The tag packs the generation into 32 bits; the generation counts
 	// domain-topology mutations and cannot realistically wrap.
-	if c := d.pkruCache.Load(); c != 0 && c>>32 == gen&0xffffffff {
+	if c := cache.Load(); c != 0 && c>>32 == gen&0xffffffff {
 		return uint32(c)
 	}
-	pkru := l.derivePKRU(d)
-	d.pkruCache.Store((gen&0xffffffff)<<32 | uint64(pkru))
+	pkru := l.derivePKRU(ts, d)
+	cache.Store((gen&0xffffffff)<<32 | uint64(pkru))
 	return pkru
 }
 
-// derivePKRU is the uncached policy walk.
-func (l *Library) derivePKRU(d *Domain) uint32 {
+// derivePKRU is the uncached policy walk. It locks the library mutex:
+// data domains and the shared root's grants change under other threads.
+func (l *Library) derivePKRU(ts *threadState, d *Domain) uint32 {
 	pkru := mem.PKRUDenyAll
 	pkru = mem.PKRUAllow(pkru, d.key, true)
 	if d.isRoot() {
@@ -619,9 +615,11 @@ func (l *Library) derivePKRU(d *Domain) uint32 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, c := range d.children {
-		if c.accessible && c.initialized {
-			pkru = mem.PKRUAllow(pkru, c.key, true)
+	for _, table := range [...]map[UDI]*Domain{ts.domains, l.dataDomains} {
+		for _, c := range table {
+			if c.parent == d && c.accessible && c.initialized {
+				pkru = mem.PKRUAllow(pkru, c.key, true)
+			}
 		}
 	}
 	for tddi, prot := range d.grants {

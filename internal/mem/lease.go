@@ -13,9 +13,10 @@ package mem
 // one of the two:
 //
 //   - leaseEpoch (per address space, atomic): bumped by every page-table
-//     mutation's shootdown (Map/Unmap/Protect/PkeyMprotect) and by the
-//     reference monitor whenever its policy generation changes
-//     (BumpLeaseEpoch) — domain init, discard, DProtect grants.
+//     mutation's shootdown (Map/Unmap/Protect/PkeyMprotect) and by an
+//     explicit BumpLeaseEpoch. A reference-monitor policy change (domain
+//     init, discard, DProtect grants) bumps nothing: it changes no page
+//     table entry, and the PKRU it does change is re-derived below.
 //   - leaseGen (per CPU, plain): bumped by InvalidateLeases on the rewind
 //     unwind paths and by SetFaultInjector — forced revocation for events
 //     that must drop every window regardless of what the page table says.
@@ -232,8 +233,6 @@ func (c *CPU) SpanLease(base Addr, n int, kind AccessKind) *Lease {
 func (c *CPU) InvalidateLeases() { c.leaseGen++ }
 
 // BumpLeaseEpoch revokes every outstanding lease in the address space.
-// Page-table mutators do this implicitly via shootdown; the reference
-// monitor calls it whenever its policy generation changes (domain init,
-// discard, DProtect), since those change PKRU derivation without
-// necessarily touching the page table.
+// Page-table mutators do this implicitly via shootdown; an explicit bump
+// forces revocation without one (the chaos lease campaign uses it).
 func (as *AddressSpace) BumpLeaseEpoch() { as.leaseEpoch.Add(1) }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sdrad/internal/policy"
+	"sdrad/internal/proc"
 )
 
 // startServer builds a server with small test-sized defaults.
@@ -28,6 +29,15 @@ func startServer(t testing.TB, variant Variant, workers int) *Server {
 	}
 	t.Cleanup(s.Stop)
 	return s
+}
+
+// connOn opens connections until one is placed on the given worker.
+func connOn(s *Server, worker int) *Conn {
+	for {
+		if c := s.NewConn(); c.WorkerIndex() == worker {
+			return c
+		}
+	}
 }
 
 // allVariants runs a subtest per variant.
@@ -269,6 +279,31 @@ func TestCVE2011_4971_SDRaDRewinds(t *testing.T) {
 	}
 }
 
+// TestIdleWorkerAuditAfterSiblingRewind: a worker's PKRU policy names
+// only its own event domain, so a sibling's rewind leaves nothing stale
+// in the register of a worker that sat idle since: its monitor audit is
+// clean without a request first.
+func TestIdleWorkerAuditAfterSiblingRewind(t *testing.T) {
+	s := startServer(t, VariantSDRaD, 2)
+	mustDo(t, connOn(s, 0), FormatSet("w0", []byte("v"), 0))
+	idle := connOn(s, 1)
+	mustDo(t, idle, FormatSet("w1", []byte("v"), 0))
+	if _, closed, err := connOn(s, 0).Do(FormatBSet("atk", 16<<20, []byte("payload"))); err != nil || !closed {
+		t.Fatalf("attack: closed=%v err=%v", closed, err)
+	}
+	if s.Rewinds() != 1 {
+		t.Fatalf("rewinds = %d, want 1", s.Rewinds())
+	}
+	if err := idle.Inspect(func(th *proc.Thread) error {
+		if rep := s.Library().Audit(th); !rep.Ok() {
+			t.Errorf("audit on the idle worker: %v", rep.Findings)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRepeatedAttacksKeepRecovering(t *testing.T) {
 	s := startServer(t, VariantSDRaD, 1)
 	for i := 0; i < 5; i++ {
@@ -309,17 +344,10 @@ func TestEventDomainHeldOffServesMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Stop)
-	on := func(worker int) *Conn {
-		for {
-			if c := s.NewConn(); c.WorkerIndex() == worker {
-				return c
-			}
-		}
-	}
-	live := on(1)
+	live := connOn(s, 1)
 	mustDo(t, live, FormatSet("k", []byte("v"), 0))
 	for i := 0; i < 2; i++ { // two rewinds in the window: backoff, 10ms hold-off
-		if _, closed, err := on(0).Do(FormatBSet("atk", 16<<20, nil)); err != nil || !closed {
+		if _, closed, err := connOn(s, 0).Do(FormatBSet("atk", 16<<20, nil)); err != nil || !closed {
 			t.Fatalf("attack %d: closed=%v err=%v", i, closed, err)
 		}
 	}
