@@ -24,7 +24,9 @@ test:
 # Terminate, a start racing it) and the fifth the memcache tests that
 # stage a backlog through it behind a parked worker, plus the idle
 # worker's audit after a sibling's rewind (two workers deriving their
-# PKRU policies side by side). The last holds the
+# PKRU policies side by side) and the clients that keep every reply while
+# the worker carves the next ones from the same block; the sixth holds
+# httpd's reply ownership the same way. The last holds the
 # router's dead-backend spill to exactly FailThreshold degraded replies
 # two hundred times: a stopped backend must answer nothing, or a reply
 # resets its failure streak and the count drifts.
@@ -33,7 +35,8 @@ race:
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 	$(GO) test -race -count=20 ./internal/proc
-	$(GO) test -race -count=20 -run 'BlastRadius|TwoConnsInOneRound|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind' ./internal/memcache
+	$(GO) test -race -count=20 -run 'BlastRadius|TwoConnsInOneRound|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesStayTheCallers' ./internal/memcache
+	$(GO) test -race -count=20 -run 'RepliesStayTheCallers' ./internal/httpd
 	$(GO) test -race -count=200 -run SpillsAroundDeadBackend ./internal/cluster
 
 vet:
@@ -100,14 +103,14 @@ fuzz-smoke:
 
 # The evaluation at reduced scale (all 14 experiments, the three live
 # claims included), then one iteration of each mechanism benchmark (the
-# guard scope, the deferred store and its apply, a storage hit, the
-# contended shard lock, the client-to-worker hand-off, a keep-alive GET
-# on both httpd arms) so they keep compiling and running; time them with
+# guard scope, the deferred store and its apply, a storage hit, a
+# pipeline of sixteen hardened gets, the contended shard lock, the
+# client-to-worker hand-off, a keep-alive GET on both httpd arms) so they keep compiling and running; time them with
 # -benchtime=2s -count=5.
 bench-smoke:
 	$(GO) run ./cmd/sdrad-bench -quick
 	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope$$' -benchtime=1x ./internal/core
-	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|StorageHit|StorageReplace|ShardLockContended)$$' -benchtime=1x ./internal/memcache
+	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|StorageHit|StorageReplace|ShardLockContended|PipelineGets16)$$' -benchtime=1x ./internal/memcache
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffDo$$' -benchtime=1x ./internal/proc
 	$(GO) test -run '^$$' -bench 'BenchmarkKeepAliveGET$$' -benchtime=1x ./internal/httpd
 

@@ -1,6 +1,7 @@
 package httpd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -625,17 +626,103 @@ func TestParserHeldOffAnswers503(t *testing.T) {
 }
 
 func TestHandOffAllocationBudget(t *testing.T) {
-	// A warm keep-alive GET allocates what it returns and the event that
-	// carries it — the event (completion signal embedded), Request.Path and
-	// the reply, 3 — on both variants: hardening adds none.
+	// A warm keep-alive GET allocates the event that carries it (completion
+	// signal embedded) and Request.Path, 2, on both variants: hardening adds
+	// none. The reply is carved from the worker's reply block, a 32 KiB
+	// allocation shared by every reply that fits in it, which rounds to
+	// none per request.
 	req := FormatRequest("/index.html", true)
 	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
 		c := startMaster(t, v, 1).Worker(0).NewConn()
 		mustGet(t, c, "/index.html") // creates the parser domain and buffers
-		if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(req) }); n > 4 {
-			t.Errorf("%v: warm Do allocates %.0f times, budget 4", v, n)
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(req) }); n > 2 {
+			t.Errorf("%v: warm Do allocates %.0f times, budget 2", v, n)
 		}
 	}
+}
+
+func TestRepliesStayTheCallers(t *testing.T) {
+	// Two clients on one worker keep every reply they get, from Do and
+	// from DoPipeline, while the worker carves the other client's replies
+	// from the same blocks: each reply must still hold its own bytes at
+	// the end, with cap == len. The files have odd sizes, so adjacent
+	// replies would share a word if they were not aligned, and the race
+	// detector would see the client reading its reply while the worker
+	// writes the next one; the 40,000-byte file is larger than a block.
+	files := map[string]int{"/a": 1021, "/b": 1539, "/huge": 40000}
+	want := make(map[string]string)
+	for path, size := range files {
+		body := strings.Repeat(path+"#", size/len(path+"#")+1)[:size]
+		want[path] = "HTTP/1.1 200 OK\r\nServer: sdrad-httpd/1.23\r\nContent-Length: " + strconv.Itoa(size) +
+			"\r\nConnection: keep-alive\r\n\r\n" + body
+	}
+	allVariants(t, func(t *testing.T, v Variant) {
+		m, err := NewMaster(Config{Variant: v, Workers: 1, Files: files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Stop)
+		paths := [][]string{{"/a", "/b", "/a", "/b", "/b"}, {"/b", "/a", "/a", "/huge", "/a"}}
+		var wg sync.WaitGroup
+		for g := range paths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := m.Worker(0).NewConn()
+				type kept struct {
+					path string
+					resp []byte
+				}
+				var all []kept
+				check := func(k kept) bool {
+					if string(k.resp) != want[k.path] || cap(k.resp) != len(k.resp) {
+						t.Errorf("reply to GET %s: %d bytes, cap %d, want %d bytes, cap == len",
+							k.path, len(k.resp), cap(k.resp), len(want[k.path]))
+						return false
+					}
+					return true
+				}
+				for r := 0; r < 12; r++ {
+					reqs := make([][]byte, len(paths[g]))
+					for i, path := range paths[g] {
+						resp, closed, err := c.Do(FormatRequest(path, true))
+						if err != nil || closed {
+							t.Errorf("Do: closed=%v err=%v", closed, err)
+							return
+						}
+						all = append(all, kept{path, resp})
+						if !check(all[len(all)-1]) {
+							return
+						}
+						reqs[i] = FormatRequest(path, true)
+					}
+					for i, res := range c.DoPipeline(reqs) {
+						if res.Err != nil || res.Closed {
+							t.Errorf("DoPipeline: %+v", res)
+							return
+						}
+						all = append(all, kept{paths[g][i], res.Resp})
+						if !check(all[len(all)-1]) {
+							return
+						}
+					}
+				}
+				total := 0
+				for _, k := range all {
+					if !check(k) {
+						return
+					}
+					if k.path != "/huge" {
+						total += len(k.resp)
+					}
+				}
+				if total < 3*32<<10 {
+					t.Errorf("client %d kept %d bytes of block-carved replies; the test no longer spans three blocks", g, total)
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // BenchmarkKeepAliveGET times a warm keep-alive GET of a 1 KiB file
@@ -674,9 +761,11 @@ func heapInuse(collect bool) uint64 {
 func TestStoppedMasterIsCollectable(t *testing.T) {
 	// As memcache's TestStoppedServerIsCollectable: after Stop and ONE
 	// collection nothing keeps the worker processes (two heaps of ~21 MiB,
-	// sized by the 128 KiB file) reachable.
+	// sized by the 128 KiB file) reachable, and a reply the caller keeps
+	// across Stop keeps its bytes.
 	allVariants(t, func(t *testing.T, v Variant) {
 		before := heapInuse(true)
+		var held, want []byte
 		func() {
 			m, err := NewMaster(Config{Variant: v, Workers: 2, Files: map[string]int{"/1k": 1024, "/big": 128 << 10}})
 			if err != nil {
@@ -705,14 +794,22 @@ func TestStoppedMasterIsCollectable(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if held := heapInuse(false) - before; held < 24<<20 {
-				t.Fatalf("a live master holds %d MiB of Go heap; the test no longer measures its memory", held>>20)
+			if inuse := heapInuse(false) - before; inuse < 24<<20 {
+				t.Fatalf("a live master holds %d MiB of Go heap; the test no longer measures its memory", inuse>>20)
 			}
+			resp, closed, err := m.Worker(0).NewConn().Do(FormatRequest("/1k", true))
+			if err != nil || closed {
+				t.Fatalf("Do: closed=%v err=%v", closed, err)
+			}
+			held, want = resp, bytes.Clone(resp)
 			m.Stop()
 		}()
 		if after := heapInuse(true); after > before+8<<20 {
 			t.Errorf("HeapInuse %d MiB before the master, %d MiB after Stop and one GC: a stopped worker is still reachable",
 				before>>20, after>>20)
+		}
+		if !bytes.Equal(held, want) {
+			t.Errorf("a reply held across Stop changed: %q", held[:min(len(held), 24)])
 		}
 	})
 }

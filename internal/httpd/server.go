@@ -204,6 +204,9 @@ type Worker struct {
 	// assembles before writing it to the connection buffer.
 	scratch []reqState
 	hdr     []byte
+	// replies is where the worker carves the Resp it delivers for each
+	// request (proc.ReplyBlock states who owns them).
+	replies proc.ReplyBlock
 	// wcap sizes every connection's write buffer for the largest
 	// configured response, computed once in provision.
 	wcap int
@@ -714,7 +717,9 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 		// connection buffer — the per-size cost that shapes Figure 5.
 		c.Copy(conn.WBuf+mem.Addr(len(h)), body.addr, body.size)
 	}
-	resp := c.ReadBytes(conn.WBuf, wlen)
+	// The one copy into caller memory: out of the write buffer through a
+	// read lease, into the worker's reply block.
+	resp := w.replies.Read(c, c.SpanLease(conn.WBuf, w.wcap, mem.AccessRead), conn.WBuf, wlen)
 	if !req.KeepAlive {
 		w.CloseConn(t, &conn.ConnBufs)
 	}

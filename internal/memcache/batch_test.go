@@ -821,10 +821,11 @@ func TestHardenedInlineSetAllocatesNoMoreThanVanilla(t *testing.T) {
 }
 
 func TestHandOffAllocationBudget(t *testing.T) {
-	// A warm request allocates what it returns and the event that carries
-	// it: Do is the event (completion signal embedded) and the reply, 2;
-	// DoPipeline of four gets is the handle, its events, its results and
-	// four replies, 7.
+	// A warm request allocates the event that carries it: Do is the event
+	// (completion signal embedded), 1; DoPipeline of four gets is the
+	// handle, its events and its results, 3. The replies are carved from
+	// the worker's reply block, a 32 KiB allocation shared by every reply
+	// that fits in it, which rounds to none per request.
 	get := FormatGet("k")
 	burst := [][]byte{get, get, get, get}
 	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
@@ -833,8 +834,8 @@ func TestHandOffAllocationBudget(t *testing.T) {
 		c.DoPipeline(burst) // creates the domain slots a burst of four uses
 		do := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(get) })
 		pipe := testing.AllocsPerRun(100, func() { c.DoPipeline(burst) })
-		if do > 3 || pipe > 10 {
-			t.Errorf("%v: warm Do allocates %.0f times (budget 3), DoPipeline of 4 gets %.0f (budget 10)", v, do, pipe)
+		if do > 1 || pipe > 3 {
+			t.Errorf("%v: warm Do allocates %.0f times (budget 1), DoPipeline of 4 gets %.0f (budget 3)", v, do, pipe)
 		}
 	}
 }

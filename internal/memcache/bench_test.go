@@ -76,6 +76,55 @@ func BenchmarkStorageHit(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineGets16 times the get path end to end on the hardened
+// build, without the ledger: a warm DoPipeline of 16 gets of 1 KiB values
+// (10,000 items, keys from YCSB's scrambled Zipfian, drawn beforehand)
+// through one guard scope — parse, render into the write buffer, deliver
+// each reply. allocs/op is the pipeline's handle, events and results; the
+// replies come from the worker's reply block.
+func BenchmarkPipelineGets16(b *testing.B) {
+	const items, depth = 10000, 16
+	s, err := NewServer(Config{Variant: VariantSDRaD, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Stop()
+	c := s.NewConn()
+	value := bytes.Repeat([]byte("v"), 1024)
+	gets := make([][]byte, items)
+	sets := make([][]byte, 0, depth)
+	for i := range gets {
+		gets[i] = FormatGet(ycsb.Key(i))
+		if sets = append(sets, FormatSet(ycsb.Key(i), value, 0)); len(sets) == depth || i == items-1 {
+			for _, r := range c.DoPipeline(sets) {
+				if r.Err != nil || r.Closed {
+					b.Fatalf("load: %+v", r)
+				}
+			}
+			sets = sets[:0]
+		}
+	}
+	next := ycsb.ZipfianChooser(items, 0, 1)
+	bursts := make([][][]byte, 256)
+	for i := range bursts {
+		bursts[i] = make([][]byte, depth)
+		for j := range bursts[i] {
+			bursts[i][j] = gets[next()]
+		}
+	}
+	c.DoPipeline(bursts[0]) // creates the domain slots a burst uses
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		for _, r := range c.DoPipeline(bursts[i%len(bursts)]) {
+			if len(r.Resp) < len(value) {
+				b.Fatalf("reply %q", r.Resp)
+			}
+		}
+		i++
+	}
+}
+
 // BenchmarkStorageReplace times a store of a resident key on its own,
 // without the ledger: Set of a 1 KiB value over a key already holding
 // one, on a leased 8-shard Storage holding 40,000 items, one goroutine,

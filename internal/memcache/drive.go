@@ -20,10 +20,10 @@ type storeOps interface {
 	// not see as a get (incr/decr): it counts no get or hit and marks
 	// nothing.
 	probe(c *mem.CPU, key []byte, withValue bool) (value []byte, flags uint32, ok bool)
-	// AppendGet appends key's value to dst (the reply scratch) instead of
-	// allocating a fresh slice per hit — the copy-once read behind the
-	// zero-copy reply assembly.
-	AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) (out []byte, flags uint32, casid uint64, ok bool)
+	// RenderGet is a get that writes its reply entry into dst, the rest
+	// of the write buffer (see Storage.RenderGet): it returns the entry's
+	// full length, 0 on a miss.
+	RenderGet(c *mem.CPU, key, dst []byte, withCAS bool) int
 	Set(c *mem.CPU, key, value []byte, flags uint32) error
 	Add(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error)
 	Replace(c *mem.CPU, key, value []byte, flags uint32) (StoreOutcome, error)
@@ -108,20 +108,24 @@ func (d *deferredOps) probe(c *mem.CPU, key []byte, withValue bool) ([]byte, uin
 	return v, f, ok
 }
 
+// Get and RenderGet are the client's gets: one the overlay answers is
+// counted in cmd_get and get_hits as the direct arm counts it.
 func (d *deferredOps) Get(c *mem.CPU, key []byte) ([]byte, uint32, bool) {
 	if v, f, ok, decided := d.pendingRead(key); decided {
+		d.st.countGet(key, ok)
 		return v, f, ok
 	}
 	return d.st.Get(c, key)
 }
 
-func (d *deferredOps) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]byte, uint32, uint64, bool) {
+func (d *deferredOps) RenderGet(c *mem.CPU, key, dst []byte, withCAS bool) int {
 	v, f, ok, decided := d.pendingRead(key)
 	if !decided {
-		return d.st.AppendGet(c, key, dst, withCAS)
+		return d.st.RenderGet(c, key, dst, withCAS)
 	}
+	d.st.countGet(key, ok)
 	if !ok {
-		return dst, 0, 0, false
+		return 0
 	}
 	// A pending store has no CAS id until apply time: report the stored
 	// item's, or 0.
@@ -129,7 +133,7 @@ func (d *deferredOps) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]by
 	if withCAS {
 		_, _, casid, _ = d.st.peek(c, key, false)
 	}
-	return append(dst, v...), f, casid, true
+	return putEntry(dst, key, v, f, withCAS, casid)
 }
 
 // refuse answers a conditional store its precondition turned down. The
@@ -310,102 +314,11 @@ type dmEnv struct {
 	// accessors with identical fault semantics.
 	rl *mem.Lease
 	wl *mem.Lease
-	// reply is the reusable gather-list reply assembler (lazily created
-	// for environments that never wire one up).
-	reply *replyState
-	// tokens is the command-line tokenizer's scratch; the worker carries it
-	// from one environment to the next so a command allocates none.
-	tokens [][]byte
-}
-
-// replyState assembles a response as a gather list over a reusable
-// scratch buffer — the writev analog. Segments either reference scratch
-// by offset (surviving scratch reallocation) or static protocol bytes,
-// and flushReply materializes them into the write buffer in one pass.
-type replyState struct {
-	segs    []rseg
+	// tokens is the command-line tokenizer's scratch and scratch the get
+	// reply's when the write window is refused; the worker carries both
+	// from one environment to the next so a command allocates neither.
+	tokens  [][]byte
 	scratch []byte
-	n       int
-}
-
-// rseg is one gather segment: ext set means the bytes themselves
-// (static protocol text), otherwise scratch[off:off+n].
-type rseg struct {
-	ext []byte
-	off int
-	n   int
-}
-
-func (r *replyState) reset() {
-	r.segs = r.segs[:0]
-	r.scratch = r.scratch[:0]
-	r.n = 0
-}
-
-func (r *replyState) pushScratch(off, n int) {
-	r.segs = append(r.segs, rseg{off: off, n: n})
-	r.n += n
-}
-
-func (r *replyState) pushExt(b []byte) {
-	r.segs = append(r.segs, rseg{ext: b, n: len(b)})
-	r.n += len(b)
-}
-
-func (env *dmEnv) replyBuf() *replyState {
-	if env.reply == nil {
-		env.reply = &replyState{}
-	}
-	return env.reply
-}
-
-// flushReply gathers the segments into the write buffer, truncating at
-// capacity. With a valid write lease the whole response lands with plain
-// copies into the native window; otherwise each segment goes through the
-// checked writer.
-func (env *dmEnv) flushReply(r *replyState) int {
-	if env.noreply {
-		return 0
-	}
-	total := r.n
-	if total > env.wcap {
-		total = env.wcap
-	}
-	if env.wl != nil {
-		if w, ok := env.wl.Bytes(env.wbuf, total); ok {
-			off := 0
-			for _, sg := range r.segs {
-				if off >= total {
-					break
-				}
-				b := sg.ext
-				if b == nil {
-					b = r.scratch[sg.off : sg.off+sg.n]
-				}
-				if off+len(b) > total {
-					b = b[:total-off]
-				}
-				off += copy(w[off:], b)
-			}
-			return total
-		}
-	}
-	off := 0
-	for _, sg := range r.segs {
-		if off >= total {
-			break
-		}
-		b := sg.ext
-		if b == nil {
-			b = r.scratch[sg.off : sg.off+sg.n]
-		}
-		if off+len(b) > total {
-			b = b[:total-off]
-		}
-		env.c.Write(env.wbuf+mem.Addr(off), b)
-		off += len(b)
-	}
-	return total
 }
 
 // stagingSize is the fixed staging buffer the vulnerable binary-set path
@@ -576,7 +489,7 @@ func tokenize(out [][]byte, line []byte) [][]byte {
 	return out
 }
 
-// Static protocol fragments shared by the reply assembler.
+// Static protocol fragments.
 var (
 	crlfBytes = []byte("\r\n")
 	endBytes  = []byte("END\r\n")
@@ -619,43 +532,63 @@ func writeResponse(env *dmEnv, b []byte) int {
 	return len(b)
 }
 
+// cmdGet renders the reply straight into the write buffer's leased
+// window: each hit's entry is written by Storage.RenderGet under its
+// shard lock, the value going from cache memory into the window in one
+// copy, and "END\r\n" follows. A reply longer than the buffer is cut at
+// wcap, but every key is still looked up and counted. Without the window
+// (an armed injector, a revoked lease) the same entries are rendered into
+// a wcap-sized scratch and written through the checked writer; a noreply
+// get renders nothing and counts every key.
 func cmdGet(env *dmEnv, tokens [][]byte, withCAS bool) (int, bool, error) {
 	if len(tokens) < 2 {
 		return writeString(env, "ERROR\r\n"), false, nil
 	}
-	// Zero-copy assembly: each hit's value is appended once into the
-	// reply scratch (straight from cache memory), the header is rendered
-	// with strconv appends after it, and the gather list orders header
-	// before value on the wire. One flush materializes everything.
-	r := env.replyBuf()
-	r.reset()
-	for _, key := range tokens[1:] {
-		vo := len(r.scratch)
-		out, flags, casid, ok := env.ops.AppendGet(env.c, key, r.scratch, withCAS)
-		r.scratch = out
-		if !ok {
-			r.scratch = r.scratch[:vo]
-			continue
+	var w []byte
+	windowed := false
+	if !env.noreply {
+		if env.wl != nil {
+			w, windowed = env.wl.Bytes(env.wbuf, env.wcap)
 		}
-		vn := len(r.scratch) - vo
-		ho := len(r.scratch)
-		r.scratch = append(r.scratch, "VALUE "...)
-		r.scratch = append(r.scratch, key...)
-		r.scratch = append(r.scratch, ' ')
-		r.scratch = strconv.AppendUint(r.scratch, uint64(flags), 10)
-		r.scratch = append(r.scratch, ' ')
-		r.scratch = strconv.AppendUint(r.scratch, uint64(vn), 10)
-		if withCAS {
-			r.scratch = append(r.scratch, ' ')
-			r.scratch = strconv.AppendUint(r.scratch, casid, 10)
+		if !windowed {
+			if len(env.scratch) < env.wcap {
+				env.scratch = make([]byte, env.wcap)
+			}
+			w = env.scratch[:env.wcap]
 		}
-		r.scratch = append(r.scratch, '\r', '\n')
-		r.pushScratch(ho, len(r.scratch)-ho)
-		r.pushScratch(vo, vn)
-		r.pushExt(crlfBytes)
 	}
-	r.pushExt(endBytes)
-	return env.flushReply(r), false, nil
+	n := 0
+	for _, key := range tokens[1:] {
+		n += env.ops.RenderGet(env.c, key, w[min(n, len(w)):], withCAS)
+	}
+	copy(w[min(n, len(w)):], endBytes)
+	n = min(n+len(endBytes), len(w))
+	if !windowed && n > 0 {
+		return writeResponse(env, w[:n]), false, nil
+	}
+	return n, false, nil
+}
+
+// putEntry writes a get reply entry, "VALUE <key> <flags> <bytes>[ <cas>]
+// \r\n<data>\r\n", into dst, dropping whatever does not fit, and returns
+// the entry's full length.
+func putEntry(dst, key, value []byte, flags uint32, withCAS bool, casid uint64) int {
+	var hb [320]byte // "VALUE ", a MaxKeyLen key, three numbers, separators
+	h := append(hb[:0], "VALUE "...)
+	h = append(h, key...)
+	h = append(h, ' ')
+	h = strconv.AppendUint(h, uint64(flags), 10)
+	h = append(h, ' ')
+	h = strconv.AppendUint(h, uint64(len(value)), 10)
+	if withCAS {
+		h = append(h, ' ')
+		h = strconv.AppendUint(h, casid, 10)
+	}
+	h = append(h, '\r', '\n')
+	n := copy(dst, h)
+	n += copy(dst[n:], value)
+	copy(dst[n:], crlfBytes)
+	return len(h) + len(value) + len(crlfBytes)
 }
 
 // cmdStore handles all storage commands sharing the

@@ -511,9 +511,12 @@ func TestStoppedServerIsCollectable(t *testing.T) {
 	// collection: nothing the request path leaves behind (the hand-off's
 	// events, its sweepers) may keep the process reachable — a sync.Pool of
 	// events does, for two. Held memory shows as set-up time of the next
-	// server built in the process.
+	// server built in the process. A reply the caller keeps across Stop is
+	// its own: it keeps its bytes and pins no more than its reply block.
 	allVariants(t, func(t *testing.T, v Variant) {
 		before := heapInuse(true)
+		var held []byte
+		want := getEntry("key-0", bytes.Repeat([]byte("v"), 512)) + "END\r\n"
 		func() {
 			s, err := NewServer(Config{Variant: v, Workers: 2, CacheBytes: 32 << 20})
 			if err != nil {
@@ -547,14 +550,18 @@ func TestStoppedServerIsCollectable(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if held := heapInuse(false) - before; held < 24<<20 {
-				t.Fatalf("a live server holds %d MiB of Go heap; the test no longer measures its memory", held>>20)
+			if inuse := heapInuse(false) - before; inuse < 24<<20 {
+				t.Fatalf("a live server holds %d MiB of Go heap; the test no longer measures its memory", inuse>>20)
 			}
+			held = mustDo(t, s.NewConn(), FormatGet("key-0"))
 			s.Stop()
 		}()
 		if after := heapInuse(true); after > before+8<<20 {
 			t.Errorf("HeapInuse %d MiB before the server, %d MiB after Stop and one GC: the stopped server is still reachable",
 				before>>20, after>>20)
+		}
+		if string(held) != want {
+			t.Errorf("a reply held across Stop reads %q, want %q", held[:min(len(held), 24)], want[:24])
 		}
 	})
 }

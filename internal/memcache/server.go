@@ -177,10 +177,9 @@ type worker struct {
 	items  []batchItem
 	states []evState
 	dops   deferredOps
-	// rw is the worker's reusable reply assembler; drive_machine builds
-	// every response of a batch through it, so the steady state allocates
-	// nothing per request.
-	rw replyState
+	// replies is where the worker carves the Resp it delivers for each
+	// request (proc.ReplyBlock states who owns them).
+	replies proc.ReplyBlock
 
 	// env is the worker's reusable drive_machine environment and
 	// scratchAddrs its request-scoped scratch allocation list; curT pins
@@ -390,24 +389,6 @@ func (w *worker) take(ev *proc.Event[*Conn]) {
 	}
 }
 
-// materializeResp copies a drive_machine response out of simulated
-// memory into a fresh Go slice for delivery to the client — through the
-// write lease's native window when it is valid, through the checked
-// reader otherwise.
-func materializeResp(c *mem.CPU, wl *mem.Lease, wbuf mem.Addr, wlen int) []byte {
-	if wlen <= 0 {
-		return nil
-	}
-	if wl != nil {
-		if b, ok := wl.Bytes(wbuf, wlen); ok {
-			out := make([]byte, wlen)
-			copy(out, b)
-			return out
-		}
-	}
-	return c.ReadBytes(wbuf, wlen)
-}
-
 // dispatchBatch is the one request flow every build runs: the paper's
 // Figure 3, amortized over a drained batch, filling in every item's
 // result. The build decides only which steps run. On the hardened build
@@ -502,8 +483,8 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 			wcap:         s.cfg.ConnBufSize,
 			allocScratch: w.allocScratch,
 			ops:          s.st,
-			reply:        &w.rw,
 			tokens:       env.tokens,
+			scratch:      env.scratch,
 		}
 		if lib != nil {
 			env.ops = dops
@@ -552,11 +533,12 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 			}
 			states[i].borrows = len(dops.pending) > mark
 			// ⑧ capture the response straight from the write buffer while
-			// it is cache-hot — through its write lease, one copy into the
-			// Go-side delivery slice. On the hardened build the domain is
-			// reading its own slot; an abnormal exit later in the batch
-			// discards every captured response with the batch.
-			states[i].data = materializeResp(c, env.wl, env.wbuf, states[i].wlen)
+			// it is cache-hot — through its write lease, the one copy into
+			// caller memory, carved from the worker's reply block. On the
+			// hardened build the domain is reading its own slot; an
+			// abnormal exit later in the batch discards every captured
+			// response with the batch.
+			states[i].data = w.replies.Read(c, env.wl, env.wbuf, states[i].wlen)
 		}
 		if lib == nil {
 			return nil

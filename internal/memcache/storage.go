@@ -571,30 +571,52 @@ func (st *Storage) Get(c *mem.CPU, key []byte) (value []byte, flags uint32, ok b
 }
 
 // AppendGet appends key's value to dst under the shard lock, returning
-// the extended slice plus flags, CAS id, and presence. It is the
-// copy-once read the zero-copy reply assembly builds on: the value goes
-// straight from cache memory into the caller's reply scratch, with no
-// intermediate allocation.
+// the extended slice plus flags, CAS id, and presence.
 func (st *Storage) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]byte, uint32, uint64, bool) {
 	v := st.view(c)
 	h := hashKey(key)
 	sh := st.lockShard(h)
 	defer sh.mu.Unlock()
+	value, flags, casid, ok := sh.getLocked(v, key, h, withCAS)
+	return append(dst, value...), flags, casid, ok
+}
+
+// RenderGet is a get that writes its reply entry, "VALUE <key> <flags>
+// <bytes>[ <cas>]\r\n<data>\r\n", into dst under the shard lock: the
+// value goes from cache memory straight into dst, the rest of the
+// connection's write buffer, in one copy. What does not fit in dst is
+// dropped. It returns the entry's full length, or 0 on a miss; the get
+// is counted either way, as every get is.
+func (st *Storage) RenderGet(c *mem.CPU, key, dst []byte, withCAS bool) int {
+	v := st.view(c)
+	h := hashKey(key)
+	sh := st.lockShard(h)
+	defer sh.mu.Unlock()
+	value, flags, casid, ok := sh.getLocked(v, key, h, withCAS)
+	if !ok {
+		return 0
+	}
+	return putEntry(dst, key, value, flags, withCAS, casid)
+}
+
+// getLocked is a counted get of key (hash h): a hit is marked, and its
+// value is the arena window over the item's value, valid only while the
+// caller holds the shard lock (a checked copy without the window).
+func (sh *shard) getLocked(v sview, key []byte, h uint64, withCAS bool) (value []byte, flags uint32, casid uint64, ok bool) {
 	sh.gets++
 	it := sh.lookupLocked(v, key, h)
 	if it == 0 {
-		return dst, 0, 0, false
+		return nil, 0, 0, false
 	}
 	sh.hits++
 	sh.lruBump(v, it)
 	va, vlen := itemValueAddr(v, it)
-	dst = v.appendBytes(dst, va, vlen)
-	flags := uint32(v.u64(it + itemOffFlags))
-	var casid uint64
+	value = v.bytes(va, vlen)
+	flags = uint32(v.u64(it + itemOffFlags))
 	if withCAS {
 		casid = v.u64(it + itemOffCAS)
 	}
-	return dst, flags, casid, true
+	return value, flags, casid, true
 }
 
 // storeLocked stores key=value (h is key's hash) and returns the new CAS
@@ -799,6 +821,16 @@ func (st *Storage) peek(c *mem.CPU, key []byte, withValue bool) (value []byte, f
 func (st *Storage) probe(c *mem.CPU, key []byte, withValue bool) ([]byte, uint32, bool) {
 	value, flags, _, ok := st.peek(c, key, withValue)
 	return value, flags, ok
+}
+
+// countGet counts, in key's shard, a get the deferred overlay answered.
+func (st *Storage) countGet(key []byte, hit bool) {
+	sh := st.lockShard(hashKey(key))
+	sh.gets++
+	if hit {
+		sh.hits++
+	}
+	sh.mu.Unlock()
 }
 
 // countSet counts, in key's shard, a store attempt that stored nothing.

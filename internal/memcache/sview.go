@@ -83,11 +83,12 @@ func (v sview) readBytes(a mem.Addr, n int) []byte {
 	return v.c.ReadBytes(a, n)
 }
 
-// appendBytes appends [a, a+n) to dst — the copy-once read AppendGet
-// builds replies from.
-func (v sview) appendBytes(dst []byte, a mem.Addr, n int) []byte {
+// bytes returns [a, a+n): the native window itself, which the caller
+// reads only while it holds the lock that guards those bytes, or a
+// checked copy.
+func (v sview) bytes(a mem.Addr, n int) []byte {
 	if o, ok := v.off(a, n); ok {
-		return append(dst, v.w[o:o+uint64(n)]...)
+		return v.w[o : o+uint64(n)]
 	}
-	return append(dst, v.c.ReadBytes(a, n)...)
+	return v.c.ReadBytes(a, n)
 }

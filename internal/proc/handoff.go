@@ -1,6 +1,10 @@
 package proc
 
-import "sync"
+import (
+	"sync"
+
+	"sdrad/internal/mem"
+)
 
 // The client→worker hand-off, written once for every server in the tree.
 // A client event — one nested domain, one recovery point in the paper's
@@ -26,7 +30,8 @@ import "sync"
 // the event and reads it only after wait reports the event finished. The
 // worker writes it between taking the event and FinishRound. Nobody
 // writes the results of a failed event: its owner gave up serving it
-// before failing it.
+// before failing it. Each Resp is the client's for good: the server never
+// writes its bytes again once it is in Res (ReplyBlock).
 
 // Result is one request's outcome. Closed reports that the server closed
 // the connection (the request itself asked, or it was in flight in a
@@ -36,6 +41,58 @@ type Result struct {
 	Resp   []byte
 	Closed bool
 	Err    error
+}
+
+// replyBlockSize is the size of the blocks a ReplyBlock carves replies
+// from: about thirty 1 KiB replies share one allocation, and a caller
+// holding one reply keeps at most this many bytes reachable.
+const replyBlockSize = 32 << 10
+
+// ReplyBlock is a serving thread's source of Resp slices: each reply is
+// carved from a block the thread owns, so delivering one costs a copy and
+// no allocation of its own. Every carved reply belongs to the caller from
+// the moment it is handed out; the block only moves forward, so the
+// thread never writes a reply again, and a new block replaces one that
+// is used up. Replies start at 8-byte-aligned offsets, so no two share a
+// word, and have cap == len, so a caller's append cannot reach the next
+// reply. A block holds bytes and no pointers: a retained reply pins at
+// most replyBlockSize bytes and nothing of the server. A ReplyBlock must
+// only be used from its thread.
+type ReplyBlock struct {
+	free []byte // the unused tail of the current block
+}
+
+// Read returns the n bytes at addr as a reply: one copy from lease's
+// window into the block when the lease covers them and is (or renews to)
+// valid, the checked reader's copy otherwise, so a refused window faults
+// exactly where an unleased read would. n <= 0 yields nil.
+func (rb *ReplyBlock) Read(c *mem.CPU, lease *mem.Lease, addr mem.Addr, n int) []byte {
+	if n <= 0 {
+		return nil
+	}
+	if b, ok := lease.Bytes(addr, n); ok {
+		return rb.copy(b)
+	}
+	return c.ReadBytes(addr, n)
+}
+
+// copy carves len(b) bytes from the block and copies b into them. A reply
+// larger than a block gets a slice of its own.
+func (rb *ReplyBlock) copy(b []byte) []byte {
+	n := len(b)
+	var out []byte
+	if n > replyBlockSize {
+		out = make([]byte, n)
+	} else {
+		step := (n + 7) &^ 7
+		if step > len(rb.free) {
+			rb.free = make([]byte, replyBlockSize)
+		}
+		out = rb.free[:n:n]
+		rb.free = rb.free[step:]
+	}
+	copy(out, b)
+	return out
 }
 
 // Event is one client event in a worker's Mailbox. The worker reads Conn

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 var errToyDown = errors.New("toy: worker down")
@@ -332,4 +333,39 @@ func BenchmarkHandoffDo(b *testing.B) {
 	b.StopTimer()
 	p.Shutdown()
 	p.Wait()
+}
+
+func TestReplyBlockCarving(t *testing.T) {
+	// Replies of odd sizes carved back to back: each starts on an 8-byte
+	// boundary, has cap == len and keeps its bytes while later replies are
+	// carved; a reply that does not fit the rest of the block starts a new
+	// one, and one larger than a block gets a slice of its own.
+	var rb ReplyBlock
+	var kept [][]byte
+	for i, n := range []int{1, 7, 9, 1021, 1539, 31000, 5, replyBlockSize + 3, 13} {
+		src := make([]byte, n)
+		for j := range src {
+			src[j] = byte(i + 1)
+		}
+		out := rb.copy(src)
+		if len(out) != n || cap(out) != n {
+			t.Fatalf("reply %d: len %d cap %d, want %d", i, len(out), cap(out), n)
+		}
+		if addr := uintptr(unsafe.Pointer(&out[0])); addr%8 != 0 {
+			t.Errorf("reply %d starts at %#x, not 8-byte aligned", i, addr)
+		}
+		kept = append(kept, out)
+	}
+	for i, out := range kept {
+		for _, b := range out {
+			if b != byte(i+1) {
+				t.Fatalf("reply %d was overwritten by a later one", i)
+			}
+		}
+	}
+	// 2600 bytes of the first block are carved when the 31000-byte reply
+	// does not fit; the second block holds it, then 8 and 16.
+	if want := replyBlockSize - 31000 - 8 - 16; len(rb.free) != want {
+		t.Errorf("the second block has %d bytes left, want %d", len(rb.free), want)
+	}
 }
