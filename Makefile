@@ -20,13 +20,15 @@ test:
 # same for the storage shard lock's spin-then-park acquisition (hammer,
 # park fallback, short holds, one P). The fourth holds the shared
 # client-to-worker hand-off (internal/proc: start, wait, chunking, and
-# its down paths — a worker dying with events in hand, a call after
+# its down paths — a worker dying with an event in hand, a call after
 # Terminate, a start racing it) and the fifth the memcache tests that
-# stage a backlog through it behind a parked worker, plus the idle
-# worker's audit after a sibling's rewind (two workers deriving their
-# PKRU policies side by side) and the clients that keep every reply while
-# the worker carves the next ones from the same block; the sixth holds
-# httpd's reply ownership the same way. The last holds the
+# stage a backlog through it behind a parked worker (a trap between two
+# innocent events on a fresh server, two connections' events, a chunked
+# pipeline), plus the idle worker's audit after a sibling's rewind (two
+# workers deriving their PKRU policies side by side) and the clients that
+# keep every reply while the worker carves the next ones from the same
+# block; the sixth holds httpd's reply ownership the same way. CI's race
+# job runs this target, so the list lives here only. The last holds the
 # router's dead-backend spill to exactly FailThreshold degraded replies
 # two hundred times: a stopped backend must answer nothing, or a reply
 # resets its failure streak and the count drifts.
@@ -35,7 +37,7 @@ race:
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 	$(GO) test -race -count=20 ./internal/proc
-	$(GO) test -race -count=20 -run 'BlastRadius|TwoConnsInOneRound|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesStayTheCallers' ./internal/memcache
+	$(GO) test -race -count=20 -run 'FreshServerTrap|TwoStagedEvents|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesStayTheCallers' ./internal/memcache
 	$(GO) test -race -count=20 -run 'RepliesStayTheCallers' ./internal/httpd
 	$(GO) test -race -count=200 -run SpillsAroundDeadBackend ./internal/cluster
 

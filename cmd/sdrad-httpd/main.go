@@ -39,7 +39,7 @@ func run(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8089", "listen address")
 	workers := fs.Int("workers", 2, "worker processes")
 	variantName := fs.String("variant", "sdrad", "build variant: vanilla, tlsf, or sdrad")
-	maxBatch := fs.Int("max-batch", 16, "ceiling of the adaptive per-worker batch bound: the most pipelined requests one guard scope ever parses")
+	maxBatch := fs.Int("max-batch", 16, "the most pipelined requests one client event, and so one guard scope, carries")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /flightrecorder on this address (empty = telemetry off)")
 	usePolicy := fs.Bool("policy", false, "attach the resilience-policy engine: repeated parser rewinds escalate to backoff, then quarantine (503 + Retry-After), then load shedding")
 	if err := fs.Parse(args); err != nil {

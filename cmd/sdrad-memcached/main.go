@@ -42,7 +42,7 @@ func run(args []string) error {
 	variantName := fs.String("variant", "sdrad", "build variant: vanilla, tlsf, or sdrad")
 	cacheMB := fs.Int("cache-mb", 64, "cache memory limit (MiB)")
 	shards := fs.Int("shards", 8, "lock-striped storage shards (power of two)")
-	maxBatch := fs.Int("max-batch", 16, "ceiling of the adaptive per-worker drain bound: the most pipelined requests one guard scope ever handles")
+	maxBatch := fs.Int("max-batch", 16, "the most pipelined requests one client event, and so one guard scope, carries")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /flightrecorder on this address (empty = telemetry off)")
 	usePolicy := fs.Bool("policy", false, "attach the resilience-policy engine: repeated rewinds of the event domain escalate to backoff, then quarantine (gets served as misses, mutations refused), then load shedding")
 	if err := fs.Parse(args); err != nil {

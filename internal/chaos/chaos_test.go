@@ -86,7 +86,6 @@ func TestScheduleHashesPinned(t *testing.T) {
 		"lease":    0xddf0fa35a18d2d66,
 		"memcache": 0xaccf8ee7d9db7f4f,
 		"batch":    0x08f1dcb41044443b,
-		"sched":    0xfbecc741a0298bdb,
 		"httpd":    0x76fe886a7dd9a073,
 		"crypto":   0xecb1dd3824562c25,
 		"policy":   0x101c33b9bb11c359,

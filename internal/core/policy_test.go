@@ -140,7 +140,12 @@ func TestGuardAdmitsLiveDomain(t *testing.T) {
 			return err
 		}
 		inits := l.Stats().Inits.Load()
-		hold := eng.OnPressure(1)
+		// Rewinds reported straight to the engine, up to the threshold,
+		// hold the live domain off without a fault of its own.
+		var hold policy.Decision
+		for i := 0; i < eng.Config().BackoffThreshold; i++ {
+			hold = eng.OnRewind(1)
+		}
 		err := l.Guard(th, 1, func() error {
 			t.Error("a held-off scope ran its body")
 			return nil

@@ -21,7 +21,6 @@ import (
 	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
-	"sdrad/internal/sched"
 	"sdrad/internal/telemetry"
 	"sdrad/internal/tlsf"
 )
@@ -77,10 +76,8 @@ type Config struct {
 	// hardened build and through the address space on the baselines.
 	Telemetry *telemetry.Recorder
 	// Policy attaches a resilience-policy engine to the hardened build
-	// (baselines ignore it). PressureUDI is the domain a controller
-	// pinned at the floor reports to it.
-	Policy      *policy.Engine
-	PressureUDI core.UDI
+	// (baselines ignore it).
+	Policy *policy.Engine
 }
 
 // heap is the baseline allocator: a galloc or a TLSF heap.
@@ -269,21 +266,6 @@ func (h *Host) Degraded() int64 { return h.degraded.Load() }
 
 // Shed reports how many connections load shedding closed.
 func (h *Host) Shed() int64 { return h.shed.Load() }
-
-// NewController builds a worker's drain-bound controller on clock (nil
-// reads the wall clock). On the hardened build with a policy engine
-// attached, a controller pinned at the floor by a hot rewind window for a
-// whole window means batching already shrank the blast radius to single
-// requests and the domain is STILL rewinding: that reaches the engine as
-// pressure on PressureUDI.
-func (h *Host) NewController(clock func() int64, maxBatch int) *sched.Controller {
-	cfg := sched.Config{Clock: clock}
-	if h.lib != nil && h.cfg.Policy != nil {
-		eng, udi := h.cfg.Policy, int(h.cfg.PressureUDI)
-		cfg.OnFloorPinned = func(int64) { eng.OnPressure(udi) }
-	}
-	return sched.NewController(cfg, maxBatch)
-}
 
 // Process exposes the simulated process.
 func (h *Host) Process() *proc.Process { return h.p }

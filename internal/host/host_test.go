@@ -3,19 +3,17 @@ package host
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"sdrad/internal/core"
-	"sdrad/internal/policy"
 	"sdrad/internal/proc"
 )
 
 var variants = []Variant{Vanilla, TLSF, SDRaD}
 
-func newHost(t *testing.T, v Variant, eng *policy.Engine) *Host {
+func newHost(t *testing.T, v Variant) *Host {
 	t.Helper()
 	h, err := New(Config{Name: "host-" + v.String(), Seed: 1, Variant: v,
-		RootHeap: 1 << 20, BaselineHeap: 1 << 20, Policy: eng, PressureUDI: core.UDI(1)})
+		RootHeap: 1 << 20, BaselineHeap: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,7 @@ func TestParseVariant(t *testing.T) {
 func TestConnLifecycle(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.String(), func(t *testing.T) {
-			h := newHost(t, v, nil)
+			h := newHost(t, v)
 			err := h.Provision(func(th *proc.Thread) error {
 				var a ConnBufs
 				if err := h.OpenConn(th, &a, 4096, 8192); err != nil {
@@ -106,29 +104,6 @@ func TestConnLifecycle(t *testing.T) {
 	}
 }
 
-func TestFloorPinReachesPolicyOnHardenedBuildOnly(t *testing.T) {
-	for _, v := range variants {
-		t.Run(v.String(), func(t *testing.T) {
-			clk := int64(time.Hour)
-			eng := policy.New(policy.Config{Clock: func() int64 { return clk }})
-			c := newHost(t, v, eng).NewController(func() int64 { return clk }, 16)
-			// Rewinds every 100 ms pin the bound at 1 for over a window.
-			for i := 0; i < 25; i++ {
-				c.NoteRewind()
-				clk += int64(100 * time.Millisecond)
-			}
-			if c.Snapshot().FloorPins == 0 {
-				t.Fatal("precondition: the controller never pinned at the floor")
-			}
-			snap := eng.Snapshot()
-			pressured := len(snap) == 1 && snap[0].UDI == 1 && snap[0].State == policy.StateBackoff.String()
-			if pressured != (v == SDRaD) {
-				t.Errorf("policy state after floor pins: %+v", snap)
-			}
-		})
-	}
-}
-
 // TestDomainsOnlyOnTheHardenedBuild holds the host's domain calls to one
 // meaning per build: DataDomain, a udi's heap and a Scope are the SDRaD
 // library's on the hardened build, and on a baseline a no-op, the one
@@ -136,7 +111,7 @@ func TestFloorPinReachesPolicyOnHardenedBuildOnly(t *testing.T) {
 func TestDomainsOnlyOnTheHardenedBuild(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.String(), func(t *testing.T) {
-			h := newHost(t, v, nil)
+			h := newHost(t, v)
 			err := h.Provision(func(th *proc.Thread) error {
 				if err := h.DataDomain(th, 9, 64<<10); err != nil {
 					return err

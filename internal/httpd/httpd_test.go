@@ -454,16 +454,12 @@ func TestPipelineConnectionCloseMidBatch(t *testing.T) {
 
 func TestPlaceWorkerLegacyRoundRobin(t *testing.T) {
 	// PlaceWorker is the round-robin cursor (the listener and the
-	// ledger's per-worker dialing rely on it), and the event queue is a
-	// rendezvous.
+	// ledger's per-worker dialing rely on it).
 	m := startMaster(t, VariantSDRaD, 3)
 	for i := 0; i < 7; i++ {
 		if got := m.PlaceWorker(); got != i%3 {
 			t.Fatalf("placement %d = worker %d, want %d", i, got, i%3)
 		}
-	}
-	if got := m.Worker(0).mb.Cap(); got != 0 {
-		t.Fatalf("event queue buffered to %d, want rendezvous", got)
 	}
 }
 
@@ -503,63 +499,6 @@ func TestPoolContentionGauges(t *testing.T) {
 	}
 }
 
-func TestFloorPinnedFeedsPolicyBackoff(t *testing.T) {
-	// One manual clock for the controller and the engine: the pin is a
-	// function of the attacks and the advance, not of how fast they ran.
-	clk := &policy.ManualClock{}
-	// Thresholds far out of reach: the rewind ladder alone never
-	// escalates, so any Backoff state must come from the controller's
-	// floor-pin pressure signal.
-	eng := policy.New(policy.Config{
-		BackoffThreshold:    1000,
-		QuarantineThreshold: 1001,
-		ShedThreshold:       1002,
-		Clock:               clk.Now,
-	})
-	m, err := NewMaster(Config{
-		Variant: VariantSDRaD,
-		Files:   testFiles,
-		Clock:   clk.Now,
-		Policy:  eng,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Stop)
-	w := m.Worker(0)
-	attack := func() {
-		t.Helper()
-		if _, closed, err := w.NewConn().Do(FormatRequest(attackURI(), true)); err != nil || !closed {
-			t.Fatalf("attack: closed=%v err=%v", closed, err)
-		}
-	}
-	// Attacks inside one frozen window halve the bound to the floor and
-	// arm the pin timer there.
-	for n := 0; n < w.cfg.MaxBatch && w.SchedSnapshot().Bound > 1; n++ {
-		attack()
-	}
-	if snap := w.SchedSnapshot(); snap.Bound != 1 || snap.FloorPins != 0 {
-		t.Fatalf("bound=%d floor pins=%d after the burst, want the floor and no pin yet", snap.Bound, snap.FloorPins)
-	}
-	// A full window later the parser is still rewinding at bound 1.
-	clk.Advance(time.Second)
-	attack()
-	if got := w.SchedSnapshot().FloorPins; got != 1 {
-		t.Fatalf("floor pins = %d after a window pinned at the floor, want exactly 1", got)
-	}
-	for _, ds := range eng.Snapshot() {
-		if ds.UDI != int(parserUDI) {
-			continue
-		}
-		if ds.State != policy.StateBackoff.String() || ds.Escalations < 1 {
-			t.Fatalf("parser policy state = %s after %d escalations, want %s (floor-pin pressure)",
-				ds.State, ds.Escalations, policy.StateBackoff)
-		}
-		return
-	}
-	t.Fatal("no policy state for the parser UDI")
-}
-
 // TestParserHeldOffAnswers503: the policy decides per guard scope, so a
 // worker whose parser domain is live answers 503 while a sibling worker's
 // attacks hold the shared parser UDI off, keeps the connection open,
@@ -579,7 +518,6 @@ func TestParserHeldOffAnswers503(t *testing.T) {
 		Variant: VariantSDRaD,
 		Workers: 2,
 		Files:   testFiles,
-		Clock:   clk.Now,
 		Policy:  eng,
 	})
 	if err != nil {

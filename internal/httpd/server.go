@@ -15,7 +15,6 @@ import (
 	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
-	"sdrad/internal/sched"
 	"sdrad/internal/stack"
 	"sdrad/internal/telemetry"
 )
@@ -50,17 +49,11 @@ type Config struct {
 	ConnBufSize int
 	// PoolSize is the per-request pool size (default 16 KiB).
 	PoolSize uint64
-	// MaxBatch is the ceiling of the worker's adaptive batch bound: the
-	// most pipelined requests of one connection the hardened worker ever
-	// handles inside a single guard scope (default 16). Longer pipelines
-	// are split client-side by Conn.DoPipeline, and the worker chunks
-	// each event to the controller's live bound (grown under load,
-	// shrunk while the rewind window is hot).
+	// MaxBatch is the most pipelined requests of one connection one
+	// client event carries, and so the most the hardened worker handles
+	// inside a single guard scope (default 16). Longer pipelines are
+	// split client-side by Conn.DoPipeline.
 	MaxBatch int
-	// Clock is the batch-bound controller's clock in nanoseconds (nil
-	// reads the wall clock); tests install a manual one so every
-	// rewind-window decision is deterministic.
-	Clock func() int64
 	// VerifyClientCerts enables X.509 client-certificate checking of the
 	// X-Client-Cert request header — the paper's §V-C integration, where
 	// NGINX is compiled against the isolated OpenSSL verification API.
@@ -189,9 +182,6 @@ type Worker struct {
 	// with another worker.
 	reqs atomic.Int64
 
-	// ctrl is the adaptive batch-bound controller.
-	ctrl *sched.Controller
-
 	// Parser-domain state (owned by the worker thread): parserOpts
 	// (re-)creates the domain; parseBuf is its request copy, 0 until a
 	// scope of the current domain allocates it.
@@ -199,7 +189,7 @@ type Worker struct {
 	parseBuf   mem.Addr
 	pool       *Pool
 
-	// Reused per-batch scratch (owned by the worker thread): one slot per
+	// Reused per-event scratch (owned by the worker thread): one slot per
 	// request of the current guard scope, and the response header respond
 	// assembles before writing it to the connection buffer.
 	scratch []reqState
@@ -217,7 +207,7 @@ type Worker struct {
 	certBuf   mem.Addr            // baselines: certificate staging buffer
 }
 
-// reqState is serveChunk's per-request scratch.
+// reqState is serve's per-request scratch.
 type reqState struct {
 	done   bool // result decided before the guard ran (preflight failure)
 	perr   error
@@ -248,7 +238,6 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 		BaselineHeap: heapBudget(cfg),
 		Telemetry:    cfg.Telemetry,
 		Policy:       cfg.Policy,
-		PressureUDI:  parserUDI,
 	})
 	if err != nil {
 		return nil, err
@@ -257,7 +246,6 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 		Host:       h,
 		idx:        idx,
 		cfg:        cfg,
-		ctrl:       h.NewController(cfg.Clock, cfg.MaxBatch),
 		parserOpts: []core.InitOption{core.Accessible(), core.Grant(poolUDI, mem.ProtRW)},
 	}
 	if cfg.Telemetry != nil {
@@ -369,19 +357,8 @@ func (w *Worker) run(t *proc.Thread) error {
 	if lib := w.Library(); lib != nil && w.cfg.VerifyClientCerts {
 		w.verifier = cryptolib.NewVerifier(lib, maxCertSize)
 	}
-	defer w.mb.Leave()
-	for {
-		ev := w.mb.Next()
-		if ev == nil {
-			return nil
-		}
-		if ev.Inspect != nil {
-			ev.RunInspect(t)
-		} else {
-			w.serve(t, ev.Conn, ev.Reqs, ev.Res)
-		}
-		w.mb.FinishRound()
-	}
+	w.mb.Serve(t, func(ev *proc.Event[*Conn]) { w.serve(t, ev.Conn, ev.Reqs, ev.Res) })
+	return nil
 }
 
 // NewConn opens a keep-alive connection to this worker.
@@ -411,25 +388,6 @@ func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
 // the serving thread; fn must leave the thread in the root domain.
 func (w *Worker) Inspect(fn func(t *proc.Thread) error) error {
 	return w.mb.Inspect(fn)
-}
-
-// SchedSnapshot returns the worker's adaptive-controller state.
-func (w *Worker) SchedSnapshot() sched.Snapshot { return w.ctrl.Snapshot() }
-
-// serve handles one client event: a pipelined batch, or a plain request
-// as a batch of one, cut into chunks of the controller's live bound. On
-// the hardened build each chunk is one guard scope (one context save, one
-// recovery point), so a rewind while the window is hot discards less of
-// the pipeline; the bound regrows between chunks under sustained depth.
-func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) {
-	for off := 0; off < len(reqs); {
-		end := min(off+w.ctrl.Bound(), len(reqs))
-		backlog := func() int { return len(reqs) - end }
-		r := w.ctrl.BeginRound(end-off, backlog)
-		w.serveChunk(t, conn, reqs[off:end], results[off:end])
-		w.ctrl.EndRound(r, backlog)
-		off = end
-	}
 }
 
 // maxCertSize bounds the client certificates the server accepts.
@@ -487,18 +445,18 @@ func DecodeCertHeader(v string) []byte {
 	return []byte(strings.ReplaceAll(v, "|", "\n"))
 }
 
-// serveChunk is the one request flow every build runs: it parses every
-// request of one chunk of a client event, then answers them in order. The
-// build decides only which steps run. The hardened build parses inside ONE
-// guard scope, in the persistent parser domain, on a copy of the request
-// bytes: each request enters the domain once (request line and headers
-// under one Enter/Exit), and the context save and the recovery point are
-// established once for the chunk. An abnormal exit anywhere rewinds once,
-// discards the whole in-flight chunk, and closes the connection — the
-// paper's single-event rewind semantics, which the chunk of one is
-// exactly. A baseline skips steps ④, ⑤ and ⑦ and parses in place on the
-// connection buffer, where a trap kills the worker process.
-func (w *Worker) serveChunk(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) {
+// serve is the one request flow every build runs: it parses every request
+// of one client event (a plain request is an event of one), then answers
+// them in order. The build decides only which steps run. The hardened
+// build parses inside ONE guard scope, in the persistent parser domain, on
+// a copy of the request bytes: each request enters the domain once
+// (request line and headers under one Enter/Exit), and the context save
+// and the recovery point are established once for the event. An abnormal
+// exit anywhere rewinds once, discards the whole event, and closes its
+// connection — the paper's single-event rewind semantics. A baseline
+// skips steps ④, ⑤ and ⑦ and parses in place on the connection buffer,
+// where a trap kills the worker process.
+func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc.Result) {
 	lib := w.Library() // nil on a baseline
 	c := t.CPU()
 	if cap(w.scratch) < len(reqs) {
@@ -524,7 +482,7 @@ func (w *Worker) serveChunk(t *proc.Thread, conn *Conn, reqs [][]byte, results [
 	}
 	// The persistent parser domain: the first scope creates it and a scope
 	// after a rewind re-creates it, both from parserOpts; its recovery
-	// point is re-established per chunk (the paper saves the first parser
+	// point is re-established per event (the paper saves the first parser
 	// entry point as the rewind context).
 	gerr := w.Scope(t, parserUDI, func() error {
 		// Connection buffers are allocated only once the scope is
@@ -575,12 +533,10 @@ func (w *Worker) serveChunk(t *proc.Thread, conn *Conn, reqs [][]byte, results [
 		var abn *core.AbnormalExit
 		if errors.As(gerr, &abn) {
 			// Rewind: the parser domain is gone (recreated lazily), one
-			// discard for the whole chunk, and only the connection with a
-			// request in flight closes. The pool data domain survives;
-			// reset it.
+			// discard for the whole event, and only its connection closes.
+			// The pool data domain survives; reset it.
 			w.parseBuf = 0
 			w.pool.Reset(c)
-			w.ctrl.NoteRewind()
 			w.CloseConn(t, &conn.ConnBufs)
 			setLive(rs, results, proc.Result{Closed: true})
 			return
@@ -588,7 +544,7 @@ func (w *Worker) serveChunk(t *proc.Thread, conn *Conn, reqs [][]byte, results [
 		var qe *core.QuarantineError
 		if errors.As(gerr, &qe) {
 			// Resilience-policy admission, one decision for the whole
-			// chunk: a held-off or quarantined parser runs nothing, and
+			// event: a held-off or quarantined parser runs nothing, and
 			// every live request gets the degraded response.
 			w.degradeLive(t, conn, rs, results, qe.State, qe.RetryAfterNs)
 			return
@@ -596,7 +552,7 @@ func (w *Worker) serveChunk(t *proc.Thread, conn *Conn, reqs [][]byte, results [
 		setLive(rs, results, proc.Result{Err: gerr})
 		return
 	}
-	// Respond in chunk order. A response that closes the connection
+	// Respond in request order. A response that closes the connection
 	// (Connection: close, or a certificate-verifier rewind) closes it for
 	// the requests behind it, exactly as if they were issued after it.
 	for i := range reqs {
@@ -625,7 +581,7 @@ func (w *Worker) serveChunk(t *proc.Thread, conn *Conn, reqs [][]byte, results [
 	}
 }
 
-// setLive gives every live request of a chunk the same result.
+// setLive gives every live request of an event the same result.
 func setLive(rs []reqState, results []proc.Result, r proc.Result) {
 	for i := range rs {
 		if !rs[i].done {
@@ -634,7 +590,7 @@ func setLive(rs []reqState, results []proc.Result, r proc.Result) {
 	}
 }
 
-// degradeLive answers every live request of a chunk on the degraded
+// degradeLive answers every live request of an event on the degraded
 // path (a shed closes the connection for the requests behind it).
 func (w *Worker) degradeLive(t *proc.Thread, conn *Conn, rs []reqState, results []proc.Result, state policy.State, retryAfterNs int64) {
 	for i := range rs {

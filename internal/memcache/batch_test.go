@@ -272,9 +272,8 @@ func TestBatchedVsUnbatchedFaultIdentical(t *testing.T) {
 }
 
 func TestPipelineFaultSparesOtherBatchlessConns(t *testing.T) {
-	// Two connections pipeline into the same worker; the batch that traps
-	// closes only its own connections. A connection whose event was parked
-	// (not drained into the faulting batch) survives.
+	// The pipelined event that traps closes only its own connection; the
+	// worker keeps serving other connections.
 	s := startServer(t, VariantSDRaD, 1)
 	evil := s.NewConn()
 	res := evil.DoPipeline([][]byte{
@@ -363,11 +362,12 @@ func TestBorrowedStoresOnePipelinedEventMatchesVanilla(t *testing.T) {
 	}
 }
 
-func TestBorrowedStoresAcrossTwoConnsInOneRoundMatchVanilla(t *testing.T) {
+func TestBorrowedStoresAcrossTwoStagedEventsMatchVanilla(t *testing.T) {
 	// The same ops split over two connections' events, staged behind a
-	// parked worker so one drain round — one guard scope, one slot per
-	// request, one apply — takes both: the second connection's reads and
-	// delete see the first's stores only through the deferred overlay.
+	// parked worker: they run as two guard scopes — each with its own
+	// slots and its own apply — and the second event's reads and delete
+	// see the first's stores in the database. Replies must be
+	// byte-identical to the vanilla arm's.
 	_, _, reqs := borrowOps()
 	run := func(v Variant) (resps [][]byte) {
 		s := startServer(t, v, 1)
@@ -382,8 +382,8 @@ func TestBorrowedStoresAcrossTwoConnsInOneRoundMatchVanilla(t *testing.T) {
 			resps = append(resps, r.Resp)
 		}
 		if v == VariantSDRaD {
-			if got := s.Library().Stats().DomainSwitches.Load(); got != 2 {
-				t.Errorf("domain switches = %d, want 2: the two events did not share one guard scope", got)
+			if got := s.Library().Stats().DomainSwitches.Load(); got != 4 {
+				t.Errorf("domain switches = %d, want 4: one Enter/Exit pair per event", got)
 			}
 		}
 		if _, _, ok := storedValue(t, s, a, "k"); ok {

@@ -337,7 +337,6 @@ func TestEventDomainHeldOffServesMisses(t *testing.T) {
 		Workers:    2,
 		HashPower:  10,
 		CacheBytes: 4 << 20,
-		Clock:      clk.Now,
 		Policy:     eng,
 	})
 	if err != nil {

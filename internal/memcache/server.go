@@ -13,7 +13,6 @@ import (
 	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
-	"sdrad/internal/sched"
 	"sdrad/internal/telemetry"
 )
 
@@ -55,16 +54,11 @@ type Config struct {
 	// to a power of two, default 8, max MaxShards). A key's shard is a
 	// pure function of its hash; 1 is a single-mutex cache.
 	Shards int
-	// MaxBatch is the ceiling of each worker's adaptive drain bound: the
-	// most requests one guard scope — one domain switch, one scratch
-	// arena, one deferred-op apply — is ever asked to hold, and the chunk
-	// size DoPipeline cuts long pipelines into (default 16; 1 disables
-	// batching).
+	// MaxBatch is the most requests one client event — one guard scope,
+	// one domain switch, one scratch arena, one deferred-op apply —
+	// carries: the chunk size DoPipeline cuts long pipelines into
+	// (default 16; 1 disables batching).
 	MaxBatch int
-	// Clock is the drain-bound controller's clock in nanoseconds (nil
-	// reads the wall clock); tests and chaos campaigns install a manual
-	// one so every rewind-window decision is deterministic.
-	Clock func() int64
 	// Seed fixes process randomness.
 	Seed int64
 	// Telemetry optionally attaches a recorder: the hardened build wires
@@ -156,9 +150,6 @@ type worker struct {
 	mb     *proc.Mailbox[*Conn]
 	handle *proc.Handle
 
-	// ctrl is the worker's adaptive batch-bound controller.
-	ctrl *sched.Controller
-
 	// reqs is the worker's native request count. Keeping it per worker
 	// (its own cache line, uncontended) and summing at exposition via a
 	// CounterFunc is what keeps the enabled-telemetry request path free
@@ -171,10 +162,8 @@ type worker struct {
 	// domain.
 	slots []connSlot
 
-	// Reused per-batch scratch (owned by the worker goroutine): the
-	// requests of the current drain round's events, flattened, and the
+	// Reused per-event scratch (owned by the worker goroutine): the
 	// per-request guard-scope state.
-	items  []batchItem
 	states []evState
 	dops   deferredOps
 	// replies is where the worker carves the Resp it delivers for each
@@ -205,18 +194,8 @@ type connSlot struct {
 	wl   mem.Lease
 }
 
-// batchItem is one request of one event, flattened into the worker's
-// current batch (a pipelined event contributes one item per request). res
-// points into the issuing event's result slice, which the worker fills in
-// place (the hand-off's ownership rule is in proc/handoff.go).
-type batchItem struct {
-	conn *Conn
-	req  []byte
-	res  *proc.Result
-}
-
-// evState is the per-item outcome scratch dispatchBatch threads through
-// the guard scope.
+// evState is the per-request outcome scratch dispatchBatch threads
+// through the guard scope.
 type evState struct {
 	done    bool // result decided before the guard ran (preflight failure)
 	borrows bool // queued deferred ops that reference the slot's read buffer
@@ -254,7 +233,6 @@ func NewServer(cfg Config) (*Server, error) {
 		BaselineHeap: cfg.CacheBytes + rootHeap,
 		Telemetry:    cfg.Telemetry,
 		Policy:       cfg.Policy,
-		PressureUDI:  eventUDI,
 	})
 	if err != nil {
 		return nil, err
@@ -267,10 +245,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	p := s.Process()
 	for i := 0; i < cfg.Workers; i++ {
-		// The mailbox queues MaxBatch events so pipelining clients can
-		// enqueue a full batch before the worker drains it.
-		w := &worker{idx: i, s: s, mb: proc.NewMailbox[*Conn](p, cfg.MaxBatch, cfg.MaxBatch, ErrServerDown),
-			ctrl: s.NewController(cfg.Clock, cfg.MaxBatch)}
+		// The mailbox queues MaxBatch events, so clients can start events
+		// while the worker serves one.
+		w := &worker{idx: i, s: s, mb: proc.NewMailbox[*Conn](p, cfg.MaxBatch, cfg.MaxBatch, ErrServerDown)}
 		w.handle = p.Spawn(fmt.Sprintf("worker-%d", i), w.run)
 		s.workers = append(s.workers, w)
 	}
@@ -287,16 +264,11 @@ func NewServer(cfg Config) (*Server, error) {
 				return n
 			})
 		s.telBatch = reg.Histogram("sdrad_memcache_batch_size",
-			"Requests handled per drained batch (one guard scope on the hardened build).")
+			"Requests handled per client event (one guard scope on the hardened build).")
 		occ := reg.GaugeVec("sdrad_memcache_shard_items",
 			"Live items per storage shard.", "shard")
 		for i := 0; i < s.st.Shards(); i++ {
 			s.st.setOccupancyGauge(i, occ.With(strconv.Itoa(i)))
-		}
-		bound := reg.GaugeVec("sdrad_sched_batch_bound",
-			"Adaptive drain-batch bound per worker.", "worker")
-		for _, w := range s.workers {
-			w.ctrl.SetBoundGauge(bound.With(strconv.Itoa(w.idx)))
 		}
 		wait := reg.CounterVec("sdrad_memcache_shard_lock_wait_ns",
 			"Nanoseconds contended shard-lock acquisitions waited, spinning or parked.", "shard")
@@ -341,69 +313,30 @@ func (s *Server) provision(t *proc.Thread) error {
 	return nil
 }
 
-// run is a worker thread's body: the event loop.
+// run is a worker thread's body: each client event is one batch.
 func (w *worker) run(t *proc.Thread) error {
-	s := w.s
-	defer w.mb.Leave()
-	for {
-		ev := w.mb.Next()
-		if ev == nil {
-			return nil
-		}
-		if ev.Inspect != nil {
-			ev.RunInspect(t)
-			w.mb.FinishRound()
-			continue
-		}
-		// Drain up to the controller's current bound of pending requests
-		// into one batch. The first event of a round is taken whole (a
-		// pipelined event is never split); an inspect event or one that
-		// would overflow the bound is put back and leads the next round, so
-		// event order is preserved.
-		bound := w.ctrl.Bound()
-		w.items = w.items[:0]
-		w.take(ev)
-		for len(w.items) < bound {
-			ev2 := w.mb.TryNext()
-			if ev2 == nil {
-				break
-			}
-			if ev2.Inspect != nil || len(w.items)+len(ev2.Reqs) > bound {
-				w.mb.PutBack(ev2)
-				break
-			}
-			w.take(ev2)
-		}
-		r := w.ctrl.BeginRound(len(w.items), w.mb.Len)
-		s.dispatchBatch(t, w, w.items)
-		w.ctrl.EndRound(r, w.mb.Len)
-		w.mb.FinishRound()
-	}
-}
-
-// take adds an event to the current round, flattening its requests into
-// the batch.
-func (w *worker) take(ev *proc.Event[*Conn]) {
-	for i, r := range ev.Reqs {
-		w.items = append(w.items, batchItem{conn: ev.Conn, req: r, res: &ev.Res[i]})
-	}
+	w.mb.Serve(t, func(ev *proc.Event[*Conn]) {
+		w.s.dispatchBatch(t, w, ev.Conn, ev.Reqs, ev.Res)
+	})
+	return nil
 }
 
 // dispatchBatch is the one request flow every build runs: the paper's
-// Figure 3, amortized over a drained batch, filling in every item's
-// result. The build decides only which steps run. On the hardened build
-// every live item is handled in the worker's nested domain on a deep copy
-// of its connection buffer, inside ONE guard scope — one context save, one
-// Enter/Exit domain-switch round, one deferred-op apply. Database
-// mutations stay deferred to normal domain exit (later items of the batch
-// read their predecessors' writes through the deferred overlay, preserving
-// sequential semantics); an abnormal exit anywhere in the batch rewinds
-// once, discards the whole in-flight batch, and closes exactly the
-// connections that had a request in it. A baseline skips steps ④, ⑤, ⑦
+// Figure 3, amortized over the requests of one client event on conn,
+// filling in every request's result. The build decides only which steps
+// run. On the hardened build every live request is handled in the worker's
+// nested domain on a deep copy of the connection buffer, inside ONE guard
+// scope — one context save, one Enter/Exit domain-switch round, one
+// deferred-op apply. Database mutations stay deferred to normal domain
+// exit (later requests of the event read their predecessors' writes
+// through the deferred overlay, preserving sequential semantics); an
+// abnormal exit anywhere in the event rewinds once, discards the whole
+// event, and closes its connection — and no other, since no guard scope
+// spans two events. A baseline skips steps ④, ⑤, ⑦
 // and ⑨: it drives each request in place on its connection buffer with
 // direct storage ops and no recovery point, so a memory-safety violation
 // terminates the whole server — the paper's baseline under CVE-2011-4971.
-func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
+func (s *Server) dispatchBatch(t *proc.Thread, w *worker, conn *Conn, reqs [][]byte, res []proc.Result) {
 	c := t.CPU()
 	lib := s.Library() // nil on a baseline
 	if w.allocScratch == nil {
@@ -424,28 +357,27 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 	dops := &w.dops
 	dops.st = s.st
 	dops.truncate(0)
-	if cap(w.states) < len(items) {
-		w.states = make([]evState, len(items))
+	if cap(w.states) < len(reqs) {
+		w.states = make([]evState, len(reqs))
 	}
-	states := w.states[:len(items)]
+	states := w.states[:len(reqs)]
 	live := 0
-	for i := range items {
+	for i := range reqs {
 		states[i] = evState{}
-		conn := items[i].conn
 		if conn.Closed {
 			states[i].done = true
-			*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
+			res[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 			continue
 		}
-		if len(items[i].req) > s.cfg.ConnBufSize {
+		if len(reqs[i]) > s.cfg.ConnBufSize {
 			states[i].done = true
-			*items[i].res = proc.Result{Err: ErrRequestTooLarge}
+			res[i] = proc.Result{Err: ErrRequestTooLarge}
 			continue
 		}
 		// A connection gets its buffers in root memory on its first request.
 		if err := s.OpenConn(t, &conn.ConnBufs, bufSize, bufSize); err != nil {
 			states[i].done = true
-			*items[i].res = proc.Result{Err: err}
+			res[i] = proc.Result{Err: err}
 			continue
 		}
 		live++
@@ -462,11 +394,11 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 			s.telBatch.Observe(int64(live))
 		}
 		if lib != nil {
-			// ④ deep copies: each request is staged through its
+			// ④ deep copies: each request is staged through the
 			// connection's read buffer (network bytes land in root memory)
 			// and copied into the domain slot for its batch position — per
-			// item, so a pipelined connection can reuse its read buffer.
-			if err := s.copyIn(t, w, items, states, live); err != nil {
+			// request, so a pipelined connection can reuse its read buffer.
+			if err := s.copyIn(t, w, conn, reqs, states, live); err != nil {
 				return err
 			}
 			// ⑤ enter the domain once for the batch.
@@ -474,9 +406,9 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 				return err
 			}
 		}
-		// ⑥ drive_machine per item. Batch-stable environment fields; the
-		// item loop only repoints the buffers and leases. The hardened
-		// build's storage ops are deferred to ⑨.
+		// ⑥ drive_machine per request. Batch-stable environment fields;
+		// the request loop only repoints the buffers and leases. The
+		// hardened build's storage ops are deferred to ⑨.
 		env := &w.env
 		*env = dmEnv{
 			c:            c,
@@ -489,16 +421,17 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 		if lib != nil {
 			env.ops = dops
 		}
-		for i := range items {
+		quit := false
+		for i := range reqs {
 			if states[i].done {
 				continue
 			}
-			// A quit earlier in the batch closes the connection for the
-			// items behind it, exactly as if they had arrived after the
+			// A quit earlier in the event closes the connection for the
+			// requests behind it, exactly as if they had arrived after the
 			// close.
-			if closedEarlierInBatch(items, states, i) {
+			if quit {
 				states[i].done = true
-				*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
+				res[i] = proc.Result{Closed: true, Err: ErrConnClosed}
 				continue
 			}
 			if lib != nil {
@@ -508,13 +441,12 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 			} else {
 				// No copy: network bytes land in the connection's read
 				// buffer and are driven in place.
-				conn := items[i].conn
-				c.Write(conn.RBuf, items[i].req)
+				c.Write(conn.RBuf, reqs[i])
 				env.rbuf, env.wbuf = conn.RBuf, conn.WBuf
 				env.rl = c.SpanLease(conn.RBuf, s.cfg.ConnBufSize, mem.AccessRead)
 				env.wl = c.SpanLease(conn.WBuf, s.cfg.ConnBufSize, mem.AccessWrite)
 			}
-			env.rlen = len(items[i].req)
+			env.rlen = len(reqs[i])
 			env.noreply = false
 			w.scratchAddrs = w.scratchAddrs[:0]
 			mark := len(dops.pending)
@@ -524,20 +456,21 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 				_ = s.Free(t, eventUDI, p)
 			}
 			if derr != nil {
-				// Internal failure for this item only: its deferred ops
-				// are rolled back, the rest of the batch proceeds (the
-				// erroring event applies nothing).
+				// Internal failure for this request only: its deferred
+				// ops are rolled back, the rest of the event proceeds (the
+				// erroring request applies nothing).
 				dops.truncate(mark)
 				states[i].derr = derr
 				continue
 			}
+			quit = states[i].closeit
 			states[i].borrows = len(dops.pending) > mark
 			// ⑧ capture the response straight from the write buffer while
 			// it is cache-hot — through its write lease, the one copy into
 			// caller memory, carved from the worker's reply block. On the
 			// hardened build the domain is reading its own slot; an
-			// abnormal exit later in the batch discards every captured
-			// response with the batch.
+			// abnormal exit later in the event discards every captured
+			// response with the event.
 			states[i].data = w.replies.Read(c, env.wl, env.wbuf, states[i].wlen)
 		}
 		if lib == nil {
@@ -547,12 +480,12 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 		if err := lib.Exit(t); err != nil {
 			return err
 		}
-		// ⑨ apply the deferred database updates for the whole batch,
+		// ⑨ apply the deferred database updates for the whole event,
 		// grouped per storage shard. The ops borrow their keys and values
 		// from the slot read buffers, so the apply reads event-domain memory
 		// with root rights: each slot it will read from has its lease
-		// re-validated first, and a refusal fails the batch closed — nothing
-		// is applied, every live item reports the error.
+		// re-validated first, and a refusal fails the event closed —
+		// nothing is applied, every live request reports the error.
 		for i := range states {
 			if states[i].borrows {
 				if _, ok := w.slots[states[i].slot].rl.Window(); !ok {
@@ -566,61 +499,49 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, items []batchItem) {
 		var abn *core.AbnormalExit
 		if errors.As(gerr, &abn) {
 			// ⑫-⑭ rewind happened: the domain, its buffer copies, and the
-			// whole in-flight batch (including its un-applied deferred
-			// ops) are gone; close every connection with a request in the
-			// batch and keep serving.
+			// whole event (including its un-applied deferred ops) are
+			// gone; close the event's connection and keep serving.
 			w.slots = w.slots[:0]
 			dops.truncate(0)
-			// Multiplicative decrease: the next batches risk less
-			// collateral while the rewind window stays hot.
-			w.ctrl.NoteRewind()
-			for i := range items {
-				if !states[i].done {
-					s.CloseConn(t, &items[i].conn.ConnBufs)
-					*items[i].res = proc.Result{Closed: true}
-				}
-			}
+			s.CloseConn(t, &conn.ConnBufs)
+			setLive(states, res, proc.Result{Closed: true})
 			return
 		}
 		// Resilience-policy admission: while the event domain is held off
-		// or quarantined, Guard runs nothing and the batch is served on the
+		// or quarantined, Guard runs nothing and the event is served on the
 		// degraded path — no domain re-creation, no guard scope.
 		var qe *core.QuarantineError
 		if errors.As(gerr, &qe) {
-			s.serveDegraded(t, items, states, qe.State == policy.StateShedding)
+			s.serveDegraded(t, conn, reqs, res, states, qe.State == policy.StateShedding)
 			return
 		}
-		for i := range items {
-			if !states[i].done {
-				*items[i].res = proc.Result{Err: gerr}
-			}
-		}
+		setLive(states, res, proc.Result{Err: gerr})
 		return
 	}
 	// The one point a request is counted: drive_machine answered it and
 	// the scope completed. A request behind a close, one answered on the
 	// degraded path and one discarded by a rewind are not counted.
-	for i := range items {
+	for i := range reqs {
 		if states[i].done {
 			continue
 		}
 		w.reqs.Add(1)
 		if states[i].derr != nil {
-			*items[i].res = proc.Result{Err: states[i].derr}
+			res[i] = proc.Result{Err: states[i].derr}
 			continue
 		}
 		if states[i].closeit {
-			s.CloseConn(t, &items[i].conn.ConnBufs)
+			s.CloseConn(t, &conn.ConnBufs)
 		}
-		*items[i].res = proc.Result{Resp: states[i].data, Closed: states[i].closeit}
+		res[i] = proc.Result{Resp: states[i].data, Closed: states[i].closeit}
 	}
 }
 
-// copyIn is step ④ of the hardened flow: it gives the batch's live items
-// a domain slot each (allocating slots the domain does not hold yet) and
-// copies every request, staged through its connection's read buffer, into
-// its slot.
-func (s *Server) copyIn(t *proc.Thread, w *worker, items []batchItem, states []evState, live int) error {
+// copyIn is step ④ of the hardened flow: it gives the event's live
+// requests a domain slot each (allocating slots the domain does not hold
+// yet) and copies every request, staged through the connection's read
+// buffer, into its slot.
+func (s *Server) copyIn(t *proc.Thread, w *worker, conn *Conn, reqs [][]byte, states []evState, live int) error {
 	c := t.CPU()
 	bufSize := uint64(s.cfg.ConnBufSize)
 	for len(w.slots) < live {
@@ -642,62 +563,56 @@ func (s *Server) copyIn(t *proc.Thread, w *worker, items []batchItem, states []e
 		})
 	}
 	slot := 0
-	for i := range items {
+	for i := range reqs {
 		if states[i].done {
 			continue
 		}
-		conn := items[i].conn
-		c.Write(conn.RBuf, items[i].req)
-		s.Library().Copy(t, w.slots[slot].rbuf, conn.RBuf, len(items[i].req))
+		c.Write(conn.RBuf, reqs[i])
+		s.Library().Copy(t, w.slots[slot].rbuf, conn.RBuf, len(reqs[i]))
 		states[i].slot = slot
 		slot++
 	}
 	return nil
 }
 
-// serveDegraded answers a batch while the event domain is quarantined:
-// gets are served as misses straight from root memory (the cached data
-// died with the discarded domain state's trust anyway — a miss is the
-// safe answer), quits close cleanly, and mutations are refused with
-// SERVER_ERROR so clients back off. A shedding domain drops its
-// connections outright. Nothing here touches the guard scope or the
-// shared database, which is the point: the degraded path costs no
-// domain re-creation.
-func (s *Server) serveDegraded(t *proc.Thread, items []batchItem, states []evState, shedding bool) {
-	for i := range items {
-		if states[i].done {
-			continue
-		}
-		conn := &items[i].conn.ConnBufs
-		if shedding {
-			s.ShedConn(t, conn)
-			*items[i].res = proc.Result{Closed: true, Err: ErrConnClosed}
-			continue
-		}
-		s.NoteDegraded()
-		req := items[i].req
-		switch {
-		case bytes.HasPrefix(req, []byte("get ")), bytes.HasPrefix(req, []byte("gets ")):
-			*items[i].res = proc.Result{Resp: []byte("END\r\n")}
-		case bytes.HasPrefix(req, []byte("quit")):
-			s.CloseConn(t, conn)
-			*items[i].res = proc.Result{Closed: true}
-		default:
-			*items[i].res = proc.Result{Resp: []byte("SERVER_ERROR event domain quarantined\r\n")}
+// setLive gives every live request of an event the same result.
+func setLive(states []evState, res []proc.Result, r proc.Result) {
+	for i := range states {
+		if !states[i].done {
+			res[i] = r
 		}
 	}
 }
 
-// closedEarlierInBatch reports whether an earlier live item of the
-// current batch closed item i's connection (quit command).
-func closedEarlierInBatch(items []batchItem, states []evState, i int) bool {
-	for j := 0; j < i; j++ {
-		if !states[j].done && states[j].derr == nil && states[j].closeit &&
-			items[j].conn == items[i].conn {
-			return true
+// serveDegraded answers an event while the event domain is quarantined:
+// gets are served as misses straight from root memory (the cached data
+// died with the discarded domain state's trust anyway — a miss is the
+// safe answer), quits close cleanly, and mutations are refused with
+// SERVER_ERROR so clients back off. A shedding domain drops the
+// connection outright. Nothing here touches the guard scope or the
+// shared database, which is the point: the degraded path costs no
+// domain re-creation.
+func (s *Server) serveDegraded(t *proc.Thread, conn *Conn, reqs [][]byte, res []proc.Result, states []evState, shedding bool) {
+	for i, req := range reqs {
+		if states[i].done {
+			continue
+		}
+		if shedding {
+			s.ShedConn(t, &conn.ConnBufs)
+			res[i] = proc.Result{Closed: true, Err: ErrConnClosed}
+			continue
+		}
+		s.NoteDegraded()
+		switch {
+		case bytes.HasPrefix(req, []byte("get ")), bytes.HasPrefix(req, []byte("gets ")):
+			res[i] = proc.Result{Resp: []byte("END\r\n")}
+		case bytes.HasPrefix(req, []byte("quit")):
+			s.CloseConn(t, &conn.ConnBufs)
+			res[i] = proc.Result{Closed: true}
+		default:
+			res[i] = proc.Result{Resp: []byte("SERVER_ERROR event domain quarantined\r\n")}
 		}
 	}
-	return false
 }
 
 // InlineDo serves one request synchronously on an inline worker thread
@@ -711,18 +626,19 @@ type InlineDo func(conn *Conn, req []byte) (resp []byte, closed bool, err error)
 // the one the event loop uses. Connections passed to the returned InlineDo
 // must have been created by the NewConn method of this call's handle.
 func (s *Server) RunInline(name string, body func(newConn func() *Conn, do InlineDo) error) error {
-	w := &worker{idx: -1, s: s, ctrl: s.NewController(s.cfg.Clock, s.cfg.MaxBatch)}
+	w := &worker{idx: -1, s: s}
 	h := s.Process().Spawn(name, func(t *proc.Thread) error {
 		newConn := func() *Conn {
 			return &Conn{id: int(s.connIDs.Add(1)), w: w}
 		}
 		// A batch of one on the worker's own scratch: every path of
 		// dispatchBatch overwrites the whole result.
-		var res proc.Result
+		var req1 [1][]byte
+		var res [1]proc.Result
 		do := func(conn *Conn, req []byte) ([]byte, bool, error) {
-			w.items = append(w.items[:0], batchItem{conn: conn, req: req, res: &res})
-			s.dispatchBatch(t, w, w.items)
-			return res.Resp, res.Closed, res.Err
+			req1[0] = req
+			s.dispatchBatch(t, w, conn, req1[:], res[:])
+			return res[0].Resp, res[0].Closed, res[0].Err
 		}
 		return body(newConn, do)
 	})
@@ -790,12 +706,3 @@ func (s *Server) StorageStats() StorageStats { return s.st.Stats() }
 // Storage exposes the shared database, for invariant audits (run it on
 // the owning worker thread via Conn.Inspect).
 func (s *Server) Storage() *Storage { return s.st }
-
-// SchedSnapshots returns each worker's adaptive-controller snapshot.
-func (s *Server) SchedSnapshots() []sched.Snapshot {
-	out := make([]sched.Snapshot, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = w.ctrl.Snapshot()
-	}
-	return out
-}

@@ -352,41 +352,6 @@ func (e *Engine) OnRewind(udi int) Decision {
 	return dec
 }
 
-// OnPressure is the load-pressure side channel: the scheduler calls it
-// when a worker's batch controller has been pinned at the AIMD floor by
-// a hot rewind window for a full window — batching has already shrunk
-// the blast radius to single requests and the domain is STILL rewinding,
-// so admission should start backing off before the raw rewind count
-// crosses BackoffThreshold on its own. A Healthy or Backoff domain
-// (re-)enters Backoff with the next exponential hold-off; Quarantined
-// and Shedding domains already dominate the signal and are left
-// untouched.
-func (e *Engine) OnPressure(udi int) Decision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	now := e.now()
-	ds := e.state(udi)
-	e.pruneWindow(ds, now)
-	dec := Decision{UDI: udi, WindowCount: len(ds.window), TimeNs: now}
-	switch ds.state {
-	case StateQuarantined, StateShedding:
-		dec.Action = ActionNone
-	default:
-		if ds.state != StateBackoff {
-			ds.escalations++
-		}
-		ds.state = StateBackoff
-		ds.backoffStep++
-		hold := e.backoffHold(ds.backoffStep)
-		ds.deniedUntil = now + hold
-		dec.Action = ActionBackoff
-		dec.RetryAfterNs = hold
-	}
-	dec.State = ds.state
-	e.recordLocked(dec, false)
-	return dec
-}
-
 // backoffHold computes the exponential hold-off for escalation step.
 func (e *Engine) backoffHold(step int) int64 {
 	return HoldOff(e.cfg.BackoffBase, e.cfg.BackoffMax, step)

@@ -403,55 +403,3 @@ func TestSnapshotFields(t *testing.T) {
 		t.Fatalf("denied_for = %d, want 10ms", s.DeniedForNs)
 	}
 }
-
-func TestOnPressureEscalatesToBackoff(t *testing.T) {
-	clk := &ManualClock{}
-	clk.Set(int64(time.Hour))
-	e := New(testConfig(clk))
-
-	// Pressure on a healthy domain: straight to Backoff with the base
-	// hold-off, no rewind recorded in the window.
-	dec := e.OnPressure(7)
-	if dec.Action != ActionBackoff || dec.State != StateBackoff {
-		t.Fatalf("pressure on healthy: action=%v state=%v, want backoff/backoff", dec.Action, dec.State)
-	}
-	if dec.RetryAfterNs != int64(10*time.Millisecond) {
-		t.Fatalf("pressure hold = %dns, want base 10ms", dec.RetryAfterNs)
-	}
-	if dec.WindowCount != 0 {
-		t.Fatalf("pressure recorded %d window rewinds, want 0", dec.WindowCount)
-	}
-	// Admission is denied while the hold-off runs.
-	if ad := e.Admit(7); ad.Action != ActionDeny {
-		t.Fatalf("admit during pressure hold: %v, want deny", ad.Action)
-	}
-	// Repeated pressure doubles the hold-off (step 2 = 20ms).
-	dec = e.OnPressure(7)
-	if dec.RetryAfterNs != int64(20*time.Millisecond) {
-		t.Fatalf("second pressure hold = %dns, want 20ms", dec.RetryAfterNs)
-	}
-	// Hold-off expires with an empty window: readmit, then healthy.
-	clk.Advance(25 * time.Millisecond)
-	if ad := e.Admit(7); ad.Action != ActionReadmit {
-		t.Fatalf("admit after hold: %v, want readmit", ad.Action)
-	}
-	if ad := e.Admit(7); ad.Action != ActionNone || ad.State != StateHealthy {
-		t.Fatalf("admit after readmit: action=%v state=%v, want none/healthy", ad.Action, ad.State)
-	}
-}
-
-func TestOnPressureDoesNotDemoteQuarantine(t *testing.T) {
-	clk := &ManualClock{}
-	clk.Set(int64(time.Hour))
-	e := New(testConfig(clk))
-	for i := 0; i < 5; i++ {
-		e.OnRewind(3)
-	}
-	if snap := e.Snapshot(); snap[0].State != "quarantined" {
-		t.Fatalf("precondition: state %s, want quarantined", snap[0].State)
-	}
-	dec := e.OnPressure(3)
-	if dec.Action != ActionNone || dec.State != StateQuarantined {
-		t.Fatalf("pressure on quarantined: action=%v state=%v, want none/quarantined", dec.Action, dec.State)
-	}
-}

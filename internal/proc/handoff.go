@@ -28,7 +28,7 @@ import (
 //
 // Who may touch Res when: the client provides the slice when it starts
 // the event and reads it only after wait reports the event finished. The
-// worker writes it between taking the event and FinishRound. Nobody
+// worker writes it between taking the event and handing it back. Nobody
 // writes the results of a failed event: its owner gave up serving it
 // before failing it. Each Resp is the client's for good: the server never
 // writes its bytes again once it is in Res (ReplyBlock).
@@ -95,15 +95,16 @@ func (rb *ReplyBlock) copy(b []byte) []byte {
 	return out
 }
 
-// Event is one client event in a worker's Mailbox. The worker reads Conn
-// and Reqs and writes Res[i] for every Reqs[i]; the mailbox's FinishRound
-// hands it back. A control event has a non-nil Inspect and no requests:
-// the worker calls RunInspect on its own thread instead.
+// Event is one client event in a worker's Mailbox. The worker's serve
+// function reads Conn and Reqs and writes Res[i] for every Reqs[i];
+// Serve hands it back.
 type Event[C any] struct {
-	Conn    C
-	Reqs    [][]byte
-	Res     []Result
-	Inspect func(t *Thread) error
+	Conn C
+	Reqs [][]byte
+	Res  []Result
+	// inspect, when set, makes this a control event with no requests:
+	// Serve runs it on the worker's thread instead.
+	inspect func(t *Thread) error
 
 	// done is the completion signal, armed by start and released by the one
 	// end; it is part of the event so that starting one allocates nothing.
@@ -124,14 +125,8 @@ func (ev *Event[C]) end(served bool) {
 	ev.done.Done()
 }
 
-// RunInspect serves a control event: it runs the closure on t, the
-// worker's thread, and records the closure's error as the event's result.
-func (ev *Event[C]) RunInspect(t *Thread) { ev.Res[0].Err = ev.Inspect(t) }
-
 // Mailbox is one worker's inbox: clients start events into it and wait on
-// them. The worker's loop defers Leave, takes a round of events with Next
-// and TryNext, and calls FinishRound before the next Next; the mailbox
-// keeps the round, so the loop keeps no list of what it owes an answer.
+// them, and the worker's thread runs Serve over it.
 type Mailbox[C any] struct {
 	p        *Process
 	ch       chan *Event[C]
@@ -141,11 +136,6 @@ type Mailbox[C any] struct {
 	// paths (a start that found the inbox full, a worker that found it
 	// empty) block on it and on ch, never on the process.
 	down chan struct{}
-
-	// Owned by the worker: the event it put back, which leads the next
-	// round, and the round — the events taken and not yet ended.
-	head *Event[C]
-	held []*Event[C]
 
 	// Events a departed worker left unended, for the sweeper; after swept
 	// there is no sweeper any more and the process is down.
@@ -196,96 +186,67 @@ func (m *Mailbox[C]) drain() {
 	}
 }
 
-// Cap is how many started events the inbox holds before a start blocks;
-// 0 means every start is a rendezvous with the worker.
-func (m *Mailbox[C]) Cap() int { return cap(m.ch) }
-
-// Len is the number of started events the worker has not taken yet.
-func (m *Mailbox[C]) Len() int {
-	if m.head != nil {
-		return len(m.ch) + 1
+// Serve is a worker thread's loop, run on t until the process is down.
+// It takes one event at a time: a control event runs on t, a client
+// event goes to serve, which fills in its results; then the event goes
+// back to the client waiting on it before the next is taken, so nothing
+// serve does spans two events.
+func (m *Mailbox[C]) Serve(t *Thread, serve func(ev *Event[C])) {
+	var held *Event[C] // taken and not yet ended: what a dying worker owes
+	defer func() { m.leave(held) }()
+	for {
+		ev := m.next()
+		if ev == nil {
+			return
+		}
+		held = ev
+		if ev.inspect != nil {
+			ev.Res[0].Err = ev.inspect(t)
+		} else {
+			serve(ev)
+		}
+		held = nil
+		ev.end(true)
 	}
-	return len(m.ch)
 }
 
-// Next starts a round: it returns the next event to serve, parking while
-// the inbox is empty, or nil when the process is down.
-func (m *Mailbox[C]) Next() *Event[C] {
-	ev := m.head
-	m.head = nil
-	if ev == nil {
+// next returns the next event to serve, parking while the inbox is empty,
+// or nil when the process is down. The worker checks Killed itself rather
+// than trusting the sweeper to have run: a call issued after Terminate
+// returned must not be served by a sibling that has not noticed.
+func (m *Mailbox[C]) next() *Event[C] {
+	var ev *Event[C]
+	select {
+	case ev = <-m.ch:
+	default:
 		select {
 		case ev = <-m.ch:
-		default:
-			select {
-			case ev = <-m.ch:
-			case <-m.down:
-				return nil
-			}
+		case <-m.down:
+			return nil
 		}
 	}
-	return m.hold(ev)
-}
-
-// TryNext returns another event for the current round, or nil when the
-// inbox is empty or the process is down.
-func (m *Mailbox[C]) TryNext() *Event[C] {
-	select {
-	case ev := <-m.ch:
-		return m.hold(ev)
-	default:
-		return nil
-	}
-}
-
-// hold records an event the worker took. The worker checks Killed itself
-// rather than trusting the sweeper to have run: a call issued after
-// Terminate returned must not be served by a sibling that has not noticed.
-func (m *Mailbox[C]) hold(ev *Event[C]) *Event[C] {
 	if m.p.Killed() {
 		ev.end(false)
 		return nil
 	}
-	m.held = append(m.held, ev)
 	return ev
 }
 
-// FinishRound hands every event of the round, its results filled in, back
-// to the client waiting on it.
-func (m *Mailbox[C]) FinishRound() {
-	for _, ev := range m.held {
-		ev.end(true)
-	}
-	m.held = m.held[:0]
-}
-
-// PutBack returns the event TryNext just handed out; the next Next
-// returns it first.
-func (m *Mailbox[C]) PutBack(ev *Event[C]) {
-	m.held = m.held[:len(m.held)-1]
-	m.head = ev
-}
-
-// Leave is deferred by the worker's loop. The round the worker still
-// holds — it panicked while serving it — is failed, but only once the
-// process is marked terminated: a client woken earlier would see the down
-// error from a process that does not yet report it crashed. So before
-// termination it goes to the sweeper.
-func (m *Mailbox[C]) Leave() {
-	left := m.held
-	if m.head != nil {
-		left = append(left, m.head)
-	}
-	m.held, m.head = nil, nil
-	if len(left) == 0 {
+// leave runs when the worker's loop exits with held, the event it was
+// serving when it panicked (nil on a clean exit). That event is failed,
+// but only once the process is marked terminated: a client woken earlier
+// would see the down error from a process that does not yet report it
+// crashed. So before termination it goes to the sweeper.
+func (m *Mailbox[C]) leave(ev *Event[C]) {
+	if ev == nil {
 		return
 	}
 	m.mu.Lock()
 	if !m.swept {
-		m.orphans, left = append(m.orphans, left...), nil
+		m.orphans, ev = append(m.orphans, ev), nil
 	}
 	m.mu.Unlock()
-	for _, ev := range left {
+	if ev != nil {
 		ev.end(false)
 	}
 }
@@ -334,7 +295,7 @@ func (m *Mailbox[C]) Do(conn C, req []byte) (resp []byte, closed bool, err error
 // Inspect runs fn on the worker's thread between client events and
 // returns its error.
 func (m *Mailbox[C]) Inspect(fn func(t *Thread) error) error {
-	ev := &Event[C]{Inspect: fn}
+	ev := &Event[C]{inspect: fn}
 	ev.Res = ev.res1[:]
 	if !m.start(ev) || !m.wait(ev) {
 		return m.downErr

@@ -12,19 +12,14 @@ import (
 
 var errToyDown = errors.New("toy: worker down")
 
-// toyWorker serves a mailbox the way both servers' loops do: it answers
-// each request with "<conn>:<request>" and records the size of every
-// event it took. A round is up to roundMax events (default one), their
-// requests flattened, served together and then finished together by the
-// mailbox, as memcache does; an inspect event met while filling a round
-// is put back. The request "trap" is a
-// memory-safety violation with no recovery point: it kills the process
-// with every event of the round still in the worker's hands.
+// toyWorker serves a mailbox the way both servers do: it answers each
+// request with "<conn>:<request>" and records the size of every event it
+// took. The request "trap" is a memory-safety violation with no recovery
+// point: it kills the process with its event still in the worker's hands.
 type toyWorker struct {
-	mb       *Mailbox[int]
-	roundMax int
-	echo     bool  // answer with the request itself (benchmark: no allocation)
-	chunks   []int // owned by the worker thread; read through Inspect
+	mb     *Mailbox[int]
+	echo   bool  // answer with the request itself (benchmark: no allocation)
+	chunks []int // owned by the worker thread; read through Inspect
 }
 
 func newToy(queue, maxBatch int) (*Process, *toyWorker) {
@@ -38,56 +33,20 @@ func addToy(p *Process, queue, maxBatch int) *toyWorker {
 }
 
 func (w *toyWorker) run(t *Thread) error {
-	defer w.mb.Leave()
-	type item struct {
-		conn int
-		req  []byte
-		res  *Result
-	}
-	var items []item
-	events := 0
-	take := func(ev *Event[int]) {
-		events++
+	w.mb.Serve(t, func(ev *Event[int]) {
 		w.chunks = append(w.chunks, len(ev.Reqs))
 		for i, req := range ev.Reqs {
-			items = append(items, item{ev.Conn, req, &ev.Res[i]})
-		}
-	}
-	for {
-		ev := w.mb.Next()
-		if ev == nil {
-			return nil
-		}
-		if ev.Inspect != nil {
-			ev.RunInspect(t)
-			w.mb.FinishRound()
-			continue
-		}
-		items, events = items[:0], 0
-		take(ev)
-		for events < w.roundMax {
-			ev2 := w.mb.TryNext()
-			if ev2 == nil {
-				break
-			}
-			if ev2.Inspect != nil {
-				w.mb.PutBack(ev2)
-				break
-			}
-			take(ev2)
-		}
-		for _, it := range items {
 			switch {
-			case string(it.req) == "trap":
+			case string(req) == "trap":
 				t.CPU().WriteU8(0xBAD0000, 1) // unmapped
 			case w.echo:
-				it.res.Resp = it.req
+				ev.Res[i].Resp = req
 			default:
-				it.res.Resp = []byte(fmt.Sprintf("%d:%s", it.conn, it.req))
+				ev.Res[i].Resp = []byte(fmt.Sprintf("%d:%s", ev.Conn, req))
 			}
 		}
-		w.mb.FinishRound()
-	}
+	})
+	return nil
 }
 
 // parked parks the worker inside an Inspect and returns once it is there,
@@ -135,7 +94,7 @@ func TestStartReturnsOnceQueued(t *testing.T) {
 	var pending []*Pending[int]
 	for i := 0; i < 5; i++ {
 		pending = append(pending, w.mb.Start(i, numbered(1)))
-		if got := w.mb.Len(); got != i+1 {
+		if got := len(w.mb.ch); got != i+1 {
 			t.Fatalf("after %d starts the inbox holds %d events", i+1, got)
 		}
 	}
@@ -188,52 +147,50 @@ func TestDownProcessFailsEveryRequestWithoutHanging(t *testing.T) {
 }
 
 func TestWorkerDyingWithEventsInHandFailsThemAfterTermination(t *testing.T) {
-	// The worker traps holding one, two or three events, the rest queued
-	// behind. Every client gets the down error (a second end of one event
-	// would panic in its completion signal, a missing one would hang its
-	// client here), and none of them is woken before the process reports
-	// itself dead.
-	for _, tc := range []struct{ roundMax, trapAt int }{
-		{1, 0}, // one event in hand, two queued
-		{2, 1}, // two in hand — the first already served, not finished —, one queued
-		{3, 0}, // all three in hand
-	} {
+	// Three single-request events are staged; the worker traps on the
+	// first, second or third, holding that one with the rest queued
+	// behind. The events ahead of the trap are answered; the one in hand
+	// and everything behind it get the down error (a second end of one
+	// event would panic in its completion signal, a missing one would hang
+	// its client here), and none of them before the process reports itself
+	// dead.
+	for trapAt := 0; trapAt < 3; trapAt++ {
 		p, w := newToy(4, 4)
-		w.roundMax = tc.roundMax
 		p.Spawn("worker", w.run)
 		release := w.parked()
 		var pending []*Pending[int]
 		for i := 0; i < 3; i++ {
 			req := []byte("ok")
-			if i == tc.trapAt {
+			if i == trapAt {
 				req = []byte("trap")
 			}
 			pending = append(pending, w.mb.Start(i, [][]byte{req}))
 		}
 		var wg sync.WaitGroup
 		var aliveAtReturn atomic.Int32
+		results := make([][]Result, len(pending))
 		for i, h := range pending {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res := h.Wait()
-				if !p.Killed() {
+				results[i] = h.Wait()
+				if i >= trapAt && !p.Killed() {
 					aliveAtReturn.Add(1)
-				}
-				if len(res) != 1 || !res[0].Closed || !errors.Is(res[0].Err, errToyDown) {
-					t.Errorf("round of %d, client %d: %+v, want the down error", tc.roundMax, i, res)
 				}
 			}()
 		}
 		release()
 		wg.Wait()
+		for i, res := range results {
+			check(t, res, i, [][]byte{[]byte("ok")}, i >= trapAt)
+		}
 		if n := aliveAtReturn.Load(); n != 0 {
-			t.Errorf("round of %d: %d clients saw the down error before the process was marked terminated", tc.roundMax, n)
+			t.Errorf("trap at %d: %d clients saw the down error before the process was marked terminated", trapAt, n)
 		}
 		p.Wait()
 		var crash *CrashError
 		if !errors.As(p.ExitError(), &crash) {
-			t.Errorf("round of %d: exit error %v, want the crash", tc.roundMax, p.ExitError())
+			t.Errorf("trap at %d: exit error %v, want the crash", trapAt, p.ExitError())
 		}
 	}
 }
@@ -269,7 +226,6 @@ func TestStartRacingTerminateEndsEveryEventOnce(t *testing.T) {
 	for _, queue := range []int{0, 4} {
 		for i := 0; i < 200; i++ {
 			p, w := newToy(queue, 2)
-			w.roundMax = 2
 			p.Spawn("worker", w.run)
 			var wg sync.WaitGroup
 			for c := 0; c < 2; c++ {

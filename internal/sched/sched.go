@@ -1,27 +1,17 @@
-// Package sched holds the per-worker AIMD batch-bound controller the
-// hardened servers' drain loops (internal/memcache, internal/httpd)
-// consult on every round. It is stdlib-only and deterministic under a
-// hand-advanced clock (mirroring internal/policy's ManualClock
-// discipline).
+// Package sched holds a per-worker AIMD batch-bound controller and a
+// connection-placement scorer that no server uses any more. Both servers
+// run one client event per guard scope, so there is no drain for a bound
+// to size. The package stays only because benchmark/ times
+// Controller.ObserveRound and PlacementPick (sched.observe_round_ns,
+// sched.placement_pick_ns); it goes, with those two probes, in the next
+// change that is allowed to edit the benchmark.
 //
-// The guard scope amortizes one Guard/Enter/Exit domain-switch round
-// over a batch, but a single fault discards the whole batch, so the
-// right size depends on load AND on the live rewind rate. The Controller
-// grows the bound additively toward the server's MaxBatch while the
-// queue shows sustained backlog, collapses it toward 1 across idle
-// rounds (a lone request should not drag a 16-slot scope around), and
-// shrinks it multiplicatively the moment a rewind lands, holding a
-// ceiling of MaxBatch >> windowRewinds while the sliding rewind window
-// is hot — the "Unlimited Lives" rewind-rate signal applied to blast
-// radius instead of admission.
-//
-// A worker brackets each drain round with BeginRound and EndRound; the
-// pair holds the idle-floor fast path, the round's clock reads and the
-// bound-gauge mirror, so no server loop repeats them.
-//
-// placement.go keeps the connection-placement scorer only because
-// benchmark/ times it (sched.placement_pick_ns); no server calls it.
-// Both go in the next PR that is allowed to edit the benchmark.
+// The Controller grows a batch bound additively toward MaxBatch while
+// the queue shows sustained backlog, collapses it toward 1 across idle
+// rounds, shrinks it multiplicatively the moment a rewind lands, and
+// holds a ceiling of MaxBatch >> windowRewinds while the sliding rewind
+// window is hot. It is stdlib-only and deterministic under a
+// hand-advanced clock.
 package sched
 
 import (
