@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-clockless monitor-admits one-host chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
+.PHONY: build test race vet fmt-check chaos-clockless monitor-admits one-host examples chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,12 @@ one-host:
 		-e 'case[[:space:]]+(Variant|host\.)(Vanilla|TLSF|SDRaD)\b' \
 		internal/memcache internal/httpd; then \
 		echo "memcache and httpd get their memory and scopes from internal/host (Alloc, OpenConn, DataDomain, Scope) and run one request flow: no allocator, core.Setup, InitDomain or variant comparison"; exit 1; fi
+
+# The examples are the public API's only runnable docs: run each one to
+# its end (a few seconds in all). Each exits non-zero when its scenario
+# goes wrong, so an API rule that breaks one fails here.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
 # A single fixed-seed round of every chaos campaign, as the smoke test runs.
 chaos-smoke:
@@ -173,4 +179,4 @@ cluster-gate:
 	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
-ci: build vet fmt-check chaos-clockless monitor-admits one-host test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate
+ci: build vet fmt-check chaos-clockless monitor-admits one-host examples test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate

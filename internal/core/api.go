@@ -106,7 +106,7 @@ func (l *Library) resolveAllocTarget(ts *threadState, udi UDI) (*Domain, error) 
 			return dd, nil
 		}
 		l.mu.Lock()
-		prot, ok := cur.grants[udi]
+		prot, ok := cur.grants[dd]
 		l.mu.Unlock()
 		if ok && prot&mem.ProtWrite != 0 {
 			return dd, nil
@@ -137,7 +137,11 @@ func (l *Library) ensureRootHeap(c *mem.CPU) error {
 // DProtect configures domain udi's access rights PROT on the target data
 // domain tddi (Table I ④). udi must be the current domain or one of its
 // children; tddi must be a data domain. Rights take effect the next time
-// the domain's policy is installed (immediately if udi is current).
+// the domain's policy is installed (immediately if udi is current). The
+// rights hold for this instance of tddi: a data domain created later
+// under the same index is not granted by them. The root domain is every
+// thread's, so its rights change only on the library's lone live thread
+// (ErrSharedTopology otherwise).
 func (l *Library) DProtect(t *proc.Thread, udi, tddi UDI, prot mem.Prot) error {
 	ts := l.state(t)
 	l.monitorEnter(t)
@@ -161,16 +165,21 @@ func (l *Library) DProtect(t *proc.Thread, udi, tddi UDI, prot mem.Prot) error {
 	// Grants of the shared root domain are read concurrently by other
 	// threads' policy derivations.
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if d.isRoot() {
+		if err := l.loneLocked(); err != nil {
+			return err
+		}
+	}
 	if d.grants == nil {
-		d.grants = make(map[UDI]mem.Prot)
+		d.grants = make(map[*Domain]mem.Prot)
 	}
 	if prot == mem.ProtNone {
-		delete(d.grants, tddi)
+		delete(d.grants, dd)
 	} else {
-		d.grants[tddi] = prot
+		d.grants[dd] = prot
 	}
 	l.policyGen.Add(1)
-	l.mu.Unlock()
 	return nil
 }
 

@@ -41,20 +41,9 @@ type AuditReport struct {
 	CurrentUDI UDI
 	EnterDepth int
 	// PKRU is the register value observed on entry; ExpectedPKRU is the
-	// policy re-derived from the control data. The register must never
-	// grant a right the policy denies; it may deny rights the policy
-	// grants (see PKRUStaleDenies).
+	// policy re-derived from the control data. They must be equal.
 	PKRU         uint32
 	ExpectedPKRU uint32
-	// PKRUStaleDenies holds the deny bits set in the live register but
-	// clear in the policy. Non-zero is legal on a quiescent thread:
-	// PKRU is per-thread hardware state, so a sibling thread creating
-	// an accessible data domain under root widens the derived policy
-	// without touching this thread's register — the new rights are
-	// picked up at its next monitor transition. Only the opposite
-	// direction (stale rights the policy revoked) is an integrity
-	// violation.
-	PKRUStaleDenies uint32
 	// LedgerCalls is the monitor-call counter read from the transition
 	// ledger in the monitor data domain; MonitorCalls is the Go-side
 	// statistic it must match when the process is quiescent.
@@ -114,19 +103,17 @@ func (l *Library) Audit(t *proc.Thread) *AuditReport {
 		Rewinds:      l.stats.Rewinds.Load(),
 		MappedBytes:  as.Stats().MappedBytes.Load(),
 	}
-	// The ERIM-style integrity condition for PKU sandboxes is one-sided:
-	// the register must not hold rights the policy denies — clear deny
-	// bits where the policy sets them mean a rewind (or a monitor bug)
-	// left stale rights installed. The other direction is legal: a
-	// sibling thread creating a data domain under the shared root widens
-	// the policy, and this thread's register only catches up at its next
-	// monitor transition (PKRU is per-thread hardware state).
+	// The ERIM-style integrity condition: the register holds exactly the
+	// policy of the executing domain. A thread's policy changes only
+	// through its own monitor calls — its execution domains are its own,
+	// and data domains and root's grants change only on a lone thread
+	// (loneLocked) — so any difference, in either direction, means a
+	// rewind or a monitor bug left the register stale.
 	r.ExpectedPKRU = l.computePKRU(ts, ts.current)
-	if excess := ^r.PKRU & r.ExpectedPKRU; excess != 0 {
-		r.findingf("pkru grants rights the policy denies: have 0x%08x, policy for domain %d is 0x%08x (stale grant bits 0x%08x)",
-			r.PKRU, ts.current.udi, r.ExpectedPKRU, excess)
+	if r.PKRU != r.ExpectedPKRU {
+		r.findingf("pkru differs from the policy: have 0x%08x, policy for domain %d is 0x%08x (stale bits 0x%08x)",
+			r.PKRU, ts.current.udi, r.ExpectedPKRU, r.PKRU^r.ExpectedPKRU)
 	}
-	r.PKRUStaleDenies = r.PKRU &^ r.ExpectedPKRU
 
 	// Transition-ledger consistency: the ledger is sharded into
 	// per-thread slots (see monitorEnter); their sum moves in lockstep

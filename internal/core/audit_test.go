@@ -10,11 +10,6 @@ import (
 	"sdrad/internal/sig"
 )
 
-// The PKRU integrity condition is one-sided: a quiescent thread's
-// register may deny rights the policy grants (a sibling thread created a
-// data domain the root's policy grants since this thread's last
-// transition), but must never grant rights the policy denies.
-
 // sibling starts a thread that runs each step passed to do, one at a
 // time, and reports the step's error; stop ends the thread.
 func sibling(t *testing.T, p *proc.Process, name string) (do func(func(*proc.Thread) error) error, stop func()) {
@@ -39,50 +34,126 @@ func sibling(t *testing.T, p *proc.Process, name string) (do func(func(*proc.Thr
 	return do, stop
 }
 
-func TestAuditToleratesStaleRestrictivePKRU(t *testing.T) {
+// The PKRU condition is an equality: a register holding fewer rights
+// than its policy is a finding, as one holding more is.
+func TestAuditFlagsStaleRestrictivePKRU(t *testing.T) {
 	p, l := newLib(t)
 	run(t, p, func(th *proc.Thread) error {
-		do, stop := sibling(t, p, "sibling")
-		defer stop()
-		before := th.CPU().PKRU()
-
-		// A sibling's accessible execution domain is the sibling's own:
-		// it does not widen this thread's root policy.
-		if err := do(func(th2 *proc.Thread) error {
-			return l.Guard(th2, 1, func() error { return nil }, Accessible())
-		}); err != nil {
-			t.Fatalf("sibling guard: %v", err)
-		}
+		policy := th.CPU().PKRU()
+		// Root memory is writable from the root domain; take that away.
+		l.wrpkru(th, mem.PKRUAllow(policy, l.rootKey, false))
 		rep := l.Audit(th)
-		if rep.ExpectedPKRU != before || rep.PKRUStaleDenies != 0 || !rep.Ok() {
-			t.Errorf("sibling exec domain moved this thread's policy: have 0x%08x, policy 0x%08x, stale denies 0x%08x, findings %v",
-				rep.PKRU, rep.ExpectedPKRU, rep.PKRUStaleDenies, rep.Findings)
+		l.wrpkru(th, policy)
+		if rep.ExpectedPKRU != policy {
+			t.Fatalf("policy 0x%08x, want the untouched 0x%08x", rep.ExpectedPKRU, policy)
 		}
+		if rep.Ok() || !strings.HasPrefix(rep.Findings[0], "pkru") {
+			t.Errorf("register 0x%08x narrower than policy 0x%08x: findings %v",
+				rep.PKRU, rep.ExpectedPKRU, rep.Findings)
+		}
+		return nil
+	})
+}
 
-		// An accessible data domain under root is global: the policy
-		// widens, and this thread's register cannot have moved without a
-		// transition of its own.
-		if err := do(func(th2 *proc.Thread) error {
-			return l.InitDomain(th2, 10, AsData(), Accessible())
+// Data domains and root's grants are in every thread's policy, and the
+// monitor rewrites only the caller's register: while a sibling is live,
+// each call that would change them is refused and changes nothing; once
+// the sibling has exited, each succeeds.
+func TestSharedTopologyChangesOnlyOnALoneThread(t *testing.T) {
+	p, l := newLib(t)
+	as := p.AddressSpace()
+	freeKeys := func() (n int) {
+		for k := 1; k < mem.NumKeys; k++ {
+			if !as.KeyAllocated(k) {
+				n++
+			}
+		}
+		return n
+	}
+	run(t, p, func(th *proc.Thread) error {
+		if err := l.InitDomain(th, 10, AsData()); err != nil {
+			return err
+		}
+		// In order, each widens or narrows this thread's root policy.
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"InitDomain(11, AsData)", func() error { return l.InitDomain(th, 11, AsData(), Accessible()) }},
+			{"DProtect(root, 10)", func() error { return l.DProtect(th, RootUDI, 10, mem.ProtRW) }},
+			{"Destroy(10)", func() error { return l.Destroy(th, 10, NoHeapMerge) }},
+		}
+		do, stop := sibling(t, p, "sibling")
+		if err := do(func(*proc.Thread) error { return nil }); err != nil {
+			return err
+		}
+		for _, c := range calls {
+			policy, mapped, free := l.Audit(th).ExpectedPKRU, as.Stats().MappedBytes.Load(), freeKeys()
+			if err := c.call(); !errors.Is(err, ErrSharedTopology) {
+				t.Errorf("%s with a live sibling: err = %v, want ErrSharedTopology", c.name, err)
+			}
+			rep := l.Audit(th)
+			if rep.ExpectedPKRU != policy || !rep.Ok() {
+				t.Errorf("refused %s: policy 0x%08x -> 0x%08x, findings %v", c.name, policy, rep.ExpectedPKRU, rep.Findings)
+			}
+			if got := as.Stats().MappedBytes.Load(); got != mapped {
+				t.Errorf("refused %s: mapped bytes %d -> %d", c.name, mapped, got)
+			}
+			if got := freeKeys(); got != free {
+				t.Errorf("refused %s: free keys %d -> %d", c.name, free, got)
+			}
+		}
+		if l.lookupDataDomain(10) == nil || l.lookupDataDomain(11) != nil {
+			t.Error("refused calls changed the data-domain table")
+		}
+		stop()
+		for _, c := range calls {
+			policy := l.Audit(th).ExpectedPKRU
+			if err := c.call(); err != nil {
+				t.Errorf("%s on a lone thread: %v", c.name, err)
+			}
+			rep := l.Audit(th)
+			if rep.ExpectedPKRU == policy || !rep.Ok() {
+				t.Errorf("%s on a lone thread: policy 0x%08x -> 0x%08x, findings %v", c.name, policy, rep.ExpectedPKRU, rep.Findings)
+			}
+		}
+		return nil
+	})
+}
+
+// A grant names the data domain it was given for: once that domain is
+// destroyed, a new data domain under the same index is not granted.
+func TestGrantDiesWithItsDataDomain(t *testing.T) {
+	p, l := newLib(t)
+	run(t, p, func(th *proc.Thread) error {
+		if err := l.InitDomain(th, 13, AsData()); err != nil {
+			return err
+		}
+		if err := l.InitDomain(th, 1, Grant(13, mem.ProtRW)); err != nil {
+			return err
+		}
+		if err := l.Destroy(th, 13, NoHeapMerge); err != nil {
+			return err
+		}
+		if err := l.InitDomain(th, 13, AsData()); err != nil {
+			return err
+		}
+		ts, key := l.state(th), l.lookupDataDomain(13).key
+		if ad, _ := mem.PKRURights(l.computePKRU(ts, ts.domains[1]), key); !ad {
+			t.Errorf("domain 1's policy grants key %d of the new data domain 13", key)
+		}
+		var merr error
+		if err := l.Guard(th, 1, func() error {
+			if err := l.Enter(th, 1); err != nil {
+				return err
+			}
+			_, merr = l.Malloc(th, 13, 64)
+			return l.Exit(th)
 		}); err != nil {
-			t.Fatalf("sibling data domain: %v", err)
+			return err
 		}
-		if got := th.CPU().PKRU(); got != before {
-			t.Fatalf("register moved without a transition: 0x%08x -> 0x%08x", before, got)
-		}
-		rep = l.Audit(th)
-		if want := mem.PKRUAllow(before, l.lookupDataDomain(10).key, true); rep.ExpectedPKRU != want {
-			t.Fatalf("policy 0x%08x, want the data domain granted: 0x%08x", rep.ExpectedPKRU, want)
-		}
-		if !rep.Ok() {
-			t.Errorf("stale-restrictive register flagged: %v", rep.Findings)
-		}
-		if rep.PKRUStaleDenies == 0 {
-			t.Error("stale deny bits not reported")
-		}
-		if rep.PKRUStaleDenies&rep.ExpectedPKRU != 0 {
-			t.Errorf("stale bits 0x%08x overlap policy denies 0x%08x",
-				rep.PKRUStaleDenies, rep.ExpectedPKRU)
+		if !errors.Is(merr, ErrNotChild) {
+			t.Errorf("domain 1 allocating in the new data domain 13: err = %v, want ErrNotChild", merr)
 		}
 		return nil
 	})

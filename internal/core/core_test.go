@@ -490,6 +490,50 @@ func TestHeapMergeRequiresAccessible(t *testing.T) {
 	})
 }
 
+// A merge the parent refuses — here into a parent already merged away —
+// still destroys the domain: Destroy returns the refusal, the domain is
+// gone, its heap is unmapped, and the audit is clean.
+func TestRefusedHeapMergeDiscards(t *testing.T) {
+	p, l := newLib(t)
+	run(t, p, func(th *proc.Thread) error {
+		if _, err := l.Malloc(th, RootUDI, 8); err != nil {
+			return err
+		}
+		var childHeap mem.Addr
+		if err := l.Guard(th, 1, func() error {
+			if _, err := l.Malloc(th, 1, 32); err != nil {
+				return err
+			}
+			if err := l.Enter(th, 1); err != nil {
+				return err
+			}
+			if err := l.InitDomain(th, 2, Accessible()); err != nil {
+				return err
+			}
+			childHeap = l.state(th).domains[2].heapBase
+			return l.Exit(th)
+		}, Accessible()); err != nil {
+			return err
+		}
+		if err := l.Destroy(th, 1, HeapMerge); err != nil {
+			return err
+		}
+		if err := l.Destroy(th, 2, HeapMerge); err == nil {
+			t.Fatal("merge into a parent merged away succeeded")
+		}
+		if _, ok := l.state(th).domains[2]; ok {
+			t.Error("domain survived its refused merge")
+		}
+		if p.AddressSpace().Mapped(childHeap, mem.PageSize) {
+			t.Error("heap of the refused merge still mapped")
+		}
+		if rep := l.Audit(th); !rep.Ok() {
+			t.Errorf("audit after the refused merge: %v", rep.Findings)
+		}
+		return nil
+	})
+}
+
 func TestInaccessibleChildUnreadableByParent(t *testing.T) {
 	p, l := newLib(t)
 	err := p.Attach("main", func(th *proc.Thread) error {
@@ -1111,7 +1155,7 @@ func TestDProtectErrors(t *testing.T) {
 			return err
 		}
 		d := l.state(th).domains[1]
-		if _, ok := d.grants[2]; ok {
+		if _, ok := d.grants[l.lookupDataDomain(2)]; ok {
 			t.Error("grant not revoked")
 		}
 		return nil

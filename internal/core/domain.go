@@ -79,8 +79,10 @@ type Domain struct {
 	pkruCache atomic.Uint64
 
 	// grants are the data-domain access rights set at init (Grant) or
-	// later via DProtect.
-	grants map[UDI]mem.Prot
+	// later via DProtect, keyed by the data domain instance they were
+	// given for: a destroyed instance is never initialized again, so its
+	// grants die with it even when its index is reused.
+	grants map[*Domain]mem.Prot
 
 	// heapMu serializes heap operations for shared domains (the root
 	// domain and data domains are reachable from several threads; nested
@@ -172,7 +174,9 @@ const (
 // The paper's semantics enforced here:
 //   - an execution domain index is per thread and initializes once
 //     (re-initialization requires Deinit or Destroy first);
-//   - data domains are process-global and shareable across threads;
+//   - data domains are process-global and shareable across threads, so
+//     one is created only on the library's lone live thread
+//     (ErrSharedTopology otherwise; a refused call changes nothing);
 //   - the new domain's parent is the domain current at creation time;
 //   - handler-at-grandparent requires a non-root parent;
 //   - every data domain named by Grant must exist.
@@ -210,10 +214,16 @@ func (l *Library) InitDomain(t *proc.Thread, udi UDI, opts ...InitOption) error 
 	if cfg.handlerAtGrandparent && ts.current.isRoot() {
 		return ErrNoGrandparent
 	}
-	for tddi := range cfg.grants {
-		if l.lookupDataDomain(tddi) == nil {
+	var grants map[*Domain]mem.Prot
+	for tddi, prot := range cfg.grants {
+		dd := l.lookupDataDomain(tddi)
+		if dd == nil {
 			return fmt.Errorf("%w: data domain %d", ErrUnknownDomain, tddi)
 		}
+		if grants == nil {
+			grants = make(map[*Domain]mem.Prot, len(cfg.grants))
+		}
+		grants[dd] = prot
 	}
 
 	d := &Domain{
@@ -238,8 +248,17 @@ func (l *Library) InitDomain(t *proc.Thread, udi UDI, opts ...InitOption) error 
 	// Publication is synchronized: a data domain is global, and other
 	// threads read its table entry while deriving their policies.
 	l.mu.Lock()
+	if d.kind == DataDomain {
+		if err := l.loneLocked(); err != nil {
+			l.mu.Unlock()
+			as := l.p.AddressSpace()
+			_ = as.Unmap(d.heapBase, int(d.heapSize))
+			_ = as.PkeyFree(d.key)
+			return err
+		}
+	}
 	d.initialized = true
-	d.grants = cfg.grants
+	d.grants = grants
 	if d.kind == DataDomain {
 		l.dataDomains[udi] = d
 	} else {
@@ -350,7 +369,10 @@ func (l *Library) Deinit(t *proc.Thread, udi UDI) error {
 // executing. With HeapMerge the domain's subheap — which must be
 // accessible to the parent — is merged into the parent domain's heap and
 // its pages are retagged with the parent's key; otherwise the heap memory
-// is discarded. Stacks are pooled for reuse.
+// is discarded; a merge the parent refuses discards it too, and Destroy
+// returns the refusal. Stacks are pooled for reuse. A data domain is
+// destroyed only on the library's lone live thread (ErrSharedTopology
+// otherwise; a refused call changes nothing).
 func (l *Library) Destroy(t *proc.Thread, udi UDI, opt DestroyOption) error {
 	ts := l.state(t)
 	l.monitorEnter(t)
@@ -371,14 +393,21 @@ func (l *Library) Destroy(t *proc.Thread, udi UDI, opt DestroyOption) error {
 		return ErrDomainBusy
 	}
 
+	if opt == HeapMerge && (!d.accessible || d.parent == nil) {
+		return ErrNotChild
+	}
+	// Unpublish before the heap goes: a thread starting now derives its
+	// policy without the domain, never with a key about to be freed.
+	if err := l.unpublish(ts, d); err != nil {
+		return err
+	}
+	var err error
 	if opt == HeapMerge {
-		if !d.accessible || d.parent == nil {
-			return ErrNotChild
-		}
-		if err := l.mergeHeapIntoParent(t, d); err != nil {
-			return err
-		}
-		if rec := l.tel.Load(); rec != nil {
+		if err = l.mergeHeapIntoParent(t, d); err != nil {
+			// The parent adopted nothing, and the domain is gone: its
+			// heap goes with it, whatever key its pages now carry.
+			_ = l.p.AddressSpace().Unmap(d.heapBase, int(d.heapSize))
+		} else if rec := l.tel.Load(); rec != nil {
 			rec.RecordHeapMerge(t.ID(), int(udi), d.heapSize)
 		}
 	} else {
@@ -386,7 +415,7 @@ func (l *Library) Destroy(t *proc.Thread, udi UDI, opt DestroyOption) error {
 	}
 	l.releaseDomain(t, d)
 	l.stats.Destroys.Add(1)
-	return nil
+	return err
 }
 
 // mergeHeapIntoParent retags the child's heap pages with the parent's key
@@ -449,21 +478,32 @@ func (l *Library) discardHeap(t *proc.Thread, d *Domain) {
 	}
 }
 
-// releaseDomain removes the domain from the tables and recycles or
-// releases its stack and key.
-func (l *Library) releaseDomain(t *proc.Thread, d *Domain) {
-	ts := l.state(t)
-	as := l.p.AddressSpace()
+// unpublish removes the domain from the tables every policy derivation
+// reads. A data domain is in every thread's, so it is refused unless the
+// caller is the lone live thread (loneLocked); an execution domain is
+// only in its own thread's and never is.
+func (l *Library) unpublish(ts *threadState, d *Domain) error {
 	l.mu.Lock()
-	d.initialized = false
-	d.contextValid = false
+	defer l.mu.Unlock()
 	if d.kind == DataDomain {
+		if err := l.loneLocked(); err != nil {
+			return err
+		}
 		delete(l.dataDomains, d.udi)
 	} else {
 		ts.forget(d)
 	}
+	d.initialized = false
+	d.contextValid = false
 	l.policyGen.Add(1)
-	l.mu.Unlock()
+	return nil
+}
+
+// releaseDomain recycles or releases an unpublished domain's stack and
+// key.
+func (l *Library) releaseDomain(t *proc.Thread, d *Domain) {
+	ts := l.state(t)
+	as := l.p.AddressSpace()
 	if d.kind == DataDomain {
 		_ = as.PkeyFree(d.key)
 	} else {
@@ -501,11 +541,13 @@ func (ts *threadState) refreshPKRU(t *proc.Thread, l *Library) {
 	l.wrpkru(t, pkru)
 }
 
-// discardDomain implements the abnormal-exit discard: the domain's heap
-// is thrown away unconditionally (never merged — "subheaps are never
-// merged back after abnormal exits, as the data must be considered
-// corrupted"), its stack is reset and pooled, and it is deleted.
+// discardDomain implements the abnormal-exit discard of an execution
+// domain: the domain's heap is thrown away unconditionally (never merged
+// — "subheaps are never merged back after abnormal exits, as the data
+// must be considered corrupted"), its stack is reset and pooled, and it
+// is deleted.
 func (l *Library) discardDomain(t *proc.Thread, d *Domain) {
+	_ = l.unpublish(l.state(t), d) // an execution domain: never refused
 	l.discardHeap(t, d)
 	l.releaseDomain(t, d)
 	l.stats.Destroys.Add(1)

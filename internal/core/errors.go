@@ -73,6 +73,13 @@ var (
 	// quarantine cool-down, or load shedding). Match with errors.Is;
 	// retrieve the hold-off with errors.As on *QuarantineError.
 	ErrDomainQuarantined = errors.New("sdrad: domain re-initialization denied by resilience policy")
+	// ErrSharedTopology: the call would change what every thread's
+	// policy derives from — create or destroy a data domain, or change
+	// the root domain's grants — while another thread of the library is
+	// live. WRPKRU changes only the calling thread's register, so such a
+	// change is made on a lone thread: a server provisions its data
+	// domains before it spawns workers.
+	ErrSharedTopology = errors.New("sdrad: shared domain topology changes only on a lone thread")
 )
 
 // QuarantineError carries the policy decision behind a denied guard scope

@@ -410,8 +410,8 @@ func (l *Library) destroyThread(t *proc.Thread) {
 		if d.isRoot() {
 			continue
 		}
-		d.contextValid = false
 		d.entered = false
+		_ = l.unpublish(ts, d) // an execution domain: never refused
 		l.discardHeap(t, d)
 		l.releaseDomain(t, d)
 	}
@@ -573,10 +573,13 @@ func (l *Library) wrpkru(t *proc.Thread, v uint32) {
 // ts: the domain's own key is fully accessible; the root domain is
 // read-only from nested domains (globals readable, not writable); keys of
 // accessible initialized children are granted; data-domain grants
-// configured via DProtect apply; everything else — including the monitor
-// key — is denied. A child is an execution domain of this thread or a
-// data domain: no thread's policy names a sibling's execution domain, so
-// a sibling's rewind cannot leave a grant in this thread's register.
+// configured via Grant or DProtect apply while the data domain they were
+// given for lives; everything else — including the monitor key — is
+// denied. A child is an execution domain of this thread or a data
+// domain: no thread's policy names a sibling's execution domain, so a
+// sibling's rewind cannot leave a grant in this thread's register, and
+// the shared inputs (data domains, root's grants) change only on a lone
+// thread (loneLocked). So no register drifts from its policy.
 //
 // The derived value is cached, tagged with the policy generation it was
 // derived from; monitorExit — two per API call — then costs an atomic
@@ -602,7 +605,8 @@ func (l *Library) computePKRU(ts *threadState, d *Domain) uint32 {
 }
 
 // derivePKRU is the uncached policy walk. It locks the library mutex:
-// data domains and the shared root's grants change under other threads.
+// a thread that starts derives its first policy while a lone thread may
+// be changing data domains or the root's grants (see loneLocked).
 func (l *Library) derivePKRU(ts *threadState, d *Domain) uint32 {
 	pkru := mem.PKRUDenyAll
 	pkru = mem.PKRUAllow(pkru, d.key, true)
@@ -622,9 +626,8 @@ func (l *Library) derivePKRU(ts *threadState, d *Domain) uint32 {
 			}
 		}
 	}
-	for tddi, prot := range d.grants {
-		dd := l.dataDomains[tddi]
-		if dd == nil || !dd.initialized {
+	for dd, prot := range d.grants {
+		if !dd.initialized {
 			continue
 		}
 		switch {
@@ -635,6 +638,21 @@ func (l *Library) derivePKRU(ts *threadState, d *Domain) uint32 {
 		}
 	}
 	return pkru
+}
+
+// loneLocked refuses a shared-topology change — a data domain created or
+// destroyed, a grant of the root domain changed — unless the caller is
+// the library's only live thread: every thread's policy derives from
+// that state, and the monitor can rewrite only the caller's register.
+// The caller holds l.mu and makes the change in the same critical
+// section, so a thread starting meanwhile is registered either before
+// the check, and the change is refused, or after the change, and derives
+// its first policy from it.
+func (l *Library) loneLocked() error {
+	if len(l.threads) > 1 {
+		return ErrSharedTopology
+	}
+	return nil
 }
 
 // lookupDataDomain returns the global data domain for udi, or nil.

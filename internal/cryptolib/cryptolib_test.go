@@ -199,6 +199,35 @@ func TestKeyMaterialInaccessibleToParent(t *testing.T) {
 	}
 }
 
+// The wrapper's shared data domain is in every thread's policy, so
+// NewCrypto builds it only on the library's lone live thread: with a
+// sibling live it is refused, and it succeeds once the sibling exits.
+func TestNewCryptoRefusedWithALiveSibling(t *testing.T) {
+	p, lib := newLibProc(t)
+	err := p.Attach("main", func(th *proc.Thread) error {
+		started, release := make(chan struct{}), make(chan struct{})
+		sib := p.Spawn("sibling", func(*proc.Thread) error {
+			close(started)
+			<-release
+			return nil
+		})
+		<-started
+		_, err := NewCrypto(th, lib, NewEngine(), ModeCopyBoth, testKey, 128)
+		close(release)
+		if jerr := sib.Join(); jerr != nil {
+			return jerr
+		}
+		if !errors.Is(err, core.ErrSharedTopology) {
+			t.Errorf("NewCrypto with a live sibling: err = %v, want ErrSharedTopology", err)
+		}
+		_, err = NewCrypto(th, lib, NewEngine(), ModeCopyBoth, testKey, 128)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWrapperInputTooLarge(t *testing.T) {
 	p, lib := newLibProc(t)
 	err := p.Attach("main", func(th *proc.Thread) error {

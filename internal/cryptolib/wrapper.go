@@ -81,6 +81,11 @@ type Crypto struct {
 // domain, and initializes the cipher there. bufCap bounds the largest
 // EncryptUpdate input.
 //
+// The shared data domain is in every thread's policy, so outside
+// ModeNative t must be lib's only live thread: with another live,
+// NewCrypto returns core.ErrSharedTopology. Build the wrapper before
+// spawning threads.
+//
 // For ModeNative, lib may be nil and everything lives in plain memory.
 func NewCrypto(t *proc.Thread, lib *core.Library, eng *Engine, mode Mode, key []byte, bufCap int) (*Crypto, error) {
 	if len(key) != 32 {

@@ -183,8 +183,11 @@ func (h *Host) Free(t *proc.Thread, udi core.UDI, addr mem.Addr) error {
 }
 
 // DataDomain creates data domain udi with a heap of heap bytes, accessible
-// from every execution domain, on the hardened build. A baseline has no
-// domains: it does nothing, and Alloc on udi carves the baseline heap.
+// from every execution domain, on the hardened build. A data domain is in
+// every thread's policy, so call it in Provision before any worker
+// spawns: with another thread live it returns core.ErrSharedTopology. A
+// baseline has no domains: it does nothing, and Alloc on udi carves the
+// baseline heap.
 func (h *Host) DataDomain(t *proc.Thread, udi core.UDI, heap uint64) error {
 	if h.lib == nil {
 		return nil

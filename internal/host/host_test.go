@@ -147,3 +147,32 @@ func TestDomainsOnlyOnTheHardenedBuild(t *testing.T) {
 		})
 	}
 }
+
+// A data domain is in every thread's policy, so the hardened build
+// creates one only while the init thread is alone: after a worker has
+// spawned, DataDomain is refused, and once it exits DataDomain succeeds.
+// Both servers provision their data domains before spawning workers.
+func TestDataDomainOnlyBeforeWorkersSpawn(t *testing.T) {
+	h := newHost(t, SDRaD)
+	err := h.Provision(func(th *proc.Thread) error {
+		started, release := make(chan struct{}), make(chan struct{})
+		w := h.Process().Spawn("worker", func(*proc.Thread) error {
+			close(started)
+			<-release
+			return nil
+		})
+		<-started
+		err := h.DataDomain(th, 9, 64<<10)
+		close(release)
+		if jerr := w.Join(); jerr != nil {
+			return jerr
+		}
+		if !errors.Is(err, core.ErrSharedTopology) {
+			t.Errorf("DataDomain with a worker live: err = %v, want ErrSharedTopology", err)
+		}
+		return h.DataDomain(th, 9, 64<<10)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

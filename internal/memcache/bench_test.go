@@ -43,19 +43,22 @@ func BenchmarkDeferredSetApply(b *testing.B) {
 }
 
 // BenchmarkStorageHit times a cache hit on its own, without the ledger:
-// AppendGet of a 1 KiB value on a leased 8-shard Storage holding 20,000
-// items, one goroutine, keys drawn beforehand from YCSB's scrambled
-// Zipfian so the draw is not timed. It is the path both arms share.
+// a RenderGet of a 1 KiB value, the servers' get, on a leased 8-shard
+// Storage holding 20,000 items, one goroutine, keys drawn beforehand from
+// YCSB's scrambled Zipfian so the draw is not timed. It is the path both
+// arms share.
 func BenchmarkStorageHit(b *testing.B) {
 	const items = 20000
 	st, cpu := newLeasedStorage(b, 16, 8, 40<<20)
 	value := bytes.Repeat([]byte("v"), 1024)
 	keys := make([][]byte, items)
+	want := make([]int, items) // each hit's full entry length
 	for i := range keys {
 		keys[i] = []byte(ycsb.Key(i))
 		if err := st.Set(cpu, keys[i], value, 0); err != nil {
 			b.Fatal(err)
 		}
+		want[i] = putEntry(nil, keys[i], value, 0, false, 0)
 	}
 	if ev := st.Stats().Evictions; ev != 0 {
 		b.Fatalf("%d evictions while loading: the arena is too small", ev)
@@ -65,13 +68,13 @@ func BenchmarkStorageHit(b *testing.B) {
 	for i := range seq {
 		seq[i] = next()
 	}
-	dst := make([]byte, 0, len(value))
+	entry := make([]byte, 2*len(value))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ok bool
-		if dst, _, _, ok = st.AppendGet(cpu, keys[seq[i%len(seq)]], dst[:0], false); !ok {
-			b.Fatalf("miss on %s", keys[seq[i%len(seq)]])
+		k := seq[i%len(seq)]
+		if n := st.RenderGet(cpu, keys[k], entry, false); n != want[k] {
+			b.Fatalf("get of %s rendered %d bytes, want %d", keys[k], n, want[k])
 		}
 	}
 }
@@ -161,7 +164,7 @@ func BenchmarkStorageReplace(b *testing.B) {
 
 // BenchmarkShardLockContended times the shard lock under collision,
 // without the ledger: two goroutines on one shard, each alternating a Set
-// and an AppendGet of a 1 KiB value, ns/op being wall time per operation
+// and a RenderGet of a 1 KiB value, ns/op being wall time per operation
 // across both. Two things make it the servers' case and not sync.Mutex's
 // best one. The keys span 16 MiB, so a critical section touches cold
 // lines and runs ~2 us, as it does over a cache-sized keyspace in
@@ -180,6 +183,7 @@ func BenchmarkShardLockContended(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	want := putEntry(nil, keys[0], value, 0, false, 0) // every key is 12 bytes
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -187,7 +191,7 @@ func BenchmarkShardLockContended(b *testing.B) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var dst []byte
+			entry := make([]byte, 2*len(value))
 			x, private := uint64(g+1), uint64(0)
 			defer func() { benchSink.Add(private) }()
 			for i := g; i < b.N; i += 2 {
@@ -201,9 +205,8 @@ func BenchmarkShardLockContended(b *testing.B) {
 					}
 					continue
 				}
-				var ok bool
-				if dst, _, _, ok = st.AppendGet(c, key, dst[:0], false); !ok || len(dst) != len(value) {
-					b.Errorf("get of %s: ok=%v len=%d", key, ok, len(dst))
+				if n := st.RenderGet(c, key, entry, false); n != want {
+					b.Errorf("get of %s rendered %d bytes, want %d", key, n, want)
 					return
 				}
 			}

@@ -60,17 +60,22 @@ func TestShardLockHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			value := valueOf(g)
-			var dst []byte
+			entry := make([]byte, 512)
 			for r := 0; r < rounds; r++ {
 				a, b := keys[(r+g)%len(keys)], keys[(r*7+g+1)%len(keys)]
 				if err := st.Set(c, a, value, 0); err != nil {
 					t.Error(err)
 					return
 				}
-				var ok bool
-				dst, _, _, ok = st.AppendGet(c, b, dst[:0], false)
-				if !ok || len(dst) < 100 || len(dst) != 100+int(dst[0]-'a') || bytes.Count(dst, dst[:1]) != len(dst) {
-					t.Errorf("get of %s: ok=%v, torn or missing value %q", b, ok, dst)
+				// The value is the rendered entry between its header
+				// line and the trailing CRLF.
+				var dst []byte
+				n := st.RenderGet(c, b, entry, false)
+				if n > 0 && n <= len(entry) {
+					dst = entry[bytes.Index(entry, crlfBytes)+2 : n-2]
+				}
+				if len(dst) < 100 || len(dst) != 100+int(dst[0]-'a') || bytes.Count(dst, dst[:1]) != len(dst) {
+					t.Errorf("get of %s: entry length %d, torn or missing value %q", b, n, dst)
 					return
 				}
 				if err := st.ApplyShardBatch(c, si, []BatchOp{

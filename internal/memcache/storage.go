@@ -566,19 +566,12 @@ func (sh *shard) lookupLocked(v sview, key []byte, h uint64) mem.Addr {
 
 // Get copies out the value and flags for key, or ok=false.
 func (st *Storage) Get(c *mem.CPU, key []byte) (value []byte, flags uint32, ok bool) {
-	value, flags, _, ok = st.AppendGet(c, key, nil, false)
-	return value, flags, ok
-}
-
-// AppendGet appends key's value to dst under the shard lock, returning
-// the extended slice plus flags, CAS id, and presence.
-func (st *Storage) AppendGet(c *mem.CPU, key, dst []byte, withCAS bool) ([]byte, uint32, uint64, bool) {
 	v := st.view(c)
 	h := hashKey(key)
 	sh := st.lockShard(h)
 	defer sh.mu.Unlock()
-	value, flags, casid, ok := sh.getLocked(v, key, h, withCAS)
-	return append(dst, value...), flags, casid, ok
+	value, flags, _, ok = sh.getLocked(v, key, h, false)
+	return append([]byte(nil), value...), flags, ok
 }
 
 // RenderGet is a get that writes its reply entry, "VALUE <key> <flags>

@@ -428,7 +428,7 @@ func TestStorageConditionalOps(t *testing.T) {
 	if string(v) != "1+" {
 		t.Fatalf("after append = %q", v)
 	}
-	_, _, casid, ok := st.AppendGet(cpu, []byte("a"), nil, true)
+	_, _, casid, ok := st.peek(cpu, []byte("a"), false)
 	if !ok {
 		t.Fatal("gets miss")
 	}
@@ -534,7 +534,7 @@ func TestShardedCASIndependence(t *testing.T) {
 	if err := st.Set(cpu, key, []byte("v0"), 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, casid, ok := st.AppendGet(cpu, key, nil, true)
+	_, _, casid, ok := st.peek(cpu, key, false)
 	if !ok {
 		t.Fatal("gets miss")
 	}

@@ -112,18 +112,20 @@ const (
 
 // Re-exported errors; see the core package for semantics.
 var (
-	ErrAlreadyInit    = core.ErrAlreadyInit
-	ErrUnknownDomain  = core.ErrUnknownDomain
-	ErrBadDomainKind  = core.ErrBadDomainKind
-	ErrNotChild       = core.ErrNotChild
-	ErrNoContext      = core.ErrNoContext
-	ErrRootOperation  = core.ErrRootOperation
-	ErrDomainBusy     = core.ErrDomainBusy
-	ErrNotEntered     = core.ErrNotEntered
-	ErrNoGrandparent  = core.ErrNoGrandparent
-	ErrUDIInUse       = core.ErrUDIInUse
-	ErrHeapExhausted  = core.ErrHeapExhausted
-	ErrTooManyDomains = core.ErrTooManyDomains
+	ErrAlreadyInit       = core.ErrAlreadyInit
+	ErrUnknownDomain     = core.ErrUnknownDomain
+	ErrBadDomainKind     = core.ErrBadDomainKind
+	ErrNotChild          = core.ErrNotChild
+	ErrNoContext         = core.ErrNoContext
+	ErrRootOperation     = core.ErrRootOperation
+	ErrDomainBusy        = core.ErrDomainBusy
+	ErrNotEntered        = core.ErrNotEntered
+	ErrNoGrandparent     = core.ErrNoGrandparent
+	ErrUDIInUse          = core.ErrUDIInUse
+	ErrHeapExhausted     = core.ErrHeapExhausted
+	ErrTooManyDomains    = core.ErrTooManyDomains
+	ErrDomainQuarantined = core.ErrDomainQuarantined
+	ErrSharedTopology    = core.ErrSharedTopology
 )
 
 // NewProcess creates a simulated process to host an SDRaD application.
