@@ -21,13 +21,16 @@ test:
 # park fallback, short holds, one P). The fourth holds the shared
 # client-to-worker hand-off (internal/proc: start, wait, chunking, and
 # its down paths — a worker dying with an event in hand, a call after
-# Terminate, a start racing it) and the fifth the memcache tests that
+# Terminate, a start racing it, a parked worker woken by the sweeper's
+# marker) and the fifth the memcache tests that
 # stage a backlog through it behind a parked worker (a trap between two
 # innocent events on a fresh server, two connections' events, a chunked
 # pipeline), plus the idle worker's audit after a sibling's rewind (two
 # workers deriving their PKRU policies side by side) and the clients that
 # keep every reply while the worker carves the next ones from the same
-# block; the sixth holds httpd's reply ownership the same way. CI's race
+# block, and the clients whose every Do runs on their connection's one
+# event, across Stop; the sixth holds httpd's reply ownership and its
+# connection's event the same way. CI's race
 # job runs this target, so the list lives here only. The last holds the
 # router's dead-backend spill to exactly FailThreshold degraded replies
 # two hundred times: a stopped backend must answer nothing, or a reply
@@ -37,8 +40,8 @@ race:
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 	$(GO) test -race -count=20 ./internal/proc
-	$(GO) test -race -count=20 -run 'FreshServerTrap|TwoStagedEvents|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesStayTheCallers' ./internal/memcache
-	$(GO) test -race -count=20 -run 'RepliesStayTheCallers' ./internal/httpd
+	$(GO) test -race -count=20 -run 'FreshServerTrap|TwoStagedEvents|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesStayTheCallers|ConnEventAcrossDoPipelineAndStop' ./internal/memcache
+	$(GO) test -race -count=20 -run 'RepliesStayTheCallers|ConnEventAcrossDoPipelineAndStop' ./internal/httpd
 	$(GO) test -race -count=200 -run SpillsAroundDeadBackend ./internal/cluster
 
 vet:

@@ -564,17 +564,17 @@ func TestParserHeldOffAnswers503(t *testing.T) {
 }
 
 func TestHandOffAllocationBudget(t *testing.T) {
-	// A warm keep-alive GET allocates the event that carries it (completion
-	// signal embedded) and Request.Path, 2, on both variants: hardening adds
-	// none. The reply is carved from the worker's reply block, a 32 KiB
-	// allocation shared by every reply that fits in it, which rounds to
-	// none per request.
+	// A warm keep-alive GET allocates Request.Path and nothing else, 1, on
+	// both variants: hardening adds none, and Do runs on the event its Conn
+	// carries, completion channel included. The reply is carved from the
+	// worker's reply block, a 32 KiB allocation shared by every reply that
+	// fits in it, which rounds to none per request.
 	req := FormatRequest("/index.html", true)
 	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
 		c := startMaster(t, v, 1).Worker(0).NewConn()
 		mustGet(t, c, "/index.html") // creates the parser domain and buffers
-		if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(req) }); n > 2 {
-			t.Errorf("%v: warm Do allocates %.0f times, budget 2", v, n)
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = c.Do(req) }); n > 1 {
+			t.Errorf("%v: warm Do allocates %.0f times, budget 1", v, n)
 		}
 	}
 }
@@ -771,5 +771,73 @@ func TestRequestCountAgreesAcrossBuilds(t *testing.T) {
 		if got := rec.Registry().SnapshotJSON()["sdrad_http_requests_total"]; got != int64(2) {
 			t.Errorf("sdrad_http_requests_total = %v, want 2", got)
 		}
+	})
+}
+
+func TestConnEventAcrossDoPipelineAndStop(t *testing.T) {
+	// As memcache's test of the same name: every Do of a Conn runs on the
+	// one event the Conn carries. Two clients, one per worker, alternate Do
+	// and DoPipeline and go on calling Do across Stop: every reply is the
+	// page until the first down error, and from then on every Do reports
+	// ErrWorkerDown on the same event, which each Do leaves holding no
+	// request and no reply.
+	allVariants(t, func(t *testing.T, v Variant) {
+		m := startMaster(t, v, 2)
+		get := FormatRequest("/index.html", true)
+		want := mustGet(t, m.Worker(0).NewConn(), "/index.html")
+		warm := make(chan struct{}, 2)
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := m.Worker(i).NewConn()
+				down := func(what string, resp []byte, closed bool, err error) bool {
+					if err == nil {
+						return false
+					}
+					if !errors.Is(err, ErrWorkerDown) || !closed || resp != nil {
+						t.Errorf("%s: resp %q closed=%v err=%v, want the down error", what, resp, closed, err)
+					}
+					return true
+				}
+				for n := 0; ; n++ {
+					if n == 50 {
+						warm <- struct{}{}
+					}
+					resp, closed, err := c.Do(get)
+					if down("get", resp, closed, err) {
+						break
+					}
+					if string(resp) != want || closed {
+						t.Errorf("get %d: %q closed=%v", n, resp, closed)
+						return
+					}
+					res := c.DoPipeline([][]byte{get, get})
+					if res[1].Err != nil {
+						break // Pending.Wait's down results are held by internal/proc
+					}
+					for _, r := range res {
+						if string(r.Resp) != want || r.Closed {
+							t.Errorf("pipelined get %d: %q closed=%v", n, r.Resp, r.Closed)
+							return
+						}
+					}
+				}
+				for n := 0; n < 3; n++ {
+					resp, closed, err := c.Do(get)
+					if !down("get after Stop", resp, closed, err) {
+						t.Errorf("get after Stop answered %q", resp)
+					}
+					if c.ev.Reqs[0] != nil || c.ev.Res[0].Resp != nil || c.ev.Res[0].Err != nil {
+						t.Errorf("after a Do the connection's event still holds %q / %+v", c.ev.Reqs[0], c.ev.Res[0])
+					}
+				}
+			}()
+		}
+		<-warm
+		<-warm
+		m.Stop()
+		wg.Wait()
 	})
 }

@@ -224,6 +224,8 @@ type Conn struct {
 	id int
 	w  *Worker
 	host.ConnBufs
+	// ev is the event every Do of the connection runs on, one at a time.
+	ev proc.Event[*Conn]
 }
 
 var connIDs atomic.Int64
@@ -363,12 +365,16 @@ func (w *Worker) run(t *proc.Thread) error {
 
 // NewConn opens a keep-alive connection to this worker.
 func (w *Worker) NewConn() *Conn {
-	return &Conn{id: int(connIDs.Add(1)), w: w}
+	c := &Conn{id: int(connIDs.Add(1)), w: w}
+	c.ev.Conn = c
+	return c
 }
 
-// Do sends one HTTP request and returns the raw response.
+// Do sends one HTTP request and returns the raw response. A Conn must not
+// be shared by concurrent Do callers: every Do of a connection runs on the
+// one event the Conn carries.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
-	return c.w.mb.Do(c, req)
+	return c.w.mb.Do(&c.ev, req)
 }
 
 // PipelineResult is one request's outcome from DoPipeline.

@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -226,5 +227,82 @@ func TestGetRepliesThroughTheCheckedPath(t *testing.T) {
 		if leasedStats != checkedStats {
 			t.Errorf("counted %+v on the checked path, %+v on the leased one", checkedStats, leasedStats)
 		}
+	})
+}
+
+func TestConnEventAcrossDoPipelineAndStop(t *testing.T) {
+	// Every Do of a Conn runs on the one event the Conn carries. Two
+	// clients, one per worker, alternate Do and DoPipeline on their own
+	// connections and go on calling Do across Stop: every reply is the one
+	// its request asked for until the first down error, and from then on
+	// every Do reports ErrServerDown on the same event, which each Do
+	// leaves holding no request and no reply.
+	allVariants(t, func(t *testing.T, v Variant) {
+		s := startServer(t, v, 2)
+		warm := make(chan struct{}, 2)
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := connOn(s, i)
+				key := fmt.Sprintf("key-%d", i)
+				down := func(what string, resp []byte, closed bool, err error) bool {
+					if err == nil {
+						return false
+					}
+					if !errors.Is(err, ErrServerDown) || !closed || resp != nil {
+						t.Errorf("%s: resp %q closed=%v err=%v, want the down error", what, resp, closed, err)
+					}
+					return true
+				}
+				for n := 0; ; n++ {
+					if n == 50 {
+						warm <- struct{}{}
+					}
+					val := []byte(strconv.Itoa(n))
+					resp, closed, err := c.Do(FormatSet(key, val, 0))
+					if down("set", resp, closed, err) {
+						break
+					}
+					if string(resp) != "STORED\r\n" || closed {
+						t.Errorf("set %d: %q closed=%v", n, resp, closed)
+						return
+					}
+					want := getEntry(key, val) + "END\r\n"
+					resp, closed, err = c.Do(FormatGet(key))
+					if down("get", resp, closed, err) {
+						break
+					}
+					if string(resp) != want || closed {
+						t.Errorf("get %d: %q closed=%v, want %q", n, resp, closed, want)
+						return
+					}
+					res := c.DoPipeline([][]byte{FormatGet(key), FormatGet(key)})
+					if res[1].Err != nil {
+						break // Pending.Wait's down results are held by internal/proc
+					}
+					for _, r := range res {
+						if string(r.Resp) != want || r.Closed {
+							t.Errorf("pipelined get %d: %q closed=%v, want %q", n, r.Resp, r.Closed, want)
+							return
+						}
+					}
+				}
+				for n := 0; n < 3; n++ {
+					resp, closed, err := c.Do(FormatGet(key))
+					if !down("get after Stop", resp, closed, err) {
+						t.Errorf("get after Stop answered %q", resp)
+					}
+					if c.ev.Reqs[0] != nil || c.ev.Res[0].Resp != nil || c.ev.Res[0].Err != nil {
+						t.Errorf("after a Do the connection's event still holds %q / %+v", c.ev.Reqs[0], c.ev.Res[0])
+					}
+				}
+			}()
+		}
+		<-warm
+		<-warm
+		s.Stop()
+		wg.Wait()
 	})
 }

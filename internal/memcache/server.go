@@ -212,6 +212,8 @@ type Conn struct {
 	id int
 	w  *worker
 	host.ConnBufs
+	// ev is the event every Do of the connection runs on, one at a time.
+	ev proc.Event[*Conn]
 }
 
 // ID returns the connection id.
@@ -647,10 +649,12 @@ func (s *Server) RunInline(name string, body func(newConn func() *Conn, do Inlin
 
 // NewConn opens a client connection pinned to a worker, round-robin.
 func (s *Server) NewConn() *Conn {
-	return &Conn{
+	c := &Conn{
 		id: int(s.connIDs.Add(1)),
 		w:  s.workers[int(s.rr.Add(1)-1)%len(s.workers)],
 	}
+	c.ev.Conn = c
+	return c
 }
 
 // WorkerIndex reports which worker the connection is pinned to (chaos
@@ -659,9 +663,10 @@ func (c *Conn) WorkerIndex() int { return c.w.idx }
 
 // Do sends one request on the connection and waits for the response.
 // closed reports that the server closed the connection (quit command or
-// attack recovery). A Conn must not be shared by concurrent Do callers.
+// attack recovery). A Conn must not be shared by concurrent Do callers:
+// every Do of a connection runs on the one event the Conn carries.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
-	return c.w.mb.Do(c, req)
+	return c.w.mb.Do(&c.ev, req)
 }
 
 // PipelineResult is one request's outcome from DoPipeline or Start.

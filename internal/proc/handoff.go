@@ -14,7 +14,9 @@ import (
 //
 // An event has one shape: a connection handle, a batch of requests (a
 // plain Do is a batch of one), a result slice with one entry per request,
-// and one completion signal.
+// and a completion channel. A Do runs on an event its caller owns and
+// reuses call after call, with a one-slot channel of its own; the events
+// of a Pending share one channel with a slot per event.
 //
 // Completion rule: every event that reached the inbox is ended exactly
 // once, by the worker side — finished by the worker that served it, or
@@ -22,9 +24,13 @@ import (
 // worker when the process is already down, the mailbox's sweeper, a
 // sender that saw the process die around its send) or, for events a
 // worker held when it died, by the sweeper once the process is marked
-// terminated. So a client waits on its own event and on nothing else:
-// no request locks, writes or selects on anything process-wide (Killed,
-// an atomic read, is the one process-wide thing the request path touches).
+// terminated. Ending an event is one token on its channel, so a client
+// waits on its own event's channel and on nothing else, and the worker
+// parks on its own inbox and on nothing else: no request locks, writes or
+// selects on anything process-wide (Killed, an atomic read, is the one
+// process-wide thing the request path touches). A worker parked on an
+// empty inbox learns that the process died from the sweeper's wake
+// marker, a nil event in the inbox.
 //
 // Who may touch Res when: the client provides the slice when it starts
 // the event and reads it only after wait reports the event finished. The
@@ -97,7 +103,8 @@ func (rb *ReplyBlock) copy(b []byte) []byte {
 
 // Event is one client event in a worker's Mailbox. The worker's serve
 // function reads Conn and Reqs and writes Res[i] for every Reqs[i];
-// Serve hands it back.
+// Serve hands it back. A connection embeds one Event for its Do calls,
+// its Conn set once to the connection itself.
 type Event[C any] struct {
 	Conn C
 	Reqs [][]byte
@@ -106,23 +113,29 @@ type Event[C any] struct {
 	// Serve runs it on the worker's thread instead.
 	inspect func(t *Thread) error
 
-	// done is the completion signal, armed by start and released by the one
-	// end; it is part of the event so that starting one allocates nothing.
-	// served is written before the release and read by the client after it.
-	done   sync.WaitGroup
+	// done is the completion channel the one end puts its token in. served
+	// is written before the token and read by the client after it. live is
+	// set by start and cleared by end: a second end of one event is a bug
+	// in the completion rule and panics (two ends that overlap are a data
+	// race the race detector reports).
+	done   chan struct{}
 	served bool
-	// Storage for a batch of one, so Do allocates the event and nothing
-	// else for its request and result.
+	live   bool
+	// Storage for a batch of one, so Do carries its request and result in
+	// the event itself.
 	req1 [1][]byte
 	res1 [1]Result
 }
 
-// end releases the completion signal: served when the results are filled
-// in, not when the event is failed. A second end of one event is a bug in
-// the completion rule and panics in the WaitGroup.
+// end hands the event back: served when the results are filled in, not
+// when the event is failed. The token is the last thing end touches, so
+// the client may reuse the event as soon as it has it.
 func (ev *Event[C]) end(served bool) {
-	ev.served = served
-	ev.done.Done()
+	if !ev.live {
+		panic("proc: event ended twice")
+	}
+	ev.live, ev.served = false, served
+	ev.done <- struct{}{}
 }
 
 // Mailbox is one worker's inbox: clients start events into it and wait on
@@ -132,16 +145,20 @@ type Mailbox[C any] struct {
 	ch       chan *Event[C]
 	maxBatch int
 	downErr  error
-	// down is closed by the sweeper once the process is down; the slow
-	// paths (a start that found the inbox full, a worker that found it
-	// empty) block on it and on ch, never on the process.
+	// down is closed by the sweeper once the process is down; a start that
+	// found the inbox full blocks on it and on ch, never on the process.
 	down chan struct{}
+	// gone is closed when the worker leaves Serve, so that putting the wake
+	// marker never waits for a worker that will not take it.
+	gone chan struct{}
 
 	// Events a departed worker left unended, for the sweeper; after swept
-	// there is no sweeper any more and the process is down.
+	// there is no sweeper any more and the process is down. serving records
+	// a worker that entered Serve before the sweep: the sweeper wakes it.
 	mu      sync.Mutex
 	orphans []*Event[C]
 	swept   bool
+	serving bool
 }
 
 // NewMailbox returns the inbox of a worker thread of p. queue is how many
@@ -151,38 +168,61 @@ type Mailbox[C any] struct {
 // before the event finishes. Its sweeper is joined by p.Wait.
 func NewMailbox[C any](p *Process, queue, maxBatch int, down error) *Mailbox[C] {
 	m := &Mailbox[C]{p: p, ch: make(chan *Event[C], queue), maxBatch: maxBatch, downErr: down,
-		down: make(chan struct{})}
+		down: make(chan struct{}), gone: make(chan struct{})}
 	p.wg.Add(1)
 	go m.sweep()
 	return m
 }
 
 // sweep is the one place that waits on the process: when it goes down the
-// sweeper wakes the slow paths and fails what no worker will serve.
+// sweeper fails what no worker will serve, then wakes a worker parked on
+// the empty inbox.
 func (m *Mailbox[C]) sweep() {
 	defer m.p.wg.Done()
 	<-m.p.Done()
 	close(m.down)
 	m.mu.Lock()
-	orphans := m.orphans
+	orphans, serving := m.orphans, m.serving
 	m.orphans, m.swept = nil, true
 	m.mu.Unlock()
 	for _, ev := range orphans {
 		ev.end(false)
 	}
 	m.drain()
+	if serving {
+		m.wake()
+	}
 }
 
 // drain fails every event in the inbox. Taking an event out of the channel
-// is what makes the caller its only owner.
+// is what makes the caller its only owner. A drainer that takes the wake
+// marker puts it back once the inbox is empty.
 func (m *Mailbox[C]) drain() {
+	woke := false
 	for {
 		select {
 		case ev := <-m.ch:
+			if ev == nil {
+				woke = true
+				continue
+			}
 			ev.end(false)
 		default:
+			if woke {
+				m.wake()
+			}
 			return
 		}
+	}
+}
+
+// wake puts the wake marker, a nil event, in the inbox, or gives up once
+// the worker has left Serve. The inbox may be a rendezvous, so this waits
+// for the worker to take it.
+func (m *Mailbox[C]) wake() {
+	select {
+	case m.ch <- nil:
+	case <-m.gone:
 	}
 }
 
@@ -192,6 +232,14 @@ func (m *Mailbox[C]) drain() {
 // back to the client waiting on it before the next is taken, so nothing
 // serve does spans two events.
 func (m *Mailbox[C]) Serve(t *Thread, serve func(ev *Event[C])) {
+	m.mu.Lock()
+	late := m.swept
+	m.serving = !late
+	m.mu.Unlock()
+	if late {
+		return // the sweeper has been and will put no wake marker
+	}
+	defer close(m.gone)
 	var held *Event[C] // taken and not yet ended: what a dying worker owes
 	defer func() { m.leave(held) }()
 	for {
@@ -211,19 +259,14 @@ func (m *Mailbox[C]) Serve(t *Thread, serve func(ev *Event[C])) {
 }
 
 // next returns the next event to serve, parking while the inbox is empty,
-// or nil when the process is down. The worker checks Killed itself rather
-// than trusting the sweeper to have run: a call issued after Terminate
-// returned must not be served by a sibling that has not noticed.
+// or nil when the process is down: the wake marker never reaches serve.
+// The worker checks Killed itself rather than trusting the sweeper to
+// have run: a call issued after Terminate returned must not be served by
+// a sibling that has not noticed.
 func (m *Mailbox[C]) next() *Event[C] {
-	var ev *Event[C]
-	select {
-	case ev = <-m.ch:
-	default:
-		select {
-		case ev = <-m.ch:
-		case <-m.down:
-			return nil
-		}
+	ev := <-m.ch
+	if ev == nil {
+		return nil
 	}
 	if m.p.Killed() {
 		ev.end(false)
@@ -257,7 +300,7 @@ func (m *Mailbox[C]) start(ev *Event[C]) bool {
 	if m.p.Killed() {
 		return false
 	}
-	ev.done.Add(1)
+	ev.live = true
 	select {
 	case m.ch <- ev:
 	default:
@@ -277,25 +320,34 @@ func (m *Mailbox[C]) start(ev *Event[C]) bool {
 
 // wait returns once ev is ended: true when the worker finished it.
 func (m *Mailbox[C]) wait(ev *Event[C]) bool {
-	ev.done.Wait()
+	<-ev.done
 	return ev.served
 }
 
-// Do sends one request on conn and waits for its result.
-func (m *Mailbox[C]) Do(conn C, req []byte) (resp []byte, closed bool, err error) {
-	ev := &Event[C]{Conn: conn}
+// Do sends one request on ev.Conn and waits for its result. ev is the
+// caller's own event, reused call after call, so one Do at a time may run
+// on it. Once Do has the result it clears the event's request and result:
+// an idle connection keeps neither its last request nor its last reply
+// reachable.
+func (m *Mailbox[C]) Do(ev *Event[C], req []byte) (resp []byte, closed bool, err error) {
+	if ev.done == nil {
+		ev.done = make(chan struct{}, 1)
+	}
 	ev.req1[0] = req
 	ev.Reqs, ev.Res = ev.req1[:], ev.res1[:]
-	if !m.start(ev) || !m.wait(ev) {
+	ok := m.start(ev) && m.wait(ev)
+	r := ev.res1[0]
+	ev.req1[0], ev.res1[0] = nil, Result{}
+	if !ok {
 		return nil, true, m.downErr
 	}
-	return ev.res1[0].Resp, ev.res1[0].Closed, ev.res1[0].Err
+	return r.Resp, r.Closed, r.Err
 }
 
 // Inspect runs fn on the worker's thread between client events and
 // returns its error.
 func (m *Mailbox[C]) Inspect(fn func(t *Thread) error) error {
-	ev := &Event[C]{inspect: fn}
+	ev := &Event[C]{inspect: fn, done: make(chan struct{}, 1)}
 	ev.Res = ev.res1[:]
 	if !m.start(ev) || !m.wait(ev) {
 		return m.downErr
@@ -306,9 +358,11 @@ func (m *Mailbox[C]) Inspect(fn func(t *Thread) error) error {
 // Pending is a started pipeline: Start has queued its events, Wait
 // collects their results.
 type Pending[C any] struct {
-	m   *Mailbox[C]
-	evs []Event[C]
-	res []Result
+	m    *Mailbox[C]
+	evs  []Event[C]
+	res  []Result
+	done chan struct{} // one slot per event
+	one  [1]Event[C]   // the event of a pipeline that fits in one
 }
 
 // Start enqueues reqs on conn, cut into events of at most maxBatch
@@ -316,13 +370,16 @@ type Pending[C any] struct {
 // is gone). It does not wait for the worker, so sequential Starts against
 // a worker that is busy stage an exact backlog.
 func (m *Mailbox[C]) Start(conn C, reqs [][]byte) *Pending[C] {
-	h := &Pending[C]{m: m, res: make([]Result, len(reqs)),
-		evs: make([]Event[C], (len(reqs)+m.maxBatch-1)/m.maxBatch)}
+	n := (len(reqs) + m.maxBatch - 1) / m.maxBatch
+	h := &Pending[C]{m: m, res: make([]Result, len(reqs)), done: make(chan struct{}, n)}
+	if h.evs = h.one[:]; n != 1 {
+		h.evs = make([]Event[C], n)
+	}
 	for i := range h.evs {
 		off := i * m.maxBatch
 		end := min(off+m.maxBatch, len(reqs))
 		ev := &h.evs[i]
-		ev.Conn, ev.Reqs, ev.Res = conn, reqs[off:end], h.res[off:end]
+		ev.Conn, ev.Reqs, ev.Res, ev.done = conn, reqs[off:end], h.res[off:end], h.done
 		if !m.start(ev) {
 			h.evs = h.evs[:i]
 			break
@@ -332,19 +389,23 @@ func (m *Mailbox[C]) Start(conn C, reqs [][]byte) *Pending[C] {
 }
 
 // Wait returns one result per started request, in request order, once
-// every event is ended. Results of events that finished before the
-// process went down are kept; every request from the first failed event
-// on reports Closed with the down error. Wait spends the handle: a second
+// every event is ended: it takes one token per event, then reads each
+// event's outcome. Results of events that finished before the process
+// went down are kept; every request from the first failed event on
+// reports Closed with the down error. Wait spends the handle: a second
 // call returns nil.
 func (h *Pending[C]) Wait() []Result {
 	res, evs := h.res, h.evs
 	h.res, h.evs = nil, nil
-	kept, down := 0, false
+	for range evs {
+		<-h.done
+	}
+	kept := 0
 	for i := range evs {
-		down = !h.m.wait(&evs[i]) || down
-		if !down {
-			kept += len(evs[i].Reqs)
+		if !evs[i].served {
+			break
 		}
+		kept += len(evs[i].Reqs)
 	}
 	for i := kept; i < len(res); i++ {
 		res[i] = Result{Closed: true, Err: h.m.downErr}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -122,7 +123,7 @@ func TestPipelineChunkedInRequestOrderAndHandleSpent(t *testing.T) {
 	if res := h.Wait(); res != nil {
 		t.Errorf("second Wait returned %d results, want nil", len(res))
 	}
-	resp, closed, err := w.mb.Do(9, []byte("solo"))
+	resp, closed, err := w.mb.Do(&Event[int]{Conn: 9}, []byte("solo"))
 	check(t, []Result{{resp, closed, err}}, 9, [][]byte{[]byte("solo")}, false)
 }
 
@@ -130,7 +131,7 @@ func TestDownProcessFailsEveryRequestWithoutHanging(t *testing.T) {
 	t.Run("already down", func(t *testing.T) {
 		p, w := newToy(0, 4)
 		p.Shutdown()
-		resp, closed, err := w.mb.Do(1, []byte("x"))
+		resp, closed, err := w.mb.Do(&Event[int]{Conn: 1}, []byte("x"))
 		check(t, []Result{{resp, closed, err}}, 1, numbered(1), true)
 		if err := w.mb.Inspect(func(*Thread) error { return nil }); !errors.Is(err, errToyDown) {
 			t.Errorf("Inspect on a dead process: %v", err)
@@ -204,12 +205,12 @@ func TestDoAfterTerminateReportsDownWithLiveSibling(t *testing.T) {
 		p.Spawn("a", a.run)
 		p.Spawn("b", b.run)
 		for _, w := range []*toyWorker{a, b} {
-			if _, _, err := w.mb.Do(1, []byte("x")); err != nil {
+			if _, _, err := w.mb.Do(&Event[int]{Conn: 1}, []byte("x")); err != nil {
 				t.Fatal(err)
 			}
 		}
 		p.Terminate(errors.New("sibling crashed"))
-		if resp, closed, err := b.mb.Do(1, []byte("late")); !errors.Is(err, errToyDown) || !closed {
+		if resp, closed, err := b.mb.Do(&Event[int]{Conn: 1}, []byte("late")); !errors.Is(err, errToyDown) || !closed {
 			t.Fatalf("iteration %d: Do after Terminate = %q closed=%v err=%v, want the down error", i, resp, closed, err)
 		}
 		p.Wait()
@@ -258,10 +259,147 @@ func TestStartRacingTerminateEndsEveryEventOnce(t *testing.T) {
 	}
 }
 
+// waitOrFail fails the test when p.Wait does not return: a worker left
+// parked on its inbox, or a sweeper left putting its wake marker, would
+// hold it for good.
+func waitOrFail(t *testing.T, p *Process, what string) {
+	t.Helper()
+	joined := make(chan struct{})
+	go func() { p.Wait(); close(joined) }()
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: p.Wait did not return", what)
+	}
+}
+
+func TestParkedWorkerLeavesWhenProcessTerminates(t *testing.T) {
+	// The worker parks on its inbox alone; the sweeper's wake marker is
+	// what tells it the process died. On a rendezvous inbox and a buffered
+	// one: an idle worker, a worker busy in an Inspect when the process
+	// dies, a drain that takes the marker first and puts it back, and a
+	// mailbox whose worker never ran.
+	for _, queue := range []int{0, 4} {
+		name := fmt.Sprintf("queue %d", queue)
+		t.Run(name+"/idle", func(t *testing.T) {
+			for i := 0; i < 100; i++ {
+				p, w := newToy(queue, 4)
+				h := p.Spawn("worker", w.run)
+				if _, _, err := w.mb.Do(&Event[int]{Conn: 1}, []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+				p.Shutdown()
+				waitOrFail(t, p, name)
+				if err := h.Join(); err != nil {
+					t.Fatalf("worker exit: %v", err)
+				}
+			}
+		})
+		t.Run(name+"/drain takes the marker", func(t *testing.T) {
+			p, w := newToy(queue, 4)
+			p.Spawn("worker", w.run)
+			release := w.parked()
+			p.Shutdown()
+			if queue > 0 {
+				// The sweeper has put the marker in the buffer once it holds
+				// one event; the drain takes it and must put it back.
+				for deadline := time.Now().Add(10 * time.Second); len(w.mb.ch) == 0; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Fatal("the sweeper put no wake marker in the inbox")
+					}
+				}
+				w.mb.drain()
+				if n := len(w.mb.ch); n != 1 {
+					t.Fatalf("after the drain the inbox holds %d events, want the marker back", n)
+				}
+			} else {
+				// On a rendezvous the sweeper waits in its send until a
+				// receiver comes: take the marker from it and put it back
+				// the way a drainer does, while the worker is still busy.
+				select {
+				case ev := <-w.mb.ch:
+					if ev != nil {
+						t.Fatalf("the sweeper sent %v, want the wake marker", ev)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("the sweeper sent no wake marker")
+				}
+				go w.mb.wake()
+			}
+			release()
+			waitOrFail(t, p, name)
+		})
+	}
+	t.Run("no worker", func(t *testing.T) {
+		for _, queue := range []int{0, 4} {
+			p, w := newToy(queue, 4)
+			p.Shutdown()
+			waitOrFail(t, p, fmt.Sprintf("queue %d", queue))
+			w.mb.Serve(nil, nil) // entered after the sweep: returns at once
+		}
+	})
+}
+
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+func TestSecondEndPanics(t *testing.T) {
+	// The completion rule ends an event exactly once; a second end is a bug
+	// the event itself reports, for a Do event with its own channel and for
+	// an event of a Pending that shares one.
+	p, w := newToy(4, 2)
+	defer p.Shutdown()
+	p.Spawn("worker", w.run)
+	ev := &Event[int]{Conn: 1}
+	if _, _, err := w.mb.Do(ev, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "a second end of a Do event", func() { ev.end(true) })
+	h := w.mb.Start(2, numbered(4))
+	evs := h.evs
+	if len(evs) != 2 {
+		t.Fatalf("a pipeline of 4 at maxBatch 2 started %d events", len(evs))
+	}
+	check(t, h.Wait(), 2, numbered(4), false)
+	mustPanic(t, "a second end of a pipeline's event", func() { evs[1].end(true) })
+	// The event is still good for the next Do.
+	resp, closed, err := w.mb.Do(ev, []byte("again"))
+	check(t, []Result{{resp, closed, err}}, 1, [][]byte{[]byte("again")}, false)
+}
+
+func TestDoClearsItsEvent(t *testing.T) {
+	// A connection's event outlives each Do: once Do has the result it
+	// drops the request and the reply, so an idle connection keeps neither
+	// reachable. A Do on a dead process clears it too.
+	p, w := newToy(4, 4)
+	p.Spawn("worker", w.run)
+	ev := &Event[int]{Conn: 3}
+	for _, down := range []bool{false, true} {
+		if down {
+			p.Shutdown()
+			p.Wait()
+		}
+		resp, closed, err := w.mb.Do(ev, []byte("x"))
+		check(t, []Result{{resp, closed, err}}, 3, [][]byte{[]byte("x")}, down)
+		if ev.req1[0] != nil || ev.res1[0].Resp != nil || ev.res1[0].Err != nil || ev.res1[0].Closed {
+			t.Errorf("down=%v: after Do the event still holds request %q and result %+v", down, ev.req1[0], ev.res1[0])
+		}
+	}
+}
+
 // BenchmarkHandoffDo times the hand-off alone: two workers that answer
-// with the request itself, one client goroutine and one mailbox each. The
-// iterations are split rounding up, so one iteration (-benchtime=1x, the
-// smoke step) still hands an event to each worker.
+// with the request itself, one client goroutine and one mailbox each, each
+// client reusing its one event as a connection does. The iterations are
+// split rounding up, so one iteration (-benchtime=1x, the smoke step)
+// still hands an event to each worker.
 func BenchmarkHandoffDo(b *testing.B) {
 	p, w0 := newToy(4, 4)
 	workers := []*toyWorker{w0, addToy(p, 4, 4)}
@@ -277,8 +415,9 @@ func BenchmarkHandoffDo(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ev := &Event[int]{Conn: c}
 			for n := (b.N + len(workers) - 1) / len(workers); n > 0; n-- {
-				if _, _, err := w.mb.Do(c, req); err != nil {
+				if _, _, err := w.mb.Do(ev, req); err != nil {
 					b.Error(err)
 					return
 				}
