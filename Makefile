@@ -120,7 +120,7 @@ fuzz-smoke:
 # -benchtime=2s -count=5.
 bench-smoke:
 	$(GO) run ./cmd/sdrad-bench -quick
-	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope$$' -benchtime=1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkGuardScope(Pair)?$$' -benchtime=1x ./internal/core
 	$(GO) test -run '^$$' -bench 'Benchmark(DeferredSetApply|StorageHit|StorageReplace|ShardLockContended|PipelineGets16)$$' -benchtime=1x ./internal/memcache
 	$(GO) test -run '^$$' -bench 'BenchmarkHandoffDo$$' -benchtime=1x ./internal/proc
 	$(GO) test -run '^$$' -bench 'BenchmarkKeepAliveGET$$' -benchtime=1x ./internal/httpd

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sdrad/internal/cacheline"
 	"sdrad/internal/mem"
 	"sdrad/internal/proc"
 	"sdrad/internal/sig"
@@ -34,8 +35,12 @@ func (k Kind) String() string {
 }
 
 // Domain is one isolated domain: a protection key, a disjoint stack
-// (execution domains), and a disjoint TLSF subheap.
+// (execution domains), and a disjoint TLSF subheap. An execution domain
+// is written by its thread in every guard scope (contextValid, scopeID,
+// entered), so the record is padded at both ends: it shares no line with
+// another thread's domain.
 type Domain struct {
+	_    cacheline.Pad
 	udi  UDI
 	kind Kind
 	key  int
@@ -88,6 +93,7 @@ type Domain struct {
 	// domain and data domains are reachable from several threads; nested
 	// execution-domain heaps are single-threaded by construction).
 	heapMu sync.Mutex
+	_      cacheline.Pad
 }
 
 // lockHeap/unlockHeap serialize allocator operations on shared domains.

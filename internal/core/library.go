@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sdrad/internal/cacheline"
 	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
@@ -85,13 +86,14 @@ type Library struct {
 	tel atomic.Pointer[telemetry.Recorder]
 }
 
-// The monitor data domain page is carved into 16-byte transition-ledger
-// slots: [0:8) call count, [8:16) owning thread id. Slot 0 is the shared
-// fallback (mutex-guarded) for the unlikely case of more live threads
-// than slots; slots 1.. are exclusive to one live thread each, so the
-// per-call ledger write needs no lock.
+// The monitor data domain page is carved into transition-ledger slots of
+// one cache line each: [0:8) call count, [8:16) owning thread id, the
+// rest unused, so no two threads' per-call writes land on one line. Slot
+// 0 is the shared fallback (mutex-guarded) for more live threads than
+// slots; slots 1.. (63 of them) are exclusive to one live thread each, so
+// the per-call ledger write needs no lock.
 const (
-	ledgerSlotSize = 16
+	ledgerSlotSize = cacheline.Size
 	ledgerSlots    = int(mem.PageSize / ledgerSlotSize)
 )
 
@@ -111,8 +113,11 @@ type pooledStack struct {
 }
 
 // threadState is the per-thread SDRaD control data (the C library keeps
-// it in the monitor data domain, keyed by thread id).
+// it in the monitor data domain, keyed by thread id). Its thread writes
+// it on every monitor call, so it starts with a pad and ends with hot's:
+// no other thread's record shares a line with it.
 type threadState struct {
+	_       cacheline.Pad
 	t       *proc.Thread
 	domains map[UDI]*Domain // execution domains of this thread
 	current *Domain         // currently executing domain
@@ -137,7 +142,8 @@ type threadState struct {
 	// Domain.pkruCache: root is shared, but the children it grants are
 	// the thread's own.
 	rootPKRU atomic.Uint64
-	// hot is this thread's share of the sharded Stats counters.
+	// hot is this thread's share of the sharded Stats counters; it stays
+	// the last field, its trailing pad ending the record.
 	hot hotCounters
 }
 
@@ -183,9 +189,9 @@ const (
 // other thread writes, so a guard scope costs no shared-line ping-pong —
 // and they are atomic only so exposition can read them while it runs.
 type hotCounters struct {
-	_ [64]byte
+	_ cacheline.Pad
 	n [numHot]atomic.Int64
-	_ [64]byte
+	_ cacheline.Pad
 }
 
 // ThreadCounter is a monitor counter sharded per thread: Load sums the
@@ -523,11 +529,11 @@ func (l *Library) Current(t *proc.Thread) UDI {
 // writes per transition — the dominant switch cost in the paper's
 // profiling — come from.
 //
-// The transition ledger is sharded: each live thread owns a 16-byte slot
-// in the monitor data domain, so the per-call read-modify-write is
-// thread-private and needs no lock (a real monitor keeps per-thread
-// transition logs for the same reason). The audit sums the slots against
-// the summed call counter.
+// The transition ledger is sharded: each live thread owns a slot of one
+// cache line in the monitor data domain, so the per-call read-modify-write
+// is thread-private, needs no lock and shares no line with another thread
+// (a real monitor keeps per-thread transition logs for the same reason).
+// The audit sums the slots against the summed call counter.
 func (l *Library) monitorEnter(t *proc.Thread) {
 	c := t.CPU()
 	l.wrpkru(t, mem.PKRUAllow(c.PKRU(), l.monitorKey, true))

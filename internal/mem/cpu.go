@@ -98,6 +98,8 @@ type CPU struct {
 	// inspection (ERIM) or hardware call gates (Donky).
 	wrpkruLocked bool
 	wrpkruToken  uint64
+	// spinSink keeps the modeled WRPKRU cost's result (see spin).
+	spinSink uint64
 
 	// inject, when non-nil, is consulted before every translation; see
 	// SetFaultInjector.
@@ -196,21 +198,21 @@ func (c *CPU) wrpkru(v uint32) {
 	c.pkru = v
 	c.counts.pkruWrites++
 	if n := c.as.wrpkruSpin; n > 0 {
-		spin(n)
+		c.spinSink = spin(n)
 	}
 }
 
-// spinSink defeats dead-code elimination of the WRPKRU cost-model loop.
-var spinSink uint64
-
-func spin(n int) {
+// spin is the WRPKRU cost model's busy loop. Its result goes to the
+// calling CPU's spinSink, which defeats dead-code elimination without
+// every thread writing one shared line.
+func spin(n int) uint64 {
 	var x uint64 = 88172645463325252
 	for i := 0; i < n; i++ { // xorshift keeps the loop non-collapsible
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
 	}
-	spinSink = x
+	return x
 }
 
 // fault raises a memory fault: it counts the event and panics with a

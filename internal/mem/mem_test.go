@@ -511,6 +511,11 @@ func TestWRPKRUCostModel(t *testing.T) {
 	if cpu.PKRU() != PKRUAllowAll {
 		t.Error("PKRU not updated under cost model")
 	}
+	// The modeled cost's result lands on the writing CPU, not on a line
+	// every thread shares.
+	if cpu.spinSink != spin(10) || as.NewCPU().spinSink != 0 {
+		t.Errorf("spin result %#x on the writer, want %#x on it alone", cpu.spinSink, spin(10))
+	}
 }
 
 func TestFaultError(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"sdrad/internal/cacheline"
 	"sdrad/internal/mem"
 )
 
@@ -206,7 +207,7 @@ func (d *deferredOps) Touch(c *mem.CPU, key []byte) bool {
 }
 
 func (d *deferredOps) FlushAll(c *mem.CPU) {
-	d.pending = append(d.pending, pendingOp{kind: pendingFlush})
+	d.pending = cacheline.Append(d.pending, pendingOp{kind: pendingFlush})
 }
 
 // Set queues key=value by reference (see pendingOp for the borrow rule).
@@ -214,13 +215,13 @@ func (d *deferredOps) Set(c *mem.CPU, key, value []byte, flags uint32) error {
 	if len(key) > MaxKeyLen {
 		return ErrKeyTooLong
 	}
-	d.pending = append(d.pending, pendingOp{kind: pendingSet, key: key, value: value, flags: flags})
+	d.pending = cacheline.Append(d.pending, pendingOp{kind: pendingSet, key: key, value: value, flags: flags})
 	return nil
 }
 
 func (d *deferredOps) Delete(c *mem.CPU, key []byte) bool {
 	_, _, existed := d.probe(c, key, false)
-	d.pending = append(d.pending, pendingOp{kind: pendingDelete, key: key})
+	d.pending = cacheline.Append(d.pending, pendingOp{kind: pendingDelete, key: key})
 	return existed
 }
 
@@ -252,7 +253,7 @@ func (d *deferredOps) apply(c *mem.CPU) error {
 	}
 	nsh := d.st.Shards()
 	if len(d.groups) < nsh {
-		d.groups = make([][]BatchOp, nsh)
+		d.groups = cacheline.Slice[[]BatchOp](nsh)
 	}
 	flushGroups := func() error {
 		for si := 0; si < nsh; si++ {
@@ -274,7 +275,7 @@ func (d *deferredOps) apply(c *mem.CPU) error {
 		case pendingSet, pendingDelete:
 			h := hashKey(op.key)
 			si := d.st.shardOf(h)
-			d.groups[si] = append(d.groups[si], BatchOp{
+			d.groups[si] = cacheline.Append(d.groups[si], BatchOp{
 				Delete: op.kind == pendingDelete,
 				Key:    op.key, Value: op.value, Flags: op.flags,
 				hash: h, hashed: true,
@@ -481,7 +482,7 @@ func tokenize(out [][]byte, line []byte) [][]byte {
 	for i := 0; i <= len(line); i++ {
 		if i == len(line) || line[i] == ' ' {
 			if i > start {
-				out = append(out, line[start:i])
+				out = cacheline.Append(out, line[start:i])
 			}
 			start = i + 1
 		}

@@ -8,6 +8,7 @@ import (
 
 	"bytes"
 
+	"sdrad/internal/cacheline"
 	"sdrad/internal/core"
 	"sdrad/internal/host"
 	"sdrad/internal/mem"
@@ -144,7 +145,14 @@ type Server struct {
 	domainOpts []core.InitOption
 }
 
+// worker is one serving thread's state. Its record and scratch arrays
+// are written on every request, so each sits on cache lines of its own:
+// the record starts and ends with a cacheline.Pad, and the arrays come
+// from cacheline.Slice and grow through cacheline.Append
+// (TestWorkersWriteNoSharedLine). Two workers on two CPUs then never
+// write one line.
 type worker struct {
+	_      cacheline.Pad
 	idx    int
 	s      *Server
 	mb     *proc.Mailbox[*Conn]
@@ -180,6 +188,7 @@ type worker struct {
 	scratchAddrs []mem.Addr
 	curT         *proc.Thread
 	allocScratch func(size uint64) (mem.Addr, error)
+	_            cacheline.Pad
 }
 
 // connSlot is one pair of connection-buffer deep copies in the event
@@ -345,7 +354,7 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, conn *Conn, reqs [][]b
 		w.allocScratch = func(size uint64) (mem.Addr, error) {
 			p, err := s.Alloc(w.curT, eventUDI, size)
 			if err == nil {
-				w.scratchAddrs = append(w.scratchAddrs, p)
+				w.scratchAddrs = cacheline.Append(w.scratchAddrs, p)
 			}
 			return p, err
 		}
@@ -360,7 +369,7 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, conn *Conn, reqs [][]b
 	dops.st = s.st
 	dops.truncate(0)
 	if cap(w.states) < len(reqs) {
-		w.states = make([]evState, len(reqs))
+		w.states = cacheline.Slice[evState](len(reqs))
 	}
 	states := w.states[:len(reqs)]
 	live := 0
@@ -557,7 +566,7 @@ func (s *Server) copyIn(t *proc.Thread, w *worker, conn *Conn, reqs [][]byte, st
 		}
 		// Mint the slot's span leases once; Enter/Exit transitions only
 		// cost the O(1) renewal recheck from here on.
-		w.slots = append(w.slots, connSlot{
+		w.slots = cacheline.Append(w.slots, connSlot{
 			rbuf: rb,
 			wbuf: wb,
 			rl:   c.NewLease(rb, s.cfg.ConnBufSize, mem.AccessRead),

@@ -51,7 +51,11 @@ type Result struct {
 
 // replyBlockSize is the size of the blocks a ReplyBlock carves replies
 // from: about thirty 1 KiB replies share one allocation, and a caller
-// holding one reply keeps at most this many bytes reachable.
+// holding one reply keeps at most this many bytes reachable. A block this
+// size is just over the runtime's small-object limit, so each takes the
+// large-object path; blocks on the small-object path (32,760 bytes, and
+// 27,264, three to a span) measured no better on the ledger
+// (EXPERIMENTS.md E17g, E17i), so the size stays.
 const replyBlockSize = 32 << 10
 
 // ReplyBlock is a serving thread's source of Resp slices: each reply is

@@ -18,8 +18,10 @@ var errToyDown = errors.New("toy: worker down")
 // took. The request "trap" is a memory-safety violation with no recovery
 // point: it kills the process with its event still in the worker's hands.
 type toyWorker struct {
-	mb     *Mailbox[int]
-	echo   bool  // answer with the request itself (benchmark: no allocation)
+	mb *Mailbox[int]
+	// echo answers with the request itself and records nothing: the
+	// benchmark's worker allocates nothing and writes no shared record.
+	echo   bool
 	chunks []int // owned by the worker thread; read through Inspect
 }
 
@@ -35,7 +37,9 @@ func addToy(p *Process, queue, maxBatch int) *toyWorker {
 
 func (w *toyWorker) run(t *Thread) error {
 	w.mb.Serve(t, func(ev *Event[int]) {
-		w.chunks = append(w.chunks, len(ev.Reqs))
+		if !w.echo {
+			w.chunks = append(w.chunks, len(ev.Reqs))
+		}
 		for i, req := range ev.Reqs {
 			switch {
 			case string(req) == "trap":

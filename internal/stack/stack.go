@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sdrad/internal/cacheline"
 	"sdrad/internal/mem"
 )
 
@@ -51,13 +52,18 @@ func AsSmash(recovered any) *SmashError {
 }
 
 // Stack is a downward-growing simulated stack inside one contiguous
-// region of domain memory. It is used by a single thread at a time.
+// region of domain memory. It is used by a single thread at a time, which
+// writes sp and depth on every push and pop (the monitor's Enter and
+// Exit): the pads keep those writes off any line another thread's stack
+// or record is on.
 type Stack struct {
+	_      cacheline.Pad
 	base   mem.Addr // lowest valid address
 	size   uint64
 	sp     mem.Addr // current stack pointer
 	canary uint64
 	depth  int // live frames
+	_      cacheline.Pad
 }
 
 // New returns a stack over [base, base+size) with the given canary value.

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sort"
 	"sync/atomic"
+
+	"sdrad/internal/cacheline"
 )
 
 // flightShards spreads writers over independent rings keyed by thread ID,
@@ -49,10 +51,12 @@ const (
 	slotAux     = 6
 )
 
-// ringShard is one single-cursor ring.
+// ringShard is one single-cursor ring. The pad keeps each shard's cursor
+// off the next shard's line: threads of different shards record at once.
 type ringShard struct {
 	pos   atomic.Uint64
 	slots []slot
+	_     cacheline.Pad
 }
 
 // FlightRecorder is the fixed-size, lock-free event ring. Writers never

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"sdrad/internal/cacheline"
 )
 
 // --- flight recorder ---
@@ -89,6 +92,20 @@ func TestFlightShardedCapacity(t *testing.T) {
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("snapshot not strictly ordered by seq at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
+		}
+	}
+}
+
+// Threads of different shards record at once, so no two shard cursors
+// share a cache line.
+func TestFlightShardCursorsShareNoLine(t *testing.T) {
+	f := newFlightRecorder(4096)
+	for i := range f.shards {
+		a := cacheline.Of(uintptr(unsafe.Pointer(&f.shards[i].pos)), 8)
+		for j := i + 1; j < flightShards; j++ {
+			if b := cacheline.Of(uintptr(unsafe.Pointer(&f.shards[j].pos)), 8); a.Shares(b) {
+				t.Errorf("shards %d and %d keep their cursors on one line", i, j)
+			}
 		}
 	}
 }
