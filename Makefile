@@ -26,11 +26,11 @@ test:
 # stage a backlog through it behind a parked worker (a trap between two
 # innocent events on a fresh server, two connections' events, a chunked
 # pipeline), plus the idle worker's audit after a sibling's rewind (two
-# workers deriving their PKRU policies side by side) and the clients that
-# keep every reply while the worker carves the next ones from the same
-# block, and the clients whose every Do runs on their connection's one
-# event, across Stop; the sixth holds httpd's reply ownership and its
-# connection's event the same way. CI's race
+# workers deriving their PKRU policies side by side) and the clients
+# whose replies last until their connection's next call while the other
+# client is served, and the clients whose every Do runs on their
+# connection's one event, across Stop; the sixth holds httpd's reply
+# lifetime and its connection's event the same way. CI's race
 # job runs this target, so the list lives here only. The last holds the
 # router's dead-backend spill to exactly FailThreshold degraded replies
 # two hundred times: a stopped backend must answer nothing, or a reply
@@ -40,8 +40,8 @@ race:
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 	$(GO) test -race -count=20 ./internal/proc
-	$(GO) test -race -count=20 -run 'FreshServerTrap|TwoStagedEvents|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesStayTheCallers|ConnEventAcrossDoPipelineAndStop' ./internal/memcache
-	$(GO) test -race -count=20 -run 'RepliesStayTheCallers|ConnEventAcrossDoPipelineAndStop' ./internal/httpd
+	$(GO) test -race -count=20 -run 'FreshServerTrap|TwoStagedEvents|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesLastUntilTheNextCall|ConnEventAcrossDoPipelineAndStop' ./internal/memcache
+	$(GO) test -race -count=20 -run 'RepliesLastUntilTheNextCall|ConnEventAcrossDoPipelineAndStop' ./internal/httpd
 	$(GO) test -race -count=200 -run SpillsAroundDeadBackend ./internal/cluster
 
 vet:

@@ -69,6 +69,9 @@ type parserEnv struct {
 	buf  mem.Addr // request bytes (copied into the nested domain)
 	blen int
 	pool *Pool // request pool (data domain in the hardened build)
+	// files is the worker's file table: a URI naming a served file takes
+	// the table's key as its Path.
+	files map[string]fileEntry
 }
 
 // window returns a leased native view of the whole request buffer, or
@@ -139,6 +142,10 @@ func parseRequestLine(env *parserEnv, req *Request) (headerOff int, err error) {
 			return 0, err
 		}
 		req.Path = norm
+	} else if fe, ok := env.files[string(uri)]; ok {
+		// The file table's own key: indexing with the converted bytes
+		// allocates nothing, where string(uri) would copy them.
+		req.Path = fe.path
 	} else {
 		req.Path = string(uri)
 	}

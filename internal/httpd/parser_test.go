@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"sdrad/internal/mem"
 )
@@ -233,23 +234,32 @@ func TestPoolResetZeroes(t *testing.T) {
 }
 
 func TestKeepAliveGETParseAllocatesOnlyThePath(t *testing.T) {
+	// A URI naming a served file takes the file table's key as its Path and
+	// the parse allocates nothing; any other URI allocates its Path.
 	env, _ := parserFixture(t, string(FormatRequest("/index.html", true)))
-	var req Request
-	n := testing.AllocsPerRun(100, func() {
-		req = Request{}
-		off, err := parseRequestLine(env, &req)
-		if err == nil {
-			err = parseHeaders(env, &req, off)
+	parse := func() (req Request, allocs float64) {
+		allocs = testing.AllocsPerRun(100, func() {
+			req = Request{}
+			off, err := parseRequestLine(env, &req)
+			if err == nil {
+				err = parseHeaders(env, &req, off)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if req.Path != "/index.html" || req.Version != "HTTP/1.1" || !req.KeepAlive || req.Headers != 2 {
+			t.Errorf("parsed %+v", req)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if n != 1 {
-		t.Errorf("request line + headers allocate %.0f times, want 1 (Request.Path)", n)
+		return req, allocs
 	}
-	if req.Path != "/index.html" || req.Version != "HTTP/1.1" || !req.KeepAlive || req.Headers != 2 {
-		t.Errorf("parsed %+v", req)
+	if _, n := parse(); n != 1 {
+		t.Errorf("request line + headers of an unknown path allocate %.0f times, want 1 (Request.Path)", n)
+	}
+	key := "/index.html"
+	env.files = map[string]fileEntry{key: {path: key}}
+	if req, n := parse(); n != 0 || unsafe.StringData(req.Path) != unsafe.StringData(key) {
+		t.Errorf("request line + headers of a served file allocate %.0f times, want 0, with the table's key as Path", n)
 	}
 }
 

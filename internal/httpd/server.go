@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sdrad/internal/cacheline"
 	"sdrad/internal/core"
 	"sdrad/internal/cryptolib"
 	"sdrad/internal/host"
@@ -194,9 +195,6 @@ type Worker struct {
 	// assembles before writing it to the connection buffer.
 	scratch []reqState
 	hdr     []byte
-	// replies is where the worker carves the Resp it delivers for each
-	// request (proc.ReplyBlock states who owns them).
-	replies proc.ReplyBlock
 	// wcap sizes every connection's write buffer for the largest
 	// configured response, computed once in provision.
 	wcap int
@@ -215,17 +213,26 @@ type reqState struct {
 }
 
 type fileEntry struct {
+	path string // the file's key in the table
 	addr mem.Addr
 	size int
 }
 
-// Conn is a keep-alive client connection pinned to a worker.
+// Conn is a keep-alive client connection pinned to a worker. Its client
+// and its worker both write it on every call (the event, the reply
+// block's cursor), so it starts and ends with a cacheline.Pad: two
+// connections allocated in a row share no line.
 type Conn struct {
+	_  cacheline.Pad
 	id int
 	w  *Worker
 	host.ConnBufs
 	// ev is the event every Do of the connection runs on, one at a time.
 	ev proc.Event[*Conn]
+	// replies is where the worker carves the Resp of each of the
+	// connection's requests; each call rewinds it (proc.ReplyBlock).
+	replies proc.ReplyBlock
+	_       cacheline.Pad
 }
 
 var connIDs atomic.Int64
@@ -348,7 +355,7 @@ func (w *Worker) provision(t *proc.Thread) error {
 			buf[i] = pattern[i%len(pattern)]
 		}
 		c.Write(addr, buf)
-		w.files[path] = fileEntry{addr: addr, size: size}
+		w.files[path] = fileEntry{path: path, addr: addr, size: size}
 		w.wcap = max(w.wcap, size+1024)
 	}
 	return nil
@@ -370,10 +377,13 @@ func (w *Worker) NewConn() *Conn {
 	return c
 }
 
-// Do sends one HTTP request and returns the raw response. A Conn must not
-// be shared by concurrent Do callers: every Do of a connection runs on the
-// one event the Conn carries.
+// Do sends one HTTP request and returns the raw response. A Conn carries
+// one call at a time, Do or DoPipeline, and must not be shared by
+// concurrent callers: every Do of a connection runs on the one event the
+// Conn carries. resp is valid until the connection's next call, which
+// hands its bytes back to the server.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
+	c.replies.Rewind()
 	return c.w.mb.Do(&c.ev, req)
 }
 
@@ -384,8 +394,11 @@ type PipelineResult = proc.Result
 // result per request, in order. The hardened worker parses up to
 // Config.MaxBatch pipelined requests inside a single guard scope; longer
 // pipelines are split into MaxBatch-sized chunks client-side. Requests
-// behind a server-side close report Closed, as if issued after it.
+// behind a server-side close report Closed, as if issued after it. Every
+// reply, from each of the chunks, is valid until the connection's next
+// call.
 func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
+	c.replies.Rewind()
 	return c.w.mb.DoPipeline(c, reqs)
 }
 
@@ -511,7 +524,7 @@ func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc
 			// Stage through the connection read buffer: a pipelined
 			// connection reuses it per request.
 			c.Write(conn.RBuf, req)
-			env := &parserEnv{c: c, buf: conn.RBuf, blen: len(req), pool: w.pool}
+			env := &parserEnv{c: c, buf: conn.RBuf, blen: len(req), pool: w.pool, files: w.files}
 			if lib != nil {
 				// ④ copy into the parser domain, ⑤ enter it.
 				lib.Copy(t, w.parseBuf, conn.RBuf, len(req))
@@ -680,8 +693,8 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 		c.Copy(conn.WBuf+mem.Addr(len(h)), body.addr, body.size)
 	}
 	// The one copy into caller memory: out of the write buffer through a
-	// read lease, into the worker's reply block.
-	resp := w.replies.Read(c, c.SpanLease(conn.WBuf, w.wcap, mem.AccessRead), conn.WBuf, wlen)
+	// read lease, into the connection's reply block.
+	resp := conn.replies.Read(c, c.SpanLease(conn.WBuf, w.wcap, mem.AccessRead), conn.WBuf, wlen)
 	if !req.KeepAlive {
 		w.CloseConn(t, &conn.ConnBufs)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sdrad/internal/core"
@@ -124,7 +125,7 @@ func TestPipelineBatchedVsUnbatchedBitIdentical(t *testing.T) {
 			if err != nil || closed {
 				t.Fatalf("Do(%q): closed=%v err=%v", req, closed, err)
 			}
-			unbatched = append(unbatched, resp)
+			unbatched = append(unbatched, bytes.Clone(resp)) // resp is c1's until its next Do
 		}
 		s2 := startServer(t, v, 1)
 		res := s2.NewConn().DoPipeline(mkReqs())
@@ -822,11 +823,10 @@ func TestHardenedInlineSetAllocatesNoMoreThanVanilla(t *testing.T) {
 
 func TestHandOffAllocationBudget(t *testing.T) {
 	// A warm Do allocates nothing: it runs on the event its Conn carries,
-	// completion channel included. DoPipeline of four gets is one event,
+	// completion channel included, and its reply is carved from the
+	// connection's reply block. DoPipeline of four gets is one event,
 	// carried in its handle, plus the handle's completion channel and its
-	// results, 3. The replies are carved from the worker's reply block, a
-	// 32 KiB allocation shared by every reply that fits in it, which
-	// rounds to none per request.
+	// results, 3.
 	get := FormatGet("k")
 	burst := [][]byte{get, get, get, get}
 	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
@@ -837,6 +837,33 @@ func TestHandOffAllocationBudget(t *testing.T) {
 		pipe := testing.AllocsPerRun(100, func() { c.DoPipeline(burst) })
 		if do > 0 || pipe > 3 {
 			t.Errorf("%v: warm Do allocates %.0f times (budget 0), DoPipeline of 4 gets %.0f (budget 3)", v, do, pipe)
+		}
+	}
+}
+
+func TestWarmGetHeapBytesPerCall(t *testing.T) {
+	// testing.AllocsPerRun truncates an allocation made once every so many
+	// calls, such as a 32 KiB reply block shared by about thirty 1 KiB
+	// replies, to none; the heap's byte count sees it. A warm Do of a get
+	// of a 1 KiB value must allocate under 64 bytes a call, averaged over
+	// 2,000 calls, on both variants.
+	const calls = 2000
+	get := FormatGet("k")
+	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
+		c := startServer(t, v, 1).NewConn()
+		mustDo(t, c, FormatSet("k", bytes.Repeat([]byte("v"), 1024), 0))
+		mustDo(t, c, get) // creates the domain slot
+		mustDo(t, c, get) // sizes the connection's reply block
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			if _, closed, err := c.Do(get); err != nil || closed {
+				t.Fatalf("Do: closed=%v err=%v", closed, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64 {
+			t.Errorf("%v: a warm get of 1 KiB allocates %d bytes a call, budget 63", v, per)
 		}
 	}
 }

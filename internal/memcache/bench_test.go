@@ -84,7 +84,7 @@ func BenchmarkStorageHit(b *testing.B) {
 // (10,000 items, keys from YCSB's scrambled Zipfian, drawn beforehand)
 // through one guard scope — parse, render into the write buffer, deliver
 // each reply. allocs/op is the pipeline's handle, events and results; the
-// replies come from the worker's reply block.
+// replies come from the connection's reply block.
 func BenchmarkPipelineGets16(b *testing.B) {
 	const items, depth = 10000, 16
 	s, err := NewServer(Config{Variant: VariantSDRaD, Workers: 1})

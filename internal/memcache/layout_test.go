@@ -26,12 +26,13 @@ func backing[T any](name string, s []T) (writtenSpan, bool) {
 		uintptr(cap(s))*unsafe.Sizeof(zero))}, true
 }
 
-// workerWrites lists what w writes per request: its record's fields and
-// every scratch array it reuses from one event to the next. Reply blocks
-// are left out: each is a 32 KiB allocation of its own, page-aligned by
-// the allocator.
-func workerWrites(w *worker) []writtenSpan {
-	out := []writtenSpan{{"worker", cacheline.Fields(w)}}
+// workerWrites lists what w writes per request on c: its record's
+// fields, every scratch array it reuses from one event to the next, and
+// the connection's record. The connection's reply block is left out: it
+// is an allocation of its own, a power of two of at least 512 bytes, in
+// a size class whose objects start on a line.
+func workerWrites(w *worker, c *Conn) []writtenSpan {
+	out := []writtenSpan{{"worker", cacheline.Fields(w)}, {"conn", cacheline.Fields(c)}}
 	add := func(s writtenSpan, ok bool) {
 		if ok {
 			out = append(out, s)
@@ -65,7 +66,7 @@ func TestWorkersWriteNoSharedLine(t *testing.T) {
 			var spans [2][]writtenSpan
 			for i, c := range conns {
 				if err := c.Inspect(func(*proc.Thread) error {
-					spans[i] = workerWrites(c.w)
+					spans[i] = workerWrites(c.w, c)
 					return nil
 				}); err != nil {
 					t.Fatal(err)

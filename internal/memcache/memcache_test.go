@@ -510,8 +510,9 @@ func TestStoppedServerIsCollectable(t *testing.T) {
 	// collection: nothing the request path leaves behind (the hand-off's
 	// events, its sweepers) may keep the process reachable — a sync.Pool of
 	// events does, for two. Held memory shows as set-up time of the next
-	// server built in the process. A reply the caller keeps across Stop is
-	// its own: it keeps its bytes and pins no more than its reply block.
+	// server built in the process. A reply the caller keeps across Stop
+	// keeps its bytes, since no call follows it on its connection, and pins
+	// no more than that connection's reply block.
 	allVariants(t, func(t *testing.T, v Variant) {
 		before := heapInuse(true)
 		var held []byte

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"weak"
 
 	"sdrad/internal/mem"
 	"sdrad/internal/proc"
@@ -17,17 +19,21 @@ func getEntry(key string, value []byte) string {
 	return "VALUE " + key + " 0 " + strconv.Itoa(len(value)) + "\r\n" + string(value) + "\r\n"
 }
 
-func TestRepliesStayTheCallers(t *testing.T) {
-	// Two clients on one worker keep every reply they get, from Do and
-	// from DoPipeline, while the worker carves the other client's replies
-	// from the same blocks: each reply must still hold its own bytes at
-	// the end, with cap == len. The values have odd lengths, so adjacent
-	// replies would share a word if they were not aligned, and the race
-	// detector would see the client reading its reply while the worker
-	// writes the next one.
+func TestRepliesLastUntilTheNextCall(t *testing.T) {
+	// A reply lives in its connection's reply block until that
+	// connection's next call. Two clients on one worker take turns: one
+	// makes a call — a Do, a DoPipeline of one event, or a pipeline of
+	// three events (one call) whose replies outgrow the block — while the
+	// other reads the replies of its own last call before, during and after
+	// that turn. Every reply must keep its exact bytes, with cap == len,
+	// until its connection's next call. The values have odd lengths, so
+	// adjacent replies would share a word if they were not aligned, and the
+	// race detector would see a client reading its replies while the worker
+	// writes into the same block. A reply held across Stop keeps its bytes
+	// and leaves the stopped server collectable.
 	allVariants(t, func(t *testing.T, v Variant) {
 		s := startServer(t, v, 1)
-		const clients, keys, rounds = 2, 8, 12
+		const clients, keys, rounds = 2, 9, 6
 		want := make(map[string]string)
 		setup := s.NewConn()
 		for g := 0; g < clients; g++ {
@@ -38,66 +44,100 @@ func TestRepliesStayTheCallers(t *testing.T) {
 				want[key] = getEntry(key, value) + "END\r\n"
 			}
 		}
+		type kept struct {
+			key  string
+			resp []byte
+		}
+		turn := [clients]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+		turn[0] <- struct{}{}
 		var wg sync.WaitGroup
 		for g := 0; g < clients; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				c := s.NewConn()
-				type kept struct {
-					key  string
-					resp []byte
-				}
-				var all []kept
-				check := func(k kept) bool {
-					if string(k.resp) != want[k.key] || cap(k.resp) != len(k.resp) {
-						t.Errorf("reply to get %s: %d bytes, cap %d, want %d bytes, cap == len",
-							k.key, len(k.resp), cap(k.resp), len(want[k.key]))
-						return false
-					}
-					return true
-				}
-				for r := 0; r < rounds; r++ {
-					for k := 0; k < keys; k++ {
-						key := fmt.Sprintf("c%d-k%d", g, k)
-						resp, closed, err := c.Do(FormatGet(key))
+				call := func(ks []string) []kept {
+					held := make([]kept, 0, len(ks))
+					if len(ks) == 1 {
+						resp, closed, err := c.Do(FormatGet(ks[0]))
 						if err != nil || closed {
 							t.Errorf("Do: closed=%v err=%v", closed, err)
-							return
+							return nil
 						}
-						all = append(all, kept{key, resp})
-						if !check(all[len(all)-1]) {
-							return
-						}
+						return append(held, kept{ks[0], resp})
 					}
-					reqs := make([][]byte, keys)
-					for k := range reqs {
-						reqs[k] = FormatGet(fmt.Sprintf("c%d-k%d", g, keys-1-k))
+					reqs := make([][]byte, len(ks))
+					for i, key := range ks {
+						reqs[i] = FormatGet(key)
 					}
-					for k, res := range c.DoPipeline(reqs) {
+					for i, res := range c.DoPipeline(reqs) {
 						if res.Err != nil || res.Closed {
 							t.Errorf("DoPipeline: %+v", res)
-							return
+							return nil
 						}
-						all = append(all, kept{fmt.Sprintf("c%d-k%d", g, keys-1-k), res.Resp})
-						if !check(all[len(all)-1]) {
-							return
+						held = append(held, kept{ks[i], res.Resp})
+					}
+					return held
+				}
+				ok := true
+				check := func(when string, held []kept) {
+					for _, k := range held {
+						if ok && (string(k.resp) != want[k.key] || cap(k.resp) != len(k.resp)) {
+							t.Errorf("reply to get %s %s: %d bytes, cap %d, want %d bytes, cap == len",
+								k.key, when, len(k.resp), cap(k.resp), len(want[k.key]))
+							ok = false
 						}
 					}
 				}
-				total := 0
-				for _, k := range all {
-					if !check(k) {
-						return
+				key := func(k int) string { return fmt.Sprintf("c%d-k%d", g, k%keys) }
+				var held []kept
+				for r := 0; r < rounds; r++ {
+					short, long := make([]string, keys), make([]string, 3*s.MaxBatch())
+					for i := range short {
+						short[i] = key(keys - 1 - i)
 					}
-					total += len(k.resp)
-				}
-				if total < 3*32<<10 {
-					t.Errorf("client %d kept %d bytes of replies; the test no longer spans three blocks", g, total)
+					for i := range long {
+						long[i] = key(r + i)
+					}
+					for _, ks := range [][]string{{key(r)}, short, long} {
+						<-turn[g]
+						check("after the other client's call", held)
+						held = call(ks)
+						check("as delivered", held)
+						turn[1-g] <- struct{}{}
+						check("while the other client is served", held)
+					}
+					total := 0
+					for _, k := range held {
+						total += len(k.resp)
+					}
+					if total <= 32<<10 {
+						t.Errorf("a pipeline of %d gets replied %d bytes; the test no longer outgrows a connection's block", len(long), total)
+					}
 				}
 			}()
 		}
 		wg.Wait()
+
+		value := bytes.Repeat([]byte("v"), 1021)
+		held, server := func() ([]byte, weak.Pointer[Server]) {
+			s, err := NewServer(Config{Variant: v, HashPower: 10, CacheBytes: 4 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := s.NewConn()
+			mustDo(t, c, FormatSet("k", value, 0))
+			resp := mustDo(t, c, FormatGet("k"))
+			s.Stop()
+			return resp, weak.Make(s)
+		}()
+		runtime.GC()
+		if server.Value() != nil {
+			t.Error("a reply held across Stop keeps the stopped server reachable")
+		}
+		if want := getEntry("k", value) + "END\r\n"; string(held) != want {
+			t.Errorf("a reply held across Stop reads %q, want %q", held[:min(len(held), 24)], want[:24])
+		}
 	})
 }
 
@@ -189,7 +229,7 @@ func TestGetRepliesThroughTheCheckedPath(t *testing.T) {
 				if err != nil || closed {
 					t.Fatalf("%q: closed=%v err=%v", req, closed, err)
 				}
-				replies = append(replies, resp)
+				replies = append(replies, bytes.Clone(resp)) // resp is the conn's until the next Do
 			}
 			after := s.StorageStats()
 			return replies, StorageStats{Gets: after.Gets - before.Gets, Hits: after.Hits - before.Hits}

@@ -174,9 +174,6 @@ type worker struct {
 	// per-request guard-scope state.
 	states []evState
 	dops   deferredOps
-	// replies is where the worker carves the Resp it delivers for each
-	// request (proc.ReplyBlock states who owns them).
-	replies proc.ReplyBlock
 
 	// env is the worker's reusable drive_machine environment and
 	// scratchAddrs its request-scoped scratch allocation list; curT pins
@@ -216,13 +213,21 @@ type evState struct {
 }
 
 // Conn is a client connection. All its simulated-memory state is owned by
-// the worker it is pinned to.
+// the worker it is pinned to. Its client and its worker both write it on
+// every call (the event, the reply block's cursor), so it starts and ends
+// with a cacheline.Pad: two connections allocated in a row, each served
+// by its own worker, share no line (TestWorkersWriteNoSharedLine).
 type Conn struct {
+	_  cacheline.Pad
 	id int
 	w  *worker
 	host.ConnBufs
 	// ev is the event every Do of the connection runs on, one at a time.
 	ev proc.Event[*Conn]
+	// replies is where the serving thread carves the Resp of each of the
+	// connection's requests; each call rewinds it (proc.ReplyBlock).
+	replies proc.ReplyBlock
+	_       cacheline.Pad
 }
 
 // ID returns the connection id.
@@ -478,11 +483,11 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, conn *Conn, reqs [][]b
 			states[i].borrows = len(dops.pending) > mark
 			// ⑧ capture the response straight from the write buffer while
 			// it is cache-hot — through its write lease, the one copy into
-			// caller memory, carved from the worker's reply block. On the
-			// hardened build the domain is reading its own slot; an
+			// caller memory, carved from the connection's reply block. On
+			// the hardened build the domain is reading its own slot; an
 			// abnormal exit later in the event discards every captured
 			// response with the event.
-			states[i].data = w.replies.Read(c, env.wl, env.wbuf, states[i].wlen)
+			states[i].data = conn.replies.Read(c, env.wl, env.wbuf, states[i].wlen)
 		}
 		if lib == nil {
 			return nil
@@ -647,6 +652,7 @@ func (s *Server) RunInline(name string, body func(newConn func() *Conn, do Inlin
 		var req1 [1][]byte
 		var res [1]proc.Result
 		do := func(conn *Conn, req []byte) ([]byte, bool, error) {
+			conn.replies.Rewind()
 			req1[0] = req
 			s.dispatchBatch(t, w, conn, req1[:], res[:])
 			return res[0].Resp, res[0].Closed, res[0].Err
@@ -672,9 +678,13 @@ func (c *Conn) WorkerIndex() int { return c.w.idx }
 
 // Do sends one request on the connection and waits for the response.
 // closed reports that the server closed the connection (quit command or
-// attack recovery). A Conn must not be shared by concurrent Do callers:
-// every Do of a connection runs on the one event the Conn carries.
+// attack recovery). A Conn carries one call at a time — Do, DoPipeline,
+// or Start through its Wait — and must not be shared by concurrent
+// callers: every Do of a connection runs on the one event the Conn
+// carries. resp is valid until the connection's next call, which hands
+// its bytes back to the server.
 func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
+	c.replies.Rewind()
 	return c.w.mb.Do(&c.ev, req)
 }
 
@@ -689,16 +699,22 @@ type PipelineResult = proc.Result
 // (longer pipelines are split into MaxBatch-sized chunks client-side).
 // Requests behind a server-side close (quit, or attack recovery) report
 // Closed with ErrConnClosed, exactly as if they were issued after it.
+// Every reply, from each of the chunks, is valid until the connection's
+// next call.
 func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
+	c.replies.Rewind()
 	return c.w.mb.DoPipeline(c, reqs)
 }
 
 // Start is the enqueue half of DoPipeline: it returns once the requests
 // are in the worker's queue, and the handle's Wait returns their results.
-// Sequential Starts against a worker parked in an Inspect stage an exact
-// backlog (up to MaxBatch events) with no goroutine per client and no
-// clock.
+// The call lasts until that Wait: the connection takes no other call in
+// between, and the replies are valid until the call after it. Sequential
+// Starts on distinct connections against a worker parked in an Inspect
+// stage an exact backlog (up to MaxBatch events) with no goroutine per
+// client and no clock.
 func (c *Conn) Start(reqs ...[]byte) *proc.Pending[*Conn] {
+	c.replies.Rewind()
 	return c.w.mb.Start(c, reqs)
 }
 

@@ -36,8 +36,9 @@ import (
 // the event and reads it only after wait reports the event finished. The
 // worker writes it between taking the event and handing it back. Nobody
 // writes the results of a failed event: its owner gave up serving it
-// before failing it. Each Resp is the client's for good: the server never
-// writes its bytes again once it is in Res (ReplyBlock).
+// before failing it. A Resp lives in its connection's ReplyBlock until the
+// connection's next call, which rewinds the block and hands the bytes back
+// to the server.
 
 // Result is one request's outcome. Closed reports that the server closed
 // the connection (the request itself asked, or it was in flight in a
@@ -49,27 +50,48 @@ type Result struct {
 	Err    error
 }
 
-// replyBlockSize is the size of the blocks a ReplyBlock carves replies
-// from: about thirty 1 KiB replies share one allocation, and a caller
-// holding one reply keeps at most this many bytes reachable. A block this
-// size is just over the runtime's small-object limit, so each takes the
-// large-object path; blocks on the small-object path (32,760 bytes, and
-// 27,264, three to a span) measured no better on the ledger
-// (EXPERIMENTS.md E17g, E17i), so the size stays.
+// replyBlockSize caps the block a ReplyBlock keeps: the block doubles
+// from replyBlockMin to hold a call's replies, up to this size, so a
+// connection keeps at most this many bytes between calls, and the replies
+// of a call that outgrow it get slices of their own.
 const replyBlockSize = 32 << 10
 
-// ReplyBlock is a serving thread's source of Resp slices: each reply is
-// carved from a block the thread owns, so delivering one costs a copy and
-// no allocation of its own. Every carved reply belongs to the caller from
-// the moment it is handed out; the block only moves forward, so the
-// thread never writes a reply again, and a new block replaces one that
-// is used up. Replies start at 8-byte-aligned offsets, so no two share a
-// word, and have cap == len, so a caller's append cannot reach the next
-// reply. A block holds bytes and no pointers: a retained reply pins at
-// most replyBlockSize bytes and nothing of the server. A ReplyBlock must
-// only be used from its thread.
+// replyBlockMin is the size a ReplyBlock's block starts doubling from.
+const replyBlockMin = 512
+
+// ReplyBlock is a connection's source of Resp slices: each reply of a call
+// is carved from a block the connection owns and reuses call after call,
+// so delivering one costs a copy and, once the block has grown to the
+// connection's calls, no allocation. One call's replies come from the
+// block in turn; the connection's next call rewinds it (Rewind), and from
+// then on the server writes over them. So a reply is valid until its
+// connection's next call. The client rewinds before it hands the call to
+// the worker, and the serving thread carves while it serves the call: the
+// hand-off orders the rewind before the carving, and the completion token
+// orders the carving before the client reads. Replies start at 8-byte
+// aligned offsets, so no two share a word, and have cap == len, so a
+// caller's append cannot reach the next reply. A block holds bytes and no
+// pointers: a retained reply pins at most replyBlockSize bytes and nothing
+// of the server.
 type ReplyBlock struct {
-	free []byte // the unused tail of the current block
+	buf  []byte // the block replies are carved from
+	off  int    // bytes of buf carved since the last Rewind
+	want int    // bytes the replies since the last Rewind asked for
+}
+
+// Rewind hands every reply carved since the last Rewind back to the block:
+// the next reply is carved from the start again. A block too small for
+// the replies since the last Rewind is replaced by one that doubles until
+// it holds them all, or reaches replyBlockSize.
+func (rb *ReplyBlock) Rewind() {
+	if rb.want > len(rb.buf) && len(rb.buf) < replyBlockSize {
+		size := max(len(rb.buf), replyBlockMin)
+		for size < rb.want && size < replyBlockSize {
+			size *= 2
+		}
+		rb.buf = make([]byte, size)
+	}
+	rb.off, rb.want = 0, 0
 }
 
 // Read returns the n bytes at addr as a reply: one copy from lease's
@@ -87,19 +109,18 @@ func (rb *ReplyBlock) Read(c *mem.CPU, lease *mem.Lease, addr mem.Addr, n int) [
 }
 
 // copy carves len(b) bytes from the block and copies b into them. A reply
-// larger than a block gets a slice of its own.
+// that does not fit the rest of the block gets a slice of its own, whole
+// words long, so that it too starts 8-byte aligned.
 func (rb *ReplyBlock) copy(b []byte) []byte {
 	n := len(b)
+	step := (n + 7) &^ 7
+	rb.want += step
 	var out []byte
-	if n > replyBlockSize {
-		out = make([]byte, n)
+	if step > len(rb.buf)-rb.off {
+		out = make([]byte, step)[:n:n]
 	} else {
-		step := (n + 7) &^ 7
-		if step > len(rb.free) {
-			rb.free = make([]byte, replyBlockSize)
-		}
-		out = rb.free[:n:n]
-		rb.free = rb.free[step:]
+		out = rb.buf[rb.off : rb.off+n : rb.off+n]
+		rb.off += step
 	}
 	copy(out, b)
 	return out
@@ -331,8 +352,8 @@ func (m *Mailbox[C]) wait(ev *Event[C]) bool {
 // Do sends one request on ev.Conn and waits for its result. ev is the
 // caller's own event, reused call after call, so one Do at a time may run
 // on it. Once Do has the result it clears the event's request and result:
-// an idle connection keeps neither its last request nor its last reply
-// reachable.
+// an idle event refers to neither the caller's last request nor its last
+// reply.
 func (m *Mailbox[C]) Do(ev *Event[C], req []byte) (resp []byte, closed bool, err error) {
 	if ev.done == nil {
 		ev.done = make(chan struct{}, 1)

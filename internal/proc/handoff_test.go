@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -435,36 +436,79 @@ func BenchmarkHandoffDo(b *testing.B) {
 }
 
 func TestReplyBlockCarving(t *testing.T) {
-	// Replies of odd sizes carved back to back: each starts on an 8-byte
-	// boundary, has cap == len and keeps its bytes while later replies are
-	// carved; a reply that does not fit the rest of the block starts a new
-	// one, and one larger than a block gets a slice of its own.
+	// Each call rewinds the block, then carves replies of odd sizes back to
+	// back: each starts on an 8-byte boundary, has cap == len and keeps its
+	// bytes while the rest of its call's replies are carved. A reply that
+	// does not fit the rest of the block gets a slice of its own, and the
+	// next Rewind doubles the block until it holds the last call's replies,
+	// up to replyBlockSize. A call that fits carves from the start of the
+	// block it rewound and allocates nothing.
 	var rb ReplyBlock
-	var kept [][]byte
-	for i, n := range []int{1, 7, 9, 1021, 1539, 31000, 5, replyBlockSize + 3, 13} {
-		src := make([]byte, n)
-		for j := range src {
-			src[j] = byte(i + 1)
+	source := func(sizes ...int) [][]byte {
+		srcs := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			srcs[i] = make([]byte, n)
+			for j := range srcs[i] {
+				srcs[i][j] = byte(i + 1)
+			}
 		}
-		out := rb.copy(src)
-		if len(out) != n || cap(out) != n {
-			t.Fatalf("reply %d: len %d cap %d, want %d", i, len(out), cap(out), n)
-		}
-		if addr := uintptr(unsafe.Pointer(&out[0])); addr%8 != 0 {
-			t.Errorf("reply %d starts at %#x, not 8-byte aligned", i, addr)
-		}
-		kept = append(kept, out)
+		return srcs
 	}
-	for i, out := range kept {
-		for _, b := range out {
-			if b != byte(i+1) {
-				t.Fatalf("reply %d was overwritten by a later one", i)
+	call := func(srcs, kept [][]byte) {
+		rb.Rewind()
+		for i, b := range srcs {
+			kept[i] = rb.copy(b)
+		}
+	}
+	verify := func(what string, srcs, kept [][]byte) {
+		t.Helper()
+		for i, out := range kept {
+			if !bytes.Equal(out, srcs[i]) || cap(out) != len(out) {
+				t.Fatalf("%s: reply %d holds %d bytes, cap %d, want its own %d, cap == len", what, i, len(out), cap(out), len(srcs[i]))
+			}
+			if addr := uintptr(unsafe.Pointer(&out[0])); addr%8 != 0 {
+				t.Errorf("%s: reply %d starts at %#x, not 8-byte aligned", what, i, addr)
 			}
 		}
 	}
-	// 2600 bytes of the first block are carved when the 31000-byte reply
-	// does not fit; the second block holds it, then 8 and 16.
-	if want := replyBlockSize - 31000 - 8 - 16; len(rb.free) != want {
-		t.Errorf("the second block has %d bytes left, want %d", len(rb.free), want)
+	// 8+8+16+1024+1544 = 2600 bytes: the first call finds no block, so
+	// each reply gets a slice of its own; the next rewind doubles 512 to
+	// 4096, which holds them all.
+	small, kept := source(1, 7, 9, 1021, 1539), make([][]byte, 5)
+	call(small, kept)
+	verify("first call", small, kept)
+	if rb.buf != nil {
+		t.Fatalf("the first call carved from a %d-byte block", len(rb.buf))
+	}
+	call(small, kept)
+	verify("second call", small, kept)
+	if len(rb.buf) != 4096 || &kept[0][0] != &rb.buf[0] || rb.off != 2600 {
+		t.Fatalf("second call: block of %d bytes, %d carved, want 4096 and 2600 from its start", len(rb.buf), rb.off)
+	}
+	if n := testing.AllocsPerRun(10, func() { call(small, kept) }); n != 0 {
+		t.Errorf("a call that fits its block allocates %.0f times", n)
+	}
+	verify("warm call", small, kept)
+	// 31000+8+32776+16 = 63800 bytes: a 31000-byte reply does not fit the
+	// 4096-byte block, the next does; the rewind doubles to replyBlockSize
+	// and no further, so the reply larger than that gets a slice of its
+	// own on every call.
+	big := source(31000, 5, replyBlockSize+3, 13)
+	kept = make([][]byte, len(big))
+	call(big, kept)
+	verify("outgrown call", big, kept)
+	if &kept[1][0] != &rb.buf[0] || rb.off != 8+16 {
+		t.Errorf("outgrown call: %d bytes carved from the 4096-byte block, want 24 from its start", rb.off)
+	}
+	call(big, kept)
+	verify("call after the doubling", big, kept)
+	block := &rb.buf[0]
+	if len(rb.buf) != replyBlockSize || &kept[0][0] != block || rb.off != 31000+8+16 {
+		t.Errorf("block of %d bytes, %d carved, want %d and %d", len(rb.buf), rb.off, replyBlockSize, 31000+8+16)
+	}
+	call(big, kept)
+	verify("call at the cap", big, kept)
+	if &rb.buf[0] != block {
+		t.Error("a rewind replaced a block already at replyBlockSize")
 	}
 }

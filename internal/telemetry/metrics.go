@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+
+	"sdrad/internal/cacheline"
 )
 
 // Counter is a monotonically increasing metric.
@@ -45,15 +48,43 @@ const histBuckets = 48
 // Histogram is a lock-free log2-bucketed histogram of non-negative
 // int64 observations (nanoseconds, byte counts). Bucket i holds values
 // whose bit length is i, i.e. the range [2^(i-1), 2^i-1]; bucket 0 holds
-// zero. Observe is three atomic adds.
+// zero. Observe is three atomic adds. A sharded histogram (Registry's
+// ShardedHistogram) keeps its observations in several cells, each on
+// lines of its own, so writers of different shards (ObserveShard) write
+// no common line; Count, Sum, Quantile and exposition sum over the cells.
 type Histogram struct {
+	one   histCell   // a plain histogram's one cell
+	cells []histCell // a sharded histogram's cells; nil for a plain one
+}
+
+// histCell is one cell of a Histogram, padded at both ends.
+type histCell struct {
+	_       cacheline.Pad
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
+	_       cacheline.Pad
+}
+
+// all returns the histogram's cells.
+func (h *Histogram) all() []histCell {
+	if h.cells == nil {
+		return unsafe.Slice(&h.one, 1)
+	}
+	return h.cells
 }
 
 // Observe records one value. Negative values clamp to zero.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveShard(0, v) }
+
+// ObserveShard records one value in the cell of shard (any non-negative
+// int, such as a thread ID: shards past the cell count wrap). A plain
+// histogram has one cell.
+func (h *Histogram) ObserveShard(shard int, v int64) {
+	c := &h.one
+	if h.cells != nil {
+		c = &h.cells[uint(shard)%uint(len(h.cells))]
+	}
 	if v < 0 {
 		v = 0
 	}
@@ -61,21 +92,47 @@ func (h *Histogram) Observe(v int64) {
 	if i >= histBuckets {
 		i = histBuckets - 1
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	c.buckets[i].Add(1)
+	c.count.Add(1)
+	c.sum.Add(v)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	cells := h.all()
+	for i := range cells {
+		n += cells[i].count.Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
+func (h *Histogram) Sum() int64 {
+	var n int64
+	cells := h.all()
+	for i := range cells {
+		n += cells[i].sum.Load()
+	}
+	return n
+}
+
+// buckets returns the bucket counts summed over the cells and their total.
+func (h *Histogram) buckets() (counts [histBuckets]int64, total int64) {
+	cells := h.all()
+	for i := range counts {
+		for c := range cells {
+			counts[i] += cells[c].buckets[i].Load()
+		}
+		total += counts[i]
+	}
+	return counts, total
+}
 
 // Quantile returns an estimate of the q-quantile (0 < q <= 1) by linear
 // interpolation inside the containing log2 bucket, or 0 with no data.
 func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
+	counts, total := h.buckets()
 	if total <= 0 {
 		return 0
 	}
@@ -90,8 +147,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 		target = 1
 	}
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
+	for i, n := range counts {
 		if n == 0 {
 			continue
 		}
@@ -238,11 +294,21 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // Histogram returns the histogram with the given name.
 func (r *Registry) Histogram(name, help string) *Histogram {
+	return r.ShardedHistogram(name, help, 1)
+}
+
+// ShardedHistogram returns the histogram with the given name, made with
+// one cell per shard if it is new (ObserveShard).
+func (r *Registry) ShardedHistogram(name, help string, shards int) *Histogram {
 	f := r.lookup(name, help, kindHistogram, "")
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.single == nil {
-		f.single = new(Histogram)
+		h := new(Histogram)
+		if shards > 1 {
+			h.cells = make([]histCell, shards)
+		}
+		f.single = h
 	}
 	return f.single.(*Histogram)
 }
@@ -368,15 +434,12 @@ func (f *family) write(w io.Writer) error {
 // empty high buckets beyond the last populated one are elided.
 func writeHistogram(w io.Writer, name string, h *Histogram) error {
 	// Derive _count from the one pass over the buckets rather than the
-	// live count field, so the series stays internally consistent
+	// live count fields, so the series stays internally consistent
 	// (+Inf == _count) under concurrent Observe calls.
-	var counts [histBuckets]int64
+	counts, count := h.buckets()
 	top := 0
-	var count int64
-	for i := 0; i < histBuckets; i++ {
-		counts[i] = h.buckets[i].Load()
-		count += counts[i]
-		if counts[i] > 0 {
+	for i, n := range counts {
+		if n > 0 {
 			top = i
 		}
 	}

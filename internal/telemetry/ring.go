@@ -61,7 +61,9 @@ type ringShard struct {
 
 // FlightRecorder is the fixed-size, lock-free event ring. Writers never
 // block and never allocate; readers reconstruct a best-effort globally
-// ordered snapshot from the per-shard rings.
+// ordered snapshot from the per-shard rings. seq is the one line every
+// recording thread writes: Snapshot orders the shards' events by it, and
+// no per-shard counter gives that global order.
 type FlightRecorder struct {
 	seq    atomic.Uint64
 	mask   uint64

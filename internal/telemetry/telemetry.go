@@ -167,10 +167,13 @@ func New(opts Options) *Recorder {
 		"Faulting address of the most recent fault attributed to each UDI.", "udi")
 	r.mSignals = reg.CounterVec("sdrad_signals_total",
 		"Signals delivered through the process signal table.", "signal")
-	r.mEnterLat = reg.Histogram("sdrad_enter_latency_ns",
-		"Sampled latency of monitor Enter transitions (ns).")
-	r.mExitLat = reg.Histogram("sdrad_exit_latency_ns",
-		"Sampled latency of monitor Exit transitions (ns).")
+	// Every sampling thread observes the transition latencies, so each
+	// histogram has a cell per flight-recorder shard, picked by thread ID
+	// as record picks its ring.
+	r.mEnterLat = reg.ShardedHistogram("sdrad_enter_latency_ns",
+		"Sampled latency of monitor Enter transitions (ns).", flightShards)
+	r.mExitLat = reg.ShardedHistogram("sdrad_exit_latency_ns",
+		"Sampled latency of monitor Exit transitions (ns).", flightShards)
 	reg.CounterFunc("sdrad_flight_events_total",
 		"Events written to the flight recorder.",
 		func() int64 { return int64(r.flight.seq.Load()) })
@@ -226,7 +229,7 @@ func (r *Recorder) RecordEnter(tid, udi int, latNs int64) {
 	if !r.enabled.Load() {
 		return
 	}
-	r.mEnterLat.Observe(latNs)
+	r.mEnterLat.ObserveShard(tid, latNs)
 	r.flight.record(r.Clock(), EvEnter, tid, udi, 0, 0, 0, uint64(latNs))
 }
 
@@ -235,7 +238,7 @@ func (r *Recorder) RecordExit(tid, udi int, latNs int64) {
 	if !r.enabled.Load() {
 		return
 	}
-	r.mExitLat.Observe(latNs)
+	r.mExitLat.ObserveShard(tid, latNs)
 	r.flight.record(r.Clock(), EvExit, tid, udi, 0, 0, 0, uint64(latNs))
 }
 

@@ -110,7 +110,65 @@ func TestFlightShardCursorsShareNoLine(t *testing.T) {
 	}
 }
 
+// Threads of different shards observe transition latencies at once, so no
+// two cells of the enter and exit histograms share a cache line.
+func TestLatencyHistogramCellsShareNoLine(t *testing.T) {
+	r := New(Options{})
+	var spans []cacheline.Span
+	for _, h := range []*Histogram{r.mEnterLat, r.mExitLat} {
+		if len(h.cells) != flightShards {
+			t.Fatalf("a latency histogram has %d cells, want one per flight shard (%d)", len(h.cells), flightShards)
+		}
+		for i := range h.cells {
+			spans = append(spans, cacheline.Fields(&h.cells[i]))
+		}
+	}
+	for i := range spans {
+		for j := i + 1; j < len(spans); j++ {
+			if spans[i].Shares(spans[j]) {
+				t.Errorf("cells %d and %d of the latency histograms share a line", i, j)
+			}
+		}
+	}
+}
+
 // --- histogram ---
+
+func TestShardedHistogramSumsItsCells(t *testing.T) {
+	// The same observations spread over a sharded histogram's cells read
+	// as one plain histogram's: count, sum, quantiles and exposition.
+	reg := NewRegistry()
+	sharded := reg.ShardedHistogram("lat_ns", "spread", flightShards)
+	var plain Histogram
+	for i := 0; i < 1000; i++ {
+		v := int64(i * i % 7919)
+		sharded.ObserveShard(i, v)
+		plain.Observe(v)
+	}
+	if sharded.Count() != plain.Count() || sharded.Sum() != plain.Sum() {
+		t.Errorf("sharded count %d sum %d, plain %d and %d", sharded.Count(), sharded.Sum(), plain.Count(), plain.Sum())
+	}
+	for _, q := range []float64{0.1, 0.5, 0.99, 1} {
+		if a, b := sharded.Quantile(q), plain.Quantile(q); a != b {
+			t.Errorf("Quantile(%v): sharded %d, plain %d", q, a, b)
+		}
+	}
+	for i := range sharded.cells {
+		if n := sharded.cells[i].count.Load(); n != 1000/flightShards {
+			t.Errorf("cell %d holds %d observations, want %d", i, n, 1000/flightShards)
+		}
+	}
+	var got, want strings.Builder
+	if err := reg.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeHistogram(&want, "lat_ns", &plain); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(got.String(), want.String()) {
+		t.Errorf("exposition of the sharded histogram:\n%s\nwant the plain one's series:\n%s", got.String(), want.String())
+	}
+}
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
