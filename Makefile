@@ -19,18 +19,18 @@ test:
 # rounds: a race there shows about once in twenty. The third does the
 # same for the storage shard lock's spin-then-park acquisition (hammer,
 # park fallback, short holds, one P). The fourth holds the shared
-# client-to-worker hand-off (internal/proc: start, wait, chunking, and
-# its down paths — a worker dying with an event in hand, a call after
-# Terminate, a start racing it, a parked worker woken by the sweeper's
-# marker) and the fifth the memcache tests that
+# client-to-worker hand-off (internal/proc: a connection's call record —
+# start, wait, chunking, reuse — and its down paths: a worker dying with
+# an event in hand, a call after Terminate, a start racing it, a parked
+# worker woken by the sweeper's marker) and the fifth the memcache tests that
 # stage a backlog through it behind a parked worker (a trap between two
 # innocent events on a fresh server, two connections' events, a chunked
 # pipeline), plus the idle worker's audit after a sibling's rewind (two
 # workers deriving their PKRU policies side by side) and the clients
 # whose replies last until their connection's next call while the other
-# client is served, and the clients whose every Do runs on their
-# connection's one event, across Stop; the sixth holds httpd's reply
-# lifetime and its connection's event the same way. CI's race
+# client is served, and the clients whose every call runs on their
+# connection's one call record, across Stop; the sixth holds httpd's
+# reply lifetime and its connection's record the same way. CI's race
 # job runs this target, so the list lives here only. The last holds the
 # router's dead-backend spill to exactly FailThreshold degraded replies
 # two hundred times: a stopped backend must answer nothing, or a reply

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -566,8 +567,8 @@ func TestParserHeldOffAnswers503(t *testing.T) {
 
 func TestHandOffAllocationBudget(t *testing.T) {
 	// A warm keep-alive GET allocates nothing on both variants: hardening
-	// adds none, Do runs on the event its Conn carries, completion channel
-	// included, the parser takes a served file's Path from the file table,
+	// adds none, Do runs on the call record its Conn carries, completion
+	// channel included, the parser takes a served file's Path from the file table,
 	// and the reply is carved from the connection's reply block.
 	req := FormatRequest("/index.html", true)
 	for _, v := range []Variant{VariantVanilla, VariantSDRaD} {
@@ -833,70 +834,108 @@ func TestRequestCountAgreesAcrossBuilds(t *testing.T) {
 	})
 }
 
+// heldRequests counts the requests the events and the batch-of-one
+// storage of c's call record still reference (proc.Call keeps them
+// unexported; reflect reads them).
+func heldRequests(c *Conn) int {
+	call := reflect.ValueOf(&c.call).Elem()
+	n := call.FieldByName("req1").Index(0).Len()
+	for _, name := range []string{"one", "evs"} {
+		evs := call.FieldByName(name)
+		for i := 0; i < evs.Len(); i++ {
+			n += evs.Index(i).FieldByName("Reqs").Len()
+		}
+	}
+	return n
+}
+
 func TestConnEventAcrossDoPipelineAndStop(t *testing.T) {
-	// As memcache's test of the same name: every Do of a Conn runs on the
-	// one event the Conn carries. Two clients, one per worker, alternate Do
-	// and DoPipeline and go on calling Do across Stop: every reply is the
-	// page until the first down error, and from then on every Do reports
-	// ErrWorkerDown on the same event, which each Do leaves holding no
-	// request and no reply.
+	// As memcache's test of the same name: every call of a Conn runs on
+	// the one record the Conn carries. Two clients, one per worker,
+	// alternate Do and a DoPipeline of two events and go on calling across
+	// Stop: every reply is the page until the first down error, and from
+	// then on every call reports ErrWorkerDown on the same record, which
+	// each call leaves referencing no request. Once the clients let go of
+	// their connections, the stopped workers are collected.
 	allVariants(t, func(t *testing.T, v Variant) {
-		m := startMaster(t, v, 2)
 		get := FormatRequest("/index.html", true)
-		want := mustGet(t, m.Worker(0).NewConn(), "/index.html")
-		warm := make(chan struct{}, 2)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := m.Worker(i).NewConn()
-				down := func(what string, resp []byte, closed bool, err error) bool {
-					if err == nil {
-						return false
+		workers := func() []weak.Pointer[Worker] {
+			m, err := NewMaster(Config{Variant: v, Workers: 2, Files: testFiles})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := mustGet(t, m.Worker(0).NewConn(), "/index.html")
+			gets := make([][]byte, m.Worker(0).cfg.MaxBatch+1)
+			for j := range gets {
+				gets[j] = get
+			}
+			warm := make(chan struct{}, 2)
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c := m.Worker(i).NewConn()
+					down := func(what string, resp []byte, closed bool, err error) bool {
+						if err == nil {
+							return false
+						}
+						if !errors.Is(err, ErrWorkerDown) || !closed || resp != nil {
+							t.Errorf("%s: resp %q closed=%v err=%v, want the down error", what, resp, closed, err)
+						}
+						return true
 					}
-					if !errors.Is(err, ErrWorkerDown) || !closed || resp != nil {
-						t.Errorf("%s: resp %q closed=%v err=%v, want the down error", what, resp, closed, err)
-					}
-					return true
-				}
-				for n := 0; ; n++ {
-					if n == 50 {
-						warm <- struct{}{}
-					}
-					resp, closed, err := c.Do(get)
-					if down("get", resp, closed, err) {
-						break
-					}
-					if string(resp) != want || closed {
-						t.Errorf("get %d: %q closed=%v", n, resp, closed)
-						return
-					}
-					res := c.DoPipeline([][]byte{get, get})
-					if res[1].Err != nil {
-						break // Pending.Wait's down results are held by internal/proc
-					}
-					for _, r := range res {
-						if string(r.Resp) != want || r.Closed {
-							t.Errorf("pipelined get %d: %q closed=%v", n, r.Resp, r.Closed)
+					for n := 0; ; n++ {
+						if n == 50 {
+							warm <- struct{}{}
+						}
+						resp, closed, err := c.Do(get)
+						if down("get", resp, closed, err) {
+							break
+						}
+						if string(resp) != want || closed {
+							t.Errorf("get %d: %q closed=%v", n, resp, closed)
 							return
 						}
+						res := c.DoPipeline(gets)
+						if res[len(res)-1].Err != nil {
+							break // the worker went down during the call
+						}
+						for _, r := range res {
+							if string(r.Resp) != want || r.Closed {
+								t.Errorf("pipelined get %d: %q closed=%v", n, r.Resp, r.Closed)
+								return
+							}
+						}
 					}
-				}
-				for n := 0; n < 3; n++ {
-					resp, closed, err := c.Do(get)
-					if !down("get after Stop", resp, closed, err) {
-						t.Errorf("get after Stop answered %q", resp)
+					for n := 0; n < 3; n++ {
+						resp, closed, err := c.Do(get)
+						if !down("get after Stop", resp, closed, err) {
+							t.Errorf("get after Stop answered %q", resp)
+						}
+						if held := heldRequests(c); held != 0 {
+							t.Errorf("after a Do the connection's record still holds %d requests", held)
+						}
+						for _, r := range c.DoPipeline(gets) {
+							down("pipelined get after Stop", r.Resp, r.Closed, r.Err)
+						}
+						if held := heldRequests(c); held != 0 {
+							t.Errorf("after a DoPipeline the connection's record still holds %d requests", held)
+						}
 					}
-					if c.ev.Reqs[0] != nil || c.ev.Res[0].Resp != nil || c.ev.Res[0].Err != nil {
-						t.Errorf("after a Do the connection's event still holds %q / %+v", c.ev.Reqs[0], c.ev.Res[0])
-					}
-				}
-			}()
+				}()
+			}
+			<-warm
+			<-warm
+			m.Stop()
+			wg.Wait()
+			return []weak.Pointer[Worker]{weak.Make(m.Worker(0)), weak.Make(m.Worker(1))}
+		}()
+		runtime.GC()
+		for i, w := range workers {
+			if w.Value() != nil {
+				t.Errorf("stopped worker %d is still reachable once its clients dropped their connections", i)
+			}
 		}
-		<-warm
-		<-warm
-		m.Stop()
-		wg.Wait()
 	})
 }

@@ -219,20 +219,17 @@ type fileEntry struct {
 }
 
 // Conn is a keep-alive client connection pinned to a worker. Its client
-// and its worker both write it on every call (the event, the reply
-// block's cursor), so it starts and ends with a cacheline.Pad: two
-// connections allocated in a row share no line.
+// and its worker both write it on every call (the call record), so it
+// starts and ends with a cacheline.Pad: two connections allocated in a
+// row share no line.
 type Conn struct {
 	_  cacheline.Pad
 	id int
 	w  *Worker
 	host.ConnBufs
-	// ev is the event every Do of the connection runs on, one at a time.
-	ev proc.Event[*Conn]
-	// replies is where the worker carves the Resp of each of the
-	// connection's requests; each call rewinds it (proc.ReplyBlock).
-	replies proc.ReplyBlock
-	_       cacheline.Pad
+	// call is the record every call of the connection runs on (proc.Call).
+	call proc.Call[*Conn]
+	_    cacheline.Pad
 }
 
 var connIDs atomic.Int64
@@ -373,19 +370,14 @@ func (w *Worker) run(t *proc.Thread) error {
 // NewConn opens a keep-alive connection to this worker.
 func (w *Worker) NewConn() *Conn {
 	c := &Conn{id: int(connIDs.Add(1)), w: w}
-	c.ev.Conn = c
+	c.call.Bind(w.mb, c)
 	return c
 }
 
-// Do sends one HTTP request and returns the raw response. A Conn carries
-// one call at a time, Do or DoPipeline, and must not be shared by
-// concurrent callers: every Do of a connection runs on the one event the
-// Conn carries. resp is valid until the connection's next call, which
-// hands its bytes back to the server.
-func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
-	c.replies.Rewind()
-	return c.w.mb.Do(&c.ev, req)
-}
+// Do sends one HTTP request and returns the raw response. A Conn takes
+// one call at a time and what a call returns is valid until the
+// connection's next call (proc.Call).
+func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) { return c.call.Do(req) }
 
 // PipelineResult is one request's outcome from DoPipeline.
 type PipelineResult = proc.Result
@@ -394,13 +386,8 @@ type PipelineResult = proc.Result
 // result per request, in order. The hardened worker parses up to
 // Config.MaxBatch pipelined requests inside a single guard scope; longer
 // pipelines are split into MaxBatch-sized chunks client-side. Requests
-// behind a server-side close report Closed, as if issued after it. Every
-// reply, from each of the chunks, is valid until the connection's next
-// call.
-func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
-	c.replies.Rewind()
-	return c.w.mb.DoPipeline(c, reqs)
-}
+// behind a server-side close report Closed, as if issued after it.
+func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult { return c.call.Start(reqs).Wait() }
 
 // Inspect runs fn on the worker's event-loop thread between requests. The
 // chaos engine uses it to run invariant audits and arm fault injectors on
@@ -694,7 +681,7 @@ func (w *Worker) respond(t *proc.Thread, conn *Conn, req *Request, perr error, s
 	}
 	// The one copy into caller memory: out of the write buffer through a
 	// read lease, into the connection's reply block.
-	resp := conn.replies.Read(c, c.SpanLease(conn.WBuf, w.wcap, mem.AccessRead), conn.WBuf, wlen)
+	resp := conn.call.Replies.Read(c, c.SpanLease(conn.WBuf, w.wcap, mem.AccessRead), conn.WBuf, wlen)
 	if !req.KeepAlive {
 		w.CloseConn(t, &conn.ConnBufs)
 	}

@@ -83,8 +83,8 @@ func BenchmarkStorageHit(b *testing.B) {
 // build, without the ledger: a warm DoPipeline of 16 gets of 1 KiB values
 // (10,000 items, keys from YCSB's scrambled Zipfian, drawn beforehand)
 // through one guard scope — parse, render into the write buffer, deliver
-// each reply. allocs/op is the pipeline's handle, events and results; the
-// replies come from the connection's reply block.
+// each reply. It allocates nothing: the events, the results and the
+// replies all come from the connection's call record.
 func BenchmarkPipelineGets16(b *testing.B) {
 	const items, depth = 10000, 16
 	s, err := NewServer(Config{Variant: VariantSDRaD, Workers: 1})

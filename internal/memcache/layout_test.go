@@ -2,6 +2,7 @@ package memcache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -27,15 +28,24 @@ func backing[T any](name string, s []T) (writtenSpan, bool) {
 }
 
 // workerWrites lists what w writes per request on c: its record's
-// fields, every scratch array it reuses from one event to the next, and
-// the connection's record. The connection's reply block is left out: it
-// is an allocation of its own, a power of two of at least 512 bytes, in
-// a size class whose objects start on a line.
+// fields, every scratch array it reuses from one event to the next, the
+// connection's record, and the result and event arrays of the
+// connection's call record (its client writes both on every call too).
+// The connection's reply block is left out: it is an allocation of its
+// own, a power of two of at least 512 bytes, in a size class whose
+// objects start on a line.
 func workerWrites(w *worker, c *Conn) []writtenSpan {
 	out := []writtenSpan{{"worker", cacheline.Fields(w)}, {"conn", cacheline.Fields(c)}}
 	add := func(s writtenSpan, ok bool) {
 		if ok {
 			out = append(out, s)
+		}
+	}
+	call := reflect.ValueOf(&c.call).Elem()
+	for _, name := range []string{"res", "evs"} {
+		if f := call.FieldByName(name); f.Cap() > 0 {
+			out = append(out, writtenSpan{"call." + name, cacheline.Of(uintptr(f.UnsafePointer()),
+				uintptr(f.Cap())*f.Type().Elem().Size())})
 		}
 	}
 	add(backing("states", w.states))
@@ -53,10 +63,10 @@ func workerWrites(w *worker, c *Conn) []writtenSpan {
 
 // What one memcache worker writes on the request path shares no cache
 // line with what the other writes (DESIGN §9): warmed at depth 1 (the
-// scratch a depth-1 event sizes) and then with pipelines of stores, hits
-// and deletes, the two workers' records and scratch arrays lie on
-// disjoint lines, so two workers on two CPUs never hand a line back and
-// forth.
+// scratch a depth-1 event sizes), then with pipelines of stores, hits
+// and deletes, then with pipelines of twenty that take two events, the
+// two workers' records and scratch arrays lie on disjoint lines, so two
+// workers on two CPUs never hand a line back and forth.
 func TestWorkersWriteNoSharedLine(t *testing.T) {
 	allVariants(t, func(t *testing.T, v Variant) {
 		s := startServer(t, v, 2)
@@ -102,5 +112,17 @@ func TestWorkersWriteNoSharedLine(t *testing.T) {
 			}
 		}
 		check("depth 4")
+		for i, c := range conns {
+			reqs := make([][]byte, 20)
+			for j := range reqs {
+				reqs[j] = FormatGet(fmt.Sprintf("k%d-%d", i, j%4))
+			}
+			for _, r := range c.DoPipeline(reqs) {
+				if r.Err != nil || r.Closed {
+					t.Fatalf("pipeline of two events on worker %d: %+v", i, r)
+				}
+			}
+		}
+		check("two events")
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -270,79 +271,115 @@ func TestGetRepliesThroughTheCheckedPath(t *testing.T) {
 	})
 }
 
+// heldRequests counts the requests the events and the batch-of-one
+// storage of c's call record still reference (proc.Call keeps them
+// unexported; reflect reads them).
+func heldRequests(c *Conn) int {
+	call := reflect.ValueOf(&c.call).Elem()
+	n := call.FieldByName("req1").Index(0).Len()
+	for _, name := range []string{"one", "evs"} {
+		evs := call.FieldByName(name)
+		for i := 0; i < evs.Len(); i++ {
+			n += evs.Index(i).FieldByName("Reqs").Len()
+		}
+	}
+	return n
+}
+
 func TestConnEventAcrossDoPipelineAndStop(t *testing.T) {
-	// Every Do of a Conn runs on the one event the Conn carries. Two
-	// clients, one per worker, alternate Do and DoPipeline on their own
-	// connections and go on calling Do across Stop: every reply is the one
-	// its request asked for until the first down error, and from then on
-	// every Do reports ErrServerDown on the same event, which each Do
-	// leaves holding no request and no reply.
+	// Every call of a Conn runs on the one record the Conn carries. Two
+	// clients, one per worker, alternate Do and a DoPipeline of two events
+	// on their own connections and go on calling across Stop: every reply
+	// is the one its request asked for until the first down error, and
+	// from then on every call reports ErrServerDown on the same record,
+	// which each call leaves referencing no request. Once the clients let
+	// go of their connections, the stopped server is collected.
 	allVariants(t, func(t *testing.T, v Variant) {
-		s := startServer(t, v, 2)
-		warm := make(chan struct{}, 2)
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := connOn(s, i)
-				key := fmt.Sprintf("key-%d", i)
-				down := func(what string, resp []byte, closed bool, err error) bool {
-					if err == nil {
-						return false
+		server := func() weak.Pointer[Server] {
+			s, err := NewServer(Config{Variant: v, Workers: 2, HashPower: 10, CacheBytes: 4 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := make(chan struct{}, 2)
+			var wg sync.WaitGroup
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c := connOn(s, i)
+					key := fmt.Sprintf("key-%d", i)
+					gets := make([][]byte, s.MaxBatch()+1)
+					for j := range gets {
+						gets[j] = FormatGet(key)
 					}
-					if !errors.Is(err, ErrServerDown) || !closed || resp != nil {
-						t.Errorf("%s: resp %q closed=%v err=%v, want the down error", what, resp, closed, err)
+					down := func(what string, resp []byte, closed bool, err error) bool {
+						if err == nil {
+							return false
+						}
+						if !errors.Is(err, ErrServerDown) || !closed || resp != nil {
+							t.Errorf("%s: resp %q closed=%v err=%v, want the down error", what, resp, closed, err)
+						}
+						return true
 					}
-					return true
-				}
-				for n := 0; ; n++ {
-					if n == 50 {
-						warm <- struct{}{}
-					}
-					val := []byte(strconv.Itoa(n))
-					resp, closed, err := c.Do(FormatSet(key, val, 0))
-					if down("set", resp, closed, err) {
-						break
-					}
-					if string(resp) != "STORED\r\n" || closed {
-						t.Errorf("set %d: %q closed=%v", n, resp, closed)
-						return
-					}
-					want := getEntry(key, val) + "END\r\n"
-					resp, closed, err = c.Do(FormatGet(key))
-					if down("get", resp, closed, err) {
-						break
-					}
-					if string(resp) != want || closed {
-						t.Errorf("get %d: %q closed=%v, want %q", n, resp, closed, want)
-						return
-					}
-					res := c.DoPipeline([][]byte{FormatGet(key), FormatGet(key)})
-					if res[1].Err != nil {
-						break // Pending.Wait's down results are held by internal/proc
-					}
-					for _, r := range res {
-						if string(r.Resp) != want || r.Closed {
-							t.Errorf("pipelined get %d: %q closed=%v, want %q", n, r.Resp, r.Closed, want)
+					for n := 0; ; n++ {
+						if n == 50 {
+							warm <- struct{}{}
+						}
+						val := []byte(strconv.Itoa(n))
+						resp, closed, err := c.Do(FormatSet(key, val, 0))
+						if down("set", resp, closed, err) {
+							break
+						}
+						if string(resp) != "STORED\r\n" || closed {
+							t.Errorf("set %d: %q closed=%v", n, resp, closed)
 							return
 						}
+						want := getEntry(key, val) + "END\r\n"
+						resp, closed, err = c.Do(FormatGet(key))
+						if down("get", resp, closed, err) {
+							break
+						}
+						if string(resp) != want || closed {
+							t.Errorf("get %d: %q closed=%v, want %q", n, resp, closed, want)
+							return
+						}
+						res := c.DoPipeline(gets)
+						if res[len(res)-1].Err != nil {
+							break // the process went down during the call
+						}
+						for _, r := range res {
+							if string(r.Resp) != want || r.Closed {
+								t.Errorf("pipelined get %d: %q closed=%v, want %q", n, r.Resp, r.Closed, want)
+								return
+							}
+						}
 					}
-				}
-				for n := 0; n < 3; n++ {
-					resp, closed, err := c.Do(FormatGet(key))
-					if !down("get after Stop", resp, closed, err) {
-						t.Errorf("get after Stop answered %q", resp)
+					for n := 0; n < 3; n++ {
+						resp, closed, err := c.Do(FormatGet(key))
+						if !down("get after Stop", resp, closed, err) {
+							t.Errorf("get after Stop answered %q", resp)
+						}
+						if held := heldRequests(c); held != 0 {
+							t.Errorf("after a Do the connection's record still holds %d requests", held)
+						}
+						for _, r := range c.DoPipeline(gets) {
+							down("pipelined get after Stop", r.Resp, r.Closed, r.Err)
+						}
+						if held := heldRequests(c); held != 0 {
+							t.Errorf("after a DoPipeline the connection's record still holds %d requests", held)
+						}
 					}
-					if c.ev.Reqs[0] != nil || c.ev.Res[0].Resp != nil || c.ev.Res[0].Err != nil {
-						t.Errorf("after a Do the connection's event still holds %q / %+v", c.ev.Reqs[0], c.ev.Res[0])
-					}
-				}
-			}()
+				}()
+			}
+			<-warm
+			<-warm
+			s.Stop()
+			wg.Wait()
+			return weak.Make(s)
+		}()
+		runtime.GC()
+		if server.Value() != nil {
+			t.Error("the stopped server is still reachable once its clients dropped their connections")
 		}
-		<-warm
-		<-warm
-		s.Stop()
-		wg.Wait()
 	})
 }

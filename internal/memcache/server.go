@@ -214,20 +214,17 @@ type evState struct {
 
 // Conn is a client connection. All its simulated-memory state is owned by
 // the worker it is pinned to. Its client and its worker both write it on
-// every call (the event, the reply block's cursor), so it starts and ends
-// with a cacheline.Pad: two connections allocated in a row, each served
-// by its own worker, share no line (TestWorkersWriteNoSharedLine).
+// every call (the call record), so it starts and ends with a
+// cacheline.Pad: two connections allocated in a row, each served by its
+// own worker, share no line (TestWorkersWriteNoSharedLine).
 type Conn struct {
 	_  cacheline.Pad
 	id int
 	w  *worker
 	host.ConnBufs
-	// ev is the event every Do of the connection runs on, one at a time.
-	ev proc.Event[*Conn]
-	// replies is where the serving thread carves the Resp of each of the
-	// connection's requests; each call rewinds it (proc.ReplyBlock).
-	replies proc.ReplyBlock
-	_       cacheline.Pad
+	// call is the record every call of the connection runs on (proc.Call).
+	call proc.Call[*Conn]
+	_    cacheline.Pad
 }
 
 // ID returns the connection id.
@@ -487,7 +484,7 @@ func (s *Server) dispatchBatch(t *proc.Thread, w *worker, conn *Conn, reqs [][]b
 			// the hardened build the domain is reading its own slot; an
 			// abnormal exit later in the event discards every captured
 			// response with the event.
-			states[i].data = conn.replies.Read(c, env.wl, env.wbuf, states[i].wlen)
+			states[i].data = conn.call.Replies.Read(c, env.wl, env.wbuf, states[i].wlen)
 		}
 		if lib == nil {
 			return nil
@@ -647,14 +644,9 @@ func (s *Server) RunInline(name string, body func(newConn func() *Conn, do Inlin
 		newConn := func() *Conn {
 			return &Conn{id: int(s.connIDs.Add(1)), w: w}
 		}
-		// A batch of one on the worker's own scratch: every path of
-		// dispatchBatch overwrites the whole result.
-		var req1 [1][]byte
-		var res [1]proc.Result
 		do := func(conn *Conn, req []byte) ([]byte, bool, error) {
-			conn.replies.Rewind()
-			req1[0] = req
-			s.dispatchBatch(t, w, conn, req1[:], res[:])
+			reqs, res := conn.call.Inline(req)
+			s.dispatchBatch(t, w, conn, reqs, res)
 			return res[0].Resp, res[0].Closed, res[0].Err
 		}
 		return body(newConn, do)
@@ -668,7 +660,7 @@ func (s *Server) NewConn() *Conn {
 		id: int(s.connIDs.Add(1)),
 		w:  s.workers[int(s.rr.Add(1)-1)%len(s.workers)],
 	}
-	c.ev.Conn = c
+	c.call.Bind(c.w.mb, c)
 	return c
 }
 
@@ -678,15 +670,9 @@ func (c *Conn) WorkerIndex() int { return c.w.idx }
 
 // Do sends one request on the connection and waits for the response.
 // closed reports that the server closed the connection (quit command or
-// attack recovery). A Conn carries one call at a time — Do, DoPipeline,
-// or Start through its Wait — and must not be shared by concurrent
-// callers: every Do of a connection runs on the one event the Conn
-// carries. resp is valid until the connection's next call, which hands
-// its bytes back to the server.
-func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) {
-	c.replies.Rewind()
-	return c.w.mb.Do(&c.ev, req)
-}
+// attack recovery). A Conn takes one call at a time and what a call
+// returns is valid until the connection's next call (proc.Call).
+func (c *Conn) Do(req []byte) (resp []byte, closed bool, err error) { return c.call.Do(req) }
 
 // PipelineResult is one request's outcome from DoPipeline or Start.
 type PipelineResult = proc.Result
@@ -699,24 +685,15 @@ type PipelineResult = proc.Result
 // (longer pipelines are split into MaxBatch-sized chunks client-side).
 // Requests behind a server-side close (quit, or attack recovery) report
 // Closed with ErrConnClosed, exactly as if they were issued after it.
-// Every reply, from each of the chunks, is valid until the connection's
-// next call.
-func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult {
-	c.replies.Rewind()
-	return c.w.mb.DoPipeline(c, reqs)
-}
+func (c *Conn) DoPipeline(reqs [][]byte) []PipelineResult { return c.call.Start(reqs).Wait() }
 
 // Start is the enqueue half of DoPipeline: it returns once the requests
 // are in the worker's queue, and the handle's Wait returns their results.
-// The call lasts until that Wait: the connection takes no other call in
-// between, and the replies are valid until the call after it. Sequential
-// Starts on distinct connections against a worker parked in an Inspect
-// stage an exact backlog (up to MaxBatch events) with no goroutine per
-// client and no clock.
-func (c *Conn) Start(reqs ...[]byte) *proc.Pending[*Conn] {
-	c.replies.Rewind()
-	return c.w.mb.Start(c, reqs)
-}
+// The call lasts until that Wait. Sequential Starts on distinct
+// connections against a worker parked in an Inspect stage an exact
+// backlog (up to MaxBatch events) with no goroutine per client and no
+// clock.
+func (c *Conn) Start(reqs ...[]byte) *proc.Call[*Conn] { return c.call.Start(reqs) }
 
 // MaxBatch returns the server's configured guard-scope batch limit.
 func (s *Server) MaxBatch() int { return s.cfg.MaxBatch }

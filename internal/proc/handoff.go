@@ -3,6 +3,7 @@ package proc
 import (
 	"sync"
 
+	"sdrad/internal/cacheline"
 	"sdrad/internal/mem"
 )
 
@@ -12,11 +13,12 @@ import (
 // thread that serves it through the worker's Mailbox, and its results
 // travel back in the event itself.
 //
-// An event has one shape: a connection handle, a batch of requests (a
-// plain Do is a batch of one), a result slice with one entry per request,
-// and a completion channel. A Do runs on an event its caller owns and
-// reuses call after call, with a one-slot channel of its own; the events
-// of a Pending share one channel with a slot per event.
+// A connection makes every call on one record, a Call, whose events,
+// results, completion channel (a slot per event) and reply block it
+// reuses call after call, and every call starts in one place, begin. An
+// event is a connection handle, a batch of requests (a Do is a batch of
+// one, a pipeline is cut into batches of at most maxBatch) and a result
+// slice with one entry per request.
 //
 // Completion rule: every event that reached the inbox is ended exactly
 // once, by the worker side — finished by the worker that served it, or
@@ -25,20 +27,20 @@ import (
 // sender that saw the process die around its send) or, for events a
 // worker held when it died, by the sweeper once the process is marked
 // terminated. Ending an event is one token on its channel, so a client
-// waits on its own event's channel and on nothing else, and the worker
+// waits on its own record's channel and on nothing else, and the worker
 // parks on its own inbox and on nothing else: no request locks, writes or
 // selects on anything process-wide (Killed, an atomic read, is the one
 // process-wide thing the request path touches). A worker parked on an
 // empty inbox learns that the process died from the sweeper's wake
 // marker, a nil event in the inbox.
 //
-// Who may touch Res when: the client provides the slice when it starts
-// the event and reads it only after wait reports the event finished. The
-// worker writes it between taking the event and handing it back. Nobody
-// writes the results of a failed event: its owner gave up serving it
-// before failing it. A Resp lives in its connection's ReplyBlock until the
-// connection's next call, which rewinds the block and hands the bytes back
-// to the server.
+// Who may touch Res when: the record provides the slice when the call
+// starts and the client reads it only after Wait has a token per event.
+// The worker writes it between taking the event and handing it back.
+// Nobody writes the results of a failed event: its owner gave up serving
+// it before failing it. The results, and every Resp in them, are the
+// connection's until its next call, which rewinds the reply block and
+// clears the results.
 
 // Result is one request's outcome. Closed reports that the server closed
 // the connection (the request itself asked, or it was in flight in a
@@ -63,27 +65,26 @@ const replyBlockMin = 512
 // is carved from a block the connection owns and reuses call after call,
 // so delivering one costs a copy and, once the block has grown to the
 // connection's calls, no allocation. One call's replies come from the
-// block in turn; the connection's next call rewinds it (Rewind), and from
-// then on the server writes over them. So a reply is valid until its
-// connection's next call. The client rewinds before it hands the call to
-// the worker, and the serving thread carves while it serves the call: the
-// hand-off orders the rewind before the carving, and the completion token
-// orders the carving before the client reads. Replies start at 8-byte
-// aligned offsets, so no two share a word, and have cap == len, so a
-// caller's append cannot reach the next reply. A block holds bytes and no
-// pointers: a retained reply pins at most replyBlockSize bytes and nothing
-// of the server.
+// block in turn; the connection's next call rewinds it, and from then on
+// the server writes over them. So a reply is valid until its connection's
+// next call. The call's start rewinds before the hand-off, and the
+// serving thread carves while it serves the call: the hand-off orders the
+// rewind before the carving, and the completion token orders the carving
+// before the client reads. Replies start at 8-byte aligned offsets, so no
+// two share a word, and have cap == len, so a caller's append cannot
+// reach the next reply. A block holds bytes and no pointers: a retained
+// reply pins at most replyBlockSize bytes and nothing of the server.
 type ReplyBlock struct {
 	buf  []byte // the block replies are carved from
-	off  int    // bytes of buf carved since the last Rewind
-	want int    // bytes the replies since the last Rewind asked for
+	off  int    // bytes of buf carved since the last rewind
+	want int    // bytes the replies since the last rewind asked for
 }
 
-// Rewind hands every reply carved since the last Rewind back to the block:
+// rewind hands every reply carved since the last rewind back to the block:
 // the next reply is carved from the start again. A block too small for
-// the replies since the last Rewind is replaced by one that doubles until
+// the replies since the last rewind is replaced by one that doubles until
 // it holds them all, or reaches replyBlockSize.
-func (rb *ReplyBlock) Rewind() {
+func (rb *ReplyBlock) rewind() {
 	if rb.want > len(rb.buf) && len(rb.buf) < replyBlockSize {
 		size := max(len(rb.buf), replyBlockMin)
 		for size < rb.want && size < replyBlockSize {
@@ -128,15 +129,14 @@ func (rb *ReplyBlock) copy(b []byte) []byte {
 
 // Event is one client event in a worker's Mailbox. The worker's serve
 // function reads Conn and Reqs and writes Res[i] for every Reqs[i];
-// Serve hands it back. A connection embeds one Event for its Do calls,
-// its Conn set once to the connection itself.
+// Serve hands it back.
 type Event[C any] struct {
 	Conn C
 	Reqs [][]byte
 	Res  []Result
 	// inspect, when set, makes this a control event with no requests:
 	// Serve runs it on the worker's thread instead.
-	inspect func(t *Thread) error
+	inspect func(t *Thread)
 
 	// done is the completion channel the one end puts its token in. served
 	// is written before the token and read by the client after it. live is
@@ -146,10 +146,6 @@ type Event[C any] struct {
 	done   chan struct{}
 	served bool
 	live   bool
-	// Storage for a batch of one, so Do carries its request and result in
-	// the event itself.
-	req1 [1][]byte
-	res1 [1]Result
 }
 
 // end hands the event back: served when the results are filled in, not
@@ -274,7 +270,7 @@ func (m *Mailbox[C]) Serve(t *Thread, serve func(ev *Event[C])) {
 		}
 		held = ev
 		if ev.inspect != nil {
-			ev.Res[0].Err = ev.inspect(t)
+			ev.inspect(t)
 		} else {
 			serve(ev)
 		}
@@ -343,103 +339,142 @@ func (m *Mailbox[C]) start(ev *Event[C]) bool {
 	return true
 }
 
+// Inspect runs fn on the worker's thread between client events and
+// returns its error.
+func (m *Mailbox[C]) Inspect(fn func(t *Thread) error) error {
+	var err error
+	ev := &Event[C]{inspect: func(t *Thread) { err = fn(t) }, done: make(chan struct{}, 1)}
+	if !m.start(ev) || !m.wait(ev) {
+		return m.downErr
+	}
+	return err
+}
+
 // wait returns once ev is ended: true when the worker finished it.
 func (m *Mailbox[C]) wait(ev *Event[C]) bool {
 	<-ev.done
 	return ev.served
 }
 
-// Do sends one request on ev.Conn and waits for its result. ev is the
-// caller's own event, reused call after call, so one Do at a time may run
-// on it. Once Do has the result it clears the event's request and result:
-// an idle event refers to neither the caller's last request nor its last
-// reply.
-func (m *Mailbox[C]) Do(ev *Event[C], req []byte) (resp []byte, closed bool, err error) {
-	if ev.done == nil {
-		ev.done = make(chan struct{}, 1)
-	}
-	ev.req1[0] = req
-	ev.Reqs, ev.Res = ev.req1[:], ev.res1[:]
-	ok := m.start(ev) && m.wait(ev)
-	r := ev.res1[0]
-	ev.req1[0], ev.res1[0] = nil, Result{}
-	if !ok {
-		return nil, true, m.downErr
-	}
-	return r.Resp, r.Closed, r.Err
+// Call is a connection's call record: everything one call needs, reused
+// call after call, so a warm call of any length allocates nothing. A
+// connection carries one and takes one call at a time on it — a Do, or
+// a pipeline from Start through its Wait — and everything a call returns
+// (results and reply bytes) is the connection's until its next call.
+type Call[C any] struct {
+	m *Mailbox[C]
+	// evs are the record's events and res its results: the inline ones
+	// until a longer call arrives, then slices as long as the longest call
+	// so far. done has a slot per event. started are the events of the
+	// call in flight, nil once Wait has them all. What the worker touches
+	// comes first, on as few lines as it fits in.
+	one     [1]Event[C]
+	res1    [1]Result
+	req1    [1][]byte  // the request of a call of one
+	Replies ReplyBlock // where the serving thread carves the call's replies
+	started []Event[C]
+	res     []Result
+	evs     []Event[C]
+	done    chan struct{}
 }
 
-// Inspect runs fn on the worker's thread between client events and
-// returns its error.
-func (m *Mailbox[C]) Inspect(fn func(t *Thread) error) error {
-	ev := &Event[C]{inspect: fn, done: make(chan struct{}, 1)}
-	ev.Res = ev.res1[:]
-	if !m.start(ev) || !m.wait(ev) {
-		return m.downErr
+// Bind ties the record to the mailbox its calls go to and to conn, the
+// connection its events carry. A connection binds its record once, when
+// it is made.
+func (c *Call[C]) Bind(m *Mailbox[C], conn C) {
+	c.m, c.one[0].Conn, c.evs, c.res = m, conn, c.one[:], c.res1[:]
+}
+
+// begin is the one place a call starts: it hands the last call's replies
+// back to the reply block and clears its results, so a result the server
+// does not write reads as zero rather than as the last call's, and
+// returns the n results of this one.
+func (c *Call[C]) begin(n int) []Result {
+	if c.started != nil {
+		panic("proc: a call started before the last one was waited for")
 	}
-	return ev.res1[0].Err
+	if c.done == nil { // made on the caller's goroutine: two made in a row share a line
+		c.done = make(chan struct{}, 1)
+	}
+	c.Replies.rewind()
+	clear(c.res)
+	if cap(c.res) < n {
+		c.res = cacheline.Slice[Result](n)
+	}
+	c.res = c.res[:n]
+	return c.res
 }
 
-// Pending is a started pipeline: Start has queued its events, Wait
-// collects their results.
-type Pending[C any] struct {
-	m    *Mailbox[C]
-	evs  []Event[C]
-	res  []Result
-	done chan struct{} // one slot per event
-	one  [1]Event[C]   // the event of a pipeline that fits in one
+// Inline starts a call of one that its caller serves itself, with no
+// hand-off: it returns the batch to serve and its result.
+func (c *Call[C]) Inline(req []byte) ([][]byte, []Result) {
+	c.req1[0] = req
+	return c.req1[:], c.begin(1)
 }
 
-// Start enqueues reqs on conn, cut into events of at most maxBatch
-// requests, and returns once every event is in the inbox (or the process
-// is gone). It does not wait for the worker, so sequential Starts against
-// a worker that is busy stage an exact backlog.
-func (m *Mailbox[C]) Start(conn C, reqs [][]byte) *Pending[C] {
+// Start enqueues reqs, cut into events of at most maxBatch requests, and
+// returns once every event is in the inbox (or the process is gone), with
+// the record as the handle whose Wait collects the results. It does not
+// wait for the worker, so sequential Starts on distinct connections
+// against a worker that is busy stage an exact backlog.
+func (c *Call[C]) Start(reqs [][]byte) *Call[C] {
+	res, m := c.begin(len(reqs)), c.m
 	n := (len(reqs) + m.maxBatch - 1) / m.maxBatch
-	h := &Pending[C]{m: m, res: make([]Result, len(reqs)), done: make(chan struct{}, n)}
-	if h.evs = h.one[:]; n != 1 {
-		h.evs = make([]Event[C], n)
+	if len(c.evs) < n {
+		c.evs, c.done = cacheline.Slice[Event[C]](n), make(chan struct{}, n)
 	}
-	for i := range h.evs {
-		off := i * m.maxBatch
-		end := min(off+m.maxBatch, len(reqs))
-		ev := &h.evs[i]
-		ev.Conn, ev.Reqs, ev.Res, ev.done = conn, reqs[off:end], h.res[off:end], h.done
+	c.started = c.evs[:n]
+	for i := range c.started {
+		off, end := i*m.maxBatch, min((i+1)*m.maxBatch, len(reqs))
+		ev := &c.started[i]
+		ev.Conn, ev.Reqs, ev.Res, ev.done = c.one[0].Conn, reqs[off:end], res[off:end], c.done
 		if !m.start(ev) {
-			h.evs = h.evs[:i]
+			ev.Reqs, c.started = nil, c.started[:i]
 			break
 		}
 	}
-	return h
+	return c
 }
 
 // Wait returns one result per started request, in request order, once
 // every event is ended: it takes one token per event, then reads each
 // event's outcome. Results of events that finished before the process
 // went down are kept; every request from the first failed event on
-// reports Closed with the down error. Wait spends the handle: a second
-// call returns nil.
-func (h *Pending[C]) Wait() []Result {
-	res, evs := h.res, h.evs
-	h.res, h.evs = nil, nil
+// reports Closed with the down error. Wait drops every request, so an
+// idle record references none, and ends the call: a second Wait returns
+// nil.
+func (c *Call[C]) Wait() []Result {
+	evs := c.started
+	if evs == nil {
+		return nil
+	}
+	c.started = nil
 	for range evs {
-		<-h.done
+		<-c.done
 	}
-	kept := 0
+	kept, failed := 0, false
 	for i := range evs {
-		if !evs[i].served {
-			break
+		if failed = failed || !evs[i].served; !failed {
+			kept += len(evs[i].Reqs)
 		}
-		kept += len(evs[i].Reqs)
+		evs[i].Reqs = nil
 	}
-	for i := kept; i < len(res); i++ {
-		res[i] = Result{Closed: true, Err: h.m.downErr}
+	for i := kept; i < len(c.res); i++ {
+		c.res[i] = Result{Closed: true, Err: c.m.downErr}
 	}
-	return res
+	return c.res
 }
 
-// DoPipeline sends reqs back-to-back on conn and returns one result per
-// request, in order.
-func (m *Mailbox[C]) DoPipeline(conn C, reqs [][]byte) []Result {
-	return m.Start(conn, reqs).Wait()
+// Do sends one request and waits for its result: a call of one, with
+// Start and Wait written out for the record's first event.
+func (c *Call[C]) Do(req []byte) (resp []byte, closed bool, err error) {
+	res, ev := c.begin(1), &c.evs[0]
+	c.req1[0] = req
+	ev.Reqs, ev.Res, ev.done = c.req1[:], res, c.done
+	ok := c.m.start(ev) && c.m.wait(ev)
+	ev.Reqs, c.req1[0] = nil, nil
+	if !ok {
+		return nil, true, c.m.downErr
+	}
+	return res[0].Resp, res[0].Closed, res[0].Err
 }

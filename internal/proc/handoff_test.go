@@ -55,6 +55,14 @@ func (w *toyWorker) run(t *Thread) error {
 	return nil
 }
 
+// conn returns a call record bound to the worker's mailbox for the
+// connection numbered id, as a server's NewConn binds its Conn's.
+func (w *toyWorker) conn(id int) *Call[int] {
+	c := new(Call[int])
+	c.Bind(w.mb, id)
+	return c
+}
+
 // parked parks the worker inside an Inspect and returns once it is there,
 // so that sequential Starts stage an exact backlog behind it; release lets
 // the worker go on.
@@ -97,9 +105,9 @@ func TestStartReturnsOnceQueued(t *testing.T) {
 	// in the inbox, and a worker spawned afterwards serves them all.
 	p, w := newToy(8, 4)
 	defer p.Shutdown()
-	var pending []*Pending[int]
+	var pending []*Call[int]
 	for i := 0; i < 5; i++ {
-		pending = append(pending, w.mb.Start(i, numbered(1)))
+		pending = append(pending, w.conn(i).Start(numbered(1)))
 		if got := len(w.mb.ch); got != i+1 {
 			t.Fatalf("after %d starts the inbox holds %d events", i+1, got)
 		}
@@ -114,7 +122,7 @@ func TestPipelineChunkedInRequestOrderAndHandleSpent(t *testing.T) {
 	p, w := newToy(0, 4)
 	defer p.Shutdown()
 	p.Spawn("worker", w.run)
-	h := w.mb.Start(7, numbered(11))
+	h := w.conn(7).Start(numbered(11))
 	check(t, h.Wait(), 7, numbered(11), false)
 	var chunks []int
 	if err := w.mb.Inspect(func(*Thread) error { chunks = append(chunks, w.chunks...); return nil }); err != nil {
@@ -123,32 +131,50 @@ func TestPipelineChunkedInRequestOrderAndHandleSpent(t *testing.T) {
 	if fmt.Sprint(chunks) != "[4 4 3]" {
 		t.Errorf("events taken = %v, want the pipeline cut at maxBatch: [4 4 3]", chunks)
 	}
-	// Wait spent the handle. The worker is alive and idle, so a second Wait
-	// that waited on anything would block here for good.
+	// Wait ended the call. The worker is alive and idle, so a second Wait
+	// that waited on anything would block here for good. The record takes
+	// its next call.
 	if res := h.Wait(); res != nil {
 		t.Errorf("second Wait returned %d results, want nil", len(res))
 	}
-	resp, closed, err := w.mb.Do(&Event[int]{Conn: 9}, []byte("solo"))
-	check(t, []Result{{resp, closed, err}}, 9, [][]byte{[]byte("solo")}, false)
+	resp, closed, err := h.Do([]byte("solo"))
+	check(t, []Result{{resp, closed, err}}, 7, [][]byte{[]byte("solo")}, false)
 }
 
 func TestDownProcessFailsEveryRequestWithoutHanging(t *testing.T) {
 	t.Run("already down", func(t *testing.T) {
 		p, w := newToy(0, 4)
 		p.Shutdown()
-		resp, closed, err := w.mb.Do(&Event[int]{Conn: 1}, []byte("x"))
+		c := w.conn(1)
+		resp, closed, err := c.Do([]byte("x"))
 		check(t, []Result{{resp, closed, err}}, 1, numbered(1), true)
 		if err := w.mb.Inspect(func(*Thread) error { return nil }); !errors.Is(err, errToyDown) {
 			t.Errorf("Inspect on a dead process: %v", err)
 		}
-		check(t, w.mb.DoPipeline(1, numbered(9)), 1, numbered(9), true)
+		check(t, c.Start(numbered(9)).Wait(), 1, numbered(9), true)
 	})
 	t.Run("dies between start and wait", func(t *testing.T) {
 		// Three events are queued and nobody serves them.
 		p, w := newToy(4, 4)
-		h := w.mb.Start(1, numbered(10))
+		h := w.conn(1).Start(numbered(10))
 		p.Shutdown()
 		check(t, h.Wait(), 1, numbered(10), true)
+	})
+	t.Run("dies in a chunk after a served call", func(t *testing.T) {
+		// A served pipeline fills the record's results; the next call on
+		// the record is chunked, and its second event traps after
+		// answering its first request: the first chunk is answered, and
+		// from the second on every request reports down, with nothing
+		// left of the last call.
+		p, w := newToy(4, 2)
+		p.Spawn("worker", w.run)
+		c := w.conn(5)
+		check(t, c.Start(numbered(6)).Wait(), 5, numbered(6), false)
+		reqs := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("trap"), []byte("e"), []byte("f")}
+		res := c.Start(reqs).Wait()
+		check(t, res[:2], 5, reqs[:2], false)
+		check(t, res[2:], 5, reqs[2:], true)
+		waitOrFail(t, p, "after the trap")
 	})
 }
 
@@ -164,13 +190,13 @@ func TestWorkerDyingWithEventsInHandFailsThemAfterTermination(t *testing.T) {
 		p, w := newToy(4, 4)
 		p.Spawn("worker", w.run)
 		release := w.parked()
-		var pending []*Pending[int]
+		var pending []*Call[int]
 		for i := 0; i < 3; i++ {
 			req := []byte("ok")
 			if i == trapAt {
 				req = []byte("trap")
 			}
-			pending = append(pending, w.mb.Start(i, [][]byte{req}))
+			pending = append(pending, w.conn(i).Start([][]byte{req}))
 		}
 		var wg sync.WaitGroup
 		var aliveAtReturn atomic.Int32
@@ -209,13 +235,14 @@ func TestDoAfterTerminateReportsDownWithLiveSibling(t *testing.T) {
 		b := addToy(p, 4, 4)
 		p.Spawn("a", a.run)
 		p.Spawn("b", b.run)
-		for _, w := range []*toyWorker{a, b} {
-			if _, _, err := w.mb.Do(&Event[int]{Conn: 1}, []byte("x")); err != nil {
+		ca, cb := a.conn(1), b.conn(1)
+		for _, c := range []*Call[int]{ca, cb} {
+			if _, _, err := c.Do([]byte("x")); err != nil {
 				t.Fatal(err)
 			}
 		}
 		p.Terminate(errors.New("sibling crashed"))
-		if resp, closed, err := b.mb.Do(&Event[int]{Conn: 1}, []byte("late")); !errors.Is(err, errToyDown) || !closed {
+		if resp, closed, err := cb.Do([]byte("late")); !errors.Is(err, errToyDown) || !closed {
 			t.Fatalf("iteration %d: Do after Terminate = %q closed=%v err=%v, want the down error", i, resp, closed, err)
 		}
 		p.Wait()
@@ -223,12 +250,12 @@ func TestDoAfterTerminateReportsDownWithLiveSibling(t *testing.T) {
 }
 
 func TestStartRacingTerminateEndsEveryEventOnce(t *testing.T) {
-	// Clients keep starting pipelines while another goroutine terminates
-	// the process. Every Wait returns (no event is left unended), a served
-	// prefix is intact and everything behind the first failure reports
-	// down, and the worker and the sweeper exit: a second end of one event
-	// would panic, or with a one-slot channel as the signal block its
-	// sender for good.
+	// Clients keep starting pipelines, each on its own record, while
+	// another goroutine terminates the process. Every Wait returns (no
+	// event is left unended), a served prefix is intact and everything
+	// behind the first failure reports down, and the worker and the
+	// sweeper exit: a second end of one event would panic, or with a full
+	// channel as the signal block its sender for good.
 	for _, queue := range []int{0, 4} {
 		for i := 0; i < 200; i++ {
 			p, w := newToy(queue, 2)
@@ -238,9 +265,9 @@ func TestStartRacingTerminateEndsEveryEventOnce(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					reqs := numbered(6)
+					reqs, call := numbered(6), w.conn(c)
 					for n := 0; n < 4; n++ {
-						res := w.mb.Start(c, reqs).Wait()
+						res := call.Start(reqs).Wait()
 						served := 0
 						for served < len(res) && res[served].Err == nil {
 							served++
@@ -290,7 +317,7 @@ func TestParkedWorkerLeavesWhenProcessTerminates(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				p, w := newToy(queue, 4)
 				h := p.Spawn("worker", w.run)
-				if _, _, err := w.mb.Do(&Event[int]{Conn: 1}, []byte("x")); err != nil {
+				if _, _, err := w.conn(1).Do([]byte("x")); err != nil {
 					t.Fatal(err)
 				}
 				p.Shutdown()
@@ -358,52 +385,101 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 func TestSecondEndPanics(t *testing.T) {
 	// The completion rule ends an event exactly once; a second end is a bug
-	// the event itself reports, for a Do event with its own channel and for
-	// an event of a Pending that shares one.
+	// the event itself reports, for a record's inline event and for an
+	// event of a longer pipeline. A call started on a record whose last
+	// call was not waited for would reuse its live events, and panics too.
 	p, w := newToy(4, 2)
 	defer p.Shutdown()
 	p.Spawn("worker", w.run)
-	ev := &Event[int]{Conn: 1}
-	if _, _, err := w.mb.Do(ev, []byte("x")); err != nil {
+	c := w.conn(1)
+	if _, _, err := c.Do([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "a second end of a Do event", func() { ev.end(true) })
-	h := w.mb.Start(2, numbered(4))
-	evs := h.evs
+	mustPanic(t, "a second end of the inline event", func() { c.one[0].end(true) })
+	h := w.conn(2).Start(numbered(4))
+	evs := h.started
 	if len(evs) != 2 {
 		t.Fatalf("a pipeline of 4 at maxBatch 2 started %d events", len(evs))
 	}
+	mustPanic(t, "a call before the last one's Wait", func() { h.Start(numbered(1)) })
 	check(t, h.Wait(), 2, numbered(4), false)
 	mustPanic(t, "a second end of a pipeline's event", func() { evs[1].end(true) })
-	// The event is still good for the next Do.
-	resp, closed, err := w.mb.Do(ev, []byte("again"))
+	// The record is still good for the next call.
+	resp, closed, err := c.Do([]byte("again"))
 	check(t, []Result{{resp, closed, err}}, 1, [][]byte{[]byte("again")}, false)
 }
 
+// heldRequests counts the requests c's events and batch-of-one storage
+// still reference.
+func heldRequests(c *Call[int]) int {
+	n := 0
+	if c.req1[0] != nil {
+		n++
+	}
+	for _, evs := range [][]Event[int]{c.one[:], c.evs} {
+		for i := range evs {
+			n += len(evs[i].Reqs)
+		}
+	}
+	return n
+}
+
 func TestDoClearsItsEvent(t *testing.T) {
-	// A connection's event outlives each Do: once Do has the result it
-	// drops the request and the reply, so an idle connection keeps neither
-	// reachable. A Do on a dead process clears it too.
+	// A connection's record outlives each call: once a Do or a chunked
+	// pipeline has its results, no event of the record references a
+	// request, so an idle connection keeps none reachable. A call on a
+	// dead process clears them too.
 	p, w := newToy(4, 4)
 	p.Spawn("worker", w.run)
-	ev := &Event[int]{Conn: 3}
+	c := w.conn(3)
 	for _, down := range []bool{false, true} {
 		if down {
 			p.Shutdown()
 			p.Wait()
 		}
-		resp, closed, err := w.mb.Do(ev, []byte("x"))
+		resp, closed, err := c.Do([]byte("x"))
 		check(t, []Result{{resp, closed, err}}, 3, [][]byte{[]byte("x")}, down)
-		if ev.req1[0] != nil || ev.res1[0].Resp != nil || ev.res1[0].Err != nil || ev.res1[0].Closed {
-			t.Errorf("down=%v: after Do the event still holds request %q and result %+v", down, ev.req1[0], ev.res1[0])
+		if n := heldRequests(c); n != 0 {
+			t.Errorf("down=%v: after Do the record still holds %d requests", down, n)
 		}
+		check(t, c.Start(numbered(10)).Wait(), 3, numbered(10), down)
+		if n := heldRequests(c); n != 0 {
+			t.Errorf("down=%v: after a pipeline of three events the record still holds %d requests", down, n)
+		}
+	}
+}
+
+func TestWarmCallAllocatesNothing(t *testing.T) {
+	// A warm call runs on what its record already holds: a Do, and a
+	// Start/Wait of a pipeline cut into three events, allocate nothing.
+	p, w := newToy(4, 2)
+	defer p.Shutdown()
+	w.echo = true
+	p.Spawn("worker", w.run)
+	c, reqs := w.conn(1), numbered(6)
+	pipe := func() {
+		if res := c.Start(reqs).Wait(); len(res) != len(reqs) || res[5].Err != nil {
+			t.Fatalf("pipeline: %+v", res)
+		}
+	}
+	do := func() {
+		if _, _, err := c.Do(reqs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipe()
+	if n := testing.AllocsPerRun(100, pipe); n != 0 {
+		t.Errorf("a warm Start/Wait of three events allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(100, do); n != 0 {
+		t.Errorf("a warm Do allocates %.0f times", n)
 	}
 }
 
 // BenchmarkHandoffDo times the hand-off alone: two workers that answer
 // with the request itself, one client goroutine and one mailbox each, each
-// client reusing its one event as a connection does. The iterations are
-// split rounding up, so one iteration (-benchtime=1x, the smoke step)
+// client reusing its one call record as a connection does. The iterations
+// are split rounding up, so one iteration (-benchtime=1x, the smoke step)
 // still hands an event to each worker.
 func BenchmarkHandoffDo(b *testing.B) {
 	p, w0 := newToy(4, 4)
@@ -420,9 +496,9 @@ func BenchmarkHandoffDo(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := &Event[int]{Conn: c}
+			call := w.conn(c)
 			for n := (b.N + len(workers) - 1) / len(workers); n > 0; n-- {
-				if _, _, err := w.mb.Do(ev, req); err != nil {
+				if _, _, err := call.Do(req); err != nil {
 					b.Error(err)
 					return
 				}
@@ -440,7 +516,7 @@ func TestReplyBlockCarving(t *testing.T) {
 	// back: each starts on an 8-byte boundary, has cap == len and keeps its
 	// bytes while the rest of its call's replies are carved. A reply that
 	// does not fit the rest of the block gets a slice of its own, and the
-	// next Rewind doubles the block until it holds the last call's replies,
+	// next rewind doubles the block until it holds the last call's replies,
 	// up to replyBlockSize. A call that fits carves from the start of the
 	// block it rewound and allocates nothing.
 	var rb ReplyBlock
@@ -455,7 +531,7 @@ func TestReplyBlockCarving(t *testing.T) {
 		return srcs
 	}
 	call := func(srcs, kept [][]byte) {
-		rb.Rewind()
+		rb.rewind()
 		for i, b := range srcs {
 			kept[i] = rb.copy(b)
 		}
