@@ -51,7 +51,8 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# A campaign's schedule must be a function of its seed: backlogs are
+# A campaign's schedule must be a function of its seed: faults are armed
+# and audits run through Inspect on the serving thread, backlogs are
 # staged with Conn.Start behind a parked worker and time passes on a
 # manual clock, so nothing under internal/chaos may wait on the wall clock.
 chaos-clockless:
@@ -86,30 +87,39 @@ one-host:
 examples:
 	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
-# A single fixed-seed round of every chaos campaign, as the smoke test runs.
+# A single fixed-seed round of every chaos campaign, as the smoke test
+# runs: the core campaigns (pku, canary, oob, alloc, crypto), the two
+# fault-point sweeps judged by the vanilla build (sweep-memcache,
+# sweep-httpd, each printing its point count and wall time), and the
+# policy and cluster campaigns.
 chaos-smoke:
 	$(GO) test -run TestChaosSmoke -v ./internal/chaos
 	$(GO) run ./cmd/sdrad-chaos -seed 12648430 -ops 16
 
-# The campaigns stage backlogs behind a parked worker (sequential
-# Conn.Start calls, no clock); fifty rounds under the race detector hold
-# that staging to "never flakes", as the CI build job does.
+# The campaigns hand faults and audits to the serving thread through
+# Inspect (no clock); fifty rounds under the race detector hold that
+# hand-off to "never flakes", as the CI build job does. The sweeps run
+# once a round, each on a goroutine of its own beside the campaigns, and
+# are held to their pinned schedules.
 chaos-race:
 	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
 
-# Ten seconds of native fuzzing on each of three targets. The memcached
+# Ten seconds of native fuzzing on each of four targets. The memcached
 # request framer the router and the backend share (seeded with text,
 # pipelined, binary and CVE-2011-4971 frames): frames must be non-empty
 # and concatenate to a prefix of the input. The reply framer the router
 # reassembles backend replies with (seeded with a hit, stats, an error
 # and a VALUE claiming a CVE-2011-4971-sized body): the same, and a
 # stream torn inside a reply must read as io.ErrUnexpectedEOF. The
-# hardened httpd request path (seeded with a GET, a pipelined pair,
-# CVE-2009-2629 and CVE-2022-3786): the worker absorbs every input with
-# at most one rewind and a clean audit. A guard, not a hunt.
+# hardened memcached request path (seeded with the sweep's command mix,
+# a CVE-2011-4971 bset and a binary set) and the hardened httpd request
+# path (seeded with a GET, a pipelined pair, CVE-2009-2629 and
+# CVE-2022-3786): the worker absorbs every input with at most one rewind,
+# a clean audit and a survivor still served. A guard, not a hunt.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 10s ./internal/memcache
 	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/memcache
+	$(GO) test -run '^$$' -fuzz '^FuzzHardenedRequest$$' -fuzztime 10s ./internal/memcache
 	$(GO) test -run '^$$' -fuzz '^FuzzHardenedRequest$$' -fuzztime 10s ./internal/httpd
 
 # The evaluation at reduced scale (all 14 experiments, the three live

@@ -4,14 +4,16 @@
 //
 // Usage:
 //
-//	sdrad-chaos                       # one round of every campaign, random seed
-//	sdrad-chaos -seed 12648430        # reproduce a specific run
-//	sdrad-chaos -campaigns pku,httpd  # selected campaigns only
-//	sdrad-chaos -budget 5m            # keep running fresh rounds for 5 minutes
-//	sdrad-chaos -list                 # list campaign names
+//	sdrad-chaos                             # one round of every campaign, random seed
+//	sdrad-chaos -seed 12648430              # reproduce a specific run
+//	sdrad-chaos -campaigns pku,sweep-httpd  # selected campaigns only
+//	sdrad-chaos -budget 5m                  # keep running fresh rounds for 5 minutes
+//	sdrad-chaos -list                       # list campaign names
 //
 // Every run prints the seed it used; rerunning with that seed reproduces
-// the identical fault schedule (compare the schedule hashes).
+// the identical fault schedule (compare the schedule hashes). A sweep's
+// summary is followed by a line with its fault-point count and its wall
+// time, the one part of the output that differs from run to run.
 package main
 
 import (
@@ -51,7 +53,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *list {
 		for _, c := range chaos.Campaigns() {
-			fmt.Fprintf(out, "%-10s %s\n", c.Name, c.Desc)
+			fmt.Fprintf(out, "%-14s %s\n", c.Name, c.Desc)
 		}
 		return nil
 	}
@@ -105,6 +107,9 @@ func run(args []string, out io.Writer) error {
 		}
 		for _, r := range reports {
 			fmt.Fprintln(out, r.Summary())
+			if r.Points > 0 {
+				fmt.Fprintf(out, "  %d fault points in %v\n", r.Points, r.Wall.Round(time.Millisecond))
+			}
 			if !r.Ok() {
 				failed++
 				for _, f := range r.Failures {

@@ -12,7 +12,7 @@ import (
 
 // auditor states the post-rewind contract once. It owns one audited
 // library, its address space and the telemetry recorder attached to it,
-// and judges every campaign operation with one of five outcome checks
+// and judges every campaign operation with one of four outcome checks
 // against a before snapshot taken just ahead of the operation:
 //
 //   - calm: nothing faulted, nothing rewound, nothing reported;
@@ -23,9 +23,7 @@ import (
 //     one rewind, one SIGABRT/STACK_CHK report;
 //   - exited: a guard scope the campaign ran itself returned the
 //     *core.AbnormalExit, which must agree with trapped or aborted above
-//     and with its forensics report;
-//   - mutated: a mutated request rewinds any number of times, each one
-//     counted as injected and leaving one report.
+//     and with its forensics report.
 //
 // Beyond those it runs the invariant audits that need campaign context:
 // the library audit, residual mappings of discarded domains, and
@@ -67,16 +65,6 @@ func (a *auditor) calm(label string, b before) {
 	if seq := a.as.FaultSeq(); seq != b.seq {
 		a.r.failf("%s: %d faults logged by a calm operation", label, seq-b.seq)
 	}
-}
-
-// mutated checks a mutated request, which may or may not trap: every
-// rewind it caused counts as injected and must leave one report. It
-// returns the number of rewinds.
-func (a *auditor) mutated(label string, b before) int {
-	n := int(a.lib.Stats().Rewinds.Load() - b.rewinds)
-	a.r.Injected += n
-	a.count(label, b, n)
-	return n
 }
 
 // trapped checks one absorbed memory trap; injected is the provenance the

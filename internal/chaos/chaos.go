@@ -2,11 +2,13 @@
 // simulation. A campaign drives one workload (the core library directly,
 // or the memcache/httpd/cryptolib substrates) from a seeded RNG, injects
 // faults — PKU violations from nested domains, stack-canary corruption,
-// out-of-bounds and unmapped accesses, allocator OOM, malformed protocol
-// bytes — and, after every rewind the monitor absorbs, audits the
-// invariants the monitor relies on (core.Library.Audit plus engine-side
-// checks: residual mappings, mapped-bytes stability, rewind accounting,
-// fault-log correlation).
+// out-of-bounds and unmapped accesses, allocator OOM — and, after every
+// rewind the monitor absorbs, audits the invariants the monitor relies on
+// (core.Library.Audit plus engine-side checks: residual mappings,
+// mapped-bytes stability, rewind accounting, fault-log correlation). The
+// two sweeps (sweep.go) go further for the servers: they fault every
+// in-domain access and domain allocation of a fixed request mix, and
+// judge each point against the vanilla build's replies.
 //
 // "Unlimited Lives" (Gülmez et al.) motivates the design: rewind-based
 // recovery fails subtly, by leaving state inconsistent after a rollback,
@@ -23,6 +25,7 @@ package chaos
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"sdrad/internal/policy"
 	"sdrad/internal/telemetry"
@@ -78,6 +81,10 @@ type Report struct {
 	Absorbed int
 	// Audits counts invariant audits run; every one must pass.
 	Audits int
+	// Points counts the fault points a sweep judged (0 for a campaign);
+	// Wall is how long the run took.
+	Points int
+	Wall   time.Duration
 	// Schedule is the ordered record of decisions and outcomes; its hash
 	// is the reproducibility witness.
 	Schedule []string
@@ -135,7 +142,7 @@ func (r *Report) Summary() string {
 	if !r.Ok() {
 		status = fmt.Sprintf("FAIL (%d)", len(r.Failures))
 	}
-	return fmt.Sprintf("%-10s seed=%d ops=%d injected=%d absorbed=%d audits=%d schedule=%016x %s",
+	return fmt.Sprintf("%-14s seed=%d ops=%d injected=%d absorbed=%d audits=%d schedule=%016x %s",
 		r.Campaign, r.Seed, r.Ops, r.Injected, r.Absorbed, r.Audits, r.ScheduleHash(), status)
 }
 
@@ -154,10 +161,8 @@ var campaigns = []Campaign{
 	{Name: "canary", Desc: "stack-canary corruption detected on frame pop and domain exit", run: runCanary},
 	{Name: "oob", Desc: "out-of-bounds and unmapped accesses from nested domains", run: runOOB},
 	{Name: "alloc", Desc: "allocation-failure injection in the tlsf and galloc allocators", run: runAlloc},
-	{Name: "lease", Desc: "span-lease check elision: faults under leased paths keep exact si_code and byte; rewind revokes windows", run: runLease},
-	{Name: "memcache", Desc: "memcached workload: bset overflow, mutated protocol bytes, injected PKU faults and OOM", run: runMemcache},
-	{Name: "batch", Desc: "pipelined memcached batches: bset overflow mid-batch, whole-batch discard, shard invariant audits", run: runBatch},
-	{Name: "httpd", Desc: "httpd workload: URI traversal, malicious client certs, mutated requests, injected PKU faults", run: runHTTPD},
+	{Name: "sweep-memcache", Desc: "every in-domain access and domain allocation of a memcached set/get/gets/incr/append/cas/delete mix with a CVE-2011-4971 bset, at depths 1 and 4, judged against the vanilla build", run: runSweep(&memcacheSweep)},
+	{Name: "sweep-httpd", Desc: "every in-domain access and domain allocation of an httpd GET/404/HEAD/pipelined/close mix with CVE-2009-2629, a client certificate and CVE-2022-3786, judged against the vanilla build", run: runSweep(&httpdSweep)},
 	{Name: "crypto", Desc: "cryptolib wrappers: injected faults inside EncryptUpdate, malicious certificate verification", run: runCrypto},
 	{Name: "policy", Desc: "resilience-policy ladder: hammer one UDI through backoff/quarantine/shed while siblings keep serving, then the memcached degraded path", run: runPolicyCampaign},
 	{Name: "cluster", Desc: "consistent-hash router over three backends: bset attack absorbed in place, a killed backend demotes after exactly its failure threshold of degraded replies and spills, a quarantined backend is routed around and readmits through probation", run: runCluster},
@@ -202,9 +207,11 @@ func runOne(c Campaign, cfg Config) *Report {
 	if cfg.Logf != nil {
 		cfg.Logf("campaign %s: seed=%d ops=%d", c.Name, cfg.Seed, cfg.Ops)
 	}
+	start := time.Now()
 	if err := c.run(cfg, r); err != nil {
 		r.failf("campaign error: %v", err)
 	}
+	r.Wall = time.Since(start)
 	if r.Injected != r.Absorbed {
 		r.failf("rewind accounting: injected %d faults but observed %d rewinds", r.Injected, r.Absorbed)
 	}

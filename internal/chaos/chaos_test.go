@@ -8,7 +8,11 @@ import (
 // TestChaosSmoke runs every campaign with a fixed seed and verifies the
 // acceptance contract: the required fault classes were exercised, every
 // injected fault was absorbed, every audit passed, and a second run with
-// the same seed reproduces the identical fault schedule.
+// the same seed reproduces the identical fault schedule. A sweep's
+// schedule depends on neither the seed nor the op count, so its one run is
+// held to its pin instead of to a second run. Each sweep runs on a
+// goroutine of its own beside the campaigns: every one builds its own
+// servers, and under -race the sweeps take most of the round.
 func TestChaosSmoke(t *testing.T) {
 	const seed = 0xC0FFEE
 	ops := 24
@@ -16,11 +20,51 @@ func TestChaosSmoke(t *testing.T) {
 		ops = 12
 	}
 	cfg := Config{Seed: seed, Ops: ops}
-
-	reports, err := RunSelected(nil, cfg)
+	var names, sweeps []string
+	for _, c := range Campaigns() {
+		if strings.HasPrefix(c.Name, "sweep-") {
+			sweeps = append(sweeps, c.Name)
+		} else {
+			names = append(names, c.Name)
+		}
+	}
+	swept := make(chan *Report, len(sweeps))
+	for _, name := range sweeps {
+		go func() {
+			r, _ := Run(name, cfg) // a registered name: no error
+			swept <- r
+		}()
+	}
+	reports, err := RunSelected(names, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	again, err := RunSelected(names, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range again {
+		first := reports[i]
+		if r.ScheduleHash() != first.ScheduleHash() {
+			t.Errorf("campaign %s: schedule hash %016x != %016x on rerun",
+				r.Campaign, r.ScheduleHash(), first.ScheduleHash())
+			for j := range r.Schedule {
+				if j < len(first.Schedule) && r.Schedule[j] != first.Schedule[j] {
+					t.Errorf("first divergence at line %d:\n  run1: %s\n  run2: %s",
+						j, first.Schedule[j], r.Schedule[j])
+					break
+				}
+			}
+		}
+	}
+	for range sweeps {
+		r := <-swept
+		if got, want := r.ScheduleHash(), pinned[r.Campaign]; got != want {
+			t.Errorf("sweep %s: schedule %016x, pinned %016x", r.Campaign, got, want)
+		}
+		reports = append(reports, r)
+	}
+
 	byName := map[string]*Report{}
 	for _, r := range reports {
 		byName[r.Campaign] = r
@@ -35,10 +79,10 @@ func TestChaosSmoke(t *testing.T) {
 			t.Errorf("campaign %s: injected %d, absorbed %d", r.Campaign, r.Injected, r.Absorbed)
 		}
 	}
-	// The required fault classes: PKU violations, canary smashes, and
-	// protocol mutation (memcache and httpd both carry mutate vectors)
-	// must all have injected and absorbed at least one fault.
-	for _, name := range []string{"pku", "canary", "oob", "alloc", "memcache", "httpd", "crypto"} {
+	// The required fault classes — PKU violations, canary smashes, wild
+	// accesses, allocator OOM, and every fault point of both servers' mixes
+	// — must all have injected and absorbed at least one fault.
+	for _, name := range []string{"pku", "canary", "oob", "alloc", "sweep-memcache", "sweep-httpd", "crypto"} {
 		r := byName[name]
 		if r == nil {
 			t.Fatalf("campaign %s did not run", name)
@@ -47,50 +91,29 @@ func TestChaosSmoke(t *testing.T) {
 			t.Errorf("campaign %s injected no faults with seed %d", name, seed)
 		}
 	}
-
-	// Same seed, same schedule: determinism is the reproducibility
-	// guarantee the engine prints seeds for.
-	again, err := RunSelected(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range again {
-		first := reports[i]
-		if r.Campaign != first.Campaign {
-			t.Fatalf("campaign order changed: %s vs %s", r.Campaign, first.Campaign)
-		}
-		if r.ScheduleHash() != first.ScheduleHash() {
-			t.Errorf("campaign %s: schedule hash %016x != %016x on rerun",
-				r.Campaign, r.ScheduleHash(), first.ScheduleHash())
-			for j := range r.Schedule {
-				if j < len(first.Schedule) && r.Schedule[j] != first.Schedule[j] {
-					t.Errorf("first divergence at line %d:\n  run1: %s\n  run2: %s",
-						j, first.Schedule[j], r.Schedule[j])
-					break
-				}
-			}
-		}
-	}
 }
 
-// TestScheduleHashesPinned holds every campaign's schedule at seed
-// 12648430, 16 ops, to a pinned hash: a change that moves a random draw
-// or a schedule line fails here. Move a pin only with a change that means
-// to move that schedule, and say why in its description.
+// pinned is every campaign's schedule hash at seed 12648430, 16 ops. A
+// sweep's schedule has one line per fault point — the event, k and the
+// outcome — so its pin moves when a request gains or loses a fault point,
+// and it is the same at every seed.
+var pinned = map[string]uint64{
+	"pku":            0x35111539f283366a,
+	"canary":         0xee0eea4055ce27ff,
+	"oob":            0xace2c5c4658e8277,
+	"alloc":          0x3c488d51b5853347,
+	"sweep-memcache": 0x241321e43b59f0ee,
+	"sweep-httpd":    0xdde662ba2faa9427,
+	"crypto":         0xecb1dd3824562c25,
+	"policy":         0x101c33b9bb11c359,
+	"cluster":        0x1c2a7815d5f4f134,
+}
+
+// TestScheduleHashesPinned holds every campaign's schedule to its pin: a
+// change that moves a random draw or a schedule line fails here. Move a
+// pin only with a change that means to move that schedule, and say why in
+// its description.
 func TestScheduleHashesPinned(t *testing.T) {
-	pinned := map[string]uint64{
-		"pku":      0x35111539f283366a,
-		"canary":   0xee0eea4055ce27ff,
-		"oob":      0xace2c5c4658e8277,
-		"alloc":    0x3c488d51b5853347,
-		"lease":    0xddf0fa35a18d2d66,
-		"memcache": 0xaccf8ee7d9db7f4f,
-		"batch":    0x08f1dcb41044443b,
-		"httpd":    0x76fe886a7dd9a073,
-		"crypto":   0xecb1dd3824562c25,
-		"policy":   0x101c33b9bb11c359,
-		"cluster":  0x1c2a7815d5f4f134,
-	}
 	reports, err := RunSelected(nil, Config{Seed: 12648430, Ops: 16})
 	if err != nil {
 		t.Fatal(err)

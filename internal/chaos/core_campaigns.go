@@ -143,7 +143,7 @@ func runPKU(cfg Config, r *Report) error {
 			b := env.before()
 			heap, gerr := env.scope(label, victimUDI, 128, func(buf mem.Addr, _ region) error {
 				if vector == "inject" {
-					armCountdown(c, countdown, mem.CodePkuErr, lib.RootKey())
+					armGated(lib, t, countdown, mem.CodePkuErr)
 				}
 				for j := 0; j < 4; j++ { // benign in-domain work; hosts the injected fault
 					c.WriteU64(buf+mem.Addr(8*j), uint64(i)<<8|uint64(j))

@@ -3,35 +3,25 @@ package chaos
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
+	"slices"
 
-	"sdrad/internal/httpd"
-	"sdrad/internal/mem"
 	"sdrad/internal/memcache"
 	"sdrad/internal/proc"
 	"sdrad/internal/telemetry"
 )
 
-// server is the harness every workload campaign drives: one hardened
-// server — memcached, or an httpd worker — behind a reconnecting client
-// connection, audited on its serving thread. newMemcache and newHTTPD
-// fill in what differs between the two kinds; every step below is
-// written once for both.
+// server is the harness every workload campaign drives: one server —
+// memcached, or an httpd worker — behind a reconnecting client
+// connection. A hardened server is audited on its serving thread; the
+// vanilla server a sweep judges against has no auditor.
 type server struct {
 	*auditor
-	rng     *rand.Rand
 	conn    clientConn
 	newConn func() clientConn
 	inspect func(fn func(*proc.Thread) error) error
 	crashed func() (bool, error)
 	// storage is audited with the library (nil for httpd).
 	storage *memcache.Storage
-	// status compresses a reply into a schedule token; probe sends the
-	// health probe and fails the campaign on a wrong answer.
-	status func(resp []byte, closed bool) string
-	probe  func(label string)
-	// persisted is the value memcached's probe reads back (persist).
-	persisted []byte
 }
 
 // clientConn is what both servers' client connections offer.
@@ -41,8 +31,7 @@ type clientConn interface {
 }
 
 // newMemcache builds a one-worker hardened memcached from mc, seeded from
-// cfg unless mc sets a seed, with the campaign's recorder attached. Its
-// health probe reads back the persisted key.
+// cfg unless mc sets a seed, with the campaign's recorder attached.
 func newMemcache(cfg Config, r *Report, mc memcache.Config) (*server, *memcache.Server, error) {
 	mc.Variant, mc.Workers, mc.HashPower = memcache.VariantSDRaD, 1, 10
 	if mc.Seed == 0 {
@@ -55,49 +44,13 @@ func newMemcache(cfg Config, r *Report, mc memcache.Config) (*server, *memcache.
 	}
 	w := &server{
 		auditor: newAuditor(r, s.Library(), mc.Telemetry),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		newConn: func() clientConn { return s.NewConn() },
 		inspect: s.NewConn().Inspect,
 		crashed: s.Crashed,
 		storage: s.Storage(),
-		status:  respClass,
-	}
-	w.probe = func(label string) {
-		resp, closed := w.do(memcache.FormatGet("persist"))
-		if val, _, ok := memcache.ParseGetValue(resp); closed || !ok || !bytes.Equal(val, w.persisted) {
-			r.failf("%s: persisted key damaged: closed=%v resp=%q", label, closed, resp)
-		}
 	}
 	w.conn = w.newConn()
 	return w, s, nil
-}
-
-// newHTTPD builds a one-worker hardened httpd from hc, seeded from cfg,
-// with the campaign's recorder attached. Its health probe is a GET of
-// /index.html.
-func newHTTPD(cfg Config, r *Report, hc httpd.Config) (*server, *httpd.Master, error) {
-	hc.Variant, hc.Workers, hc.Seed = httpd.VariantSDRaD, 1, cfg.Seed
-	hc.Telemetry = cfg.recorder()
-	m, err := httpd.NewMaster(hc)
-	if err != nil {
-		return nil, nil, err
-	}
-	wk := m.Worker(0)
-	w := &server{
-		auditor: newAuditor(r, wk.Library(), hc.Telemetry),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		newConn: func() clientConn { return wk.NewConn() },
-		inspect: wk.Inspect,
-		crashed: wk.Crashed,
-		status:  httpStatus,
-	}
-	w.probe = func(label string) {
-		if status := httpStatus(w.do(httpd.FormatRequest("/index.html", true))); status != "200" {
-			r.failf("%s: worker unhealthy: %s", label, status)
-		}
-	}
-	w.conn = w.newConn()
-	return w, m, nil
 }
 
 // do round-trips one request, reconnecting after a server-side close.
@@ -113,13 +66,47 @@ func (w *server) do(req []byte) ([]byte, bool) {
 	return resp, closed
 }
 
-// persist stores the key memcached's probe reads back: it must survive
-// every rewind.
+// pipeline sends reqs as one event and returns a copy of its results (a
+// connection's results last only until its next call). After a
+// server-side close it sends the event's first request once more on the
+// closed connection, which must not serve it (ok is false when it does),
+// and opens a new connection.
+func (w *server) pipeline(reqs [][]byte) (res []proc.Result, ok bool) {
+	res = slices.Clone(w.conn.DoPipeline(reqs))
+	closed := false
+	for i := range res {
+		res[i].Resp = bytes.Clone(res[i].Resp)
+		closed = closed || res[i].Closed
+	}
+	if !closed {
+		return res, true
+	}
+	again := w.conn.DoPipeline(reqs[:1])[0]
+	w.conn = w.newConn()
+	return res, again.Closed && again.Err != nil && len(again.Resp) == 0
+}
+
+// send sends reqs in as few events as the connection allows: after a
+// server-side close, the rest go out on a new connection. ok is false
+// when a closed connection served a request.
+func (w *server) send(reqs [][]byte) (res []proc.Result, ok bool) {
+	ok = true
+	for len(reqs) > 0 {
+		part, stayed := w.pipeline(reqs)
+		n := slices.IndexFunc(part, func(r proc.Result) bool { return r.Closed }) + 1
+		if n == 0 {
+			n = len(part)
+		}
+		res, reqs, ok = append(res, part[:n]...), reqs[n:], ok && stayed
+	}
+	return res, ok
+}
+
+// persist stores a key that must survive every rewind.
 func (w *server) persist(val []byte) error {
 	if resp, _ := w.do(memcache.FormatSet("persist", val, 7)); !bytes.HasPrefix(resp, []byte("STORED")) {
 		return fmt.Errorf("chaos: persist set failed: %q", resp)
 	}
-	w.persisted = val
 	return nil
 }
 
@@ -134,23 +121,19 @@ func (w *server) onWorker(fn func(t *proc.Thread) error) {
 // serving thread.
 func (w *server) audit(label string) {
 	w.onWorker(func(t *proc.Thread) error {
-		w.auditOn(t, label)
-		if w.storage != nil {
-			if err := w.storage.AuditShards(t.CPU()); err != nil {
-				w.r.failf("%s: shard audit: %v", label, err)
-			}
-		}
+		w.auditServing(t, label)
 		return nil
 	})
 }
 
-// settle checks the post-rewind steady state: the audit, mapped bytes
-// against the class's baseline, and the health probe — the server keeps
-// serving.
-func (w *server) settle(label, class string) {
-	w.audit(label)
-	w.checkMappedStable(class, label)
-	w.probe(label)
+// auditServing is audit's body, run on the serving thread t.
+func (w *server) auditServing(t *proc.Thread, label string) {
+	w.auditOn(t, label)
+	if w.storage != nil {
+		if err := w.storage.AuditShards(t.CPU()); err != nil {
+			w.r.failf("%s: shard audit: %v", label, err)
+		}
+	}
 }
 
 // trap sends a request that must trap inside the server and close its
@@ -161,56 +144,6 @@ func (w *server) trap(label string, req []byte, injected bool) telemetry.RewindR
 		w.r.failf("%s: trapped request left the connection open: %q", label, resp)
 	}
 	return w.trapped(label, b, injected)
-}
-
-// attack is a trap followed by the steady state of class.
-func (w *server) attack(label, class string, req []byte) {
-	w.trap(label, req, false)
-	w.settle(label, class)
-}
-
-// injectPKU arms a gated one-shot PKU injector on the serving thread and
-// sends req, which must trip it inside the server's nested domain; then
-// the steady state of class. countdown must stay within the request's
-// gated in-domain accesses to guarantee firing.
-func (w *server) injectPKU(label, class string, countdown int, req []byte) {
-	w.onWorker(func(t *proc.Thread) error {
-		armGated(w.lib, t, countdown, mem.CodePkuErr)
-		return nil
-	})
-	rep := w.trap(label, req, true)
-	w.onWorker(func(t *proc.Thread) error {
-		if t.CPU().FaultInjectorArmed() {
-			t.CPU().SetFaultInjector(nil)
-			w.r.failf("%s: injector did not fire within the request", label)
-		}
-		return nil
-	})
-	if rep.SiCode != int(mem.CodePkuErr) {
-		w.r.failf("%s: forensics si_code %s, want SEGV_PKUERR", label, rep.SiCodeName)
-	}
-	w.settle(label, class)
-}
-
-// mutate sends a mangled copy of base; a rewind it provokes is followed
-// by the steady state of class.
-func (w *server) mutate(label, class string, base []byte) {
-	req := mangle(w.rng, base)
-	b := w.before()
-	resp, closed := w.do(req)
-	n := w.mutated(label, b)
-	if n > 0 {
-		w.settle(label, class)
-	}
-	w.r.event("%s len=%d %s rewinds=%d", label, len(req), w.status(resp, closed), n)
-}
-
-// final is the closing steady state: the audit, the health probe, and
-// the campaign's last schedule line.
-func (w *server) final() {
-	w.audit("final")
-	w.probe("final")
-	w.r.event("final rewinds=%d", w.lib.Stats().Rewinds.Load())
 }
 
 // respClass compresses a memcached response into a deterministic
@@ -227,21 +160,4 @@ func respClass(resp []byte, closed bool) string {
 		return "empty"
 	}
 	return string(resp)
-}
-
-// httpStatus extracts the status code token from an httpd response for
-// the schedule ("200", "400", "closed", ...).
-func httpStatus(resp []byte, closed bool) string {
-	if closed {
-		return "closed"
-	}
-	line := resp
-	if i := bytes.IndexByte(line, '\r'); i >= 0 {
-		line = line[:i]
-	}
-	fields := bytes.Fields(line)
-	if len(fields) >= 2 {
-		return string(fields[1])
-	}
-	return "malformed"
 }

@@ -6,6 +6,7 @@ import (
 	"sdrad/internal/sig"
 	"sdrad/internal/stack"
 	"sdrad/internal/telemetry"
+	"sdrad/internal/tlsf"
 )
 
 // rewindPanic is the unwinding value that carries an abnormal domain exit
@@ -134,6 +135,8 @@ func trapInfo(r any) (sig.Info, bool) {
 		}, true
 	case *stack.SmashError:
 		return sig.Info{Signal: sig.SIGABRT, Addr: uint64(v.CanaryAddr), Cause: v}, true
+	case *tlsf.CorruptionError:
+		return sig.Info{Signal: sig.SIGABRT, Addr: uint64(v.Addr), Cause: v}, true
 	default:
 		return sig.Info{}, false
 	}

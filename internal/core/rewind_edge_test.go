@@ -145,3 +145,49 @@ func TestDoubleFaultInRewindObserver(t *testing.T) {
 		t.Errorf("rewinds = %d, want 1", got)
 	}
 }
+
+// TestRewindRevokesLeasesTakenInTheDomain: a span lease the thread took
+// inside a domain dies with the domain's rewind. Valid is false and the
+// window is refused from the root domain, where no re-verification can
+// pass; once the re-created domain holds the span again, the lease
+// re-verifies and its window is the new instance's memory.
+func TestRewindRevokesLeasesTakenInTheDomain(t *testing.T) {
+	p, l := newLib(t, WithScrubOnDiscard(true))
+	run(t, p, func(th *proc.Thread) error {
+		c := th.CPU()
+		var lease mem.Lease
+		scope := func(body func(buf mem.Addr) error) error {
+			return l.Guard(th, UDI(5), func() error {
+				buf, err := l.Malloc(th, UDI(5), 64)
+				if err == nil {
+					err = l.Enter(th, UDI(5))
+				}
+				if err != nil {
+					return err
+				}
+				return body(buf)
+			}, Accessible())
+		}
+		var abn *AbnormalExit
+		if err := scope(func(buf mem.Addr) error {
+			if lease = c.NewLease(buf, 64, mem.AccessWrite); !lease.Valid() {
+				return errors.New("in-domain lease refused")
+			}
+			c.WriteU64(l.MonitorBase(), 0xdead) // the rewind discards the domain
+			return nil
+		}); !errors.As(err, &abn) {
+			t.Fatalf("guard returned %v, want abnormal exit", err)
+		}
+		if _, ok := lease.Window(); lease.Valid() || ok {
+			t.Error("lease into the discarded domain usable from the root domain")
+		}
+		return scope(func(mem.Addr) error {
+			if w, ok := lease.Window(); !ok {
+				t.Error("lease did not re-verify inside the re-created domain")
+			} else if w[1] = 0x55; c.ReadU8(lease.Base()+1) != 0x55 {
+				t.Error("re-verified window is not the re-created domain's memory")
+			}
+			return l.Exit(th)
+		})
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"sdrad/internal/proc"
 	"sdrad/internal/sig"
 	"sdrad/internal/telemetry"
+	"sdrad/internal/tlsf"
 )
 
 // attachTelemetry wires the recorder through the layers this library
@@ -39,10 +40,14 @@ func (l *Library) attachTelemetry(rec *telemetry.Recorder) {
 func (l *Library) Telemetry() *telemetry.Recorder { return l.tel.Load() }
 
 // siCodeName names a trap's si_code for metric labels and forensics:
-// SIGSEGV codes carry the MMU's discrimination; a stack-protector SIGABRT
-// has no si_code and is labeled by its oracle instead.
+// SIGSEGV codes carry the MMU's discrimination; a SIGABRT has no si_code
+// and is labeled by its oracle instead, the stack protector or the heap
+// allocator's free-time check.
 func siCodeName(info sig.Info) string {
 	if info.Signal == sig.SIGABRT {
+		if _, ok := info.Cause.(*tlsf.CorruptionError); ok {
+			return "HEAP_CHK"
+		}
 		return "STACK_CHK"
 	}
 	return mem.FaultCode(info.Code).String()

@@ -55,10 +55,6 @@ const (
 	OpenSSLDataUDI = core.UDI(13)
 )
 
-// ErrKeyIsolated marks attempts to use the wrapper in ways that would
-// expose key material.
-var ErrKeyIsolated = errors.New("cryptolib: context is isolated in the crypto domain")
-
 // Crypto is the SDRaD-wrapped cipher: an engine whose context lives in a
 // persistent nested domain that is inaccessible to its parent, with
 // arguments passed per the selected mode. One Crypto belongs to one

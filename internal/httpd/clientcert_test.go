@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"sdrad/internal/core"
 	"sdrad/internal/cryptolib"
+	"sdrad/internal/proc"
 )
 
 // certMaster starts a master with client-cert verification enabled.
@@ -149,6 +151,35 @@ func TestRepeatedCertAttacksAndParserAttacksTogether(t *testing.T) {
 	}
 	if w.Rewinds() != 6 {
 		t.Errorf("rewinds = %d, want 6", w.Rewinds())
+	}
+}
+
+func TestVerifierOutOfMemoryIsAnErrorNotAVerdict(t *testing.T) {
+	// A verifier that could not allocate its certificate buffer judged
+	// nothing: the request fails with heap exhaustion instead of a 403
+	// telling a valid client its certificate was refused, and the next
+	// verification, with memory back, admits it.
+	m := certMaster(t, VariantSDRaD)
+	w := m.Worker(0)
+	c := w.NewConn()
+	good := certRequest("/secure.html", cryptolib.FormatCertificate("client-1", "c1@example.org"))
+	starve := func(fn func(core.UDI, uint64) error) {
+		if err := w.Inspect(func(*proc.Thread) error { w.Library().SetAllocFault(fn); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	starve(func(udi core.UDI, _ uint64) error {
+		if udi == cryptolib.X509UDI {
+			return errors.New("injected")
+		}
+		return nil
+	})
+	if resp, closed, err := c.Do(good); !errors.Is(err, core.ErrHeapExhausted) || closed || len(resp) > 0 {
+		t.Fatalf("starved verifier: %q closed=%v err=%v, want heap exhaustion", resp, closed, err)
+	}
+	starve(nil)
+	if resp, _, err := c.Do(good); err != nil || !strings.HasPrefix(string(resp), "HTTP/1.1 200") {
+		t.Fatalf("verifier with memory back answered %q, err %v", resp[:min(len(resp), 40)], err)
 	}
 }
 

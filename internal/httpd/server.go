@@ -403,14 +403,16 @@ const maxCertSize = 4096
 // the X.509 checker carrying the CVE-2022-3786 analog. In the hardened
 // build a malicious certificate is absorbed by the verifier domain and
 // only the offending connection closes; in the baselines the stack-canary
-// failure kills the worker process.
-func (w *Worker) checkClientCert(t *proc.Thread, conn *Conn, req *Request) (status string, closeConn bool) {
+// failure kills the worker process. A verifier that could not run (its
+// domain's memory could not be had, or the policy holds it off) gave no
+// verdict: that is an error, not a 403.
+func (w *Worker) checkClientCert(t *proc.Thread, conn *Conn, req *Request) (status string, closeConn bool, err error) {
 	if req.ClientCert == "" {
-		return "", false
+		return "", false, nil
 	}
 	cert := DecodeCertHeader(req.ClientCert)
 	if len(cert) > maxCertSize {
-		return "HTTP/1.1 403 Forbidden\r\n", false
+		return "HTTP/1.1 403 Forbidden\r\n", false, nil
 	}
 	if w.verifier != nil {
 		res, err := w.verifier.Verify(t, cert)
@@ -420,14 +422,17 @@ func (w *Worker) checkClientCert(t *proc.Thread, conn *Conn, req *Request) (stat
 				// The certificate attacked the verifier; the domain is
 				// discarded and re-created on the next verification.
 				w.CloseConn(t, &conn.ConnBufs)
-				return "", true
+				return "", true, nil
 			}
-			return "HTTP/1.1 403 Forbidden\r\n", false
+			if !errors.Is(err, cryptolib.ErrBadCertificate) {
+				return "", false, err
+			}
+			return "HTTP/1.1 403 Forbidden\r\n", false, nil
 		}
 		if !res.Valid {
-			return "HTTP/1.1 403 Forbidden\r\n", false
+			return "HTTP/1.1 403 Forbidden\r\n", false, nil
 		}
-		return "", false
+		return "", false, nil
 	}
 	// Baseline: the vulnerable verifier runs unprotected. A malicious
 	// certificate smashes the canary and the resulting SIGABRT kills the
@@ -436,9 +441,9 @@ func (w *Worker) checkClientCert(t *proc.Thread, conn *Conn, req *Request) (stat
 	c.Write(w.certBuf, cert)
 	res, err := cryptolib.VerifyCertificate(c, w.certStack, w.certBuf, len(cert))
 	if err != nil || !res.Valid {
-		return "HTTP/1.1 403 Forbidden\r\n", false
+		return "HTTP/1.1 403 Forbidden\r\n", false, nil
 	}
-	return "", false
+	return "", false, nil
 }
 
 // EncodeCertHeader flattens a certificate blob into a header-safe value.
@@ -577,9 +582,10 @@ func (w *Worker) serve(t *proc.Thread, conn *Conn, reqs [][]byte, results []proc
 		status := ""
 		if rs[i].perr == nil && w.cfg.VerifyClientCerts {
 			var closed bool
-			status, closed = w.checkClientCert(t, conn, &rs[i].parsed)
-			if closed {
-				results[i] = proc.Result{Closed: true}
+			var err error
+			status, closed, err = w.checkClientCert(t, conn, &rs[i].parsed)
+			if closed || err != nil {
+				results[i] = proc.Result{Closed: closed, Err: err}
 				continue
 			}
 		}

@@ -13,10 +13,10 @@ package mem
 // one of the two:
 //
 //   - leaseEpoch (per address space, atomic): bumped by every page-table
-//     mutation's shootdown (Map/Unmap/Protect/PkeyMprotect) and by an
-//     explicit BumpLeaseEpoch. A reference-monitor policy change (domain
-//     init, discard, DProtect grants) bumps nothing: it changes no page
-//     table entry, and the PKRU it does change is re-derived below.
+//     mutation's shootdown (Map/Unmap/Protect/PkeyMprotect). A
+//     reference-monitor policy change (domain init, discard, DProtect
+//     grants) bumps nothing: it changes no page table entry, and the PKRU
+//     it does change is re-derived below.
 //   - leaseGen (per CPU, plain): bumped by InvalidateLeases on the rewind
 //     unwind paths and by SetFaultInjector — forced revocation for events
 //     that must drop every window regardless of what the page table says.
@@ -231,8 +231,3 @@ func (c *CPU) SpanLease(base Addr, n int, kind AccessKind) *Lease {
 // transitions do NOT invalidate: they only rewrite PKRU, which Valid
 // re-derives per access.
 func (c *CPU) InvalidateLeases() { c.leaseGen++ }
-
-// BumpLeaseEpoch revokes every outstanding lease in the address space.
-// Page-table mutators do this implicitly via shootdown; an explicit bump
-// forces revocation without one (the chaos lease campaign uses it).
-func (as *AddressSpace) BumpLeaseEpoch() { as.leaseEpoch.Add(1) }

@@ -215,17 +215,24 @@ func TestLeaseLivePKRURights(t *testing.T) {
 }
 
 // TestLeaseRevocation covers the two forced-revocation channels — the
-// address-space lease epoch (page-table mutations, BumpLeaseEpoch) and the
-// per-CPU generation (InvalidateLeases) — and that Renew's full re-walk
-// brings a lease back exactly when the span would lease afresh.
+// address-space lease epoch (page-table mutations) and the per-CPU
+// generation (InvalidateLeases) — and that Renew's full re-walk brings a
+// lease back exactly when the span would lease afresh.
 func TestLeaseRevocation(t *testing.T) {
 	f := newLeaseFixture(t)
 	as, c := f.as, f.c
 	l := c.NewLease(f.prim, 2*PageSize, AccessWrite)
 
-	as.BumpLeaseEpoch()
+	// A protection round trip on a page outside the span still mutates
+	// the page table: the shootdown revokes every lease in the address
+	// space, and the re-walk finds the span unchanged.
+	for _, prot := range []Prot{ProtRead, ProtRW} {
+		if err := as.Protect(f.prim+3*PageSize, PageSize, prot); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if l.Valid() {
-		t.Fatal("lease valid across BumpLeaseEpoch")
+		t.Fatal("lease valid across a Protect round trip")
 	}
 	if !l.Renew() {
 		t.Fatal("Renew failed with unchanged span")
@@ -391,8 +398,8 @@ func TestLeaseRaceHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Mutator: each step is a revocation — two shootdown-bumped protection
-	// cycles, one explicit epoch bump (the monitor's policy-change path).
+	// Mutator: each step is a revocation — a shootdown-bumped protection or
+	// key change of the churn region.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -410,7 +417,10 @@ func TestLeaseRaceHammer(t *testing.T) {
 					return
 				}
 			case 2:
-				as.BumpLeaseEpoch()
+				if err := as.Protect(churn, readers*PageSize, ProtRW); err != nil {
+					t.Errorf("protect: %v", err)
+					return
+				}
 			case 3:
 				if err := as.PkeyMprotect(churn, readers*PageSize, ProtRW, 0); err != nil {
 					t.Errorf("pkey_mprotect: %v", err)

@@ -181,7 +181,7 @@ type AddressSpace struct {
 	tel        atomic.Pointer[telemetry.Recorder]
 
 	// leaseEpoch revokes outstanding span leases (see lease.go): bumped by
-	// every shootdown and by BumpLeaseEpoch. The grant/renewal/refusal
+	// every shootdown. The grant/renewal/refusal
 	// counters record lease traffic for telemetry.
 	leaseEpoch    atomic.Uint64
 	leaseGrants   atomic.Int64

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sdrad/internal/core"
@@ -324,6 +325,45 @@ func storedValue(t *testing.T, s *Server, c *Conn, key string) (val []byte, flag
 	return val, flags, ok
 }
 
+func TestCASInsideAPipelinedEventMatchesVanilla(t *testing.T) {
+	// The hardened arm applies an event's stores at ⑨, after a gets or a
+	// cas behind them in the same event has run. Both must still see the
+	// CAS id the store will get, as they do on the vanilla arm, which
+	// stores at once: the gets reports it, a cas against it lands, and a
+	// cas behind a queued delete finds no item.
+	run := func(v Variant) (replies []string) {
+		c := startServer(t, v, 1).NewConn()
+		mustDo(t, c, FormatSet("b", []byte("bee"), 0))
+		casid := "0"
+		for _, event := range [][]string{
+			{"set a 0 0 3\r\none\r\n", "set c 0 0 1\r\nx\r\n", "gets a\r\n"},
+			{"cas a 0 0 3 {cas}\r\ntwo\r\n", "gets a\r\n", "delete b\r\n", "cas b 0 0 1 1\r\nz\r\n"},
+			{"gets a\r\n"},
+		} {
+			var reqs [][]byte
+			for _, r := range event {
+				reqs = append(reqs, []byte(strings.ReplaceAll(r, "{cas}", casid)))
+			}
+			for _, r := range c.DoPipeline(reqs) {
+				if f := strings.Fields(string(r.Resp)); len(f) > 4 && f[0] == "VALUE" {
+					casid = f[4]
+				}
+				replies = append(replies, fmt.Sprintf("%q closed=%v err=%v", r.Resp, r.Closed, r.Err))
+			}
+		}
+		return replies
+	}
+	want, got := run(VariantVanilla), run(VariantSDRaD)
+	if want[3] != fmt.Sprintf("%q closed=false err=<nil>", "STORED\r\n") {
+		t.Fatalf("vanilla cas against the pipelined gets = %s", want[3])
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("reply %d: hardened %s, vanilla %s", i, got[i], want[i])
+		}
+	}
+}
+
 func TestBorrowedStoresOnePipelinedEventMatchesVanilla(t *testing.T) {
 	// The hardened arm queues every store and delete by reference into the
 	// slot read buffers; replies and final database contents must be
@@ -509,49 +549,6 @@ func TestStoreParsedUnderArmedInjectorFaultsWhereItAlwaysDid(t *testing.T) {
 	}
 }
 
-func TestFaultAnywhereInAHitLeavesShardsIntact(t *testing.T) {
-	// A hit runs inside the event domain but writes the shared storage
-	// domain, which a rewind does not roll back. A trap at every one of
-	// its in-domain accesses must leave the shards consistent: the item is
-	// marked active or it is not, and nothing else has moved.
-	s := startServer(t, VariantSDRaD, 1)
-	c := s.NewConn()
-	for _, key := range []string{"a", "b", "c", "d"} {
-		mustDo(t, c, FormatSet(key, []byte("value-"+key), 0))
-	}
-	swept := 0
-	for k := 1; ; k++ {
-		conn := s.NewConn()
-		if err := conn.Inspect(func(th *proc.Thread) error {
-			armInDomain(s, th, k)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		resp, closed, err := conn.Do(FormatGet("b"))
-		if err != nil {
-			t.Fatalf("access %d: %v", k, err)
-		}
-		if err := s.NewConn().Inspect(func(th *proc.Thread) error {
-			th.CPU().SetFaultInjector(nil)
-			return s.Storage().AuditShards(th.CPU())
-		}); err != nil {
-			t.Errorf("trap at in-domain access %d: %v", k, err)
-		}
-		if !closed {
-			if val, _, ok := ParseGetValue(resp); !ok || string(val) != "value-b" {
-				t.Errorf("get b past the last access = %q", resp)
-			}
-			break
-		}
-		swept++
-	}
-	if swept == 0 {
-		t.Fatal("no in-domain access trapped")
-	}
-	t.Logf("%d fault points swept", swept)
-}
-
 func TestHitWritesOnlyItsOwnHeader(t *testing.T) {
 	// On the hardened arm a never-firing injector puts every access on the
 	// checked path, where it can be counted: the first hit on an item
@@ -600,62 +597,6 @@ func TestHitWritesOnlyItsOwnHeader(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFaultAnywhereInASetLeavesShardsIntact(t *testing.T) {
-	// A hardened set of a resident key parses inside the event domain and
-	// stores at ⑨, after Exit. A trap at any of its in-domain accesses
-	// rewinds the batch: the shards stay consistent and b keeps its old
-	// value. Past the last access the injector never fires, stays armed
-	// through Exit and fails the batch closed, applying nothing; once it is
-	// removed, the same set lands.
-	s := startServer(t, VariantSDRaD, 1)
-	c := s.NewConn()
-	for _, key := range []string{"a", "b", "c", "d"} {
-		mustDo(t, c, FormatSet(key, []byte("value-"+key), 0))
-	}
-	check := func(k int, want string) {
-		t.Helper()
-		if err := c.Inspect(func(th *proc.Thread) error {
-			th.CPU().SetFaultInjector(nil)
-			return s.Storage().AuditShards(th.CPU())
-		}); err != nil {
-			t.Errorf("trap at in-domain access %d: %v", k, err)
-		}
-		if val, _, ok := storedValue(t, s, c, "b"); !ok || string(val) != want {
-			t.Errorf("after access %d: b = %q %v, want %q", k, val, ok, want)
-		}
-	}
-	req := FormatSet("b", []byte("fresh-b"), 0)
-	swept := 0
-	for k := 1; ; k++ {
-		conn := s.NewConn()
-		if err := conn.Inspect(func(th *proc.Thread) error {
-			armInDomain(s, th, k)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		_, closed, err := conn.Do(req)
-		if closed {
-			check(k, "value-b")
-			swept++
-			continue
-		}
-		if !errors.Is(err, errBorrowRevoked) {
-			t.Fatalf("access %d: closed=%v err=%v, want a rewind or a batch failed closed", k, closed, err)
-		}
-		check(k, "value-b")
-		if resp := mustDo(t, conn, req); string(resp) != "STORED\r\n" {
-			t.Fatalf("set b past the last access = %q", resp)
-		}
-		check(k, "fresh-b")
-		break
-	}
-	if swept == 0 {
-		t.Fatal("no in-domain access trapped")
-	}
-	t.Logf("%d fault points swept", swept)
 }
 
 func TestStoreOfResidentKeyWritesOnlyItsOwnChunk(t *testing.T) {

@@ -128,13 +128,31 @@ func (d *deferredOps) RenderGet(c *mem.CPU, key, dst []byte, withCAS bool) int {
 	if !ok {
 		return 0
 	}
-	// A pending store has no CAS id until apply time: report the stored
-	// item's, or 0.
 	var casid uint64
 	if withCAS {
-		_, _, casid, _ = d.st.peek(c, key, false)
+		casid = d.pendingCAS(key)
 	}
 	return putEntry(dst, key, v, f, withCAS, casid)
+}
+
+// pendingCAS is the CAS id the apply will give key's latest queued store:
+// the apply stores each shard's ops in queue order, and every store takes
+// its shard's next id. The id is exact unless another worker applies a
+// store to the same shard between this event's Exit and its apply.
+func (d *deferredOps) pendingCAS(key []byte) uint64 {
+	si := d.st.shardOf(hashKey(key))
+	n, at := 0, 0
+	for i := range d.pending {
+		op := &d.pending[i]
+		if op.kind != pendingSet || d.st.shardOf(hashKey(op.key)) != si {
+			continue
+		}
+		n++
+		if string(op.key) == string(key) {
+			at = n
+		}
+	}
+	return d.st.casAfter(key, at)
 }
 
 // refuse answers a conditional store its precondition turned down. The
@@ -184,10 +202,17 @@ func (d *deferredOps) Concat(c *mem.CPU, key, data []byte, prepend bool) (StoreO
 }
 
 func (d *deferredOps) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uint64) (StoreOutcome, error) {
-	// The compare happens against the shared DB now, the swap at normal
+	// The compare happens now, against the event's own queued stores and
+	// deletes first and the shared DB after them; the swap at normal
 	// domain exit — the same at-most-once atomic-update discipline the
 	// paper's deferred stores follow.
-	_, _, cur, ok := d.st.peek(c, key, false)
+	var cur uint64
+	_, _, ok, decided := d.pendingRead(key)
+	if decided && ok {
+		cur = d.pendingCAS(key)
+	} else if !decided {
+		_, _, cur, ok = d.st.peek(c, key, false)
+	}
 	if !ok {
 		return d.refuse(key, NotFoundOutcome)
 	}

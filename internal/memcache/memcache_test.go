@@ -279,6 +279,37 @@ func TestCVE2011_4971_SDRaDRewinds(t *testing.T) {
 	}
 }
 
+func TestShortOverflowOfTheStagingBufferRewinds(t *testing.T) {
+	// A claimed length only a little past the staging buffer keeps the
+	// CVE-2011-4971 copy inside the event domain, where the MMU sees
+	// nothing: it overwrites the header of the heap block behind the
+	// buffer. The free of the buffer finds that header inconsistent and
+	// aborts, as glibc's free does, so the event rewinds instead of leaving
+	// every later event on the worker a corrupt domain heap.
+	for _, claimed := range []int{stagingSize + 1, stagingSize + 16, 8 << 10} {
+		s, rec := startTelServer(t, VariantSDRaD, 1)
+		good := s.NewConn()
+		mustDo(t, good, FormatSet("persist", []byte("survives"), 0))
+		if resp, closed, err := s.NewConn().Do(FormatBSet("atk", claimed, nil)); err != nil || !closed || s.Rewinds() != 1 {
+			t.Fatalf("claimed %d: %q closed=%v err=%v after %d rewinds, want one rewind", claimed, resp, closed, err, s.Rewinds())
+		}
+		if rep, _ := rec.Forensics().Last(); rep.SignalName != "SIGABRT" || rep.SiCodeName != "HEAP_CHK" {
+			t.Errorf("claimed %d: forensics %s/%s, want SIGABRT/HEAP_CHK", claimed, rep.SignalName, rep.SiCodeName)
+		}
+		if val, _, ok := ParseGetValue(mustDo(t, good, FormatGet("persist"))); !ok || string(val) != "survives" {
+			t.Errorf("claimed %d: persist = %q %v", claimed, val, ok)
+		}
+		if err := good.Inspect(func(th *proc.Thread) error {
+			if rep := s.Library().Audit(th); !rep.Ok() {
+				t.Errorf("claimed %d: audit: %v", claimed, rep.Findings)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestIdleWorkerAuditAfterSiblingRewind: a worker's PKRU policy names
 // only its own event domain, so a sibling's rewind leaves nothing stale
 // in the register of a worker that sat idle since: its monitor audit is

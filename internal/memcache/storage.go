@@ -789,6 +789,14 @@ func (st *Storage) CAS(c *mem.CPU, key, value []byte, flags uint32, casid uint64
 	return Stored, nil
 }
 
+// casAfter returns the CAS id the n-th store applied to key's shard from
+// now on will take (storeLocked and rewriteLocked take one each).
+func (st *Storage) casAfter(key []byte, n int) uint64 {
+	sh := st.lockShard(hashKey(key))
+	defer sh.mu.Unlock()
+	return sh.casCounter + uint64(n)
+}
+
 // peek looks key up for a check the client does not see: the hardened
 // arm's existence, CAS and append/prepend probes, and incr/decr's read on
 // both arms. It returns the flags and CAS id, copies the value only when

@@ -22,6 +22,7 @@ import (
 	"sdrad/internal/mem"
 	"sdrad/internal/sig"
 	"sdrad/internal/stack"
+	"sdrad/internal/tlsf"
 )
 
 // Errors reported by the process layer.
@@ -336,6 +337,13 @@ func trapToSignal(r any) (sig.Info, bool) {
 		return sig.Info{
 			Signal: sig.SIGABRT,
 			Addr:   uint64(v.CanaryAddr),
+			Cause:  v,
+		}, true
+	case *tlsf.CorruptionError:
+		// The allocator's free-time check aborts the process: SIGABRT.
+		return sig.Info{
+			Signal: sig.SIGABRT,
+			Addr:   uint64(v.Addr),
 			Cause:  v,
 		}, true
 	default:

@@ -87,6 +87,20 @@ var (
 	ErrMergedHeap = errors.New("tlsf: heap was merged into another heap")
 )
 
+// CorruptionError is the allocator's integrity abort, glibc's "free():
+// invalid next size": Free found the headers around the block it frees
+// inconsistent (Addr is the one found wrong), which is what a write past
+// the end of an allocation does to the next block's header. Free raises
+// it as a panic, as the stack protector raises stack.SmashError: in a
+// nested SDRaD domain it is a SIGABRT the monitor rewinds, anywhere else
+// it ends the process.
+type CorruptionError struct{ Addr mem.Addr }
+
+// Error implements error.
+func (e *CorruptionError) Error() string {
+	return fmt.Sprintf("tlsf: heap corruption at block 0x%x", uint64(e.Addr))
+}
+
 // Region describes one contiguous span of managed memory.
 type Region struct {
 	Base mem.Addr
@@ -400,6 +414,9 @@ func (h *Heap) Free(c *mem.CPU, ptr mem.Addr) error {
 	if isFree(c, b) {
 		return ErrBadFree // double free
 	}
+	if err := h.integrity(c, b); err != nil {
+		panic(err)
+	}
 	size := blockSize(c, b)
 
 	// Coalesce with the previous physical block.
@@ -424,6 +441,49 @@ func (h *Heap) Free(c *mem.CPU, ptr mem.Addr) error {
 	c.WriteAddr(n-8, b)
 	h.insert(c, b, size)
 	h.frees++
+	return nil
+}
+
+// integrity is the free-time check of the used block b: its header, a
+// free previous block's boundary tag, and the headers of the two blocks
+// after it must agree with one another as Check's walk requires. A write
+// past the end of an allocation reaches the next block's header first,
+// so it fails here when the block is freed; the cost is a few header
+// reads.
+func (h *Heap) integrity(c *mem.CPU, b mem.Addr) *CorruptionError {
+	var r Region
+	for _, r = range h.regions {
+		if b >= r.Base && b < r.Base+mem.Addr(r.Size) {
+			break
+		}
+	}
+	end := r.Base + mem.Addr(r.Size) - headerOverhead // the sentinel
+	// next returns the header after x, or 0 when x's size is not one a
+	// block in this region can have.
+	next := func(x mem.Addr) mem.Addr {
+		size := blockSize(c, x)
+		if n := x + headerOverhead + mem.Addr(size); size >= minBlockSize && size%align == 0 && n <= end {
+			return n
+		}
+		return 0
+	}
+	n := next(b)
+	if n == 0 {
+		return &CorruptionError{b}
+	}
+	if isPrevFree(c, b) { // the boundary tag is valid only then
+		if p := prevPhys(c, b); p < r.Base || p >= b || !isFree(c, p) || next(p) != b {
+			return &CorruptionError{b}
+		}
+	}
+	if n == end && !isPrevFree(c, n) {
+		return nil
+	}
+	nn := next(n)
+	if isPrevFree(c, n) || nn == 0 || isPrevFree(c, nn) != isFree(c, n) ||
+		(isFree(c, n) && prevPhys(c, nn) != n) || (nn != end && next(nn) == 0) {
+		return &CorruptionError{n}
+	}
 	return nil
 }
 

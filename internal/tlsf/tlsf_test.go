@@ -119,6 +119,31 @@ func TestBadFree(t *testing.T) {
 	}
 }
 
+func TestFreeAbortsOnAnOverrunNeighbour(t *testing.T) {
+	// One byte written past an allocation lands in the next block's
+	// header, used or free: freeing the overrun block aborts with that
+	// header's address before it coalesces anything.
+	for _, nextFree := range []bool{false, true} {
+		h, cpu := newHeap(t, 64*1024)
+		p, _ := h.Alloc(cpu, 1024)
+		q, _ := h.Alloc(cpu, 64)
+		_, _ = h.Alloc(cpu, 64) // keeps q off the heap's tail block
+		if nextFree {
+			_ = h.Free(cpu, q)
+		}
+		next := p + mem.Addr(h.UsableSize(cpu, p))
+		cpu.WriteU8(next, 0)
+		func() {
+			defer func() {
+				if ce, ok := recover().(*CorruptionError); !ok || ce.Addr != next {
+					t.Errorf("next free %v: free of the overrun block raised %v, want an abort at 0x%x", nextFree, ce, uint64(next))
+				}
+			}()
+			_ = h.Free(cpu, p)
+		}()
+	}
+}
+
 func TestCoalescing(t *testing.T) {
 	h, cpu := newHeap(t, 64*1024)
 	// Allocate three adjacent blocks, then free in an order that
