@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-clockless monitor-admits one-host examples chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
+.PHONY: build test race vet fmt-check chaos-clockless monitor-admits pkru-writers one-host examples chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
 
 build:
 	$(GO) build ./...
@@ -15,8 +15,9 @@ test:
 	$(GO) test ./...
 
 # The second line holds the monitor's multithreaded tests (shared data
-# domain heaps, per-thread counter cells, ledger slots) to twenty clean
-# rounds: a race there shows about once in twenty. The third does the
+# domain heaps, per-thread counter cells, ledger slots, and the reference
+# model's three-thread driver, TestRandomizedMultithreaded) to twenty
+# clean rounds: a race there shows about once in twenty. The third does the
 # same for the storage shard lock's spin-then-park acquisition (hammer,
 # park fallback, short holds, one P). The fourth holds the shared
 # client-to-worker hand-off (internal/proc: a connection's call record —
@@ -59,6 +60,18 @@ chaos-clockless:
 	@if grep -rn 'time\.Sleep' internal/chaos; then \
 		echo "internal/chaos must not sleep: stage with Conn.Start, advance a ManualClock"; exit 1; fi
 
+# ERIM's rule: only the trusted monitor writes the protection-key
+# register (GUARANTEES.md, "The trusted boundary"). No non-test Go outside
+# internal/core, the monitor, and internal/mem, the simulated MMU that
+# defines the instruction, calls WRPKRU, MonitorWRPKRU or LockWRPKRU. The
+# one exception is benchmark/probes.go's mem.wrpkru_ns probe, which times
+# the bare instruction on a CPU no library owns.
+pkru-writers:
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '(Monitor|Lock)?WRPKRU\(' . \
+		| grep -v -e '^\./internal/core/' -e '^\./internal/mem/' \
+			-e '^\./benchmark/probes\.go:[0-9]*:[[:space:]]*c\.WRPKRU(mem\.PKRUInit'; then \
+		echo "only internal/core writes PKRU: go through the monitor (core.Library), not the register"; exit 1; fi
+
 # Whether a guard scope may run is the monitor's decision, made once per
 # scope inside core.Library.Guard: no server asks the policy engine
 # itself. (benchmark/ is not scanned: it times Engine.Admit on its own.)
@@ -88,10 +101,10 @@ examples:
 	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
 # A single fixed-seed round of every chaos campaign, as the smoke test
-# runs: the core campaigns (pku, canary, oob, alloc, crypto), the two
-# fault-point sweeps judged by the vanilla build (sweep-memcache,
-# sweep-httpd, each printing its point count and wall time), and the
-# policy and cluster campaigns.
+# runs: the two fault-point sweeps judged by the vanilla build
+# (sweep-memcache, sweep-httpd, each printing its point count and wall
+# time) and the cluster campaign. The core library is held to its
+# reference model by go test (internal/core, model_test.go).
 chaos-smoke:
 	$(GO) test -run TestChaosSmoke -v ./internal/chaos
 	$(GO) run ./cmd/sdrad-chaos -seed 12648430 -ops 16
@@ -178,11 +191,14 @@ ledger-gate:
 	fi; \
 	echo "ledger-gate: no metric beyond its bound in both pairs"
 
-# The fixed-seed escalation-ladder campaign, then the recovery claim
-# (rewind >= 3x cheaper than restart, both arms measured in this run), as
-# the policy-gate CI job runs them.
+# The escalation ladder's two named tests (one domain walked to shedding
+# on a manual clock while a sibling serves; memcached's degraded path and
+# readmission with its store intact), then the recovery claim (rewind >= 3x
+# cheaper than restart, both arms measured in this run), as the
+# policy-gate CI job runs them.
 policy-gate:
-	$(GO) run ./cmd/sdrad-chaos -campaigns policy -seed 12648430 -ops 32
+	$(GO) test -count=1 -v -run 'TestPolicyLadderWhileASiblingServes' ./internal/core
+	$(GO) test -count=1 -v -run 'TestPolicyLadderServesDegradedAndKeepsTheStore' ./internal/memcache
 	$(GO) run ./cmd/sdrad-bench -quick -recovery
 
 # The fixed-seed cluster chaos campaign, then the routed kill cell's claim
@@ -192,4 +208,4 @@ cluster-gate:
 	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
-ci: build vet fmt-check chaos-clockless monitor-admits one-host examples test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate
+ci: build vet fmt-check chaos-clockless monitor-admits pkru-writers one-host examples test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate

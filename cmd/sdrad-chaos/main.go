@@ -6,7 +6,7 @@
 //
 //	sdrad-chaos                             # one round of every campaign, random seed
 //	sdrad-chaos -seed 12648430              # reproduce a specific run
-//	sdrad-chaos -campaigns pku,sweep-httpd  # selected campaigns only
+//	sdrad-chaos -campaigns sweep-httpd      # selected campaigns only
 //	sdrad-chaos -budget 5m                  # keep running fresh rounds for 5 minutes
 //	sdrad-chaos -list                       # list campaign names
 //
@@ -17,7 +17,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"sdrad/internal/chaos"
-	"sdrad/internal/policy"
 	"sdrad/internal/telemetry"
 )
 
@@ -47,7 +45,6 @@ func run(args []string, out io.Writer) error {
 	verbose := fs.Bool("v", false, "print every schedule line")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /flightrecorder on this address while campaigns run")
 	flightDump := fs.String("flight-dump", "", "write the final telemetry dump (metrics, flight record, forensics) as JSON to this path")
-	policyDump := fs.String("policy-dump", "", "write the policy campaign's per-phase engine snapshots as JSON to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -81,23 +78,11 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// Per-phase engine snapshots from the policy campaign; later rounds
-	// overwrite earlier ones so the dump reflects the final round.
-	var policyState map[string][]policy.DomainSnapshot
-	if *policyDump != "" {
-		policyState = make(map[string][]policy.DomainSnapshot)
-	}
-
 	deadline := time.Now().Add(*budget)
 	failed := 0
 	for round := 0; ; round++ {
 		roundSeed := *seed + int64(round)
 		cfg := chaos.Config{Seed: roundSeed, Ops: *ops, Telemetry: rec}
-		if policyState != nil {
-			cfg.PolicySink = func(phase string, snaps []policy.DomainSnapshot) {
-				policyState[phase] = snaps
-			}
-		}
 		if *verbose {
 			cfg.Logf = func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) }
 		}
@@ -132,16 +117,6 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "telemetry dump written to %s (%d flight events, %d forensics reports)\n",
 			*flightDump, rec.Flight().Written(), rec.Forensics().Added())
-	}
-	if *policyDump != "" {
-		data, err := json.MarshalIndent(policyState, "", "  ")
-		if err != nil {
-			return fmt.Errorf("policy dump: %w", err)
-		}
-		if err := os.WriteFile(*policyDump, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("policy dump: %w", err)
-		}
-		fmt.Fprintf(out, "policy state written to %s (%d phases)\n", *policyDump, len(policyState))
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d campaign(s) failed", failed)

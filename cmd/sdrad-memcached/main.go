@@ -41,7 +41,6 @@ func run(args []string) error {
 	workers := fs.Int("workers", 4, "worker threads")
 	variantName := fs.String("variant", "sdrad", "build variant: vanilla, tlsf, or sdrad")
 	cacheMB := fs.Int("cache-mb", 64, "cache memory limit (MiB)")
-	shards := fs.Int("shards", 8, "lock-striped storage shards (power of two)")
 	maxBatch := fs.Int("max-batch", 16, "the most pipelined requests one client event, and so one guard scope, carries")
 	telAddr := fs.String("telemetry-addr", "", "serve /metrics and /flightrecorder on this address (empty = telemetry off)")
 	usePolicy := fs.Bool("policy", false, "attach the resilience-policy engine: repeated rewinds of the event domain escalate to backoff, then quarantine (gets served as misses, mutations refused), then load shedding")
@@ -64,7 +63,6 @@ func run(args []string) error {
 		Variant:    variant,
 		Workers:    *workers,
 		CacheBytes: uint64(*cacheMB) << 20,
-		Shards:     *shards,
 		MaxBatch:   *maxBatch,
 		Telemetry:  rec,
 		Policy:     eng,

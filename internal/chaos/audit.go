@@ -1,34 +1,27 @@
 package chaos
 
 import (
-	"errors"
-
 	"sdrad/internal/core"
 	"sdrad/internal/mem"
 	"sdrad/internal/proc"
-	"sdrad/internal/sig"
 	"sdrad/internal/telemetry"
 )
 
 // auditor states the post-rewind contract once. It owns one audited
 // library, its address space and the telemetry recorder attached to it,
-// and judges every campaign operation with one of four outcome checks
-// against a before snapshot taken just ahead of the operation:
+// and judges every server event with one of three outcome checks against
+// a before snapshot taken just ahead of the event:
 //
 //   - calm: nothing faulted, nothing rewound, nothing reported;
 //   - trapped: a trap the server absorbed internally — exactly one fault
 //     logged, one rewind, one forensics report agreeing with the
 //     fault-log tail;
 //   - aborted: the same for a stack-protector abort — no fault logged,
-//     one rewind, one SIGABRT/STACK_CHK report;
-//   - exited: a guard scope the campaign ran itself returned the
-//     *core.AbnormalExit, which must agree with trapped or aborted above
-//     and with its forensics report.
+//     one rewind, one SIGABRT/STACK_CHK report.
 //
 // Beyond those it runs the invariant audits that need campaign context:
-// the library audit, residual mappings of discarded domains, and
-// mapped-bytes stability across rewind cycles. One auditor serves one
-// library.
+// the library audit and mapped-bytes stability across rewind cycles. One
+// auditor serves one library.
 type auditor struct {
 	r   *Report
 	lib *core.Library
@@ -100,30 +93,6 @@ func (a *auditor) aborted(label string, b before) telemetry.RewindReport {
 	return rep
 }
 
-// exited checks a guard scope that must have ended in an abnormal exit of
-// udi with signal (a SIGSEGV's fault injected or not), and returns it.
-func (a *auditor) exited(label string, b before, gerr error, udi core.UDI, signal sig.Signal, injected bool) *core.AbnormalExit {
-	var rep telemetry.RewindReport
-	if signal == sig.SIGABRT {
-		rep = a.aborted(label, b)
-	} else {
-		rep = a.trapped(label, b, injected)
-	}
-	var abn *core.AbnormalExit
-	if !errors.As(gerr, &abn) {
-		a.r.failf("%s: guard returned %v, want abnormal exit", label, gerr)
-		return nil
-	}
-	if abn.FailedUDI != udi || abn.Signal != signal {
-		a.r.failf("%s: abnormal exit of domain %d by %v, want %d by %v", label, abn.FailedUDI, abn.Signal, udi, signal)
-	}
-	if rep.SiCode != abn.Code || rep.Addr != abn.Addr || rep.FailedUDI != int(abn.FailedUDI) || rep.SignalName != abn.Signal.String() {
-		a.r.failf("%s: forensics %s/%d at 0x%x in domain %d, oracle %v/%d at 0x%x in domain %d", label,
-			rep.SignalName, rep.SiCode, rep.Addr, rep.FailedUDI, abn.Signal, abn.Code, abn.Addr, abn.FailedUDI)
-	}
-	return abn
-}
-
 // absorbed counts one injected fault, checks it cost exactly one rewind
 // and one report, and returns the report.
 func (a *auditor) absorbed(label string, b before) telemetry.RewindReport {
@@ -176,22 +145,5 @@ func (a *auditor) checkMappedStable(class, label string) {
 	if mapped != base {
 		a.r.failf("%s: mapped bytes drifted across %s rewind cycles: %d, baseline %d",
 			label, class, mapped, base)
-	}
-}
-
-// checkDiscarded verifies that a discarded domain's heap pages really
-// left the address space: a rewind must either unmap the corrupted heap
-// or park it — scrubbed — in the library's reuse pool. Any page still
-// resident outside the pool is a residual mapping an attacker could
-// revisit. (The library audit separately proves pooled regions were
-// scrubbed when scrub-on-discard is on.)
-func (a *auditor) checkDiscarded(label string, heap region) {
-	for off := uint64(0); off < heap.size; off += mem.PageSize {
-		addr := heap.base + mem.Addr(off)
-		if _, _, ok := a.as.PageInfo(addr); !ok || a.lib.HeapPooled(addr) {
-			continue
-		}
-		a.r.failf("%s: residual mapping: discarded heap page 0x%x still mapped", label, uint64(addr))
-		return
 	}
 }

@@ -1,14 +1,14 @@
 // Package chaos is a deterministic fault-injection engine for the SDRaD
-// simulation. A campaign drives one workload (the core library directly,
-// or the memcache/httpd/cryptolib substrates) from a seeded RNG, injects
-// faults — PKU violations from nested domains, stack-canary corruption,
-// out-of-bounds and unmapped accesses, allocator OOM — and, after every
-// rewind the monitor absorbs, audits the invariants the monitor relies on
-// (core.Library.Audit plus engine-side checks: residual mappings,
-// mapped-bytes stability, rewind accounting, fault-log correlation). The
-// two sweeps (sweep.go) go further for the servers: they fault every
-// in-domain access and domain allocation of a fixed request mix, and
-// judge each point against the vanilla build's replies.
+// servers. The two sweeps (sweep.go) fault every in-domain access and
+// domain allocation of a fixed request mix on a hardened server and judge
+// each point against the vanilla build's replies; the cluster campaign
+// drives a router over three hardened backends through a seeded schedule
+// of attacks, a killed backend and a quarantined one. After every rewind
+// the monitor absorbs, the engine audits the invariants the monitor
+// relies on (core.Library.Audit plus engine-side checks: mapped-bytes
+// stability, rewind accounting, fault-log correlation). The core library
+// itself is held to a reference model instead (internal/core,
+// model_test.go; GUARANTEES.md).
 //
 // "Unlimited Lives" (Gülmez et al.) motivates the design: rewind-based
 // recovery fails subtly, by leaving state inconsistent after a rollback,
@@ -27,7 +27,6 @@ import (
 	"slices"
 	"time"
 
-	"sdrad/internal/policy"
 	"sdrad/internal/telemetry"
 )
 
@@ -48,10 +47,6 @@ type Config struct {
 	// that every absorbed rewind leaves exactly one forensics report whose
 	// si_code matches the injected fault.
 	Telemetry *telemetry.Recorder
-	// PolicySink, when non-nil, receives the resilience-policy engine's
-	// per-UDI state snapshot at the end of each phase of the policy
-	// campaign (cmd/sdrad-chaos's -policy-dump).
-	PolicySink func(phase string, snaps []policy.DomainSnapshot)
 }
 
 // recorder returns the campaign's telemetry recorder, building a private
@@ -157,14 +152,8 @@ type Campaign struct {
 
 // campaigns is the registry, in fixed execution order.
 var campaigns = []Campaign{
-	{Name: "pku", Desc: "PKU access violations from nested domains (monitor, root, ungranted data domain, injected)", run: runPKU},
-	{Name: "canary", Desc: "stack-canary corruption detected on frame pop and domain exit", run: runCanary},
-	{Name: "oob", Desc: "out-of-bounds and unmapped accesses from nested domains", run: runOOB},
-	{Name: "alloc", Desc: "allocation-failure injection in the tlsf and galloc allocators", run: runAlloc},
 	{Name: "sweep-memcache", Desc: "every in-domain access and domain allocation of a memcached set/get/gets/incr/append/cas/delete mix with a CVE-2011-4971 bset, at depths 1 and 4, judged against the vanilla build", run: runSweep(&memcacheSweep)},
 	{Name: "sweep-httpd", Desc: "every in-domain access and domain allocation of an httpd GET/404/HEAD/pipelined/close mix with CVE-2009-2629, a client certificate and CVE-2022-3786, judged against the vanilla build", run: runSweep(&httpdSweep)},
-	{Name: "crypto", Desc: "cryptolib wrappers: injected faults inside EncryptUpdate, malicious certificate verification", run: runCrypto},
-	{Name: "policy", Desc: "resilience-policy ladder: hammer one UDI through backoff/quarantine/shed while siblings keep serving, then the memcached degraded path", run: runPolicyCampaign},
 	{Name: "cluster", Desc: "consistent-hash router over three backends: bset attack absorbed in place, a killed backend demotes after exactly its failure threshold of degraded replies and spills, a quarantined backend is routed around and readmits through probation", run: runCluster},
 }
 

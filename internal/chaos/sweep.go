@@ -27,6 +27,9 @@ import (
 // domain is current, so a fault in the root domain — the step-⑨ apply,
 // the monitor's bookkeeping around Enter and Exit — is not swept.
 
+// errInjectedOOM is what an armed allocation fault returns.
+var errInjectedOOM = errors.New("chaos: injected allocation failure")
+
 // mixReq is one request of a sweep mix: tmpl with "{p}" replaced by the
 // point's prefix, the spec's vars by their values, and "{cas}" by the CAS
 // unique of the last gets reply the hardened build gave in the point.
@@ -111,8 +114,8 @@ func httpGET(path, connection string, cert []byte) string {
 	return req + "Connection: " + connection + "\r\n\r\n"
 }
 
-// shardMate names "{q}", the first key "qNN"+p on the shard of p+"a"
-// (the shard hash barely sees a key's last bytes, so the counter leads).
+// shardMate names "{q}", the first key "qNN"+p that ShardFor puts on the
+// shard of p+"a".
 // Every item of the mix fits the smallest slab class, so once {q} is
 // stored after {p}a, a hit on {p}a is one behind the head of its LRU.
 func shardMate(hard *server, p string) []string {
@@ -415,4 +418,32 @@ func casOf(replies [][]byte) string {
 		}
 	}
 	return "0"
+}
+
+// armGated installs a one-shot injector that lets countdown-1 accesses
+// pass and turns the next one into a fault with the given code, charged
+// to the root key.
+// The thread alternates between root and nested domains, so it only
+// counts accesses made while executing inside a nested domain, and never
+// fires on the monitor's own ledger page. Firing in the root domain would
+// be an unrecoverable fault (process death) rather than a rewind, and a
+// fault on the ledger write would desynchronize the very counters the
+// audit checks — neither is the scenario under test.
+func armGated(lib *core.Library, t *proc.Thread, countdown int, code mem.FaultCode) {
+	c := t.CPU()
+	monitorPage := lib.MonitorBase() &^ (mem.PageSize - 1)
+	n := 0
+	c.SetFaultInjector(func(addr mem.Addr, kind mem.AccessKind) *mem.Fault {
+		if lib.Current(t) == core.RootUDI {
+			return nil
+		}
+		if addr&^(mem.PageSize-1) == monitorPage {
+			return nil
+		}
+		n++
+		if n < countdown {
+			return nil
+		}
+		return &mem.Fault{Kind: kind, Code: code, PKey: lib.RootKey()}
+	})
 }

@@ -2,12 +2,10 @@ package chaos
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 
 	"sdrad/internal/memcache"
 	"sdrad/internal/proc"
-	"sdrad/internal/telemetry"
 )
 
 // server is the harness every workload campaign drives: one server —
@@ -53,19 +51,6 @@ func newMemcache(cfg Config, r *Report, mc memcache.Config) (*server, *memcache.
 	return w, s, nil
 }
 
-// do round-trips one request, reconnecting after a server-side close.
-func (w *server) do(req []byte) ([]byte, bool) {
-	resp, closed, err := w.conn.Do(req)
-	if err != nil {
-		w.r.failf("request failed: %v", err)
-		return nil, true
-	}
-	if closed {
-		w.conn = w.newConn()
-	}
-	return resp, closed
-}
-
 // pipeline sends reqs as one event and returns a copy of its results (a
 // connection's results last only until its next call). After a
 // server-side close it sends the event's first request once more on the
@@ -102,14 +87,6 @@ func (w *server) send(reqs [][]byte) (res []proc.Result, ok bool) {
 	return res, ok
 }
 
-// persist stores a key that must survive every rewind.
-func (w *server) persist(val []byte) error {
-	if resp, _ := w.do(memcache.FormatSet("persist", val, 7)); !bytes.HasPrefix(resp, []byte("STORED")) {
-		return fmt.Errorf("chaos: persist set failed: %q", resp)
-	}
-	return nil
-}
-
 // onWorker runs fn on the serving thread, between requests.
 func (w *server) onWorker(fn func(t *proc.Thread) error) {
 	if err := w.inspect(fn); err != nil {
@@ -134,16 +111,6 @@ func (w *server) auditServing(t *proc.Thread, label string) {
 			w.r.failf("%s: shard audit: %v", label, err)
 		}
 	}
-}
-
-// trap sends a request that must trap inside the server and close its
-// connection, and returns the trap's forensics report.
-func (w *server) trap(label string, req []byte, injected bool) telemetry.RewindReport {
-	b := w.before()
-	if resp, closed := w.do(req); !closed {
-		w.r.failf("%s: trapped request left the connection open: %q", label, resp)
-	}
-	return w.trapped(label, b, injected)
 }
 
 // respClass compresses a memcached response into a deterministic

@@ -8,36 +8,22 @@ import (
 )
 
 // This file exposes the reference monitor's bookkeeping read-only, so the
-// chaos engine (internal/chaos) can audit it after every absorbed rewind.
+// model's drivers and the chaos engine can audit it after every absorbed
+// rewind.
 // "Unlimited Lives" (Gülmez et al.) shows that in-process recovery systems
 // fail exactly here — state left inconsistent after a rollback — so the
 // audit re-derives every invariant the monitor relies on instead of
 // trusting the monitor's own view.
 
-// DomainAudit is the audited snapshot of one live domain.
+// DomainAudit names one live domain the audit walked.
 type DomainAudit struct {
 	UDI  UDI
 	Kind Kind
 	Key  int
-	// Guarded and Entered mirror the recovery-context and nesting flags.
-	Guarded bool
-	Entered bool
-	// StackBase/StackSize and HeapBase/HeapSize are the provisioned
-	// regions (stack fields are zero for data domains). Campaigns record
-	// them before an attack to verify a discarded domain's heap pages
-	// really left the address space.
-	StackBase mem.Addr
-	StackSize uint64
-	HeapBase  mem.Addr
-	HeapSize  uint64
-	// HeapLive reports whether the lazily-built TLSF control exists (and
-	// was therefore Check-ed by the audit).
-	HeapLive bool
 }
 
 // AuditReport is the result of one invariant audit on one thread.
 type AuditReport struct {
-	ThreadID   int
 	CurrentUDI UDI
 	EnterDepth int
 	// PKRU is the register value observed on entry; ExpectedPKRU is the
@@ -49,9 +35,6 @@ type AuditReport struct {
 	// statistic it must match when the process is quiescent.
 	LedgerCalls  uint64
 	MonitorCalls int64
-	// Rewinds mirrors Stats.Rewinds at audit time, for rewind-accounting
-	// checks by the caller.
-	Rewinds int64
 	// Domains lists this thread's execution domains (excluding root) and
 	// every global data domain.
 	Domains []DomainAudit
@@ -63,8 +46,8 @@ type AuditReport struct {
 	// AccountedBytes sums the mapped bytes attributable to SDRaD state
 	// visible from this thread: the monitor page, the root heap, this
 	// thread's domain stacks and heaps, data-domain heaps, and pooled
-	// stacks. On a single-threaded process MappedBytes minus application
-	// mappings must equal it; campaigns track its stability.
+	// stacks. It can never exceed MappedBytes; on a single-threaded
+	// process it equals MappedBytes minus the application's mappings.
 	AccountedBytes uint64
 	// MappedBytes is the address-space mapped-bytes gauge at audit time.
 	MappedBytes int64
@@ -95,12 +78,10 @@ func (l *Library) Audit(t *proc.Thread) *AuditReport {
 	as := l.p.AddressSpace()
 
 	r := &AuditReport{
-		ThreadID:     t.ID(),
 		CurrentUDI:   ts.current.udi,
 		EnterDepth:   len(ts.enterStack),
 		PKRU:         c.PKRU(),
 		MonitorCalls: l.stats.MonitorCalls.Load(),
-		Rewinds:      l.stats.Rewinds.Load(),
 		MappedBytes:  as.Stats().MappedBytes.Load(),
 	}
 	// The ERIM-style integrity condition: the register holds exactly the
@@ -214,14 +195,7 @@ func (l *Library) auditDomains(t *proc.Thread, r *AuditReport, ts *threadState) 
 	l.mu.Unlock()
 
 	for _, d := range domains {
-		da := DomainAudit{
-			UDI: d.udi, Kind: d.kind, Key: d.key,
-			Guarded: d.contextValid, Entered: d.entered,
-			StackBase: d.stackBase, StackSize: d.stackSize,
-			HeapBase: d.heapBase, HeapSize: d.heapSize,
-			HeapLive: d.heap != nil,
-		}
-		r.Domains = append(r.Domains, da)
+		r.Domains = append(r.Domains, DomainAudit{UDI: d.udi, Kind: d.kind, Key: d.key})
 
 		if !d.initialized {
 			r.findingf("domain %d in table but not initialized", d.udi)

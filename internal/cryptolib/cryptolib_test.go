@@ -10,6 +10,7 @@ import (
 	"sdrad/internal/proc"
 	"sdrad/internal/sig"
 	"sdrad/internal/stack"
+	"sdrad/internal/telemetry"
 )
 
 var testKey = bytes.Repeat([]byte{0x42}, 32)
@@ -421,6 +422,82 @@ func TestCryptoReinitAfterDomainLoss(t *testing.T) {
 		}
 		if _, err := cr.EncryptUpdate(th, out, in, len(pt)); err != nil {
 			t.Fatalf("cipher after reinit: %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFaultAnywhereInEncryptUpdateRewinds faults EncryptUpdate's k-th
+// access inside the crypto domain, for every k until the fault no longer
+// fires inside the call: each is one SEGV_PKUERR rewind of OpenSSLUDI with
+// one forensics report agreeing with the fault log, a clean audit, and a
+// wrapper that encrypts again once re-initialized (the paper's §V-B).
+func TestFaultAnywhereInEncryptUpdateRewinds(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{})
+	p := proc.NewProcess("crypto-test", proc.WithSeed(3))
+	lib, err := core.Setup(p, core.WithScrubOnDiscard(true), core.WithTelemetry(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Attach("main", func(th *proc.Thread) error {
+		c := th.CPU()
+		cr, err := NewCrypto(th, lib, NewEngine(), ModeCopyBoth, testKey, 1024)
+		if err != nil {
+			return err
+		}
+		in, _ := lib.Malloc(th, core.RootUDI, 256)
+		out, _ := lib.Malloc(th, core.RootUDI, 256+GCMTagSize)
+		audit := func(k int) {
+			if rep := lib.Audit(th); !rep.Ok() {
+				t.Errorf("k=%d: audit: %v", k, rep.Findings)
+			}
+		}
+		k := 1
+		for ; ; k++ {
+			n := 0
+			c.SetFaultInjector(func(addr mem.Addr, kind mem.AccessKind) *mem.Fault {
+				if lib.Current(th) == core.RootUDI || addr&^(mem.PageSize-1) == lib.MonitorBase() {
+					return nil
+				}
+				if n++; n < k {
+					return nil
+				}
+				return &mem.Fault{Kind: kind, Code: mem.CodePkuErr, PKey: lib.RootKey()}
+			})
+			reports := rec.Forensics().Added()
+			_, err := cr.EncryptUpdate(th, out, in, 200)
+			if c.FaultInjectorArmed() {
+				c.SetFaultInjector(nil)
+				if err != nil {
+					t.Fatalf("k=%d: the fault did not fire, yet: %v", k, err)
+				}
+				break
+			}
+			var abn *core.AbnormalExit
+			if !errors.As(err, &abn) || abn.FailedUDI != OpenSSLUDI || abn.Signal != sig.SIGSEGV || abn.Code != int(mem.CodePkuErr) {
+				t.Fatalf("k=%d: %v, want a SEGV_PKUERR abnormal exit of the crypto domain", k, err)
+			}
+			recs := p.AddressSpace().RecentFaults()
+			rep, _ := rec.Forensics().Last()
+			if f := recs[len(recs)-1]; rec.Forensics().Added() != reports+1 || !f.Injected || rep.SiCode != int(f.Code) || rep.Addr != uint64(f.Addr) {
+				t.Errorf("k=%d: %d reports, report %s at %#x, fault log %v at %#x injected=%v", k,
+					rec.Forensics().Added()-reports, rep.SiCodeName, rep.Addr, f.Code, uint64(f.Addr), f.Injected)
+			}
+			audit(k)
+			if err := cr.Reinit(th, testKey); err != nil {
+				t.Fatalf("k=%d: reinit: %v", k, err)
+			}
+			if n, err := cr.EncryptUpdate(th, out, in, 200); err != nil || n != 200+GCMTagSize {
+				t.Fatalf("k=%d: encrypt after reinit gave %d bytes, %v", k, n, err)
+			}
+			audit(k)
+		}
+		t.Logf("%d fault points", k-1)
+		if k == 1 || lib.Stats().Rewinds.Load() != int64(k-1) {
+			t.Errorf("%d rewinds for %d fault points", lib.Stats().Rewinds.Load(), k-1)
 		}
 		return nil
 	})

@@ -109,9 +109,22 @@ func TestRandomizedUsage(t *testing.T) {
 		tag byte
 	}
 	var live []alloc
+	injected := errors.New("injected")
 	for i := 0; i < 2000; i++ {
 		if rng.Intn(2) == 0 || len(live) == 0 {
 			n := 1 + rng.Intn(1500)
+			if i%7 == 0 {
+				// An injected failure is an error and allocates nothing;
+				// the live blocks are checked as the loop frees them.
+				allocs := h.AllocCount()
+				h.SetAllocHook(func(uint64) error { return injected })
+				p, err := h.Alloc(cpu, uint64(n))
+				h.SetAllocHook(nil)
+				if !errors.Is(err, injected) || p != 0 || h.AllocCount() != allocs {
+					t.Fatalf("iter %d: injected failure gave %#x, %v", i, uint64(p), err)
+				}
+				continue
+			}
 			p, err := h.Alloc(cpu, uint64(n))
 			if errors.Is(err, ErrOOM) {
 				continue
@@ -134,6 +147,14 @@ func TestRandomizedUsage(t *testing.T) {
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
+	}
+	for _, a := range live {
+		if err := h.Free(cpu, a.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := h.AllocCount() - h.FreeCount(); n != 0 {
+		t.Errorf("%d allocations never freed", n)
 	}
 }
 

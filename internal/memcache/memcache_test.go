@@ -13,6 +13,7 @@ import (
 
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
+	"sdrad/internal/telemetry"
 )
 
 // startServer builds a server with small test-sized defaults.
@@ -390,6 +391,80 @@ func TestEventDomainHeldOffServesMisses(t *testing.T) {
 	}
 	if s.Degraded() != 1 || s.Rewinds() != 2 {
 		t.Errorf("degraded=%d rewinds=%d, want 1/2", s.Degraded(), s.Rewinds())
+	}
+}
+
+// TestPolicyLadderServesDegradedAndKeepsTheStore walks the event domain
+// up the ladder with CVE-2011-4971 attacks on the engine's manual clock:
+// each attack is one rewind whose decision lands in its forensics report,
+// with clean library and shard audits after it; while the domain is held
+// off or quarantined, gets are misses and mutations SERVER_ERROR, without
+// a guard scope; after each hold-off the stored value reads back intact,
+// because the degraded path never touched the store.
+func TestPolicyLadderServesDegradedAndKeepsTheStore(t *testing.T) {
+	clk := &policy.ManualClock{}
+	eng := policy.New(policy.Config{Window: time.Second, BackoffThreshold: 2, QuarantineThreshold: 4,
+		ShedThreshold: -1, BackoffBase: 10 * time.Millisecond, BackoffMax: 40 * time.Millisecond,
+		Cooldown: 100 * time.Millisecond, Clock: clk.Now})
+	rec := telemetry.New(telemetry.Options{})
+	s, err := NewServer(Config{Variant: VariantSDRaD, Workers: 1, HashPower: 10, CacheBytes: 4 << 20,
+		Policy: eng, Telemetry: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	c := s.NewConn()
+	mustDo(t, c, FormatSet("persist", []byte("survives-quarantine"), 7))
+	attack := func(state, action string, window int) {
+		t.Helper()
+		if _, closed, err := s.NewConn().Do(FormatBSet("atk", 1<<20, nil)); err != nil || !closed {
+			t.Fatalf("attack: closed=%v err=%v", closed, err)
+		}
+		rep, _ := rec.Forensics().Last()
+		if rep.PolicyState != state || rep.PolicyAction != action || rep.PolicyWindowCount != window {
+			t.Errorf("attack %d: decision %s/%s/%d, want %s/%s/%d", window,
+				rep.PolicyState, rep.PolicyAction, rep.PolicyWindowCount, state, action, window)
+		}
+		faults := s.Process().AddressSpace().RecentFaults()
+		if f := faults[len(faults)-1]; f.Injected || rep.SiCode != int(f.Code) || rep.Addr != uint64(f.Addr) {
+			t.Errorf("attack %d: report %s at %#x, fault log %v at %#x", window, rep.SiCodeName, rep.Addr, f.Code, uint64(f.Addr))
+		}
+		if err := c.Inspect(func(th *proc.Thread) error {
+			if rep := s.Library().Audit(th); !rep.Ok() {
+				return fmt.Errorf("audit: %v", rep.Findings)
+			}
+			return s.Storage().AuditShards(th.CPU())
+		}); err != nil {
+			t.Errorf("attack %d: %v", window, err)
+		}
+	}
+	expect := func(req []byte, want string) {
+		t.Helper()
+		if got := mustDo(t, c, req); !strings.HasPrefix(string(got), want) {
+			t.Errorf("%q: %q, want %s", req, got, want)
+		}
+	}
+	attack("healthy", "rewind", 1)
+	expect(FormatGet("persist"), "VALUE")
+	attack("backoff", "backoff", 2) // a 10 ms hold-off
+	expect(FormatGet("persist"), "END")
+	expect(FormatSet("x", []byte("y"), 0), "SERVER_ERROR")
+	clk.Advance(10 * time.Millisecond)
+	expect(FormatGet("persist"), "VALUE")
+	attack("backoff", "backoff", 3) // 20 ms
+	clk.Advance(20 * time.Millisecond)
+	attack("quarantined", "quarantine", 4) // a 100 ms cool-down
+	expect(FormatGet("persist"), "END")
+	expect(FormatDelete("persist"), "SERVER_ERROR")
+	clk.Advance(100 * time.Millisecond) // probation
+	if val, _, ok := ParseGetValue(mustDo(t, c, FormatGet("persist"))); !ok || string(val) != "survives-quarantine" {
+		t.Errorf("get after the cool-down: %q, want the stored value", val)
+	}
+	if s.Degraded() != 4 || s.Rewinds() != 4 || rec.Forensics().Added() != 4 {
+		t.Errorf("degraded=%d rewinds=%d forensics reports=%d, want 4/4/4", s.Degraded(), s.Rewinds(), rec.Forensics().Added())
+	}
+	if snaps := eng.Snapshot(); len(snaps) != 1 || snaps[0].State != "backoff" || snaps[0].TotalRewinds != 4 {
+		t.Errorf("engine snapshot %+v, want the event domain on probation after 4 rewinds", snaps)
 	}
 }
 

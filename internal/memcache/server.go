@@ -51,10 +51,6 @@ type Config struct {
 	// ConnBufSize is the per-connection read/write buffer size
 	// (default 16 KiB).
 	ConnBufSize int
-	// Shards is the number of lock-striped storage shards (rounded up
-	// to a power of two, default 8, max MaxShards). A key's shard is a
-	// pure function of its hash; 1 is a single-mutex cache.
-	Shards int
 	// MaxBatch is the most requests one client event — one guard scope,
 	// one domain switch, one scratch arena, one deferred-op apply —
 	// carries: the chunk size DoPipeline cuts long pipelines into
@@ -89,15 +85,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.ConnBufSize == 0 {
 		c.ConnBufSize = 16 * 1024
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Shards > MaxShards {
-		c.Shards = MaxShards
-	}
-	for c.Shards&(c.Shards-1) != 0 {
-		c.Shards++
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
@@ -317,7 +304,7 @@ func (s *Server) provision(t *proc.Thread) error {
 		return err
 	}
 	arena := newBumpArena(block, s.cfg.CacheBytes)
-	st, err := NewStorage(t.CPU(), s.cfg.HashPower, s.cfg.Shards, arena.alloc)
+	st, err := NewStorage(t.CPU(), s.cfg.HashPower, storageShards, arena.alloc)
 	if err != nil {
 		return err
 	}

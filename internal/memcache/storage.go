@@ -93,6 +93,10 @@ const MaxKeyLen = 250
 // array fragmentation).
 const MaxShards = 256
 
+// storageShards is the server's shard count; a key's shard is a pure
+// function of its hash.
+const storageShards = 8
+
 // slabClass is one chunk-size class with its free list and LRU.
 type slabClass struct {
 	chunkSize uint64
@@ -257,15 +261,21 @@ func (st *Storage) setOccupancyGauge(si int, g *telemetry.Gauge) {
 	sh.mu.Unlock()
 }
 
-// ShardFor returns the shard index key maps to: the high 32 hash bits
-// select the shard, the low bits (used by bucketAddr) select the bucket
-// within it — disjoint bit ranges keep the two choices independent.
+// ShardFor returns the shard index key maps to: the high bits of the
+// mixed hash select the shard, the low bits of the hash itself (used by
+// bucketAddr) select the bucket within it.
 func (st *Storage) ShardFor(key []byte) int {
 	return st.shardOf(hashKey(key))
 }
 
-// shardOf is ShardFor for a key already hashed.
+// shardOf is ShardFor for a key already hashed. An FNV-1a hash's high
+// bits barely see a key's last bytes, so keys that differ only at the end
+// would share one shard; murmur3's 64-bit finalizer mixes every bit into
+// them first.
 func (st *Storage) shardOf(h uint64) int {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
 	return int((h >> 32) & st.shardMask)
 }
 

@@ -3,6 +3,7 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -475,6 +476,26 @@ func TestNewStorageValidation(t *testing.T) {
 	tiny := newBumpArena(base, 8)
 	if _, err := NewStorage(cpu, 10, 1, tiny.alloc); err == nil {
 		t.Error("arena exhaustion not reported")
+	}
+}
+
+// TestShardForSpreadsKeysThatDifferAtTheEnd: a family of keys that share
+// a prefix and differ in their last bytes — the benchmark's user keys, a
+// counter suffix, a counter in the middle — gives every one of eight
+// shards at least half its fair share.
+func TestShardForSpreadsKeysThatDifferAtTheEnd(t *testing.T) {
+	st, _ := newShardedStorage(t, 10, 8, 4<<20)
+	for _, fam := range []struct {
+		format string
+		n      int
+	}{{"user%d", 10000}, {"user%010d", 20000}, {"key%06d", 100}, {"p0000q%02d", 100}} {
+		counts := make([]int, st.Shards())
+		for i := 0; i < fam.n; i++ {
+			counts[st.ShardFor([]byte(fmt.Sprintf(fam.format, i)))]++
+		}
+		if min := slices.Min(counts); min*2*len(counts) < fam.n {
+			t.Errorf("%s, %d keys: shards hold %v, want each at least %d", fam.format, fam.n, counts, fam.n/len(counts)/2)
+		}
 	}
 }
 

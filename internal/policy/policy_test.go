@@ -48,8 +48,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestLadderWalk drives one UDI through the full escalation ladder with
-// a scripted op sequence and checks every decision — the same shape the
-// chaos policy campaign asserts end to end.
+// a scripted op sequence and checks every decision — the same shape
+// core's TestPolicyLadderWhileASiblingServes asserts end to end.
 func TestLadderWalk(t *testing.T) {
 	type step struct {
 		op      string // "rewind", "admit", "advance"
