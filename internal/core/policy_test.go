@@ -33,6 +33,94 @@ func policyLib(t *testing.T) (*proc.Process, *Library, *policy.Engine, *policy.M
 	return p, l, eng, clk, rec
 }
 
+// TestPolicyConsultedOnRewind: the monitor consults the engine after
+// every absorbed rewind, stamps the decision into the forensics report,
+// and emits a policy flight event attributed to the victim thread.
+func TestPolicyConsultedOnRewind(t *testing.T) {
+	p, l, eng, _, rec := policyLib(t)
+	run(t, p, func(th *proc.Thread) error {
+		var abn *AbnormalExit
+		if err := faultGuard(t, l, th, 0xDEAD0000, true); !errors.As(err, &abn) {
+			t.Fatalf("first fault: err = %v, want AbnormalExit", err)
+		}
+		rep, ok := rec.Forensics().Last()
+		if !ok {
+			t.Fatal("no forensics report")
+		}
+		if rep.PolicyState != "healthy" || rep.PolicyAction != "rewind" || rep.PolicyWindowCount != 1 {
+			t.Errorf("report policy fields = %q/%q/%d, want healthy/rewind/1",
+				rep.PolicyState, rep.PolicyAction, rep.PolicyWindowCount)
+		}
+		// Second fault crosses the backoff threshold (2-in-window).
+		if err := faultGuard(t, l, th, 0xDEAD0000, true); !errors.As(err, &abn) {
+			t.Fatalf("second fault: err = %v, want AbnormalExit", err)
+		}
+		rep, _ = rec.Forensics().Last()
+		if rep.PolicyState != "backoff" || rep.PolicyAction != "backoff" || rep.PolicyWindowCount != 2 {
+			t.Errorf("escalated report = %q/%q/%d, want backoff/backoff/2",
+				rep.PolicyState, rep.PolicyAction, rep.PolicyWindowCount)
+		}
+		if rep.PolicyRetryAfterNs != int64(10*time.Millisecond) {
+			t.Errorf("retry-after = %d, want 10ms", rep.PolicyRetryAfterNs)
+		}
+		// The flight recorder saw one policy event per rewind, with the
+		// victim thread attached.
+		var policyEvents int
+		for _, ev := range rec.Flight().Snapshot() {
+			if ev.Kind == "policy" {
+				policyEvents++
+				if ev.Thread != th.ID() || ev.UDI != 1 {
+					t.Errorf("policy event tid/udi = %d/%d, want %d/1", ev.Thread, ev.UDI, th.ID())
+				}
+			}
+		}
+		if policyEvents != 2 {
+			t.Errorf("policy flight events = %d, want 2", policyEvents)
+		}
+		if snaps := eng.Snapshot(); len(snaps) != 1 || snaps[0].TotalRewinds != 2 {
+			t.Errorf("engine snapshot = %+v, want one domain with 2 rewinds", snaps)
+		}
+		return nil
+	})
+}
+
+// TestPolicyDeniesReInit: once the domain is in a hold-off, the next
+// Guard is refused at InitDomain with a QuarantineError, and admission
+// reopens after the hold-off expires on the engine clock.
+func TestPolicyDeniesReInit(t *testing.T) {
+	p, l, _, clk, _ := policyLib(t)
+	run(t, p, func(th *proc.Thread) error {
+		for i := 0; i < 2; i++ {
+			var abn *AbnormalExit
+			if err := faultGuard(t, l, th, 0xDEAD0000, true); !errors.As(err, &abn) {
+				t.Fatalf("fault %d: err = %v, want AbnormalExit", i, err)
+			}
+		}
+		// Backoff hold-off (10ms) is running: re-init denied.
+		err := faultGuard(t, l, th, 0xDEAD0000, false)
+		if !errors.Is(err, ErrDomainQuarantined) {
+			t.Fatalf("held-off guard err = %v, want ErrDomainQuarantined", err)
+		}
+		var qe *QuarantineError
+		if !errors.As(err, &qe) {
+			t.Fatalf("err %v does not unwrap to *QuarantineError", err)
+		}
+		if qe.UDI != 1 || qe.State != policy.StateBackoff {
+			t.Errorf("quarantine error = %+v, want UDI 1 backoff", qe)
+		}
+		if qe.RetryAfterNs <= 0 || qe.RetryAfterNs > int64(10*time.Millisecond) {
+			t.Errorf("retry-after = %d, want (0, 10ms]", qe.RetryAfterNs)
+		}
+		// Denial leaves no domain state behind: after the hold-off the
+		// same Guard succeeds.
+		clk.Advance(20 * time.Millisecond)
+		if err := faultGuard(t, l, th, 0xDEAD0000, false); err != nil {
+			t.Fatalf("readmitted guard err = %v, want nil", err)
+		}
+		return nil
+	})
+}
+
 // TestGuardAdmitsLiveDomain: a live domain whose UDI is held off is
 // refused at Guard — no body, no rewind, no forensics report — and once
 // the hold-off expires the next Guard runs on the same domain, its heap
