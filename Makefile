@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check chaos-clockless monitor-admits pkru-writers one-host examples chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
+.PHONY: build test race vet fmt-check chaos-clockless monitor-admits pkru-writers trap-recovers one-host examples chaos-smoke chaos-race fuzz-smoke bench-smoke benchmark ledger-gate policy-gate cluster-gate ci
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,17 @@ pkru-writers:
 		| grep -v -e '^\./internal/core/' -e '^\./internal/mem/' \
 			-e '^\./benchmark/probes\.go:[0-9]*:[[:space:]]*c\.WRPKRU(mem\.PKRUInit'; then \
 		echo "only internal/core writes PKRU: go through the monitor (core.Library), not the register"; exit 1; fi
+
+# A trap is recovered in three places only: a guard scope's rewind
+# (internal/core/guard.go), the process supervisor's termination
+# (internal/proc/proc.go) and the MMU's fault probe (mem.CPU.Probe in
+# internal/mem/cpu.go). Code that recovers a trap itself gets around the
+# monitor's rewind: the failing domain would be neither discarded nor
+# reported. No other non-test Go calls recover().
+trap-recovers:
+	@if grep -rn --include='*.go' --exclude='*_test.go' 'recover()' . \
+		| grep -v -e '^\./internal/core/guard\.go:' -e '^\./internal/proc/proc\.go:' -e '^\./internal/mem/cpu\.go:'; then \
+		echo "only core's Guard, proc's supervisor and mem's Probe recover a trap: let it reach the guard scope"; exit 1; fi
 
 # Whether a guard scope may run is the monitor's decision, made once per
 # scope inside core.Library.Guard: no server asks the policy engine
@@ -208,4 +219,4 @@ cluster-gate:
 	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
-ci: build vet fmt-check chaos-clockless monitor-admits pkru-writers one-host examples test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate
+ci: build vet fmt-check chaos-clockless monitor-admits pkru-writers trap-recovers one-host examples test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate

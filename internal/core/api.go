@@ -275,18 +275,12 @@ func (l *Library) Exit(t *proc.Thread) error {
 		return ErrNotEntered
 	}
 	d := ts.current
-	c := t.CPU()
 	// Verify the return record's canary before restoring the parent: a
 	// clobbered record means the domain smashed its stack, and the panic
 	// below is recovered by the Guard as an abnormal exit attributed to
 	// the still-current domain.
-	rec.frame.MustVerify(c)
-	// Discard the domain stack contents (the isolated call has returned;
-	// any leaked frames go with it).
-	d.stk.Reset()
-	ts.current = rec.prev
-	ts.enterStack = ts.enterStack[:len(ts.enterStack)-1]
-	d.entered = false
+	rec.frame.MustVerify(t.CPU())
+	ts.leave(d)
 	switches.Add(1)
 	if sampled {
 		tel.RecordExit(t.ID(), int(d.udi), tel.Clock()-telT0)

@@ -7,6 +7,7 @@ import (
 	"sdrad/internal/mem"
 	"sdrad/internal/proc"
 	"sdrad/internal/sig"
+	"sdrad/internal/tlsf"
 )
 
 // newLib builds a process with SDRaD set up.
@@ -490,8 +491,8 @@ func TestHeapMergeRequiresAccessible(t *testing.T) {
 	})
 }
 
-// A merge the parent refuses — here into a parent already merged away —
-// still destroys the domain: Destroy returns the refusal, the domain is
+// A merge the parent refuses — here a heap region too small for the
+// parent's allocator to pool — still destroys the domain: Destroy returns the refusal, the domain is
 // gone, its heap is unmapped, and the audit is clean.
 func TestRefusedHeapMergeDiscards(t *testing.T) {
 	p, l := newLib(t)
@@ -499,27 +500,14 @@ func TestRefusedHeapMergeDiscards(t *testing.T) {
 		if _, err := l.Malloc(th, RootUDI, 8); err != nil {
 			return err
 		}
-		var childHeap mem.Addr
-		if err := l.Guard(th, 1, func() error {
-			if _, err := l.Malloc(th, 1, 32); err != nil {
-				return err
-			}
-			if err := l.Enter(th, 1); err != nil {
-				return err
-			}
-			if err := l.InitDomain(th, 2, Accessible()); err != nil {
-				return err
-			}
-			childHeap = l.state(th).domains[2].heapBase
-			return l.Exit(th)
-		}, Accessible()); err != nil {
+		// A heap region too small to hold one block: root's allocator
+		// refuses it as a pool.
+		if err := l.InitDomain(th, 2, Accessible(), HeapSize(16)); err != nil {
 			return err
 		}
-		if err := l.Destroy(th, 1, HeapMerge); err != nil {
-			return err
-		}
-		if err := l.Destroy(th, 2, HeapMerge); err == nil {
-			t.Fatal("merge into a parent merged away succeeded")
+		childHeap := l.state(th).domains[2].heapBase
+		if err := l.Destroy(th, 2, HeapMerge); !errors.Is(err, tlsf.ErrBadRegion) {
+			t.Fatalf("merge of a region root cannot pool returned %v", err)
 		}
 		if _, ok := l.state(th).domains[2]; ok {
 			t.Error("domain survived its refused merge")

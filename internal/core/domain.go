@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -371,14 +373,18 @@ func (l *Library) Deinit(t *proc.Thread, udi UDI) error {
 	return nil
 }
 
-// Destroy deletes a child domain (Table I ⑦). The domain must not be
-// executing. With HeapMerge the domain's subheap — which must be
-// accessible to the parent — is merged into the parent domain's heap and
-// its pages are retagged with the parent's key; otherwise the heap memory
-// is discarded; a merge the parent refuses discards it too, and Destroy
-// returns the refusal. Stacks are pooled for reuse. A data domain is
-// destroyed only on the library's lone live thread (ErrSharedTopology
-// otherwise; a refused call changes nothing).
+// Destroy deletes a child domain (Table I ⑦). Neither the domain nor any
+// domain created inside it may be entered (ErrDomainBusy otherwise; a
+// refused call changes nothing). With HeapMerge the domain's subheap —
+// which must be accessible to the parent — is merged into the parent
+// domain's heap and its pages are retagged with the parent's key;
+// otherwise the heap memory is discarded; a merge the parent refuses
+// discards it too, and Destroy returns the refusal. The execution domains
+// created inside it on this thread go with it, discarded, never merged:
+// nothing could guard or re-create them under a dead parent. Stacks are
+// pooled for reuse. A data domain is destroyed only on the library's lone
+// live thread (ErrSharedTopology otherwise; a refused call changes
+// nothing).
 func (l *Library) Destroy(t *proc.Thread, udi UDI, opt DestroyOption) error {
 	ts := l.state(t)
 	l.monitorEnter(t)
@@ -395,7 +401,8 @@ func (l *Library) Destroy(t *proc.Thread, udi UDI, opt DestroyOption) error {
 	if d.isRoot() {
 		return ErrRootOperation
 	}
-	if ts.current == d {
+	inside := ts.descendants(d)
+	if d.entered || slices.ContainsFunc(inside, func(c *Domain) bool { return c.entered }) {
 		return ErrDomainBusy
 	}
 
@@ -407,6 +414,7 @@ func (l *Library) Destroy(t *proc.Thread, udi UDI, opt DestroyOption) error {
 	if err := l.unpublish(ts, d); err != nil {
 		return err
 	}
+	l.discardDomain(t, inside...)
 	var err error
 	if opt == HeapMerge {
 		if err = l.mergeHeapIntoParent(t, d); err != nil {
@@ -547,14 +555,34 @@ func (ts *threadState) refreshPKRU(t *proc.Thread, l *Library) {
 	l.wrpkru(t, pkru)
 }
 
-// discardDomain implements the abnormal-exit discard of an execution
-// domain: the domain's heap is thrown away unconditionally (never merged
+// discardDomain implements the abnormal-exit discard of execution
+// domains: each one's heap is thrown away unconditionally (never merged
 // — "subheaps are never merged back after abnormal exits, as the data
 // must be considered corrupted"), its stack is reset and pooled, and it
 // is deleted.
-func (l *Library) discardDomain(t *proc.Thread, d *Domain) {
-	_ = l.unpublish(l.state(t), d) // an execution domain: never refused
-	l.discardHeap(t, d)
-	l.releaseDomain(t, d)
-	l.stats.Destroys.Add(1)
+func (l *Library) discardDomain(t *proc.Thread, doms ...*Domain) {
+	ts := l.state(t)
+	for _, d := range doms {
+		_ = l.unpublish(ts, d) // an execution domain: never refused
+		l.discardHeap(t, d)
+		l.releaseDomain(t, d)
+		l.stats.Destroys.Add(1)
+	}
+}
+
+// descendants returns the execution domains of the thread created,
+// directly or not, inside d, in UDI order: the domains that go when d
+// goes. (Data domains are the process's and stay.)
+func (ts *threadState) descendants(d *Domain) []*Domain {
+	var inside []*Domain
+	for _, c := range ts.domains {
+		for p := c.parent; p != nil; p = p.parent {
+			if p == d {
+				inside = append(inside, c)
+				break
+			}
+		}
+	}
+	slices.SortFunc(inside, func(a, b *Domain) int { return cmp.Compare(a.udi, b.udi) })
+	return inside
 }

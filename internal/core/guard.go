@@ -1,12 +1,9 @@
 package core
 
 import (
-	"sdrad/internal/mem"
 	"sdrad/internal/proc"
 	"sdrad/internal/sig"
-	"sdrad/internal/stack"
 	"sdrad/internal/telemetry"
-	"sdrad/internal/tlsf"
 )
 
 // rewindPanic is the unwinding value that carries an abnormal domain exit
@@ -84,62 +81,35 @@ func (l *Library) runGuarded(t *proc.Thread, ts *threadState, d *Domain, scope u
 			// Normal completion: if body forgot to exit the domain, do
 			// the bookkeeping so the thread is back in the parent.
 			if ts.current == d {
-				l.forceExit(t, ts, d)
+				l.closeScope(t, ts, d, false)
 			}
 			return
 		}
-		switch v := r.(type) {
-		case *rewindPanic:
-			if v.scope == scope {
-				l.finishRewind(t, ts, d)
-				err = v.exit
-				return
-			}
-			l.unwindThrough(t, ts, d)
-			panic(v)
-		default:
-			info, isTrap := trapInfo(r)
+		rp, ok := r.(*rewindPanic)
+		if !ok {
+			info, isTrap := proc.TrapToSignal(r)
 			if !isTrap {
 				panic(r)
 			}
 			// Innermost guard: play the SDRaD signal handler.
-			rp, fatal := l.handleTrap(t, ts, info, r)
-			if fatal {
+			var fatal bool
+			if rp, fatal = l.handleTrap(t, ts, info, r); fatal {
 				// Root-domain fault or no reachable recovery point: the
 				// raw trap continues to the process supervisor, which
 				// terminates the process (default SIGSEGV disposition).
 				panic(r)
 			}
-			if rp.scope == scope {
-				l.finishRewind(t, ts, d)
-				err = rp.exit
-				return
-			}
-			l.unwindThrough(t, ts, d)
+		}
+		target := rp.scope == scope
+		l.closeScope(t, ts, d, target)
+		if !target {
+			// Handler-at-grandparent: the rewind continues to an outer
+			// Guard.
 			panic(rp)
 		}
+		err = rp.exit
 	}()
 	return body()
-}
-
-// trapInfo classifies a recovered panic value as a simulated trap.
-func trapInfo(r any) (sig.Info, bool) {
-	switch v := r.(type) {
-	case *mem.Fault:
-		return sig.Info{
-			Signal: sig.SIGSEGV,
-			Code:   int(v.Code),
-			Addr:   uint64(v.Addr),
-			PKey:   v.PKey,
-			Cause:  v,
-		}, true
-	case *stack.SmashError:
-		return sig.Info{Signal: sig.SIGABRT, Addr: uint64(v.CanaryAddr), Cause: v}, true
-	case *tlsf.CorruptionError:
-		return sig.Info{Signal: sig.SIGABRT, Addr: uint64(v.Addr), Cause: v}, true
-	default:
-		return sig.Info{}, false
-	}
 }
 
 // handleTrap is the simulation's SDRaD SIGSEGV/stack-protector handler:
@@ -151,14 +121,16 @@ func trapInfo(r any) (sig.Info, bool) {
 //	⑫ restore the calling environment (here: aim the rewind at the
 //	   recovery scope of the failing domain, or of its parent when
 //	   handler-at-grandparent was requested),
-//	⑬ delete the failing domain and discard its memory,
+//	⑬ delete the failing domain and the domains it created, and discard
+//	   their memory,
 //	⑭ (the Guard then transfers control to the caller's error handling).
 //
-// It returns fatal=true when the trap cannot be recovered: the thread was
-// executing in the root domain, or no valid recovery context exists.
+// It returns fatal=true when the trap cannot be recovered: SIGSEGV is
+// blocked in the thread's mask, the thread was executing in the root
+// domain, no valid recovery context exists, or the rewind budget is spent.
 func (l *Library) handleTrap(t *proc.Thread, ts *threadState, info sig.Info, cause any) (rp *rewindPanic, fatal bool) {
-	// A synchronous fault with the signal blocked is fatal (sig package
-	// semantics); replicate the check the kernel would perform.
+	// A synchronous fault with the signal blocked is fatal: the kernel
+	// never runs the handler for it.
 	if info.Signal == sig.SIGSEGV && t.SigMask().Has(sig.SIGSEGV) {
 		return nil, true
 	}
@@ -190,17 +162,14 @@ func (l *Library) handleTrap(t *proc.Thread, ts *threadState, info sig.Info, cau
 	// ⑪ restore the parent's execution: pop the enter record for the
 	// failing domain if it was entered.
 	l.monitorEnter(t)
-	if n := len(ts.enterStack); n > 0 && ts.enterStack[n-1].entered == failing {
-		ts.current = ts.enterStack[n-1].prev
-		ts.enterStack = ts.enterStack[:n-1]
-		failing.entered = false
-	}
+	ts.leave(failing)
 	// Revoke the thread's span leases before the discard frees or recycles
 	// the failing domain's memory: nothing issued inside the discarded
 	// scope may survive the rewind.
 	t.CPU().InvalidateLeases()
-	// ⑬ delete the domain, discard its memory (never merged: corrupted).
-	l.discardDomain(t, failing)
+	// ⑬ delete the domain and the domains it created, discard their
+	// memory (never merged: corrupted).
+	l.discardDomain(t, append(ts.descendants(failing), failing)...)
 	seq := l.stats.Rewinds.Add(1)
 	l.monitorExit(t)
 
@@ -256,55 +225,19 @@ func (l *Library) handleTrap(t *proc.Thread, ts *threadState, info sig.Info, cau
 	}, false
 }
 
-// finishRewind completes a rewind at its target Guard: execution resumes
-// in the guarded domain's parent with the signal mask saved at
-// initialization restored (sigsetjmp/siglongjmp semantics).
-func (l *Library) finishRewind(t *proc.Thread, ts *threadState, d *Domain) {
+// closeScope ends a Guard scope the thread leaves other than through
+// Exit: by a rewind to this Guard (target), by a rewind passing through
+// it to an outer one, or by a body that returned without calling Exit. A
+// domain still entered is exited; its state is preserved — the paper
+// leaves destroying intermediate persistent domains to the developer's
+// error handler. The rewind's target also restores the signal mask saved
+// at the Guard (sigsetjmp/siglongjmp semantics). Every way out revokes
+// the thread's span leases.
+func (l *Library) closeScope(t *proc.Thread, ts *threadState, d *Domain, target bool) {
 	l.monitorEnter(t)
-	// If the guarded domain was still entered when the rewind started
-	// deeper inside it (handler-at-grandparent), exit it now.
-	if ts.current == d {
-		if n := len(ts.enterStack); n > 0 && ts.enterStack[n-1].entered == d {
-			ts.current = ts.enterStack[n-1].prev
-			ts.enterStack = ts.enterStack[:n-1]
-			d.entered = false
-			d.stk.Reset()
-		}
-	}
-	t.SetSigMask(d.savedMask)
-	t.CPU().InvalidateLeases()
-	l.monitorExit(t)
-}
-
-// unwindThrough performs the bookkeeping for a Guard a rewind passes
-// through: if the guard's domain is still the current one it is exited
-// (its state is preserved — the paper leaves destroying intermediate
-// persistent domains to the developer's error handler).
-func (l *Library) unwindThrough(t *proc.Thread, ts *threadState, d *Domain) {
-	l.monitorEnter(t)
-	if ts.current == d {
-		if n := len(ts.enterStack); n > 0 && ts.enterStack[n-1].entered == d {
-			ts.current = ts.enterStack[n-1].prev
-			ts.enterStack = ts.enterStack[:n-1]
-			d.entered = false
-			if d.stk != nil {
-				d.stk.Reset()
-			}
-		}
-	}
-	t.CPU().InvalidateLeases()
-	l.monitorExit(t)
-}
-
-// forceExit restores the parent domain when body returned without calling
-// Exit.
-func (l *Library) forceExit(t *proc.Thread, ts *threadState, d *Domain) {
-	l.monitorEnter(t)
-	if n := len(ts.enterStack); n > 0 && ts.enterStack[n-1].entered == d {
-		ts.current = ts.enterStack[n-1].prev
-		ts.enterStack = ts.enterStack[:n-1]
-		d.entered = false
-		d.stk.Reset()
+	ts.leave(d)
+	if target {
+		t.SetSigMask(d.savedMask)
 	}
 	t.CPU().InvalidateLeases()
 	l.monitorExit(t)

@@ -167,6 +167,22 @@ func (ts *threadState) forget(d *Domain) {
 	}
 }
 
+// leave pops the top enter record when it is d's: the thread is back in
+// the domain it entered d from, and d's stack contents are discarded with
+// whatever frames the isolated call leaked. It is the one way out of an
+// entered domain: Exit, a trap's halt (⑪) and a Guard closing its scope
+// all leave through it.
+func (ts *threadState) leave(d *Domain) {
+	if n := len(ts.enterStack); n > 0 && ts.enterStack[n-1].entered == d {
+		ts.current = ts.enterStack[n-1].prev
+		ts.enterStack = ts.enterStack[:n-1]
+		d.entered = false
+		if d.stk != nil {
+			d.stk.Reset()
+		}
+	}
+}
+
 type enterRecord struct {
 	prev    *Domain
 	entered *Domain
@@ -328,10 +344,13 @@ func WithPolicy(e *policy.Engine) SetupOption {
 }
 
 // Setup initializes SDRaD for a process: it allocates the root and
-// monitor protection keys, maps the monitor data domain, installs the
-// SIGSEGV handler, and registers the thread constructor that gives every
-// thread its root-domain state. It mirrors the constructor that the C
-// library runs before main() (paper §IV-B, "Initialization").
+// monitor protection keys, maps the monitor data domain, and registers
+// the thread constructor that gives every thread its root-domain state.
+// It mirrors the constructor that the C library runs before main() (paper
+// §IV-B, "Initialization"). The SIGSEGV handler needs no installing: it
+// is every Guard's recovery (handleTrap), and a trap no Guard recovers
+// terminates the process in proc's supervisor (paper: "For faults
+// occurring in the root domain ... the process is still terminated").
 func Setup(p *proc.Process, opts ...SetupOption) (*Library, error) {
 	l := &Library{
 		p:                p,
@@ -369,17 +388,6 @@ func Setup(p *proc.Process, opts ...SetupOption) (*Library, error) {
 		key:  l.rootKey,
 		lib:  l,
 	}
-
-	// SIGSEGV handler: in the real library this is where rewinding
-	// starts. In the simulation, faults inside guarded domains are
-	// recovered by the Guard scopes before they ever reach the process
-	// signal table; a delivery here therefore means the fault was not
-	// attributable to a guarded nested domain and the process must die
-	// (paper: "For faults occurring in the root domain ... the process
-	// is still terminated").
-	p.Signals().Register(sig.SIGSEGV, func(info *sig.Info, tls any) sig.Action {
-		return sig.ActionTerminate
-	})
 
 	if rec := l.tel.Load(); rec != nil {
 		l.attachTelemetry(rec)

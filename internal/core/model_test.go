@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"sdrad/internal/mem"
@@ -196,16 +197,38 @@ func (th *mThread) exit() {
 	th.entered = th.entered[:len(th.entered)-1]
 }
 
-// trap is an abnormal exit of the current domain: the domain is
-// discarded with all it allocated, and the thread resumes in its parent.
-// Nothing outside it changes.
+// inside returns the thread's execution domains created, directly or
+// not, inside d: they go when d goes.
+func (th *mThread) inside(d *mDomain) []*mDomain {
+	var in []*mDomain
+	for _, c := range th.domains {
+		for p := c.parent; p != nil; p = p.parent {
+			if p == d {
+				in = append(in, c)
+				break
+			}
+		}
+	}
+	return in
+}
+
+// discard drops execution domains with all they allocated.
+func (th *mThread) discard(doms ...*mDomain) {
+	for _, d := range doms {
+		delete(th.domains, d.udi)
+		th.m.release(d, false)
+	}
+}
+
+// trap is an abnormal exit of the current domain: the domain and the
+// domains created inside it are discarded with all they allocated, and
+// the thread resumes in its parent. Nothing outside them changes.
 func (th *mThread) trap(segv bool) {
 	m := th.m
 	defer m.lock()()
 	d := th.current
 	th.exit()
-	delete(th.domains, d.udi)
-	m.release(d, false)
+	th.discard(append(th.inside(d), d)...)
 	m.rewinds++
 	if segv {
 		m.faults++
@@ -213,7 +236,8 @@ func (th *mThread) trap(segv bool) {
 }
 
 // destroy is Destroy: a merge hands the domain's allocations to its
-// parent, a discard drops them.
+// parent, a discard drops them; the domains created inside it are
+// discarded, and none of them, nor it, may be entered.
 func (th *mThread) destroy(udi UDI, merge bool) error {
 	m := th.m
 	defer m.lock()()
@@ -221,16 +245,19 @@ func (th *mThread) destroy(udi UDI, merge bool) error {
 	if d == nil {
 		d = m.data[udi]
 	}
+	in := th.inside(d)
+	entered := func(c *mDomain) bool { return c == th.current || slices.Contains(th.entered, c) }
 	switch {
 	case d == nil:
 		return ErrUnknownDomain
-	case d == th.current:
+	case entered(d) || slices.ContainsFunc(in, entered):
 		return ErrDomainBusy
 	case merge && !d.accessible:
 		return ErrNotChild
 	case d.data && m.threads > 1:
 		return ErrSharedTopology
 	}
+	th.discard(in...)
 	if d.data {
 		delete(m.data, udi)
 	} else {

@@ -390,19 +390,24 @@ func (d *driver) check() {
 	}
 }
 
+// keysAndMapped counts the allocated protection keys and the mapped bytes.
+func keysAndMapped(as *mem.AddressSpace) (keys int, mapped int64) {
+	for k := range mem.NumKeys {
+		if as.KeyAllocated(k) {
+			keys++
+		}
+	}
+	return keys, as.Stats().MappedBytes.Load()
+}
+
 // checkAll adds the process-wide counts: rewinds, forensics reports,
 // logged faults, mapped bytes and protection keys (key 0, root's and the
 // monitor's besides the model's).
 func (d *driver) checkAll() {
 	m := d.mt.m
 	as := d.l.Process().AddressSpace()
-	keys := int64(0)
-	for k := range mem.NumKeys {
-		if as.KeyAllocated(k) {
-			keys++
-		}
-	}
-	got := [...]int64{d.l.Stats().Rewinds.Load(), d.rec.Forensics().Added(), as.FaultSeq(), as.Stats().MappedBytes.Load() - d.base, keys}
+	keys, mapped := keysAndMapped(as)
+	got := [...]int64{d.l.Stats().Rewinds.Load(), d.rec.Forensics().Added(), as.FaultSeq(), mapped - d.base, int64(keys)}
 	if want := [...]int64{m.rewinds, m.rewinds, m.faults, m.mapped, int64(m.keys + 3)}; got != want {
 		d.failf("rewinds, forensics reports, logged faults, mapped bytes, keys: %v, model: %v", got, want)
 	}

@@ -191,3 +191,116 @@ func TestRewindRevokesLeasesTakenInTheDomain(t *testing.T) {
 		})
 	})
 }
+
+// TestRewindDiscardsTheDomainsCreatedInside: a rewind of an outer domain
+// discards the inner domain created inside it too, never leaving it
+// behind under a dead parent. Afterwards the inner index initializes
+// again from root, and the keys and mapped bytes are back at their
+// baseline (stack reuse is off, so a discard unmaps and frees the key).
+func TestRewindDiscardsTheDomainsCreatedInside(t *testing.T) {
+	p, l := newLib(t, WithStackReuse(false))
+	as := p.AddressSpace()
+	run(t, p, func(th *proc.Thread) error {
+		keys, mapped := keysAndMapped(as)
+		err := l.Guard(th, 1, func() error {
+			if err := l.Enter(th, 1); err != nil {
+				return err
+			}
+			if err := l.Guard(th, 2, func() error {
+				if err := l.Enter(th, 2); err != nil {
+					return err
+				}
+				return l.Exit(th)
+			}); err != nil {
+				return err
+			}
+			th.CPU().WriteU8(0xDEAD0000, 1) // the outer domain traps
+			return nil
+		})
+		var abn *AbnormalExit
+		if !errors.As(err, &abn) || abn.FailedUDI != 1 {
+			t.Fatalf("outer guard returned %v, want an abnormal exit of domain 1", err)
+		}
+		if k, m := keysAndMapped(as); k != keys || m != mapped {
+			t.Errorf("after the rewind: %d keys and %d bytes mapped, baseline %d and %d", k, m, keys, mapped)
+		}
+		if rep := l.Audit(th); !rep.Ok() || len(rep.Domains) != 0 {
+			t.Errorf("audit after the rewind: %v, domains %v", rep.Findings, rep.Domains)
+		}
+		if err := l.InitDomain(th, 2); err != nil {
+			t.Errorf("re-initializing the inner index: %v", err)
+		}
+		return l.Destroy(th, 2, NoHeapMerge)
+	})
+}
+
+// TestDestroyDiscardsTheDomainsCreatedInside: Destroy refuses, changing
+// nothing, while the domain or one created inside it is entered; once
+// neither is, the inner domain goes with the outer one — discarded even
+// when the outer one's heap is merged.
+func TestDestroyDiscardsTheDomainsCreatedInside(t *testing.T) {
+	p, l := newLib(t, WithStackReuse(false))
+	as := p.AddressSpace()
+	run(t, p, func(th *proc.Thread) error {
+		keys, mapped := keysAndMapped(as)
+		err := l.Guard(th, 1, func() error {
+			if err := l.Enter(th, 1); err != nil {
+				return err
+			}
+			if err := l.Guard(th, 2, func() error {
+				if err := l.Enter(th, 2); err != nil {
+					return err
+				}
+				if err := l.Destroy(th, 1, HeapMerge); !errors.Is(err, ErrDomainBusy) {
+					t.Errorf("Destroy of the outer domain from the inner one: %v, want ErrDomainBusy", err)
+				}
+				return l.Exit(th)
+			}); err != nil {
+				return err
+			}
+			return l.Exit(th)
+		}, Accessible())
+		if err != nil {
+			return err
+		}
+		if rep := l.Audit(th); !rep.Ok() || len(rep.Domains) != 2 {
+			t.Errorf("audit after the refused Destroy: %v, domains %v", rep.Findings, rep.Domains)
+		}
+		if err := l.Destroy(th, 1, HeapMerge); err != nil {
+			return err
+		}
+		// The merge maps root's heap and hands it the outer heap's pages.
+		if k, m := keysAndMapped(as); k != keys || m != mapped+DefaultRootHeapSize+DefaultHeapSize {
+			t.Errorf("after Destroy: %d keys and %d bytes mapped, want %d and %d", k, m, keys, mapped+DefaultRootHeapSize+DefaultHeapSize)
+		}
+		if rep := l.Audit(th); !rep.Ok() || len(rep.Domains) != 0 {
+			t.Errorf("audit after Destroy: %v, domains %v", rep.Findings, rep.Domains)
+		}
+		return l.InitDomain(th, 2)
+	})
+}
+
+// TestBlockedSegvInGuardedDomainIsFatal: a guarded domain that faults
+// with SIGSEGV blocked in the thread's mask is not rewound — the kernel
+// never runs the handler for a blocked synchronous signal — and the
+// process dies.
+func TestBlockedSegvInGuardedDomainIsFatal(t *testing.T) {
+	p, l := newLib(t)
+	err := p.Attach("main", func(th *proc.Thread) error {
+		return l.Guard(th, 1, func() error {
+			th.SetSigMask(sig.Mask(0).Block(sig.SIGSEGV))
+			if err := l.Enter(th, 1); err != nil {
+				return err
+			}
+			th.CPU().WriteU8(0xDEAD0000, 1)
+			return nil
+		})
+	})
+	var crash *proc.CrashError
+	if !errors.As(err, &crash) || crash.Info.Signal != sig.SIGSEGV {
+		t.Fatalf("err = %v, want a SIGSEGV crash", err)
+	}
+	if !p.Killed() || l.Stats().Rewinds.Load() != 0 {
+		t.Errorf("killed %v after %d rewinds, want killed after none", p.Killed(), l.Stats().Rewinds.Load())
+	}
+}

@@ -9,15 +9,12 @@ import (
 )
 
 // attachTelemetry wires the recorder through the layers this library
-// owns: the address space records fault events, the signal table records
-// deliveries, and the monitor's native counters are mirrored into the
-// registry as callbacks — exposition reads them, the hot paths gain no
-// extra writes.
+// owns: the address space records fault events (and the process
+// supervisor, which reads it there, fatal signals and crashes), and the
+// monitor's native counters are mirrored into the registry as callbacks —
+// exposition reads them, the hot paths gain no extra writes.
 func (l *Library) attachTelemetry(rec *telemetry.Recorder) {
 	l.p.AddressSpace().SetTelemetry(rec)
-	l.p.Signals().SetObserver(func(info *sig.Info, action sig.Action) {
-		rec.RecordSignal(0, info.Signal.String(), int(info.Signal), info.Code, info.Addr)
-	})
 	reg := rec.Registry()
 	reg.CounterFunc("sdrad_domain_transitions_total",
 		"Enter/Exit domain transitions performed by the reference monitor.",

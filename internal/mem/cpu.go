@@ -105,10 +105,11 @@ type CPU struct {
 	// SetFaultInjector.
 	inject FaultInjector
 
-	// leaseGen revokes this CPU's span leases (see lease.go): bumped on
-	// every domain transition of the owning thread and whenever a fault
-	// injector is installed. leases is the SpanLease cache; leaseHand its
-	// round-robin eviction cursor.
+	// leaseGen revokes this CPU's span leases (see lease.go): bumped by
+	// InvalidateLeases — on the reference monitor's rewind paths and when
+	// it closes a guard scope left without Exit — and whenever a fault
+	// injector is installed; an Enter or Exit leaves it alone. leases is
+	// the SpanLease cache; leaseHand its round-robin eviction cursor.
 	leaseGen  uint64
 	leaseHand uint8
 	leases    [cpuLeaseSlots]Lease

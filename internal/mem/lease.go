@@ -226,7 +226,8 @@ func (c *CPU) SpanLease(base Addr, n int, kind AccessKind) *Lease {
 // InvalidateLeases forcibly revokes every lease minted by this CPU: the
 // next use falls into Renew's full re-walk. The reference monitor calls
 // it on the rewind unwind paths (a rewound domain's windows must die even
-// if its pages survive), and SetFaultInjector calls it so an armed
+// if its pages survive) and when it closes a guard scope left without
+// Exit, and SetFaultInjector calls it so an armed
 // injector tears down windows immediately. Ordinary Enter/Exit domain
 // transitions do NOT invalidate: they only rewrite PKRU, which Valid
 // re-derives per access.

@@ -27,13 +27,13 @@ func (as *AddressSpace) SetTelemetry(rec *telemetry.Recorder) {
 		"Span leases granted after a full verification walk.",
 		func() int64 { return as.leaseGrants.Load() })
 	reg.CounterFunc("sdrad_lease_renewals_total",
-		"Span leases renewed via the O(1) same-epoch recheck.",
+		"Stale span leases renewed by a full re-verification walk.",
 		func() int64 { return as.leaseRenewals.Load() })
 	reg.CounterFunc("sdrad_lease_refusals_total",
 		"Span lease grant/renew refusals (callers fell back to checked accessors).",
 		func() int64 { return as.leaseRefusals.Load() })
 	reg.CounterFunc("sdrad_lease_invalidations_total",
-		"Address-space-wide lease invalidations (shootdowns + policy-generation bumps).",
+		"Address-space-wide lease invalidations (one per page-table shootdown).",
 		func() int64 { return int64(as.leaseEpoch.Load()) })
 }
 

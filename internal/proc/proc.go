@@ -1,15 +1,15 @@
 // Package proc simulates the process and thread abstractions the SDRaD
-// library lives in: a process owns one simulated address space and signal
-// table; threads are goroutines that each carry a CPU context (with its
-// own PKRU register), a signal mask, and a thread-local slot for the
-// SDRaD per-thread control data.
+// library lives in: a process owns one simulated address space; threads
+// are goroutines that each carry a CPU context (with its own PKRU
+// register), a signal mask, and a thread-local slot for the SDRaD
+// per-thread control data.
 //
-// The package also implements the "kernel half" of fault handling: a
-// thread body that panics with a simulated trap (*mem.Fault or
-// *stack.SmashError) has the trap converted to a signal and delivered
-// through the process signal table. If no handler recovers — e.g. the
-// fault happened in the SDRaD root domain — the process terminates, which
-// is precisely the baseline behaviour the paper improves upon.
+// The package also implements the "kernel half" of fault handling:
+// TrapToSignal classifies a simulated trap (*mem.Fault, *stack.SmashError
+// or *tlsf.CorruptionError) as the signal the kernel would deliver, and a
+// trap that escapes a thread body — no SDRaD guard scope recovered it,
+// e.g. the fault happened in the root domain — terminates the process,
+// which is precisely the baseline behaviour the paper improves upon.
 package proc
 
 import (
@@ -47,7 +47,6 @@ func (e *CrashError) Error() string {
 type Process struct {
 	name string
 	as   *mem.AddressSpace
-	sigs *sig.Table
 
 	mu           sync.Mutex
 	rng          *rand.Rand
@@ -78,8 +77,7 @@ func WithMemOptions(opts ...mem.Option) Option {
 	return func(c *cfg) { c.memOpts = append(c.memOpts, opts...) }
 }
 
-// NewProcess creates a process with a fresh address space and default
-// signal dispositions.
+// NewProcess creates a process with a fresh address space.
 func NewProcess(name string, opts ...Option) *Process {
 	c := cfg{seed: 1}
 	for _, o := range opts {
@@ -88,7 +86,6 @@ func NewProcess(name string, opts ...Option) *Process {
 	return &Process{
 		name: name,
 		as:   mem.NewAddressSpace(c.memOpts...),
-		sigs: sig.NewTable(),
 		rng:  rand.New(rand.NewSource(c.seed)),
 		done: make(chan struct{}),
 	}
@@ -99,9 +96,6 @@ func (p *Process) Name() string { return p.name }
 
 // AddressSpace returns the process address space.
 func (p *Process) AddressSpace() *mem.AddressSpace { return p.as }
-
-// Signals returns the process signal table.
-func (p *Process) Signals() *sig.Table { return p.sigs }
 
 // Rand64 returns process-seeded randomness (stack canaries etc.).
 func (p *Process) Rand64() uint64 {
@@ -289,29 +283,25 @@ func (p *Process) Spawn(name string, body func(*Thread) error) *Handle {
 	return h
 }
 
-// supervise runs body, converting escaped simulated traps into signal
-// delivery and process termination. Traps that SDRaD recovers via its
-// rewind mechanism never reach this point — they are recovered inside the
-// library's guard scopes. A trap arriving here is, by construction, an
-// unhandled fault (root-domain fault, or no handler installed) and kills
-// the process, exactly like the default SIGSEGV disposition.
+// supervise runs body, converting an escaped simulated trap into process
+// termination. Traps that SDRaD recovers via its rewind mechanism never
+// reach this point — they are recovered inside the library's guard
+// scopes. A trap arriving here is, by construction, an unhandled fault
+// (root-domain fault, a blocked SIGSEGV, no guard scope at all) and kills
+// the process, exactly like the default SIGSEGV disposition: returning
+// from a handler without fixing the cause re-faults forever.
 func (p *Process) supervise(t *Thread, body func(*Thread) error) (err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		info, ok := trapToSignal(r)
+		info, ok := TrapToSignal(r)
 		if !ok {
 			panic(r) // programming error, not a simulated trap
 		}
-		// The process signal table may still have a handler that wants to
-		// observe the fault (e.g. to log it); whatever it returns, a trap
-		// that propagated this far cannot be recovered, so the process
-		// dies. This matches Linux: returning from a SIGSEGV handler
-		// without fixing the cause re-faults forever.
-		p.sigs.Deliver(&info, t.mask, t)
 		if rec := p.as.Telemetry(); rec != nil {
+			rec.RecordSignal(t.id, info.Signal.String(), int(info.Signal), info.Code, info.Addr)
 			rec.RecordCrash(t.id)
 		}
 		crash := &CrashError{Thread: t.name, Info: info}
@@ -321,8 +311,11 @@ func (p *Process) supervise(t *Thread, body func(*Thread) error) (err error) {
 	return body(t)
 }
 
-// trapToSignal maps simulated trap panic values onto signals.
-func trapToSignal(r any) (sig.Info, bool) {
+// TrapToSignal classifies a recovered panic value as a simulated trap and
+// maps it onto the signal the kernel would deliver; ok is false for any
+// other value. It is the one classification both halves of fault handling
+// share: the SDRaD handler (core's Guard) and the process supervisor.
+func TrapToSignal(r any) (info sig.Info, ok bool) {
 	switch v := r.(type) {
 	case *mem.Fault:
 		return sig.Info{

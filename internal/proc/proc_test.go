@@ -8,6 +8,7 @@ import (
 	"sdrad/internal/mem"
 	"sdrad/internal/sig"
 	"sdrad/internal/stack"
+	"sdrad/internal/telemetry"
 )
 
 func TestAttachRunsBody(t *testing.T) {
@@ -210,9 +211,6 @@ func TestShutdownClean(t *testing.T) {
 
 func TestSignalMaskBlockedFaultStillFatal(t *testing.T) {
 	p := NewProcess("test")
-	p.Signals().Register(sig.SIGSEGV, func(*sig.Info, any) sig.Action {
-		return sig.ActionHandled // lies; supervisor terminates anyway
-	})
 	err := p.Attach("main", func(th *Thread) error {
 		th.SetSigMask(sig.Mask(0).Block(sig.SIGSEGV))
 		th.CPU().ReadU8(0xBAD0000)
@@ -221,6 +219,48 @@ func TestSignalMaskBlockedFaultStillFatal(t *testing.T) {
 	var crash *CrashError
 	if !errors.As(err, &crash) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestEscapedTrapRecordsOneSignalAndOneCrash: a trap no guard scope
+// recovered is recorded by the supervisor, on any build that attached a
+// recorder to the address space, as exactly one signal event (the signal,
+// si_code and address that killed the process) and one crash event, both
+// carrying the faulting thread's id.
+func TestEscapedTrapRecordsOneSignalAndOneCrash(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{})
+	p := NewProcess("test")
+	p.AddressSpace().SetTelemetry(rec)
+	if err := p.Spawn("bystander", func(*Thread) error { return nil }).Join(); err != nil {
+		t.Fatal(err)
+	}
+	const wild = mem.Addr(0xBAD0000)
+	victim := p.Spawn("victim", func(th *Thread) error {
+		th.CPU().WriteU8(wild, 1)
+		return nil
+	})
+	var crash *CrashError
+	if err := victim.Join(); !errors.As(err, &crash) {
+		t.Fatalf("err = %v", err)
+	}
+	tid := victim.Thread().ID()
+	var signals, crashes int
+	for _, ev := range rec.Flight().Snapshot() {
+		switch ev.Kind {
+		case "signal":
+			signals++
+			if ev.Thread != tid || ev.PKey != int(sig.SIGSEGV) || ev.Code != int(mem.CodeMapErr) || ev.Addr != uint64(wild) {
+				t.Errorf("signal event %+v, want thread %d, SIGSEGV, SEGV_MAPERR at %#x", ev, tid, uint64(wild))
+			}
+		case "crash":
+			crashes++
+			if ev.Thread != tid {
+				t.Errorf("crash event on thread %d, want %d", ev.Thread, tid)
+			}
+		}
+	}
+	if signals != 1 || crashes != 1 {
+		t.Errorf("%d signal and %d crash events, want one each", signals, crashes)
 	}
 }
 

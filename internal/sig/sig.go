@@ -1,20 +1,20 @@
-// Package sig simulates the slice of POSIX signal semantics that SDRaD
-// depends on: per-process dispositions for synchronous faults, si_code
-// discrimination for SIGSEGV, delivery to the faulting thread, and the
-// per-thread signal mask that is saved and restored as part of an
-// execution context (setjmp/longjmp save the mask too).
+// Package sig names the slice of POSIX signal semantics that SDRaD
+// depends on: the signal numbers, the siginfo_t fields the SDRaD handler
+// inspects (si_code discrimination for SIGSEGV, the faulting address and
+// protection key), and the per-thread signal mask that is saved and
+// restored as part of an execution context (setjmp/longjmp save the mask
+// too).
 //
 // In the real system the kernel delivers SIGSEGV to the thread that
 // faulted and the SDRaD signal handler decides between rewinding and
 // letting the process die. In the simulation, memory faults surface as
-// panics; the process layer recovers them, builds an Info, and consults
-// the process's signal Table, which produces the same decision.
+// panics: proc.TrapToSignal turns one into an Info, core's Guard makes
+// the handler's decision, and a trap no Guard recovers reaches the
+// process supervisor, which terminates the process — a blocked SIGSEGV,
+// an ignored one and a default disposition all end there.
 package sig
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Signal is a POSIX signal number.
 type Signal int
@@ -61,152 +61,6 @@ type Info struct {
 
 func (i *Info) String() string {
 	return fmt.Sprintf("%v code=%d addr=0x%x pkey=%d", i.Signal, i.Code, i.Addr, i.PKey)
-}
-
-// Action is the outcome of delivering a signal.
-type Action int
-
-// Delivery outcomes.
-const (
-	// ActionTerminate: the process must terminate (default disposition of
-	// fatal signals, or the handler could not recover).
-	ActionTerminate Action = iota + 1
-	// ActionHandled: a handler consumed the signal and execution may
-	// continue (for SDRaD, this means a rewind is in progress).
-	ActionHandled
-	// ActionIgnored: the disposition was SIG_IGN.
-	ActionIgnored
-)
-
-func (a Action) String() string {
-	switch a {
-	case ActionTerminate:
-		return "terminate"
-	case ActionHandled:
-		return "handled"
-	case ActionIgnored:
-		return "ignored"
-	default:
-		return "unknown"
-	}
-}
-
-// Handler processes a delivered signal. The tls argument carries the
-// per-thread state of the faulting thread (the simulation's stand-in for
-// the ucontext pointer); handlers return whether they recovered.
-type Handler func(info *Info, tls any) Action
-
-// Table holds the per-process signal dispositions, mirroring the table the
-// kernel keeps per process (signal handlers are process-wide; delivery of
-// a synchronous fault is to the faulting thread).
-type Table struct {
-	mu       sync.RWMutex
-	handlers map[Signal]Handler
-	ignored  map[Signal]bool
-	// delivered counts deliveries per signal for observability.
-	delivered map[Signal]int
-	// observer, when set, sees every delivery and its outcome (telemetry).
-	observer func(info *Info, action Action)
-}
-
-// NewTable returns a table with default dispositions for all signals.
-func NewTable() *Table {
-	return &Table{
-		handlers:  make(map[Signal]Handler),
-		ignored:   make(map[Signal]bool),
-		delivered: make(map[Signal]int),
-	}
-}
-
-// Register installs a handler for sig, mirroring sigaction(2). A nil
-// handler restores the default disposition.
-func (t *Table) Register(sig Signal, h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if h == nil {
-		delete(t.handlers, sig)
-		return
-	}
-	t.handlers[sig] = h
-	delete(t.ignored, sig)
-}
-
-// Ignore sets the SIG_IGN disposition for sig. SIGKILL cannot be ignored.
-func (t *Table) Ignore(sig Signal) {
-	if sig == SIGKILL {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ignored[sig] = true
-	delete(t.handlers, sig)
-}
-
-// SetObserver installs (or, with nil, removes) a callback invoked after
-// every delivery with the resulting action. The telemetry subsystem uses
-// it to record signal events; the callback must not call back into the
-// table.
-func (t *Table) SetObserver(fn func(info *Info, action Action)) {
-	t.mu.Lock()
-	t.observer = fn
-	t.mu.Unlock()
-}
-
-// Deliver routes info to the registered handler of the faulting thread,
-// falling back to the default action. Synchronous faults (SIGSEGV) that a
-// thread has blocked in its mask cause immediate termination, matching
-// kernel behaviour for blocked synchronous signals.
-func (t *Table) Deliver(info *Info, mask Mask, tls any) Action {
-	t.mu.Lock()
-	t.delivered[info.Signal]++
-	h := t.handlers[info.Signal]
-	ign := t.ignored[info.Signal]
-	obs := t.observer
-	t.mu.Unlock()
-
-	act := deliverAction(info, mask, h, ign, tls)
-	if obs != nil {
-		obs(info, act)
-	}
-	return act
-}
-
-// deliverAction computes the delivery outcome.
-func deliverAction(info *Info, mask Mask, h Handler, ign bool, tls any) Action {
-	if info.Signal == SIGSEGV && mask.Has(SIGSEGV) {
-		// A blocked synchronous signal is fatal; the handler never runs.
-		return ActionTerminate
-	}
-	if ign {
-		if isFatalSync(info.Signal) {
-			// Ignoring a synchronous fault re-executes the faulting
-			// instruction forever; the kernel terminates instead.
-			return ActionTerminate
-		}
-		return ActionIgnored
-	}
-	if h != nil {
-		return h(info, tls)
-	}
-	return defaultAction(info.Signal)
-}
-
-// Delivered returns how many times sig has been delivered.
-func (t *Table) Delivered(sig Signal) int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.delivered[sig]
-}
-
-func isFatalSync(s Signal) bool { return s == SIGSEGV }
-
-func defaultAction(s Signal) Action {
-	switch s {
-	case SIGABRT, SIGKILL, SIGSEGV, SIGTERM:
-		return ActionTerminate
-	default:
-		return ActionIgnored
-	}
 }
 
 // Mask is a per-thread signal mask (sigprocmask state). The zero value

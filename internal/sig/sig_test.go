@@ -5,93 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestDefaultDispositions(t *testing.T) {
-	tbl := NewTable()
-	cases := []struct {
-		sig  Signal
-		want Action
-	}{
-		{SIGSEGV, ActionTerminate},
-		{SIGABRT, ActionTerminate},
-		{SIGKILL, ActionTerminate},
-		{SIGTERM, ActionTerminate},
-		{Signal(40), ActionIgnored},
-	}
-	for _, c := range cases {
-		got := tbl.Deliver(&Info{Signal: c.sig}, 0, nil)
-		if got != c.want {
-			t.Errorf("default action for %v = %v, want %v", c.sig, got, c.want)
-		}
-	}
-}
-
-func TestHandlerInvocation(t *testing.T) {
-	tbl := NewTable()
-	var seen *Info
-	var seenTLS any
-	tbl.Register(SIGSEGV, func(info *Info, tls any) Action {
-		seen = info
-		seenTLS = tls
-		return ActionHandled
-	})
-	info := &Info{Signal: SIGSEGV, Code: 4, Addr: 0x1234, PKey: 7}
-	got := tbl.Deliver(info, 0, "thread-9")
-	if got != ActionHandled {
-		t.Fatalf("action = %v", got)
-	}
-	if seen != info || seenTLS != "thread-9" {
-		t.Error("handler did not receive info/tls")
-	}
-	if tbl.Delivered(SIGSEGV) != 1 {
-		t.Errorf("delivered count = %d", tbl.Delivered(SIGSEGV))
-	}
-}
-
-func TestUnregisterRestoresDefault(t *testing.T) {
-	tbl := NewTable()
-	tbl.Register(SIGSEGV, func(*Info, any) Action { return ActionHandled })
-	tbl.Register(SIGSEGV, nil)
-	if got := tbl.Deliver(&Info{Signal: SIGSEGV}, 0, nil); got != ActionTerminate {
-		t.Errorf("after unregister = %v, want terminate", got)
-	}
-}
-
-func TestIgnoreSemantics(t *testing.T) {
-	tbl := NewTable()
-	tbl.Ignore(SIGTERM)
-	if got := tbl.Deliver(&Info{Signal: SIGTERM}, 0, nil); got != ActionIgnored {
-		t.Errorf("ignored SIGTERM = %v", got)
-	}
-	// Ignoring SIGSEGV still terminates (kernel semantics for synchronous
-	// faults).
-	tbl.Ignore(SIGSEGV)
-	if got := tbl.Deliver(&Info{Signal: SIGSEGV}, 0, nil); got != ActionTerminate {
-		t.Errorf("ignored SIGSEGV = %v, want terminate", got)
-	}
-	// SIGKILL cannot be ignored.
-	tbl.Ignore(SIGKILL)
-	if got := tbl.Deliver(&Info{Signal: SIGKILL}, 0, nil); got != ActionTerminate {
-		t.Errorf("SIGKILL after Ignore = %v, want terminate", got)
-	}
-}
-
-func TestBlockedSynchronousSignalIsFatal(t *testing.T) {
-	tbl := NewTable()
-	called := false
-	tbl.Register(SIGSEGV, func(*Info, any) Action {
-		called = true
-		return ActionHandled
-	})
-	mask := Mask(0).Block(SIGSEGV)
-	got := tbl.Deliver(&Info{Signal: SIGSEGV}, mask, nil)
-	if got != ActionTerminate {
-		t.Errorf("blocked SIGSEGV = %v, want terminate", got)
-	}
-	if called {
-		t.Error("handler ran for blocked synchronous signal")
-	}
-}
-
 func TestMaskOps(t *testing.T) {
 	var m Mask
 	if m.Has(SIGSEGV) {
@@ -151,10 +64,5 @@ func TestStrings(t *testing.T) {
 	info := &Info{Signal: SIGSEGV, Code: 4, Addr: 0x10, PKey: 2}
 	if info.String() == "" {
 		t.Error("Info.String empty")
-	}
-	for _, a := range []Action{ActionTerminate, ActionHandled, ActionIgnored, Action(99)} {
-		if a.String() == "" {
-			t.Error("Action.String empty")
-		}
 	}
 }

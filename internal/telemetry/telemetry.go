@@ -166,7 +166,7 @@ func New(opts Options) *Recorder {
 	r.mLastFault = reg.GaugeVec("sdrad_domain_last_fault_address",
 		"Faulting address of the most recent fault attributed to each UDI.", "udi")
 	r.mSignals = reg.CounterVec("sdrad_signals_total",
-		"Signals delivered through the process signal table.", "signal")
+		"Fatal signals of simulated processes: traps no guard scope recovered.", "signal")
 	// Every sampling thread observes the transition latencies, so each
 	// histogram has a cell per flight-recorder shard, picked by thread ID
 	// as record picks its ring.
@@ -275,7 +275,8 @@ func (r *Recorder) RecordFault(codeName string, code int, addr uint64, pkey int,
 	r.flight.record(r.Clock(), EvFault, 0, -1, code, pkey, addr, aux)
 }
 
-// RecordSignal records a delivery through the process signal table.
+// RecordSignal records the fatal signal of a trap no guard scope
+// recovered, on the faulting thread.
 func (r *Recorder) RecordSignal(tid int, signalName string, signal, code int, addr uint64) {
 	if !r.enabled.Load() {
 		return
