@@ -52,10 +52,10 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# A campaign's schedule must be a function of its seed: faults are armed
-# and audits run through Inspect on the serving thread, backlogs are
-# staged with Conn.Start behind a parked worker and time passes on a
-# manual clock, so nothing under internal/chaos may wait on the wall clock.
+# A sweep's schedule is pinned: faults are armed and audits run through
+# Inspect on the serving thread and backlogs are staged with Conn.Start
+# behind a parked worker, so nothing under internal/chaos may wait on the
+# wall clock.
 chaos-clockless:
 	@if grep -rn 'time\.Sleep' internal/chaos; then \
 		echo "internal/chaos must not sleep: stage with Conn.Start, advance a ManualClock"; exit 1; fi
@@ -111,22 +111,20 @@ one-host:
 examples:
 	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
-# A single fixed-seed round of every chaos campaign, as the smoke test
-# runs: the two fault-point sweeps judged by the vanilla build
-# (sweep-memcache, sweep-httpd, each printing its point count and wall
-# time) and the cluster campaign. The core library is held to its
-# reference model by go test (internal/core, model_test.go).
+# The two fault-point sweeps judged by the vanilla build, each logging
+# its point count and wall time and held to its pinned point count and
+# schedule hash. The core library is held to its reference model by go
+# test (internal/core, model_test.go), the router's fleet ladder by the
+# router tests (cluster-gate).
 chaos-smoke:
-	$(GO) test -run TestChaosSmoke -v ./internal/chaos
-	$(GO) run ./cmd/sdrad-chaos -seed 12648430 -ops 16
+	$(GO) test -count=1 -v -run '^TestSweep' ./internal/chaos
 
-# The campaigns hand faults and audits to the serving thread through
-# Inspect (no clock); fifty rounds under the race detector hold that
-# hand-off to "never flakes", as the CI build job does. The sweeps run
-# once a round, each on a goroutine of its own beside the campaigns, and
-# are held to their pinned schedules.
+# The sweeps hand faults and audits to the serving thread through Inspect
+# (no clock); fifty rounds under the race detector hold that hand-off to
+# "never flakes", as the CI build job does. The two sweeps run side by
+# side in each round.
 chaos-race:
-	$(GO) test -race -count=50 -run TestChaosSmoke ./internal/chaos
+	$(GO) test -race -count=50 -run '^TestSweep' ./internal/chaos
 
 # Ten seconds of native fuzzing on each of four targets. The memcached
 # request framer the router and the backend share (seeded with text,
@@ -212,11 +210,14 @@ policy-gate:
 	$(GO) test -count=1 -v -run 'TestPolicyLadderServesDegradedAndKeepsTheStore' ./internal/memcache
 	$(GO) run ./cmd/sdrad-bench -quick -recovery
 
-# The fixed-seed cluster chaos campaign, then the routed kill cell's claim
-# (availability >= 0.95 with one of three backends killed mid-run), as the
-# cluster-gate CI job runs them.
+# The router tests with -v (steady traffic, an attack absorbed in place,
+# a killed backend's bounded burst, spill and probation flap, a
+# quarantine routed around and readmitted, a Stop with a client still
+# connected, all on a manual clock), then the routed kill cell's claim
+# (availability >= 0.95 with one of three backends killed mid-run), as
+# the cluster-gate CI job runs them.
 cluster-gate:
-	$(GO) run ./cmd/sdrad-chaos -campaigns cluster -seed 12648430 -ops 16
+	$(GO) test -count=1 -v -run '^TestRouter' ./internal/cluster
 	$(GO) run ./cmd/sdrad-bench -quick -cluster
 
 ci: build vet fmt-check chaos-clockless monitor-admits pkru-writers trap-recovers one-host examples test race chaos-smoke chaos-race fuzz-smoke bench-smoke policy-gate cluster-gate

@@ -19,7 +19,7 @@ import (
 //   - aborted: the same for a stack-protector abort — no fault logged,
 //     one rewind, one SIGABRT/STACK_CHK report.
 //
-// Beyond those it runs the invariant audits that need campaign context:
+// Beyond those it runs the invariant audits that need sweep context:
 // the library audit and mapped-bytes stability across rewind cycles. One
 // auditor serves one library.
 type auditor struct {
@@ -28,17 +28,14 @@ type auditor struct {
 	as  *mem.AddressSpace
 	rec *telemetry.Recorder
 
-	// baselineMapped holds, per steady-state class, the address-space
-	// mapped-bytes gauge captured the first time that class was reached;
-	// later visits must match it, or discarded domains are leaking
-	// mappings. Classes separate states that legitimately differ — e.g.
-	// a parser-domain rewind and a verifier-domain rewind leave different
-	// domains unmapped at audit time.
-	baselineMapped map[string]int64
+	// baselineMapped is the address-space mapped-bytes gauge the first
+	// checkMappedStable saw (0 before it); every later call must match
+	// it, or discarded domains are leaking mappings.
+	baselineMapped int64
 }
 
 func newAuditor(r *Report, lib *core.Library, rec *telemetry.Recorder) *auditor {
-	return &auditor{r: r, lib: lib, as: lib.Process().AddressSpace(), rec: rec, baselineMapped: map[string]int64{}}
+	return &auditor{r: r, lib: lib, as: lib.Process().AddressSpace(), rec: rec}
 }
 
 // before is one operation's snapshot of the three counters every outcome
@@ -119,7 +116,7 @@ func (a *auditor) count(label string, b before, want int) {
 }
 
 // auditOn runs the library audit on t and records every finding as a
-// campaign failure. It must run on the audited thread, with the process
+// sweep failure. It must run on the audited thread, with the process
 // quiescent (between requests).
 func (a *auditor) auditOn(t *proc.Thread, label string) *core.AuditReport {
 	rep := a.lib.Audit(t)
@@ -130,20 +127,18 @@ func (a *auditor) auditOn(t *proc.Thread, label string) *core.AuditReport {
 	return rep
 }
 
-// checkMappedStable compares the mapped-bytes gauge against the baseline
-// captured the first time the given steady-state class was visited.
-// Campaigns call it at equivalent steady states (right after an absorbed
-// rewind, before the workload rebuilds its domain), where any drift means
-// a rewind cycle leaked or lost a mapping.
-func (a *auditor) checkMappedStable(class, label string) {
+// checkMappedStable compares the mapped-bytes gauge against the one the
+// first call saw. A sweep calls it at the same steady state after every
+// point (the final reads served, the serving thread audited), where any
+// drift means a rewind cycle leaked or lost a mapping.
+func (a *auditor) checkMappedStable(label string) {
 	mapped := a.as.Stats().MappedBytes.Load()
-	base, ok := a.baselineMapped[class]
-	if !ok {
-		a.baselineMapped[class] = mapped
+	if a.baselineMapped == 0 {
+		a.baselineMapped = mapped
 		return
 	}
-	if mapped != base {
-		a.r.failf("%s: mapped bytes drifted across %s rewind cycles: %d, baseline %d",
-			label, class, mapped, base)
+	if mapped != a.baselineMapped {
+		a.r.failf("%s: mapped bytes drifted across rewind cycles: %d, baseline %d",
+			label, mapped, a.baselineMapped)
 	}
 }

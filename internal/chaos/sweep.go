@@ -14,6 +14,7 @@ import (
 	"sdrad/internal/memcache"
 	"sdrad/internal/proc"
 	"sdrad/internal/sig"
+	"sdrad/internal/telemetry"
 )
 
 // A sweep checks the paper's promise at every fault point of a fixed mix
@@ -43,8 +44,7 @@ type mixReq struct {
 
 // sweepSpec is one server's sweep.
 type sweepSpec struct {
-	name string
-	mix  [][]mixReq // each event is one DoPipeline call
+	mix [][]mixReq // each event is one DoPipeline call
 	// finals read every key or path of the mix on both builds, as one
 	// event (memcache's then delete the point's keys, so the store stays
 	// as small at the last point as at the first).
@@ -55,7 +55,7 @@ type sweepSpec struct {
 	// allocation fails, instead of an error.
 	oomReply string
 	// start builds the audited hardened server and the vanilla one.
-	start func(cfg Config, r *Report) (hard, van *server, stop func(), err error)
+	start func(r *Report) (hard, van *server, stop func(), err error)
 }
 
 // faultClass is what a sweep point arms on the hardened serving thread.
@@ -67,7 +67,6 @@ const (
 )
 
 var memcacheSweep = sweepSpec{
-	name: "sweep-memcache",
 	mix: [][]mixReq{
 		{{tmpl: "set {p}a 1 0 5\r\nalpha\r\n"}},
 		{{tmpl: "set {q} 5 0 5\r\nquiet\r\n"}},  // a's shard mate, now the head of its LRU
@@ -88,7 +87,6 @@ var memcacheSweep = sweepSpec{
 }
 
 var httpdSweep = sweepSpec{
-	name: "sweep-httpd",
 	mix: [][]mixReq{
 		{{tmpl: httpGET("/index.html", "keep-alive", nil)}},
 		{{tmpl: httpGET("/{p}.html", "keep-alive", nil)}}, // a 404
@@ -127,28 +125,46 @@ func shardMate(hard *server, p string) []string {
 	}
 }
 
-// startMemcachePair builds the two memcached builds of one seed, each with
-// a 4 MiB cache: the mix holds a handful of items, and every rewind makes
-// the next request re-verify the lease over the whole storage arena.
-func startMemcachePair(cfg Config, r *Report) (hard, van *server, stop func(), err error) {
-	const cache = 4 << 20
-	hard, hs, err := newMemcache(cfg, r, memcache.Config{CacheBytes: cache})
-	if err != nil {
-		return nil, nil, nil, err
+// sweepSeed seeds both builds of every sweep. A sweep draws nothing at
+// random, so its schedule is the same at every seed.
+const sweepSeed = 12648430
+
+// startMemcachePair builds the two memcached builds, each with a 4 MiB
+// cache: the mix holds a handful of items, and every rewind makes the next
+// request re-verify the lease over the whole storage arena.
+func startMemcachePair(r *Report) (hard, van *server, stop func(), err error) {
+	var ss []*memcache.Server
+	stop = func() {
+		for _, s := range ss {
+			s.Stop()
+		}
 	}
-	vs, err := memcache.NewServer(memcache.Config{Variant: memcache.VariantVanilla, Workers: 1, HashPower: 10, CacheBytes: cache, Seed: cfg.Seed})
-	if err != nil {
-		hs.Stop()
-		return nil, nil, nil, err
+	var pair [2]*server
+	for i, v := range []memcache.Variant{memcache.VariantSDRaD, memcache.VariantVanilla} {
+		mc := memcache.Config{Variant: v, Workers: 1, HashPower: 10, CacheBytes: 4 << 20, Seed: sweepSeed}
+		if v == memcache.VariantSDRaD {
+			mc.Telemetry = telemetry.New(telemetry.Options{})
+		}
+		s, err := memcache.NewServer(mc)
+		if err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+		ss = append(ss, s)
+		w := &server{newConn: func() clientConn { return s.NewConn() }, crashed: s.Crashed}
+		if lib := s.Library(); lib != nil {
+			w.auditor = newAuditor(r, lib, mc.Telemetry)
+			w.inspect, w.storage = s.NewConn().Inspect, s.Storage()
+		}
+		w.conn = w.newConn()
+		pair[i] = w
 	}
-	van = &server{newConn: func() clientConn { return vs.NewConn() }, crashed: vs.Crashed}
-	van.conn = van.newConn()
-	return hard, van, func() { hs.Stop(); vs.Stop() }, nil
+	return pair[0], pair[1], stop, nil
 }
 
-// startHTTPDPair builds the two httpd builds of one seed, client
-// certificates checked on both.
-func startHTTPDPair(cfg Config, r *Report) (hard, van *server, stop func(), err error) {
+// startHTTPDPair builds the two httpd builds, client certificates checked
+// on both.
+func startHTTPDPair(r *Report) (hard, van *server, stop func(), err error) {
 	var ms []*httpd.Master
 	stop = func() {
 		for _, m := range ms {
@@ -157,10 +173,10 @@ func startHTTPDPair(cfg Config, r *Report) (hard, van *server, stop func(), err 
 	}
 	var pair [2]*server
 	for i, v := range []httpd.Variant{httpd.VariantSDRaD, httpd.VariantVanilla} {
-		hc := httpd.Config{Variant: v, Workers: 1, Seed: cfg.Seed, VerifyClientCerts: true,
+		hc := httpd.Config{Variant: v, Workers: 1, Seed: sweepSeed, VerifyClientCerts: true,
 			Files: map[string]int{"/index.html": 512, "/about.html": 256}}
 		if v == httpd.VariantSDRaD {
-			hc.Telemetry = cfg.recorder()
+			hc.Telemetry = telemetry.New(telemetry.Options{})
 		}
 		m, err := httpd.NewMaster(hc)
 		if err != nil {
@@ -179,27 +195,27 @@ func startHTTPDPair(cfg Config, r *Report) (hard, van *server, stop func(), err 
 	return pair[0], pair[1], stop, nil
 }
 
-// runSweep returns the campaign body of spec: every point of both fault
-// classes, event by event.
-func runSweep(spec *sweepSpec) func(cfg Config, r *Report) error {
-	return func(cfg Config, r *Report) error {
-		hard, van, stop, err := spec.start(cfg, r)
-		if err != nil {
-			return err
-		}
-		defer stop()
-		sw := &sweep{sweepSpec: spec, r: r, hard: hard, van: van}
-		for _, cls := range []faultClass{accessFault, allocFault} {
-			for j := range spec.mix {
-				for k, fired := 1, true; fired; k++ {
-					if fired, err = sw.point(j, k, cls); err != nil {
-						return err
-					}
+// run judges every point of both fault classes, event by event, and
+// returns the sweep's report. An error means a build died or a server
+// could not be built; the report then holds the points judged so far.
+func (spec *sweepSpec) run() (*Report, error) {
+	r := &Report{}
+	hard, van, stop, err := spec.start(r)
+	if err != nil {
+		return r, err
+	}
+	defer stop()
+	sw := &sweep{sweepSpec: spec, r: r, hard: hard, van: van}
+	for _, cls := range []faultClass{accessFault, allocFault} {
+		for j := range spec.mix {
+			for k, fired := 1, true; fired; k++ {
+				if fired, err = sw.point(j, k, cls); err != nil {
+					return r, err
 				}
 			}
 		}
-		return nil
 	}
+	return r, nil
 }
 
 type sweep struct {
@@ -285,7 +301,7 @@ func (sw *sweep) point(j, k int, cls faultClass) (fired bool, err error) {
 	res, _ := h.pipeline(finals)
 	h.calm(label+": final reads", b)
 	h.audit(label)
-	h.checkMappedStable(sw.name, label)
+	h.checkMappedStable(label)
 	sent, got, drop = append(sent, finals), append(got, res), append(drop, make([]bool, len(finals)))
 
 	// The vanilla build answers the mix without the discarded set, and

@@ -8,10 +8,10 @@ import (
 	"sdrad/internal/proc"
 )
 
-// server is the harness every workload campaign drives: one server —
-// memcached, or an httpd worker — behind a reconnecting client
-// connection. A hardened server is audited on its serving thread; the
-// vanilla server a sweep judges against has no auditor.
+// server is the harness a sweep drives: one server — memcached, or an
+// httpd worker — behind a reconnecting client connection. A hardened
+// server is audited on its serving thread; the vanilla server a sweep
+// judges against has no auditor.
 type server struct {
 	*auditor
 	conn    clientConn
@@ -26,29 +26,6 @@ type server struct {
 type clientConn interface {
 	Do(req []byte) ([]byte, bool, error)
 	DoPipeline(reqs [][]byte) []proc.Result
-}
-
-// newMemcache builds a one-worker hardened memcached from mc, seeded from
-// cfg unless mc sets a seed, with the campaign's recorder attached.
-func newMemcache(cfg Config, r *Report, mc memcache.Config) (*server, *memcache.Server, error) {
-	mc.Variant, mc.Workers, mc.HashPower = memcache.VariantSDRaD, 1, 10
-	if mc.Seed == 0 {
-		mc.Seed = cfg.Seed
-	}
-	mc.Telemetry = cfg.recorder()
-	s, err := memcache.NewServer(mc)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := &server{
-		auditor: newAuditor(r, s.Library(), mc.Telemetry),
-		newConn: func() clientConn { return s.NewConn() },
-		inspect: s.NewConn().Inspect,
-		crashed: s.Crashed,
-		storage: s.Storage(),
-	}
-	w.conn = w.newConn()
-	return w, s, nil
 }
 
 // pipeline sends reqs as one event and returns a copy of its results (a
@@ -111,20 +88,4 @@ func (w *server) auditServing(t *proc.Thread, label string) {
 			w.r.failf("%s: shard audit: %v", label, err)
 		}
 	}
-}
-
-// respClass compresses a memcached response into a deterministic
-// schedule token: the first protocol token for open connections,
-// "closed" for dropped ones.
-func respClass(resp []byte, closed bool) string {
-	if closed {
-		return "closed"
-	}
-	if i := bytes.IndexAny(resp, " \r\n"); i > 0 {
-		return string(resp[:i])
-	}
-	if len(resp) == 0 {
-		return "empty"
-	}
-	return string(resp)
 }

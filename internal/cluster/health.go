@@ -63,8 +63,8 @@ type HealthConfig struct {
 	// backend is demoted (default 50; <= 0 disables the rate check).
 	RewindRate float64
 	// Clock supplies monotonic nanoseconds; nil uses the wall clock.
-	// The chaos cluster campaign installs a manual clock so demotion and
-	// readmission are deterministic functions of the schedule.
+	// The router tests install a policy.ManualClock so demotion and
+	// readmission are deterministic functions of the requests they send.
 	Clock func() int64
 }
 
@@ -294,7 +294,7 @@ func ParseMetricsJSON(body []byte) (BackendTelemetry, error) {
 }
 
 // FetchMetrics is the default telemetry fetch: HTTP GET with a short
-// timeout. The chaos campaign swaps in a stub so polls are deterministic.
+// timeout. The router tests swap in a stub so polls are deterministic.
 func FetchMetrics(url string) ([]byte, error) {
 	client := &http.Client{Timeout: 2 * time.Second}
 	resp, err := client.Get(url)
@@ -339,7 +339,7 @@ func (h *Health) ObserveTelemetry(b int, bt BackendTelemetry) {
 	}
 }
 
-// HealthSnapshot is one backend's ladder state for dumps and campaign
+// HealthSnapshot is one backend's ladder state for dumps and test
 // assertions.
 type HealthSnapshot struct {
 	Backend      string `json:"backend"`

@@ -3,18 +3,12 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"sdrad/internal/policy"
 )
 
-// manualClock is a hand-advanced nanosecond clock (the same idiom
-// policy.ManualClock uses; duplicated locally to keep the dependency
-// direction cluster -> policy-free).
-type manualClock struct{ ns int64 }
-
-func (m *manualClock) Now() int64              { return m.ns }
-func (m *manualClock) Advance(d time.Duration) { m.ns += int64(d) }
-
-func newTestHealth(names ...string) (*Health, *manualClock) {
-	mc := &manualClock{ns: 1}
+func newTestHealth(names ...string) (*Health, *policy.ManualClock) {
+	mc := &policy.ManualClock{}
 	h := NewHealth(names, HealthConfig{
 		FailThreshold: 3,
 		HoldOff:       time.Second,

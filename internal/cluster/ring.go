@@ -20,7 +20,7 @@ import (
 // keys), and ring lookups order by the full 64-bit value — the fmix64
 // avalanche step spreads the entropy so virtual nodes land uniformly.
 // Pure function of the input, deterministic across runs and machines
-// (ring layout is part of chaos campaign schedules).
+// (tests pick keys by the backend the ring puts them on).
 func fnv1a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

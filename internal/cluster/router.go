@@ -44,11 +44,11 @@ type Config struct {
 	// Health tunes the demotion/readmission ladder.
 	Health HealthConfig
 	// PollInterval is the background telemetry poll period; 0 disables
-	// the background poller (PollOnce still works — the chaos campaign
-	// drives polls manually for determinism).
+	// the background poller (PollOnce still works — the router tests
+	// drive polls manually for determinism).
 	PollInterval time.Duration
-	// Fetch retrieves a metrics URL (default FetchMetrics; campaigns
-	// stub it).
+	// Fetch retrieves a metrics URL (default FetchMetrics; tests stub
+	// it).
 	Fetch func(url string) ([]byte, error)
 
 	// MaxInboundBatch caps how many pipelined inbound requests join one
@@ -219,10 +219,10 @@ func NewRouter(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// Health exposes the ladder for dumps and campaign assertions.
+// Health exposes the ladder for dumps and test assertions.
 func (rt *Router) Health() *Health { return rt.health }
 
-// Ring exposes the key placement for tests and campaign oracles.
+// Ring exposes the key placement for tests.
 func (rt *Router) Ring() *Ring { return rt.ring }
 
 // pollLoop is the background telemetry poller.
@@ -298,7 +298,8 @@ func (rt *Router) Serve(ln net.Listener) error {
 
 // Stop closes the listener and every live client connection, then waits
 // for the serving goroutines. A router that returns from Stop has no
-// stuck connections — the chaos campaign asserts Stop completes.
+// stuck connections (TestRouterSpillsAroundDeadBackend asserts Stop
+// completes with a client still connected).
 func (rt *Router) Stop() {
 	if rt.closing.Swap(true) {
 		return

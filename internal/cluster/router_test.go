@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"sdrad/internal/memcache"
+	"sdrad/internal/policy"
+	"sdrad/internal/proc"
+	"sdrad/internal/telemetry"
 )
 
 // testBackend is one in-process hardened memcached behind a loopback
@@ -18,6 +22,7 @@ type testBackend struct {
 	name string
 	srv  *memcache.Server
 	ln   net.Listener
+	rec  *telemetry.Recorder // nil unless started recorded
 }
 
 func (b *testBackend) stop() {
@@ -25,24 +30,70 @@ func (b *testBackend) stop() {
 	_ = b.ln.Close()
 }
 
-func startBackend(t *testing.T, name string) *testBackend {
+// startBackends starts n one-worker hardened memcached backends named b0,
+// b1, ..., each with a telemetry recorder of its own when recorded is
+// set, and returns them with the router's entries for them. Each stops
+// when the test ends.
+func startBackends(t *testing.T, n int, recorded bool) ([]*testBackend, []Backend) {
 	t.Helper()
-	srv, err := memcache.NewServer(memcache.Config{
-		Variant:    memcache.VariantSDRaD,
-		Workers:    1,
-		HashPower:  10,
-		CacheBytes: 4 << 20,
+	var backends []*testBackend
+	var cfgBackends []Backend
+	for i := 0; i < n; i++ {
+		b := &testBackend{name: fmt.Sprintf("b%d", i)}
+		if recorded {
+			b.rec = telemetry.New(telemetry.Options{})
+		}
+		srv, err := memcache.NewServer(memcache.Config{
+			Variant:    memcache.VariantSDRaD,
+			Workers:    1,
+			HashPower:  10,
+			CacheBytes: 4 << 20,
+			Telemetry:  b.rec,
+		})
+		if err != nil {
+			t.Fatalf("backend %s: %v", b.name, err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			srv.Stop()
+			t.Fatalf("backend %s: %v", b.name, err)
+		}
+		go func() { _ = srv.ServeListener(ln) }()
+		b.srv, b.ln = srv, ln
+		t.Cleanup(b.stop)
+		backends = append(backends, b)
+		cfgBackends = append(cfgBackends, Backend{Name: b.name, Addr: ln.Addr().String()})
+	}
+	return backends, cfgBackends
+}
+
+// audit runs the library audit and the shard audit on b's serving
+// thread, between requests.
+func (b *testBackend) audit(t *testing.T) {
+	t.Helper()
+	lib := b.srv.Library()
+	if lib == nil {
+		t.Errorf("backend %s: no SDRaD library to audit", b.name)
+		return
+	}
+	err := b.srv.NewConn().Inspect(func(th *proc.Thread) error {
+		if f := lib.Audit(th).Findings; len(f) > 0 {
+			return fmt.Errorf("audit: %v", f)
+		}
+		return b.srv.Storage().AuditShards(th.CPU())
 	})
 	if err != nil {
-		t.Fatalf("backend %s: %v", name, err)
+		t.Errorf("backend %s: %v", b.name, err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Stop()
-		t.Fatalf("backend %s: %v", name, err)
+}
+
+// keyOn returns the first key prefix+"N" whose ring primary is backend b.
+func keyOn(rt *Router, prefix string, b int) string {
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("%s%d", prefix, i); rt.Ring().Primary(k) == b {
+			return k
+		}
 	}
-	go func() { _ = srv.ServeListener(ln) }()
-	return &testBackend{name: name, srv: srv, ln: ln}
 }
 
 // startRouter serves cfg's router on a loopback listener and returns it
@@ -73,14 +124,7 @@ func mustDial(t *testing.T, addr string) *Client {
 }
 
 func TestRouterRoutesAndReassembles(t *testing.T) {
-	var backends []*testBackend
-	var cfgBackends []Backend
-	for i := 0; i < 3; i++ {
-		b := startBackend(t, fmt.Sprintf("b%d", i))
-		defer b.stop()
-		backends = append(backends, b)
-		cfgBackends = append(cfgBackends, Backend{Name: b.name, Addr: b.ln.Addr().String()})
-	}
+	_, cfgBackends := startBackends(t, 3, false)
 	rt, addr := startRouter(t, Config{Backends: cfgBackends})
 	c := mustDial(t, addr)
 
@@ -118,6 +162,43 @@ func TestRouterRoutesAndReassembles(t *testing.T) {
 	}
 	if len(spread) != 3 {
 		t.Fatalf("keys did not span all backends: %v", spread)
+	}
+
+	// A seeded mix of sets, gets and deletes over twelve keys, one
+	// request at a time, each reply checked against a shadow of the
+	// store. Nothing in it may strike a backend.
+	rng := rand.New(rand.NewSource(12648430))
+	shadow := map[string]string{}
+	for i := 0; i < 32; i++ {
+		key := fmt.Sprintf("c%d", rng.Intn(12))
+		val, have := shadow[key]
+		switch rng.Intn(3) {
+		case 0:
+			val = fmt.Sprintf("v%d", i)
+			if rep, err := c.Do(memcache.FormatSet(key, []byte(val), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
+				t.Fatalf("op %d: set %s: %q err=%v", i, key, rep, err)
+			}
+			shadow[key] = val
+		case 1:
+			rep, err := c.Do(memcache.FormatGet(key))
+			if got, _, hit := memcache.ParseGetValue(rep); err != nil || hit != have || string(got) != val {
+				t.Fatalf("op %d: get %s: %q err=%v, shadow holds %q (%v)", i, key, rep, err, val, have)
+			}
+		case 2:
+			want := "NOT_FOUND\r\n"
+			if have {
+				want = "DELETED\r\n"
+			}
+			if rep, err := c.Do(memcache.FormatDelete(key)); err != nil || string(rep) != want {
+				t.Fatalf("op %d: delete %s: %q err=%v, want %q", i, key, rep, err, want)
+			}
+			delete(shadow, key)
+		}
+	}
+	for b := 0; b < 3; b++ {
+		if got := rt.Health().State(b); got != HealthUp {
+			t.Fatalf("backend b%d %v after steady traffic, want up", b, got)
+		}
 	}
 
 	// Protocol odds and ends at the router: version, delete, miss,
@@ -182,35 +263,19 @@ func TestRouterRoutesAndReassembles(t *testing.T) {
 }
 
 func TestRouterSpillsAroundDeadBackend(t *testing.T) {
-	mc := &manualClock{ns: 1}
-	var backends []*testBackend
-	var cfgBackends []Backend
-	for i := 0; i < 3; i++ {
-		b := startBackend(t, fmt.Sprintf("b%d", i))
-		defer b.stop()
-		backends = append(backends, b)
-		cfgBackends = append(cfgBackends, Backend{Name: b.name, Addr: b.ln.Addr().String()})
-	}
+	mc := &policy.ManualClock{}
+	backends, cfgBackends := startBackends(t, 3, false)
 	rt, addr := startRouter(t, Config{
 		Backends: cfgBackends,
 		Health: HealthConfig{
 			FailThreshold: 2,
-			HoldOff:       time.Hour, // never readmitted within the test
+			HoldOff:       time.Second,
 			Clock:         mc.Now,
 		},
 	})
 	c := mustDial(t, addr)
 
-	// Find a key owned by backend 1 and one owned by backend 0.
-	keyOn := func(b int) string {
-		for i := 0; ; i++ {
-			k := fmt.Sprintf("spill%d", i)
-			if rt.Ring().Primary(k) == b {
-				return k
-			}
-		}
-	}
-	victimKey, survivorKey := keyOn(1), keyOn(0)
+	victimKey, survivorKey := keyOn(rt, "spill", 1), keyOn(rt, "spill", 0)
 	for _, k := range []string{victimKey, survivorKey} {
 		if rep, err := c.Do(memcache.FormatSet(k, []byte("v"), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
 			t.Fatalf("set %s: %q err=%v", k, rep, err)
@@ -262,20 +327,93 @@ func TestRouterSpillsAroundDeadBackend(t *testing.T) {
 	} else if val, _, ok := memcache.ParseGetValue(rep); !ok || string(val) != "v" {
 		t.Fatalf("survivor key damaged: %q", rep)
 	}
+
+	// The hold-off expires: the next exchange readmits the dead backend
+	// on probation, its one strike there re-demotes it, and the set after
+	// that spills again.
+	mc.Advance(1100 * time.Millisecond)
+	if rep, err := c.Do(memcache.FormatSet(victimKey, []byte("flap"), 0)); err != nil || !bytes.HasPrefix(rep, []byte("SERVER_ERROR")) {
+		t.Fatalf("probation exchange with the dead backend: %q err=%v, want degraded", rep, err)
+	}
+	if got := rt.Health().State(1); got != HealthDemoted {
+		t.Fatalf("dead backend %v after its probation strike, want demoted", got)
+	}
+	if rep, err := c.Do(memcache.FormatSet(victimKey, []byte("re-spilled"), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
+		t.Fatalf("set after re-demotion: %q err=%v", rep, err)
+	}
+
+	// Shutdown with the client still connected: a router with a stuck
+	// client or backend connection hangs in Stop. The survivors neither
+	// crashed nor hold a finding.
+	stopped := make(chan struct{})
+	go func() { rt.Stop(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("router Stop did not complete within 10 s")
+	}
+	for _, b := range []*testBackend{backends[0], backends[2]} {
+		if crashed, cause := b.srv.Crashed(); crashed {
+			t.Errorf("backend %s crashed: %v", b.name, cause)
+		}
+		b.audit(t)
+	}
+}
+
+// TestRouterAbsorbsAttackInPlace sends a CVE-2011-4971 bset through the
+// router to each of three hardened backends. The backend it routes to
+// absorbs the trap with one rewind and one forensics report, the router
+// answers the attacker degraded, and the next request to that backend is
+// served: one absorbed attack demotes no backend.
+func TestRouterAbsorbsAttackInPlace(t *testing.T) {
+	backends, cfgBackends := startBackends(t, 3, true)
+	rt, addr := startRouter(t, Config{Backends: cfgBackends, Health: HealthConfig{FailThreshold: 2}})
+	c := mustDial(t, addr)
+	for i, b := range backends {
+		key := keyOn(rt, "atk", i)
+		as := b.srv.Process().AddressSpace()
+		seq, rewinds, reports := as.FaultSeq(), b.srv.Rewinds(), b.rec.Forensics().Added()
+		if rep, err := c.Do(memcache.FormatBSet(key, 1<<20, nil)); err != nil || !bytes.HasPrefix(rep, []byte("SERVER_ERROR")) {
+			t.Fatalf("%s: attack reply %q err=%v, want a degraded SERVER_ERROR", b.name, rep, err)
+		}
+		if rep, err := c.Do(memcache.FormatSet(key, []byte("post-attack"), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
+			t.Fatalf("%s: set after the attack: %q err=%v", b.name, rep, err)
+		}
+		if got := rt.Health().State(i); got != HealthUp {
+			t.Errorf("%s: %v after one absorbed attack, want up", b.name, got)
+		}
+		if n := b.srv.Rewinds() - rewinds; n != 1 {
+			t.Errorf("%s: %d rewinds absorbed, want 1", b.name, n)
+		}
+		if n := b.rec.Forensics().Added() - reports; n != 1 {
+			t.Errorf("%s: %d forensics reports, want 1", b.name, n)
+		}
+		// The report describes the attack's own fault: the one entry the
+		// fault log gained, a genuine violation, not an injected one.
+		faults := as.RecentFaults()
+		if as.FaultSeq() != seq+1 || len(faults) == 0 {
+			t.Errorf("%s: fault log advanced by %d entries, want 1", b.name, as.FaultSeq()-seq)
+		} else if f, rep := faults[len(faults)-1], lastReport(b.rec); f.Injected ||
+			rep.SiCode != int(f.Code) || rep.Addr != uint64(f.Addr) || rep.Injected {
+			t.Errorf("%s: forensics %s at 0x%x injected=%v, fault log %v at 0x%x injected=%v",
+				b.name, rep.SiCodeName, rep.Addr, rep.Injected, f.Code, uint64(f.Addr), f.Injected)
+		}
+		b.audit(t)
+	}
+}
+
+// lastReport is rec's newest forensics report (the zero report when
+// there is none).
+func lastReport(rec *telemetry.Recorder) telemetry.RewindReport {
+	rep, _ := rec.Forensics().Last()
+	return rep
 }
 
 func TestRouterQuarantineReadmit(t *testing.T) {
-	mc := &manualClock{ns: 1}
-	var cfgBackends []Backend
-	var backends []*testBackend
-	for i := 0; i < 2; i++ {
-		b := startBackend(t, fmt.Sprintf("b%d", i))
-		defer b.stop()
-		backends = append(backends, b)
-		cfgBackends = append(cfgBackends, Backend{
-			Name: b.name, Addr: b.ln.Addr().String(),
-			MetricsURL: fmt.Sprintf("stub://b%d", i),
-		})
+	mc := &policy.ManualClock{}
+	backends, cfgBackends := startBackends(t, 2, false)
+	for i := range cfgBackends {
+		cfgBackends[i].MetricsURL = "stub://" + cfgBackends[i].Name
 	}
 	// The fetch stub plays a backend whose policy engine has quarantined
 	// its event domain, then recovers.
@@ -302,23 +440,20 @@ func TestRouterQuarantineReadmit(t *testing.T) {
 		t.Fatal("quarantined backend not demoted on poll")
 	}
 	// Its keys spill; the cluster keeps serving.
-	key := func() string {
-		for i := 0; ; i++ {
-			k := fmt.Sprintf("q%d", i)
-			if rt.Ring().Primary(k) == 1 {
-				return k
-			}
-		}
-	}()
+	key := keyOn(rt, "q", 1)
 	if rep, err := c.Do(memcache.FormatSet(key, []byte("x"), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
 		t.Fatalf("spill during quarantine: %q err=%v", rep, err)
 	}
 
-	// Backend recovers; hold-off expires; the next decision readmits on
-	// probation and traffic promotes it back to Up.
+	// Backend recovers; hold-off expires. Healthy telemetry alone does
+	// not readmit it: the next routing decision readmits on probation
+	// and traffic promotes it back to Up.
 	quarantined["stub://b1"] = false
 	mc.Advance(1100 * time.Millisecond)
 	rt.PollOnce()
+	if got := rt.Health().State(1); got != HealthDemoted {
+		t.Fatalf("backend %v after a healthy poll and before any traffic, want still demoted", got)
+	}
 	for i := 0; i < 3; i++ {
 		if rep, err := c.Do(memcache.FormatSet(key, []byte("back"), 0)); err != nil || !bytes.Equal(rep, []byte("STORED\r\n")) {
 			t.Fatalf("post-readmit set %d: %q err=%v", i, rep, err)

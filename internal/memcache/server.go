@@ -651,8 +651,8 @@ func (s *Server) NewConn() *Conn {
 	return c
 }
 
-// WorkerIndex reports which worker the connection is pinned to (chaos
-// campaigns assert placement decisions through it).
+// WorkerIndex reports which worker the connection is pinned to (tests
+// and the benchmark's placement check read it).
 func (c *Conn) WorkerIndex() int { return c.w.idx }
 
 // Do sends one request on the connection and waits for the response.

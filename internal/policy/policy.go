@@ -159,8 +159,8 @@ type Config struct {
 	// Cooldown is the quarantine duration (default 1s).
 	Cooldown time.Duration
 	// Clock supplies monotonic nanoseconds. Nil uses the wall clock;
-	// chaos campaigns install a ManualClock so the ladder walk is a
-	// deterministic function of the schedule.
+	// tests install a ManualClock so the ladder walk is a deterministic
+	// function of the calls they make.
 	Clock func() int64
 }
 
@@ -211,7 +211,7 @@ type domainState struct {
 
 // Engine is the resilience-policy engine the reference monitor
 // consults: OnRewind after every absorbed rewind, Admit once per guard
-// scope, Snapshot for dumps and campaign assertions. One engine
+// scope, Snapshot for dumps and test assertions. One engine
 // typically serves one library (process); keying by UDI quarantines the
 // vulnerable component — every thread's instance of it — which matches
 // the paper's framing of a UDI as one isolated software component. "No
@@ -488,8 +488,9 @@ func (e *Engine) Snapshot() []DomainSnapshot {
 	return out
 }
 
-// ManualClock is a hand-advanced clock for deterministic campaigns and
-// tests. The zero value starts at time 1 (0 is reserved so "unset"
+// ManualClock is a hand-advanced clock for deterministic tests. It is
+// safe to read from one goroutine while another advances it. The zero
+// value starts at time 1 (0 is reserved so "unset"
 // timestamps stay distinguishable).
 type ManualClock struct {
 	mu sync.Mutex

@@ -24,9 +24,9 @@ import (
 // Config carries the controller's wiring and test seams. The zero value
 // is what every server runs with by default.
 type Config struct {
-	// Clock returns nanoseconds; nil uses time.Now().UnixNano(). Chaos
-	// campaigns and tests install a policy.ManualClock's Now so every
-	// window decision is deterministic.
+	// Clock returns nanoseconds; nil uses time.Now().UnixNano(). Tests
+	// install a policy.ManualClock's Now so every window decision is
+	// deterministic.
 	Clock func() int64
 	// OnFloorPinned, when non-nil, fires when a controller has been
 	// pinned at bound 1 by a hot rewind window for a full window — the
@@ -296,7 +296,7 @@ type Snapshot struct {
 // Snapshot reads the controller state. Bound and the counters are exact
 // from any goroutine; WindowRewinds and EWMAItemNs are owned by the
 // worker goroutine and are exact only when the worker is quiescent
-// (which is how the deterministic chaos campaign reads them).
+// (which is how the tests read them).
 func (c *Controller) Snapshot() Snapshot {
 	return Snapshot{
 		Bound:         int(c.bound.Load()),
