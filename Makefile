@@ -128,13 +128,13 @@ chaos-race:
 
 # Ten seconds of native fuzzing on each of four targets. The memcached
 # request framer the router and the backend share (seeded with text,
-# pipelined, binary and CVE-2011-4971 frames): frames must be non-empty
+# pipelined, negative-length and CVE-2011-4971 bset frames): frames must be non-empty
 # and concatenate to a prefix of the input. The reply framer the router
 # reassembles backend replies with (seeded with a hit, stats, an error
 # and a VALUE claiming a CVE-2011-4971-sized body): the same, and a
 # stream torn inside a reply must read as io.ErrUnexpectedEOF. The
 # hardened memcached request path (seeded with the sweep's command mix,
-# a CVE-2011-4971 bset and a binary set) and the hardened httpd request
+# a CVE-2011-4971 bset and a negative-length bset) and the hardened httpd request
 # path (seeded with a GET, a pipelined pair, CVE-2009-2629 and
 # CVE-2022-3786): the worker absorbs every input with at most one rewind,
 # a clean audit and a survivor still served. A guard, not a hunt.

@@ -2,7 +2,7 @@
 //
 // Two cache servers — the unmodified baseline and the SDRaD-hardened
 // build — each serve a well-behaved client while an attacker sends the
-// CVE-2011-4971 analog (a binary packet claiming a 64 MiB body). The
+// CVE-2011-4971 analog (a bset request claiming a 64 MiB body). The
 // baseline process dies, taking every client's cached data with it; the
 // hardened build discards the attacked domain, closes the attacker's
 // connection, and keeps serving.
@@ -54,7 +54,7 @@ func scenario(variant memcache.Variant) error {
 	}
 	fmt.Printf("alice: set session -> %q\n", trim(resp))
 
-	// The attacker sends the malicious binary-set packet.
+	// The attacker sends the malicious bset request.
 	attacker := s.NewConn()
 	fmt.Println("attacker: sending bset with a 64MiB claimed body length...")
 	_, closed, aerr := attacker.Do(memcache.FormatBSet("x", 64<<20, []byte("payload")))

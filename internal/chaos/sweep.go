@@ -37,8 +37,11 @@ var errInjectedOOM = errors.New("chaos: injected allocation failure")
 type mixReq struct {
 	tmpl string
 	// attack is the signal the request's trap raises on the hardened
-	// build (0 for none). The vanilla build dies on it, so it is never
-	// sent there.
+	// build (0 for none). The hardened build rewinds the attack's whole
+	// event (or an allocation fault fails the attack first), so the
+	// attack is always in the discarded set and never sent to the vanilla
+	// build, which is no reference for it: an httpd worker dies on either
+	// httpd attack, and memcached answers the bset overrun STORED.
 	attack sig.Signal
 }
 

@@ -14,7 +14,7 @@ import (
 
 func TestSweepMemcache(t *testing.T) {
 	t.Parallel()
-	testSweep(t, &memcacheSweep, 556, 0x241321e43b59f0ee)
+	testSweep(t, &memcacheSweep, 539, 0xf38a447bb850a25f)
 }
 
 func TestSweepHTTPD(t *testing.T) {

@@ -330,9 +330,6 @@ const (
 
 // classify returns the request kind and routing key.
 func classify(req []byte) (reqKind, string) {
-	if len(req) == 0 || req[0] == memcache.BinMagicRequest {
-		return kindUnroutable, ""
-	}
 	nl := bytes.IndexByte(req, '\n')
 	if nl < 0 {
 		nl = len(req)

@@ -181,8 +181,11 @@ func TestSiblingExecDomainKeyNeverGranted(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("B guard: %v", err)
 		}
-		// A monitor call installs this thread's current policy.
-		l.ThreadDomains(th)
+		// A monitor call installs this thread's current policy: an Exit
+		// from the root is refused, but only after passing the monitor.
+		if err := l.Exit(th); !errors.Is(err, ErrNotEntered) {
+			t.Fatalf("Exit from the root: %v, want ErrNotEntered", err)
+		}
 		if !denies(keyB) {
 			t.Errorf("register 0x%08x grants sibling B's accessible domain key %d", th.CPU().PKRU(), keyB)
 		}

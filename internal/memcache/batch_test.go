@@ -511,21 +511,21 @@ func armInDomain(s *Server, th *proc.Thread, countdown int) {
 func TestStoreParsedUnderArmedInjectorFaultsWhereItAlwaysDid(t *testing.T) {
 	// An armed injector refuses every lease, so the parser takes the
 	// checked accessors and the value is a checked copy, not a borrow. A
-	// hardened set makes exactly five checked accesses inside the domain;
+	// hardened set makes exactly four checked accesses inside the domain;
 	// each must trap with the same si_code at the same address as before
-	// stores were borrowed: the magic-byte peek and the line scan at the
-	// slot read buffer, the body read at the body offset, the reply write
-	// and the reply capture at the slot write buffer.
+	// stores were borrowed: the line scan at the slot read buffer, the
+	// body read at the body offset, the reply write and the reply capture
+	// at the slot write buffer.
 	req := FormatSet("victim", bytes.Repeat([]byte("x"), 300), 0)
 	bodyOff := bytes.Index(req, crlfBytes) + 2
-	for countdown := 1; countdown <= 5; countdown++ {
+	for countdown := 1; countdown <= 4; countdown++ {
 		s, rec := startTelServer(t, VariantSDRaD, 1)
 		c := s.NewConn()
 		mustDo(t, c, FormatSet("warm", []byte("up"), 0))
 		var want mem.Addr
 		if err := c.Inspect(func(th *proc.Thread) error {
 			slot := s.workers[0].slots[0]
-			want = [...]mem.Addr{slot.rbuf, slot.rbuf, slot.rbuf + mem.Addr(bodyOff), slot.wbuf, slot.wbuf}[countdown-1]
+			want = [...]mem.Addr{slot.rbuf, slot.rbuf + mem.Addr(bodyOff), slot.wbuf, slot.wbuf}[countdown-1]
 			armInDomain(s, th, countdown)
 			return nil
 		}); err != nil {

@@ -29,7 +29,7 @@ func FormatDelete(key string) []byte {
 	return []byte("delete " + key + "\r\n")
 }
 
-// FormatBSet builds a binary-set request whose header claims claimedLen
+// FormatBSet builds a bset request whose command line claims claimedLen
 // body bytes while actually carrying data. A claimedLen larger than the
 // staging buffer triggers the planted CVE-2011-4971 analog.
 func FormatBSet(key string, claimedLen int, data []byte) []byte {
@@ -116,38 +116,14 @@ func (s *Server) serveNetConn(nc net.Conn) {
 	}
 }
 
-// ReadRequest frames one request off a client byte stream. Binary frames
-// (magic 0x80) carry a 24-byte header; the transport reads
-// min(total-body, sane-cap) further bytes — the parser, not the
-// transport, trusts the header's length field. Text requests are a
-// command line plus, for the commands in blockCommands (set, add,
-// replace, append, prepend, cas, bset), the data block its length token
-// declares; the bset frame carries the actual byte count in its fourth
-// token so a malicious client can claim an arbitrary body length in the
-// third. The cluster router shares this framing so a front-end and a
-// backend agree on request boundaries byte for byte.
+// ReadRequest frames one request off a client byte stream: a command
+// line plus, for the commands in blockCommands (set, add, replace,
+// append, prepend, cas, bset), the data block its length token declares.
+// The bset frame carries the actual byte count in its fourth token so a
+// malicious client can claim an arbitrary body length in the third. The
+// cluster router shares this framing so a front-end and a backend agree
+// on request boundaries byte for byte.
 func ReadRequest(r *bufio.Reader) ([]byte, error) {
-	magic, err := r.Peek(1)
-	if err != nil {
-		return nil, err
-	}
-	if magic[0] == BinMagicRequest {
-		hdr := make([]byte, binHeaderSize)
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return nil, err
-		}
-		total := int(uint32(hdr[8])<<24 | uint32(hdr[9])<<16 | uint32(hdr[10])<<8 | uint32(hdr[11]))
-		// The wire carries at most what a frame can sanely hold; the
-		// claimed length is still what the parser sees in the header.
-		if total < 0 || total > 1<<20 {
-			total = r.Buffered()
-		}
-		body := make([]byte, total)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return nil, err
-		}
-		return append(hdr, body...), nil
-	}
 	line, err := r.ReadBytes('\n')
 	if err != nil {
 		return nil, err

@@ -54,7 +54,7 @@ const (
 // Key and value are borrowed, not copied: they reference the request bytes
 // where the parser found them — windows into the batch slot's read buffer
 // inside the event domain — or a private slice the handler computed
-// (incr/decr, append/prepend, the staged bset and binary-set values, any
+// (incr/decr, append/prepend, the staged bset value, any
 // checked copy readBody fell back to). The one copy a store pays is
 // ApplyShardBatch's, into the arena. Lifetime rule: a slot's read buffer
 // is written only by the deep copy at step ④ of the NEXT batch, and the
@@ -347,8 +347,8 @@ type dmEnv struct {
 	scratch []byte
 }
 
-// stagingSize is the fixed staging buffer the vulnerable binary-set path
-// uses — the overflow target of the CVE-2011-4971 analog.
+// stagingSize is the fixed staging buffer the vulnerable bset path uses,
+// the overflow target of the CVE-2011-4971 analog.
 const stagingSize = 1024
 
 // driveMachine processes one client event: it parses the request in the
@@ -360,11 +360,6 @@ const stagingSize = 1024
 // protocol-level error (protocol errors produce ERROR responses, not Go
 // errors).
 func driveMachine(env *dmEnv) (wlen int, closeConn bool, err error) {
-	// Binary-protocol frames are identified by their magic byte, exactly
-	// as in memcached's try_read_command.
-	if env.rlen > 0 && env.c.ReadU8(env.rbuf) == BinMagicRequest {
-		return driveBinary(env)
-	}
 	line, bodyOff := readLine(env)
 	if line == nil {
 		return writeString(env, "ERROR\r\n"), false, nil
@@ -426,7 +421,7 @@ var blockCommands = [...]struct {
 	{"append", 4, cmdStore},
 	{"prepend", 4, cmdStore},
 	{"cas", 4, cmdStore},
-	{"bset", 3, cmdBinarySet},
+	{"bset", 3, cmdBSet},
 }
 
 // blockCommand returns cmd's index in blockCommands, or -1.
@@ -682,15 +677,15 @@ func cmdTouch(env *dmEnv, tokens [][]byte) (int, bool, error) {
 	return writeString(env, "NOT_FOUND\r\n"), false, nil
 }
 
-// cmdBinarySet is the CVE-2011-4971 analog. The real vulnerability: a
+// cmdBSet is the CVE-2011-4971 analog. The real vulnerability: a
 // crafted binary-protocol packet carries a huge body length which
 // Memcached trusts, so a fixed-size buffer is overflowed by a memcpy of
 // attacker-controlled length, corrupting the heap and crashing the
-// process. Here, the "binary" set command carries the body length in its
-// header and the handler copies that many bytes into a fixed staging
+// process. Here, the bset command claims the body length in its command
+// line and the handler copies that many bytes into a fixed staging
 // buffer without validating it against the buffer size or against the
 // bytes actually received.
-func cmdBinarySet(env *dmEnv, tokens [][]byte, bodyOff int) (int, bool, error) {
+func cmdBSet(env *dmEnv, tokens [][]byte, bodyOff int) (int, bool, error) {
 	if len(tokens) < 3 {
 		return writeString(env, "ERROR\r\n"), false, nil
 	}
@@ -704,7 +699,7 @@ func cmdBinarySet(env *dmEnv, tokens [][]byte, bodyOff int) (int, bool, error) {
 		return writeString(env, "SERVER_ERROR out of memory\r\n"), false, nil
 	}
 	// BUG (intentional, the planted CVE): bodyLen comes straight from the
-	// packet header. A value larger than stagingSize overflows the
+	// client's claim. A value larger than stagingSize overflows the
 	// staging buffer; larger than the connection buffer, it also overruns
 	// the source. With SDRaD both are confined to the nested domain and
 	// detected by the MMU.

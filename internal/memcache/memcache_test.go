@@ -489,8 +489,10 @@ func TestDeferredUpdateAtomicity(t *testing.T) {
 }
 
 func TestBSetWithHonestLengthWorks(t *testing.T) {
-	// The binary-set path itself is functional when the header is
-	// truthful and within bounds.
+	// The bset path itself is functional when the claimed length is
+	// truthful and within bounds, and a negative claim (the
+	// signed-arithmetic half of the CVE) is refused as a protocol error
+	// on an open connection, never copied.
 	allVariants(t, func(t *testing.T, v Variant) {
 		s := startServer(t, v, 1)
 		c := s.NewConn()
@@ -501,6 +503,12 @@ func TestBSetWithHonestLengthWorks(t *testing.T) {
 		val, _, ok := ParseGetValue(mustDo(t, c, FormatGet("bk")))
 		if !ok || string(val) != "honest-data" {
 			t.Fatalf("bset round trip = %q", val)
+		}
+		if got := mustDo(t, c, FormatBSet("k", -5, []byte("x"))); !bytes.HasPrefix(got, []byte("CLIENT_ERROR")) {
+			t.Fatalf("bset with a negative length = %q, want CLIENT_ERROR", got)
+		}
+		if crashed, cause := s.Crashed(); crashed || s.Rewinds() != 0 {
+			t.Fatalf("negative length: crashed %v (%v), %d rewinds", crashed, cause, s.Rewinds())
 		}
 	})
 }

@@ -238,16 +238,14 @@ func (v *GaugeVec) With(label string) *Gauge {
 // Registry is a get-or-create metrics registry with Prometheus text
 // exposition and a JSON snapshot. Families expose in registration order.
 type Registry struct {
-	mu       sync.Mutex
-	order    []*family
-	byName   map[string]*family
-	families map[string]*family // alias of byName, kept for clarity in lookup
+	mu     sync.Mutex
+	order  []*family
+	byName map[string]*family
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	byName := map[string]*family{}
-	return &Registry{byName: byName, families: byName}
+	return &Registry{byName: map[string]*family{}}
 }
 
 // lookup returns the family, creating it if absent; it panics on a

@@ -65,20 +65,3 @@ func (r *Recorder) Serve(addr string) (string, error) {
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }
-
-// Dump is the full state of a recorder, as written by -flight-dump.
-type Dump struct {
-	Metrics   map[string]any `json:"metrics"`
-	Events    []Event        `json:"events"`
-	Forensics []RewindReport `json:"forensics"`
-}
-
-// DumpJSON serializes metrics, flight events, and forensics reports in
-// one document.
-func (r *Recorder) DumpJSON() ([]byte, error) {
-	return json.MarshalIndent(Dump{
-		Metrics:   r.reg.SnapshotJSON(),
-		Events:    r.flight.Snapshot(),
-		Forensics: r.store.Reports(),
-	}, "", "  ")
-}

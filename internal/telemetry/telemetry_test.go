@@ -784,23 +784,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
-func TestDumpJSON(t *testing.T) {
-	rec := New(Options{})
-	rec.RecordEnter(1, 2, 100)
-	rec.RecordRewind(RewindReport{Seq: 1, FailedUDI: 2, SiCodeName: "SEGV_PKUERR"})
-	raw, err := rec.DumpJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d Dump
-	if err := json.Unmarshal(raw, &d); err != nil {
-		t.Fatal(err)
-	}
-	if d.Metrics == nil || len(d.Events) != 2 || len(d.Forensics) != 1 {
-		t.Fatalf("dump = metrics:%v events:%d forensics:%d", d.Metrics != nil, len(d.Events), len(d.Forensics))
-	}
-}
-
 // --- concurrency hammer (run under -race) ---
 
 // TestConcurrentHammer pounds the recorder from writer goroutines while

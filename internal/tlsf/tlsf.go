@@ -386,16 +386,6 @@ func (h *Heap) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) {
 	return b + headerOverhead, nil
 }
 
-// AllocZeroed is Alloc followed by clearing the block (calloc).
-func (h *Heap) AllocZeroed(c *mem.CPU, size uint64) (mem.Addr, error) {
-	p, err := h.Alloc(c, size)
-	if err != nil {
-		return 0, err
-	}
-	c.Memset(p, 0, int(adjustSize(size)))
-	return p, nil
-}
-
 // UsableSize returns the usable size of an allocated block.
 func (h *Heap) UsableSize(c *mem.CPU, ptr mem.Addr) uint64 {
 	return blockSize(c, ptr-headerOverhead)
@@ -649,87 +639,3 @@ func Overhead() uint64 { return ctrlSize }
 
 // MinRegion returns the smallest usable size for Init.
 func MinRegion() uint64 { return ctrlSize + 2*headerOverhead + minBlockSize }
-
-// Realloc resizes an allocation. It grows in place when the physically
-// next block is free and large enough, shrinks in place by splitting off
-// a remainder, and otherwise allocates a new block, copies the payload,
-// and frees the old one. Realloc(0, n) behaves like Alloc(n);
-// Realloc(p, 0) frees p and returns 0.
-func (h *Heap) Realloc(c *mem.CPU, ptr mem.Addr, size uint64) (mem.Addr, error) {
-	if h.merged {
-		return 0, ErrMergedHeap
-	}
-	if ptr == 0 {
-		return h.Alloc(c, size)
-	}
-	if size == 0 {
-		return 0, h.Free(c, ptr)
-	}
-	if size > maxAlloc {
-		return 0, ErrTooLarge
-	}
-	if uint64(ptr)%align != 0 || !h.contains(ptr) {
-		return 0, ErrBadFree
-	}
-	b := ptr - headerOverhead
-	if isFree(c, b) {
-		return 0, ErrBadFree
-	}
-	cur := blockSize(c, b)
-	adjust := adjustSize(size)
-
-	if adjust <= cur {
-		h.shrinkInPlace(c, b, cur, adjust)
-		return ptr, nil
-	}
-
-	// Try absorbing the next physical block.
-	n := nextBlock(c, b)
-	if isFree(c, n) {
-		nsize := blockSize(c, n)
-		if cur+headerOverhead+nsize >= adjust {
-			h.remove(c, n, nsize)
-			merged := cur + headerOverhead + nsize
-			setBlock(c, b, merged, blockFlags(c, b))
-			// The block after the absorbed neighbour now follows a used
-			// block.
-			nn := nextBlock(c, b)
-			setBlock(c, nn, blockSize(c, nn), blockFlags(c, nn)&^uint64(flagPrevFree))
-			h.shrinkInPlace(c, b, merged, adjust)
-			return ptr, nil
-		}
-	}
-
-	// Move: allocate, copy, free.
-	np, err := h.Alloc(c, size)
-	if err != nil {
-		return 0, err
-	}
-	copyLen := cur
-	if uint64(size) < copyLen {
-		copyLen = uint64(size)
-	}
-	c.Copy(np, ptr, int(copyLen))
-	if err := h.Free(c, ptr); err != nil {
-		return 0, err
-	}
-	return np, nil
-}
-
-// shrinkInPlace reduces a used block to adjust bytes, releasing the
-// remainder as a free block when it can stand alone.
-func (h *Heap) shrinkInPlace(c *mem.CPU, b mem.Addr, cur, adjust uint64) {
-	if cur < adjust+headerOverhead+minBlockSize {
-		return // remainder too small to split off
-	}
-	setBlock(c, b, adjust, blockFlags(c, b))
-	rem := b + headerOverhead + mem.Addr(adjust)
-	remSize := cur - adjust - headerOverhead
-	// Mark the remainder used (prev is the shrunk used block), then run
-	// it through Free so it coalesces with a free successor normally.
-	setBlock(c, rem, remSize, 0)
-	n := nextBlock(c, rem)
-	setBlock(c, n, blockSize(c, n), blockFlags(c, n)&^uint64(flagPrevFree))
-	h.frees-- // compensate: this Free is bookkeeping, not a client free
-	_ = h.Free(c, rem+headerOverhead)
-}

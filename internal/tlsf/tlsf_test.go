@@ -64,27 +64,6 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAllocZeroed(t *testing.T) {
-	h, cpu := newHeap(t, 64*1024)
-	p, err := h.Alloc(cpu, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu.Memset(p, 0xFF, 64)
-	if err := h.Free(cpu, p); err != nil {
-		t.Fatal(err)
-	}
-	q, err := h.AllocZeroed(cpu, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if cpu.ReadU8(q+mem.Addr(i)) != 0 {
-			t.Fatalf("byte %d not zeroed", i)
-		}
-	}
-}
-
 func TestZeroAndHugeRequests(t *testing.T) {
 	h, cpu := newHeap(t, 64*1024)
 	p, err := h.Alloc(cpu, 0)
