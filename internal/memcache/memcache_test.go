@@ -490,9 +490,7 @@ func TestDeferredUpdateAtomicity(t *testing.T) {
 
 func TestBSetWithHonestLengthWorks(t *testing.T) {
 	// The bset path itself is functional when the claimed length is
-	// truthful and within bounds, and a negative claim (the
-	// signed-arithmetic half of the CVE) is refused as a protocol error
-	// on an open connection, never copied.
+	// truthful and within bounds.
 	allVariants(t, func(t *testing.T, v Variant) {
 		s := startServer(t, v, 1)
 		c := s.NewConn()
@@ -504,8 +502,23 @@ func TestBSetWithHonestLengthWorks(t *testing.T) {
 		if !ok || string(val) != "honest-data" {
 			t.Fatalf("bset round trip = %q", val)
 		}
-		if got := mustDo(t, c, FormatBSet("k", -5, []byte("x"))); !bytes.HasPrefix(got, []byte("CLIENT_ERROR")) {
-			t.Fatalf("bset with a negative length = %q, want CLIENT_ERROR", got)
+	})
+}
+
+func TestBinaryNegativeBodyLenRejected(t *testing.T) {
+	// A negative claimed body length on the binary set (bset) is the
+	// signed-arithmetic half of the CVE. It must be refused as a
+	// protocol error on an open connection, never copied: no crash and
+	// no rewind on any variant.
+	allVariants(t, func(t *testing.T, v Variant) {
+		s := startServer(t, v, 1)
+		c := s.NewConn()
+		resp, closed, err := c.Do(FormatBSet("k", -5, []byte("x")))
+		if err != nil || closed {
+			t.Fatalf("negative-length request killed the connection: %v", err)
+		}
+		if !bytes.HasPrefix(resp, []byte("CLIENT_ERROR")) {
+			t.Fatalf("bset with a negative length = %q, want CLIENT_ERROR", resp)
 		}
 		if crashed, cause := s.Crashed(); crashed || s.Rewinds() != 0 {
 			t.Fatalf("negative length: crashed %v (%v), %d rewinds", crashed, cause, s.Rewinds())
