@@ -29,8 +29,9 @@ test:
 # pipeline), plus the idle worker's audit after a sibling's rewind (two
 # workers deriving their PKRU policies side by side) and the clients
 # whose replies last until their connection's next call while the other
-# client is served, and the clients whose every call runs on their
-# connection's one call record, across Stop; the sixth holds httpd's
+# client is served, the clients whose every call runs on their
+# connection's one call record, across Stop, and two workers growing the
+# root heap side by side; the sixth holds httpd's
 # reply lifetime and its connection's record the same way. CI's race
 # job runs this target, so the list lives here only. The last holds the
 # router's dead-backend spill to exactly FailThreshold degraded replies
@@ -41,7 +42,7 @@ race:
 	$(GO) test -race -count=20 ./internal/core
 	$(GO) test -race -count=20 -run 'ShardLock' ./internal/memcache
 	$(GO) test -race -count=20 ./internal/proc
-	$(GO) test -race -count=20 -run 'FreshServerTrap|TwoStagedEvents|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesLastUntilTheNextCall|ConnEventAcrossDoPipelineAndStop' ./internal/memcache
+	$(GO) test -race -count=20 -run 'FreshServerTrap|TwoStagedEvents|ChunkedPipeline|IdleWorkerAuditAfterSiblingRewind|RepliesLastUntilTheNextCall|ConnEventAcrossDoPipelineAndStop|RootHeapGrowsFromTwoWorkers' ./internal/memcache
 	$(GO) test -race -count=20 -run 'RepliesLastUntilTheNextCall|ConnEventAcrossDoPipelineAndStop' ./internal/httpd
 	$(GO) test -race -count=200 -run SpillsAroundDeadBackend ./internal/cluster
 
@@ -92,18 +93,20 @@ monitor-admits:
 		echo "only internal/core admits a guard scope: call Guard and handle *core.QuarantineError"; exit 1; fi
 
 # What a build variant decides is decided in internal/host: the servers
-# get root memory, connection buffers, data domains, guard scopes and the
-# SDRaD library from it, never pick an allocator or set the library up
-# themselves, and never compare against a variant — each runs one request
-# flow, in which the library (nil on a baseline) gates the hardened steps.
+# get root memory, connection buffers, data domains, stacks, guard scopes
+# and the SDRaD library from it, never pick an allocator, map memory or
+# set the library up themselves, and never compare against a variant —
+# each runs one request flow, in which the library (nil on a baseline)
+# gates the hardened steps. So every heap and stack a server maps is one
+# internal/host or internal/core maps.
 one-host:
 	@if grep -rnE --include='*.go' --exclude='*_test.go' \
-		-e '"sdrad/internal/(galloc|tlsf)"' -e 'core\.Setup\(' -e 'InitDomain\(' \
+		-e '"sdrad/internal/(galloc|tlsf)"' -e 'core\.Setup\(' -e 'InitDomain\(' -e 'MapAnon\(' \
 		-e '[!=]=[[:space:]]*(Variant|host\.)(Vanilla|TLSF|SDRaD)\b' \
 		-e '\b(Variant|host\.)(Vanilla|TLSF|SDRaD)[[:space:]]*[!=]=' \
 		-e 'case[[:space:]]+(Variant|host\.)(Vanilla|TLSF|SDRaD)\b' \
 		internal/memcache internal/httpd; then \
-		echo "memcache and httpd get their memory and scopes from internal/host (Alloc, OpenConn, DataDomain, Scope) and run one request flow: no allocator, core.Setup, InitDomain or variant comparison"; exit 1; fi
+		echo "memcache and httpd get their memory and scopes from internal/host (Alloc, OpenConn, DataDomain, Stack, Scope) and run one request flow: no allocator, MapAnon, core.Setup, InitDomain or variant comparison"; exit 1; fi
 
 # The examples are the public API's only runnable docs: run each one to
 # its end (a few seconds in all). Each exits non-zero when its scenario

@@ -402,6 +402,29 @@ func TestRouterAbsorbsAttackInPlace(t *testing.T) {
 	}
 }
 
+// TestRouterClosesOnOverlongLine: a client that sends MaxLineLen bytes
+// with no newline gets no reply and a closed connection; the router
+// keeps routing for the next client.
+func TestRouterClosesOnOverlongLine(t *testing.T) {
+	_, cfgBackends := startBackends(t, 1, false)
+	_, addr := startRouter(t, Config{Backends: cfgBackends})
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Write(bytes.Repeat([]byte("x"), memcache.MaxLineLen)); err != nil {
+		t.Fatal(err)
+	}
+	if rest, err := io.ReadAll(nc); err != nil || len(rest) != 0 {
+		t.Fatalf("after an overlong line: %q, %v; want a clean close and no reply", rest, err)
+	}
+	if rep, err := mustDial(t, addr).Do(memcache.FormatGet("k")); err != nil || string(rep) != "END\r\n" {
+		t.Fatalf("next client: %q, %v", rep, err)
+	}
+}
+
 // lastReport is rec's newest forensics report (the zero report when
 // there is none).
 func lastReport(rec *telemetry.Recorder) telemetry.RewindReport {

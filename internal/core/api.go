@@ -42,13 +42,16 @@ func (l *Library) Malloc(t *proc.Thread, udi UDI, size uint64) (mem.Addr, error)
 	d.lockHeap()
 	defer d.unlockHeap()
 	if d.isRoot() {
-		if err := l.ensureRootHeap(c); err != nil {
+		if err := l.ensureRootHeap(c, size); err != nil {
 			return 0, err
 		}
 	} else if err := d.ensureHeap(c); err != nil {
 		return 0, err
 	}
 	p, err := d.heap.Alloc(c, size)
+	if errors.Is(err, tlsf.ErrOOM) && d.isRoot() && l.growRootHeap(c, size) == nil {
+		p, err = d.heap.Alloc(c, size)
+	}
 	if err != nil {
 		if errors.Is(err, tlsf.ErrOOM) {
 			return 0, fmt.Errorf("%w: domain %d: %v", ErrHeapExhausted, udi, err)
@@ -116,22 +119,48 @@ func (l *Library) resolveAllocTarget(ts *threadState, udi UDI) (*Domain, error) 
 	return nil, ErrUnknownDomain
 }
 
-// ensureRootHeap lazily maps and initializes the root domain heap.
-func (l *Library) ensureRootHeap(c *mem.CPU) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// ensureRootHeap lazily maps the root heap's first region, big enough for
+// an allocation of size bytes, and builds its allocator there. The caller
+// holds root's heap lock and has the root key raised.
+func (l *Library) ensureRootHeap(c *mem.CPU, size uint64) error {
 	if l.root.heap != nil {
 		return nil
 	}
-	if l.root.heapBase == 0 {
-		base, err := l.p.AddressSpace().MapAnon(int(l.rootHeapSize), mem.ProtRW, l.rootKey)
-		if err != nil {
-			return fmt.Errorf("sdrad: mapping root heap: %w", err)
-		}
-		l.root.heapBase = base
-		l.root.heapSize = l.rootHeapSize
+	return l.growRootHeap(c, size)
+}
+
+// growRootHeap maps one more root-heap region, big enough for an
+// allocation of size bytes (HeapStep unless size needs more), and hands
+// it to the root allocator; the first region also carries the allocator's
+// control block. It fails once the regions would pass rootHeapSize, the
+// ceiling. The caller holds root's heap lock and has the root key raised;
+// mu nests inside the heap lock, as in every path that takes both.
+func (l *Library) growRootHeap(c *mem.CPU, size uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	need := tlsf.RegionFor(size)
+	var mapped uint64
+	for _, r := range l.rootRegions {
+		mapped += r.Size
 	}
-	return l.root.ensureHeap(c)
+	if len(l.rootRegions) == 0 {
+		need += tlsf.Overhead()
+	}
+	n := GrowBy(need, mapped, l.rootHeapSize)
+	if n == 0 {
+		return fmt.Errorf("%w: root heap has %d of its %d bytes mapped, %d more needed",
+			ErrHeapExhausted, mapped, l.rootHeapSize, need)
+	}
+	base, err := l.p.AddressSpace().MapAnon(int(n), mem.ProtRW, l.rootKey)
+	if err != nil {
+		return fmt.Errorf("sdrad: mapping root heap: %w", err)
+	}
+	l.rootRegions = append(l.rootRegions, tlsf.Region{Base: base, Size: n})
+	if l.root.heap == nil {
+		l.root.heap, err = tlsf.Init(c, base, n)
+		return err
+	}
+	return l.root.heap.AddRegion(c, base, n)
 }
 
 // DProtect configures domain udi's access rights PROT on the target data

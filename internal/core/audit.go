@@ -44,10 +44,11 @@ type AuditReport struct {
 	// region kept mapped for reuse.
 	PooledHeaps int
 	// AccountedBytes sums the mapped bytes attributable to SDRaD state
-	// visible from this thread: the monitor page, the root heap, this
-	// thread's domain stacks and heaps, data-domain heaps, and pooled
-	// stacks. It can never exceed MappedBytes; on a single-threaded
-	// process it equals MappedBytes minus the application's mappings.
+	// visible from this thread: the monitor page, the root heap's
+	// regions, this thread's domain stacks and heaps, data-domain heaps,
+	// and pooled stacks. It can never exceed MappedBytes; on a
+	// single-threaded process it equals MappedBytes minus the
+	// application's mappings.
 	AccountedBytes uint64
 	// MappedBytes is the address-space mapped-bytes gauge at audit time.
 	MappedBytes int64
@@ -124,8 +125,9 @@ func (l *Library) Audit(t *proc.Thread) *AuditReport {
 
 	r.AccountedBytes += mem.PageSize // monitor data domain
 	l.mu.Lock()
-	if l.root.heapBase != 0 {
-		r.AccountedBytes += l.root.heapSize
+	for _, reg := range l.rootRegions {
+		l.auditRegion(r, as, RootUDI, "heap", reg.Base, reg.Size, l.rootKey)
+		r.AccountedBytes += reg.Size
 	}
 	l.mu.Unlock()
 	if r.MappedBytes >= 0 && r.AccountedBytes > uint64(r.MappedBytes) {

@@ -522,6 +522,84 @@ func TestRefusedHeapMergeDiscards(t *testing.T) {
 	})
 }
 
+// TestRootHeapGrowsOnDemand: the root heap maps one HeapStep at its first
+// allocation, and one more region each time its allocator has no block
+// for a request: a step, or whole steps enough for a larger request. It
+// never maps past its ceiling, where Malloc reports heap exhaustion. The
+// audit accounts every region and stays clean after a child heap merges
+// into the grown heap.
+func TestRootHeapGrowsOnDemand(t *testing.T) {
+	const ceiling = 4 * HeapStep
+	p, l := newLib(t, WithRootHeapSize(ceiling), WithStackReuse(false))
+	as := p.AddressSpace()
+	run(t, p, func(th *proc.Thread) error {
+		_, before := keysAndMapped(as)
+		grown := func(want uint64, what string) {
+			t.Helper()
+			if _, m := keysAndMapped(as); uint64(m-before) != want {
+				t.Errorf("after %s the root heap maps %d bytes, want %d", what, m-before, want)
+			}
+		}
+		if _, err := l.Malloc(th, RootUDI, 8); err != nil {
+			return err
+		}
+		grown(HeapStep, "the first allocation")
+		big, err := l.Malloc(th, RootUDI, HeapStep+1)
+		if err != nil {
+			return err
+		}
+		grown(3*HeapStep, "a request past one step")
+		var blocks []mem.Addr
+		for {
+			b, err := l.Malloc(th, RootUDI, 16<<10)
+			if errors.Is(err, ErrHeapExhausted) {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			blocks = append(blocks, b)
+		}
+		grown(ceiling, "filling the heap")
+		rep := l.Audit(th)
+		if !rep.Ok() {
+			t.Errorf("audit of the grown heap: %v", rep.Findings)
+		}
+		if want := uint64(mem.PageSize + ceiling); rep.AccountedBytes != want {
+			t.Errorf("audit accounts %d bytes, want the monitor page and %d of root heap", rep.AccountedBytes, ceiling)
+		}
+		if err := l.Free(th, RootUDI, big); err != nil {
+			return err
+		}
+
+		// A child heap merged into the grown root heap: its block stays
+		// valid, root frees it, and nothing more is mapped for root.
+		var live mem.Addr
+		if err := l.Guard(th, 2, func() error {
+			live, err = l.Malloc(th, 2, 64)
+			return err
+		}, Accessible()); err != nil {
+			return err
+		}
+		if err := l.Destroy(th, 2, HeapMerge); err != nil {
+			return err
+		}
+		grown(ceiling+DefaultHeapSize, "the merge")
+		if err := l.Free(th, RootUDI, live); err != nil {
+			t.Errorf("root frees the merged block: %v", err)
+		}
+		for _, b := range blocks {
+			if err := l.Free(th, RootUDI, b); err != nil {
+				return err
+			}
+		}
+		if rep := l.Audit(th); !rep.Ok() {
+			t.Errorf("audit after the merge into the grown heap: %v", rep.Findings)
+		}
+		return nil
+	})
+}
+
 func TestInaccessibleChildUnreadableByParent(t *testing.T) {
 	p, l := newLib(t)
 	err := p.Attach("main", func(th *proc.Thread) error {

@@ -442,17 +442,18 @@ func (l *Library) mergeHeapIntoParent(t *proc.Thread, d *Domain) error {
 	raised := mem.PKRUAllow(c.PKRU(), d.key, true)
 	raised = mem.PKRUAllow(raised, parent.key, true)
 	l.wrpkru(t, raised)
+	// The parent heap may be shared (root, data domains): serialize the
+	// adoption, and the heap's first build, against concurrent allocator
+	// traffic.
+	parent.lockHeap()
+	defer parent.unlockHeap()
 	if parent.isRoot() {
-		if err := l.ensureRootHeap(c); err != nil {
+		if err := l.ensureRootHeap(c, 0); err != nil {
 			return err
 		}
 	} else if err := parent.ensureHeap(c); err != nil {
 		return err
 	}
-	// The parent heap may be shared (root, data domains): serialize the
-	// adoption against concurrent allocator traffic.
-	parent.lockHeap()
-	defer parent.unlockHeap()
 	if d.heap == nil {
 		// Heap never used: hand the whole region to the parent as a pool.
 		if err := as.PkeyMprotect(d.heapBase, int(d.heapSize), mem.ProtRW, parent.key); err != nil {

@@ -13,6 +13,7 @@ import (
 	"sdrad/internal/sig"
 	"sdrad/internal/stack"
 	"sdrad/internal/telemetry"
+	"sdrad/internal/tlsf"
 )
 
 // UDI is a user domain index: the developer-chosen handle for a domain
@@ -23,12 +24,35 @@ type UDI int
 const RootUDI UDI = 0
 
 // Default region sizes; the C library reads these from environment
-// variables, here they are Setup options.
+// variables, here they are Setup options. DefaultRootHeapSize is the root
+// heap's ceiling: the heap grows on demand up to it (HeapStep).
 const (
 	DefaultStackSize    = 64 * 1024
 	DefaultHeapSize     = 256 * 1024
 	DefaultRootHeapSize = 8 * 1024 * 1024
 )
+
+// HeapStep is the granularity of a heap that grows on demand: the root
+// heap here, and a baseline build's one heap in internal/host. Such a
+// heap maps one step at its first allocation and, each time its allocator
+// has no block for a request, one more region sized by GrowBy. Regions
+// are never unmapped, so the heap only grows, and never past its ceiling.
+const HeapStep = 256 * 1024
+
+// GrowBy sizes the next region of a growing heap that has mapped mapped
+// of its ceiling bytes, for a request that needs a region of need bytes:
+// need rounded up to whole HeapSteps, clipped to what the ceiling leaves.
+// It returns 0 when need does not fit under the ceiling.
+func GrowBy(need, mapped, ceiling uint64) uint64 {
+	if mapped >= ceiling {
+		return 0
+	}
+	n := min((need+HeapStep-1)/HeapStep*HeapStep, ceiling-mapped)
+	if n < need {
+		return 0
+	}
+	return n
+}
 
 // Library is the SDRaD reference monitor plus its control data. One
 // Library serves one simulated process. The Go struct plays the role of
@@ -49,7 +73,7 @@ type Library struct {
 
 	defaultStackSize uint64
 	defaultHeapSize  uint64
-	rootHeapSize     uint64
+	rootHeapSize     uint64 // the root heap's ceiling
 	scrubOnDiscard   bool
 	reuseStacks      bool
 	rewindLimit      int64
@@ -68,6 +92,10 @@ type Library struct {
 	dataDomains map[UDI]*Domain
 	stackPool   []*pooledStack
 	root        *Domain // shared root domain
+	// rootRegions are the regions the root heap has mapped, in order; the
+	// first holds its TLSF control block. Added under root's heap lock
+	// and mu, never removed.
+	rootRegions []tlsf.Region
 	// ledgerFree/ledgerNext manage the per-thread transition-ledger slots
 	// in the monitor data domain (see monitorEnter).
 	ledgerFree []mem.Addr
@@ -268,7 +296,8 @@ func WithDefaultHeapSize(n uint64) SetupOption {
 	return func(l *Library) { l.defaultHeapSize = n }
 }
 
-// WithRootHeapSize sets the root domain heap size.
+// WithRootHeapSize sets the root domain heap's ceiling: it maps HeapStep
+// at the first root allocation and grows on demand up to n bytes.
 func WithRootHeapSize(n uint64) SetupOption {
 	return func(l *Library) { l.rootHeapSize = n }
 }

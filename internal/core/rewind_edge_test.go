@@ -269,9 +269,10 @@ func TestDestroyDiscardsTheDomainsCreatedInside(t *testing.T) {
 		if err := l.Destroy(th, 1, HeapMerge); err != nil {
 			return err
 		}
-		// The merge maps root's heap and hands it the outer heap's pages.
-		if k, m := keysAndMapped(as); k != keys || m != mapped+DefaultRootHeapSize+DefaultHeapSize {
-			t.Errorf("after Destroy: %d keys and %d bytes mapped, want %d and %d", k, m, keys, mapped+DefaultRootHeapSize+DefaultHeapSize)
+		// The merge maps root's first heap region and hands it the outer
+		// heap's pages.
+		if k, m := keysAndMapped(as); k != keys || m != mapped+HeapStep+DefaultHeapSize {
+			t.Errorf("after Destroy: %d keys and %d bytes mapped, want %d and %d", k, m, keys, mapped+HeapStep+DefaultHeapSize)
 		}
 		if rep := l.Audit(th); !rep.Ok() || len(rep.Domains) != 0 {
 			t.Errorf("audit after Destroy: %v, domains %v", rep.Findings, rep.Domains)

@@ -34,10 +34,9 @@ var (
 	ErrBadRegion = errors.New("galloc: region too small or misaligned")
 )
 
-// Heap is a first-fit allocator instance over one contiguous region.
+// Heap is a first-fit allocator instance over one or more regions.
 type Heap struct {
-	base mem.Addr
-	size uint64
+	regions []region
 
 	// freeHead is the address of the first free block header (0 = none),
 	// maintained in address order. Kept Go-side for simplicity; block
@@ -57,16 +56,48 @@ type Heap struct {
 // allocation failures into baseline (non-TLSF) builds.
 func (h *Heap) SetAllocHook(fn func(size uint64) error) { h.allocHook = fn }
 
+type region struct {
+	base mem.Addr
+	size uint64
+}
+
 // Init creates a heap covering [base, base+size).
 func Init(c *mem.CPU, base mem.Addr, size uint64) (*Heap, error) {
+	h := &Heap{}
+	if err := h.AddRegion(c, base, size); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// AddRegion donates [base, base+size) to the heap as one more free block,
+// linked into the address-ordered free list.
+func (h *Heap) AddRegion(c *mem.CPU, base mem.Addr, size uint64) error {
 	if uint64(base)%8 != 0 || size < headerOverhead+minBlock {
-		return nil, ErrBadRegion
+		return ErrBadRegion
 	}
 	size &^= 7
-	h := &Heap{base: base, size: size, freeHead: base}
+	var prev mem.Addr
+	next := h.freeHead
+	for next != 0 && next < base {
+		prev = next
+		next = nextFree(c, next)
+	}
 	c.WriteU64(base, (size-headerOverhead)|flagFree)
-	c.WriteAddr(base+headerOverhead, 0) // next-free
-	return h, nil
+	c.WriteAddr(base+headerOverhead, next)
+	if prev == 0 {
+		h.freeHead = base
+	} else {
+		c.WriteAddr(prev+headerOverhead, base)
+	}
+	h.regions = append(h.regions, region{base, size})
+	return nil
+}
+
+// RegionFor returns the smallest region AddRegion can be given for an
+// Alloc of size bytes to succeed when no other block can serve it.
+func RegionFor(size uint64) uint64 {
+	return max((size+7)&^7, minBlock) + headerOverhead
 }
 
 func blockSize(c *mem.CPU, b mem.Addr) uint64 { return c.ReadU64(b) &^ 7 }
@@ -119,8 +150,7 @@ func (h *Heap) Alloc(c *mem.CPU, size uint64) (mem.Addr, error) {
 
 // Free returns a block to the heap, coalescing with adjacent free blocks.
 func (h *Heap) Free(c *mem.CPU, ptr mem.Addr) error {
-	if ptr == 0 || uint64(ptr)%8 != 0 || ptr < h.base+headerOverhead ||
-		ptr >= h.base+mem.Addr(h.size) {
+	if ptr == 0 || uint64(ptr)%8 != 0 || !h.contains(ptr) {
 		return ErrBadFree
 	}
 	b := ptr - headerOverhead
@@ -160,6 +190,17 @@ func (h *Heap) Free(c *mem.CPU, ptr mem.Addr) error {
 	}
 	h.frees++
 	return nil
+}
+
+// contains reports whether ptr can be a block's user address in one of
+// the heap's regions.
+func (h *Heap) contains(ptr mem.Addr) bool {
+	for _, r := range h.regions {
+		if ptr >= r.base+headerOverhead && ptr < r.base+mem.Addr(r.size) {
+			return true
+		}
+	}
+	return false
 }
 
 // FreeBytes returns the total free payload bytes (walks the free list).

@@ -100,6 +100,49 @@ func TestOOM(t *testing.T) {
 	}
 }
 
+// TestAddRegionGrowsTheHeap: a full heap takes a request again once given
+// a region of RegionFor its size (and not one word less), frees in either
+// region return there, and the free list stays address-ordered whichever
+// end the new region lands at.
+func TestAddRegionGrowsTheHeap(t *testing.T) {
+	for _, n := range []uint64{1, 100, 4096, 1 << 20} {
+		for _, size := range []uint64{RegionFor(n), RegionFor(n) - 8} {
+			as := mem.NewAddressSpace()
+			cpu := as.NewCPU()
+			low, _ := as.MapAnon(int(size), mem.ProtRW, 0)
+			high, _ := as.MapAnon(4096, mem.ProtRW, 0)
+			h, err := Init(cpu, high, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := h.Alloc(cpu, 4096-headerOverhead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err = h.AddRegion(cpu, low, size); err == nil {
+				var p mem.Addr
+				if p, err = h.Alloc(cpu, n); err == nil {
+					if p < low || p >= high {
+						t.Errorf("Alloc(%d) = 0x%x, outside the added region", n, uint64(p))
+					}
+					if err := h.Free(cpu, p); err != nil {
+						t.Errorf("Free in the added region: %v", err)
+					}
+				}
+			}
+			if fits := size == RegionFor(n); fits != (err == nil) {
+				t.Errorf("Alloc(%d) in a %d-byte region (RegionFor %d): %v", n, size, RegionFor(n), err)
+			}
+			if err := h.Free(cpu, first); err != nil {
+				t.Errorf("Free in the first region: %v", err)
+			}
+			if got, want := h.FreeBytes(cpu), size-headerOverhead+4096-headerOverhead; err == nil && got != want {
+				t.Errorf("free bytes after freeing both = %d, want %d", got, want)
+			}
+		}
+	}
+}
+
 func TestRandomizedUsage(t *testing.T) {
 	h, cpu := newHeap(t, 256*1024)
 	rng := rand.New(rand.NewSource(7))

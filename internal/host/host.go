@@ -12,6 +12,7 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,7 @@ import (
 	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
+	"sdrad/internal/stack"
 	"sdrad/internal/telemetry"
 	"sdrad/internal/tlsf"
 )
@@ -65,12 +67,15 @@ type Config struct {
 	Name    string
 	Seed    int64
 	Variant Variant
-	// RootHeap sizes the hardened build's root heap; DomainHeap its
-	// default nested-domain heap (0 keeps the library default).
+	// RootHeap is the ceiling of the hardened build's root heap, which
+	// grows on demand (core.HeapStep); DomainHeap sizes its default
+	// nested-domain heap (0 keeps the library default).
 	RootHeap   uint64
 	DomainHeap uint64
-	// BaselineHeap sizes the one heap a baseline maps at provisioning;
-	// root memory and everything else the server allocates come from it.
+	// BaselineHeap is the ceiling of a baseline's one heap: it maps
+	// core.HeapStep at provisioning and grows on demand as the root heap
+	// does. Root memory and everything else the server allocates come
+	// from it.
 	BaselineHeap uint64
 	// Telemetry, when set, is wired through the reference monitor on the
 	// hardened build and through the address space on the baselines.
@@ -84,6 +89,7 @@ type Config struct {
 type heap interface {
 	Alloc(c *mem.CPU, size uint64) (mem.Addr, error)
 	Free(c *mem.CPU, ptr mem.Addr) error
+	AddRegion(c *mem.CPU, base mem.Addr, size uint64) error
 }
 
 // Host is one simulated server process.
@@ -93,9 +99,11 @@ type Host struct {
 	lib *core.Library // hardened build only
 
 	// The baselines' heap, locked: glibc's malloc is thread-safe and a
-	// server may run several worker threads on it.
-	mu   sync.Mutex
-	heap heap
+	// server may run several worker threads on it. mapped is the bytes
+	// its regions map, at most cfg.BaselineHeap.
+	mu     sync.Mutex
+	heap   heap
+	mapped uint64
 
 	degraded atomic.Int64 // requests answered on the quarantine path
 	shed     atomic.Int64 // connections closed by load shedding
@@ -133,12 +141,12 @@ func New(cfg Config) (*Host, error) {
 }
 
 // Provision runs fn on the process's init thread. A baseline first maps
-// its heap there, so the server's first allocation is the first block of
-// that heap on every build.
+// its heap's first region there, so the server's first allocation is the
+// first block of that heap on every build.
 func (h *Host) Provision(fn func(t *proc.Thread) error) error {
 	return h.p.Attach("init", func(t *proc.Thread) error {
 		if h.lib == nil {
-			if err := h.mapHeap(t.CPU()); err != nil {
+			if err := h.growHeap(t.CPU(), 0); err != nil {
 				return err
 			}
 		}
@@ -146,30 +154,55 @@ func (h *Host) Provision(fn func(t *proc.Thread) error) error {
 	})
 }
 
-func (h *Host) mapHeap(c *mem.CPU) error {
-	size := h.cfg.BaselineHeap
-	base, err := h.p.AddressSpace().MapAnon(int(size), mem.ProtRW, 0)
+// growHeap maps one more region of the baseline heap, big enough for an
+// allocation of size bytes, with core.GrowBy's rule: the first builds the
+// allocator, later ones are added to it, and none passes BaselineHeap.
+// The caller holds mu, or is the init thread before any worker runs.
+func (h *Host) growHeap(c *mem.CPU, size uint64) error {
+	need := galloc.RegionFor(size)
+	if h.cfg.Variant == TLSF {
+		need = tlsf.RegionFor(size)
+		if h.heap == nil {
+			need += tlsf.Overhead()
+		}
+	}
+	n := core.GrowBy(need, h.mapped, h.cfg.BaselineHeap)
+	if n == 0 {
+		return fmt.Errorf("host: baseline heap has %d of its %d bytes mapped, %d more needed",
+			h.mapped, h.cfg.BaselineHeap, need)
+	}
+	base, err := h.p.AddressSpace().MapAnon(int(n), mem.ProtRW, 0)
 	if err != nil {
 		return err
 	}
-	if h.cfg.Variant == TLSF {
-		h.heap, err = tlsf.Init(c, base, size)
-	} else {
-		h.heap, err = galloc.Init(c, base, size)
+	h.mapped += n
+	switch {
+	case h.heap != nil:
+		return h.heap.AddRegion(c, base, n)
+	case h.cfg.Variant == TLSF:
+		h.heap, err = tlsf.Init(c, base, n)
+	default:
+		h.heap, err = galloc.Init(c, base, n)
 	}
 	return err
 }
 
 // Alloc allocates size bytes from domain udi's heap on the hardened build
 // (core.RootUDI is root memory), and from the baseline heap otherwise: a
-// baseline has no domains, so every udi names its one heap.
+// baseline has no domains, so every udi names its one heap, which grows
+// when it has no block for the request.
 func (h *Host) Alloc(t *proc.Thread, udi core.UDI, size uint64) (mem.Addr, error) {
 	if h.lib != nil {
 		return h.lib.Malloc(t, udi, size)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.heap.Alloc(t.CPU(), size)
+	c := t.CPU()
+	p, err := h.heap.Alloc(c, size)
+	if (errors.Is(err, galloc.ErrOOM) || errors.Is(err, tlsf.ErrOOM)) && h.growHeap(c, size) == nil {
+		p, err = h.heap.Alloc(c, size)
+	}
+	return p, err
 }
 
 // Free releases memory Alloc returned for the same udi.
@@ -180,6 +213,17 @@ func (h *Host) Free(t *proc.Thread, udi core.UDI, addr mem.Addr) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.heap.Free(t.CPU(), addr)
+}
+
+// Stack maps a stack of size bytes with the default protection key, for
+// code a server runs outside any domain (a baseline's stand-in for what
+// the hardened build runs in a domain of its own).
+func (h *Host) Stack(size uint64) (*stack.Stack, error) {
+	base, err := h.p.AddressSpace().MapAnon(int(size), mem.ProtRW, 0)
+	if err != nil {
+		return nil, err
+	}
+	return stack.New(base, size, h.p.Rand64()), nil
 }
 
 // DataDomain creates data domain udi with a heap of heap bytes, accessible

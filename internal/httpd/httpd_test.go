@@ -13,7 +13,9 @@ import (
 	"time"
 	"weak"
 
+	"sdrad/internal/mem"
 	"sdrad/internal/policy"
+	"sdrad/internal/proc"
 	"sdrad/internal/telemetry"
 )
 
@@ -747,27 +749,23 @@ func BenchmarkKeepAliveGET(b *testing.B) {
 
 // heapInuse is the Go heap in use, read after a collection when collect is
 // set.
-func heapInuse(collect bool) uint64 {
-	if collect {
-		runtime.GC()
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
-}
-
 func TestStoppedMasterIsCollectable(t *testing.T) {
 	// As memcache's TestStoppedServerIsCollectable: after Stop and ONE
-	// collection nothing keeps the worker processes (two heaps of ~21 MiB,
-	// sized by the 128 KiB file) reachable, and a reply the caller keeps
-	// across Stop keeps its bytes.
+	// collection nothing keeps a worker's process or address space
+	// reachable, and a reply the caller keeps across Stop keeps its bytes.
 	allVariants(t, func(t *testing.T, v Variant) {
-		before := heapInuse(true)
 		var held, want []byte
+		var procs []weak.Pointer[proc.Process]
+		var spaces []weak.Pointer[mem.AddressSpace]
 		func() {
 			m, err := NewMaster(Config{Variant: v, Workers: 2, Files: map[string]int{"/1k": 1024, "/big": 128 << 10}})
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i := 0; i < m.Workers(); i++ {
+				p := m.Worker(i).Process()
+				procs = append(procs, weak.Make(p))
+				spaces = append(spaces, weak.Make(p.AddressSpace()))
 			}
 			var wg sync.WaitGroup
 			for i := 0; i < 2; i++ {
@@ -792,9 +790,6 @@ func TestStoppedMasterIsCollectable(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if inuse := heapInuse(false) - before; inuse < 24<<20 {
-				t.Fatalf("a live master holds %d MiB of Go heap; the test no longer measures its memory", inuse>>20)
-			}
 			resp, closed, err := m.Worker(0).NewConn().Do(FormatRequest("/1k", true))
 			if err != nil || closed {
 				t.Fatalf("Do: closed=%v err=%v", closed, err)
@@ -802,9 +797,12 @@ func TestStoppedMasterIsCollectable(t *testing.T) {
 			held, want = resp, bytes.Clone(resp)
 			m.Stop()
 		}()
-		if after := heapInuse(true); after > before+8<<20 {
-			t.Errorf("HeapInuse %d MiB before the master, %d MiB after Stop and one GC: a stopped worker is still reachable",
-				before>>20, after>>20)
+		runtime.GC()
+		for i := range procs {
+			if procs[i].Value() != nil || spaces[i].Value() != nil {
+				t.Errorf("after Stop and one GC worker %d's process (live: %v) or address space (live: %v) is still reachable",
+					i, procs[i].Value() != nil, spaces[i].Value() != nil)
+			}
 		}
 		if !bytes.Equal(held, want) {
 			t.Errorf("a reply held across Stop changed: %q", held[:min(len(held), 24)])
@@ -936,6 +934,44 @@ func TestConnEventAcrossDoPipelineAndStop(t *testing.T) {
 			if w.Value() != nil {
 				t.Errorf("stopped worker %d is still reachable once its clients dropped their connections", i)
 			}
+		}
+	})
+}
+
+// TestMappedBytesAfterSeededLoad pins what a two-worker master maps on
+// each build after a fixed load: 12 keep-alive connections per worker,
+// opened in turn, each fetching a 1 KiB file 32 times. The worker heaps
+// grow on demand, so the figures are what the load used, not a
+// reservation: a change to them is a change in memory cost, to be
+// explained.
+func TestMappedBytesAfterSeededLoad(t *testing.T) {
+	want := map[Variant]int64{
+		VariantVanilla: 524288, // one heap step per worker
+		VariantTLSF:    524288,
+		// Per worker: a root step, the 80 KiB pool domain, the parser
+		// domain's 64 KiB stack and 256 KiB heap, the monitor page.
+		VariantSDRaD: 1351680,
+	}
+	allVariants(t, func(t *testing.T, v Variant) {
+		m, err := NewMaster(Config{Variant: v, Workers: 2, Seed: 1, Files: map[string]int{"/1k": 1024}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Stop)
+		for i := 0; i < 24; i++ {
+			c := m.Worker(i % 2).NewConn()
+			for k := 0; k < 32; k++ {
+				if resp := mustGet(t, c, "/1k"); !strings.HasPrefix(resp, "HTTP/1.1 200 OK\r\n") {
+					t.Fatalf("GET /1k: %q", resp[:min(len(resp), 40)])
+				}
+			}
+		}
+		var got int64
+		for i := 0; i < m.Workers(); i++ {
+			got += m.Worker(i).MappedBytes()
+		}
+		if got != want[v] {
+			t.Errorf("%s master maps %d bytes (%.2f MiB) after the load, want %d", v, got, float64(got)/(1<<20), want[v])
 		}
 	})
 }

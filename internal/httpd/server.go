@@ -285,9 +285,11 @@ func newWorker(cfg Config, idx int) (*Worker, error) {
 	return w, nil
 }
 
-// heapBudget sizes the worker heap: content plus per-connection buffers
-// (a read buffer and a write buffer sized for the largest response) for
-// maxConns concurrent connections.
+// heapBudget is the worker heap's ceiling: content plus per-connection
+// buffers (a read buffer and a write buffer sized for the largest
+// response) for maxConns concurrent connections. The heap grows on demand
+// up to it (core.HeapStep), so a worker maps what its content and
+// connections use.
 func heapBudget(cfg Config) uint64 {
 	const maxConns = 128
 	var total uint64 = 4 << 20
@@ -320,12 +322,11 @@ func (w *Worker) provision(t *proc.Thread) error {
 	if w.cfg.VerifyClientCerts && w.Library() == nil {
 		// The baseline verifier runs on an ordinary stack with its
 		// staging buffer in the worker heap — no isolation.
-		p := w.Process()
-		base, err := p.AddressSpace().MapAnon(64*1024, mem.ProtRW, 0)
+		stk, err := w.Stack(64 * 1024)
 		if err != nil {
 			return err
 		}
-		w.certStack = stack.New(base, 64*1024, p.Rand64())
+		w.certStack = stk
 		buf, err := w.Alloc(t, core.RootUDI, maxCertSize)
 		if err != nil {
 			return err

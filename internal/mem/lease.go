@@ -159,6 +159,7 @@ func (l *Lease) verify() bool {
 	pg0 := as.lookup(first)
 	if pg0 == nil || len(pg0.span) == 0 || !leasePageOK(pg0, c.pkru, l.kind) {
 		l.ok = false
+		as.stats.LeasePagesWalked.Add(1)
 		as.leaseRefusals.Add(1)
 		return false
 	}
@@ -172,10 +173,12 @@ func (l *Lease) verify() bool {
 			&pg.span[0] != &pg0.span[0] ||
 			pg.spanOff != pg0.spanOff+(pn-first)<<PageShift {
 			l.ok = false
+			as.stats.LeasePagesWalked.Add(int64(pn - first + 1))
 			as.leaseRefusals.Add(1)
 			return false
 		}
 	}
+	as.stats.LeasePagesWalked.Add(int64(last - first + 1))
 	start := pg0.spanOff + l.base.PageOff()
 	l.data = pg0.span[start : start+uint64(l.n)]
 	l.pkey = pg0.pkey

@@ -29,6 +29,9 @@ func (as *AddressSpace) SetTelemetry(rec *telemetry.Recorder) {
 	reg.CounterFunc("sdrad_lease_renewals_total",
 		"Stale span leases renewed by a full re-verification walk.",
 		func() int64 { return as.leaseRenewals.Load() })
+	reg.CounterFunc("sdrad_lease_pages_walked_total",
+		"Pages walked verifying span leases (grants, renewals, refusals).",
+		func() int64 { return as.stats.LeasePagesWalked.Load() })
 	reg.CounterFunc("sdrad_lease_refusals_total",
 		"Span lease grant/renew refusals (callers fell back to checked accessors).",
 		func() int64 { return as.leaseRefusals.Load() })

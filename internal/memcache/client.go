@@ -116,20 +116,44 @@ func (s *Server) serveNetConn(nc net.Conn) {
 	}
 }
 
+// MaxLineLen caps a request's command line, its newline included, as
+// memcached caps it: ReadRequest refuses a longer line as soon as
+// MaxLineLen bytes of it have arrived, having taken no more than that.
+const MaxLineLen = 2048
+
+// ErrLineTooLong is ReadRequest's refusal of a command line longer than
+// MaxLineLen. Both readers of client streams, the server's listener and
+// the cluster router, close the connection on it, as memcached does.
+var ErrLineTooLong = errors.New("memcache: command line too long")
+
 // ReadRequest frames one request off a client byte stream: a command
-// line plus, for the commands in blockCommands (set, add, replace,
-// append, prepend, cas, bset), the data block its length token declares.
-// The bset frame carries the actual byte count in its fourth token so a
-// malicious client can claim an arbitrary body length in the third. The
-// cluster router shares this framing so a front-end and a backend agree
-// on request boundaries byte for byte.
+// line of at most MaxLineLen bytes plus, for the commands in
+// blockCommands (set, add, replace, append, prepend, cas, bset), the data
+// block its length token declares. The bset frame carries the actual byte
+// count in its fourth token so a malicious client can claim an arbitrary
+// body length in the third. The cluster router shares this framing so a
+// front-end and a backend agree on request boundaries byte for byte.
 func ReadRequest(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, err
+	var req []byte
+	for {
+		// Wait for a byte, then take what has arrived, up to the cap.
+		if _, err := r.Peek(1); err != nil {
+			return nil, err
+		}
+		buf, _ := r.Peek(min(r.Buffered(), MaxLineLen-len(req)))
+		if i := bytes.IndexByte(buf, '\n'); i >= 0 {
+			buf = buf[:i+1]
+		}
+		req = append(req, buf...)
+		_, _ = r.Discard(len(buf))
+		if req[len(req)-1] == '\n' {
+			break
+		}
+		if len(req) == MaxLineLen {
+			return nil, ErrLineTooLong
+		}
 	}
-	req := append([]byte(nil), line...)
-	fields := bytes.Fields(bytes.TrimRight(line, "\r\n"))
+	fields := bytes.Fields(bytes.TrimRight(req, "\r\n"))
 	if len(fields) == 0 {
 		return req, nil
 	}

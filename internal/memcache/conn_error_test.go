@@ -143,6 +143,37 @@ func TestTCPCloseMidPipeline(t *testing.T) {
 	}
 }
 
+// TestTCPClosesOnOverlongLine: a client that sends more than MaxLineLen
+// bytes with no newline gets no reply and a closed connection, and the
+// server keeps serving the next one.
+func TestTCPClosesOnOverlongLine(t *testing.T) {
+	_, addr := newTCPServer(t)
+	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Write(bytes.Repeat([]byte("x"), MaxLineLen)); err != nil {
+		t.Fatal(err)
+	}
+	if rest, err := io.ReadAll(nc); err != nil || len(rest) != 0 {
+		t.Fatalf("after an overlong line: %q, %v; want a clean close and no reply", rest, err)
+	}
+	nc2, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc2.Close()
+	_ = nc2.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc2.Write(FormatGet("k")); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := ReadReply(bufio.NewReader(nc2)); err != nil || string(rep) != "END\r\n" {
+		t.Fatalf("next connection: %q, %v", rep, err)
+	}
+}
+
 // TestTCPAfterStopWritesNothing sends a request on a connection accepted
 // before Stop: a stopped server closes it without a reply. A SERVER_ERROR
 // line here would read as an answered exchange to the cluster router and

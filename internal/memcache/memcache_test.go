@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
+	"sdrad/internal/mem"
 	"sdrad/internal/policy"
 	"sdrad/internal/proc"
 	"sdrad/internal/telemetry"
@@ -623,32 +625,25 @@ func TestVariantString(t *testing.T) {
 
 // heapInuse is the Go heap in use, read after a collection when collect is
 // set.
-func heapInuse(collect bool) uint64 {
-	if collect {
-		runtime.GC()
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
-}
-
 func TestStoppedServerIsCollectable(t *testing.T) {
-	// A stopped server and its simulated memory must be garbage after ONE
-	// collection: nothing the request path leaves behind (the hand-off's
-	// events, its sweepers) may keep the process reachable — a sync.Pool of
-	// events does, for two. Held memory shows as set-up time of the next
-	// server built in the process. A reply the caller keeps across Stop
-	// keeps its bytes, since no call follows it on its connection, and pins
-	// no more than that connection's reply block.
+	// A stopped server's process and address space must be garbage after
+	// ONE collection: nothing the request path leaves behind (the
+	// hand-off's events, its sweepers) may keep them reachable — a
+	// sync.Pool of events does, for two. Held memory shows as set-up time
+	// of the next server built in the process. A reply the caller keeps
+	// across Stop keeps its bytes, since no call follows it on its
+	// connection, and pins no more than that connection's reply block.
 	allVariants(t, func(t *testing.T, v Variant) {
-		before := heapInuse(true)
 		var held []byte
+		var p weak.Pointer[proc.Process]
+		var as weak.Pointer[mem.AddressSpace]
 		want := getEntry("key-0", bytes.Repeat([]byte("v"), 512)) + "END\r\n"
 		func() {
 			s, err := NewServer(Config{Variant: v, Workers: 2, CacheBytes: 32 << 20})
 			if err != nil {
 				t.Fatal(err)
 			}
+			p, as = weak.Make(s.Process()), weak.Make(s.Process().AddressSpace())
 			var wg sync.WaitGroup
 			for i := 0; i < 2; i++ {
 				wg.Add(1)
@@ -677,15 +672,13 @@ func TestStoppedServerIsCollectable(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if inuse := heapInuse(false) - before; inuse < 24<<20 {
-				t.Fatalf("a live server holds %d MiB of Go heap; the test no longer measures its memory", inuse>>20)
-			}
 			held = mustDo(t, s.NewConn(), FormatGet("key-0"))
 			s.Stop()
 		}()
-		if after := heapInuse(true); after > before+8<<20 {
-			t.Errorf("HeapInuse %d MiB before the server, %d MiB after Stop and one GC: the stopped server is still reachable",
-				before>>20, after>>20)
+		runtime.GC()
+		if p.Value() != nil || as.Value() != nil {
+			t.Errorf("after Stop and one GC the process (live: %v) or its address space (live: %v) is still reachable",
+				p.Value() != nil, as.Value() != nil)
 		}
 		if string(held) != want {
 			t.Errorf("a reply held across Stop reads %q, want %q", held[:min(len(held), 24)], want[:24])

@@ -2,7 +2,9 @@ package memcache
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -380,6 +382,60 @@ func TestReadRequestFramesEveryDataBlock(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// endless is a client that never sends a newline: it hands out 'x' bytes
+// up to a total and counts how many were read.
+type endless struct{ left, read int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	if e.left == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), e.left)
+	for i := range p[:n] {
+		p[i] = 'x'
+	}
+	e.left -= n
+	e.read += n
+	return n, nil
+}
+
+// TestReadRequestCapsTheCommandLine: an 8 MiB line with no newline is
+// refused once MaxLineLen bytes of it have arrived, having taken exactly
+// that many from the reader, whatever its buffer size; a line of
+// MaxLineLen-1 bytes and one of exactly MaxLineLen, newline included, are
+// still framed, and one byte more is refused.
+func TestReadRequestCapsTheCommandLine(t *testing.T) {
+	for _, size := range []int{16, 4096, 64 << 10} {
+		src := &endless{left: 8 << 20}
+		r := bufio.NewReaderSize(src, size)
+		if req, err := ReadRequest(r); !errors.Is(err, ErrLineTooLong) || req != nil {
+			t.Fatalf("8 MiB line (reader %d): %d bytes, %v; want ErrLineTooLong", size, len(req), err)
+		}
+		if taken := src.read - r.Buffered(); taken != MaxLineLen {
+			t.Errorf("refusing the line (reader %d) took %d bytes of it, want %d", size, taken, MaxLineLen)
+		}
+	}
+	for _, n := range []int{MaxLineLen - 1, MaxLineLen, MaxLineLen + 1} {
+		line := "get " + strings.Repeat("k", n-len("get \r\n")) + "\r\n"
+		for _, size := range []int{16, 4096} {
+			r := bufio.NewReaderSize(strings.NewReader(line+"get k\r\n"), size)
+			req, err := ReadRequest(r)
+			if n > MaxLineLen {
+				if !errors.Is(err, ErrLineTooLong) {
+					t.Errorf("%d-byte line (reader %d): %v, want ErrLineTooLong", n, size, err)
+				}
+				continue
+			}
+			if err != nil || string(req) != line {
+				t.Errorf("%d-byte line (reader %d): %d bytes, %v", n, size, len(req), err)
+			}
+			if next, err := ReadRequest(r); err != nil || string(next) != "get k\r\n" {
+				t.Errorf("request after a %d-byte line: %q, %v", n, next, err)
+			}
+		}
 	}
 }
 

@@ -99,6 +99,14 @@ func (c *Config) setDefaults() {
 // assembly for a full batch.
 const domainScratchSlack = 160 * 1024
 
+// rootHeap is the root heap's ceiling: room for 256 live connections'
+// buffers plus slack. The heap grows on demand up to it (core.HeapStep),
+// so a server maps what its connections use. A baseline's one heap holds
+// the cache as well, under a ceiling that much higher.
+func rootHeap(cfg Config) uint64 {
+	return uint64(cfg.ConnBufSize)*2*256 + 2<<20
+}
+
 // domainHeapSize is the hardened build's per-event-domain heap: one read
 // and one write buffer copy per in-flight request plus the scratch slack
 // (192 KiB at MaxBatch 1 with 16 KiB buffers).
@@ -221,16 +229,13 @@ func (c *Conn) ID() int { return c.id }
 // are spawned, and the server is ready for NewConn/Do.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.setDefaults()
-	// Root memory holds 256 live connections' buffers plus slack; a
-	// baseline's one heap holds the cache as well.
-	rootHeap := uint64(cfg.ConnBufSize)*2*256 + 2<<20
 	h, err := host.New(host.Config{
 		Name:         "memcached-" + cfg.Variant.String(),
 		Seed:         cfg.Seed,
 		Variant:      cfg.Variant,
-		RootHeap:     rootHeap,
+		RootHeap:     rootHeap(cfg),
 		DomainHeap:   domainHeapSize(cfg),
-		BaselineHeap: cfg.CacheBytes + rootHeap,
+		BaselineHeap: cfg.CacheBytes + rootHeap(cfg),
 		Telemetry:    cfg.Telemetry,
 		Policy:       cfg.Policy,
 	})

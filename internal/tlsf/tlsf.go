@@ -135,6 +135,20 @@ type Heap struct {
 // whatever synchronization the caller's Alloc runs under.
 func (h *Heap) SetAllocHook(fn func(size uint64) error) { h.allocHook = fn }
 
+// RegionFor returns the smallest region AddRegion can be given for an
+// Alloc of size bytes to succeed when no other block can serve it: the
+// region's one free block must reach the class Alloc's good-fit search
+// rounds the request up to (16 KiB+1 needs a 16.5 KiB block), plus the
+// block header and the region's sentinel.
+func RegionFor(size uint64) uint64 {
+	fit := adjustSize(max(size, 1))
+	if fit >= smallBlockSize {
+		step := uint64(1) << (uint(fls(fit)) - slIndexLog2)
+		fit = (fit + step - 1) &^ (step - 1)
+	}
+	return fit + 2*headerOverhead
+}
+
 // Init creates a heap whose control block and first region are carved from
 // [base, base+size). base must be 8-byte aligned and size large enough for
 // the control block plus one minimal block.

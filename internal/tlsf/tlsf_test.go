@@ -335,6 +335,34 @@ func TestMappingMonotonicity(t *testing.T) {
 	}
 }
 
+// TestRegionForFitsTheRequest: a heap with no free block left takes a
+// request again once given a region of exactly RegionFor its size, and
+// not with one aligned step less (good-fit search finds no smaller
+// block, or the region is below AddRegion's minimum), for small, class-boundary and large requests alike.
+func TestRegionForFitsTheRequest(t *testing.T) {
+	for _, n := range []uint64{0, 1, 24, 255, 256, 300, 16 << 10, 16<<10 + 1, 1 << 20, 38 << 20} {
+		for _, size := range []uint64{RegionFor(n), RegionFor(n) - align} {
+			as := mem.NewAddressSpace()
+			cpu := as.NewCPU()
+			b1, _ := as.MapAnon(int(MinRegion()), mem.ProtRW, 0)
+			h, err := Init(cpu, b1, MinRegion())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Alloc(cpu, minBlockSize); err != nil {
+				t.Fatal(err)
+			}
+			b2, _ := as.MapAnon(int(size), mem.ProtRW, 0)
+			if err = h.AddRegion(cpu, b2, size); err == nil {
+				_, err = h.Alloc(cpu, n)
+			}
+			if fits := size == RegionFor(n); fits != (err == nil) {
+				t.Errorf("Alloc(%d) in a %d-byte region (RegionFor %d): %v", n, size, RegionFor(n), err)
+			}
+		}
+	}
+}
+
 func TestMappingSearchRoundsUp(t *testing.T) {
 	// Any block in the class found by mappingSearch(n) must be >= n.
 	// Verify via the class lower bound: mappingInsert of the class start.
